@@ -9,11 +9,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_Opportunity(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   analysis::OpportunityOptions opt;
   opt.stable_bin_share = static_cast<double>(state.range(0)) / 100.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::offload_opportunity(ds, opt));
+    benchmark::DoNotOptimize(analysis::offload_opportunity(src, opt));
   }
 }
 BENCHMARK(BM_Opportunity)->Arg(5)->Arg(30)->Unit(benchmark::kMillisecond);

@@ -8,10 +8,10 @@ namespace {
 using namespace tokyonet;
 
 void BM_AggregateSeries(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::aggregate_series(ds, analysis::Stream::WifiRx));
+        analysis::aggregate_series(src, analysis::Stream::WifiRx));
   }
 }
 BENCHMARK(BM_AggregateSeries)->Unit(benchmark::kMillisecond);

@@ -8,10 +8,10 @@ namespace {
 using namespace tokyonet;
 
 void BM_UserTypeStats(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const std::size_t n_devices = bench::campaign(Year::Y2015).devices.size();
   const auto& days = bench::days(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::user_type_stats(ds, days));
+    benchmark::DoNotOptimize(analysis::user_type_stats(n_devices, days));
   }
 }
 BENCHMARK(BM_UserTypeStats)->Unit(benchmark::kMillisecond);

@@ -8,9 +8,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_WifiStates(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::compute_wifi_states(ds));
+    benchmark::DoNotOptimize(analysis::compute_wifi_states(src));
   }
 }
 BENCHMARK(BM_WifiStates)->Unit(benchmark::kMillisecond);

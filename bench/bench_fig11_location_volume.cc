@@ -8,11 +8,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_LocationSeries(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   const auto& cls = bench::classification(Year::Y2015);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        analysis::location_series(ds, cls, {ApClass::Home, false}, true));
+        analysis::location_series(src, cls, {ApClass::Home, false}, true));
   }
 }
 BENCHMARK(BM_LocationSeries)->Unit(benchmark::kMillisecond);

@@ -18,11 +18,12 @@ void BM_DetectUpdates(benchmark::State& state) {
 BENCHMARK(BM_DetectUpdates)->Unit(benchmark::kMillisecond);
 
 void BM_UpdateTiming(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& devices = bench::campaign(Year::Y2015).devices;
   const auto& det = bench::updates(Year::Y2015);
   const auto& cls = bench::classification(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::analyze_update_timing(ds, det, cls));
+    benchmark::DoNotOptimize(
+        analysis::analyze_update_timing(devices, det, cls));
   }
 }
 BENCHMARK(BM_UpdateTiming)->Unit(benchmark::kMicrosecond);

@@ -8,11 +8,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_OffloadImpact(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   const auto& days = bench::days(Year::Y2015);
   const auto& cls = bench::classification(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::offload_impact(ds, days, cls));
+    benchmark::DoNotOptimize(analysis::offload_impact(src, days, cls));
   }
 }
 BENCHMARK(BM_OffloadImpact)->Unit(benchmark::kMillisecond);

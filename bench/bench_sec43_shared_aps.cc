@@ -8,10 +8,10 @@ namespace {
 using namespace tokyonet;
 
 void BM_DetectSharedAps(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   const auto& cls = bench::classification(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::detect_shared_aps(ds, cls));
+    benchmark::DoNotOptimize(analysis::detect_shared_aps(src, cls));
   }
 }
 BENCHMARK(BM_DetectSharedAps)->Unit(benchmark::kMillisecond);

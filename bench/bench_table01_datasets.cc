@@ -8,9 +8,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_Overview2015(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::overview(ds));
+    benchmark::DoNotOptimize(analysis::overview(src));
   }
 }
 BENCHMARK(BM_Overview2015)->Unit(benchmark::kMillisecond);

@@ -7,9 +7,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_Demographics(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::demographics(ds));
+    benchmark::DoNotOptimize(analysis::demographics(src));
   }
 }
 BENCHMARK(BM_Demographics)->Unit(benchmark::kMicrosecond);

@@ -8,11 +8,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_AppBreakdownTx(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2014);
+  const auto& src = bench::context(Year::Y2014).source();
   const auto& cls = bench::classification(Year::Y2014);
   const auto& home_cells = bench::home_cells(Year::Y2014);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::app_breakdown(ds, cls, home_cells));
+    benchmark::DoNotOptimize(analysis::app_breakdown(src, cls, home_cells));
   }
 }
 BENCHMARK(BM_AppBreakdownTx)->Unit(benchmark::kMillisecond);

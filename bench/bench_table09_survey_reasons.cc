@@ -8,9 +8,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_SurveyReasons(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::survey_reasons(ds));
+    benchmark::DoNotOptimize(analysis::survey_reasons(src));
   }
 }
 BENCHMARK(BM_SurveyReasons)->Unit(benchmark::kMicrosecond);

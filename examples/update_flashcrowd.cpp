@@ -26,7 +26,7 @@ analysis::UpdateTiming run_scenario(const ScenarioConfig& config) {
   analysis::UpdateDetectOptions detect;
   detect.min_day = config.update.release_day - 1;
   const auto detection = analysis::detect_updates(ds, detect);
-  return analysis::analyze_update_timing(ds, detection,
+  return analysis::analyze_update_timing(ds.devices, detection,
                                          analysis::classify_aps(ds));
 }
 

@@ -43,10 +43,11 @@ void add_hour_sums(std::vector<std::uint64_t>& acc,
   return {};
 }
 
-}  // namespace
-
-std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
-                                               Stream stream) {
+// The exact per-hour byte sums behind aggregate_series(). u64 addition
+// is associative, so summing per-block hour sums and converting once
+// gives the same series at any shard count.
+[[nodiscard]] std::vector<std::uint64_t> hour_sums_scan(const Dataset& ds,
+                                                        Stream stream) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
 
   const core::DatasetIndex* idx = ds.index();
@@ -96,7 +97,7 @@ std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
   return total;
 }
 
-AllStreamSums aggregate_all_streams(const Dataset& ds) {
+[[nodiscard]] AllStreamSums all_streams_scan(const Dataset& ds) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
   AllStreamSums out;
   for (auto& sums : out.hour_sums) sums.assign(n_hours, 0);
@@ -104,7 +105,7 @@ AllStreamSums aggregate_all_streams(const Dataset& ds) {
   const core::DatasetIndex* idx = ds.index();
   if (idx == nullptr) {
     // Unindexed dataset (e.g. hand-built in tests): serial reference,
-    // matching aggregate_hour_sums() and lte_traffic_sums() exactly.
+    // matching hour_sums_scan() and the volumes.cc LTE scan exactly.
     for (const Sample& s : ds.samples) {
       const auto hour = static_cast<std::size_t>(s.bin / kBinsPerHour);
       out.hour_sums[0][hour] += s.cell_rx;
@@ -130,7 +131,7 @@ AllStreamSums aggregate_all_streams(const Dataset& ds) {
   if (idx->dense()) {
     // Dense campaign: fixed-stride hour runs per device, all four
     // streams and the LTE tallies in one walk (see the dense path of
-    // aggregate_hour_sums() for the stride argument).
+    // hour_sums_scan() for the stride argument).
     partials = query::map_device_blocks(
         idx->num_devices(), [&](std::size_t d0, std::size_t d1) {
       Partial part;
@@ -189,6 +190,8 @@ AllStreamSums aggregate_all_streams(const Dataset& ds) {
   return out;
 }
 
+}  // namespace
+
 HourlySeries hourly_series_from_sums(std::span<const std::uint64_t> sums) {
   HourlySeries out;
   out.mbps.resize(sums.size());
@@ -198,8 +201,26 @@ HourlySeries hourly_series_from_sums(std::span<const std::uint64_t> sums) {
   return out;
 }
 
-HourlySeries aggregate_series(const Dataset& ds, Stream stream) {
-  return hourly_series_from_sums(aggregate_hour_sums(ds, stream));
+HourlySeries aggregate_series(const query::DataSource& src, Stream stream) {
+  return hourly_series_from_sums(src.reduce<std::vector<std::uint64_t>>(
+      [&](const Dataset& block, std::size_t) {
+        return hour_sums_scan(block, stream);
+      },
+      [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& p) {
+        add_hour_sums(acc, p);
+      }));
+}
+
+AllStreamSums aggregate_all_streams(const query::DataSource& src) {
+  return src.reduce<AllStreamSums>(
+      [](const Dataset& block, std::size_t) { return all_streams_scan(block); },
+      [](AllStreamSums& acc, AllStreamSums&& p) {
+        for (int s = 0; s < 4; ++s) {
+          add_hour_sums(acc.hour_sums[s], p.hour_sums[s]);
+        }
+        acc.lte.lte += p.lte.lte;
+        acc.lte.total += p.lte.total;
+      });
 }
 
 namespace {
@@ -294,38 +315,27 @@ namespace {
 
 }  // namespace
 
-HourlySeries location_series(const Dataset& ds, const ApClassification& cls,
-                             LocationFilter filter, bool rx) {
-  return hourly_series_from_sums(location_hour_sums(ds, cls, filter, rx));
-}
-
 HourlySeries location_series(const query::DataSource& src,
                              const ApClassification& cls, LocationFilter filter,
                              bool rx) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return location_series(*ds, cls, filter, rx);
-  }
   // Shard samples reference the global AP universe, so the per-AP keep
   // table is the same in every block; hour sums are u64 and add.
-  std::vector<std::uint64_t> total(
-      static_cast<std::size_t>(src.num_days()) * 24, 0);
-  src.fold<std::vector<std::uint64_t>>(
+  return hourly_series_from_sums(src.reduce<std::vector<std::uint64_t>>(
       [&](const Dataset& block, std::size_t) {
         return location_hour_sums(block, cls, filter, rx);
       },
-      [&](std::vector<std::uint64_t>&& p, std::size_t) {
-        add_hour_sums(total, p);
-      });
-  return hourly_series_from_sums(total);
+      [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& p) {
+        add_hour_sums(acc, p);
+      }));
 }
 
-WeekSplit weekday_weekend_split(const Dataset& ds, Stream stream) {
-  return weekday_weekend_split(aggregate_series(ds, stream), ds.calendar,
-                               ds.num_days());
+WeekSplit weekday_weekend_split(const query::DataSource& src, Stream stream) {
+  return week_split(aggregate_series(src, stream), src.calendar(),
+                    src.num_days());
 }
 
-WeekSplit weekday_weekend_split(const HourlySeries& series,
-                                const CampaignCalendar& cal, int num_days) {
+WeekSplit week_split(const HourlySeries& series, const CampaignCalendar& cal,
+                     int num_days) {
   double wd = 0, we = 0;
   int wd_n = 0, we_n = 0;
   for (int day = 0; day < num_days; ++day) {
@@ -441,16 +451,8 @@ namespace {
 
 }  // namespace
 
-WifiLocationShares wifi_location_shares(const Dataset& ds,
-                                        const ApClassification& cls) {
-  return wifi_location_shares_from_sums(wifi_location_sums(ds, cls));
-}
-
 WifiLocationShares wifi_location_shares(const query::DataSource& src,
                                         const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return wifi_location_shares(*ds, cls);
-  }
   return wifi_location_shares_from_sums(
       src.reduce<std::array<std::uint64_t, 4>>(
           [&](const Dataset& block, std::size_t) {
@@ -460,51 +462,6 @@ WifiLocationShares wifi_location_shares(const query::DataSource& src,
              std::array<std::uint64_t, 4>&& p) {
             for (std::size_t b = 0; b < 4; ++b) acc[b] += p[b];
           }));
-}
-
-HourlySeries aggregate_series(const query::DataSource& src, Stream stream) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return aggregate_series(*ds, stream);
-  }
-  std::vector<std::uint64_t> total(
-      static_cast<std::size_t>(src.num_days()) * 24, 0);
-  src.fold<std::vector<std::uint64_t>>(
-      [&](const Dataset& block, std::size_t) {
-        return aggregate_hour_sums(block, stream);
-      },
-      [&](std::vector<std::uint64_t>&& p, std::size_t) {
-        add_hour_sums(total, p);
-      });
-  return hourly_series_from_sums(total);
-}
-
-AllStreamSums aggregate_all_streams(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return aggregate_all_streams(*ds);
-  }
-  AllStreamSums total;
-  const auto n_hours = static_cast<std::size_t>(src.num_days()) * 24;
-  for (auto& sums : total.hour_sums) sums.assign(n_hours, 0);
-  src.fold<AllStreamSums>(
-      [&](const Dataset& block, std::size_t) {
-        return aggregate_all_streams(block);
-      },
-      [&](AllStreamSums&& p, std::size_t) {
-        for (int s = 0; s < 4; ++s) {
-          add_hour_sums(total.hour_sums[s], p.hour_sums[s]);
-        }
-        total.lte.lte += p.lte.lte;
-        total.lte.total += p.lte.total;
-      });
-  return total;
-}
-
-WeekSplit weekday_weekend_split(const query::DataSource& src, Stream stream) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return weekday_weekend_split(*ds, stream);
-  }
-  return weekday_weekend_split(aggregate_series(src, stream), src.calendar(),
-                               src.num_days());
 }
 
 }  // namespace tokyonet::analysis

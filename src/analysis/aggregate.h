@@ -33,18 +33,11 @@ enum class Stream : std::uint8_t {
   WifiTx,
 };
 
-/// Fig 2: one aggregated series per stream.
-[[nodiscard]] HourlySeries aggregate_series(const Dataset& ds, Stream stream);
+/// Fig 2: one aggregated series per stream. Accumulated as exact u64
+/// hour sums per block and converted once, so the result is
+/// byte-identical at any shard count.
 [[nodiscard]] HourlySeries aggregate_series(const query::DataSource& src,
                                             Stream stream);
-
-/// The exact per-hour byte sums behind aggregate_series(). Exposed so
-/// out-of-core scans can accumulate shard partials as integers — u64
-/// addition is associative, so summing per-shard hour sums and
-/// converting once reproduces the in-memory series byte-identically at
-/// any shard count.
-[[nodiscard]] std::vector<std::uint64_t> aggregate_hour_sums(const Dataset& ds,
-                                                             Stream stream);
 
 /// The Mbps conversion aggregate_series() applies to its hour sums.
 [[nodiscard]] HourlySeries hourly_series_from_sums(
@@ -52,7 +45,7 @@ enum class Stream : std::uint8_t {
 
 /// Every per-stream hour-sum vector plus the LTE byte sums, from one
 /// fused pass over the traffic columns. Byte-identical to four
-/// aggregate_hour_sums() calls and one lte_traffic_sums() call — all
+/// aggregate_series() hour sums and overview()'s LTE sums — all
 /// accumulators are exact u64 sums, so fusing the loops changes only
 /// the order of associative additions — at roughly a quarter of the
 /// column traffic. The out-of-core backend is the hot caller: it pays
@@ -63,7 +56,6 @@ struct AllStreamSums {
   LteTrafficSums lte;
 };
 
-[[nodiscard]] AllStreamSums aggregate_all_streams(const Dataset& ds);
 [[nodiscard]] AllStreamSums aggregate_all_streams(const query::DataSource& src);
 
 /// Fig 11: WiFi traffic restricted to APs of one inferred class
@@ -73,10 +65,6 @@ struct LocationFilter {
   bool office_only = false;  // only meaningful with ApClass::Other
 };
 
-[[nodiscard]] HourlySeries location_series(const Dataset& ds,
-                                           const ApClassification& cls,
-                                           LocationFilter filter,
-                                           bool rx);
 [[nodiscard]] HourlySeries location_series(const query::DataSource& src,
                                            const ApClassification& cls,
                                            LocationFilter filter,
@@ -88,16 +76,13 @@ struct WeekSplit {
   double weekend_mbps = 0;
 };
 
-[[nodiscard]] WeekSplit weekday_weekend_split(const Dataset& ds,
-                                              Stream stream);
 [[nodiscard]] WeekSplit weekday_weekend_split(const query::DataSource& src,
                                               Stream stream);
 
-/// As above, over an already-computed series (the out-of-core path has
-/// the series but no in-memory Dataset).
-[[nodiscard]] WeekSplit weekday_weekend_split(const HourlySeries& series,
-                                              const CampaignCalendar& cal,
-                                              int num_days);
+/// The split over an already-computed series (Fig 2 has all four
+/// series from one aggregate_all_streams() pass).
+[[nodiscard]] WeekSplit week_split(const HourlySeries& series,
+                                   const CampaignCalendar& cal, int num_days);
 
 /// Share summary used in §3.4.1: home / public / office share of total
 /// WiFi volume (95% / ~4% in the paper).
@@ -108,8 +93,6 @@ struct WifiLocationShares {
   double other = 0;  // non-office remainder of Other
 };
 
-[[nodiscard]] WifiLocationShares wifi_location_shares(
-    const Dataset& ds, const ApClassification& cls);
 [[nodiscard]] WifiLocationShares wifi_location_shares(
     const query::DataSource& src, const ApClassification& cls);
 

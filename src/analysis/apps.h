@@ -50,10 +50,6 @@ struct AppBreakdownOptions {
 
 /// Computes Tables 6/7. Cellular traffic is located via the device's
 /// inferred nighttime cell (`infer_home_cells`); WiFi via the AP class.
-[[nodiscard]] AppBreakdown app_breakdown(const Dataset& ds,
-                                         const ApClassification& cls,
-                                         const std::vector<GeoCell>& home_cells,
-                                         const AppBreakdownOptions& opt = {});
 [[nodiscard]] AppBreakdown app_breakdown(const query::DataSource& src,
                                          const ApClassification& cls,
                                          const std::vector<GeoCell>& home_cells,

@@ -11,8 +11,9 @@
 #include "stats/simd.h"
 
 namespace tokyonet::analysis {
+namespace {
 
-ScanAvailability scan_availability(const Dataset& ds) {
+[[nodiscard]] ScanAvailability availability_scan(const Dataset& ds) {
   ScanAvailability out;
 
   const core::DatasetIndex* idx = ds.index();
@@ -73,13 +74,24 @@ ScanAvailability scan_availability(const Dataset& ds) {
   return out;
 }
 
-std::vector<OffloadDeviceMetrics> offload_device_metrics(const Dataset& ds) {
+/// One device's §3.5 tallies — a pure function of that device's stream,
+/// so per-block vectors concatenate in device order into the campaign's
+/// metrics at any shard count.
+struct OffloadDeviceMetrics {
+  bool counted = false;  // Android with >= 1 sample
+  std::size_t n = 0;
+  std::size_t unassoc = 0, unassoc_strong = 0;
+  double cell_rx_total = 0, cell_rx_covered = 0;
+};
+
+[[nodiscard]] std::vector<OffloadDeviceMetrics> device_metrics_scan(
+    const Dataset& ds) {
   // Per-device metrics, computed in parallel over the index when it is
   // available. The indexed path accumulates byte totals as exact u64
   // sums and converts to MB once per device, so every partial is
   // grouping-independent and the cross-device fold in
-  // offload_opportunity_from_metrics() (serial, in device order) gives
-  // the same result at any thread count.
+  // opportunity_from_metrics() (serial, in device order) gives the same
+  // result at any thread count.
   const core::DatasetIndex* idx = ds.index();
   return core::parallel_map(
       ds.devices.size(), [&](std::size_t d) {
@@ -126,7 +138,7 @@ std::vector<OffloadDeviceMetrics> offload_device_metrics(const Dataset& ds) {
       });
 }
 
-OffloadOpportunity offload_opportunity_from_metrics(
+[[nodiscard]] OffloadOpportunity opportunity_from_metrics(
     const std::vector<OffloadDeviceMetrics>& metrics,
     const OpportunityOptions& opt) {
   OffloadOpportunity out;
@@ -160,50 +172,34 @@ OffloadOpportunity offload_opportunity_from_metrics(
   return out;
 }
 
-OffloadOpportunity offload_opportunity(const Dataset& ds,
-                                       const OpportunityOptions& opt) {
-  return offload_opportunity_from_metrics(offload_device_metrics(ds), opt);
-}
+}  // namespace
 
 ScanAvailability scan_availability(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return scan_availability(*ds);
-  // Per-shard series are emitted in (device, bin) order, so appending
-  // them in shard order reproduces the in-memory emission order.
-  ScanAvailability out;
-  src.fold<ScanAvailability>(
+  // Per-block series are emitted in (device, bin) order, so appending
+  // them in block order reproduces the campaign's emission order.
+  return src.reduce<ScanAvailability>(
       [](const Dataset& block, std::size_t) {
-        return scan_availability(block);
+        return availability_scan(block);
       },
-      [&](ScanAvailability&& p, std::size_t) {
-        auto append = [](std::vector<double>& into, std::vector<double>& from) {
-          if (into.empty()) {
-            into = std::move(from);
-          } else {
-            into.insert(into.end(), from.begin(), from.end());
-          }
+      [](ScanAvailability& acc, ScanAvailability&& p) {
+        const auto append = [](std::vector<double>& into,
+                               const std::vector<double>& from) {
+          into.insert(into.end(), from.begin(), from.end());
         };
-        append(out.all_24, p.all_24);
-        append(out.strong_24, p.strong_24);
-        append(out.all_5, p.all_5);
-        append(out.strong_5, p.strong_5);
-      });
-  return out;
-}
-
-std::vector<OffloadDeviceMetrics> offload_device_metrics(
-    const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return offload_device_metrics(*ds);
-  }
-  return src.concat<OffloadDeviceMetrics>(
-      [](const Dataset& block, std::size_t) {
-        return offload_device_metrics(block);
+        append(acc.all_24, p.all_24);
+        append(acc.strong_24, p.strong_24);
+        append(acc.all_5, p.all_5);
+        append(acc.strong_5, p.strong_5);
       });
 }
 
 OffloadOpportunity offload_opportunity(const query::DataSource& src,
                                        const OpportunityOptions& opt) {
-  return offload_opportunity_from_metrics(offload_device_metrics(src), opt);
+  return opportunity_from_metrics(
+      src.concat<OffloadDeviceMetrics>([](const Dataset& block, std::size_t) {
+        return device_metrics_scan(block);
+      }),
+      opt);
 }
 
 }  // namespace tokyonet::analysis

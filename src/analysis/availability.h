@@ -29,7 +29,6 @@ struct ScanAvailability {
   }
 };
 
-[[nodiscard]] ScanAvailability scan_availability(const Dataset& ds);
 [[nodiscard]] ScanAvailability scan_availability(const query::DataSource& src);
 
 /// §3.5's offloading headroom estimate for WiFi-available users.
@@ -53,28 +52,6 @@ struct OpportunityOptions {
 };
 
 [[nodiscard]] OffloadOpportunity offload_opportunity(
-    const Dataset& ds, const OpportunityOptions& opt = {});
-[[nodiscard]] OffloadOpportunity offload_opportunity(
     const query::DataSource& src, const OpportunityOptions& opt = {});
-
-/// One device's §3.5 tallies — a pure function of that device's stream,
-/// so the out-of-core scan concatenates per-shard vectors in device
-/// order and folds them with offload_opportunity_from_metrics(),
-/// byte-identical to offload_opportunity() on the whole campaign.
-struct OffloadDeviceMetrics {
-  bool counted = false;  // Android with >= 1 sample
-  std::size_t n = 0;
-  std::size_t unassoc = 0, unassoc_strong = 0;
-  double cell_rx_total = 0, cell_rx_covered = 0;
-};
-
-[[nodiscard]] std::vector<OffloadDeviceMetrics> offload_device_metrics(
-    const Dataset& ds);
-[[nodiscard]] std::vector<OffloadDeviceMetrics> offload_device_metrics(
-    const query::DataSource& src);
-
-[[nodiscard]] OffloadOpportunity offload_opportunity_from_metrics(
-    const std::vector<OffloadDeviceMetrics>& metrics,
-    const OpportunityOptions& opt = {});
 
 }  // namespace tokyonet::analysis

@@ -102,12 +102,7 @@ struct BatteryPartial {
 
 }  // namespace
 
-BatteryAnalysis battery_analysis(const Dataset& ds) {
-  return battery_finalize(battery_scan(ds));
-}
-
 BatteryAnalysis battery_analysis(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return battery_analysis(*ds);
   return battery_finalize(src.reduce<BatteryPartial>(
       [](const Dataset& block, std::size_t) { return battery_scan(block); },
       [](BatteryPartial& acc, BatteryPartial&& p) { acc.merge(p); }));

@@ -28,12 +28,8 @@ struct CapAnalysis {
   double others_below_half = 0;
 };
 
-[[nodiscard]] CapAnalysis analyze_cap(const Dataset& ds,
-                                      const std::vector<UserDay>& days,
-                                      double threshold_mb = 1000.0);
-
-/// As above for callers without a resident Dataset (the out-of-core
-/// path): the dataset is only consulted for the device count.
+/// Fig 19 over the campaign's user-days; of the campaign itself only
+/// the device count is needed.
 [[nodiscard]] CapAnalysis analyze_cap(std::size_t n_devices,
                                       const std::vector<UserDay>& days,
                                       double threshold_mb = 1000.0);

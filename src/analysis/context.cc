@@ -16,7 +16,6 @@ const Dataset& AnalysisContext::dataset() const {
 }
 
 std::span<const DeviceInfo> AnalysisContext::devices() const {
-  if (const Dataset* ds = src_->dataset_or_null()) return ds->devices;
   ensure_scan();
   return devices_;
 }
@@ -29,18 +28,11 @@ void AnalysisContext::ensure_scan() const {
     uopt.min_day =
         src_->year() == Year::Y2015 ? 9 : src_->num_days();
 
-    if (const Dataset* ds = src_->dataset_or_null()) {
-      updates_ = std::make_unique<UpdateDetection>(detect_updates(*ds, uopt));
-      UserDayOptions dopt;
-      dopt.update_bin_by_device = &updates_->update_bin;
-      days_ = std::make_unique<std::vector<UserDay>>(user_days(*ds, dopt));
-      return;
-    }
-
-    // Out of core: one pass. Each block's detection, rollup and device
-    // table are per-device products of that block alone; rebasing local
-    // ids by the block's device base and appending in block (= device)
-    // order reproduces the in-memory campaign scan byte-identically.
+    // One pass. Each block's detection, rollup and device table are
+    // per-device products of that block alone; rebasing local ids by
+    // the block's device base and appending in block (= device) order
+    // gives the same result at any shard count (one in-memory block is
+    // the whole campaign at base 0).
     updates_ = std::make_unique<UpdateDetection>();
     updates_->update_bin.assign(src_->n_devices(), -1);
     days_ = std::make_unique<std::vector<UserDay>>();
@@ -102,10 +94,6 @@ const UserClassifier& AnalysisContext::classifier() const {
 
 const ApClassification& AnalysisContext::classification() const {
   std::call_once(classification_once_, [&] {
-    if (const Dataset* ds = src_->dataset_or_null()) {
-      classification_ = std::make_unique<ApClassification>(classify_aps(*ds));
-      return;
-    }
     // Per-AP tallies merge by addition and set union; each device's
     // home-AP verdict is its own. Feeding blocks in device order
     // reproduces classify_aps() byte-identically (classify.h).
@@ -125,11 +113,6 @@ const ApClassification& AnalysisContext::classification() const {
 
 const std::vector<GeoCell>& AnalysisContext::home_cells() const {
   std::call_once(home_cells_once_, [&] {
-    if (const Dataset* ds = src_->dataset_or_null()) {
-      home_cells_ =
-          std::make_unique<std::vector<GeoCell>>(infer_home_cells(*ds));
-      return;
-    }
     // A device's home cell is a pure function of its own night samples.
     home_cells_ = std::make_unique<std::vector<GeoCell>>(
         src_->concat<GeoCell>([](const Dataset& block, std::size_t) {

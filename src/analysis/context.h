@@ -10,17 +10,16 @@
 // shared intermediate exactly once no matter how many kernels consume
 // it.
 //
-// The context runs over a query::DataSource, so the same figure code
-// serves both backends: constructed from a Dataset it wraps an
-// InMemorySource and every intermediate is computed by the original
-// in-memory function (bit-identical, enforced by
-// tests/index_equiv_test.cc); constructed from a ShardedSource each
-// intermediate is one bounded-memory pass over the shards, folding
-// per-shard partials in shard order (update detection, user-day
-// rollups, home cells and home-AP verdicts are per-device products;
-// classification tallies merge by addition and set union), so the
-// results are byte-identical to the in-memory ones. Only O(devices +
-// aps) state is ever retained.
+// The context runs over a query::DataSource, and both backends take the
+// same path: each intermediate is one fold_blocks pass, folding block
+// partials in device order (update detection, user-day rollups, home
+// cells and home-AP verdicts are per-device products; classification
+// tallies merge by addition and set union). Constructed from a Dataset
+// it wraps an InMemorySource, whose single block is the whole campaign
+// at base 0; constructed from a ShardedSource each pass is one
+// bounded-memory sweep over the shards, byte-identical to the
+// in-memory result at any shard count. Beyond the intermediates
+// themselves, only O(devices + aps) state is retained.
 #pragma once
 
 #include <memory>
@@ -43,8 +42,9 @@ class AnalysisContext {
       : owned_(std::make_unique<query::InMemorySource>(ds)),
         src_(owned_.get()) {}
 
-  /// Borrows `src` (must outlive the context). Out of core, every
-  /// intermediate below is one pass over the store.
+  /// Borrows `src` (must outlive the context). Every intermediate below
+  /// costs one fold_blocks pass: updates(), days() and devices() share
+  /// one, classification() and home_cells() take one each.
   explicit AnalysisContext(const query::DataSource& src) : src_(&src) {}
 
   AnalysisContext(const AnalysisContext&) = delete;
@@ -91,7 +91,7 @@ class AnalysisContext {
 
   mutable std::once_flag scan_once_, classifier_once_, classification_once_,
       home_cells_once_;
-  mutable std::vector<DeviceInfo> devices_;  // out-of-core only
+  mutable std::vector<DeviceInfo> devices_;
   mutable std::unique_ptr<UpdateDetection> updates_;
   mutable std::unique_ptr<std::vector<UserDay>> days_;
   mutable std::unique_ptr<UserClassifier> classifier_;

@@ -5,13 +5,10 @@
 
 namespace tokyonet::analysis {
 
-namespace {
-
-// Everything except the WiFi location split depends only on the
-// user-day list, which both backends materialize identically.
-OffloadImpact offload_impact_impl(const std::vector<UserDay>& days,
-                                  const WifiLocationShares& shares,
-                                  const OffloadAssumptions& assume) {
+OffloadImpact offload_impact(const query::DataSource& src,
+                             const std::vector<UserDay>& days,
+                             const ApClassification& cls,
+                             const OffloadAssumptions& assume) {
   OffloadImpact out;
   std::vector<double> cell, wifi;
   cell.reserve(days.size());
@@ -30,26 +27,10 @@ OffloadImpact offload_impact_impl(const std::vector<UserDay>& days,
 
   // §4.1: est. smartphone-WiFi share of total RBB volume = 20% x ratio,
   // discounted by the share of WiFi volume that is at home.
-  out.est_rbb_share =
-      assume.cellular_share_of_rbb * out.wifi_to_cell_ratio * shares.home;
+  out.est_rbb_share = assume.cellular_share_of_rbb * out.wifi_to_cell_ratio *
+                      wifi_location_shares(src, cls).home;
   out.est_home_share = out.median_wifi_rx_mb / assume.rbb_median_daily_mb;
   return out;
-}
-
-}  // namespace
-
-OffloadImpact offload_impact(const Dataset& ds,
-                             const std::vector<UserDay>& days,
-                             const ApClassification& cls,
-                             const OffloadAssumptions& assume) {
-  return offload_impact_impl(days, wifi_location_shares(ds, cls), assume);
-}
-
-OffloadImpact offload_impact(const query::DataSource& src,
-                             const std::vector<UserDay>& days,
-                             const ApClassification& cls,
-                             const OffloadAssumptions& assume) {
-  return offload_impact_impl(days, wifi_location_shares(src, cls), assume);
 }
 
 }  // namespace tokyonet::analysis

@@ -33,9 +33,6 @@ struct OffloadAssumptions {
 };
 
 [[nodiscard]] OffloadImpact offload_impact(
-    const Dataset& ds, const std::vector<UserDay>& days,
-    const ApClassification& cls, const OffloadAssumptions& assume = {});
-[[nodiscard]] OffloadImpact offload_impact(
     const query::DataSource& src, const std::vector<UserDay>& days,
     const ApClassification& cls, const OffloadAssumptions& assume = {});
 

@@ -79,10 +79,6 @@ using PairCounts = std::unordered_map<std::uint64_t, int>;
   return total;
 }
 
-void merge_pair_counts(PairCounts& acc, const PairCounts& p) {
-  for (const auto& [key, k] : p) acc[key] += k;
-}
-
 /// Per-AP arg-max over merged (ap, cell) counts. Picking the strictly
 /// larger count — or, on ties, the lower cell id — is
 /// order-independent, so the result matches the ordered-map reference
@@ -101,6 +97,21 @@ void merge_pair_counts(PairCounts& acc, const PairCounts& p) {
     }
   }
   return out;
+}
+
+/// Most common device geolocation per AP while associated, over the APs
+/// with keep[ap] != 0 (kNoGeoCell for the rest).
+[[nodiscard]] std::vector<GeoCell> top_cells(
+    const query::DataSource& src, const std::vector<std::uint8_t>& keep) {
+  return top_cells_from_counts(
+      src.aps().size(),
+      src.reduce<PairCounts>(
+          [&](const Dataset& block, std::size_t) {
+            return ap_cell_pair_counts(block, keep);
+          },
+          [](PairCounts& acc, PairCounts&& p) {
+            for (const auto& [key, k] : p) acc[key] += k;
+          }));
 }
 
 }  // namespace
@@ -209,13 +220,8 @@ namespace {
 
 }  // namespace
 
-RssiAnalysis rssi_analysis(const Dataset& ds, const ApClassification& cls) {
-  return rssi_finalize(ap_max_rssi(ds), cls);
-}
-
 RssiAnalysis rssi_analysis(const query::DataSource& src,
                            const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) return rssi_analysis(*ds, cls);
   return rssi_finalize(
       src.reduce<std::vector<double>>(
           [](const Dataset& block, std::size_t) { return ap_max_rssi(block); },
@@ -318,16 +324,8 @@ using ChannelCounts = std::array<std::uint64_t, 29>;
 
 }  // namespace
 
-ChannelAnalysis channel_analysis(const Dataset& ds,
-                                 const ApClassification& cls) {
-  return channel_finalize(channel_counts(ds, cls));
-}
-
 ChannelAnalysis channel_analysis(const query::DataSource& src,
                                  const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return channel_analysis(*ds, cls);
-  }
   return channel_finalize(src.reduce<ChannelCounts>(
       [&](const Dataset& block, std::size_t) {
         return channel_counts(block, cls);
@@ -337,35 +335,27 @@ ChannelAnalysis channel_analysis(const query::DataSource& src,
       }));
 }
 
-namespace {
-
-/// Most common device geolocation per AP while associated (2.4 GHz only).
-std::vector<GeoCell> ap_cells_24(const Dataset& ds) {
-  std::vector<std::uint8_t> band24(ds.aps.size(), 0);
-  for (std::size_t a = 0; a < ds.aps.size(); ++a) {
-    band24[a] = ds.aps[a].band == Band::B24GHz;
-  }
-  return top_cells_from_counts(ds.aps.size(),
-                               ap_cell_pair_counts(ds, band24));
-}
-
-}  // namespace
-
-InterferenceAnalysis channel_interference(const Dataset& ds,
+InterferenceAnalysis channel_interference(const query::DataSource& src,
                                           const ApClassification& cls,
                                           int num_cells, int min_channel_gap) {
-  const std::vector<GeoCell> cells = ap_cells_24(ds);
+  // Most common device geolocation per AP while associated (2.4 GHz).
+  const std::vector<ApInfo>& aps = src.aps();
+  std::vector<std::uint8_t> band24(aps.size(), 0);
+  for (std::size_t a = 0; a < aps.size(); ++a) {
+    band24[a] = aps[a].band == Band::B24GHz;
+  }
+  const std::vector<GeoCell> cells = top_cells(src, band24);
   // Bucket associated 2.4 GHz APs per cell, tagged with class+channel.
   struct Entry {
     ApClass klass;
     int channel;
   };
   std::vector<std::vector<Entry>> by_cell(static_cast<std::size_t>(num_cells));
-  for (std::size_t i = 0; i < ds.aps.size(); ++i) {
+  for (std::size_t i = 0; i < aps.size(); ++i) {
     if (!cls.associated[i] || cells[i] == kNoGeoCell) continue;
     if (cells[i] >= num_cells) continue;
     if (cls.ap_class[i] == ApClass::Other) continue;
-    by_cell[cells[i]].push_back(Entry{cls.ap_class[i], ds.aps[i].channel});
+    by_cell[cells[i]].push_back(Entry{cls.ap_class[i], aps[i].channel});
   }
 
   InterferenceAnalysis out;
@@ -425,31 +415,12 @@ namespace {
 
 }  // namespace
 
-ApDensityMap ap_density_map(const Dataset& ds, const ApClassification& cls,
-                            ApClass which, int num_cells) {
-  // Most common device geolocation per AP while associated.
-  const std::vector<std::uint8_t> keep =
-      class_keep_table(ds.aps.size(), cls, which);
-  return density_from_top_cells(
-      top_cells_from_counts(ds.aps.size(), ap_cell_pair_counts(ds, keep)),
-      num_cells);
-}
-
 ApDensityMap ap_density_map(const query::DataSource& src,
                             const ApClassification& cls, ApClass which,
                             int num_cells) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return ap_density_map(*ds, cls, which, num_cells);
-  }
-  const std::size_t n_aps = src.aps().size();
-  const std::vector<std::uint8_t> keep = class_keep_table(n_aps, cls, which);
-  const PairCounts total = src.reduce<PairCounts>(
-      [&](const Dataset& block, std::size_t) {
-        return ap_cell_pair_counts(block, keep);
-      },
-      [](PairCounts& acc, PairCounts&& p) { merge_pair_counts(acc, p); });
-  return density_from_top_cells(top_cells_from_counts(n_aps, total),
-                                num_cells);
+  return density_from_top_cells(
+      top_cells(src, class_keep_table(src.aps().size(), cls, which)),
+      num_cells);
 }
 
 }  // namespace tokyonet::analysis

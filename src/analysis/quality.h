@@ -26,8 +26,6 @@ struct RssiAnalysis {
   [[nodiscard]] stats::Histogram public_pdf() const;
 };
 
-[[nodiscard]] RssiAnalysis rssi_analysis(const Dataset& ds,
-                                         const ApClassification& cls);
 [[nodiscard]] RssiAnalysis rssi_analysis(const query::DataSource& src,
                                          const ApClassification& cls);
 
@@ -38,8 +36,6 @@ struct ChannelAnalysis {
   std::array<double, 14> public_pmf{};
 };
 
-[[nodiscard]] ChannelAnalysis channel_analysis(const Dataset& ds,
-                                               const ApClassification& cls);
 [[nodiscard]] ChannelAnalysis channel_analysis(const query::DataSource& src,
                                                const ApClassification& cls);
 
@@ -57,7 +53,7 @@ struct InterferenceAnalysis {
 };
 
 [[nodiscard]] InterferenceAnalysis channel_interference(
-    const Dataset& ds, const ApClassification& cls, int num_cells,
+    const query::DataSource& src, const ApClassification& cls, int num_cells,
     int min_channel_gap = 5);
 
 /// Fig 10: number of distinct associated APs per 5 km cell, for one AP
@@ -70,9 +66,6 @@ struct ApDensityMap {
   int max_count = 0;
 };
 
-[[nodiscard]] ApDensityMap ap_density_map(const Dataset& ds,
-                                          const ApClassification& cls,
-                                          ApClass which, int num_cells);
 [[nodiscard]] ApDensityMap ap_density_map(const query::DataSource& src,
                                           const ApClassification& cls,
                                           ApClass which, int num_cells);

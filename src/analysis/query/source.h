@@ -8,10 +8,10 @@
 // delivers the blocks:
 //
 //  - InMemorySource serves the whole resident campaign as a single
-//    block at base 0, so a kernel's in-memory result is *by
-//    construction* the plain kernel over the full Dataset — the scan
-//    half keeps its existing chunked-parallel implementation
-//    (query/scan.h) and nothing changes byte-wise.
+//    block at base 0: a kernel's in-memory result is its block scan
+//    over the full Dataset (chunked-parallel inside, query/scan.h),
+//    which reduce() and concat() pass through without a merge. Kernels
+//    have no separate in-memory path.
 //  - ShardedSource walks an io::ShardedDataset shard by shard. With
 //    resident_shards == 0 it loads strictly sequentially (one shard
 //    resident, the PR 8 memory bound); with K >= 1 an io::ShardPrefetcher
@@ -75,8 +75,9 @@ class DataSource {
   }
 
   /// The whole campaign when it is resident (in-memory backend);
-  /// nullptr out of core. Kernels without an out-of-core plan use this
-  /// to keep their exact in-memory implementation.
+  /// nullptr out of core. Only AnalysisContext::dataset() reads it, for
+  /// the figures without an out-of-core plan; kernels go through
+  /// fold_blocks on both backends.
   [[nodiscard]] virtual const Dataset* dataset_or_null() const noexcept = 0;
 
   /// Type-erased block fold. `scan` may run concurrently for several
@@ -137,7 +138,8 @@ class DataSource {
   }
 };
 
-/// The resident campaign as a single block at device base 0.
+/// The resident campaign as a single block at device base 0. Wrap a
+/// Dataset in one to call any analysis kernel on it.
 class InMemorySource final : public DataSource {
  public:
   explicit InMemorySource(const Dataset& ds) noexcept : ds_(&ds) {}

@@ -56,13 +56,8 @@ struct UpdateTiming {
   double median_delay_no_home = 0;   // days (gap ~3.5 days)
 };
 
-[[nodiscard]] UpdateTiming analyze_update_timing(
-    const Dataset& ds, const UpdateDetection& detection,
-    const ApClassification& classification);
-
-/// As above, from the device table alone (the timing analysis never
-/// touches samples — the out-of-core path calls this without holding a
-/// materialized campaign).
+/// Fig 18's timing, from the device table alone (the timing analysis
+/// never touches samples, so it runs the same on both backends).
 [[nodiscard]] UpdateTiming analyze_update_timing(
     std::span<const DeviceInfo> devices, const UpdateDetection& detection,
     const ApClassification& classification);

@@ -54,12 +54,6 @@ UserTypeStats user_type_stats_from_counts(const UserTypeCounts& counts) {
   return s;
 }
 
-UserTypeStats user_type_stats(const Dataset& ds,
-                              const std::vector<UserDay>& days,
-                              double idle_mb) {
-  return user_type_stats(ds.devices.size(), days, idle_mb);
-}
-
 UserTypeStats user_type_stats(std::size_t n_devices,
                               const std::vector<UserDay>& days,
                               double idle_mb) {

@@ -22,12 +22,8 @@ struct UserTypeStats {
   double mixed_above_diagonal_frac = 0;
 };
 
-[[nodiscard]] UserTypeStats user_type_stats(const Dataset& ds,
-                                            const std::vector<UserDay>& days,
-                                            double idle_mb = 1.0);
-
-/// As above for callers that have the user-days but not a resident
-/// Dataset (the out-of-core path): only the device count is needed.
+/// Fig 5's user types over the campaign's user-days; of the campaign
+/// itself only the device count is needed.
 [[nodiscard]] UserTypeStats user_type_stats(std::size_t n_devices,
                                             const std::vector<UserDay>& days,
                                             double idle_mb = 1.0);

@@ -9,8 +9,9 @@
 #include "stats/descriptive.h"
 
 namespace tokyonet::analysis {
+namespace {
 
-LteTrafficSums lte_traffic_sums(const Dataset& ds) {
+[[nodiscard]] LteTrafficSums lte_sums_scan(const Dataset& ds) {
   std::uint64_t lte = 0, total = 0;
   if (const core::DatasetIndex* idx = ds.index()) {
     // Chunked u64 sums over the SoA columns: exact and associative, so
@@ -45,33 +46,10 @@ LteTrafficSums lte_traffic_sums(const Dataset& ds) {
   return {lte, total};
 }
 
-DatasetOverview overview(const Dataset& ds) {
-  DatasetOverview o;
-  for (const DeviceInfo& d : ds.devices) {
-    ++o.n_total;
-    (d.os == Os::Android ? o.n_android : o.n_ios) += 1;
-  }
-  const LteTrafficSums sums = lte_traffic_sums(ds);
-  o.lte_traffic_share =
-      sums.total > 0
-          ? static_cast<double>(sums.lte) / static_cast<double>(sums.total)
-          : 0;
-  return o;
-}
-
-LteTrafficSums lte_traffic_sums(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return lte_traffic_sums(*ds);
-  return src.reduce<LteTrafficSums>(
-      [](const Dataset& block, std::size_t) { return lte_traffic_sums(block); },
-      [](LteTrafficSums& acc, LteTrafficSums&& p) {
-        acc.lte += p.lte;
-        acc.total += p.total;
-      });
-}
+}  // namespace
 
 DatasetOverview overview(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) return overview(*ds);
-  // One shard pass for both the device counts and the LTE byte sums.
+  // One pass for both the device counts and the LTE byte sums.
   struct Part {
     int n_android = 0, n_ios = 0, n_total = 0;
     LteTrafficSums sums;
@@ -83,7 +61,7 @@ DatasetOverview overview(const query::DataSource& src) {
           ++part.n_total;
           (d.os == Os::Android ? part.n_android : part.n_ios) += 1;
         }
-        part.sums = lte_traffic_sums(block);
+        part.sums = lte_sums_scan(block);
         return part;
       },
       [](Part& acc, Part&& b) {

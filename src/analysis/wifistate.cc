@@ -83,9 +83,7 @@ struct CarrierCounts {
   return out;
 }
 
-}  // namespace
-
-WifiStateProfiles compute_wifi_states(const Dataset& ds) {
+[[nodiscard]] WifiStateProfiles wifi_states_scan(const Dataset& ds) {
   const CampaignCalendar& cal = ds.calendar;
 
   const core::DatasetIndex* idx = ds.index();
@@ -159,30 +157,18 @@ WifiStateProfiles compute_wifi_states(const Dataset& ds) {
   return p;
 }
 
-WifiStateProfiles compute_wifi_states(const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return compute_wifi_states(*ds);
-  }
-  // WeeklyProfile sums are exact integer counts in doubles, so merging
-  // per-shard profiles in shard order matches the in-memory block merge.
-  WifiStateProfiles out;
-  src.fold<WifiStateProfiles>(
-      [](const Dataset& block, std::size_t) {
-        return compute_wifi_states(block);
-      },
-      [&](WifiStateProfiles&& p, std::size_t) { merge(out, p); });
-  return out;
-}
+}  // namespace
 
-std::array<double, kNumCarriers> ios_wifi_user_by_carrier(const Dataset& ds) {
-  return carrier_ratios(ios_wifi_user_counts(ds));
+WifiStateProfiles compute_wifi_states(const query::DataSource& src) {
+  // WeeklyProfile sums are exact integer counts in doubles, so merging
+  // per-block profiles in block order matches one whole-campaign scan.
+  return src.reduce<WifiStateProfiles>(
+      [](const Dataset& block, std::size_t) { return wifi_states_scan(block); },
+      [](WifiStateProfiles& acc, WifiStateProfiles&& p) { merge(acc, p); });
 }
 
 std::array<double, kNumCarriers> ios_wifi_user_by_carrier(
     const query::DataSource& src) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return ios_wifi_user_by_carrier(*ds);
-  }
   return carrier_ratios(src.reduce<CarrierCounts>(
       [](const Dataset& block, std::size_t) {
         return ios_wifi_user_counts(block);

@@ -27,15 +27,12 @@ struct WifiStateProfiles {
   }
 };
 
-[[nodiscard]] WifiStateProfiles compute_wifi_states(const Dataset& ds);
 [[nodiscard]] WifiStateProfiles compute_wifi_states(
     const query::DataSource& src);
 
 /// §3.3.4's carrier check: mean WiFi-user ratio of iOS devices per
 /// cellular carrier. The paper finds no difference between the three
 /// iPhone carriers — OS, not carrier, drives WiFi connectivity.
-[[nodiscard]] std::array<double, kNumCarriers> ios_wifi_user_by_carrier(
-    const Dataset& ds);
 [[nodiscard]] std::array<double, kNumCarriers> ios_wifi_user_by_carrier(
     const query::DataSource& src);
 

@@ -160,52 +160,9 @@ struct HpoCounts {
   return out;
 }
 
-}  // namespace
-
-ApsPerDay aps_per_day(const Dataset& ds, const std::vector<UserDay>& days,
-                      const UserClassifier& classes) {
-  const std::vector<UserClass> klass = class_table(
-      ds.devices.size(), static_cast<std::size_t>(ds.num_days()), days,
-      classes);
-  return aps_per_day_finalize(aps_per_day_counts(ds, klass, 0));
-}
-
-ApsPerDay aps_per_day(const query::DataSource& src,
-                      const std::vector<UserDay>& days,
-                      const UserClassifier& classes) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return aps_per_day(*ds, days, classes);
-  }
-  // The class table spans the whole campaign (user-days carry global
-  // device ids); each shard scan rebases its local ids into it.
-  const std::vector<UserClass> klass =
-      class_table(src.n_devices(), static_cast<std::size_t>(src.num_days()),
-                  days, classes);
-  return aps_per_day_finalize(src.reduce<ApsPerDayCounts>(
-      [&](const Dataset& block, std::size_t base) {
-        return aps_per_day_counts(block, klass, base);
-      },
-      [](ApsPerDayCounts& acc, ApsPerDayCounts&& p) { acc.merge(p); }));
-}
-
-HpoBreakdown hpo_breakdown(const Dataset& ds, const ApClassification& cls) {
-  return hpo_finalize(hpo_counts(ds, cls));
-}
-
-HpoBreakdown hpo_breakdown(const query::DataSource& src,
-                           const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return hpo_breakdown(*ds, cls);
-  }
-  return hpo_finalize(src.reduce<HpoCounts>(
-      [&](const Dataset& block, std::size_t) {
-        return hpo_counts(block, cls);
-      },
-      [](HpoCounts& acc, HpoCounts&& p) { acc.merge(p); }));
-}
-
-AssociationDurations association_durations(const Dataset& ds,
-                                           const ApClassification& cls) {
+// Consecutive association runs of one block, in device order.
+[[nodiscard]] AssociationDurations durations_scan(
+    const Dataset& ds, const ApClassification& cls) {
   AssociationDurations out;
   const double bin_hours = kMinutesPerBin / 60.0;
 
@@ -246,35 +203,54 @@ AssociationDurations association_durations(const Dataset& ds,
   return out;
 }
 
-AssociationDurations association_durations(const query::DataSource& src,
-                                           const ApClassification& cls) {
-  if (const Dataset* ds = src.dataset_or_null()) {
-    return association_durations(*ds, cls);
-  }
-  // Durations are emitted per device in device order, so appending
-  // shard partials in shard order matches the in-memory emission order.
-  AssociationDurations out;
-  src.fold<AssociationDurations>(
-      [&](const Dataset& block, std::size_t) {
-        return association_durations(block, cls);
+}  // namespace
+
+ApsPerDay aps_per_day(const query::DataSource& src,
+                      const std::vector<UserDay>& days,
+                      const UserClassifier& classes) {
+  // The class table spans the whole campaign (user-days carry global
+  // device ids); each shard scan rebases its local ids into it.
+  const std::vector<UserClass> klass =
+      class_table(src.n_devices(), static_cast<std::size_t>(src.num_days()),
+                  days, classes);
+  return aps_per_day_finalize(src.reduce<ApsPerDayCounts>(
+      [&](const Dataset& block, std::size_t base) {
+        return aps_per_day_counts(block, klass, base);
       },
-      [&](AssociationDurations&& p, std::size_t) {
-        auto append = [](std::vector<double>& into, std::vector<double>& from) {
-          if (into.empty()) {
-            into = std::move(from);
-          } else {
-            into.insert(into.end(), from.begin(), from.end());
-          }
-        };
-        append(out.home_hours, p.home_hours);
-        append(out.public_hours, p.public_hours);
-        append(out.office_hours, p.office_hours);
-      });
-  return out;
+      [](ApsPerDayCounts& acc, ApsPerDayCounts&& p) { acc.merge(p); }));
 }
 
-BandFractions band_fractions(std::span<const ApInfo> aps,
+HpoBreakdown hpo_breakdown(const query::DataSource& src,
+                           const ApClassification& cls) {
+  return hpo_finalize(src.reduce<HpoCounts>(
+      [&](const Dataset& block, std::size_t) {
+        return hpo_counts(block, cls);
+      },
+      [](HpoCounts& acc, HpoCounts&& p) { acc.merge(p); }));
+}
+
+AssociationDurations association_durations(const query::DataSource& src,
+                                           const ApClassification& cls) {
+  // Durations are emitted per device in device order, so appending
+  // block partials in block order reproduces the campaign's order.
+  return src.reduce<AssociationDurations>(
+      [&](const Dataset& block, std::size_t) {
+        return durations_scan(block, cls);
+      },
+      [](AssociationDurations& acc, AssociationDurations&& p) {
+        const auto append = [](std::vector<double>& into,
+                               const std::vector<double>& from) {
+          into.insert(into.end(), from.begin(), from.end());
+        };
+        append(acc.home_hours, p.home_hours);
+        append(acc.public_hours, p.public_hours);
+        append(acc.office_hours, p.office_hours);
+      });
+}
+
+BandFractions band_fractions(const query::DataSource& src,
                              const ApClassification& cls) {
+  const std::vector<ApInfo>& aps = src.aps();
   int home5 = 0, home_n = 0, office5 = 0, office_n = 0, pub5 = 0, pub_n = 0;
   for (std::size_t i = 0; i < aps.size(); ++i) {
     if (!cls.associated[i]) continue;
@@ -301,16 +277,6 @@ BandFractions band_fractions(std::span<const ApInfo> aps,
   if (office_n > 0) f.office = static_cast<double>(office5) / office_n;
   if (pub_n > 0) f.publik = static_cast<double>(pub5) / pub_n;
   return f;
-}
-
-BandFractions band_fractions(const Dataset& ds, const ApClassification& cls) {
-  return band_fractions(std::span<const ApInfo>(ds.aps), cls);
-}
-
-BandFractions band_fractions(const query::DataSource& src,
-                             const ApClassification& cls) {
-  // The AP universe is resident in both backends — no sample scan.
-  return band_fractions(std::span<const ApInfo>(src.aps()), cls);
 }
 
 }  // namespace tokyonet::analysis

@@ -6,7 +6,6 @@
 
 #include <array>
 #include <map>
-#include <span>
 #include <vector>
 
 #include "analysis/classify.h"
@@ -24,9 +23,6 @@ struct ApsPerDay {
   std::array<std::array<double, 4>, 3> share{};
 };
 
-[[nodiscard]] ApsPerDay aps_per_day(const Dataset& ds,
-                                    const std::vector<UserDay>& days,
-                                    const UserClassifier& classes);
 [[nodiscard]] ApsPerDay aps_per_day(const query::DataSource& src,
                                     const std::vector<UserDay>& days,
                                     const UserClassifier& classes);
@@ -40,8 +36,6 @@ struct HpoBreakdown {
   double four_plus = 0;
 };
 
-[[nodiscard]] HpoBreakdown hpo_breakdown(const Dataset& ds,
-                                         const ApClassification& cls);
 [[nodiscard]] HpoBreakdown hpo_breakdown(const query::DataSource& src,
                                          const ApClassification& cls);
 
@@ -54,8 +48,6 @@ struct AssociationDurations {
 };
 
 [[nodiscard]] AssociationDurations association_durations(
-    const Dataset& ds, const ApClassification& cls);
-[[nodiscard]] AssociationDurations association_durations(
     const query::DataSource& src, const ApClassification& cls);
 
 /// Fig 14: fraction of associated *unique* APs operating at 5 GHz, by
@@ -66,11 +58,8 @@ struct BandFractions {
   double publik = 0;
 };
 
-[[nodiscard]] BandFractions band_fractions(const Dataset& ds,
-                                           const ApClassification& cls);
-/// The band split needs only the (resident) AP universe.
-[[nodiscard]] BandFractions band_fractions(std::span<const ApInfo> aps,
-                                           const ApClassification& cls);
+/// The band split needs only the (resident) AP universe — no sample
+/// scan.
 [[nodiscard]] BandFractions band_fractions(const query::DataSource& src,
                                            const ApClassification& cls);
 

@@ -1,13 +1,12 @@
 #include "core/parallel.h"
 
 #include <atomic>
-#include <cerrno>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
+
+#include "core/env.h"
 
 namespace tokyonet::core {
 namespace {
@@ -18,22 +17,7 @@ namespace {
 thread_local bool t_inside_batch = false;
 
 [[nodiscard]] int env_thread_count() noexcept {
-  long n = 0;
-  if (const char* env = std::getenv("TOKYONET_THREADS")) {
-    char* end = nullptr;
-    errno = 0;
-    n = std::strtol(env, &end, 10);
-    // Reject partial parses ("4x", "auto") and out-of-range values
-    // instead of silently using a prefix.
-    if (end == env || *end != '\0' || errno == ERANGE || n < 1 ||
-        n > 4096) {
-      std::fprintf(stderr,
-                   "warning: ignoring invalid TOKYONET_THREADS=%s "
-                   "(want an integer in [1, 4096])\n",
-                   env);
-      n = 0;
-    }
-  }
+  long n = env_integer("TOKYONET_THREADS", 1, 4096, 0);
   if (n < 1) {
     n = static_cast<long>(std::thread::hardware_concurrency());
   }

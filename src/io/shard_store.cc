@@ -13,6 +13,7 @@
 #include <system_error>
 #include <thread>
 
+#include "core/env.h"
 #include "core/hash.h"
 
 namespace tokyonet::io {
@@ -127,12 +128,8 @@ bool is_shard_dir(const fs::path& dir) {
 }
 
 std::size_t resident_shards_from_env(std::size_t fallback) noexcept {
-  const char* env = std::getenv("TOKYONET_RESIDENT_SHARDS");
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(core::env_integer(
+      "TOKYONET_RESIDENT_SHARDS", 0, 4096, static_cast<long>(fallback)));
 }
 
 SnapshotResult write_shard_manifest(const ShardManifest& m,

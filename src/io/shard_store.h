@@ -94,8 +94,9 @@ struct ShardManifest {
 
 /// Resident-shard budget from TOKYONET_RESIDENT_SHARDS (the K in
 /// DESIGN.md §5j): 0 = strict sequential scan, 1 = prefetch one shard
-/// ahead (the default), K >= 2 = scan K shards concurrently. Unset or
-/// unparsable values fall back to `fallback`; the CLI's
+/// ahead (the default), K >= 2 = scan K shards concurrently. Unset
+/// values, and values that are not an integer in [0, 4096] (with a
+/// warning, core/env.h), fall back to `fallback`; the CLI's
 /// --resident-shards flag overrides this.
 [[nodiscard]] std::size_t resident_shards_from_env(
     std::size_t fallback = 1) noexcept;

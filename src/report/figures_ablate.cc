@@ -57,13 +57,12 @@ Table ablate_home_threshold(const FigureContext& ctx) {
 }
 
 Table ablate_rssi_cutoff(const FigureContext& ctx) {
-  const Dataset& ds = ctx.dataset();
   Table t({"usable =", "stable-bin share", "users w/ opportunity",
            "offloadable cell share"});
   for (const double stable : {0.05, 0.15, 0.30, 0.50}) {
     analysis::OpportunityOptions opt;
     opt.stable_bin_share = stable;
-    const auto o = analysis::offload_opportunity(ds, opt);
+    const auto o = analysis::offload_opportunity(ctx.source(), opt);
     t.add_row({Value::text("strong (>= -70 dBm)"), Value::pct(stable, 0),
                Value::pct(o.users_with_stable_opportunity, 0),
                Value::pct(o.offloadable_cell_share, 0)});

@@ -84,10 +84,10 @@ Table fig02(const FigureContext& ctx) {
   const auto cell_tx = series(analysis::Stream::CellTx);
   const auto wifi_rx = series(analysis::Stream::WifiRx);
   const auto wifi_tx = series(analysis::Stream::WifiTx);
-  const analysis::WeekSplit cell_split = analysis::weekday_weekend_split(
-      cell_rx, src.calendar(), src.num_days());
-  const analysis::WeekSplit wifi_split = analysis::weekday_weekend_split(
-      wifi_rx, src.calendar(), src.num_days());
+  const analysis::WeekSplit cell_split =
+      analysis::week_split(cell_rx, src.calendar(), src.num_days());
+  const analysis::WeekSplit wifi_split =
+      analysis::week_split(wifi_rx, src.calendar(), src.num_days());
   return render_fig02(src.calendar(), src.num_days(), cell_rx, cell_tx,
                       wifi_rx, wifi_tx, cell_split, wifi_split);
 }

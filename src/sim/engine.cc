@@ -4,13 +4,13 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "app/catalog.h"
 #include "core/dataset_index.h"
+#include "core/env.h"
 #include "core/parallel.h"
 #include "geo/region.h"
 #include "net/cellular.h"
@@ -43,10 +43,8 @@ constexpr std::uint32_t kLaneSetup = 0xFFFF0000u;
 /// exists so tests can assert that, and so streaming generation can
 /// pick coarser blocks.
 [[nodiscard]] std::size_t device_block_size() noexcept {
-  const char* env = std::getenv("TOKYONET_SIM_DEVICE_BLOCK");
-  if (env == nullptr) return 1;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 1 ? static_cast<std::size_t>(v) : 1;
+  return static_cast<std::size_t>(
+      core::env_integer("TOKYONET_SIM_DEVICE_BLOCK", 1, 1L << 20, 1));
 }
 
 [[nodiscard]] std::uint32_t mb_to_bytes_u32(double mb) noexcept {

@@ -1,8 +1,8 @@
 #include "sim/simulator.h"
 
-#include <cstdlib>
 #include <system_error>
 
+#include "core/env.h"
 #include "io/shard_store.h"
 #include "io/snapshot.h"
 #include "sim/engine.h"
@@ -26,10 +26,8 @@ namespace {
 /// of the cache key — a sharded request never matches an in-memory blob
 /// entry and vice versa.
 [[nodiscard]] std::size_t cache_shards() noexcept {
-  const char* env = std::getenv("TOKYONET_CACHE_SHARDS");
-  if (env == nullptr || *env == '\0') return 0;
-  const long v = std::strtol(env, nullptr, 10);
-  return v >= 1 ? static_cast<std::size_t>(v) : 0;
+  return static_cast<std::size_t>(
+      core::env_integer("TOKYONET_CACHE_SHARDS", 0, 1L << 20, 0));
 }
 
 }  // namespace

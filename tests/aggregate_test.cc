@@ -10,11 +10,13 @@ namespace tokyonet::analysis {
 namespace {
 
 using test::campaign;
+using test::campaign_source;
 using test::campaign_classification;
 
 TEST(Aggregate, SeriesLengthAndConservation) {
   const Dataset& ds = campaign(Year::Y2015);
-  const HourlySeries wifi_rx = aggregate_series(ds, Stream::WifiRx);
+  const auto& src = campaign_source(Year::Y2015);
+  const HourlySeries wifi_rx = aggregate_series(src, Stream::WifiRx);
   ASSERT_EQ(wifi_rx.mbps.size(), static_cast<std::size_t>(ds.num_days()) * 24);
   double raw_mb = 0;
   for (const Sample& s : ds.samples) raw_mb += s.wifi_rx / 1e6;
@@ -23,24 +25,25 @@ TEST(Aggregate, SeriesLengthAndConservation) {
 
 TEST(Aggregate, WifiExceedsCellularIn2015) {
   // Fig 2's headline: aggregate WiFi volume exceeds cellular.
-  const Dataset& ds = campaign(Year::Y2015);
-  EXPECT_GT(aggregate_series(ds, Stream::WifiRx).total_mb(),
-            aggregate_series(ds, Stream::CellRx).total_mb());
+  const auto& src = campaign_source(Year::Y2015);
+  EXPECT_GT(aggregate_series(src, Stream::WifiRx).total_mb(),
+            aggregate_series(src, Stream::CellRx).total_mb());
 }
 
 TEST(Aggregate, DownloadDominatesUpload) {
-  const Dataset& ds = campaign(Year::Y2015);
-  EXPECT_GT(aggregate_series(ds, Stream::WifiRx).total_mb(),
-            3 * aggregate_series(ds, Stream::WifiTx).total_mb());
-  EXPECT_GT(aggregate_series(ds, Stream::CellRx).total_mb(),
-            3 * aggregate_series(ds, Stream::CellTx).total_mb());
+  const auto& src = campaign_source(Year::Y2015);
+  EXPECT_GT(aggregate_series(src, Stream::WifiRx).total_mb(),
+            3 * aggregate_series(src, Stream::WifiTx).total_mb());
+  EXPECT_GT(aggregate_series(src, Stream::CellRx).total_mb(),
+            3 * aggregate_series(src, Stream::CellTx).total_mb());
 }
 
 TEST(Aggregate, CellularPeaksMorningWifiPeaksNight) {
   // §3.1: cellular peaks at commute hours, WiFi at 23:00-01:00.
   const Dataset& ds = campaign(Year::Y2015);
-  const HourlySeries cell = aggregate_series(ds, Stream::CellRx);
-  const HourlySeries wifi = aggregate_series(ds, Stream::WifiRx);
+  const auto& src = campaign_source(Year::Y2015);
+  const HourlySeries cell = aggregate_series(src, Stream::CellRx);
+  const HourlySeries wifi = aggregate_series(src, Stream::WifiRx);
   // Average over weekdays: hour 8 vs hour 3 for cellular.
   double cell_8 = 0, cell_3 = 0, wifi_23 = 0, wifi_15 = 0;
   int n = 0;
@@ -58,18 +61,18 @@ TEST(Aggregate, CellularPeaksMorningWifiPeaksNight) {
 }
 
 TEST(Aggregate, LocationSeriesPartitionWifi) {
-  const Dataset& ds = campaign(Year::Y2015);
+  const auto& src = campaign_source(Year::Y2015);
   const ApClassification& cls = campaign_classification(Year::Y2015);
-  const double total = aggregate_series(ds, Stream::WifiRx).total_mb();
+  const double total = aggregate_series(src, Stream::WifiRx).total_mb();
   const double home =
-      location_series(ds, cls, {ApClass::Home, false}, true).total_mb();
+      location_series(src, cls, {ApClass::Home, false}, true).total_mb();
   const double pub =
-      location_series(ds, cls, {ApClass::Public, false}, true).total_mb();
+      location_series(src, cls, {ApClass::Public, false}, true).total_mb();
   const double other =
-      location_series(ds, cls, {ApClass::Other, false}, true).total_mb();
+      location_series(src, cls, {ApClass::Other, false}, true).total_mb();
   EXPECT_NEAR(home + pub + other, total, total * 1e-6);
   const double office =
-      location_series(ds, cls, {ApClass::Other, true}, true).total_mb();
+      location_series(src, cls, {ApClass::Other, true}, true).total_mb();
   EXPECT_LE(office, other);
 }
 
@@ -78,7 +81,7 @@ TEST(Aggregate, HomeDominatesWifiVolume) {
   // a few percent.
   for (Year y : kAllYears) {
     const WifiLocationShares s =
-        wifi_location_shares(campaign(y), campaign_classification(y));
+        wifi_location_shares(campaign_source(y), campaign_classification(y));
     EXPECT_GT(s.home, 0.88);
     EXPECT_LT(s.publik + s.office, 0.08);
     EXPECT_NEAR(s.home + s.publik + s.office + s.other, 1.0, 1e-9);
@@ -88,8 +91,10 @@ TEST(Aggregate, HomeDominatesWifiVolume) {
 TEST(UserType, FractionsPartitionAndMatchPaperBands) {
   const Dataset& ds13 = campaign(Year::Y2013);
   const Dataset& ds15 = campaign(Year::Y2015);
-  const UserTypeStats s13 = user_type_stats(ds13, user_days(ds13));
-  const UserTypeStats s15 = user_type_stats(ds15, user_days(ds15));
+  const UserTypeStats s13 =
+      user_type_stats(ds13.devices.size(), user_days(ds13));
+  const UserTypeStats s15 =
+      user_type_stats(ds15.devices.size(), user_days(ds15));
   for (const UserTypeStats& s : {s13, s15}) {
     EXPECT_NEAR(s.cellular_intensive_frac + s.wifi_intensive_frac +
                     s.mixed_frac,

@@ -21,6 +21,7 @@
 #include "report/runner.h"
 #include "report/table.h"
 #include "sim/stream_runner.h"
+#include "testutil.h"
 
 #ifndef TOKYONET_GOLDEN_DIR
 #error "TOKYONET_GOLDEN_DIR must name the pinned golden directory"
@@ -50,9 +51,8 @@ TEST(Golden, EveryFigureMatchesItsGoldenFile) {
 // CMake registers this as golden_query_threads{1,4}.
 TEST(GoldenQuery, OutOfCoreFiguresMatchGoldens) {
   namespace fs = std::filesystem;
-  const fs::path root =
-      fs::temp_directory_path() / "tokyonet_golden_query_store";
-  fs::remove_all(root);
+  const test::ScratchDir scratch;
+  const fs::path& root = scratch.path;
 
   int renderings = 0;
   for (const Year year : kAllYears) {
@@ -80,8 +80,6 @@ TEST(GoldenQuery, OutOfCoreFiguresMatchGoldens) {
       ++renderings;
     }
   }
-  std::error_code ec;
-  fs::remove_all(root, ec);
   // Every out-of-core (figure, year) combination in the catalog; grows
   // when a figure gains an out-of-core plan.
   EXPECT_EQ(renderings, 64);

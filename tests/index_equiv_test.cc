@@ -34,6 +34,7 @@ namespace {
 
 using test::add_sample;
 using test::campaign;
+using test::campaign_source;
 using test::campaign_classification;
 using test::empty_dataset;
 
@@ -65,9 +66,9 @@ void expect_profile_eq(const WeeklyProfile& got, const WeeklyProfile& want) {
   EXPECT_EQ(got.den_series(), want.den_series());
 }
 
-/// Runs `kernel` on the serial (unindexed) reference dataset, then on
-/// the indexed campaign at each thread count, handing every result to
-/// `check(got, ref)`.
+/// Runs `kernel` on a source over the serial (unindexed) reference
+/// dataset, then on the indexed campaign's source at each thread count,
+/// handing every result to `check(got, ref)`.
 template <typename Kernel, typename Check>
 void expect_matches_serial(Year y, Kernel&& kernel, Check&& check) {
   ThreadCountGuard guard;
@@ -76,10 +77,10 @@ void expect_matches_serial(Year y, Kernel&& kernel, Check&& check) {
   const Dataset serial = unindexed_copy(ds);
   ASSERT_FALSE(serial.indexed());
   core::set_thread_count(1);
-  const auto ref = kernel(serial);
+  const auto ref = kernel(query::InMemorySource(serial));
   for (int threads : kThreadCounts) {
     core::set_thread_count(threads);
-    check(kernel(ds), ref);
+    check(kernel(campaign_source(y)), ref);
   }
 }
 
@@ -88,7 +89,7 @@ TEST(IndexEquivalence, AggregateSeries) {
     for (Stream s : {Stream::CellRx, Stream::CellTx, Stream::WifiRx,
                      Stream::WifiTx}) {
       expect_matches_serial(
-          y, [&](const Dataset& ds) { return aggregate_series(ds, s); },
+          y, [&](const auto& src) { return aggregate_series(src, s); },
           [](const HourlySeries& got, const HourlySeries& ref) {
             EXPECT_EQ(got.mbps, ref.mbps);
           });
@@ -105,7 +106,7 @@ TEST(IndexEquivalence, LocationSeries) {
       for (bool rx : {true, false}) {
         expect_matches_serial(
             y,
-            [&](const Dataset& ds) { return location_series(ds, cls, f, rx); },
+            [&](const auto& src) { return location_series(src, cls, f, rx); },
             [](const HourlySeries& got, const HourlySeries& ref) {
               EXPECT_EQ(got.mbps, ref.mbps);
             });
@@ -118,8 +119,8 @@ TEST(IndexEquivalence, WifiLocationShares) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return wifi_location_shares(ds, campaign_classification(y));
+        [&](const auto& src) {
+          return wifi_location_shares(src, campaign_classification(y));
         },
         [](const WifiLocationShares& got, const WifiLocationShares& ref) {
           EXPECT_EQ(got.home, ref.home);
@@ -134,8 +135,8 @@ TEST(IndexEquivalence, RssiAnalysis) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return rssi_analysis(ds, campaign_classification(y));
+        [&](const auto& src) {
+          return rssi_analysis(src, campaign_classification(y));
         },
         [](const RssiAnalysis& got, const RssiAnalysis& ref) {
           EXPECT_EQ(got.home_max_rssi, ref.home_max_rssi);
@@ -152,8 +153,8 @@ TEST(IndexEquivalence, ChannelAnalysis) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return channel_analysis(ds, campaign_classification(y));
+        [&](const auto& src) {
+          return channel_analysis(src, campaign_classification(y));
         },
         [](const ChannelAnalysis& got, const ChannelAnalysis& ref) {
           EXPECT_EQ(got.home_pmf, ref.home_pmf);
@@ -168,8 +169,8 @@ TEST(IndexEquivalence, ChannelInterference) {
   for (Year y : kAllYears) {
     expect_matches_serial(
         y,
-        [&](const Dataset& ds) {
-          return channel_interference(ds, campaign_classification(y),
+        [&](const auto& src) {
+          return channel_interference(src, campaign_classification(y),
                                       region.grid().num_cells());
         },
         [](const InterferenceAnalysis& got, const InterferenceAnalysis& ref) {
@@ -187,8 +188,8 @@ TEST(IndexEquivalence, ApDensityMap) {
     for (ApClass which : {ApClass::Home, ApClass::Public}) {
       expect_matches_serial(
           y,
-          [&](const Dataset& ds) {
-            return ap_density_map(ds, campaign_classification(y), which,
+          [&](const auto& src) {
+            return ap_density_map(src, campaign_classification(y), which,
                                   region.grid().num_cells());
           },
           [](const ApDensityMap& got, const ApDensityMap& ref) {
@@ -204,7 +205,7 @@ TEST(IndexEquivalence, ApDensityMap) {
 TEST(IndexEquivalence, WifiStates) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return compute_wifi_states(ds); },
+        y, [](const auto& src) { return compute_wifi_states(src); },
         [](const WifiStateProfiles& got, const WifiStateProfiles& ref) {
           expect_profile_eq(got.android_user, ref.android_user);
           expect_profile_eq(got.android_off, ref.android_off);
@@ -217,7 +218,7 @@ TEST(IndexEquivalence, WifiStates) {
 TEST(IndexEquivalence, IosWifiUserByCarrier) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return ios_wifi_user_by_carrier(ds); },
+        y, [](const auto& src) { return ios_wifi_user_by_carrier(src); },
         [](const std::array<double, kNumCarriers>& got,
            const std::array<double, kNumCarriers>& ref) {
           EXPECT_EQ(got, ref);
@@ -228,7 +229,7 @@ TEST(IndexEquivalence, IosWifiUserByCarrier) {
 TEST(IndexEquivalence, VolumesOverview) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return overview(ds); },
+        y, [](const auto& src) { return overview(src); },
         [](const DatasetOverview& got, const DatasetOverview& ref) {
           EXPECT_EQ(got.n_android, ref.n_android);
           EXPECT_EQ(got.n_ios, ref.n_ios);
@@ -243,7 +244,7 @@ TEST(IndexEquivalence, AppBreakdown) {
     const ApClassification& cls = campaign_classification(y);
     const std::vector<GeoCell> homes = infer_home_cells(campaign(y));
     expect_matches_serial(
-        y, [&](const Dataset& ds) { return app_breakdown(ds, cls, homes); },
+        y, [&](const auto& src) { return app_breakdown(src, cls, homes); },
         [](const AppBreakdown& got, const AppBreakdown& ref) {
           EXPECT_EQ(got.rx_share, ref.rx_share);
           EXPECT_EQ(got.tx_share, ref.tx_share);
@@ -263,7 +264,7 @@ TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
   opt.days = &days;
   opt.classes = &classes;
   expect_matches_serial(
-      y, [&](const Dataset& d) { return app_breakdown(d, cls, homes, opt); },
+      y, [&](const auto& src) { return app_breakdown(src, cls, homes, opt); },
       [](const AppBreakdown& got, const AppBreakdown& ref) {
         EXPECT_EQ(got.rx_share, ref.rx_share);
         EXPECT_EQ(got.tx_share, ref.tx_share);
@@ -273,7 +274,7 @@ TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
 TEST(IndexEquivalence, ScanAvailability) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return scan_availability(ds); },
+        y, [](const auto& src) { return scan_availability(src); },
         [](const ScanAvailability& got, const ScanAvailability& ref) {
           EXPECT_EQ(got.all_24, ref.all_24);
           EXPECT_EQ(got.strong_24, ref.strong_24);
@@ -286,7 +287,7 @@ TEST(IndexEquivalence, ScanAvailability) {
 TEST(IndexEquivalence, BatteryAnalysis) {
   for (Year y : kAllYears) {
     expect_matches_serial(
-        y, [](const Dataset& ds) { return battery_analysis(ds); },
+        y, [](const auto& src) { return battery_analysis(src); },
         [](const BatteryAnalysis& got, const BatteryAnalysis& ref) {
           expect_profile_eq(got.mean_level, ref.mean_level);
           EXPECT_EQ(got.low_share, ref.low_share);
@@ -322,12 +323,13 @@ TEST(IndexEquivalence, HomeCellsAndOffloadThreadInvariant) {
   ThreadCountGuard guard;
   for (Year y : kAllYears) {
     const Dataset& ds = campaign(y);
+    const auto& src = campaign_source(y);
     core::set_thread_count(1);
     const std::vector<GeoCell> homes_ref = infer_home_cells(ds);
-    const OffloadOpportunity off_ref = offload_opportunity(ds);
+    const OffloadOpportunity off_ref = offload_opportunity(src);
     core::set_thread_count(4);
     EXPECT_EQ(infer_home_cells(ds), homes_ref);
-    const OffloadOpportunity off = offload_opportunity(ds);
+    const OffloadOpportunity off = offload_opportunity(src);
     EXPECT_EQ(off.users_with_stable_opportunity,
               off_ref.users_with_stable_opportunity);
     EXPECT_EQ(off.offloadable_cell_share, off_ref.offloadable_cell_share);

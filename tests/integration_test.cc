@@ -19,17 +19,18 @@ namespace tokyonet::analysis {
 namespace {
 
 using test::campaign;
+using test::campaign_source;
 using test::campaign_classification;
 
 TEST(Longitudinal, WifiShareOfTrafficGrows) {
   // §3.1: WiFi share of total volume 59% (2013) -> 67% (2015).
   double prev = 0;
   for (Year y : kAllYears) {
-    const Dataset& ds = campaign(y);
-    const double wifi = aggregate_series(ds, Stream::WifiRx).total_mb() +
-                        aggregate_series(ds, Stream::WifiTx).total_mb();
-    const double cell = aggregate_series(ds, Stream::CellRx).total_mb() +
-                        aggregate_series(ds, Stream::CellTx).total_mb();
+    const auto& src = campaign_source(y);
+    const double wifi = aggregate_series(src, Stream::WifiRx).total_mb() +
+                        aggregate_series(src, Stream::WifiTx).total_mb();
+    const double cell = aggregate_series(src, Stream::CellRx).total_mb() +
+                        aggregate_series(src, Stream::CellTx).total_mb();
     const double share = wifi / (wifi + cell);
     EXPECT_GT(share, prev);
     prev = share;
@@ -61,14 +62,16 @@ TEST(Longitudinal, PublicApCountsGrow) {
 TEST(Longitudinal, MultiApDaysBecomeCommon) {
   // §1 finding (3): by 2015 ~40% of WiFi user-days touch >= 2 APs.
   const Dataset& ds15 = campaign(Year::Y2015);
+  const auto& src15 = campaign_source(Year::Y2015);
   const auto days15 = user_days(ds15);
-  const ApsPerDay a15 = aps_per_day(ds15, days15, UserClassifier(days15));
+  const ApsPerDay a15 = aps_per_day(src15, days15, UserClassifier(days15));
   const double multi15 = 1.0 - a15.share[0][0];
   EXPECT_NEAR(multi15, 0.40, 0.10);
 
   const Dataset& ds13 = campaign(Year::Y2013);
+  const auto& src13 = campaign_source(Year::Y2013);
   const auto days13 = user_days(ds13);
-  const ApsPerDay a13 = aps_per_day(ds13, days13, UserClassifier(days13));
+  const ApsPerDay a13 = aps_per_day(src13, days13, UserClassifier(days13));
   EXPECT_GT(multi15, 1.0 - a13.share[0][0]);
 }
 
@@ -78,10 +81,11 @@ TEST(Longitudinal, OffloadEnvironmentImproves) {
   double prev_traffic = 0, prev_users = 0, prev_off = 1;
   for (Year y : kAllYears) {
     const Dataset& ds = campaign(y);
+    const auto& src = campaign_source(y);
     const auto days = user_days(ds);
     const UserClassifier classes(days);
     const WifiRatios r = compute_wifi_ratios(ds, days, classes);
-    const WifiStateProfiles st = compute_wifi_states(ds);
+    const WifiStateProfiles st = compute_wifi_states(src);
     EXPECT_GE(r.traffic_all.mean_ratio(), prev_traffic - 0.02);
     EXPECT_GE(r.users_all.mean_ratio(), prev_users - 0.02);
     EXPECT_LE(st.mean_android_off(), prev_off + 0.02);
@@ -128,7 +132,7 @@ TEST(Longitudinal, ScanCoverageImproves) {
   // §3.5: cells with strong public coverage multiply, and 5 GHz goes
   // from a rarity to common.
   const auto strong_share = [](Year y) {
-    const ScanAvailability s = scan_availability(campaign(y));
+    const ScanAvailability s = scan_availability(campaign_source(y));
     std::size_t with5 = 0;
     for (double v : s.strong_5) with5 += v > 0;
     return static_cast<double>(with5) / static_cast<double>(s.strong_5.size());

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/aggregate.h"
+#include "analysis/context.h"
 #include "core/parallel.h"
 #include "core/records.h"
 #include "core/scenario.h"
@@ -23,6 +24,7 @@
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
+#include "testutil.h"
 
 namespace tokyonet {
 namespace {
@@ -32,22 +34,64 @@ namespace query = analysis::query;
 
 constexpr double kQueryTestScale = 0.02;
 
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("tokyonet_query_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(path);
-    fs::create_directories(path);
+/// Forwards to another source and counts its fold_blocks passes.
+class CountingSource final : public query::DataSource {
+ public:
+  explicit CountingSource(const query::DataSource& inner) : inner_(&inner) {}
+
+  [[nodiscard]] Year year() const noexcept override { return inner_->year(); }
+  [[nodiscard]] const CampaignCalendar& calendar() const noexcept override {
+    return inner_->calendar();
   }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
+  [[nodiscard]] std::size_t n_devices() const noexcept override {
+    return inner_->n_devices();
   }
+  [[nodiscard]] std::size_t n_samples() const noexcept override {
+    return inner_->n_samples();
+  }
+  [[nodiscard]] const std::vector<ApInfo>& aps() const noexcept override {
+    return inner_->aps();
+  }
+  [[nodiscard]] const Dataset* dataset_or_null() const noexcept override {
+    return inner_->dataset_or_null();
+  }
+  void fold_blocks(const ScanFn& scan, const FoldFn& fold) const override {
+    ++passes_;
+    inner_->fold_blocks(scan, fold);
+  }
+
+  [[nodiscard]] int passes() const noexcept { return passes_; }
+
+ private:
+  const query::DataSource* inner_;
+  mutable int passes_ = 0;
 };
+
+/// The context's pass budget over `inner`: updates(), days() and
+/// devices() share one pass, classification() and home_cells() take one
+/// each, and nothing is computed twice.
+void expect_context_pass_budget(const query::DataSource& inner) {
+  const CountingSource src(inner);
+  const analysis::AnalysisContext ctx(src);
+  (void)ctx.updates();
+  (void)ctx.days();
+  EXPECT_EQ(ctx.devices().size(), inner.n_devices());
+  EXPECT_EQ(src.passes(), 1);
+  (void)ctx.classifier();  // built from days(), no pass of its own
+  EXPECT_EQ(src.passes(), 1);
+  (void)ctx.classification();
+  EXPECT_EQ(src.passes(), 2);
+  (void)ctx.home_cells();
+  EXPECT_EQ(src.passes(), 3);
+
+  (void)ctx.updates();
+  (void)ctx.days();
+  (void)ctx.devices();
+  (void)ctx.classifier();
+  (void)ctx.classification();
+  (void)ctx.home_cells();
+  EXPECT_EQ(src.passes(), 3);
+}
 
 /// Restores the environment-derived thread count on scope exit.
 struct ThreadCountGuard {
@@ -209,7 +253,7 @@ TEST(QuerySource, ChunkStraddlingScanIsThreadCountInvariant) {
 TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   const ScenarioConfig config =
       scenario_config(Year::Y2013, kQueryTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   sim::StreamCampaignOptions opts;
   opts.shards = 3;
   ASSERT_TRUE(sim::stream_campaign(config, tmp.path / "store", opts).ok());
@@ -257,6 +301,31 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
         report::to_canonical_json(in_memory.run(*spec, Year::Y2013)))
         << id;
   }
+}
+
+// --- Context pass budget -------------------------------------------------
+
+// Both backends run the context's intermediates through the same folds,
+// so the in-memory context costs the same passes as the out-of-core one
+// (whose 30-pass `fig all` the benchmark smoke test pins).
+TEST(QueryContext, PassBudgetInMemory) {
+  const Dataset ds =
+      sim::Simulator(scenario_config(Year::Y2015, kQueryTestScale)).run();
+  expect_context_pass_budget(query::InMemorySource(ds));
+}
+
+TEST(QueryContext, PassBudgetThreeShards) {
+  test::ScratchDir tmp;
+  sim::StreamCampaignOptions opts;
+  opts.shards = 3;
+  ASSERT_TRUE(sim::stream_campaign(
+                  scenario_config(Year::Y2015, kQueryTestScale),
+                  tmp.path / "store", opts)
+                  .ok());
+  io::ShardedDataset store;
+  ASSERT_TRUE(io::ShardedDataset::open(tmp.path / "store", store).ok());
+  ASSERT_EQ(store.num_shards(), 3u);
+  expect_context_pass_budget(query::ShardedSource(store));
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ const YearRatios& year_ratios(Year y) {
     const auto days = user_days(ds);
     const UserClassifier classes(days);
     auto* yr = new YearRatios{compute_wifi_ratios(ds, days, classes),
-                              compute_wifi_states(ds)};
+                              compute_wifi_states(test::campaign_source(y))};
     cache[i] = yr;
   }
   return *cache[i];

@@ -131,7 +131,7 @@ TEST_F(RunnerEquivalence, Table01MatchesOverviewKernel) {
   ASSERT_NE(spec, nullptr);
   const Table t = runner().run(*spec, Year::Y2015);
   const analysis::DatasetOverview ov =
-      analysis::overview(runner().dataset(Year::Y2015));
+      analysis::overview(runner().analysis(Year::Y2015).source());
   ASSERT_EQ(t.num_rows(), 1u);
   EXPECT_EQ(t.at(0, 2).as_int(), ov.n_android);
   EXPECT_EQ(t.at(0, 3).as_int(), ov.n_ios);

@@ -32,13 +32,14 @@ TEST(Robustness, EmptyDatasetEverywhere) {
   EXPECT_TRUE(days.empty());
   EXPECT_EQ(cls.counts().total, 0);
   EXPECT_EQ(detect_updates(ds).num_ios, 0);
-  EXPECT_EQ(scan_availability(ds).all_24.size(), 0u);
-  EXPECT_EQ(offload_opportunity(ds).num_wifi_available_users, 0);
-  const CapAnalysis cap = analyze_cap(ds, days);
+  const query::InMemorySource src(ds);
+  EXPECT_EQ(scan_availability(src).all_24.size(), 0u);
+  EXPECT_EQ(offload_opportunity(src).num_wifi_available_users, 0);
+  const CapAnalysis cap = analyze_cap(ds.devices.size(), days);
   EXPECT_DOUBLE_EQ(cap.capped_user_share, 0.0);
-  const UserTypeStats ut = user_type_stats(ds, days);
+  const UserTypeStats ut = user_type_stats(ds.devices.size(), days);
   EXPECT_DOUBLE_EQ(ut.mixed_frac, 0.0);
-  const auto agg = aggregate_series(ds, Stream::WifiRx);
+  const auto agg = aggregate_series(src, Stream::WifiRx);
   EXPECT_DOUBLE_EQ(agg.total_mb(), 0.0);
 }
 
@@ -65,7 +66,8 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   add_sample(ds, 0, 20, 0, 100, WifiState::Associated, ap);
   ds.build_index();
   ApClassification cls = classify_aps(ds);
-  const AssociationDurations d = association_durations(ds, cls);
+  const query::InMemorySource src(ds);
+  const AssociationDurations d = association_durations(src, cls);
   std::size_t runs =
       d.home_hours.size() + d.public_hours.size() + d.office_hours.size();
   // The AP is "other" (non-office here), so durations may be empty; use
@@ -77,7 +79,8 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   add_sample(ds2, 0, 20, 0, 100, WifiState::Associated, pub);
   ds2.build_index();
   cls = classify_aps(ds2);
-  const AssociationDurations d2 = association_durations(ds2, cls);
+  const query::InMemorySource src2(ds2);
+  const AssociationDurations d2 = association_durations(src2, cls);
   ASSERT_EQ(d2.public_hours.size(), 2u);  // split, not merged
   EXPECT_DOUBLE_EQ(d2.public_hours[0], 2.0 / 6);
   EXPECT_DOUBLE_EQ(d2.public_hours[1], 1.0 / 6);
@@ -111,7 +114,7 @@ TEST(Robustness, CapAnalysisNeedsFullLookback) {
     add_sample(ds, 0, static_cast<TimeBin>(d * kBinsPerDay), 500'000'000u, 0);
   }
   ds.build_index();
-  const CapAnalysis c = analyze_cap(ds, user_days(ds));
+  const CapAnalysis c = analyze_cap(ds.devices.size(), user_days(ds));
   EXPECT_EQ(c.ratio_capped.size() + c.ratio_others.size(), 0u);
 }
 
@@ -120,7 +123,8 @@ TEST(Robustness, WeeklyProfilesHandlePartialWeeks) {
   Dataset ds = empty_dataset(1, 3);
   add_sample(ds, 0, 0, 1'000'000u, 0);
   ds.build_index();
-  const WifiStateProfiles p = compute_wifi_states(ds);
+  const query::InMemorySource src(ds);
+  const WifiStateProfiles p = compute_wifi_states(src);
   const auto series = p.android_user.ratio_series();
   EXPECT_EQ(series.size(), static_cast<std::size_t>(WeeklyProfile::kHours));
 }
@@ -142,7 +146,8 @@ TEST(Robustness, RssiAnalysisWithNoWifi) {
   add_sample(ds, 0, 0, 1'000'000u, 0);
   ds.build_index();
   const auto cls = classify_aps(ds);
-  const RssiAnalysis r = rssi_analysis(ds, cls);
+  const query::InMemorySource src(ds);
+  const RssiAnalysis r = rssi_analysis(src, cls);
   EXPECT_TRUE(r.home_max_rssi.empty());
   EXPECT_DOUBLE_EQ(r.home_mean, 0.0);
 }

@@ -26,6 +26,7 @@
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
+#include "testutil.h"
 
 namespace tokyonet {
 namespace {
@@ -33,24 +34,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr double kShardTestScale = 0.02;
-
-/// Fresh temp directory per test, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("tokyonet_shard_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 std::string read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
@@ -128,7 +111,7 @@ TEST_P(ShardRoundTrip, MaterializedMatchesSimulator) {
   const std::size_t shards = GetParam();
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store =
       stream_and_open(config, tmp.path / "store", shards);
   ASSERT_EQ(store.num_shards(), shards);
@@ -185,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardRoundTrip,
 TEST(ShardStore, LoadShardServesLocalSlices) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
 
   std::size_t devices = 0;
@@ -216,7 +199,7 @@ TEST(ShardStore, LoadShardServesLocalSlices) {
 TEST(ShardStore, OutOfCoreBatteryMatchesRunner) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 5);
 
   std::vector<report::Table> tables;
@@ -241,7 +224,7 @@ TEST(ShardStore, OutOfCoreBatteryMatchesRunner) {
 TEST(ShardStore, OutOfCoreBatterySkipsFig18Before2015) {
   const ScenarioConfig config =
       scenario_config(Year::Y2013, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 2);
   std::vector<report::Table> tables;
   ASSERT_TRUE(report::run_sharded_battery(store, tables).ok());
@@ -253,7 +236,7 @@ TEST(ShardStore, OutOfCoreBatterySkipsFig18Before2015) {
 TEST(ShardStore, AdoptShardsChecksYear) {
   const ScenarioConfig config =
       scenario_config(Year::Y2014, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   sim::StreamCampaignOptions opts;
   opts.shards = 2;
   ASSERT_TRUE(sim::stream_campaign(config, tmp.path / "store", opts).ok());
@@ -268,7 +251,7 @@ TEST(ShardStore, AdoptShardsChecksYear) {
 // --- Failure modes -----------------------------------------------------
 
 struct BrokenStore : ::testing::Test {
-  TempDir tmp;
+  test::ScratchDir tmp;
   fs::path dir;
   ScenarioConfig config = scenario_config(Year::Y2015, kShardTestScale);
 
@@ -353,7 +336,7 @@ TEST_F(BrokenStore, ShardPayloadCorruptionCaughtOnLoad) {
 TEST(ShardPipeline, PrefetcherDeliversShardsInOrder) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
 
   io::ShardPrefetcher prefetcher(store, 2);
@@ -377,7 +360,7 @@ TEST(ShardPipeline, PrefetcherDeliversShardsInOrder) {
 TEST(ShardPipeline, PrefetcherSurfacesCorruptShardInOrder) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
   const fs::path shard = tmp.path / "store" / "shard-0002.tksnap";
   flip_byte(shard, fs::file_size(shard) - 128);
@@ -403,7 +386,7 @@ TEST(ShardPipeline, PrefetcherSurfacesCorruptShardInOrder) {
 TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
   const fs::path shard = tmp.path / "store" / "shard-0001.tksnap";
   flip_byte(shard, fs::file_size(shard) - 128);
@@ -437,7 +420,7 @@ TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
 TEST(ShardPipeline, ParallelScanMatchesSequential) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 16);
 
   std::vector<report::Table> sequential;
@@ -458,7 +441,7 @@ TEST(ShardPipeline, ParallelScanMatchesSequential) {
 TEST(ShardPipeline, StreamWriterPipelineMatchesSequential) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   sim::StreamCampaignOptions pipelined;
   pipelined.shards = 3;
   ASSERT_TRUE(
@@ -483,7 +466,7 @@ TEST(ShardPipeline, StreamWriterPipelineMatchesSequential) {
 TEST(ShardStore, MaterializeResidencyInvariant) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
 
   Dataset sequential;
@@ -515,7 +498,7 @@ TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
 
   for (const std::size_t shards :
        {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    TempDir tmp;
+    test::ScratchDir tmp;
     io::ShardedDataset store =
         stream_and_open(config, tmp.path / "store", shards);
     for (const std::size_t k : {std::size_t{0}, std::size_t{1},
@@ -547,7 +530,7 @@ TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
 TEST(ShardStore, PayloadVerifiedOncePerOpen) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 3);
 
   Dataset out;
@@ -574,7 +557,7 @@ TEST(ShardStore, PayloadVerifiedOncePerOpen) {
 TEST(ShardStore, ShardVerifyAlwaysRestoresRehash) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
-  TempDir tmp;
+  test::ScratchDir tmp;
   ASSERT_EQ(::setenv("TOKYONET_SHARD_VERIFY", "always", 1), 0);
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 3);
   ASSERT_EQ(::unsetenv("TOKYONET_SHARD_VERIFY"), 0);
@@ -592,7 +575,7 @@ TEST(ShardStore, ShardVerifyAlwaysRestoresRehash) {
 // --- Sharded campaign-cache storage mode -------------------------------
 
 TEST(ShardedCampaignCache, MissThenHitAndDisjointKeyspace) {
-  TempDir tmp;
+  test::ScratchDir tmp;
   ASSERT_EQ(::setenv("TOKYONET_CACHE_DIR", tmp.path.c_str(), 1), 0);
   ASSERT_EQ(::setenv("TOKYONET_CACHE_SHARDS", "3", 1), 0);
   const ScenarioConfig config =

@@ -11,6 +11,7 @@ namespace {
 using test::add_ap;
 using test::add_sample;
 using test::campaign;
+using test::campaign_source;
 using test::campaign_classification;
 using test::empty_dataset;
 
@@ -30,8 +31,9 @@ Dataset dataset_with_pair(std::uint64_t b1, std::uint64_t b2,
 TEST(SharedAp, DetectsAdjacentBssidsAcrossProviders) {
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00254B000011,
                                        "0000docomo", "0001softbank");
+  const query::InMemorySource src(ds);
   const auto cls = classify_aps(ds);
-  const SharedApAnalysis s = detect_shared_aps(ds, cls);
+  const SharedApAnalysis s = detect_shared_aps(src, cls);
   ASSERT_EQ(s.groups.size(), 1u);
   EXPECT_EQ(s.groups[0].size(), 2u);
   EXPECT_DOUBLE_EQ(s.shared_share, 1.0);
@@ -42,22 +44,25 @@ TEST(SharedAp, SameProviderNotGrouped) {
   // multi-provider box.
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00254B000011,
                                        "0000docomo", "0000docomo");
+  const query::InMemorySource src(ds);
   const auto cls = classify_aps(ds);
-  EXPECT_TRUE(detect_shared_aps(ds, cls).groups.empty());
+  EXPECT_TRUE(detect_shared_aps(src, cls).groups.empty());
 }
 
 TEST(SharedAp, DistantBssidsNotGrouped) {
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00254B000019,
                                        "0000docomo", "0001softbank");
+  const query::InMemorySource src(ds);
   const auto cls = classify_aps(ds);
-  EXPECT_TRUE(detect_shared_aps(ds, cls).groups.empty());
+  EXPECT_TRUE(detect_shared_aps(src, cls).groups.empty());
 }
 
 TEST(SharedAp, DifferentOuiNotGrouped) {
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00266C000011,
                                        "0000docomo", "0001softbank");
+  const query::InMemorySource src(ds);
   const auto cls = classify_aps(ds);
-  EXPECT_TRUE(detect_shared_aps(ds, cls).groups.empty());
+  EXPECT_TRUE(detect_shared_aps(src, cls).groups.empty());
 }
 
 TEST(SharedAp, NonPublicIgnored) {
@@ -70,7 +75,8 @@ TEST(SharedAp, NonPublicIgnored) {
   add_sample(ds, 0, 61, 0, 100, WifiState::Associated, b);
   ds.build_index();
   const auto cls = classify_aps(ds);
-  const SharedApAnalysis s = detect_shared_aps(ds, cls);
+  const query::InMemorySource src(ds);
+  const SharedApAnalysis s = detect_shared_aps(src, cls);
   EXPECT_EQ(s.public_aps, 0);
   EXPECT_TRUE(s.groups.empty());
 }
@@ -80,9 +86,9 @@ TEST(SharedAp, CampaignShareTracksDeploymentAndGrows) {
   // (scenario_config); detection over associated publics should land in
   // the same band and grow 2013 -> 2015 (§4.3).
   const SharedApAnalysis s13 = detect_shared_aps(
-      campaign(Year::Y2013), campaign_classification(Year::Y2013));
+      campaign_source(Year::Y2013), campaign_classification(Year::Y2013));
   const SharedApAnalysis s15 = detect_shared_aps(
-      campaign(Year::Y2015), campaign_classification(Year::Y2015));
+      campaign_source(Year::Y2015), campaign_classification(Year::Y2015));
   ASSERT_GT(s15.public_aps, 100);
   EXPECT_GT(s15.shared_share, s13.shared_share);
   // Both ESSIDs of a box must be *associated* to be detectable, so the
@@ -95,8 +101,9 @@ TEST(SharedAp, CampaignShareTracksDeploymentAndGrows) {
 
 TEST(SharedAp, GroupsContainDistinctProviders) {
   const Dataset& ds = campaign(Year::Y2015);
+  const auto& src = campaign_source(Year::Y2015);
   const SharedApAnalysis s =
-      detect_shared_aps(ds, campaign_classification(Year::Y2015));
+      detect_shared_aps(src, campaign_classification(Year::Y2015));
   for (const auto& group : s.groups) {
     ASSERT_GE(group.size(), 2u);
     for (std::size_t i = 1; i < group.size(); ++i) {

@@ -28,24 +28,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh temp directory per test, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("tokyonet_snapshot_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
-
 template <typename T>
 void expect_bytes_equal(std::span<const T> a, std::span<const T> b,
                         const char* what) {
@@ -144,7 +126,7 @@ class SnapshotRoundTrip : public ::testing::TestWithParam<Year> {};
 TEST_P(SnapshotRoundTrip, BitExactAllYears) {
   const Year year = GetParam();
   const Dataset& fresh = test::campaign(year);
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = tmp.path / "campaign.tksnap";
 
   const std::uint64_t hash =
@@ -199,7 +181,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Snapshot, AnalysisIdenticalAfterReload) {
   const Year year = Year::Y2014;
   const Dataset& fresh = test::campaign(year);
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = tmp.path / "campaign.tksnap";
   ASSERT_TRUE(io::save_snapshot(fresh, file).ok());
   Dataset loaded;
@@ -243,7 +225,7 @@ TEST(Snapshot, AnalysisIdenticalAfterReload) {
 TEST(Snapshot, EmptyDatasetRoundTrips) {
   Dataset empty = test::empty_dataset(0, 1);
   empty.build_index();
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = tmp.path / "empty.tksnap";
   ASSERT_TRUE(io::save_snapshot(empty, file).ok());
 
@@ -288,7 +270,7 @@ void flip_byte(const fs::path& file, std::uint64_t offset) {
 }
 
 TEST(SnapshotCorruption, TruncatedFileRejected) {
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = make_small_snapshot(tmp.path);
   const auto full = fs::file_size(file);
   fs::resize_file(file, full / 2);
@@ -302,7 +284,7 @@ TEST(SnapshotCorruption, TruncatedFileRejected) {
 }
 
 TEST(SnapshotCorruption, BadMagicRejected) {
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = make_small_snapshot(tmp.path);
   flip_byte(file, 0);  // first byte of the magic
   Dataset out;
@@ -312,7 +294,7 @@ TEST(SnapshotCorruption, BadMagicRejected) {
 }
 
 TEST(SnapshotCorruption, WrongVersionRejected) {
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = make_small_snapshot(tmp.path);
   flip_byte(file, 8);  // version field follows the 8-byte magic
   Dataset out;
@@ -322,7 +304,7 @@ TEST(SnapshotCorruption, WrongVersionRejected) {
 }
 
 TEST(SnapshotCorruption, FlippedSampleByteRejected) {
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = make_small_snapshot(tmp.path);
 
   io::SnapshotInfo info;
@@ -347,7 +329,7 @@ TEST(SnapshotCorruption, FlippedSampleByteRejected) {
 }
 
 TEST(SnapshotCorruption, GarbageFileRejected) {
-  TempDir tmp;
+  test::ScratchDir tmp;
   const fs::path file = tmp.path / "garbage.tksnap";
   std::ofstream(file, std::ios::binary) << "this is not a snapshot";
   Dataset out;
@@ -358,7 +340,7 @@ TEST(SnapshotCorruption, GarbageFileRejected) {
 // --- Campaign cache ----------------------------------------------------
 
 TEST(CampaignCache, MissThenHitProducesIdenticalDataset) {
-  TempDir tmp;
+  test::ScratchDir tmp;
   ASSERT_EQ(::setenv("TOKYONET_CACHE_DIR", tmp.path.c_str(), 1), 0);
   const ScenarioConfig config = scenario_config(Year::Y2013, 0.02);
 

@@ -1,11 +1,18 @@
 // Shared test fixtures: cached small-scale campaign datasets (simulating
 // a campaign is deterministic but not free, so tests share one instance
-// per year) and helpers for building tiny synthetic datasets by hand.
+// per year), helpers for building tiny synthetic datasets by hand, and
+// per-test scratch directories.
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
 
 #include "analysis/classify.h"
+#include "analysis/query/source.h"
 #include "core/records.h"
 #include "core/scenario.h"
 #include "sim/simulator.h"
@@ -25,6 +32,17 @@ inline const Dataset& campaign(Year year) {
   return *cache[i];
 }
 
+/// The shared campaign as a query source, the form every analysis
+/// kernel takes.
+inline const analysis::query::InMemorySource& campaign_source(Year year) {
+  static const analysis::query::InMemorySource* cache[kNumYears] = {};
+  const int i = static_cast<int>(year);
+  if (cache[i] == nullptr) {
+    cache[i] = new analysis::query::InMemorySource(campaign(year));
+  }
+  return *cache[i];
+}
+
 /// Cached AP classification for the shared campaign.
 inline const analysis::ApClassification& campaign_classification(Year year) {
   static const analysis::ApClassification* cache[kNumYears] = {};
@@ -35,6 +53,32 @@ inline const analysis::ApClassification& campaign_classification(Year year) {
   }
   return *cache[i];
 }
+
+/// A fresh directory for the running test, removed on destruction. The
+/// name carries the process id, the suite and the test: ctest runs some
+/// gtest cases in several processes at once (gtest_discover_tests plus
+/// the *_threads{1,4} entries), so a name keyed by the test alone would
+/// be written and deleted by concurrent runs.
+struct ScratchDir {
+  std::filesystem::path path;
+
+  ScratchDir() {
+    const ::testing::TestInfo* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = "tokyonet_" + std::to_string(::getpid()) + "_" +
+                       info->test_suite_name() + "_" + info->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    path = std::filesystem::temp_directory_path() / name;
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+};
 
 /// A minimal hand-built dataset: `num_devices` devices, `num_days` days,
 /// no samples (callers append samples then call build_index()).

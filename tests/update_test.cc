@@ -105,8 +105,8 @@ TEST(UpdateDetect, DetectedBinNearTruthBin) {
 TEST(UpdateTiming, ReproducesFlashCrowdShape) {
   const Dataset& ds = campaign(Year::Y2015);
   const UpdateDetection det = detect_updates(ds, detect_2015());
-  const UpdateTiming t =
-      analyze_update_timing(ds, det, campaign_classification(Year::Y2015));
+  const UpdateTiming t = analyze_update_timing(
+      ds.devices, det, campaign_classification(Year::Y2015));
 
   // §3.7: 58% of iOS devices updated within the window; we accept a band.
   EXPECT_GT(t.updated_share_all, 0.40);
@@ -132,8 +132,8 @@ TEST(UpdateTiming, EmptyDetectionYieldsEmptyTiming) {
   const Dataset& ds = campaign(Year::Y2013);
   UpdateDetection det;
   det.update_bin.assign(ds.devices.size(), -1);
-  const UpdateTiming t =
-      analyze_update_timing(ds, det, campaign_classification(Year::Y2013));
+  const UpdateTiming t = analyze_update_timing(
+      ds.devices, det, campaign_classification(Year::Y2013));
   EXPECT_TRUE(t.delay_days_all.empty());
   EXPECT_DOUBLE_EQ(t.updated_share_all, 0.0);
 }
