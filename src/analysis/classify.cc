@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 
+#include "core/dataset_index.h"
 #include "core/parallel.h"
 #include "net/essid.h"
 
@@ -66,9 +68,18 @@ struct DeviceApStats {
     window_day = -1;
   };
 
-  for (const Sample& s : ds.device_samples(dev.id)) {
-    if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-      const std::uint32_t ap = value(s.ap);
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bins = ds.samples.bin;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
+  const std::span<const std::uint32_t> aps = ds.samples.ap;
+  const std::span<const GeoCell> geo = ds.samples.geo_cell;
+  const std::size_t d = value(dev.id);
+  for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+    const TimeBin bin = bins[i];
+    const bool associated = state[i] == WifiState::Associated &&
+                            aps[i] != value(kNoAp);
+    if (associated) {
+      const std::uint32_t ap = aps[i];
       auto [it, inserted] = ap_index.try_emplace(ap, stats.aps.size());
       if (inserted) {
         stats.aps.emplace_back();
@@ -76,28 +87,28 @@ struct DeviceApStats {
       }
       DeviceApStats::PerAp& per_ap = stats.aps[it->second];
       ++per_ap.assoc_bins;
-      if (s.geo_cell != kNoGeoCell) per_ap.cells_seen.insert(s.geo_cell);
-      const bool weekday = !ds.calendar.is_weekend(s.bin);
-      if (weekday && ds.calendar.in_hour_window(s.bin, opt.office_from_hour,
+      if (geo[i] != kNoGeoCell) {
+        per_ap.cells_seen.insert(geo[i]);
+      }
+      const bool weekday = !ds.calendar.is_weekend(bin);
+      if (weekday && ds.calendar.in_hour_window(bin, opt.office_from_hour,
                                                 opt.office_to_hour)) {
         ++per_ap.office_window_bins;
       }
     }
 
     // Maintain the rolling nightly window.
-    const int hour = ds.calendar.hour_of(s.bin);
+    const int hour = ds.calendar.hour_of(bin);
     const bool in_night = ds.calendar.in_hour_window(
-        s.bin, opt.night_from_hour, opt.night_to_hour);
+        bin, opt.night_from_hour, opt.night_to_hour);
     if (in_night) {
-      const int day = ds.calendar.day_of(s.bin);
+      const int day = ds.calendar.day_of(bin);
       const int wd = hour >= opt.night_from_hour ? day : day - 1;
       if (wd != window_day) {
         flush_window();
         window_day = wd;
       }
-      if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-        ++night_counts[value(s.ap)];
-      }
+      if (associated) ++night_counts[aps[i]];
     } else if (window_day >= 0) {
       flush_window();
     }

@@ -38,42 +38,28 @@ namespace {
     ud.day = d;
     out.push_back(ud);
   }
-  if (const core::DatasetIndex* idx = ds.index()) {
-    // SoA fast path: iterate per-(device, day) ranges over the traffic
-    // columns, skipping update days wholesale. The per-sample divisions
-    // and their order are unchanged, so the sums are bit-identical to
-    // the AoS loop below.
-    const std::size_t dev_i = value(dev.id);
-    const std::span<const std::uint32_t> cell_rx = idx->cell_rx();
-    const std::span<const std::uint32_t> cell_tx = idx->cell_tx();
-    const std::span<const std::uint32_t> wifi_rx = idx->wifi_rx();
-    const std::span<const std::uint32_t> wifi_tx = idx->wifi_tx();
-    const std::span<const std::uint8_t> flags = idx->flags();
-    for (int d = 0; d < num_days; ++d) {
-      if (d >= skip_from && d <= skip_to) continue;
-      UserDay& ud = out[static_cast<std::size_t>(d)];
-      const std::size_t end = idx->day_begin(dev_i, d + 1);
-      for (std::size_t i = idx->day_begin(dev_i, d); i < end; ++i) {
-        if (opt.exclude_tethering &&
-            (flags[i] & core::DatasetIndex::kFlagTethering) != 0) {
-          continue;
-        }
-        ud.cell_rx_mb += cell_rx[i] / kBytesPerMb;
-        ud.cell_tx_mb += cell_tx[i] / kBytesPerMb;
-        ud.wifi_rx_mb += wifi_rx[i] / kBytesPerMb;
-        ud.wifi_tx_mb += wifi_tx[i] / kBytesPerMb;
+  // Iterate the device's per-day ranges over the traffic columns,
+  // skipping update days wholesale.
+  const core::DatasetIndex& idx = ds.index();
+  const std::size_t dev_i = value(dev.id);
+  const std::span<const std::uint32_t> cell_rx = ds.samples.cell_rx;
+  const std::span<const std::uint32_t> cell_tx = ds.samples.cell_tx;
+  const std::span<const std::uint32_t> wifi_rx = ds.samples.wifi_rx;
+  const std::span<const std::uint32_t> wifi_tx = ds.samples.wifi_tx;
+  const std::span<const std::uint8_t> flags = ds.samples.flags;
+  for (int d = 0; d < num_days; ++d) {
+    if (d >= skip_from && d <= skip_to) continue;
+    UserDay& ud = out[static_cast<std::size_t>(d)];
+    const std::size_t end = idx.day_begin(dev_i, d + 1);
+    for (std::size_t i = idx.day_begin(dev_i, d); i < end; ++i) {
+      if (opt.exclude_tethering &&
+          (flags[i] & SampleColumns::kFlagTethering) != 0) {
+        continue;
       }
-    }
-  } else {
-    for (const Sample& s : ds.device_samples(dev.id)) {
-      if (opt.exclude_tethering && s.tethering) continue;
-      const int d = ds.calendar.day_of(s.bin);
-      if (d >= skip_from && d <= skip_to) continue;
-      UserDay& ud = out[static_cast<std::size_t>(d)];
-      ud.cell_rx_mb += s.cell_rx / kBytesPerMb;
-      ud.cell_tx_mb += s.cell_tx / kBytesPerMb;
-      ud.wifi_rx_mb += s.wifi_rx / kBytesPerMb;
-      ud.wifi_tx_mb += s.wifi_tx / kBytesPerMb;
+      ud.cell_rx_mb += cell_rx[i] / kBytesPerMb;
+      ud.cell_tx_mb += cell_tx[i] / kBytesPerMb;
+      ud.wifi_rx_mb += wifi_rx[i] / kBytesPerMb;
+      ud.wifi_tx_mb += wifi_tx[i] / kBytesPerMb;
     }
   }
   if (skip_from >= 0) {
@@ -177,7 +163,7 @@ double WeeklyProfile::mean_ratio() const noexcept {
 
 std::vector<GeoCell> infer_home_cells(const Dataset& ds) {
   std::vector<GeoCell> out(ds.devices.size(), kNoGeoCell);
-  const core::DatasetIndex* idx = ds.index();
+  const core::DatasetIndex& idx = ds.index();
 
   // The 22:00-06:00 window depends only on the bin-in-day, so resolve
   // it once per bin-of-day instead of per sample.
@@ -190,13 +176,13 @@ std::vector<GeoCell> infer_home_cells(const Dataset& ds) {
   // Per-device inference with a disjoint output slot per device.
   core::parallel_for(ds.devices.size(), [&](std::size_t i) {
     std::map<GeoCell, int> counts;
-    if (idx != nullptr && idx->dense()) {
+    if (idx.dense()) {
       // Dense campaign: the night window is two fixed bin ranges per
       // day ([22:00, 24:00) and [00:00, 06:00)), and devices dwell, so
       // run-length-encoding the geo-cell stream pays one map update per
       // dwell (typically one per night) instead of one per sample.
-      const std::span<const std::uint16_t> geo = idx->geo_cell();
-      const std::size_t base = idx->device_begin(i);
+      const std::span<const std::uint16_t> geo = ds.samples.geo_cell;
+      const std::size_t base = idx.device_begin(i);
       constexpr std::size_t kMorningBins = 6 * kBinsPerHour;
       constexpr std::size_t kEveningBin = 22 * kBinsPerHour;
       for (int day = 0; day < ds.num_days(); ++day) {
@@ -215,20 +201,14 @@ std::vector<GeoCell> infer_home_cells(const Dataset& ds) {
           }
         }
       }
-    } else if (idx != nullptr) {
-      const std::span<const TimeBin> bin = idx->bin();
-      const std::span<const std::uint16_t> geo = idx->geo_cell();
-      const std::size_t end = idx->device_end(i);
-      for (std::size_t j = idx->device_begin(i); j < end; ++j) {
+    } else {
+      const std::span<const TimeBin> bin = ds.samples.bin;
+      const std::span<const std::uint16_t> geo = ds.samples.geo_cell;
+      const std::size_t end = idx.device_end(i);
+      for (std::size_t j = idx.device_begin(i); j < end; ++j) {
         if (geo[j] == kNoGeoCell) continue;
         if (!night[static_cast<std::size_t>(bin[j] % kBinsPerDay)]) continue;
         ++counts[geo[j]];
-      }
-    } else {
-      for (const Sample& s : ds.device_samples(ds.devices[i].id)) {
-        if (s.geo_cell == kNoGeoCell) continue;
-        if (!ds.calendar.in_hour_window(s.bin, 22, 6)) continue;
-        ++counts[s.geo_cell];
       }
     }
     int best = 0;

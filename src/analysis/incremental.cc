@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "analysis/ratios.h"
+#include "core/dataset_index.h"
 
 namespace tokyonet::analysis {
 
@@ -180,23 +181,37 @@ StreamResult batch_stream_result(const Dataset& ds) {
   out.wifi_traffic = ratios.traffic_all;
   out.wifi_users = ratios.users_all;
 
-  // Integer aggregates: one serial pass (order-independent sums).
+  // Integer aggregates: one serial pass over the columns and the
+  // devices' app records (order-independent sums).
+  const SampleColumns& cols = ds.samples;
+  const std::span<const std::uint32_t> cell_rx = cols.cell_rx, cell_tx =
+      cols.cell_tx, wifi_rx = cols.wifi_rx, wifi_tx = cols.wifi_tx,
+      ap = cols.ap;
+  const std::span<const CellTech> tech = cols.tech;
+  const std::span<const WifiState> state = cols.wifi_state;
+  const std::span<const std::uint8_t> flags = cols.flags;
+  StreamTotals& t = out.totals;
   out.ap_observations.assign(ds.aps.size(), 0);
-  for (const Sample& s : ds.samples) {
-    ++out.totals.n_samples;
-    out.totals.cell_rx += s.cell_rx;
-    out.totals.cell_tx += s.cell_tx;
-    out.totals.wifi_rx += s.wifi_rx;
-    out.totals.wifi_tx += s.wifi_tx;
-    if (s.tech == CellTech::Lte) out.totals.lte_rx += s.cell_rx;
-    if (s.wifi_state == WifiState::Associated) ++out.totals.assoc_samples;
-    if (s.tethering) ++out.totals.tether_samples;
-    for (const AppTraffic& at : ds.apps_of(s)) {
-      ++out.totals.n_app_records;
-      out.totals.app_rx[static_cast<int>(at.category)] += at.rx_bytes;
-      out.totals.app_tx[static_cast<int>(at.category)] += at.tx_bytes;
+  t.n_samples = cols.size();
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    t.cell_rx += cell_rx[i];
+    t.cell_tx += cell_tx[i];
+    t.wifi_rx += wifi_rx[i];
+    t.wifi_tx += wifi_tx[i];
+    if (tech[i] == CellTech::Lte) t.lte_rx += cell_rx[i];
+    if (state[i] == WifiState::Associated) ++t.assoc_samples;
+    if ((flags[i] & SampleColumns::kFlagTethering) != 0) ++t.tether_samples;
+    if (ap[i] != value(kNoAp)) ++out.ap_observations[ap[i]];
+  }
+  const core::DatasetIndex& idx = ds.index();
+  for (std::size_t d = 0; d < ds.devices.size(); ++d) {
+    for (std::size_t a = idx.device_app_begin(d); a < idx.device_app_end(d);
+         ++a) {
+      const AppTraffic& at = ds.app_traffic[a];
+      ++t.n_app_records;
+      t.app_rx[static_cast<int>(at.category)] += at.rx_bytes;
+      t.app_tx[static_cast<int>(at.category)] += at.tx_bytes;
     }
-    if (s.ap != kNoAp) ++out.ap_observations[value(s.ap)];
   }
   return out;
 }

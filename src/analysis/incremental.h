@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "analysis/common.h"
-#include "core/records.h"
+#include "core/sample_rows.h"
 
 namespace tokyonet::analysis {
 

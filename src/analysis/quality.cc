@@ -32,20 +32,9 @@ using PairCounts = std::unordered_map<std::uint64_t, int>;
 /// are exact integers, so any run/chunk grouping merges identically.
 [[nodiscard]] PairCounts ap_cell_pair_counts(
     const Dataset& ds, const std::vector<std::uint8_t>& keep) {
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    PairCounts counts;
-    for (const Sample& s : ds.samples) {
-      if (s.wifi_state != WifiState::Associated || s.ap == kNoAp) continue;
-      if (s.geo_cell == kNoGeoCell || !keep[value(s.ap)]) continue;
-      ++counts[(std::uint64_t{value(s.ap)} << 16) | s.geo_cell];
-    }
-    return counts;
-  }
-
-  const std::span<const std::uint32_t> ap = idx->ap();
-  const std::span<const WifiState> state = idx->wifi_state();
-  const std::span<const std::uint16_t> geo = idx->geo_cell();
+  const std::span<const std::uint32_t> ap = ds.samples.ap;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
+  const std::span<const std::uint16_t> geo = ds.samples.geo_cell;
   const std::size_t n = ap.size();
 
   const std::vector<PairCounts> partials =
@@ -136,61 +125,52 @@ namespace {
 [[nodiscard]] std::vector<double> ap_max_rssi(const Dataset& ds) {
   std::vector<double> max_rssi(ds.aps.size(), -1e9);
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    for (const Sample& s : ds.samples) {
-      if (s.wifi_state != WifiState::Associated || s.ap == kNoAp) continue;
-      if (ds.aps[value(s.ap)].band != Band::B24GHz) continue;
-      max_rssi[value(s.ap)] =
-          std::max(max_rssi[value(s.ap)], static_cast<double>(s.rssi_dbm));
-    }
-  } else {
-    std::vector<std::uint8_t> band24(ds.aps.size(), 0);
-    for (std::size_t a = 0; a < ds.aps.size(); ++a) {
-      band24[a] = ds.aps[a].band == Band::B24GHz;
-    }
-    const std::span<const std::uint32_t> ap = idx->ap();
-    const std::span<const WifiState> state = idx->wifi_state();
-    const std::span<const std::int8_t> rssi = idx->rssi_dbm();
-    const std::size_t n = ap.size();
-    // Devices dwell on one AP for many consecutive bins, so each chunk
-    // run-length-encodes the AP stream and emits one (ap, run max) pair
-    // per association run — the per-AP filter runs once per run, and
-    // the inner max over the run is a branch-free select the compiler
-    // vectorizes. Max-merge of the pairs is order-independent, so the
-    // result is byte-identical at any thread count / chunk grouping.
-    // RSSI is an int8; track maxima in int16 with a below-range
-    // sentinel.
-    constexpr std::int16_t kUnseen = -32768;
-    using RunMax = std::pair<std::uint32_t, std::int16_t>;
-    const std::vector<std::vector<RunMax>> partials =
-        query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-          std::vector<RunMax> maxima;
-          std::size_t i = begin;
-          while (i < end) {
-            const std::uint32_t a = ap[i];
-            std::size_t j = i + 1;
-            while (j < end && ap[j] == a) ++j;
-            if (a != value(kNoAp) && band24[a]) {
-              std::int16_t m = kUnseen;
-              for (std::size_t k = i; k < j; ++k) {
-                const std::int16_t r = state[k] == WifiState::Associated
-                                           ? std::int16_t{rssi[k]}
-                                           : kUnseen;
-                m = std::max(m, r);
-              }
-              if (m != kUnseen) maxima.emplace_back(a, m);
+  std::vector<std::uint8_t> band24(ds.aps.size(), 0);
+  for (std::size_t a = 0; a < ds.aps.size(); ++a) {
+    band24[a] = ds.aps[a].band == Band::B24GHz;
+  }
+  const std::span<const std::uint32_t> ap = ds.samples.ap;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
+  const std::span<const std::int8_t> rssi = ds.samples.rssi_dbm;
+  const std::size_t n = ap.size();
+  // Devices dwell on one AP for many consecutive bins, so each chunk
+  // run-length-encodes the AP stream and emits one (ap, run max) pair
+  // per association run — the per-AP filter runs once per run, and
+  // the inner max over the run is a branch-free select the compiler
+  // vectorizes. Max-merge of the pairs is order-independent, so the
+  // result is byte-identical at any thread count / chunk grouping.
+  // RSSI is an int8; track maxima in int16 with a below-range
+  // sentinel.
+  constexpr std::int16_t kUnseen = -32768;
+  using RunMax = std::pair<std::uint32_t, std::int16_t>;
+  const std::vector<std::vector<RunMax>> partials =
+      query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
+        std::vector<RunMax> maxima;
+        std::size_t i = begin;
+        while (i < end) {
+          const std::uint32_t a = ap[i];
+          std::size_t j = i + 1;
+          while (j < end && ap[j] == a) ++j;
+          if (a != value(kNoAp) && band24[a]) {
+            std::int16_t m = kUnseen;
+            for (std::size_t k = i; k < j; ++k) {
+              const std::int16_t r = state[k] == WifiState::Associated
+                                         ? std::int16_t{rssi[k]}
+                                         : kUnseen;
+              m = std::max(m, r);
             }
-            i = j;
+            if (m != kUnseen) maxima.emplace_back(a, m);
           }
-          return maxima;
-        });
-    for (const std::vector<RunMax>& p : partials) {
-      for (const auto& [a, m] : p) {
-        max_rssi[a] = std::max(max_rssi[a], static_cast<double>(m));
-      }
+          i = j;
+        }
+        return maxima;
+      });
+  for (const std::vector<RunMax>& p : partials) {
+    for (const auto& [a, m] : p) {
+      max_rssi[a] = std::max(max_rssi[a], static_cast<double>(m));
     }
   }
+  
   return max_rssi;
 }
 
@@ -244,26 +224,7 @@ using ChannelCounts = std::array<std::uint64_t, 29>;
                                            const ApClassification& cls) {
   ChannelCounts total{};
 
-  const core::DatasetIndex* idx = ds.index();
-  if (idx == nullptr) {
-    for (const Sample& s : ds.samples) {
-      if (s.wifi_state != WifiState::Associated || s.ap == kNoAp) continue;
-      if (ds.devices[value(s.device)].os != Os::Android) continue;
-      const ApInfo& ap = ds.aps[value(s.ap)];
-      if (ap.band != Band::B24GHz || ap.channel > 13) continue;
-      switch (cls.class_of(s.ap)) {
-        case ApClass::Home: ++total[1 + static_cast<std::size_t>(ap.channel)];
-          break;
-        case ApClass::Public:
-          ++total[15 + static_cast<std::size_t>(ap.channel)];
-          break;
-        case ApClass::Other:
-          break;
-      }
-    }
-    return total;
-  }
-
+  const core::DatasetIndex& idx = ds.index();
   // Per-AP code into the flat count table; a trailing sentinel row
   // absorbs out-of-range AP ids, so associated samples need no bounds
   // or class branches — one gather + increment each.
@@ -278,16 +239,16 @@ using ChannelCounts = std::array<std::uint64_t, 29>;
       code[a] = static_cast<std::uint8_t>(15 + ap.channel);
     }
   }
-  const std::span<const std::uint32_t> ap = idx->ap();
-  const std::span<const WifiState> state = idx->wifi_state();
+  const std::span<const std::uint32_t> ap = ds.samples.ap;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
   const std::size_t n_devices = ds.devices.size();
   const std::vector<ChannelCounts> partials = query::map_device_blocks(
       n_devices, [&](std::size_t d0, std::size_t d1) {
         ChannelCounts counts{};
         for (std::size_t d = d0; d < d1; ++d) {
           if (ds.devices[d].os != Os::Android) continue;
-          const std::size_t end = idx->device_end(d);
-          for (std::size_t i = idx->device_begin(d); i < end; ++i) {
+          const std::size_t end = idx.device_end(d);
+          for (std::size_t i = idx.device_begin(d); i < end; ++i) {
             // Branch on association state: unassociated bins cluster
             // into long, well-predicted runs, and skipping them keeps
             // the counts[] increment chain off the common path.

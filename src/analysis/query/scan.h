@@ -1,6 +1,6 @@
 // Shared chunking geometry for deterministic parallel column scans.
 //
-// Every analysis kernel that scans the DatasetIndex SoA projections in
+// Every analysis kernel that scans the Dataset's sample columns in
 // parallel partitions its input the same way: fixed 64K-sample chunks
 // for flat column scans, fixed 16-device blocks for scans that need
 // per-device fields or ranges. The partition depends only on the input

@@ -1,30 +1,12 @@
 #include "analysis/ratios.h"
 
+#include <span>
+
+#include "core/dataset_index.h"
 #include "core/parallel.h"
 
 namespace tokyonet::analysis {
 namespace {
-
-/// Accumulates one sample into a (possibly per-device partial) result.
-void add_sample(WifiRatios& r, const CampaignCalendar& cal, const Sample& s,
-                const std::vector<UserClass>& klass, std::size_t num_days) {
-  const double wifi = s.wifi_rx / kBytesPerMb;
-  const double total = wifi + s.cell_rx / kBytesPerMb;
-  const bool assoc = s.wifi_state == WifiState::Associated;
-  const UserClass k = klass[value(s.device) * num_days +
-                            static_cast<std::size_t>(cal.day_of(s.bin))];
-
-  if (total > 0) r.traffic_all.add(cal, s.bin, wifi, total);
-  r.users_all.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
-
-  if (k == UserClass::Heavy) {
-    if (total > 0) r.traffic_heavy.add(cal, s.bin, wifi, total);
-    r.users_heavy.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
-  } else if (k == UserClass::Light) {
-    if (total > 0) r.traffic_light.add(cal, s.bin, wifi, total);
-    r.users_light.add(cal, s.bin, assoc ? 1.0 : 0.0, 1.0);
-  }
-}
 
 void merge(WifiRatios& into, const WifiRatios& from) {
   into.traffic_all.merge(from.traffic_all);
@@ -50,22 +32,34 @@ WifiRatios compute_wifi_ratios(const Dataset& ds,
   }
 
   const CampaignCalendar& cal = ds.calendar;
-  if (!ds.indexed()) {
-    // No per-device index (e.g. hand-built datasets in tests): single
-    // pass over the raw sample stream.
-    WifiRatios r;
-    for (const Sample& s : ds.samples) add_sample(r, cal, s, klass, num_days);
-    return r;
-  }
-
   // One partial result per device, reduced in device order: the sums
   // are grouped per device rather than interleaved, but the grouping is
   // fixed, so the result is identical at any thread count.
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bin = ds.samples.bin;
+  const std::span<const std::uint32_t> wifi_rx = ds.samples.wifi_rx;
+  const std::span<const std::uint32_t> cell_rx = ds.samples.cell_rx;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
   const std::vector<WifiRatios> partials =
-      core::parallel_map(ds.devices.size(), [&](std::size_t i) {
+      core::parallel_map(ds.devices.size(), [&](std::size_t d) {
         WifiRatios r;
-        for (const Sample& s : ds.device_samples(ds.devices[i].id)) {
-          add_sample(r, cal, s, klass, num_days);
+        for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+          const TimeBin b = bin[i];
+          const double wifi = wifi_rx[i] / kBytesPerMb;
+          const double total = wifi + cell_rx[i] / kBytesPerMb;
+          const double assoc =
+              state[i] == WifiState::Associated ? 1.0 : 0.0;
+          const UserClass k =
+              klass[d * num_days + static_cast<std::size_t>(cal.day_of(b))];
+          if (total > 0) r.traffic_all.add(cal, b, wifi, total);
+          r.users_all.add(cal, b, assoc, 1.0);
+          if (k == UserClass::Heavy) {
+            if (total > 0) r.traffic_heavy.add(cal, b, wifi, total);
+            r.users_heavy.add(cal, b, assoc, 1.0);
+          } else if (k == UserClass::Light) {
+            if (total > 0) r.traffic_light.add(cal, b, wifi, total);
+            r.users_light.add(cal, b, assoc, 1.0);
+          }
         }
         return r;
       });

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "analysis/common.h"
+#include "core/dataset_index.h"
 #include "stats/descriptive.h"
 
 namespace tokyonet::analysis {
@@ -16,27 +17,30 @@ UpdateDetection detect_updates(const Dataset& ds,
   for (const DeviceInfo& dev : ds.devices) {
     if (dev.os != Os::Ios) continue;
     ++out.num_ios;
-    const auto samples = ds.device_samples(dev.id);
+    const core::DatasetIndex& idx = ds.index();
+    const std::size_t begin = idx.device_begin(value(dev.id));
+    const std::size_t n = idx.device_end(value(dev.id)) - begin;
+    const TimeBin* bin = ds.samples.bin.data() + begin;
+    const std::uint32_t* wifi_rx = ds.samples.wifi_rx.data() + begin;
 
     // Rolling sum of qualifying WiFi download over `window_bins` samples.
     double sum = 0;
     std::size_t tail = 0;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      if (ds.calendar.day_of(samples[i].bin) < opt.min_day) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ds.calendar.day_of(bin[i]) < opt.min_day) {
         tail = i + 1;
         sum = 0;
         continue;
       }
-      const double mb = samples[i].wifi_rx / kBytesPerMb;
+      const double mb = wifi_rx[i] / kBytesPerMb;
       sum += mb >= opt.min_bin_mb ? mb : 0;
       while (i - tail + 1 > static_cast<std::size_t>(opt.window_bins)) {
-        const double t = samples[tail].wifi_rx / kBytesPerMb;
+        const double t = wifi_rx[tail] / kBytesPerMb;
         sum -= t >= opt.min_bin_mb ? t : 0;
         ++tail;
       }
       if (sum >= opt.burst_mb) {
-        out.update_bin[value(dev.id)] =
-            static_cast<std::int32_t>(samples[tail].bin);
+        out.update_bin[value(dev.id)] = static_cast<std::int32_t>(bin[tail]);
         ++out.num_updated;
         break;
       }

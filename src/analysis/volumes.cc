@@ -5,7 +5,6 @@
 
 #include "analysis/query/scan.h"
 #include "analysis/query/source.h"
-#include "core/dataset_index.h"
 #include "stats/descriptive.h"
 
 namespace tokyonet::analysis {
@@ -13,35 +12,27 @@ namespace {
 
 [[nodiscard]] LteTrafficSums lte_sums_scan(const Dataset& ds) {
   std::uint64_t lte = 0, total = 0;
-  if (const core::DatasetIndex* idx = ds.index()) {
-    // Chunked u64 sums over the SoA columns: exact and associative, so
-    // the reduction matches the serial scan at any thread count.
-    const std::span<const std::uint32_t> cell_rx = idx->cell_rx();
-    const std::span<const CellTech> tech = idx->tech();
-    const std::size_t n = cell_rx.size();
-    struct Sums {
-      std::uint64_t lte = 0, total = 0;
-    };
-    const std::vector<Sums> partials =
-        query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-          Sums sums;
-          for (std::size_t i = begin; i < end; ++i) {
-            if (cell_rx[i] == 0) continue;
-            sums.total += cell_rx[i];
-            if (tech[i] == CellTech::Lte) sums.lte += cell_rx[i];
-          }
-          return sums;
-        });
-    for (const Sums& p : partials) {
-      lte += p.lte;
-      total += p.total;
-    }
-  } else {
-    for (const Sample& s : ds.samples) {
-      if (s.cell_rx == 0) continue;
-      total += s.cell_rx;
-      if (s.tech == CellTech::Lte) lte += s.cell_rx;
-    }
+  // Chunked u64 sums over the sample columns: exact and associative, so
+  // the reduction matches the serial scan at any thread count.
+  const std::span<const std::uint32_t> cell_rx = ds.samples.cell_rx;
+  const std::span<const CellTech> tech = ds.samples.tech;
+  const std::size_t n = cell_rx.size();
+  struct Sums {
+    std::uint64_t lte = 0, total = 0;
+  };
+  const std::vector<Sums> partials =
+      query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
+        Sums sums;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (cell_rx[i] == 0) continue;
+          sums.total += cell_rx[i];
+          if (tech[i] == CellTech::Lte) sums.lte += cell_rx[i];
+        }
+        return sums;
+      });
+  for (const Sums& p : partials) {
+    lte += p.lte;
+    total += p.total;
   }
   return {lte, total};
 }

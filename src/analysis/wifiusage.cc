@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string_view>
 
 #include "analysis/query/source.h"
+#include "core/dataset_index.h"
 
 namespace tokyonet::analysis {
 namespace {
@@ -32,10 +34,14 @@ struct ApsPerDayCounts {
     const Dataset& ds, const std::vector<UserClass>& klass, std::size_t base) {
   const auto num_days = static_cast<std::size_t>(ds.num_days());
   ApsPerDayCounts out;
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bins = ds.samples.bin;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
+  const std::span<const std::uint32_t> aps = ds.samples.ap;
 
   std::set<std::uint32_t> seen;
   for (const DeviceInfo& dev : ds.devices) {
-    const auto samples = ds.device_samples(dev.id);
+    const std::size_t d = value(dev.id);
     int cur_day = -1;
     seen.clear();
     auto flush = [&](int day) {
@@ -59,11 +65,12 @@ struct ApsPerDayCounts {
       seen.clear();
       cur_day = day;
     };
-    for (const Sample& s : samples) {
-      const int day = ds.calendar.day_of(s.bin);
+    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+      const int day = ds.calendar.day_of(bins[i]);
       if (day != cur_day) flush(day);
-      if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-        seen.insert(value(s.ap));
+      if (state[i] == WifiState::Associated &&
+          aps[i] != value(kNoAp)) {
+        seen.insert(aps[i]);
       }
     }
     flush(-1);
@@ -113,10 +120,14 @@ struct HpoCounts {
 [[nodiscard]] HpoCounts hpo_counts(const Dataset& ds,
                                    const ApClassification& cls) {
   HpoCounts out;
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bins = ds.samples.bin;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
+  const std::span<const std::uint32_t> aps = ds.samples.ap;
 
   std::set<std::pair<int, std::string_view>> essids;  // (class, essid)
   for (const DeviceInfo& dev : ds.devices) {
-    const auto samples = ds.device_samples(dev.id);
+    const std::size_t d = value(dev.id);
     int cur_day = -1;
     essids.clear();
     auto flush = [&](int day) {
@@ -133,12 +144,13 @@ struct HpoCounts {
       essids.clear();
       cur_day = day;
     };
-    for (const Sample& s : samples) {
-      const int day = ds.calendar.day_of(s.bin);
+    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+      const int day = ds.calendar.day_of(bins[i]);
       if (day != cur_day) flush(day);
-      if (s.wifi_state == WifiState::Associated && s.ap != kNoAp) {
-        essids.emplace(static_cast<int>(cls.class_of(s.ap)),
-                       ds.aps[value(s.ap)].essid);
+      const ApId ap{aps[i]};
+      if (state[i] == WifiState::Associated && ap != kNoAp) {
+        essids.emplace(static_cast<int>(cls.class_of(ap)),
+                       ds.aps[value(ap)].essid);
       }
     }
     flush(-1);
@@ -165,9 +177,13 @@ struct HpoCounts {
     const Dataset& ds, const ApClassification& cls) {
   AssociationDurations out;
   const double bin_hours = kMinutesPerBin / 60.0;
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bins = ds.samples.bin;
+  const std::span<const WifiState> state = ds.samples.wifi_state;
+  const std::span<const std::uint32_t> aps = ds.samples.ap;
 
   for (const DeviceInfo& dev : ds.devices) {
-    const auto samples = ds.device_samples(dev.id);
+    const std::size_t d = value(dev.id);
     ApId run_ap = kNoAp;
     int run_len = 0;
     TimeBin prev_bin = 0;
@@ -186,17 +202,20 @@ struct HpoCounts {
       run_ap = kNoAp;
       run_len = 0;
     };
-    for (const Sample& s : samples) {
-      const bool assoc = s.wifi_state == WifiState::Associated && s.ap != kNoAp;
-      const bool contiguous = run_len == 0 || s.bin == prev_bin + 1;
-      if (!assoc || !contiguous || (run_ap != kNoAp && s.ap != run_ap)) {
+    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+      const ApId ap{aps[i]};
+      const TimeBin bin = bins[i];
+      const bool assoc =
+          state[i] == WifiState::Associated && ap != kNoAp;
+      const bool contiguous = run_len == 0 || bin == prev_bin + 1;
+      if (!assoc || !contiguous || (run_ap != kNoAp && ap != run_ap)) {
         flush();
       }
       if (assoc) {
-        run_ap = s.ap;
+        run_ap = ap;
         ++run_len;
       }
-      prev_bin = s.bin;
+      prev_bin = bin;
     }
     flush();
   }

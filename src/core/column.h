@@ -126,7 +126,7 @@ class Column {
   }
   /// Grows to `n` records WITHOUT zero-initializing the new tail. Only
   /// for call sites that overwrite every record before reading any
-  /// (e.g. DatasetIndex's projection pass).
+  /// (e.g. the simulator filling its sample columns).
   void resize_for_overwrite(std::size_t n) {
     ensure_owned();
     vec_.resize(n);
@@ -155,6 +155,8 @@ class Column {
   [[nodiscard]] std::span<const T> span() const noexcept {
     return {data(), size()};
   }
+  /// Implicit, so a column reads wherever a read-only span is expected.
+  operator std::span<const T>() const noexcept { return span(); }
 
  private:
   void ensure_owned() {

@@ -1,81 +1,22 @@
 #include "core/dataset_index.h"
 
-#include <algorithm>
-
 #include "core/parallel.h"
-#include "core/records.h"
 
 namespace tokyonet::core {
 
-DatasetIndex::DenseBuilder::DenseBuilder(std::size_t n_devices,
-                                         const CampaignCalendar& cal)
-    : idx_(new DatasetIndex()) {
-  const auto n_bins = static_cast<std::size_t>(cal.num_bins());
-  const int num_days = cal.num_days();
-  const std::size_t n = n_devices * n_bins;
+SampleLayout SampleLayout::dense(std::size_t n_devices, std::size_t n_bins) {
+  SampleLayout l;
+  l.device_offset.resize(n_devices + 1);
+  for (std::size_t d = 0; d <= n_devices; ++d) l.device_offset[d] = d * n_bins;
+  l.app_range.assign(2 * n_devices, 0);
+  return l;
+}
 
-  idx_->num_days_ = num_days;
-  idx_->dense_ = n_devices > 0;
-
-  // Every record of every column is written by the producer's set()
-  // calls (one per (device, bin) position), so skip the zero-fill.
-  idx_->bin_.resize_for_overwrite(n);
-  idx_->cell_rx_.resize_for_overwrite(n);
-  idx_->cell_tx_.resize_for_overwrite(n);
-  idx_->wifi_rx_.resize_for_overwrite(n);
-  idx_->wifi_tx_.resize_for_overwrite(n);
-  idx_->ap_.resize_for_overwrite(n);
-  idx_->wifi_state_.resize_for_overwrite(n);
-  idx_->tech_.resize_for_overwrite(n);
-  idx_->battery_.resize_for_overwrite(n);
-  idx_->rssi_.resize_for_overwrite(n);
-  idx_->geo_.resize_for_overwrite(n);
-  idx_->app_count_.resize_for_overwrite(n);
-  idx_->flags_.resize_for_overwrite(n);
-  idx_->scan24_all_.resize_for_overwrite(n);
-  idx_->scan24_strong_.resize_for_overwrite(n);
-  idx_->scan5_all_.resize_for_overwrite(n);
-  idx_->scan5_strong_.resize_for_overwrite(n);
-
-  bin_ = idx_->bin_.data();
-  cell_rx_ = idx_->cell_rx_.data();
-  cell_tx_ = idx_->cell_tx_.data();
-  wifi_rx_ = idx_->wifi_rx_.data();
-  wifi_tx_ = idx_->wifi_tx_.data();
-  ap_ = idx_->ap_.data();
-  wifi_state_ = idx_->wifi_state_.data();
-  tech_ = idx_->tech_.data();
-  battery_ = idx_->battery_.data();
-  rssi_ = idx_->rssi_.data();
-  geo_ = idx_->geo_.data();
-  app_count_ = idx_->app_count_.data();
-  flags_ = idx_->flags_.data();
-  scan24_all_ = idx_->scan24_all_.data();
-  scan24_strong_ = idx_->scan24_strong_.data();
-  scan5_all_ = idx_->scan5_all_.data();
-  scan5_strong_ = idx_->scan5_strong_.data();
-
-  // In a dense campaign every contiguous range is arithmetic: device d
-  // owns [d * n_bins, (d + 1) * n_bins) and its day boundaries fall at
-  // fixed kBinsPerDay strides, exactly where build()'s scan would put
-  // them.
-  idx_->device_offset_.resize(n_devices + 1);
-  for (std::size_t d = 0; d <= n_devices; ++d) {
-    idx_->device_offset_[d] = d * n_bins;
-  }
-  const auto day_stride = static_cast<std::size_t>(num_days) + 1;
-  idx_->day_offset_.resize(n_devices * day_stride);
-  for (std::size_t d = 0; d < n_devices; ++d) {
-    std::size_t* const days = idx_->day_offset_.data() + d * day_stride;
-    for (std::size_t day = 0; day < day_stride; ++day) {
-      days[day] = d * n_bins + day * kBinsPerDay;
-    }
-  }
-  idx_->app_range_.assign(n_devices * 2, 0);
-
+void DatasetIndex::build_calendar(const CampaignCalendar& cal) {
+  num_days_ = cal.num_days();
   // Hour-of-week LUT, Saturday-based to match WeeklyProfile's axes.
-  idx_->hour_of_week_.resize(n_bins);
-  for (int day = 0; day < num_days; ++day) {
+  hour_of_week_.resize(static_cast<std::size_t>(cal.num_bins()));
+  for (int day = 0; day < num_days_; ++day) {
     const int sat_based =
         (static_cast<int>(cal.weekday_of_day(day)) + 2) % 7;
     for (int h = 0; h < 24; ++h) {
@@ -83,204 +24,161 @@ DatasetIndex::DenseBuilder::DenseBuilder(std::size_t n_devices,
       const std::size_t base = static_cast<std::size_t>(day) * kBinsPerDay +
                                static_cast<std::size_t>(h) * kBinsPerHour;
       for (std::size_t b = 0; b < kBinsPerHour; ++b) {
-        idx_->hour_of_week_[base + b] = how;
+        hour_of_week_[base + b] = how;
       }
     }
   }
 }
 
-void DatasetIndex::DenseBuilder::set_app_range(std::size_t d,
-                                               std::size_t begin,
-                                               std::size_t end) noexcept {
-  idx_->app_range_[2 * d] = begin;
-  idx_->app_range_[2 * d + 1] = end;
+DatasetIndex::DenseBuilder::DenseBuilder(Dataset& ds)
+    : ds_(&ds),
+      layout_(SampleLayout::dense(
+          ds.devices.size(), static_cast<std::size_t>(ds.calendar.num_bins()))) {
+  ds.index_.reset();
+  ds.samples.resize_for_overwrite(layout_.device_offset.back());
 }
 
-std::shared_ptr<const DatasetIndex> DatasetIndex::DenseBuilder::finish()
-    noexcept {
-  bin_ = nullptr;
-  return std::move(idx_);
-}
-
-std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds) {
-  const std::span<const Sample> ss = ds.samples.span();
-  const std::size_t n = ss.size();
-  const std::size_t n_devices = ds.devices.size();
-  const std::size_t n_bins = static_cast<std::size_t>(ds.calendar.num_bins());
-  const int num_days = ds.calendar.num_days();
-
+void DatasetIndex::DenseBuilder::finish() {
   std::shared_ptr<DatasetIndex> idx(new DatasetIndex());
-  idx->num_days_ = num_days;
-  // Every record of every column is written by the projection pass
-  // below (or the whole index is discarded), so skip the zero-fill.
-  idx->bin_.resize_for_overwrite(n);
-  idx->cell_rx_.resize_for_overwrite(n);
-  idx->cell_tx_.resize_for_overwrite(n);
-  idx->wifi_rx_.resize_for_overwrite(n);
-  idx->wifi_tx_.resize_for_overwrite(n);
-  idx->ap_.resize_for_overwrite(n);
-  idx->wifi_state_.resize_for_overwrite(n);
-  idx->tech_.resize_for_overwrite(n);
-  idx->battery_.resize_for_overwrite(n);
-  idx->rssi_.resize_for_overwrite(n);
-  idx->geo_.resize_for_overwrite(n);
-  idx->app_count_.resize_for_overwrite(n);
-  idx->flags_.resize_for_overwrite(n);
-  idx->scan24_all_.resize_for_overwrite(n);
-  idx->scan24_strong_.resize_for_overwrite(n);
-  idx->scan5_all_.resize_for_overwrite(n);
-  idx->scan5_strong_.resize_for_overwrite(n);
+  idx->build_calendar(ds_->calendar);
+  const std::size_t n_devices = ds_->devices.size();
+  idx->dense_ = n_devices > 0;
+  // Day boundaries fall at fixed kBinsPerDay strides in every device.
+  const auto day_stride = static_cast<std::size_t>(idx->num_days_) + 1;
+  idx->day_offset_.resize(n_devices * day_stride);
+  for (std::size_t d = 0; d < n_devices; ++d) {
+    for (std::size_t day = 0; day < day_stride; ++day) {
+      idx->day_offset_[d * day_stride + day] =
+          layout_.device_offset[d] + day * kBinsPerDay;
+    }
+  }
+  idx->layout_ = std::move(layout_);
+  ds_->index_ = std::move(idx);
+}
 
-  TimeBin* const bin = idx->bin_.data();
-  std::uint32_t* const cell_rx = idx->cell_rx_.data();
-  std::uint32_t* const cell_tx = idx->cell_tx_.data();
-  std::uint32_t* const wifi_rx = idx->wifi_rx_.data();
-  std::uint32_t* const wifi_tx = idx->wifi_tx_.data();
-  std::uint32_t* const ap = idx->ap_.data();
-  WifiState* const wifi_state = idx->wifi_state_.data();
-  CellTech* const tech = idx->tech_.data();
-  std::uint8_t* const battery = idx->battery_.data();
-  std::int8_t* const rssi = idx->rssi_.data();
-  std::uint16_t* const geo = idx->geo_.data();
-  std::uint8_t* const app_count = idx->app_count_.data();
-  std::uint8_t* const flags = idx->flags_.data();
-  std::uint8_t* const scan24_all = idx->scan24_all_.data();
-  std::uint8_t* const scan24_strong = idx->scan24_strong_.data();
-  std::uint8_t* const scan5_all = idx->scan5_all_.data();
-  std::uint8_t* const scan5_strong = idx->scan5_strong_.data();
+std::shared_ptr<const DatasetIndex> DatasetIndex::empty() {
+  static const std::shared_ptr<const DatasetIndex> idx = [] {
+    std::shared_ptr<DatasetIndex> e(new DatasetIndex());
+    e->layout_ = SampleLayout::dense(0, 0);
+    return e;
+  }();
+  return idx;
+}
 
-  // One parallel chunked pass projects the SoA columns and verifies the
-  // Dataset contract at the same time: every sample must reference a
-  // known device, carry an in-calendar bin, reference only known APs
-  // and app-traffic rows, and follow its predecessor in (device, bin)
-  // order. Each chunk also checks the ordering edge to its predecessor
-  // chunk, so coverage is seamless. Any violation makes build() return
-  // nullptr instead of silently indexing a wrong stream. The per-sample
-  // rules match Dataset::validate() exactly, so loaders may pair
-  // validate_frame() with this build instead of a separate full
-  // validate() sweep.
+std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
+                                                        SampleLayout layout,
+                                                        std::string* error) {
+  const SampleColumns& cols = ds.samples;
+  const std::size_t n = cols.size();
+  const std::size_t n_devices = ds.devices.size();
+  const auto n_bins = static_cast<std::size_t>(ds.calendar.num_bins());
   const std::size_t n_aps = ds.aps.size();
   const std::size_t n_apps = ds.app_traffic.size();
-  constexpr std::size_t kChunk = 1 << 16;
-  const std::size_t n_chunks = (n + kChunk - 1) / kChunk;
-  const std::vector<char> chunk_ok =
-      parallel_map(n_chunks, [&](std::size_t c) -> char {
-        const std::size_t begin = c * kChunk;
-        const std::size_t end = std::min(begin + kChunk, n);
-        for (std::size_t i = begin; i < end; ++i) {
-          const Sample& s = ss[i];
-          if (value(s.device) >= n_devices) return 0;
-          if (std::size_t{s.bin} >= n_bins) return 0;
-          if (s.ap != kNoAp && value(s.ap) >= n_aps) return 0;
-          if (std::size_t{s.app_begin} + s.app_count > n_apps) return 0;
-          if (i > 0) {
-            const Sample& p = ss[i - 1];
-            if (value(p.device) > value(s.device) ||
-                (p.device == s.device && p.bin > s.bin)) {
-              return 0;
-            }
-          }
-          bin[i] = s.bin;
-          cell_rx[i] = s.cell_rx;
-          cell_tx[i] = s.cell_tx;
-          wifi_rx[i] = s.wifi_rx;
-          wifi_tx[i] = s.wifi_tx;
-          ap[i] = value(s.ap);
-          wifi_state[i] = s.wifi_state;
-          tech[i] = s.tech;
-          battery[i] = s.battery_pct;
-          rssi[i] = s.rssi_dbm;
-          geo[i] = s.geo_cell;
-          app_count[i] = s.app_count;
-          flags[i] =
-              static_cast<std::uint8_t>(s.tethering ? kFlagTethering : 0);
-          scan24_all[i] = s.scan_pub24_all;
-          scan24_strong[i] = s.scan_pub24_strong;
-          scan5_all[i] = s.scan_pub5_all;
-          scan5_strong[i] = s.scan_pub5_strong;
-        }
-        return 1;
-      });
-  if (std::find(chunk_ok.begin(), chunk_ok.end(), char{0}) != chunk_ok.end()) {
+  const auto fail = [&](std::string what) {
+    *error = std::move(what);
     return nullptr;
+  };
+
+  bool same_length = true;
+  SampleColumns::for_each(
+      [&](const auto& c) { same_length = same_length && c.size() == n; }, cols);
+  if (!same_length) return fail("sample columns differ in length");
+  if (layout.device_offset.size() != n_devices + 1 ||
+      layout.app_range.size() != 2 * n_devices) {
+    return fail("sample layout covers a different number of devices");
+  }
+  if (layout.device_offset[0] != 0 || layout.device_offset[n_devices] != n) {
+    return fail("device ranges do not tile the " + std::to_string(n) +
+                " sample rows");
+  }
+  for (std::size_t d = 0; d < n_devices; ++d) {
+    if (layout.device_offset[d] > layout.device_offset[d + 1]) {
+      return fail("device " + std::to_string(d) + " has a negative row range");
+    }
   }
 
-  // Device boundaries: the stream is (device, bin)-sorted, so each
-  // device's range starts at the partition point of its id.
-  idx->device_offset_.assign(n_devices + 1, 0);
-  idx->device_offset_[n_devices] = n;
-  parallel_for(n_devices, [&](std::size_t d) {
-    const Sample* first =
-        std::partition_point(ss.data(), ss.data() + n, [&](const Sample& s) {
-          return value(s.device) < d;
-        });
-    idx->device_offset_[d] = static_cast<std::size_t>(first - ss.data());
-  });
-
-  // Per-(device, day) boundaries and per-device app-traffic ranges, one
-  // linear walk of each device's (already cache-dense) bin column.
+  std::shared_ptr<DatasetIndex> idx(new DatasetIndex());
+  idx->build_calendar(ds.calendar);
+  const int num_days = idx->num_days_;
   const std::size_t day_stride = static_cast<std::size_t>(num_days) + 1;
   idx->day_offset_.assign(n_devices * day_stride, 0);
-  idx->app_range_.assign(n_devices * 2, 0);
-  std::vector<char> device_dense(n_devices, 0);
-  parallel_for(n_devices, [&](std::size_t d) {
-    const std::size_t begin = idx->device_offset_[d];
-    const std::size_t end = idx->device_offset_[d + 1];
-    // Density check: one sample per bin, in order.
-    bool dense = end - begin == n_bins;
-    for (std::size_t j = begin; dense && j < end; ++j) {
-      dense = std::size_t{bin[j]} == j - begin;
-    }
-    device_dense[d] = dense ? 1 : 0;
-    std::size_t* const days = idx->day_offset_.data() + d * day_stride;
-    std::size_t i = begin;
-    for (int day = 0; day < num_days; ++day) {
-      days[day] = i;
-      const auto limit = static_cast<TimeBin>((day + 1) * kBinsPerDay);
-      while (i < end && bin[i] < limit) ++i;
-    }
-    days[num_days] = end;
 
-    // Per-application records are spliced in device order (simulator /
-    // snapshot contract), so the union of this device's sample app
-    // ranges is itself contiguous.
-    std::size_t ab = 0, ae = 0;
-    bool any = false;
-    for (std::size_t j = begin; j < end; ++j) {
-      if (app_count[j] == 0) continue;  // dense column, not the 48-byte AoS
-      const Sample& s = ss[j];
-      const auto lo = std::size_t{s.app_begin};
-      const std::size_t hi = lo + s.app_count;
-      if (!any) {
-        ab = lo;
-        any = true;
-      } else {
-        ab = std::min(ab, lo);
-      }
-      ae = std::max(ae, hi);
-    }
-    idx->app_range_[2 * d] = ab;
-    idx->app_range_[2 * d + 1] = ae;
-  });
-  idx->dense_ = n_devices > 0 &&
-                std::find(device_dense.begin(), device_dense.end(), char{0}) ==
-                    device_dense.end();
+  // One walk of each device's bin, AP and app-count columns checks every
+  // per-sample rule and derives the device's day ranges and density.
+  const TimeBin* const bin = cols.bin.data();
+  const std::uint32_t* const ap = cols.ap.data();
+  const std::uint8_t* const app_count = cols.app_count.data();
+  const WifiState* const state = cols.wifi_state.data();
+  const CellTech* const tech = cols.tech.data();
+  const AppTraffic* const app_records = ds.app_traffic.data();
+  struct Check {
+    std::string error;
+    bool dense = false;
+  };
+  const std::vector<Check> checks =
+      parallel_map(n_devices, [&](std::size_t d) -> Check {
+        const std::size_t begin = layout.device_offset[d];
+        const std::size_t end = layout.device_offset[d + 1];
+        const auto row = [](std::size_t i) {
+          return "sample " + std::to_string(i);
+        };
+        std::size_t apps = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (std::size_t{bin[i]} >= n_bins) {
+            return {row(i) + " has bin " + std::to_string(bin[i]) +
+                    " outside the " + std::to_string(n_bins) +
+                    "-bin campaign"};
+          }
+          if (i > begin && bin[i - 1] > bin[i]) {
+            return {row(i) + " breaks (device, bin) ordering"};
+          }
+          if (ap[i] != value(kNoAp) && ap[i] >= n_aps) {
+            return {row(i) + " references AP " + std::to_string(ap[i]) +
+                    " of " + std::to_string(n_aps)};
+          }
+          if (state[i] > WifiState::Associated || tech[i] > CellTech::Lte) {
+            return {row(i) + " has an unknown WiFi state or cell technology"};
+          }
+          apps += app_count[i];
+        }
+        const std::size_t app_begin = layout.app_range[2 * d];
+        const std::size_t app_end = layout.app_range[2 * d + 1];
+        if (app_begin > app_end || app_end > n_apps ||
+            app_end - app_begin != apps) {
+          return {"device " + std::to_string(d) + " app range [" +
+                  std::to_string(app_begin) + ", " + std::to_string(app_end) +
+                  ") does not hold its rows' " + std::to_string(apps) +
+                  " of " + std::to_string(n_apps) + " app records"};
+        }
+        for (std::size_t a = app_begin; a < app_end; ++a) {
+          if (static_cast<int>(app_records[a].category) >= kNumAppCategories) {
+            return {"app record " + std::to_string(a) +
+                    " has an unknown category"};
+          }
+        }
 
-  // Hour-of-week LUT, Saturday-based to match WeeklyProfile's axes.
-  idx->hour_of_week_.resize(n_bins);
-  for (int day = 0; day < num_days; ++day) {
-    const int sat_based =
-        (static_cast<int>(ds.calendar.weekday_of_day(day)) + 2) % 7;
-    for (int h = 0; h < 24; ++h) {
-      const auto how = static_cast<std::uint16_t>(sat_based * 24 + h);
-      const std::size_t base = static_cast<std::size_t>(day) * kBinsPerDay +
-                               static_cast<std::size_t>(h) * kBinsPerHour;
-      for (std::size_t b = 0; b < kBinsPerHour; ++b) {
-        idx->hour_of_week_[base + b] = how;
-      }
-    }
+        std::size_t* const days = idx->day_offset_.data() + d * day_stride;
+        std::size_t i = begin;
+        for (int day = 0; day < num_days; ++day) {
+          days[day] = i;
+          const auto limit = static_cast<TimeBin>((day + 1) * kBinsPerDay);
+          while (i < end && bin[i] < limit) ++i;
+        }
+        days[num_days] = end;
+
+        bool dense = end - begin == n_bins;
+        for (std::size_t j = begin; dense && j < end; ++j) {
+          dense = std::size_t{bin[j]} == j - begin;
+        }
+        return {{}, dense};
+      });
+  bool dense = n_devices > 0;
+  for (const Check& c : checks) {
+    if (!c.error.empty()) return fail(c.error);
+    dense = dense && c.dense;
   }
-
+  idx->dense_ = dense;
+  idx->layout_ = std::move(layout);
   return idx;
 }
 

@@ -1,132 +1,96 @@
-// Shared dataset acceleration index: one pass to index, every kernel
-// parallel.
+// Shared dataset index: what the sample columns leave out.
 //
-// A DatasetIndex is built once per Dataset (by Dataset::build_index())
-// and gives every analysis kernel three things the AoS sample array
-// cannot:
+// Dataset::samples (core/records.h) stores one column per field and no
+// per-row device or app-traffic offset. A DatasetIndex holds
 //
-//  1. Contiguous ranges — per-device sample ranges, per-(device, day)
-//     sample ranges and per-device app-traffic ranges — so kernels can
+//  1. the ranges — per-device sample ranges, per-(device, day) sample
+//     ranges and per-device app-traffic ranges — so kernels can
 //     parallel_map over devices and reduce the per-device partials in a
 //     fixed (device) order, which keeps results byte-identical at any
-//     thread count (DESIGN.md §5c/§5f).
+//     thread count (DESIGN.md §5c/§5f); in a dense campaign (one row per
+//     device and bin) every sample range is arithmetic;
+//  2. a per-bin hour-of-week lookup table (Saturday-based, matching
+//     analysis::WeeklyProfile).
 //
-//  2. SoA Column<T> projections of the hot Sample fields (time bin,
-//     cell/wifi rx/tx deltas, associated AP, interface state and
-//     tethering/app-count flags). A scan that needs two fields reads a
-//     few cache-dense bytes per sample instead of striding the full
-//     48-byte struct.
-//
-//  3. A per-bin hour-of-week lookup table (Saturday-based, matching
-//     analysis::WeeklyProfile) so profile kernels replace per-sample
-//     calendar arithmetic with one array read.
-//
-// The index stores copies of the projected fields; it never aliases the
-// sample array, so a Dataset loaded from an mmapped snapshot keeps its
-// zero-copy columns while the index remains valid.
+// An index exists only for columns that passed validation against it,
+// or that the simulator's DenseBuilder wrote itself.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/clock.h"
-#include "core/column.h"
 #include "core/records.h"
-#include "core/types.h"
 
 namespace tokyonet::core {
 
+/// Which rows and which app-traffic records belong to which device: the
+/// part of the index that is data rather than derived. Snapshots store
+/// it; the row-append path (core/sample_rows.h) derives it from rows.
+struct SampleLayout {
+  /// Device d owns rows [device_offset[d], device_offset[d + 1]).
+  std::vector<std::size_t> device_offset;
+  /// Device d's per-application records are Dataset::app_traffic
+  /// [app_range[2d], app_range[2d + 1]), in row order.
+  std::vector<std::size_t> app_range;
+
+  /// One row per (device, bin), no app records.
+  [[nodiscard]] static SampleLayout dense(std::size_t n_devices,
+                                          std::size_t n_bins);
+};
+
 class DatasetIndex {
  public:
-  /// Builds the index for `ds`. Returns nullptr — instead of silently
-  /// building a wrong index — when the sample stream violates the
-  /// Dataset contract: samples not sorted by (device, bin), a sample
-  /// referencing a device outside `ds.devices`, an AP outside `ds.aps`,
-  /// an app-traffic range outside `ds.app_traffic`, or a bin outside
-  /// the campaign calendar. These are exactly Dataset::validate()'s
-  /// per-sample rules, so a loader that runs build() right after
-  /// Dataset::validate_frame() gets full validation in one sweep.
+  /// Validates `ds.samples` against `layout` and builds the index.
+  /// Returns nullptr, with the first problem in `*error`, when the
+  /// columns break the Dataset contract: a layout that does not tile the
+  /// rows, column lengths that differ, bins out of order within a
+  /// device or outside the calendar, an AP outside `ds.aps`, or an app
+  /// range outside `ds.app_traffic` or not matching the rows' app
+  /// counts. Devices are checked in parallel; the lowest failing device
+  /// is reported, so the error is deterministic.
   [[nodiscard]] static std::shared_ptr<const DatasetIndex> build(
-      const Dataset& ds);
+      const Dataset& ds, SampleLayout layout, std::string* error);
 
-  /// Zero-validation builder for producers whose sample stream is dense
-  /// by construction — exactly one sample per (device, bin), emitted in
-  /// (device, bin) order (the simulator's contract). The producer
-  /// projects each finished Sample into the SoA columns as it emits it
-  /// (set()), replacing build()'s separate validation + projection pass
-  /// — a second memory-bound sweep over the 48-byte AoS array — with
-  /// stores that overlap generation; every contiguous range is pure
-  /// arithmetic in a dense campaign, and the resulting index is
-  /// value-identical to what build() would produce for the same stream.
-  /// Parallel producers may call set() concurrently on disjoint sample
-  /// positions.
+  /// The index of a campaign without devices or samples (shared).
+  [[nodiscard]] static std::shared_ptr<const DatasetIndex> empty();
+
+  /// Storage and index for a producer whose campaign is dense by
+  /// construction — exactly one row per (device, bin) — and which
+  /// writes every row itself (the simulator). The constructor sizes the
+  /// dataset's sample columns for devices x bins rows without
+  /// zero-filling; the producer fills row device * num_bins + bin of
+  /// every column (disjoint rows may be written concurrently), records
+  /// each device's app-traffic range, and finish() installs the index
+  /// without a validation pass.
   class DenseBuilder {
    public:
-    DenseBuilder(std::size_t n_devices, const CampaignCalendar& cal);
+    explicit DenseBuilder(Dataset& ds);
 
-    /// Projects `s`, the sample at global position `i`
-    /// (device * num_bins + bin). Sample::app_begin is not projected, so
-    /// producers may rebase it after emission (the simulator's splice
-    /// does).
-    void set(std::size_t i, const Sample& s) noexcept {
-      bin_[i] = s.bin;
-      cell_rx_[i] = s.cell_rx;
-      cell_tx_[i] = s.cell_tx;
-      wifi_rx_[i] = s.wifi_rx;
-      wifi_tx_[i] = s.wifi_tx;
-      ap_[i] = value(s.ap);
-      wifi_state_[i] = s.wifi_state;
-      tech_[i] = s.tech;
-      battery_[i] = s.battery_pct;
-      rssi_[i] = s.rssi_dbm;
-      geo_[i] = s.geo_cell;
-      app_count_[i] = s.app_count;
-      flags_[i] = static_cast<std::uint8_t>(s.tethering ? kFlagTethering : 0);
-      scan24_all_[i] = s.scan_pub24_all;
-      scan24_strong_[i] = s.scan_pub24_strong;
-      scan5_all_[i] = s.scan_pub5_all;
-      scan5_strong_[i] = s.scan_pub5_strong;
+    /// Records device `d`'s slice of Dataset::app_traffic.
+    void set_app_range(std::size_t d, std::size_t begin,
+                       std::size_t end) noexcept {
+      layout_.app_range[2 * d] = begin;
+      layout_.app_range[2 * d + 1] = end;
     }
 
-    /// Records device `d`'s contiguous slice of Dataset::app_traffic
-    /// (leave unset for devices with no per-app records).
-    void set_app_range(std::size_t d, std::size_t begin,
-                       std::size_t end) noexcept;
-
-    /// Finalizes and returns the index; the builder is empty afterwards.
-    [[nodiscard]] std::shared_ptr<const DatasetIndex> finish() noexcept;
+    /// Installs the index into the dataset.
+    void finish();
 
    private:
-    std::shared_ptr<DatasetIndex> idx_;
-    // Raw column cursors so set() compiles to a handful of stores.
-    TimeBin* bin_ = nullptr;
-    std::uint32_t* cell_rx_ = nullptr;
-    std::uint32_t* cell_tx_ = nullptr;
-    std::uint32_t* wifi_rx_ = nullptr;
-    std::uint32_t* wifi_tx_ = nullptr;
-    std::uint32_t* ap_ = nullptr;
-    WifiState* wifi_state_ = nullptr;
-    CellTech* tech_ = nullptr;
-    std::uint8_t* battery_ = nullptr;
-    std::int8_t* rssi_ = nullptr;
-    std::uint16_t* geo_ = nullptr;
-    std::uint8_t* app_count_ = nullptr;
-    std::uint8_t* flags_ = nullptr;
-    std::uint8_t* scan24_all_ = nullptr;
-    std::uint8_t* scan24_strong_ = nullptr;
-    std::uint8_t* scan5_all_ = nullptr;
-    std::uint8_t* scan5_strong_ = nullptr;
+    Dataset* ds_;
+    SampleLayout layout_;
   };
 
   [[nodiscard]] std::size_t num_samples() const noexcept {
-    return bin_.size();
+    return layout_.device_offset.back();
   }
   [[nodiscard]] std::size_t num_devices() const noexcept {
-    return device_offset_.size() - 1;
+    return layout_.device_offset.size() - 1;
   }
-  [[nodiscard]] int num_days() const noexcept { return num_days_; }
 
   /// True when every device has exactly one sample per campaign bin
   /// (bin j at device_begin(d) + j). The simulator always emits dense
@@ -134,14 +98,16 @@ class DatasetIndex {
   /// with fixed-stride runs (kBinsPerHour consecutive samples per hour).
   [[nodiscard]] bool dense() const noexcept { return dense_; }
 
+  [[nodiscard]] const SampleLayout& layout() const noexcept { return layout_; }
+
   // --- Contiguous ranges -------------------------------------------------
 
   /// Samples of device `d` occupy [device_begin(d), device_end(d)).
   [[nodiscard]] std::size_t device_begin(std::size_t d) const noexcept {
-    return device_offset_[d];
+    return layout_.device_offset[d];
   }
   [[nodiscard]] std::size_t device_end(std::size_t d) const noexcept {
-    return device_offset_[d + 1];
+    return layout_.device_offset[d + 1];
   }
 
   /// Samples of device `d` on campaign day `day` occupy
@@ -153,83 +119,19 @@ class DatasetIndex {
   }
 
   /// Device `d`'s per-application records occupy
-  /// [device_app_begin(d), device_app_end(d)) of Dataset::app_traffic
-  /// (an empty range for devices with no per-app breakdown).
+  /// [device_app_begin(d), device_app_end(d)) of Dataset::app_traffic,
+  /// consumed in row order: row i's app_count records follow those of
+  /// the device's earlier rows.
   [[nodiscard]] std::size_t device_app_begin(std::size_t d) const noexcept {
-    return app_range_[2 * d];
+    return layout_.app_range[2 * d];
   }
   [[nodiscard]] std::size_t device_app_end(std::size_t d) const noexcept {
-    return app_range_[2 * d + 1];
+    return layout_.app_range[2 * d + 1];
   }
-
-  // --- SoA projections (index-aligned with Dataset::samples) -------------
-
-  [[nodiscard]] std::span<const TimeBin> bin() const noexcept {
-    return bin_.span();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> cell_rx() const noexcept {
-    return cell_rx_.span();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> cell_tx() const noexcept {
-    return cell_tx_.span();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> wifi_rx() const noexcept {
-    return wifi_rx_.span();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> wifi_tx() const noexcept {
-    return wifi_tx_.span();
-  }
-  /// value(Sample::ap): value(kNoAp) when not associated.
-  [[nodiscard]] std::span<const std::uint32_t> ap() const noexcept {
-    return ap_.span();
-  }
-  [[nodiscard]] std::span<const WifiState> wifi_state() const noexcept {
-    return wifi_state_.span();
-  }
-  [[nodiscard]] std::span<const CellTech> tech() const noexcept {
-    return tech_.span();
-  }
-  [[nodiscard]] std::span<const std::uint8_t> battery_pct() const noexcept {
-    return battery_.span();
-  }
-  [[nodiscard]] std::span<const std::int8_t> rssi_dbm() const noexcept {
-    return rssi_.span();
-  }
-  [[nodiscard]] std::span<const std::uint16_t> geo_cell() const noexcept {
-    return geo_.span();
-  }
-  /// Sample::app_count (0 for idle bins / iOS).
-  [[nodiscard]] std::span<const std::uint8_t> app_count() const noexcept {
-    return app_count_.span();
-  }
-  [[nodiscard]] std::span<const std::uint8_t> scan_pub24_all() const noexcept {
-    return scan24_all_.span();
-  }
-  [[nodiscard]] std::span<const std::uint8_t> scan_pub24_strong()
-      const noexcept {
-    return scan24_strong_.span();
-  }
-  [[nodiscard]] std::span<const std::uint8_t> scan_pub5_all() const noexcept {
-    return scan5_all_.span();
-  }
-  [[nodiscard]] std::span<const std::uint8_t> scan_pub5_strong()
-      const noexcept {
-    return scan5_strong_.span();
-  }
-  [[nodiscard]] bool tethering(std::size_t i) const noexcept {
-    return (flags_[i] & kFlagTethering) != 0;
-  }
-  [[nodiscard]] std::span<const std::uint8_t> flags() const noexcept {
-    return flags_.span();
-  }
-  static constexpr std::uint8_t kFlagTethering = 1u << 0;
 
   // --- Calendar lookup tables --------------------------------------------
 
   /// WeeklyProfile::hour_of_week(cal, bin), precomputed per campaign bin.
-  [[nodiscard]] int hour_of_week(TimeBin bin) const noexcept {
-    return hour_of_week_[bin];
-  }
   [[nodiscard]] std::span<const std::uint16_t> hour_of_week_table()
       const noexcept {
     return {hour_of_week_.data(), hour_of_week_.size()};
@@ -237,25 +139,13 @@ class DatasetIndex {
 
  private:
   DatasetIndex() = default;
+  void build_calendar(const CampaignCalendar& cal);
 
   int num_days_ = 0;
   bool dense_ = false;
-  std::vector<std::size_t> device_offset_;  // size devices + 1
-  std::vector<std::size_t> day_offset_;     // devices * (num_days + 1)
-  std::vector<std::size_t> app_range_;      // devices * 2 (begin, end)
+  SampleLayout layout_;
+  std::vector<std::size_t> day_offset_;      // devices * (num_days + 1)
   std::vector<std::uint16_t> hour_of_week_;  // size num_bins
-
-  Column<TimeBin> bin_;
-  Column<std::uint32_t> cell_rx_, cell_tx_, wifi_rx_, wifi_tx_;
-  Column<std::uint32_t> ap_;
-  Column<WifiState> wifi_state_;
-  Column<CellTech> tech_;
-  Column<std::uint8_t> battery_;
-  Column<std::int8_t> rssi_;
-  Column<std::uint16_t> geo_;
-  Column<std::uint8_t> app_count_;
-  Column<std::uint8_t> flags_;
-  Column<std::uint8_t> scan24_all_, scan24_strong_, scan5_all_, scan5_strong_;
 };
 
 }  // namespace tokyonet::core

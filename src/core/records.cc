@@ -1,67 +1,62 @@
 #include "core/records.h"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
 
 #include "core/dataset_index.h"
-#include "core/parallel.h"
 
 namespace tokyonet {
 
-bool Dataset::build_index() {
-  index_ = core::DatasetIndex::build(*this);
-  return index_ != nullptr;
-}
+namespace {
 
-void Dataset::adopt_index(std::shared_ptr<const core::DatasetIndex> idx) {
-  assert(idx == nullptr || idx->num_samples() == samples.size());
-  index_ = std::move(idx);
-}
+/// The non-sample half of validation: device ids and the survey and
+/// ground-truth shapes, O(devices + aps).
+[[nodiscard]] std::string frame_error(const Dataset& ds) {
+  const std::size_t n_devices = ds.devices.size();
+  const std::size_t n_aps = ds.aps.size();
+  const auto n_days = static_cast<std::size_t>(ds.calendar.num_days());
 
-bool Dataset::indexed() const noexcept {
-  return index_ != nullptr && index_->num_samples() == samples.size();
-}
-
-const core::DatasetIndex* Dataset::index() const noexcept {
-  return indexed() ? index_.get() : nullptr;
-}
-
-std::span<const Sample> Dataset::device_samples(DeviceId id) const {
-  assert(indexed());
-  const std::size_t d = value(id);
-  assert(d < devices.size());
-  const std::size_t begin = index_->device_begin(d);
-  const std::size_t end = index_->device_end(d);
-  return {samples.data() + begin, end - begin};
-}
-
-std::string Dataset::validate_frame() const {
-  const std::size_t n_devices = devices.size();
-  const std::size_t n_aps = aps.size();
-  const std::size_t n_days = static_cast<std::size_t>(calendar.num_days());
-
+  // Enum-valued fields index per-category arrays in the kernels, so a
+  // value outside its enum is as fatal as a dangling reference.
   for (std::size_t i = 0; i < n_devices; ++i) {
-    if (value(devices[i].id) != i) {
+    const DeviceInfo& d = ds.devices[i];
+    if (value(d.id) != i) {
       return "device " + std::to_string(i) + " has id " +
-             std::to_string(value(devices[i].id)) +
-             " (ids must equal their index)";
+             std::to_string(value(d.id)) + " (ids must equal their index)";
+    }
+    if (d.os > Os::Ios || static_cast<int>(d.carrier) >= kNumCarriers) {
+      return "device " + std::to_string(i) + " has an unknown OS or carrier";
     }
   }
-  if (!survey.empty() && survey.size() != n_devices) {
-    return "survey has " + std::to_string(survey.size()) +
+  for (std::size_t i = 0; i < n_aps; ++i) {
+    if (ds.aps[i].band > Band::B5GHz) {
+      return "AP " + std::to_string(i) + " has an unknown band";
+    }
+  }
+  for (std::size_t i = 0; i < ds.survey.size(); ++i) {
+    const SurveyResponse& r = ds.survey[i];
+    bool known = static_cast<int>(r.occupation) < kNumOccupations;
+    for (const SurveyYesNo c : r.connected) {
+      known = known && c <= SurveyYesNo::NotAnswered;
+    }
+    if (!known) {
+      return "survey row " + std::to_string(i) + " has an unknown answer";
+    }
+  }
+  if (!ds.survey.empty() && ds.survey.size() != n_devices) {
+    return "survey has " + std::to_string(ds.survey.size()) +
            " rows for " + std::to_string(n_devices) + " devices";
   }
-  if (!truth.devices.empty() && truth.devices.size() != n_devices) {
-    return "ground truth covers " + std::to_string(truth.devices.size()) +
+  if (!ds.truth.devices.empty() && ds.truth.devices.size() != n_devices) {
+    return "ground truth covers " + std::to_string(ds.truth.devices.size()) +
            " of " + std::to_string(n_devices) + " devices";
   }
-  if (!truth.aps.empty() && truth.aps.size() != n_aps) {
-    return "ground truth covers " + std::to_string(truth.aps.size()) +
+  if (!ds.truth.aps.empty() && ds.truth.aps.size() != n_aps) {
+    return "ground truth covers " + std::to_string(ds.truth.aps.size()) +
            " of " + std::to_string(n_aps) + " APs";
   }
-  for (std::size_t i = 0; i < truth.devices.size(); ++i) {
-    const std::size_t cd = truth.devices[i].capped_day.size();
+  for (std::size_t i = 0; i < ds.truth.devices.size(); ++i) {
+    const std::size_t cd = ds.truth.devices[i].capped_day.size();
     if (cd != 0 && cd != n_days) {
       return "device " + std::to_string(i) + " capped_day has " +
              std::to_string(cd) + " entries for a " +
@@ -71,60 +66,46 @@ std::string Dataset::validate_frame() const {
   return {};
 }
 
-std::string Dataset::validate() const {
-  if (std::string err = validate_frame(); !err.empty()) return err;
-  const std::size_t n_devices = devices.size();
-  const std::size_t n_aps = aps.size();
-  const std::size_t n_apps = app_traffic.size();
+/// The layout build_index() and validate() check the columns against:
+/// the installed one, or — for a dataset never indexed — the empty one
+/// when it has no samples (rows without a layout get none, which fails).
+[[nodiscard]] core::SampleLayout current_layout(const Dataset& ds) {
+  if (ds.indexed()) return ds.index().layout();
+  if (!ds.samples.empty()) return {};
+  return core::SampleLayout::dense(ds.devices.size(), 0);
+}
 
-  // The sample scan dominates (millions of rows at scale); split it into
-  // chunks checked in parallel. Each chunk also checks the ordering edge
-  // to its predecessor, so coverage is seamless. The first failing chunk
-  // (lowest index) wins, keeping the reported error deterministic.
-  const std::span<const Sample> ss = samples.span();
-  const std::size_t n_bins = static_cast<std::size_t>(calendar.num_bins());
-  constexpr std::size_t kChunk = 1 << 16;
-  const std::size_t n_chunks = (ss.size() + kChunk - 1) / kChunk;
-  const std::vector<std::string> chunk_errors =
-      core::parallel_map(n_chunks, [&](std::size_t c) -> std::string {
-        const std::size_t begin = c * kChunk;
-        const std::size_t end = std::min(begin + kChunk, ss.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          const Sample& s = ss[i];
-          const auto row = [&] { return "sample " + std::to_string(i); };
-          if (value(s.device) >= n_devices) {
-            return row() + " references device " +
-                   std::to_string(value(s.device)) + " of " +
-                   std::to_string(n_devices);
-          }
-          if (static_cast<std::size_t>(s.bin) >= n_bins) {
-            return row() + " has bin " + std::to_string(s.bin) +
-                   " outside the " + std::to_string(n_bins) +
-                   "-bin campaign";
-          }
-          if (s.ap != kNoAp && value(s.ap) >= n_aps) {
-            return row() + " references AP " + std::to_string(value(s.ap)) +
-                   " of " + std::to_string(n_aps);
-          }
-          if (std::size_t{s.app_begin} + s.app_count > n_apps) {
-            return row() + " app range [" + std::to_string(s.app_begin) +
-                   ", +" + std::to_string(s.app_count) + ") exceeds " +
-                   std::to_string(n_apps) + " app records";
-          }
-          if (i > 0) {
-            const Sample& prev = ss[i - 1];
-            if (value(prev.device) > value(s.device) ||
-                (prev.device == s.device && prev.bin > s.bin)) {
-              return row() + " breaks (device, bin) ordering";
-            }
-          }
-        }
-        return {};
-      });
-  for (const std::string& err : chunk_errors) {
-    if (!err.empty()) return err;
-  }
-  return {};
+}  // namespace
+
+Dataset::Dataset() : index_(core::DatasetIndex::empty()) {}
+
+std::string Dataset::index_samples(core::SampleLayout layout) {
+  std::string error = frame_error(*this);
+  index_ = error.empty()
+               ? core::DatasetIndex::build(*this, std::move(layout), &error)
+               : nullptr;
+  return error;
+}
+
+bool Dataset::build_index() {
+  return index_samples(current_layout(*this)).empty();
+}
+
+bool Dataset::indexed() const noexcept {
+  return index_ != nullptr && index_->num_samples() == samples.size() &&
+         index_->num_devices() == devices.size();
+}
+
+const core::DatasetIndex& Dataset::index() const noexcept {
+  assert(indexed());
+  return *index_;
+}
+
+std::string Dataset::validate() const {
+  if (std::string err = frame_error(*this); !err.empty()) return err;
+  std::string error;
+  (void)core::DatasetIndex::build(*this, current_layout(*this), &error);
+  return error;
 }
 
 }  // namespace tokyonet

@@ -4,8 +4,8 @@
 // counts per network interface, per-application traffic (Android only),
 // the associated WiFi AP (BSSID/ESSID) with signal strength, scan results
 // for non-associated APs (Android only), cellular technology, and coarse
-// (5 km) geolocation. `Sample` mirrors exactly that record; `Dataset`
-// holds a whole campaign.
+// (5 km) geolocation. `SampleColumns` holds those records one column per
+// field; `Dataset` holds a whole campaign.
 //
 // Everything the analysis layer may read is "observable": it is
 // information the real measurement software could report. Simulator
@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +25,7 @@
 
 namespace tokyonet::core {
 class DatasetIndex;
+struct SampleLayout;
 }  // namespace tokyonet::core
 
 namespace tokyonet {
@@ -69,58 +69,71 @@ struct ApInfo {
   std::uint8_t channel = 1;  // 1..13 (2.4 GHz) or 36+ (5 GHz)
 };
 
-/// One 10-minute measurement record from one device.
-struct Sample {
-  DeviceId device{};
-  TimeBin bin = 0;
-  GeoCell geo_cell = kNoGeoCell;
-
+/// The campaign's 10-minute measurement records (§2), one core::Column
+/// per field (owned, or a zero-copy view of a snapshot section), rows
+/// sorted by (device, bin). A row's device and its slice of
+/// Dataset::app_traffic are not stored: Dataset::index() gives them.
+struct SampleColumns {
+  core::Column<TimeBin> bin;
   // Byte counters per interface over the 10-minute window.
-  std::uint32_t cell_rx = 0;
-  std::uint32_t cell_tx = 0;
-  std::uint32_t wifi_rx = 0;
-  std::uint32_t wifi_tx = 0;
-
-  /// Associated AP (kNoAp when not associated).
-  ApId ap = kNoAp;
-  /// Offset/count into Dataset::app_traffic for this sample's
-  /// per-application breakdown (count 0 for idle bins and iOS devices
-  /// with no traffic).
-  std::uint32_t app_begin = 0;
-  std::uint8_t app_count = 0;
-
-  CellTech tech = CellTech::None;
-  WifiState wifi_state = WifiState::Off;
-  /// RSSI of the association in dBm (meaningless unless Associated).
-  std::int8_t rssi_dbm = -127;
-
+  core::Column<std::uint32_t> cell_rx, cell_tx, wifi_rx, wifi_tx;
+  /// value() of the associated ApId; value(kNoAp) when not associated.
+  core::Column<std::uint32_t> ap;
+  core::Column<WifiState> wifi_state;
+  core::Column<CellTech> tech;
   /// Battery level reported with each record (§2), 1..100.
-  std::uint8_t battery_pct = 100;
-  /// True while the device acts as a cellular hotspot (Android reports
-  /// tethering state; the paper strips tethering traffic from the main
-  /// analysis, §2).
-  bool tethering = false;
-
+  core::Column<std::uint8_t> battery_pct;
+  /// RSSI of the association in dBm (meaningless unless Associated).
+  core::Column<std::int8_t> rssi_dbm;
+  core::Column<GeoCell> geo_cell;
+  /// Number of this row's per-application records (0 for idle bins and
+  /// iOS devices, which report no per-app breakdown).
+  core::Column<std::uint8_t> app_count;
+  /// kFlagTethering: the device acted as a cellular hotspot (Android
+  /// reports tethering state; the paper strips tethering traffic from
+  /// the main analysis, §2).
+  core::Column<std::uint8_t> flags;
   // Scan summary (Android only, §2): number of *public* WiFi networks
   // detected in this window, split by band and by whether the strongest
   // beacon was "strong" (>= -70 dBm, §3.5). Saturates at 255.
-  std::uint8_t scan_pub24_all = 0;
-  std::uint8_t scan_pub24_strong = 0;
-  std::uint8_t scan_pub5_all = 0;
-  std::uint8_t scan_pub5_strong = 0;
+  core::Column<std::uint8_t> scan_pub24_all, scan_pub24_strong;
+  core::Column<std::uint8_t> scan_pub5_all, scan_pub5_strong;
 
-  /// Explicit (zeroed) tail padding. Without it the struct has two
-  /// unnamed padding bytes that assignment need not copy, so records
-  /// that travel through the byte-exact snapshot/ingest encodings would
-  /// compare unequal to their in-memory originals.
-  std::uint8_t reserved_[2] = {0, 0};
+  static constexpr std::uint8_t kFlagTethering = 1u << 0;
+  static constexpr std::size_t kNumColumns = 17;
 
-  [[nodiscard]] std::uint64_t total_rx() const noexcept {
-    return std::uint64_t{cell_rx} + wifi_rx;
+  [[nodiscard]] std::size_t size() const noexcept { return bin.size(); }
+  [[nodiscard]] bool empty() const noexcept { return bin.empty(); }
+
+  /// Calls `f(c.column...)` for every column of the given SampleColumns
+  /// `c...` (one or more), in declaration order — which is also the
+  /// snapshot section order.
+  template <typename F, typename... S>
+  static void for_each(F&& f, S&... c) {
+    f(c.bin...);
+    f(c.cell_rx...);
+    f(c.cell_tx...);
+    f(c.wifi_rx...);
+    f(c.wifi_tx...);
+    f(c.ap...);
+    f(c.wifi_state...);
+    f(c.tech...);
+    f(c.battery_pct...);
+    f(c.rssi_dbm...);
+    f(c.geo_cell...);
+    f(c.app_count...);
+    f(c.flags...);
+    f(c.scan_pub24_all...);
+    f(c.scan_pub24_strong...);
+    f(c.scan_pub5_all...);
+    f(c.scan_pub5_strong...);
   }
-  [[nodiscard]] std::uint64_t total_tx() const noexcept {
-    return std::uint64_t{cell_tx} + wifi_tx;
+
+  /// Grows every column to `n` rows without zero-filling.
+  void resize_for_overwrite(std::size_t n) {
+    for_each([n](auto& c) { c.resize_for_overwrite(n); }, *this);
   }
+
 };
 
 /// Post-campaign survey answers from one recruited user (§4.2).
@@ -194,18 +207,17 @@ struct GroundTruth {
 
 /// A full campaign: devices, the AP universe they encountered, and the
 /// 10-minute sample stream, sorted by (device, bin).
-///
-/// The two big arrays (`samples`, `app_traffic`) are Columns: owned by
-/// default, but a snapshot load (io/snapshot.h) can hand them out as
-/// zero-copy views over an mmapped file.
 class Dataset {
  public:
+  /// An empty campaign: no devices, no samples, trivially indexed.
+  Dataset();
+
   Year year = Year::Y2015;
   CampaignCalendar calendar;
 
   std::vector<DeviceInfo> devices;
   std::vector<ApInfo> aps;
-  core::Column<Sample> samples;
+  SampleColumns samples;
   core::Column<AppTraffic> app_traffic;
   std::vector<SurveyResponse> survey;  // parallel to devices (recruited only meaningful)
   GroundTruth truth;
@@ -215,56 +227,36 @@ class Dataset {
   }
   [[nodiscard]] int num_days() const noexcept { return calendar.num_days(); }
 
-  /// (Re)build the shared acceleration index (core/dataset_index.h):
-  /// per-device sample / app-traffic / per-day ranges plus SoA column
-  /// projections of the hot sample fields. Requires `samples` sorted by
-  /// (device, bin); returns false — leaving the dataset unindexed —
-  /// when the stream violates that contract (unordered samples,
-  /// out-of-range device or bin). Called by the simulator and by
-  /// deserialization.
+  /// Validates the dataset — validate()'s rules, with the sample
+  /// columns checked against `layout`, which says which rows and which
+  /// app-traffic records belong to which device — and, when it is
+  /// sound, installs the index built from the layout
+  /// (core/dataset_index.h). Returns an empty string on success, else
+  /// the first problem (the dataset is then unindexed).
+  [[nodiscard]] std::string index_samples(core::SampleLayout layout);
+
+  /// Re-validates the dataset against the current layout and rebuilds
+  /// the index from it (a dataset never indexed must have no samples:
+  /// it gets the empty layout). Returns false — leaving the dataset
+  /// unindexed — when the dataset violates the contract.
   bool build_index();
 
-  /// Installs an index built externally — e.g. by the simulator's
-  /// DatasetIndex::DenseBuilder, which projects the SoA columns while
-  /// the campaign is generated instead of re-scanning the AoS array.
-  /// The caller guarantees the index describes exactly the current
-  /// `samples` array.
-  void adopt_index(std::shared_ptr<const core::DatasetIndex> idx);
-
-  /// Release-mode structural validation (the promoted form of the debug
-  /// asserts in build_index()/device_samples()): checks device/AP/app
-  /// references, (device, bin) ordering, bin bounds against the
-  /// calendar, and ground-truth array shapes. Returns an empty string
-  /// when the dataset is sound, else a description of the first
-  /// problem. Snapshot loads call this before trusting a file; the
-  /// sample scan runs on the core/parallel pool.
+  /// Release-mode structural validation: device/AP/app references,
+  /// per-device bin order, bin bounds against the calendar, and
+  /// ground-truth array shapes. Returns an empty string when the
+  /// dataset is sound, else a description of the first problem.
+  /// Snapshot loads run the same checks before trusting a file.
   [[nodiscard]] std::string validate() const;
 
-  /// The non-sample half of validate(): device-id/survey/ground-truth
-  /// shape checks only, O(devices + aps). Loaders that immediately run
-  /// build_index() — whose projection pass verifies every per-sample
-  /// rule validate() would — pair this with the index build instead of
-  /// paying a second full sweep of the sample array (io/shard_store
-  /// does).
-  [[nodiscard]] std::string validate_frame() const;
-
-  /// True once build_index() has succeeded and matches the current
-  /// sample count.
+  /// True once the sample columns carry a validated index that matches
+  /// their row count.
   [[nodiscard]] bool indexed() const noexcept;
 
-  /// The shared acceleration index, or nullptr when build_index() has
-  /// not run (or no longer matches the sample count).
-  [[nodiscard]] const core::DatasetIndex* index() const noexcept;
-
-  /// All samples of one device, in time order.
-  [[nodiscard]] std::span<const Sample> device_samples(DeviceId id) const;
-
-  /// Per-application records of one sample.
-  [[nodiscard]] std::span<const AppTraffic> apps_of(const Sample& s) const {
-    return {app_traffic.data() + s.app_begin, s.app_count};
-  }
+  /// The per-device ranges over the sample columns. Requires indexed().
+  [[nodiscard]] const core::DatasetIndex& index() const noexcept;
 
  private:
+  friend class core::DatasetIndex;
   std::shared_ptr<const core::DatasetIndex> index_;
 };
 

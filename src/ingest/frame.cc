@@ -1,5 +1,6 @@
 #include "ingest/frame.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "core/hash.h"
@@ -149,14 +150,26 @@ FrameParser::Status FrameParser::next(Frame& out) {
       return fail("record size mismatch (incompatible producer layout)");
     }
   } else if (type == FrameType::Records) {
+    // Empty vectors may hold no storage at all: skip zero-length copies,
+    // whose null pointers memcpy must not receive.
     samples_.resize(h.n_samples);
     app_.resize(h.n_app);
-    std::memcpy(samples_.data(), payload,
-                std::size_t{h.n_samples} * sizeof(Sample));
-    std::memcpy(app_.data(),
-                payload + std::size_t{h.n_samples} * sizeof(Sample),
-                std::size_t{h.n_app} * sizeof(AppTraffic));
+    if (h.n_samples > 0) {
+      std::memcpy(samples_.data(), payload,
+                  std::size_t{h.n_samples} * sizeof(Sample));
+    }
+    if (h.n_app > 0) {
+      std::memcpy(app_.data(),
+                  payload + std::size_t{h.n_samples} * sizeof(Sample),
+                  std::size_t{h.n_app} * sizeof(AppTraffic));
+    }
     for (std::size_t i = 0; i < samples_.size(); ++i) {
+      // Sample::tethering is a bool: a byte other than 0 or 1 would be
+      // undefined behaviour to read.
+      if (payload[i * sizeof(Sample) + offsetof(Sample, tethering)] > 1) {
+        return fail("sample " + std::to_string(i) +
+                    " has a non-boolean tethering flag");
+      }
       const Sample& s = samples_[i];
       if (s.device != out.device) {
         return fail("sample " + std::to_string(i) +

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "core/clock.h"
-#include "core/records.h"
+#include "core/sample_rows.h"
 
 namespace tokyonet::ingest {
 

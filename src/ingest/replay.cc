@@ -3,6 +3,8 @@
 #include <chrono>
 #include <thread>
 
+#include "core/sample_rows.h"
+
 namespace tokyonet::ingest {
 namespace {
 
@@ -70,29 +72,29 @@ bool replay_dataset(const Dataset& ds, const ReplayOptions& opts,
   std::vector<Sample> chunk;
   std::vector<AppTraffic> apps;
 
-  const Sample* samples = ds.samples.data();
-  const std::size_t n = ds.samples.size();
-  std::size_t run_begin = 0;
-  while (run_begin < n) {
-    // One device's contiguous, time-ordered run (Dataset guarantees
-    // (device, bin) sort order).
-    const DeviceId device = samples[run_begin].device;
-    std::size_t run_end = run_begin;
-    while (run_end < n && samples[run_end].device == device) ++run_end;
-
+  // Each device's rows are gathered from the columns, in time order,
+  // with their app records copied next to them (frame-local offsets).
+  // Rows without records keep the running offset gather_row() derives,
+  // so the frames carry exactly the rows the campaign was built from.
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const AppTraffic> app_traffic = ds.app_traffic;
+  for (std::uint32_t d = 0; d < n_devices; ++d) {
+    const std::size_t run_begin = idx.device_begin(d);
+    const std::size_t run_end = idx.device_end(d);
     for (std::uint32_t clone = 0; clone < multiplier; ++clone) {
-      const DeviceId out_device{value(device) + clone * n_devices};
+      const DeviceId out_device{d + clone * n_devices};
+      std::size_t app = idx.device_app_begin(d);
       for (std::size_t at = run_begin; at < run_end; at += batch_records) {
         const std::size_t take = std::min(batch_records, run_end - at);
         chunk.clear();
         apps.clear();
-        for (std::size_t i = 0; i < take; ++i) {
-          Sample s = samples[at + i];
-          s.device = out_device;
+        for (std::size_t i = at; i < at + take; ++i) {
+          Sample s = gather_row(ds.samples, i, value(out_device), app);
           if (s.app_count > 0) {
-            const std::span<const AppTraffic> sa = ds.apps_of(s);
             s.app_begin = static_cast<std::uint32_t>(apps.size());
-            apps.insert(apps.end(), sa.begin(), sa.end());
+            apps.insert(apps.end(), app_traffic.begin() + static_cast<std::ptrdiff_t>(app),
+                        app_traffic.begin() + static_cast<std::ptrdiff_t>(app + s.app_count));
+            app += s.app_count;
           }
           chunk.push_back(s);
         }
@@ -104,7 +106,6 @@ bool replay_dataset(const Dataset& ds, const ReplayOptions& opts,
         pace(t0, opts.rate_records_per_sec, st.records);
       }
     }
-    run_begin = run_end;
   }
 
   encode_end(buf);

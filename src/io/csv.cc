@@ -8,6 +8,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/sample_rows.h"
+
 namespace tokyonet::io {
 namespace {
 
@@ -119,7 +121,7 @@ CsvResult save_dataset_csv(const Dataset& ds, const fs::path& dir) {
                  "device,bin,geo_cell,cell_rx,cell_tx,wifi_rx,wifi_tx,ap,"
                  "tech,wifi_state,rssi,battery,tether,s24a,s24s,s5a,s5s,"
                  "app_begin,app_count\n");
-    for (const Sample& s : ds.samples) {
+    for_each_row(ds, [&](const Sample& s) {
       std::fprintf(f.get(),
                    "%u,%u,%u,%u,%u,%u,%u,%d,%d,%d,%d,%u,%d,%u,%u,%u,%u,%u,"
                    "%u\n",
@@ -130,7 +132,7 @@ CsvResult save_dataset_csv(const Dataset& ds, const fs::path& dir) {
                    s.rssi_dbm, s.battery_pct, s.tethering ? 1 : 0,
                    s.scan_pub24_all, s.scan_pub24_strong, s.scan_pub5_all,
                    s.scan_pub5_strong, s.app_begin, s.app_count);
-    }
+    });
   }
   {
     File f = open_for(dir / "apps.csv", "w", result);
@@ -250,6 +252,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       out.app_traffic.push_back(at);
     }
   }
+  std::vector<Sample> rows;
   {
     File f = open_for(dir / "samples.csv", "r", result);
     if (!result.ok()) return result;
@@ -276,12 +279,6 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       s.battery_pct = static_cast<std::uint8_t>(battery);
       s.tethering = tether != 0;
       s.device = DeviceId{device};
-      if (value(s.device) >= out.devices.size() ||
-          (ap >= 0 && static_cast<std::size_t>(ap) >= out.aps.size()) ||
-          s.app_begin + u8tmp[4] > out.app_traffic.size()) {
-        result.error = "samples.csv: dangling reference: " + line;
-        return result;
-      }
       s.ap = ap < 0 ? kNoAp : ApId{static_cast<std::uint32_t>(ap)};
       s.tech = static_cast<CellTech>(tech);
       s.wifi_state = static_cast<WifiState>(state);
@@ -291,15 +288,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       s.scan_pub5_all = static_cast<std::uint8_t>(u8tmp[2]);
       s.scan_pub5_strong = static_cast<std::uint8_t>(u8tmp[3]);
       s.app_count = static_cast<std::uint8_t>(u8tmp[4]);
-      if (!out.samples.empty()) {
-        const Sample& prev = out.samples.back();
-        if (value(prev.device) > value(s.device) ||
-            (prev.device == s.device && prev.bin >= s.bin)) {
-          result.error = "samples.csv: rows not sorted by (device, bin)";
-          return result;
-        }
-      }
-      out.samples.push_back(s);
+      rows.push_back(s);
     }
   }
   {
@@ -333,9 +322,9 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
   // the analysis layer (which never reads them) stays safe to call.
   out.truth.devices.resize(out.devices.size());
   out.truth.aps.resize(out.aps.size());
-  if (!out.build_index()) {
-    result.error = "samples.csv: rows not (device, bin)-ordered";
-    return result;
+  // One validation covers every sample reference and the row order.
+  if (std::string err = assign_rows(out, rows); !err.empty()) {
+    result.error = "samples.csv: " + err;
   }
   return result;
 }

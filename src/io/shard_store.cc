@@ -13,6 +13,7 @@
 #include <system_error>
 #include <thread>
 
+#include "core/dataset_index.h"
 #include "core/env.h"
 #include "core/hash.h"
 
@@ -289,7 +290,7 @@ namespace {
                                      std::uint64_t expect_bytes,
                                      std::uint64_t expect_checksum,
                                      std::uint64_t expect_devices,
-                                     bool is_universe) {
+                                     bool is_universe, SnapshotInfo& info) {
   std::error_code ec;
   if (!fs::is_regular_file(path, ec)) return "missing file";
   const std::uint64_t actual = fs::file_size(path, ec);
@@ -298,7 +299,6 @@ namespace {
     return "size mismatch: " + std::to_string(actual) + " bytes on disk, " +
            std::to_string(expect_bytes) + " in the manifest (truncated?)";
   }
-  SnapshotInfo info;
   const SnapshotResult r = read_snapshot_info(path, info);
   if (!r.ok()) return r.error;
   if (info.scenario_hash != m.scenario_hash) {
@@ -334,10 +334,11 @@ namespace {
 SnapshotResult verify_shard_store(const fs::path& dir,
                                   const ShardManifest& m) {
   SnapshotResult result;
+  SnapshotInfo info;
   {
     const fs::path p = dir / m.universe_file;
     const std::string err = check_file(p, m, m.universe_bytes,
-                                       m.universe_checksum, 0, true);
+                                       m.universe_checksum, 0, true, info);
     if (!err.empty()) {
       result.error = p.string() + ": " + err;
       return result;
@@ -346,18 +347,14 @@ SnapshotResult verify_shard_store(const fs::path& dir,
   for (const ShardEntry& s : m.shards) {
     const fs::path p = dir / s.file;
     const std::string err = check_file(p, m, s.file_bytes, s.header_checksum,
-                                       s.device_count, false);
+                                       s.device_count, false, info);
     if (!err.empty()) {
       result.error = p.string() + ": shard " + std::to_string(s.index) +
                      ": " + err;
       return result;
     }
-    SnapshotInfo info;
-    // check_file already read the header successfully; re-read for the
-    // per-shard counts that aren't covered by its common checks.
-    if (read_snapshot_info(p, info).ok() &&
-        (info.n_samples != s.n_samples ||
-         info.n_app_traffic != s.n_app_traffic)) {
+    if (info.n_samples != s.n_samples ||
+        info.n_app_traffic != s.n_app_traffic) {
       result.error = p.string() + ": shard " + std::to_string(s.index) +
                      ": sample/app-traffic counts do not match the manifest";
       return result;
@@ -376,15 +373,8 @@ SnapshotResult ShardedDataset::open(const fs::path& dir, ShardedDataset& out,
 
   // The universe stays resident: every shard shares it, and it is tiny
   // next to one shard's samples.
-  Dataset u;
-  SnapshotLoadOptions uopts = opts;
-  uopts.defer_validate = false;
-  result = load_snapshot(dir / out.manifest_.universe_file, u, uopts);
+  result = load_snapshot(dir / out.manifest_.universe_file, out.universe_, opts);
   if (!result.ok()) return result;
-  out.aps_ = std::move(u.aps);
-  out.truth_aps_ = std::move(u.truth.aps);
-  out.year_ = u.year;
-  out.calendar_ = u.calendar;
   out.dir_ = dir;
 
   // Once-per-open payload verification state: cleared flags here, set
@@ -412,48 +402,22 @@ SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
   const ShardEntry& entry = manifest_.shards[i];
   const fs::path path = dir_ / entry.file;
 
-  // The shard file carries no AP universe, so its samples reference APs
-  // it does not hold: load deferred, install the shared universe, then
-  // validate + index ourselves. Payload checksums are rehashed only on
-  // the shard's first load this open (or always, under
-  // TOKYONET_SHARD_VERIFY=always); header and manifest identity checks
-  // run on every load.
+  // Every load re-reads the file's size and header: a file whose size
+  // differs from what its section table implies, or whose header is not
+  // the one the manifest recorded, is rejected before it is mapped or
+  // hashed. Payload checksums are rehashed only on the shard's first
+  // load this open (or always, under TOKYONET_SHARD_VERIFY=always). The
+  // file carries no AP universe, so the shared one is installed before
+  // the columns are validated — on every load.
   SnapshotLoadOptions sopts = opts;
-  sopts.defer_validate = true;
+  sopts.universe = &universe_;
+  sopts.expect_header_checksum = entry.header_checksum;
   const bool verified =
       payload_verified_ != nullptr &&
       payload_verified_.get()[i].load(std::memory_order_acquire);
   if (verified && !verify_always_) sopts.verify_payload = false;
-  SnapshotInfo info;
-  result = load_snapshot(path, out, sopts, &info);
+  result = load_snapshot(path, out, sopts);
   if (!result.ok()) return result;
-  if (info.header_checksum != entry.header_checksum) {
-    out = Dataset{};
-    result.error =
-        path.string() + ": file changed since the store was opened";
-    return result;
-  }
-  out.aps = aps_;
-  out.truth.aps = truth_aps_;
-
-  // validate_frame() covers the non-sample shapes; build_index()'s
-  // projection pass enforces every per-sample rule validate() would
-  // (ordering, device/AP/app-range/bin bounds) in the same sweep that
-  // builds the SoA columns, so the sample array is walked once, not
-  // twice.
-  const std::string invalid = out.validate_frame();
-  if (!invalid.empty()) {
-    out = Dataset{};
-    result.error = path.string() + ": invalid shard dataset: " + invalid;
-    return result;
-  }
-  if (!out.build_index()) {
-    out = Dataset{};
-    result.error = path.string() +
-                   ": invalid shard dataset: sample stream unordered or "
-                   "referencing out-of-range device/AP/app records";
-    return result;
-  }
   if (payload_verified_ != nullptr && sopts.verify_payload) {
     payload_verified_.get()[i].store(true, std::memory_order_release);
   }
@@ -465,38 +429,26 @@ SnapshotResult ShardedDataset::materialize(Dataset& out,
                                            std::size_t resident_shards) {
   SnapshotResult result;
   out = Dataset{};
-  out.year = year_;
-  out.calendar = calendar_;
+  out.year = universe_.year;
+  out.calendar = universe_.calendar;
   out.devices.reserve(static_cast<std::size_t>(manifest_.n_devices));
   out.survey.reserve(static_cast<std::size_t>(manifest_.n_devices));
   out.truth.devices.reserve(static_cast<std::size_t>(manifest_.n_devices));
   out.samples.resize_for_overwrite(
       static_cast<std::size_t>(manifest_.n_samples));
   out.app_traffic.reserve(static_cast<std::size_t>(manifest_.n_app_traffic));
+  core::SampleLayout layout;
+  layout.device_offset.push_back(0);
 
-  // Concatenation reads raw shard snapshots (no per-shard universe
-  // install or index build; the result is validated and indexed once,
-  // below). With resident_shards >= 1 the next shard's load — read plus
-  // checksum — overlaps the current shard's rebase on one background
-  // loader, holding at most two shard payloads at a time.
-  SnapshotLoadOptions sopts = opts;
-  sopts.defer_validate = true;
-  struct RawLoad {
-    Dataset shard;
-    SnapshotResult result;
-  };
-  const auto load_raw = [&](std::size_t i) {
-    RawLoad r;
-    SnapshotInfo info;
-    r.result =
-        load_snapshot(dir_ / manifest_.shards[i].file, r.shard, sopts, &info);
-    return r;
-  };
-  const bool pipelined = resident_shards >= 1 && manifest_.shards.size() > 1;
-
-  std::size_t device_base = 0, sample_base = 0;
+  // Shards arrive through the prefetcher, each validated against the
+  // shared universe; the concatenation is validated and indexed once
+  // more at the end. With resident_shards >= 1 the next shard's load
+  // overlaps the current shard's copy (at most two shard payloads
+  // resident); 0 loads strictly sequentially.
+  std::size_t sample_base = 0;
   const auto concat_shard = [&](Dataset& shard) {
-    const auto app_base = static_cast<std::uint32_t>(out.app_traffic.size());
+    const std::size_t app_base = out.app_traffic.size();
+    const std::size_t device_base = out.devices.size();
     for (const DeviceInfo& d : shard.devices) {
       DeviceInfo g = d;
       g.id = DeviceId{static_cast<std::uint32_t>(device_base + value(d.id))};
@@ -510,61 +462,48 @@ SnapshotResult ShardedDataset::materialize(Dataset& out,
     out.app_traffic.insert(out.app_traffic.end(), shard.app_traffic.begin(),
                            shard.app_traffic.end());
 
-    // Rebase the sample stream: device ids always, app_begin only for
-    // Android devices — iOS samples keep app_begin = 0, exactly as the
-    // simulator's splice leaves them.
-    const std::span<const Sample> src = shard.samples.span();
-    Sample* dst = out.samples.data() + sample_base;
-    for (std::size_t k = 0; k < src.size(); ++k) {
-      Sample s = src[k];
-      const std::size_t local = value(s.device);
-      s.device = DeviceId{static_cast<std::uint32_t>(device_base + local)};
-      if (local < shard.devices.size() &&
-          shard.devices[local].os == Os::Android) {
-        s.app_begin += app_base;
-      }
-      dst[k] = s;
+    // Columns copy as they are; the layout rebases row ranges always and
+    // app ranges only for Android devices — iOS devices keep their empty
+    // range at 0, exactly as the simulator's splice leaves them.
+    const SampleColumns& from = shard.samples;
+    SampleColumns::for_each(
+        [&](auto& dst, const auto& src) {
+          if (!src.empty()) {
+            std::memcpy(dst.data() + sample_base, src.data(),
+                        src.size() * sizeof(src[0]));
+          }
+        },
+        out.samples, from);
+    const core::DatasetIndex& idx = shard.index();
+    for (std::size_t d = 0; d < shard.devices.size(); ++d) {
+      layout.device_offset.push_back(sample_base + idx.device_end(d));
+      const std::size_t rebase =
+          shard.devices[d].os == Os::Android ? app_base : 0;
+      layout.app_range.push_back(rebase + idx.device_app_begin(d));
+      layout.app_range.push_back(rebase + idx.device_app_end(d));
     }
-
-    device_base += shard.devices.size();
-    sample_base += src.size();
+    sample_base += shard.samples.size();
   };
 
-  RawLoad pending;
-  if (pipelined) pending = load_raw(0);
-  for (std::size_t i = 0; i < manifest_.shards.size(); ++i) {
-    RawLoad cur = pipelined ? std::move(pending) : load_raw(i);
-    std::thread loader;
-    if (pipelined && i + 1 < manifest_.shards.size()) {
-      pending = RawLoad{};
-      loader = std::thread([&pending, &load_raw, i] {
-        pending = load_raw(i + 1);
-      });
-    }
-    if (cur.result.ok()) concat_shard(cur.shard);
-    // Join before inspecting the error so `pending` is never abandoned
-    // mid-write.
-    if (loader.joinable()) loader.join();
-    if (!cur.result.ok()) {
+  ShardPrefetcher prefetch(*this, std::min<std::size_t>(resident_shards, 1) + 1,
+                           opts);
+  // Each shard is dropped (releasing its residency token) before the
+  // next is awaited.
+  for (ShardPrefetcher::Loaded item; prefetch.next(item); item = {}) {
+    if (!item.result.ok()) {
       out = Dataset{};
-      return cur.result;
+      return item.result;
     }
+    concat_shard(item.dataset);
   }
 
-  out.aps = aps_;
-  out.truth.aps = truth_aps_;
+  out.aps = universe_.aps;
+  out.truth.aps = universe_.truth.aps;
 
-  const std::string invalid = out.validate();
+  const std::string invalid = out.index_samples(std::move(layout));
   if (!invalid.empty()) {
     out = Dataset{};
     result.error = dir_err(dir_, "invalid materialized dataset: " + invalid);
-    return result;
-  }
-  if (!out.build_index()) {
-    out = Dataset{};
-    result.error =
-        dir_err(dir_, "invalid materialized dataset: samples not ordered");
-    return result;
   }
   return result;
 }

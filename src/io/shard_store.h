@@ -12,8 +12,8 @@
 //
 // Each shard is an ordinary PR 2-format snapshot (io/snapshot.h) of a
 // contiguous device range: its device ids, survey rows, ground truth
-// and Sample::app_begin offsets are all *local* to the shard, so every
-// shard is independently checksummed, mmappable and SoA-indexable. The
+// and per-device app-traffic ranges are all *local* to the shard, so
+// every shard is independently checksummed, mmappable and indexable. The
 // one thing a shard omits is the AP universe — samples reference APs by
 // global id, and the universe lives once in universe.tksnap instead of
 // being duplicated per shard.
@@ -35,7 +35,7 @@
 // device) order, byte-identical to the in-memory run (DESIGN.md §5i).
 // materialize() concatenates every shard back into one in-memory
 // Dataset equal to what the one-shot simulator produces: every field
-// value, and the packed sample column byte for byte (struct padding in
+// value, and the sample columns byte for byte (struct padding in
 // the small record arrays is the one thing not pinned — see
 // tests/shard_store_test.cc).
 #pragma once
@@ -142,16 +142,18 @@ class ShardedDataset {
 
   /// The resident AP universe and campaign frame (valid after open()).
   [[nodiscard]] const std::vector<ApInfo>& universe_aps() const noexcept {
-    return aps_;
+    return universe_.aps;
   }
-  [[nodiscard]] Year year() const noexcept { return year_; }
+  [[nodiscard]] Year year() const noexcept { return universe_.year; }
   [[nodiscard]] const CampaignCalendar& calendar() const noexcept {
-    return calendar_;
+    return universe_.calendar;
   }
 
-  /// Loads shard `i` as a self-contained Dataset: the shard file is
+  /// Loads shard `i` as a self-contained Dataset: the file's size and
+  /// header are checked against the manifest, the file is
   /// checksum-verified (mmapped when possible), the shared AP universe
-  /// is copied in, and the result is validated and indexed. Device ids
+  /// is copied in, and the sample columns are validated against their
+  /// per-device ranges, which become the index. Device ids
   /// are shard-local; add device_begin(i) to rebase. Only the returned
   /// dataset's samples are resident — dropping it before loading the
   /// next shard keeps memory bounded by one shard.
@@ -168,7 +170,7 @@ class ShardedDataset {
   /// Concatenates every shard into one in-memory Dataset with global
   /// device ids and rebased app-traffic offsets — value-identical to
   /// the in-memory simulation the store was streamed from (and
-  /// byte-identical in the packed sample column). With
+  /// byte-identical in the sample columns). With
   /// `resident_shards` >= 1 (the default) the next shard's read +
   /// checksum overlaps the current shard's rebase (at most two shard
   /// payloads resident beyond the output); 0 loads strictly
@@ -180,11 +182,9 @@ class ShardedDataset {
  private:
   std::filesystem::path dir_;
   ShardManifest manifest_;
-  // The resident universe (small next to any shard's samples).
-  std::vector<ApInfo> aps_;
-  std::vector<ApTruth> truth_aps_;
-  Year year_ = Year::Y2015;
-  CampaignCalendar calendar_;
+  // The resident universe and campaign frame (small next to any shard's
+  // samples).
+  Dataset universe_;
   // Once-per-open payload verification: flag `i` is set after shard i's
   // section checksums verified in this process. Atomic so the
   // prefetcher's loader thread and direct load_shard() callers never
@@ -196,7 +196,7 @@ class ShardedDataset {
 /// Asynchronous shard loader for pipelined scans (DESIGN.md §5j): a
 /// dedicated loader thread walks shards [0, num_shards) in order and
 /// runs each full load_shard() — read, checksum, universe install,
-/// validation, index build, with the heavy chunked work hosted on the
+/// column validation, with the heavy chunked work hosted on the
 /// core/parallel pool — while the consumer scans already-delivered
 /// shards. A token budget bounds residency: at most `max_resident`
 /// shard datasets exist at once, counting both the loader's in-flight

@@ -1,14 +1,17 @@
 #include "io/snapshot.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cinttypes>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <vector>
 
+#include "core/dataset_index.h"
 #include "core/hash.h"
 #include "core/parallel.h"
 
@@ -35,14 +38,27 @@ enum SectionId : std::uint32_t {
   kSecDevices = 0,   // DeviceInfo[n]
   kSecApFixed,       // ApRec[n]
   kSecApEssids,      // byte blob referenced by ApRec
-  kSecSamples,       // Sample[n]            (zero-copy target)
+  kSecDeviceRanges,  // DeviceRangeRec[n devices]
   kSecAppTraffic,    // AppTraffic[n]        (zero-copy target)
   kSecSurvey,        // SurveyResponse[n]
   kSecTruthDevices,  // TruthDeviceRec[n]
   kSecTruthCapped,   // byte blob referenced by TruthDeviceRec
   kSecTruthAps,      // ApTruth[n]
-  kNumSections,
+  // One section per sample column, in SampleColumns order (zero-copy
+  // targets).
+  kSecSamples,
+  kNumSections = kSecSamples + SampleColumns::kNumColumns,
 };
+
+/// One device's slice of the sample columns and of the app traffic: the
+/// stored half of core::SampleLayout. Device d's rows start where
+/// device d - 1's end (device 0's at row 0).
+struct DeviceRangeRec {
+  std::uint64_t sample_end = 0;
+  std::uint64_t app_begin = 0;
+  std::uint64_t app_end = 0;
+};
+static_assert(sizeof(DeviceRangeRec) == 24);
 
 /// Fixed-width mirror of ApInfo; the ESSID lives in the essid blob.
 struct ApRec {
@@ -94,23 +110,39 @@ struct RawHeader {
   std::uint32_t pad0 = 0;
   /// Per-section record size (1 for byte blobs); rejects readers whose
   /// native struct layout differs from the writer's.
-  std::uint32_t record_sizes[12] = {};
+  std::uint32_t record_sizes[kNumSections] = {};
   /// Per-section record count (byte count for blobs).
   std::uint64_t counts[kNumSections] = {};
   std::uint64_t scenario_hash = 0;
   std::uint64_t header_checksum = 0;  // over header (this field = 0) + table
 };
-static_assert(sizeof(RawHeader) == 176);
+static_assert(sizeof(RawHeader) == 368);
 static_assert(sizeof(SnapshotSection) == 32);
 
-constexpr std::uint32_t kRecordSizes[kNumSections] = {
-    sizeof(DeviceInfo), sizeof(ApRec),        1,
-    sizeof(Sample),     sizeof(AppTraffic),   sizeof(SurveyResponse),
-    sizeof(TruthDeviceRec), 1,                sizeof(ApTruth),
-};
+/// Bytes of the header fields that locate the version: every snapshot
+/// version starts with the magic and the version number, so a reader
+/// can reject another version before anything else.
+constexpr std::size_t kVersionPrefix = sizeof(kMagic) + sizeof(std::uint32_t);
 
-static_assert(std::is_trivially_copyable_v<Sample> &&
-              std::is_trivially_copyable_v<AppTraffic> &&
+[[nodiscard]] const std::array<std::uint32_t, kNumSections>& record_sizes() {
+  static const std::array<std::uint32_t, kNumSections> sizes = [] {
+    std::array<std::uint32_t, kNumSections> r = {
+        sizeof(DeviceInfo),     sizeof(ApRec), 1, sizeof(DeviceRangeRec),
+        sizeof(AppTraffic),     sizeof(SurveyResponse),
+        sizeof(TruthDeviceRec), 1,             sizeof(ApTruth)};
+    std::size_t s = kSecSamples;
+    const SampleColumns columns;
+    SampleColumns::for_each(
+        [&](const auto& c) {
+          r[s++] = sizeof(typename std::decay_t<decltype(c)>::value_type);
+        },
+        columns);
+    return r;
+  }();
+  return sizes;
+}
+
+static_assert(std::is_trivially_copyable_v<AppTraffic> &&
               std::is_trivially_copyable_v<DeviceInfo> &&
               std::is_trivially_copyable_v<SurveyResponse> &&
               std::is_trivially_copyable_v<ApTruth>);
@@ -121,7 +153,7 @@ static_assert(std::is_trivially_copyable_v<Sample> &&
 // pipelined shard writer (sim/stream_runner.cc) and the shard-store
 // tests rely on. Types that need alignment carry explicit zeroed
 // `reserved`/`pad` fields instead.
-static_assert(std::has_unique_object_representations_v<Sample> &&
+static_assert(std::has_unique_object_representations_v<DeviceRangeRec> &&
               std::has_unique_object_representations_v<AppTraffic> &&
               std::has_unique_object_representations_v<DeviceInfo> &&
               std::has_unique_object_representations_v<SurveyResponse> &&
@@ -216,29 +248,46 @@ using File = std::unique_ptr<std::FILE, FileCloser>;
   return n == 0 || std::fread(data, 1, n, f) == n;
 }
 
+/// Size of the open file `f` (fstat on the descriptor, so the size and
+/// a later mapping describe the same file even if `path` is replaced
+/// meanwhile).
+[[nodiscard]] bool open_file_size(std::FILE* f, const fs::path& path,
+                                  std::uint64_t& out) {
+#if TOKYONET_HAVE_MMAP
+  (void)path;
+  struct stat st{};
+  if (::fstat(::fileno(f), &st) != 0) return false;
+  out = static_cast<std::uint64_t>(st.st_size);
+  return true;
+#else
+  (void)f;
+  std::error_code ec;
+  out = fs::file_size(path, ec);
+  return !ec;
+#endif
+}
+
 /// Read-only mmap of a whole file, shared so borrowed Columns can pin it.
 class MappedFile {
  public:
+  /// Maps the open file `f`, which must still be `expected_bytes` long.
   [[nodiscard]] static std::shared_ptr<MappedFile> open(
-      const fs::path& path, std::uint64_t expected_bytes) {
+      std::FILE* f, std::uint64_t expected_bytes) {
 #if TOKYONET_HAVE_MMAP
     if (expected_bytes == 0) return nullptr;
-    const int fd = ::open(path.string().c_str(), O_RDONLY);
-    if (fd < 0) return nullptr;
+    const int fd = ::fileno(f);
     struct stat st{};
     if (::fstat(fd, &st) != 0 ||
         static_cast<std::uint64_t>(st.st_size) != expected_bytes) {
-      ::close(fd);
       return nullptr;
     }
     void* addr = ::mmap(nullptr, static_cast<std::size_t>(expected_bytes),
                         PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
     if (addr == MAP_FAILED) return nullptr;
     return std::shared_ptr<MappedFile>(
         new MappedFile(addr, static_cast<std::size_t>(expected_bytes)));
 #else
-    (void)path;
+    (void)f;
     (void)expected_bytes;
     return nullptr;
 #endif
@@ -331,17 +380,38 @@ SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
     }
   }
 
+  // Per-device ranges: the sample layout (all empty without samples).
+  std::vector<DeviceRangeRec> ranges(ds.devices.size());
+  if (ds.indexed()) {
+    const core::DatasetIndex& idx = ds.index();
+    for (std::size_t d = 0; d < ranges.size(); ++d) {
+      ranges[d] = {idx.device_end(d), idx.device_app_begin(d),
+                   idx.device_app_end(d)};
+    }
+  } else if (!ds.samples.empty()) {
+    result.error = path_err(path, "dataset has no sample layout to save");
+    return result;
+  }
+
   // Section payloads, by id.
   const void* payloads[kNumSections] = {
-      ds.devices.data(), ap_recs.data(),      essid_blob.data(),
-      ds.samples.data(), ds.app_traffic.data(), ds.survey.data(),
-      truth_recs.data(), capped_blob.data(),  ds.truth.aps.data(),
+      ds.devices.data(),  ap_recs.data(),           essid_blob.data(),
+      ranges.data(),      ds.app_traffic.data(),    ds.survey.data(),
+      truth_recs.data(),  capped_blob.data(),       ds.truth.aps.data(),
   };
-  const std::uint64_t counts[kNumSections] = {
-      ds.devices.size(), ap_recs.size(),      essid_blob.size(),
-      ds.samples.size(), ds.app_traffic.size(), ds.survey.size(),
-      truth_recs.size(), capped_blob.size(),  ds.truth.aps.size(),
+  std::uint64_t counts[kNumSections] = {
+      ds.devices.size(),  ap_recs.size(),           essid_blob.size(),
+      ranges.size(),      ds.app_traffic.size(),    ds.survey.size(),
+      truth_recs.size(),  capped_blob.size(),       ds.truth.aps.size(),
   };
+  std::size_t col = kSecSamples;
+  SampleColumns::for_each(
+      [&](const auto& c) {
+        payloads[col] = c.data();
+        counts[col++] = c.size();
+      },
+      ds.samples);
+  const std::array<std::uint32_t, kNumSections>& sizes = record_sizes();
 
   RawHeader header{};
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
@@ -354,7 +424,7 @@ SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
   header.start_day = static_cast<std::uint32_t>(start.day);
   header.num_days = static_cast<std::uint32_t>(ds.num_days());
   for (std::uint32_t s = 0; s < kNumSections; ++s) {
-    header.record_sizes[s] = kRecordSizes[s];
+    header.record_sizes[s] = sizes[s];
     header.counts[s] = counts[s];
   }
   header.scenario_hash = scenario_hash;
@@ -364,7 +434,7 @@ SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
   for (std::uint32_t s = 0; s < kNumSections; ++s) {
     table[s].id = s;
     table[s].offset = offset;
-    table[s].bytes = counts[s] * kRecordSizes[s];
+    table[s].bytes = counts[s] * sizes[s];
     // Big sections hash in parallel chunks on the core/parallel pool.
     table[s].checksum = section_checksum(
         payloads[s], static_cast<std::size_t>(table[s].bytes));
@@ -414,6 +484,11 @@ SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
 
 namespace {
 
+[[nodiscard]] std::string version_error(std::uint32_t version) {
+  return "unsupported snapshot version " + std::to_string(version) +
+         " (this build reads " + std::to_string(kSnapshotVersion) + ")";
+}
+
 /// Parses and sanity-checks header + section table; fills `info`.
 [[nodiscard]] SnapshotResult check_header(
     const fs::path& path, std::uint64_t file_bytes, const RawHeader& header,
@@ -428,16 +503,15 @@ namespace {
     return fail("bad magic (not a tokyonet snapshot)");
   }
   if (header.version != kSnapshotVersion) {
-    return fail("unsupported snapshot version " +
-                std::to_string(header.version) + " (this build reads " +
-                std::to_string(kSnapshotVersion) + ")");
+    return fail(version_error(header.version));
   }
   if (header.section_count != kNumSections) {
     return fail("expected " + std::to_string(kNumSections) +
                 " sections, found " + std::to_string(header.section_count));
   }
+  const std::array<std::uint32_t, kNumSections>& sizes = record_sizes();
   for (std::uint32_t s = 0; s < kNumSections; ++s) {
-    if (header.record_sizes[s] != kRecordSizes[s]) {
+    if (header.record_sizes[s] != sizes[s]) {
       return fail("record size mismatch in section " + std::to_string(s) +
                   " (incompatible writer layout)");
     }
@@ -461,14 +535,29 @@ namespace {
         table[s].offset < prev_end) {
       return fail("malformed section table");
     }
-    if (header.counts[s] > file_bytes / kRecordSizes[s] ||
-        table[s].bytes != header.counts[s] * kRecordSizes[s] ||
+    if (header.counts[s] > file_bytes / sizes[s] ||
+        table[s].bytes != header.counts[s] * sizes[s] ||
         table[s].offset > file_bytes ||
         table[s].bytes > file_bytes - table[s].offset) {
       return fail("section " + std::to_string(s) +
                   " exceeds the file (truncated?)");
     }
     prev_end = table[s].offset + table[s].bytes;
+  }
+  // The writer ends the file right after the last section, so any other
+  // size means the file was truncated or extended after it was written.
+  if (prev_end != file_bytes) {
+    return fail("file is " + std::to_string(file_bytes) +
+                " bytes, its section table implies " +
+                std::to_string(prev_end) + " (truncated or extended?)");
+  }
+  for (std::uint32_t s = kSecSamples; s < kNumSections; ++s) {
+    if (header.counts[s] != header.counts[kSecSamples]) {
+      return fail("sample columns differ in length");
+    }
+  }
+  if (header.counts[kSecDeviceRanges] != header.counts[kSecDevices]) {
+    return fail("device range count does not match the device count");
   }
   if (header.counts[kSecSurvey] != 0 &&
       header.counts[kSecSurvey] != header.counts[kSecDevices]) {
@@ -499,90 +588,91 @@ namespace {
   return result;
 }
 
-/// Sequential section reader over a FILE*, for the owned (non-mmap)
-/// load path. Section offsets are strictly increasing (checked), so no
-/// seeking is needed.
-class SectionReader {
- public:
-  SectionReader(std::FILE* f, std::uint64_t pos) : f_(f), pos_(pos) {}
-
-  [[nodiscard]] bool read_section(const SnapshotSection& sec, void* dst) {
-    std::uint64_t gap = sec.offset - pos_;
-    char scratch[4096];
-    while (gap > 0) {
-      const std::size_t n =
-          static_cast<std::size_t>(std::min<std::uint64_t>(gap, sizeof(scratch)));
-      if (!read_all(f_, scratch, n)) return false;
-      gap -= n;
-    }
-    if (!read_all(f_, dst, static_cast<std::size_t>(sec.bytes))) return false;
-    pos_ = sec.offset + sec.bytes;
-    return true;
-  }
-
- private:
-  std::FILE* f_;
-  std::uint64_t pos_;
-};
-
 }  // namespace
 
-SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
-                             const SnapshotLoadOptions& opts,
-                             SnapshotInfo* info_out) {
-  SnapshotResult result;
-  out = Dataset{};
-  SnapshotInfo info;
+namespace {
 
-  File f(std::fopen(path.string().c_str(), "rb"));
+/// Opens `path` and reads and checks its header and section table. The
+/// size is taken from the open descriptor, so a later mapping of `f`
+/// sees the file the header was checked against.
+[[nodiscard]] SnapshotResult open_snapshot(
+    const fs::path& path, File& f, RawHeader& header,
+    SnapshotSection (&table)[kNumSections], SnapshotInfo& info) {
+  SnapshotResult result;
+  f.reset(std::fopen(path.string().c_str(), "rb"));
   if (!f) {
     result.error = path_err(path, std::strerror(errno));
     return result;
   }
-  std::error_code ec;
-  const std::uint64_t file_bytes = fs::file_size(path, ec);
-  if (ec) {
-    result.error = path_err(path, "cannot stat: " + ec.message());
+  std::uint64_t file_bytes = 0;
+  if (!open_file_size(f.get(), path, file_bytes)) {
+    result.error = path_err(path, "cannot stat");
+    return result;
+  }
+  // Every version starts with the magic and the version number, so a
+  // file of another version is named as such whatever its size.
+  const auto head = static_cast<std::size_t>(
+      std::min<std::uint64_t>(file_bytes, sizeof(RawHeader)));
+  header = RawHeader{};
+  if (!read_all(f.get(), &header, head)) {
+    result.error = path_err(path, "short read on header");
+    return result;
+  }
+  if (head >= kVersionPrefix &&
+      std::memcmp(header.magic, kMagic, sizeof(kMagic)) == 0 &&
+      header.version != kSnapshotVersion) {
+    result.error = path_err(path, version_error(header.version));
     return result;
   }
   if (file_bytes < sizeof(RawHeader) + sizeof(SnapshotSection) * kNumSections) {
     result.error = path_err(path, "file too small to be a snapshot");
     return result;
   }
-
-  RawHeader header;
-  SnapshotSection table[kNumSections];
-  if (!read_all(f.get(), &header, sizeof(header)) ||
-      !read_all(f.get(), table, sizeof(table))) {
+  if (!read_all(f.get(), table, sizeof(table))) {
     result.error = path_err(path, "short read on header");
     return result;
   }
-  result = check_header(path, file_bytes, header, table, info);
+  return check_header(path, file_bytes, header, table, info);
+}
+
+}  // namespace
+
+SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
+                             const SnapshotLoadOptions& opts,
+                             SnapshotInfo* info_out) {
+  out = Dataset{};
+  SnapshotInfo info;
+  File f;
+  RawHeader header;
+  SnapshotSection table[kNumSections];
+  SnapshotResult result = open_snapshot(path, f, header, table, info);
   if (!result.ok()) return result;
+  if (opts.expect_header_checksum &&
+      info.header_checksum != *opts.expect_header_checksum) {
+    result.error = path_err(path, "file changed since the store was opened");
+    return result;
+  }
 
-  // Map when possible; otherwise read sections sequentially into owned
-  // memory. Checksums are verified either way before any data is used.
+  // Map when possible; otherwise read the whole file — whose size the
+  // header check tied to the section table — into owned memory.
+  // Checksums are verified either way before any data is used.
   std::shared_ptr<MappedFile> map;
-  if (opts.allow_mmap) map = MappedFile::open(path, file_bytes);
+  if (opts.allow_mmap) map = MappedFile::open(f.get(), info.file_bytes);
   info.mapped = map != nullptr;
-
-  SectionReader reader(f.get(),
-                       sizeof(RawHeader) + sizeof(SnapshotSection) * kNumSections);
-  std::vector<std::vector<std::uint8_t>> owned(kNumSections);
+  std::vector<std::uint8_t> owned;
+  if (!map) {
+    owned.resize(static_cast<std::size_t>(info.file_bytes));
+    if (std::fseek(f.get(), 0, SEEK_SET) != 0 ||
+        !read_all(f.get(), owned.data(), owned.size())) {
+      result.error = path_err(path, "short read (truncated?)");
+      return result;
+    }
+  }
+  const std::uint8_t* const base = map ? map->data() : owned.data();
   const std::uint8_t* section_data[kNumSections] = {};
   for (std::uint32_t s = 0; s < kNumSections; ++s) {
     const std::size_t bytes = static_cast<std::size_t>(table[s].bytes);
-    if (map) {
-      section_data[s] = map->data() + table[s].offset;
-    } else {
-      owned[s].resize(bytes);
-      if (!reader.read_section(table[s], owned[s].data())) {
-        result.error = path_err(path, "short read in section " +
-                                          std::to_string(s) + " (truncated?)");
-        return result;
-      }
-      section_data[s] = owned[s].data();
-    }
+    section_data[s] = base + table[s].offset;
     // Parallel-chunked for the big sections, same as on save. Callers
     // that already verified this file's payload in the same process
     // (io/shard_store's once-per-open discipline) may skip the rehash;
@@ -611,6 +701,16 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
     if (bytes > 0) std::memcpy(dst, src, bytes);
   };
 
+  // DeviceInfo::recruited is a bool: a byte other than 0 or 1 would be
+  // undefined behaviour to read, so check the raw bytes first.
+  for (std::size_t i = 0; i < count_of(kSecDevices); ++i) {
+    if (section_data[kSecDevices][i * sizeof(DeviceInfo) +
+                                  offsetof(DeviceInfo, recruited)] > 1) {
+      result.error = path_err(path, "device " + std::to_string(i) +
+                                        " has a non-boolean recruited flag");
+      return result;
+    }
+  }
   out.devices.resize(count_of(kSecDevices));
   copy_into(out.devices.data(), section_data[kSecDevices],
             out.devices.size() * sizeof(DeviceInfo));
@@ -637,26 +737,24 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
     }
   }
 
-  if (map) {
-    // Zero-copy: the Columns borrow the mapped arrays and share
-    // ownership of the mapping. Section offsets are 64-byte aligned, so
-    // the record alignment requirement is always met.
-    out.samples = core::Column<Sample>::borrowed(
-        {reinterpret_cast<const Sample*>(section_data[kSecSamples]),
-         count_of(kSecSamples)},
-        map);
-    out.app_traffic = core::Column<AppTraffic>::borrowed(
-        {reinterpret_cast<const AppTraffic*>(section_data[kSecAppTraffic]),
-         count_of(kSecAppTraffic)},
-        map);
-  } else {
-    out.samples.resize(count_of(kSecSamples));
-    copy_into(out.samples.data(), section_data[kSecSamples],
-              out.samples.size() * sizeof(Sample));
-    out.app_traffic.resize(count_of(kSecAppTraffic));
-    copy_into(out.app_traffic.data(), section_data[kSecAppTraffic],
-              out.app_traffic.size() * sizeof(AppTraffic));
-  }
+  // The sample columns and the app traffic are served zero-copy from
+  // the mapping when there is one: the Columns borrow the mapped arrays
+  // and share ownership of it. Section offsets are 64-byte aligned, so
+  // the record alignment requirement is always met.
+  const auto install = [&](auto& column, std::uint32_t s) {
+    using T = typename std::decay_t<decltype(column)>::value_type;
+    const auto* records = reinterpret_cast<const T*>(section_data[s]);
+    if (map) {
+      column = std::decay_t<decltype(column)>::borrowed(
+          {records, count_of(s)}, map);
+    } else {
+      column.resize_for_overwrite(count_of(s));
+      copy_into(column.data(), section_data[s], count_of(s) * sizeof(T));
+    }
+  };
+  std::uint32_t col = kSecSamples;
+  SampleColumns::for_each([&](auto& c) { install(c, col++); }, out.samples);
+  install(out.app_traffic, kSecAppTraffic);
 
   out.survey.resize(count_of(kSecSurvey));
   copy_into(out.survey.data(), section_data[kSecSurvey],
@@ -701,27 +799,30 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
   copy_into(out.truth.aps.data(), section_data[kSecTruthAps],
             out.truth.aps.size() * sizeof(ApTruth));
 
-  if (opts.defer_validate) {
-    // The caller completes the dataset (e.g. installs the shard-store's
-    // shared AP universe) and then runs validate()/build_index() itself.
-    if (info_out != nullptr) *info_out = info;
-    return result;
+  if (opts.universe != nullptr) {
+    out.aps = opts.universe->aps;
+    out.truth.aps = opts.universe->truth.aps;
   }
 
-  const std::string invalid = out.validate();
-  if (!invalid.empty()) {
-    const std::string err = path_err(path, "invalid dataset: " + invalid);
-    out = Dataset{};
-    result.error = err;
-    return result;
+  // The sample layout, then the full validation of the dataset against
+  // it; only a sound dataset is indexed and returned.
+  core::SampleLayout layout;
+  {
+    const auto* recs =
+        reinterpret_cast<const DeviceRangeRec*>(section_data[kSecDeviceRanges]);
+    const std::size_t n = count_of(kSecDeviceRanges);
+    layout.device_offset.resize(n + 1, 0);
+    layout.app_range.resize(2 * n);
+    for (std::size_t d = 0; d < n; ++d) {
+      layout.device_offset[d + 1] = static_cast<std::size_t>(recs[d].sample_end);
+      layout.app_range[2 * d] = static_cast<std::size_t>(recs[d].app_begin);
+      layout.app_range[2 * d + 1] = static_cast<std::size_t>(recs[d].app_end);
+    }
   }
-  if (!out.build_index()) {
-    // validate() passed, so this is unreachable in practice; treat a
-    // disagreement between the two checks as a corrupt file anyway.
-    const std::string err =
-        path_err(path, "invalid dataset: samples not (device, bin)-ordered");
+  const std::string invalid = out.index_samples(std::move(layout));
+  if (!invalid.empty()) {
     out = Dataset{};
-    result.error = err;
+    result.error = path_err(path, "invalid dataset: " + invalid);
     return result;
   }
 
@@ -730,32 +831,11 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
 }
 
 SnapshotResult read_snapshot_info(const fs::path& path, SnapshotInfo& out) {
-  SnapshotResult result;
   out = SnapshotInfo{};
-
-  File f(std::fopen(path.string().c_str(), "rb"));
-  if (!f) {
-    result.error = path_err(path, std::strerror(errno));
-    return result;
-  }
-  std::error_code ec;
-  const std::uint64_t file_bytes = fs::file_size(path, ec);
-  if (ec) {
-    result.error = path_err(path, "cannot stat: " + ec.message());
-    return result;
-  }
-  if (file_bytes < sizeof(RawHeader) + sizeof(SnapshotSection) * kNumSections) {
-    result.error = path_err(path, "file too small to be a snapshot");
-    return result;
-  }
+  File f;
   RawHeader header;
   SnapshotSection table[kNumSections];
-  if (!read_all(f.get(), &header, sizeof(header)) ||
-      !read_all(f.get(), table, sizeof(table))) {
-    result.error = path_err(path, "short read on header");
-    return result;
-  }
-  return check_header(path, file_bytes, header, table, out);
+  return open_snapshot(path, f, header, table, out);
 }
 
 // --- Campaign cache ----------------------------------------------------

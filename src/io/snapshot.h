@@ -7,19 +7,22 @@
 //
 //   [ header | section table | 64-byte-aligned sections ... ]
 //
-// Fixed-width record arrays (samples, app traffic, survey, truth) are
-// written with one bulk fwrite each; variable-width data (ESSIDs,
-// per-device capped-day bitmaps) is split into a fixed record array
-// plus a byte blob. Every section carries a 64-bit checksum computed in
-// 4 MiB chunks on the core/parallel pool, so integrity verification of
-// a multi-hundred-MB snapshot scales with cores.
+// Each of the 17 sample columns is its own section, next to the
+// per-device ranges that say which rows and app records belong to which
+// device. Fixed-width record arrays are written with one bulk fwrite
+// each; variable-width data (ESSIDs, per-device capped-day bitmaps) is
+// split into a fixed record array plus a byte blob. Every section
+// carries a 64-bit checksum computed in 4 MiB chunks on the
+// core/parallel pool, so integrity verification of a multi-hundred-MB
+// snapshot scales with cores.
 //
-// Loads map the file read-only and serve the two big arrays (`samples`,
-// `app_traffic`) zero-copy as borrowed Columns pinning the mapping;
-// non-mappable inputs (or allow_mmap = false) fall back to an owned
-// read. Either way the file is fully verified first — magic, version,
-// record sizes, section bounds, checksums, then Dataset::validate() —
-// so a truncated or corrupted snapshot is a clean error, never UB.
+// Loads map the file read-only and serve the big arrays (the sample
+// columns and `app_traffic`) zero-copy as borrowed Columns pinning the
+// mapping; non-mappable inputs (or allow_mmap = false) fall back to an
+// owned read. Either way the file is fully verified first — magic,
+// version, record sizes, section bounds, the file size the section
+// table implies, checksums, then the Dataset validation — so a
+// truncated or corrupted snapshot is a clean error, never UB.
 //
 // The format uses native (x86-64) field layout; the header records the
 // record sizes and a version so an incompatible reader rejects the file
@@ -28,6 +31,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,7 +42,7 @@ namespace tokyonet::io {
 
 /// Bump on any change to the on-disk layout *or* to what a simulation
 /// with a given scenario hash produces.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Result of a snapshot operation; `ok()` is false on the first
 /// structural problem and `error` names it.
@@ -73,8 +77,8 @@ struct SnapshotInfo {
   /// directory verification can spot a swapped or regenerated file
   /// without rehashing its sections.
   std::uint64_t header_checksum = 0;
-  /// Load only: true when samples/app_traffic are served zero-copy from
-  /// the mapped file.
+  /// Load only: true when the sample columns and app_traffic are served
+  /// zero-copy from the mapped file.
   bool mapped = false;
   std::vector<SnapshotSection> sections;
 };
@@ -89,12 +93,14 @@ struct SnapshotInfo {
 struct SnapshotLoadOptions {
   /// When false, skip mmap and always read into owned memory.
   bool allow_mmap = true;
-  /// When true, skip Dataset::validate() and the index build after the
-  /// checksum-verified read. For snapshots that are not self-contained —
-  /// a shard file stores no AP universe, so its samples reference APs
-  /// the file does not carry — the caller installs the missing tables
-  /// and then validates/indexes itself (io/shard_store.cc does).
-  bool defer_validate = false;
+  /// The AP universe (aps and truth.aps) of a snapshot that carries
+  /// none — a shard file, whose samples reference APs by global id — is
+  /// installed from here before validation (io/shard_store.cc).
+  const Dataset* universe = nullptr;
+  /// When set, a file whose header checksum differs is rejected before
+  /// any section is read or hashed (a shard replaced since its store
+  /// was opened).
+  std::optional<std::uint64_t> expect_header_checksum;
   /// When false, skip the per-section payload checksum re-hash (the
   /// header and section-table checksum is always verified). Only for
   /// callers that have already payload-verified the same file in this
@@ -104,8 +110,9 @@ struct SnapshotLoadOptions {
   bool verify_payload = true;
 };
 
-/// Loads and fully verifies a snapshot into `out`. The sample index is
-/// rebuilt; `info` (optional) receives the header description.
+/// Loads and fully verifies a snapshot into `out`, which comes back
+/// validated and indexed; `info` (optional) receives the header
+/// description.
 [[nodiscard]] SnapshotResult load_snapshot(const std::filesystem::path& path,
                                            Dataset& out,
                                            const SnapshotLoadOptions& opts = {},

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "app/catalog.h"
@@ -105,13 +104,47 @@ struct DeviceContext {
 };
 
 /// Variable-length outputs of one device's simulation. Fixed-length
-/// output (one Sample per bin) goes straight into the device's slice of
+/// output (one row per bin) goes straight into the device's rows of
 /// Dataset::samples; everything here is spliced in device order
 /// afterwards so the dataset is byte-identical to a serial run.
 struct DeviceOutput {
-  std::vector<AppTraffic> app_traffic;  // app_begin relative to this buffer
+  std::vector<AppTraffic> app_traffic;
   std::vector<std::uint8_t> capped_day;
   std::int32_t update_bin = -1;
+};
+
+/// Write cursors into one device's rows of the sample columns;
+/// simulate_device() writes row `bin` of every column exactly once.
+struct DeviceRows {
+  DeviceRows(SampleColumns& c, std::size_t base)
+      : bin(c.bin.data() + base),
+        cell_rx(c.cell_rx.data() + base),
+        cell_tx(c.cell_tx.data() + base),
+        wifi_rx(c.wifi_rx.data() + base),
+        wifi_tx(c.wifi_tx.data() + base),
+        ap(c.ap.data() + base),
+        wifi_state(c.wifi_state.data() + base),
+        tech(c.tech.data() + base),
+        battery_pct(c.battery_pct.data() + base),
+        rssi_dbm(c.rssi_dbm.data() + base),
+        geo_cell(c.geo_cell.data() + base),
+        app_count(c.app_count.data() + base),
+        flags(c.flags.data() + base),
+        scan_pub24_all(c.scan_pub24_all.data() + base),
+        scan_pub24_strong(c.scan_pub24_strong.data() + base),
+        scan_pub5_all(c.scan_pub5_all.data() + base),
+        scan_pub5_strong(c.scan_pub5_strong.data() + base) {}
+
+  TimeBin* bin;
+  std::uint32_t *cell_rx, *cell_tx, *wifi_rx, *wifi_tx, *ap;
+  WifiState* wifi_state;
+  CellTech* tech;
+  std::uint8_t* battery_pct;
+  std::int8_t* rssi_dbm;
+  GeoCell* geo_cell;
+  std::uint8_t *app_count, *flags;
+  std::uint8_t *scan_pub24_all, *scan_pub24_strong, *scan_pub5_all,
+      *scan_pub5_strong;
 };
 
 }  // namespace
@@ -166,24 +199,17 @@ struct CampaignEngine::Impl {
                      survey_all_.begin() + static_cast<std::ptrdiff_t>(end));
 
     // Every device emits exactly one sample per bin, so each device owns
-    // a fixed, disjoint slice of the sample array and the whole block can
-    // be simulated in parallel. Every hot-path draw is keyed by
+    // a fixed, disjoint slice of rows and the whole block can be
+    // simulated in parallel. Every hot-path draw is keyed by
     // (seed, global device, day/bin, slot) through counter-based Philox
     // streams, so the result is byte-identical at any thread count AND
     // any device partitioning — blocks of 1, 16 or the whole panel
-    // produce the same campaign.
+    // produce the same campaign. The dense builder sizes the columns
+    // (each device writes every one of its rows) and installs the
+    // arithmetic ranges of a dense campaign.
     const auto n_bins = static_cast<std::size_t>(ds.calendar.num_bins());
     const std::size_t n_local = end - begin;
-    // Every device writes one full Sample per bin into its slice, so the
-    // zero-fill of a plain resize would be pure overhead.
-    ds.samples.resize_for_overwrite(n_local * n_bins);
-
-    // The campaign is dense by construction, so the acceleration index
-    // is built alongside the samples: each device projects its finished
-    // samples into the SoA columns as it emits them (disjoint slices,
-    // safe in parallel) instead of DatasetIndex::build() re-scanning
-    // the whole 48-byte AoS array afterwards.
-    core::DatasetIndex::DenseBuilder idx_builder(n_local, ds.calendar);
+    core::DatasetIndex::DenseBuilder builder(ds);
 
     const std::size_t block = device_block_size();
     const std::size_t n_blocks = (n_local + block - 1) / block;
@@ -199,12 +225,8 @@ struct CampaignEngine::Impl {
         // Android devices emit ~0.8 records per bin on average; one
         // right-sized reservation avoids the mid-campaign regrow.
         out.app_traffic.reserve(n_bins);
-        simulate_device(ctx,
-                        std::span<Sample>{ds.samples.data() + li * n_bins,
-                                          n_bins},
-                        out.app_traffic, cap, ds.calendar, idx_builder,
-                        li * n_bins,
-                        DeviceId{static_cast<std::uint32_t>(li)});
+        simulate_device(ctx, DeviceRows(ds.samples, li * n_bins),
+                        out.app_traffic, cap, ds.calendar);
         out.update_bin = ctx.update_bin;
         out.capped_day.resize(static_cast<std::size_t>(config_.num_days));
         for (int d = 0; d < config_.num_days; ++d) {
@@ -215,26 +237,18 @@ struct CampaignEngine::Impl {
       }
     });
 
-    // Splice variable-length outputs in device order. Rebasing each
-    // device's local app_traffic offsets by the running total recreates
-    // exactly the global offsets a serial run would have produced.
+    // Splice variable-length outputs in device order. An Android
+    // device's records take the next slice of the global array (an
+    // empty one when it has none); iOS devices report no per-app
+    // breakdown and keep the empty range at 0.
     std::size_t total_apps = 0;
     for (const DeviceOutput& out : outputs) total_apps += out.app_traffic.size();
     ds.app_traffic.reserve(total_apps);
     for (std::size_t li = 0; li < n_local; ++li) {
-      const UserProfile& user = users_[begin + li];
       DeviceOutput& out = outputs[li];
-      const auto offset = static_cast<std::uint32_t>(ds.app_traffic.size());
-      if (!out.app_traffic.empty()) {
-        // The device's records land in one contiguous slice of the
-        // global array — exactly the app range build() would derive
-        // from the rebased per-sample offsets.
-        idx_builder.set_app_range(li, offset,
-                                  offset + out.app_traffic.size());
-      }
-      if (user.os == Os::Android && offset != 0) {
-        const std::span<Sample> slice{ds.samples.data() + li * n_bins, n_bins};
-        for (Sample& s : slice) s.app_begin += offset;
+      if (users_[begin + li].os == Os::Android) {
+        const std::size_t offset = ds.app_traffic.size();
+        builder.set_app_range(li, offset, offset + out.app_traffic.size());
       }
       ds.app_traffic.insert(ds.app_traffic.end(), out.app_traffic.begin(),
                             out.app_traffic.end());
@@ -244,11 +258,7 @@ struct CampaignEngine::Impl {
     }
 
     if (with_universe) deployment_.export_to(ds);
-    // Samples are (device, bin)-ordered and dense by construction, and
-    // the SoA columns were already projected at emission time — install
-    // the prebuilt index instead of re-scanning the AoS array.
-    ds.adopt_index(idx_builder.finish());
-    assert(ds.indexed());
+    builder.finish();
     return ds;
   }
 
@@ -416,20 +426,16 @@ struct CampaignEngine::Impl {
     }
   }
 
-  /// Simulates one device into its disjoint `out_samples` slice and a
-  /// local `app_traffic` buffer. Touches no shared mutable state, so
-  /// devices can run concurrently. Every Philox stream is keyed by the
-  /// device's *global* id; `emit_id` is the id written into the emitted
-  /// samples (block-local for shards, global for the full run).
-  void simulate_device(DeviceContext& ctx, std::span<Sample> out_samples,
+  /// Simulates one device into its disjoint rows `out` and a local
+  /// `app_traffic` buffer. Touches no shared mutable state, so devices
+  /// can run concurrently. Every Philox stream is keyed by the device's
+  /// *global* id.
+  void simulate_device(DeviceContext& ctx, const DeviceRows& out,
                        std::vector<AppTraffic>& app_traffic,
                        net::DeviceCapTracker& cap,
-                       const CampaignCalendar& cal,
-                       core::DatasetIndex::DenseBuilder& idx_builder,
-                       std::size_t idx_base, DeviceId emit_id) const {
+                       const CampaignCalendar& cal) const {
     const UserProfile& user = *ctx.user;
     const std::uint32_t dev = value(user.id);
-    std::size_t out_pos = 0;
     const DemandParams& demand = config_.demand;
 
     // Persistent per-device radio conditions come from the device's
@@ -524,16 +530,13 @@ struct CampaignEngine::Impl {
         }
         if (where == Where::Commute) ++commute_seen;
 
-        Sample s;
-        s.device = emit_id;
-        s.bin = bin;
-        s.geo_cell = seg.cell;
+        out.bin[bin] = bin;
+        out.geo_cell[bin] = seg.cell;
 
+        // Hotspot mode: the client WiFi radio is unavailable.
         const bool tethering = b >= tether_from && b < tether_to;
-        if (tethering) {
-          // Hotspot mode: the client WiFi radio is unavailable.
-          s.tethering = true;
-        }
+        out.flags[bin] = static_cast<std::uint8_t>(
+            tethering ? SampleColumns::kFlagTethering : 0);
 
         // Association churn: home/office links flap briefly (one-bin
         // gaps, ~3%/bin, bounding Fig 13's duration tail); public
@@ -550,15 +553,16 @@ struct CampaignEngine::Impl {
           }
         }
         const bool on_wifi = seg.ap != kNoAp && !dropped_this_bin && !tethering;
-        s.wifi_state = on_wifi ? WifiState::Associated
-                       : (seg.wifi_off || tethering)
-                           ? WifiState::Off
-                           : WifiState::OnUnassociated;
-        if (on_wifi) {
-          s.ap = seg.ap;
-          s.rssi_dbm = net::quantize_rssi(seg.rssi_base_dbm +
-                                          fading_noise_.draw(rng));
-        }
+        const WifiState wifi_state = on_wifi ? WifiState::Associated
+                                     : (seg.wifi_off || tethering)
+                                         ? WifiState::Off
+                                         : WifiState::OnUnassociated;
+        out.wifi_state[bin] = wifi_state;
+        out.ap[bin] = value(on_wifi ? seg.ap : kNoAp);
+        out.rssi_dbm[bin] =
+            on_wifi ? net::quantize_rssi(seg.rssi_base_dbm +
+                                         fading_noise_.draw(rng))
+                    : std::int8_t{-127};
 
         // --- Demand for this bin -----------------------------------
         const double share =
@@ -628,37 +632,42 @@ struct CampaignEngine::Impl {
         }
 
         const std::uint32_t rx_bytes = mb_to_bytes_u32(rx_mb);
-        if (on_wifi) {
-          s.wifi_rx = rx_bytes;
-          s.wifi_tx = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(tx_bytes, 0xF0000000ull));
-          s.tech = CellTech::None;
-        } else {
-          s.cell_rx = rx_bytes;
-          s.cell_tx = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(tx_bytes, 0xF0000000ull));
-          s.tech = rx_bytes > 0 || tx_bytes > 0 ? user.tech : CellTech::None;
+        const auto tx = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(tx_bytes, 0xF0000000ull));
+        out.wifi_rx[bin] = on_wifi ? rx_bytes : 0;
+        out.wifi_tx[bin] = on_wifi ? tx : 0;
+        out.cell_rx[bin] = on_wifi ? 0 : rx_bytes;
+        out.cell_tx[bin] = on_wifi ? 0 : tx;
+        out.tech[bin] = !on_wifi && (rx_bytes > 0 || tx_bytes > 0)
+                            ? user.tech
+                            : CellTech::None;
+        if (!on_wifi) {
           cap.add_download_mb(day, rx_mb);
           cell_today_mb += rx_mb;
         }
 
-        if (user.os == Os::Android) {
-          const auto count = app_traffic.size() - app_begin;
-          s.app_begin = app_begin;
-          s.app_count = static_cast<std::uint8_t>(std::min<std::size_t>(count, 255));
-        }
+        out.app_count[bin] =
+            user.os == Os::Android
+                ? static_cast<std::uint8_t>(
+                      std::min<std::size_t>(app_traffic.size() - app_begin, 255))
+                : std::uint8_t{0};
 
         // --- Android scan summaries (Fig 17, §3.5) -------------------
-        if (user.os == Os::Android && s.wifi_state != WifiState::Off) {
-          emit_scan(s, seg, rng);
+        std::array<std::uint8_t, 4> scan{};
+        if (user.os == Os::Android && wifi_state != WifiState::Off) {
+          scan = emit_scan(seg, rng);
         }
+        out.scan_pub24_all[bin] = scan[0];
+        out.scan_pub24_strong[bin] = scan[1];
+        out.scan_pub5_all[bin] = scan[2];
+        out.scan_pub5_strong[bin] = scan[3];
 
         // Battery: drains with use (and with an idle scanning radio),
         // charges overnight at home and opportunistically when low.
         {
           const int hour = b / kBinsPerHour;
           double drain = 0.08 + 40.0 * share;
-          if (s.wifi_state == WifiState::OnUnassociated) drain += 0.04;
+          if (wifi_state == WifiState::OnUnassociated) drain += 0.04;
           if (tethering) drain += 0.8;
           const bool overnight_charge =
               where == Where::Home && (hour >= 22 || hour < 7);
@@ -669,11 +678,8 @@ struct CampaignEngine::Impl {
           ctx.battery = std::clamp(ctx.battery - drain + charge, 2.0, 100.0);
           // battery is clamped to [2, 100], so +0.5-and-truncate rounds
           // identically to lround without the libm call.
-          s.battery_pct = static_cast<std::uint8_t>(ctx.battery + 0.5);
+          out.battery_pct[bin] = static_cast<std::uint8_t>(ctx.battery + 0.5);
         }
-
-        idx_builder.set(idx_base + out_pos, s);
-        out_samples[out_pos++] = s;
       }
     }
   }
@@ -723,7 +729,10 @@ struct CampaignEngine::Impl {
     }
   }
 
-  void emit_scan(Sample& s, SegmentState& seg, stats::PhiloxRng& rng) const {
+  /// Saturated scan counts {2.4 GHz all, 2.4 GHz strong, 5 GHz all,
+  /// 5 GHz strong} for one bin.
+  [[nodiscard]] std::array<std::uint8_t, 4> emit_scan(
+      SegmentState& seg, stats::PhiloxRng& rng) const {
     if (!seg.scan_ready) {
       // Indoors at home, walls attenuate street-level hotspots; in
       // motion (train/bus), APs flash by and few register as strong,
@@ -755,10 +764,8 @@ struct CampaignEngine::Impl {
     const unsigned strong5 =
         rng.binomial_pmf0(all5, seg.strong5_p,
                           strong_pmf0(seg.scan_env, 1, all5));
-    s.scan_pub24_all = saturate_u8(all24);
-    s.scan_pub5_all = saturate_u8(all5);
-    s.scan_pub24_strong = saturate_u8(strong24);
-    s.scan_pub5_strong = saturate_u8(strong5);
+    return {saturate_u8(all24), saturate_u8(strong24), saturate_u8(all5),
+            saturate_u8(strong5)};
   }
 
   /// pow(1 - p, n) for a strong-thinning binomial, from the scenario

@@ -42,11 +42,11 @@ class CampaignEngine {
 
   /// Simulates devices [begin, end) into a self-contained Dataset whose
   /// device ids are *local* (0 .. end - begin): devices, ground truth,
-  /// survey and samples cover exactly the block, and Sample::app_begin
-  /// offsets are local to the block's app_traffic array. The sample
-  /// bytes per device are identical to the full run's — only the id and
-  /// app_begin rebasing differs — so concatenating the blocks of a
-  /// partition (rebasing ids/offsets back) reproduces run_all() exactly.
+  /// survey and samples cover exactly the block, and the per-device app
+  /// ranges are local to the block's app_traffic array. The sample rows
+  /// per device are identical to the full run's — only the device and
+  /// app-range offsets differ — so concatenating the blocks of a
+  /// partition (rebasing the offsets back) reproduces run_all() exactly.
   ///
   /// `with_universe` additionally exports the campaign's full AP
   /// universe (Dataset::aps + truth.aps) into the block. Without it the

@@ -10,7 +10,7 @@
 // blocks are resident and the simulated bytes are unchanged — the
 // pipeline reorders work across blocks, never within one. Peak memory
 // is the campaign-global state (population, deployment) plus two
-// shards' samples and SoA projections — a scale-1000 (~1.7 M device)
+// shards' sample columns — a scale-1000 (~1.7 M device)
 // campaign streams in a few GB of RSS where the in-memory path would
 // need hundreds.
 //
@@ -32,7 +32,7 @@ struct StreamCampaignOptions {
   /// Exact shard count; 0 derives it from devices_per_shard.
   std::size_t shards = 0;
   /// Target devices per shard when `shards` is 0. 2048 devices ≈ 7.7 M
-  /// samples ≈ 370 MB of sample payload per shard.
+  /// samples ≈ 260 MB of sample payload per shard (34 B per sample).
   std::size_t devices_per_shard = 2048;
   /// Print one progress line per shard to stderr.
   bool announce = false;

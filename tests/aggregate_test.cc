@@ -19,7 +19,7 @@ TEST(Aggregate, SeriesLengthAndConservation) {
   const HourlySeries wifi_rx = aggregate_series(src, Stream::WifiRx);
   ASSERT_EQ(wifi_rx.mbps.size(), static_cast<std::size_t>(ds.num_days()) * 24);
   double raw_mb = 0;
-  for (const Sample& s : ds.samples) raw_mb += s.wifi_rx / 1e6;
+  for (const std::uint32_t rx : ds.samples.wifi_rx) raw_mb += rx / 1e6;
   EXPECT_NEAR(wifi_rx.total_mb(), raw_mb, raw_mb * 1e-6);
 }
 

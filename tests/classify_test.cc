@@ -16,6 +16,7 @@ using test::empty_dataset;
 /// Builds a 3-day dataset where device 0 camps on AP "home" overnight.
 Dataset overnight_dataset(double presence, std::string essid = "aterm-AB12-g") {
   Dataset ds = empty_dataset(1, 3);
+  std::vector<Sample> rows;
   const ApId home = add_ap(ds, std::move(essid));
   const int night_bins = 8 * kBinsPerHour;  // 22:00-06:00
   for (int day = 0; day < 2; ++day) {
@@ -25,13 +26,13 @@ Dataset overnight_dataset(double presence, std::string essid = "aterm-AB12-g") {
       const auto bin = static_cast<TimeBin>(day * kBinsPerDay + hour_bin);
       if (bin >= ds.calendar.num_bins()) break;
       const bool assoc = placed < presence * night_bins;
-      add_sample(ds, 0, bin, 0, assoc ? 1000u : 0u,
+      add_sample(rows, 0, bin, 0, assoc ? 1000u : 0u,
                  assoc ? WifiState::Associated : WifiState::OnUnassociated,
                  assoc ? home : kNoAp);
       ++placed;
     }
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   return ds;
 }
 
@@ -78,22 +79,24 @@ TEST(Classify, FonBoxCampedOnOvernightIsHome) {
 
 TEST(Classify, ProviderEssidIsPublic) {
   Dataset ds = empty_dataset(1, 2);
+  std::vector<Sample> rows;
   const ApId ap = add_ap(ds, "0000docomo");
   // Brief daytime association only.
   for (int k = 0; k < 3; ++k) {
-    add_sample(ds, 0, static_cast<TimeBin>(12 * kBinsPerHour + k), 0, 100,
+    add_sample(rows, 0, static_cast<TimeBin>(12 * kBinsPerHour + k), 0, 100,
                WifiState::Associated, ap);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const ApClassification cls = classify_aps(ds);
   EXPECT_EQ(cls.class_of(ap), ApClass::Public);
 }
 
 TEST(Classify, NeverAssociatedApsExcludedFromCounts) {
   Dataset ds = empty_dataset(1, 2);
+  std::vector<Sample> rows;
   (void)add_ap(ds, "0000docomo");
   (void)add_ap(ds, "corp-ap-22");
-  ds.build_index();
+  test::set_rows(ds, rows);
   const ApClassification cls = classify_aps(ds);
   const auto counts = cls.counts();
   EXPECT_EQ(counts.total, 0);
@@ -101,15 +104,16 @@ TEST(Classify, NeverAssociatedApsExcludedFromCounts) {
 
 TEST(Classify, WeekdayMiddayApIsOffice) {
   Dataset ds = empty_dataset(1, 7);
+  std::vector<Sample> rows;
   const ApId ap = add_ap(ds, "corp-ap-01");
   // Day 2 of the 2015-02-28 calendar is a Monday.
   for (int day = 2; day < 7; ++day) {
     for (int hb = 11 * kBinsPerHour; hb < 17 * kBinsPerHour; ++hb) {
-      add_sample(ds, 0, static_cast<TimeBin>(day * kBinsPerDay + hb), 0, 100,
+      add_sample(rows, 0, static_cast<TimeBin>(day * kBinsPerDay + hb), 0, 100,
                  WifiState::Associated, ap);
     }
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const ApClassification cls = classify_aps(ds);
   EXPECT_EQ(cls.class_of(ap), ApClass::Other);
   EXPECT_TRUE(cls.is_office[value(ap)]);
@@ -118,27 +122,29 @@ TEST(Classify, WeekdayMiddayApIsOffice) {
 
 TEST(Classify, WeekendMiddayApIsNotOffice) {
   Dataset ds = empty_dataset(1, 2);  // days 0/1 are Sat/Sun
+  std::vector<Sample> rows;
   const ApId ap = add_ap(ds, "cafe-wifi-99");
   for (int day = 0; day < 2; ++day) {
     for (int hb = 11 * kBinsPerHour; hb < 17 * kBinsPerHour; ++hb) {
-      add_sample(ds, 0, static_cast<TimeBin>(day * kBinsPerDay + hb), 0, 100,
+      add_sample(rows, 0, static_cast<TimeBin>(day * kBinsPerDay + hb), 0, 100,
                  WifiState::Associated, ap);
     }
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const ApClassification cls = classify_aps(ds);
   EXPECT_FALSE(cls.is_office[value(ap)]);
 }
 
 TEST(Classify, ApSeenAcrossManyCellsIsMobile) {
   Dataset ds = empty_dataset(1, 2);
+  std::vector<Sample> rows;
   const ApId ap = add_ap(ds, "PocketWiFi-AB12CD");
   for (int k = 0; k < 6; ++k) {
-    Sample& s = add_sample(ds, 0, static_cast<TimeBin>(8 * kBinsPerHour + k),
+    Sample& s = add_sample(rows, 0, static_cast<TimeBin>(8 * kBinsPerHour + k),
                            0, 100, WifiState::Associated, ap);
     s.geo_cell = static_cast<GeoCell>(100 + k);  // moving
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const ApClassification cls = classify_aps(ds);
   EXPECT_TRUE(cls.is_mobile[value(ap)]);
   EXPECT_FALSE(cls.is_office[value(ap)]);

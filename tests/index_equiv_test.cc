@@ -1,16 +1,22 @@
-// Equivalence tests for the shared DatasetIndex fast paths and the
-// memoized AnalysisContext.
+// Equivalence tests for the column kernels and the memoized
+// AnalysisContext, plus the DatasetIndex contract.
 //
-// Contract under test: every kernel converted to scan the index's SoA
-// columns is *byte-identical* to the pre-index serial reference at any
-// thread count. The reference is each kernel's preserved AoS fallback,
-// exercised through an index-free copy of the campaign; the fast path
-// runs at thread counts 1 and 4 and must reproduce it exactly (EXPECT_EQ
-// on doubles, no tolerance).
+// Contract under test: every kernel that scans the sample columns is
+// *byte-identical* to the serial reference it replaced, at any thread
+// count. That reference was each kernel's AoS fallback over an
+// index-free copy of the campaign; the fallbacks are gone, so their
+// results are pinned here as digests of the fields each case compares
+// (recorded from the serial reference at one thread, before the
+// fallbacks were deleted). The column path runs at thread counts 1 and
+// 4 and must reproduce every pinned digest exactly.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/aggregate.h"
@@ -25,6 +31,7 @@
 #include "analysis/volumes.h"
 #include "analysis/wifistate.h"
 #include "core/dataset_index.h"
+#include "core/hash.h"
 #include "core/parallel.h"
 #include "geo/region.h"
 #include "testutil.h"
@@ -38,303 +45,204 @@ using test::campaign_source;
 using test::campaign_classification;
 using test::empty_dataset;
 
-/// Member-wise copy of `ds` without the acceleration index. Kernels see
-/// index() == nullptr and take their preserved serial AoS path — the
-/// pre-index reference semantics.
-[[nodiscard]] Dataset unindexed_copy(const Dataset& ds) {
-  Dataset out;
-  out.year = ds.year;
-  out.calendar = ds.calendar;
-  out.devices = ds.devices;
-  out.aps = ds.aps;
-  out.samples = ds.samples;
-  out.app_traffic = ds.app_traffic;
-  out.survey = ds.survey;
-  out.truth = ds.truth;
-  return out;
-}
-
 /// Restores the environment-derived thread count on scope exit.
 struct ThreadCountGuard {
   ~ThreadCountGuard() { core::set_thread_count(0); }
 };
 
-constexpr int kThreadCounts[] = {1, 4};
+/// Folds every field a case compares into one 64-bit digest: doubles by
+/// their bit pattern, containers with their length, in a fixed order.
+class Digest {
+ public:
+  template <typename... T>
+  void add(const T&... fields) {
+    (fold(fields), ...);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
-void expect_profile_eq(const WeeklyProfile& got, const WeeklyProfile& want) {
-  EXPECT_EQ(got.num_series(), want.num_series());
-  EXPECT_EQ(got.den_series(), want.den_series());
-}
+ private:
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void fold(T v) {
+    h_ = core::hash_bytes(&v, sizeof(v), h_);
+  }
+  template <typename T>
+  void fold(const std::vector<T>& v) {
+    fold(v.size());
+    for (const T& x : v) fold(x);
+  }
+  template <typename T, std::size_t N>
+  void fold(const std::array<T, N>& a) {
+    for (const T& x : a) fold(x);
+  }
+  void fold(const WeeklyProfile& p) {
+    fold(p.num_series());
+    fold(p.den_series());
+  }
 
-/// Runs `kernel` on a source over the serial (unindexed) reference
-/// dataset, then on the indexed campaign's source at each thread count,
-/// handing every result to `check(got, ref)`.
-template <typename Kernel, typename Check>
-void expect_matches_serial(Year y, Kernel&& kernel, Check&& check) {
+  std::uint64_t h_ = 0x696E646578657175ull;  // "indexequ"
+};
+
+/// Runs `body` over the shared campaign of every year, at thread counts
+/// 1 and 4; each run must fold to the pinned parent-reference digest.
+template <typename Body>
+void expect_pinned(std::uint64_t pinned, const Body& body) {
   ThreadCountGuard guard;
-  const Dataset& ds = campaign(y);
-  ASSERT_TRUE(ds.indexed());
-  const Dataset serial = unindexed_copy(ds);
-  ASSERT_FALSE(serial.indexed());
-  core::set_thread_count(1);
-  const auto ref = kernel(query::InMemorySource(serial));
-  for (int threads : kThreadCounts) {
+  for (int threads : {1, 4}) {
     core::set_thread_count(threads);
-    check(kernel(campaign_source(y)), ref);
+    Digest d;
+    for (Year y : kAllYears) body(d, y);
+    EXPECT_EQ(d.value(), pinned)
+        << "threads=" << threads << " digest 0x" << std::hex << d.value();
   }
 }
 
 TEST(IndexEquivalence, AggregateSeries) {
-  for (Year y : kAllYears) {
+  expect_pinned(0xbaa7500844e4eed9ull, [](Digest& d, Year y) {
     for (Stream s : {Stream::CellRx, Stream::CellTx, Stream::WifiRx,
                      Stream::WifiTx}) {
-      expect_matches_serial(
-          y, [&](const auto& src) { return aggregate_series(src, s); },
-          [](const HourlySeries& got, const HourlySeries& ref) {
-            EXPECT_EQ(got.mbps, ref.mbps);
-          });
+      d.add(aggregate_series(campaign_source(y), s).mbps);
     }
-  }
+  });
 }
 
 TEST(IndexEquivalence, LocationSeries) {
-  const LocationFilter filters[] = {
-      {ApClass::Home, false}, {ApClass::Public, false}, {ApClass::Other, true}};
-  for (Year y : kAllYears) {
+  expect_pinned(0xd65ee461477e53ccull, [](Digest& d, Year y) {
+    const LocationFilter filters[] = {
+        {ApClass::Home, false}, {ApClass::Public, false}, {ApClass::Other, true}};
     const ApClassification& cls = campaign_classification(y);
     for (const LocationFilter& f : filters) {
       for (bool rx : {true, false}) {
-        expect_matches_serial(
-            y,
-            [&](const auto& src) { return location_series(src, cls, f, rx); },
-            [](const HourlySeries& got, const HourlySeries& ref) {
-              EXPECT_EQ(got.mbps, ref.mbps);
-            });
+        d.add(location_series(campaign_source(y), cls, f, rx).mbps);
       }
     }
-  }
+  });
 }
 
 TEST(IndexEquivalence, WifiLocationShares) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y,
-        [&](const auto& src) {
-          return wifi_location_shares(src, campaign_classification(y));
-        },
-        [](const WifiLocationShares& got, const WifiLocationShares& ref) {
-          EXPECT_EQ(got.home, ref.home);
-          EXPECT_EQ(got.publik, ref.publik);
-          EXPECT_EQ(got.office, ref.office);
-          EXPECT_EQ(got.other, ref.other);
-        });
-  }
+  expect_pinned(0xa73e1448956f9a5eull, [](Digest& d, Year y) {
+    const WifiLocationShares r =
+        wifi_location_shares(campaign_source(y), campaign_classification(y));
+    d.add(r.home, r.publik, r.office, r.other);
+  });
 }
 
 TEST(IndexEquivalence, RssiAnalysis) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y,
-        [&](const auto& src) {
-          return rssi_analysis(src, campaign_classification(y));
-        },
-        [](const RssiAnalysis& got, const RssiAnalysis& ref) {
-          EXPECT_EQ(got.home_max_rssi, ref.home_max_rssi);
-          EXPECT_EQ(got.public_max_rssi, ref.public_max_rssi);
-          EXPECT_EQ(got.home_mean, ref.home_mean);
-          EXPECT_EQ(got.public_mean, ref.public_mean);
-          EXPECT_EQ(got.home_below_70_share, ref.home_below_70_share);
-          EXPECT_EQ(got.public_below_70_share, ref.public_below_70_share);
-        });
-  }
+  expect_pinned(0x71fd8891119870f6ull, [](Digest& d, Year y) {
+    const RssiAnalysis r =
+        rssi_analysis(campaign_source(y), campaign_classification(y));
+    d.add(r.home_max_rssi, r.public_max_rssi, r.home_mean, r.public_mean,
+          r.home_below_70_share, r.public_below_70_share);
+  });
 }
 
 TEST(IndexEquivalence, ChannelAnalysis) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y,
-        [&](const auto& src) {
-          return channel_analysis(src, campaign_classification(y));
-        },
-        [](const ChannelAnalysis& got, const ChannelAnalysis& ref) {
-          EXPECT_EQ(got.home_pmf, ref.home_pmf);
-          EXPECT_EQ(got.public_pmf, ref.public_pmf);
-        });
-  }
+  expect_pinned(0x876e8f71e683d627ull, [](Digest& d, Year y) {
+    const ChannelAnalysis r =
+        channel_analysis(campaign_source(y), campaign_classification(y));
+    d.add(r.home_pmf, r.public_pmf);
+  });
 }
 
 TEST(IndexEquivalence, ChannelInterference) {
-  // Rides the converted per-AP top-cell scan (ap_cells_24).
-  const geo::TokyoRegion region;
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y,
-        [&](const auto& src) {
-          return channel_interference(src, campaign_classification(y),
-                                      region.grid().num_cells());
-        },
-        [](const InterferenceAnalysis& got, const InterferenceAnalysis& ref) {
-          EXPECT_EQ(got.home_conflict_share, ref.home_conflict_share);
-          EXPECT_EQ(got.public_conflict_share, ref.public_conflict_share);
-          EXPECT_EQ(got.home_pairs, ref.home_pairs);
-          EXPECT_EQ(got.public_pairs, ref.public_pairs);
-        });
-  }
+  expect_pinned(0xb7942c04f13fafd2ull, [](Digest& d, Year y) {
+    const geo::TokyoRegion region;
+    const InterferenceAnalysis r =
+        channel_interference(campaign_source(y), campaign_classification(y),
+                             region.grid().num_cells());
+    d.add(r.home_conflict_share, r.public_conflict_share, r.home_pairs,
+          r.public_pairs);
+  });
 }
 
 TEST(IndexEquivalence, ApDensityMap) {
-  const geo::TokyoRegion region;
-  for (Year y : kAllYears) {
+  expect_pinned(0x833de30bd8716c93ull, [](Digest& d, Year y) {
+    const geo::TokyoRegion region;
     for (ApClass which : {ApClass::Home, ApClass::Public}) {
-      expect_matches_serial(
-          y,
-          [&](const auto& src) {
-            return ap_density_map(src, campaign_classification(y), which,
-                                  region.grid().num_cells());
-          },
-          [](const ApDensityMap& got, const ApDensityMap& ref) {
-            EXPECT_EQ(got.count_by_cell, ref.count_by_cell);
-            EXPECT_EQ(got.cells_with_ap, ref.cells_with_ap);
-            EXPECT_EQ(got.cells_with_100, ref.cells_with_100);
-            EXPECT_EQ(got.max_count, ref.max_count);
-          });
+      const ApDensityMap r =
+          ap_density_map(campaign_source(y), campaign_classification(y), which,
+                         region.grid().num_cells());
+      d.add(r.count_by_cell, r.cells_with_ap, r.cells_with_100, r.max_count);
     }
-  }
+  });
 }
 
 TEST(IndexEquivalence, WifiStates) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y, [](const auto& src) { return compute_wifi_states(src); },
-        [](const WifiStateProfiles& got, const WifiStateProfiles& ref) {
-          expect_profile_eq(got.android_user, ref.android_user);
-          expect_profile_eq(got.android_off, ref.android_off);
-          expect_profile_eq(got.android_available, ref.android_available);
-          expect_profile_eq(got.ios_user, ref.ios_user);
-        });
-  }
+  expect_pinned(0x3a264b7db96810f2ull, [](Digest& d, Year y) {
+    const WifiStateProfiles r = compute_wifi_states(campaign_source(y));
+    d.add(r.android_user, r.android_off, r.android_available, r.ios_user);
+  });
 }
 
 TEST(IndexEquivalence, IosWifiUserByCarrier) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y, [](const auto& src) { return ios_wifi_user_by_carrier(src); },
-        [](const std::array<double, kNumCarriers>& got,
-           const std::array<double, kNumCarriers>& ref) {
-          EXPECT_EQ(got, ref);
-        });
-  }
+  expect_pinned(0xbf64472024a0f828ull, [](Digest& d, Year y) {
+    d.add(ios_wifi_user_by_carrier(campaign_source(y)));
+  });
 }
 
 TEST(IndexEquivalence, VolumesOverview) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y, [](const auto& src) { return overview(src); },
-        [](const DatasetOverview& got, const DatasetOverview& ref) {
-          EXPECT_EQ(got.n_android, ref.n_android);
-          EXPECT_EQ(got.n_ios, ref.n_ios);
-          EXPECT_EQ(got.n_total, ref.n_total);
-          EXPECT_EQ(got.lte_traffic_share, ref.lte_traffic_share);
-        });
-  }
+  expect_pinned(0x8716b34ff36470f9ull, [](Digest& d, Year y) {
+    const DatasetOverview r = overview(campaign_source(y));
+    d.add(r.n_android, r.n_ios, r.n_total, r.lte_traffic_share);
+  });
 }
 
 TEST(IndexEquivalence, AppBreakdown) {
-  for (Year y : kAllYears) {
-    const ApClassification& cls = campaign_classification(y);
+  expect_pinned(0xd03af797ccb60a15ull, [](Digest& d, Year y) {
     const std::vector<GeoCell> homes = infer_home_cells(campaign(y));
-    expect_matches_serial(
-        y, [&](const auto& src) { return app_breakdown(src, cls, homes); },
-        [](const AppBreakdown& got, const AppBreakdown& ref) {
-          EXPECT_EQ(got.rx_share, ref.rx_share);
-          EXPECT_EQ(got.tx_share, ref.tx_share);
-        });
-  }
+    const AppBreakdown r =
+        app_breakdown(campaign_source(y), campaign_classification(y), homes);
+    d.add(r.rx_share, r.tx_share);
+  });
 }
 
 TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
-  const Year y = Year::Y2015;
-  const ApClassification& cls = campaign_classification(y);
-  const Dataset& ds = campaign(y);
-  const std::vector<GeoCell> homes = infer_home_cells(ds);
-  const std::vector<UserDay> days = user_days(ds);
-  const UserClassifier classes(days);
-  AppBreakdownOptions opt;
-  opt.light_users_only = true;
-  opt.days = &days;
-  opt.classes = &classes;
-  expect_matches_serial(
-      y, [&](const auto& src) { return app_breakdown(src, cls, homes, opt); },
-      [](const AppBreakdown& got, const AppBreakdown& ref) {
-        EXPECT_EQ(got.rx_share, ref.rx_share);
-        EXPECT_EQ(got.tx_share, ref.tx_share);
-      });
+  expect_pinned(0x48cd3861c248255full, [](Digest& d, Year y) {
+    if (y != Year::Y2015) return;
+    const Dataset& ds = campaign(y);
+    const std::vector<GeoCell> homes = infer_home_cells(ds);
+    const std::vector<UserDay> days = user_days(ds);
+    const UserClassifier classes(days);
+    AppBreakdownOptions opt;
+    opt.light_users_only = true;
+    opt.days = &days;
+    opt.classes = &classes;
+    const AppBreakdown r =
+        app_breakdown(campaign_source(y), campaign_classification(y), homes, opt);
+    d.add(r.rx_share, r.tx_share);
+  });
 }
 
 TEST(IndexEquivalence, ScanAvailability) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y, [](const auto& src) { return scan_availability(src); },
-        [](const ScanAvailability& got, const ScanAvailability& ref) {
-          EXPECT_EQ(got.all_24, ref.all_24);
-          EXPECT_EQ(got.strong_24, ref.strong_24);
-          EXPECT_EQ(got.all_5, ref.all_5);
-          EXPECT_EQ(got.strong_5, ref.strong_5);
-        });
-  }
+  expect_pinned(0x08c1fd419291dbcfull, [](Digest& d, Year y) {
+    const ScanAvailability r = scan_availability(campaign_source(y));
+    d.add(r.all_24, r.strong_24, r.all_5, r.strong_5);
+  });
 }
 
 TEST(IndexEquivalence, BatteryAnalysis) {
-  for (Year y : kAllYears) {
-    expect_matches_serial(
-        y, [](const auto& src) { return battery_analysis(src); },
-        [](const BatteryAnalysis& got, const BatteryAnalysis& ref) {
-          expect_profile_eq(got.mean_level, ref.mean_level);
-          EXPECT_EQ(got.low_share, ref.low_share);
-          EXPECT_EQ(got.mean, ref.mean);
-        });
-  }
+  expect_pinned(0x757e64abbcb30de7ull, [](Digest& d, Year y) {
+    const BatteryAnalysis r = battery_analysis(campaign_source(y));
+    d.add(r.mean_level, r.low_share, r.mean);
+  });
 }
 
-// user_days / infer_home_cells / offload_opportunity need the index for
-// per-device ranges in both paths, so their invariance is checked across
-// thread counts: identical output at 1 and 4 threads.
 TEST(IndexEquivalence, UserDaysThreadInvariant) {
-  ThreadCountGuard guard;
-  for (Year y : kAllYears) {
-    const Dataset& ds = campaign(y);
-    core::set_thread_count(1);
-    const std::vector<UserDay> ref = user_days(ds);
-    core::set_thread_count(4);
-    const std::vector<UserDay> got = user_days(ds);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(got[i].device, ref[i].device);
-      EXPECT_EQ(got[i].day, ref[i].day);
-      EXPECT_EQ(got[i].cell_rx_mb, ref[i].cell_rx_mb);
-      EXPECT_EQ(got[i].cell_tx_mb, ref[i].cell_tx_mb);
-      EXPECT_EQ(got[i].wifi_rx_mb, ref[i].wifi_rx_mb);
-      EXPECT_EQ(got[i].wifi_tx_mb, ref[i].wifi_tx_mb);
+  expect_pinned(0xee340d3d91b587cdull, [](Digest& d, Year y) {
+    for (const UserDay& u : user_days(campaign(y))) {
+      d.add(value(u.device), u.day, u.cell_rx_mb, u.cell_tx_mb, u.wifi_rx_mb,
+            u.wifi_tx_mb);
     }
-  }
+  });
 }
 
 TEST(IndexEquivalence, HomeCellsAndOffloadThreadInvariant) {
-  ThreadCountGuard guard;
-  for (Year y : kAllYears) {
-    const Dataset& ds = campaign(y);
-    const auto& src = campaign_source(y);
-    core::set_thread_count(1);
-    const std::vector<GeoCell> homes_ref = infer_home_cells(ds);
-    const OffloadOpportunity off_ref = offload_opportunity(src);
-    core::set_thread_count(4);
-    EXPECT_EQ(infer_home_cells(ds), homes_ref);
-    const OffloadOpportunity off = offload_opportunity(src);
-    EXPECT_EQ(off.users_with_stable_opportunity,
-              off_ref.users_with_stable_opportunity);
-    EXPECT_EQ(off.offloadable_cell_share, off_ref.offloadable_cell_share);
-    EXPECT_EQ(off.num_wifi_available_users, off_ref.num_wifi_available_users);
-  }
+  expect_pinned(0x5dc16b9777505fb1ull, [](Digest& d, Year y) {
+    d.add(infer_home_cells(campaign(y)));
+    const OffloadOpportunity r = offload_opportunity(campaign_source(y));
+    d.add(r.users_with_stable_opportunity, r.offloadable_cell_share,
+          r.num_wifi_available_users);
+  });
 }
 
 TEST(AnalysisContextTest, MemoizesSharedIntermediates) {
@@ -385,85 +293,80 @@ TEST(AnalysisContextTest, MatchesFreshComputation) {
 }
 
 TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
-  {
-    Dataset ds = empty_dataset(2, 1);
-    add_sample(ds, 1, 0);
-    add_sample(ds, 0, 0);  // device order violated
-    EXPECT_FALSE(ds.build_index());
-    EXPECT_FALSE(ds.indexed());
-    EXPECT_EQ(ds.index(), nullptr);
-    EXPECT_FALSE(ds.validate().empty());
-  }
-  {
-    Dataset ds = empty_dataset(1, 2);
-    add_sample(ds, 0, 5);
-    add_sample(ds, 0, 3);  // bin order violated within the device
-    EXPECT_FALSE(ds.build_index());
-    EXPECT_FALSE(ds.indexed());
-  }
-  {
-    Dataset ds = empty_dataset(1, 1);
-    add_sample(ds, 0, static_cast<TimeBin>(kBinsPerDay));  // past day 0
-    EXPECT_FALSE(ds.build_index());
-  }
-  {
-    Dataset ds = empty_dataset(2, 1);
-    add_sample(ds, 0, 0);
-    add_sample(ds, 1, 0);
-    EXPECT_TRUE(ds.build_index());
-    EXPECT_TRUE(ds.indexed());
-    ASSERT_NE(ds.index(), nullptr);
-  }
+  // Rows the row-append path must refuse, leaving the dataset unindexed.
+  const auto rejects = [](int devices, int days, std::size_t apps,
+                          const std::vector<Sample>& rows) {
+    Dataset ds = empty_dataset(devices, days);
+    ds.app_traffic.resize(apps);
+    const std::string error = assign_rows(ds, rows);
+    EXPECT_FALSE(ds.indexed()) << error;
+    return !error.empty();
+  };
+  const auto row = [](std::uint32_t device, int bin, ApId ap = kNoAp,
+                      std::uint32_t app_begin = 0, std::uint8_t apps = 0) {
+    std::vector<Sample> one;
+    Sample& s = add_sample(one, device, static_cast<TimeBin>(bin));
+    s.ap = ap;
+    s.app_begin = app_begin;
+    s.app_count = apps;
+    return s;
+  };
+  EXPECT_TRUE(rejects(2, 1, 0, {row(1, 0), row(0, 0)}));  // device order
+  EXPECT_TRUE(rejects(1, 2, 0, {row(0, 5), row(0, 3)}));  // bin order
+  EXPECT_TRUE(rejects(1, 1, 0, {row(0, kBinsPerDay)}));   // past day 0
+  EXPECT_TRUE(rejects(1, 1, 0, {row(0, 0, ApId{3})}));    // no such AP
+  EXPECT_TRUE(rejects(1, 1, 2, {row(0, 0, kNoAp, 0, 3)}));  // 3 of 2 records
+  EXPECT_TRUE(rejects(1, 1, 4, {row(0, 0, kNoAp, 0, 2),
+                                row(0, 1, kNoAp, 3, 1)}));  // skips record 2
+
+  Dataset ds = empty_dataset(2, 1);
+  ASSERT_EQ(assign_rows(ds, std::vector<Sample>{row(0, 0), row(1, 0)}), "");
+  EXPECT_TRUE(ds.indexed());
+  EXPECT_EQ(ds.validate(), "");
+  // The same checks run on columns edited after the build.
+  ds.samples.bin[1] = static_cast<TimeBin>(kBinsPerDay);
+  EXPECT_FALSE(ds.validate().empty());
+  EXPECT_FALSE(ds.build_index());
+  EXPECT_FALSE(ds.indexed());
 }
 
-TEST(DatasetIndexTest, RangesAndColumnsMirrorTheSampleStream) {
+TEST(DatasetIndexTest, RowsColumnsRowsRoundTrip) {
   const Dataset& ds = campaign(Year::Y2014);
-  const core::DatasetIndex* idx = ds.index();
-  ASSERT_NE(idx, nullptr);
-  ASSERT_EQ(idx->num_samples(), ds.samples.size());
+  ASSERT_TRUE(ds.indexed());
+  const core::DatasetIndex& idx = ds.index();
 
-  // Device ranges tile [0, n) and agree with the per-sample device ids;
-  // day ranges tile each device range.
+  // Device ranges tile [0, n); day ranges tile each device range.
   std::size_t expect_begin = 0;
   for (std::size_t d = 0; d < ds.devices.size(); ++d) {
-    EXPECT_EQ(idx->device_begin(d), expect_begin);
-    EXPECT_EQ(idx->day_begin(d, 0), idx->device_begin(d));
-    EXPECT_EQ(idx->day_begin(d, ds.num_days()), idx->device_end(d));
+    EXPECT_EQ(idx.device_begin(d), expect_begin);
+    EXPECT_EQ(idx.day_begin(d, 0), idx.device_begin(d));
+    EXPECT_EQ(idx.day_begin(d, ds.num_days()), idx.device_end(d));
     for (int day = 0; day < ds.num_days(); ++day) {
-      EXPECT_LE(idx->day_begin(d, day), idx->day_begin(d, day + 1));
+      EXPECT_LE(idx.day_begin(d, day), idx.day_begin(d, day + 1));
     }
-    expect_begin = idx->device_end(d);
+    expect_begin = idx.device_end(d);
   }
   EXPECT_EQ(expect_begin, ds.samples.size());
 
-  // SoA projections match the AoS fields (spot check a stride).
-  for (std::size_t i = 0; i < ds.samples.size(); i += 97) {
-    const Sample& s = ds.samples[i];
-    EXPECT_EQ(idx->bin()[i], s.bin);
-    EXPECT_EQ(idx->cell_rx()[i], s.cell_rx);
-    EXPECT_EQ(idx->cell_tx()[i], s.cell_tx);
-    EXPECT_EQ(idx->wifi_rx()[i], s.wifi_rx);
-    EXPECT_EQ(idx->wifi_tx()[i], s.wifi_tx);
-    EXPECT_EQ(idx->ap()[i], value(s.ap));
-    EXPECT_EQ(idx->wifi_state()[i], s.wifi_state);
-    EXPECT_EQ(idx->tech()[i], s.tech);
-    EXPECT_EQ(idx->battery_pct()[i], s.battery_pct);
-    EXPECT_EQ(idx->rssi_dbm()[i], s.rssi_dbm);
-    EXPECT_EQ(idx->geo_cell()[i], s.geo_cell);
-    EXPECT_EQ(idx->app_count()[i], s.app_count);
-    EXPECT_EQ(idx->tethering(i), s.tethering);
-    EXPECT_EQ(idx->scan_pub24_all()[i], s.scan_pub24_all);
-    EXPECT_EQ(idx->scan_pub24_strong()[i], s.scan_pub24_strong);
-    EXPECT_EQ(idx->scan_pub5_all()[i], s.scan_pub5_all);
-    EXPECT_EQ(idx->scan_pub5_strong()[i], s.scan_pub5_strong);
-  }
+  // Rows gathered from the columns build the same columns and layout,
+  // and gather back to the same bytes.
+  const std::vector<Sample> rows = gather_rows(ds);
+  ASSERT_EQ(rows.size(), ds.samples.size());
+  Dataset copy = ds;
+  copy.samples = SampleColumns{};
+  ASSERT_EQ(assign_rows(copy, rows), "");
+  EXPECT_TRUE(test::same_records(copy, ds));
+  EXPECT_EQ(copy.index().dense(), idx.dense());
+  const std::vector<Sample> again = gather_rows(copy);
+  ASSERT_EQ(again.size(), rows.size());
+  EXPECT_EQ(std::memcmp(again.data(), rows.data(), rows.size() * sizeof(Sample)),
+            0);
 }
 
 TEST(DatasetIndexTest, HourOfWeekTableMatchesWeeklyProfile) {
   const Dataset& ds = campaign(Year::Y2013);
-  const core::DatasetIndex* idx = ds.index();
-  ASSERT_NE(idx, nullptr);
-  const auto table = idx->hour_of_week_table();
+  ASSERT_TRUE(ds.indexed());
+  const auto table = ds.index().hour_of_week_table();
   const int num_bins = ds.num_days() * kBinsPerDay;
   ASSERT_EQ(static_cast<int>(table.size()), num_bins);
   for (int b = 0; b < num_bins; ++b) {

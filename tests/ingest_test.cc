@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <thread>
@@ -32,8 +33,9 @@ using analysis::StreamResult;
 Dataset tiny_dataset() {
   Dataset ds = test::empty_dataset(3, 2);
   const ApId ap = test::add_ap(ds, "home-net");
+  std::vector<Sample> rows;
 
-  Sample& s0 = test::add_sample(ds, 0, 0, 5'000'000, 0);
+  Sample& s0 = test::add_sample(rows, 0, 0, 5'000'000, 0);
   s0.app_begin = 0;
   s0.app_count = 2;
   ds.app_traffic.push_back(
@@ -43,19 +45,19 @@ Dataset tiny_dataset() {
       {.category = AppCategory::Social, .rx_bytes = 900'000,
        .tx_bytes = 50'000});
   Sample& s1 =
-      test::add_sample(ds, 0, 150, 0, 2'000'000, WifiState::Associated, ap);
+      test::add_sample(rows, 0, 150, 0, 2'000'000, WifiState::Associated, ap);
   s1.app_begin = 2;  // app_count == 0: producer offset passes through
-  test::add_sample(ds, 1, 3, 1'000'000, 0).tethering = true;
+  test::add_sample(rows, 1, 3, 1'000'000, 0).tethering = true;
   Sample& s3 =
-      test::add_sample(ds, 1, 200, 0, 7'000'000, WifiState::Associated, ap);
+      test::add_sample(rows, 1, 200, 0, 7'000'000, WifiState::Associated, ap);
   s3.app_begin = 2;
   s3.app_count = 1;
   ds.app_traffic.push_back(
       {.category = AppCategory::Browser, .rx_bytes = 6'000'000,
        .tx_bytes = 10'000});
-  test::add_sample(ds, 2, 100, 300'000, 0);
+  test::add_sample(rows, 2, 100, 300'000, 0);
 
-  ds.build_index();
+  test::set_rows(ds, rows);
   return ds;
 }
 
@@ -93,7 +95,7 @@ TEST(IngestFrameTest, RoundTripInArbitraryChunks) {
 
   std::vector<std::uint8_t> bytes;
   encode_begin(info, bytes);
-  const std::vector<Sample> samples(ds.samples.begin(), ds.samples.end());
+  const std::vector<Sample> samples = gather_rows(ds);
   // One frame for device 0's two samples: frame-local app references.
   std::vector<Sample> frame_samples = {samples[0], samples[1]};
   const std::vector<AppTraffic> frame_apps = {ds.app_traffic[0],
@@ -204,10 +206,25 @@ TEST(IngestFrameTest, OversizePayloadRejectedFromHeaderAlone) {
   EXPECT_NE(parser.error().find("limit"), std::string::npos);
 }
 
+TEST(IngestFrameTest, NonBooleanTetheringRejected) {
+  std::vector<Sample> one = {gather_rows(tiny_dataset())[4]};
+  const std::uint8_t bad = 5;  // any byte but 0 or 1 is not a bool
+  std::memcpy(reinterpret_cast<std::uint8_t*>(one.data()) +
+                  offsetof(Sample, tethering),
+              &bad, 1);
+  std::vector<std::uint8_t> bytes;
+  encode_records(DeviceId{2}, one, {}, bytes);
+  FrameParser parser;
+  parser.feed(bytes);
+  Frame f;
+  EXPECT_EQ(parser.next(f), FrameParser::Status::Error);
+  EXPECT_NE(parser.error().find("non-boolean"), std::string::npos);
+}
+
 TEST(IngestFrameTest, HeaderLengthArithmeticChecked) {
   const Dataset ds = tiny_dataset();
   std::vector<std::uint8_t> bytes;
-  const std::vector<Sample> one = {ds.samples[4]};
+  const std::vector<Sample> one = {gather_rows(ds)[4]};
   encode_records(DeviceId{2}, one, {}, bytes);
   FrameHeader h;
   std::memcpy(&h, bytes.data(), sizeof(h));
@@ -324,7 +341,7 @@ TEST(IngestServerTest, LoopbackStreamCommitsAndMatchesBatch) {
   // Committed storage reassembles to the producer's exact byte stream.
   const IngestServer::CommittedStream cs = server.collect();
   ASSERT_EQ(cs.samples.size(), ds.samples.size());
-  EXPECT_EQ(std::memcmp(cs.samples.data(), ds.samples.data(),
+  EXPECT_EQ(std::memcmp(cs.samples.data(), gather_rows(ds).data(),
                         cs.samples.size() * sizeof(Sample)),
             0);
   ASSERT_EQ(cs.app_traffic.size(), ds.app_traffic.size());
@@ -370,7 +387,7 @@ TEST(IngestServerTest, MalformedSessionNeverTakesDownTheServer) {
 
 TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
   const Dataset ds = tiny_dataset();
-  const std::vector<Sample> one = {ds.samples[4]};  // device 2
+  const std::vector<Sample> one = {gather_rows(ds)[4]};  // device 2
 
   {  // Records before Begin
     IngestServer server(IngestConfig{});
@@ -417,7 +434,7 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     auto s = server.connect();
     std::vector<std::uint8_t> bytes;
     encode_begin(begin_payload_for(ds), bytes);
-    Sample late = ds.samples[4];
+    Sample late = gather_rows(ds)[4];
     late.bin = 2000;  // campaign has 2 * 144 bins
     const std::vector<Sample> lates = {late};
     encode_records(late.device, lates, {}, bytes);
@@ -467,13 +484,13 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
     // 1-slot queue fills deterministically and later frames shed.
     const auto frozen = server.incremental()->freeze_shard(0);
     std::vector<std::uint8_t> frames;
-    for (const Sample& s : ds.samples.span()) {
+    for (const Sample& s : gather_rows(ds)) {
       const std::vector<Sample> one = {s};
       std::vector<Sample> rebased = one;
       std::vector<AppTraffic> apps;
       if (s.app_count > 0) {
-        const auto sa = ds.apps_of(s);
-        apps.assign(sa.begin(), sa.end());
+        apps.assign(ds.app_traffic.begin() + s.app_begin,
+                    ds.app_traffic.begin() + s.app_begin + s.app_count);
         rebased[0].app_begin = 0;
       }
       frames.clear();
@@ -546,7 +563,7 @@ TEST_P(ReplayEquivalenceTest, IncrementalMatchesBatchAtOneAndFourShards) {
 
     const IngestServer::CommittedStream cs = server.collect();
     ASSERT_EQ(cs.samples.size(), ds.samples.size());
-    EXPECT_EQ(std::memcmp(cs.samples.data(), ds.samples.data(),
+    EXPECT_EQ(std::memcmp(cs.samples.data(), gather_rows(ds).data(),
                           cs.samples.size() * sizeof(Sample)),
               0)
         << "committed samples diverge from the producer's";

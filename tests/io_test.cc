@@ -110,9 +110,11 @@ TEST_F(CsvRoundTrip, PreservesObservableData) {
     EXPECT_EQ(loaded.aps[i].essid, original.aps[i].essid);
     EXPECT_EQ(loaded.aps[i].channel, original.aps[i].channel);
   }
-  for (std::size_t i = 0; i < original.samples.size(); i += 997) {
-    const Sample& a = original.samples[i];
-    const Sample& b = loaded.samples[i];
+  const std::vector<Sample> original_rows = gather_rows(original);
+  const std::vector<Sample> loaded_rows = gather_rows(loaded);
+  for (std::size_t i = 0; i < original_rows.size(); i += 997) {
+    const Sample& a = original_rows[i];
+    const Sample& b = loaded_rows[i];
     EXPECT_EQ(a.device, b.device);
     EXPECT_EQ(a.bin, b.bin);
     EXPECT_EQ(a.cell_rx, b.cell_rx);

@@ -201,14 +201,12 @@ TEST(QuerySource, SingleDeviceMatchesSerialReference) {
 
   std::vector<std::uint64_t> expected(
       static_cast<std::size_t>(ds.num_days()) * 24, 0);
+  std::vector<Sample> rows;
   for (TimeBin bin : {TimeBin{0}, TimeBin{5}, TimeBin{6}, TimeBin{200}}) {
-    Sample s;
-    s.device = DeviceId{0};
-    s.bin = bin;
-    s.cell_rx = 1000u + bin;
-    ds.samples.push_back(s);
-    expected[static_cast<std::size_t>(bin / kBinsPerHour)] += s.cell_rx;
+    test::add_sample(rows, 0, bin, 1000u + bin);
+    expected[static_cast<std::size_t>(bin / kBinsPerHour)] += 1000u + bin;
   }
+  test::set_rows(ds, rows);
 
   const query::InMemorySource src(ds);
   EXPECT_EQ(src.n_devices(), 1u);

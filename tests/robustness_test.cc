@@ -45,11 +45,12 @@ TEST(Robustness, EmptyDatasetEverywhere) {
 
 TEST(Robustness, DeviceWithNoSamples) {
   Dataset ds = empty_dataset(3, 2);
+  std::vector<Sample> rows;
   // Only device 1 reports anything (devices 0 and 2 failed to upload).
-  add_sample(ds, 1, 0, 1'000'000u, 0);
-  ds.build_index();
-  EXPECT_TRUE(ds.device_samples(DeviceId{0}).empty());
-  EXPECT_EQ(ds.device_samples(DeviceId{1}).size(), 1u);
+  add_sample(rows, 1, 0, 1'000'000u, 0);
+  test::set_rows(ds, rows);
+  EXPECT_EQ(ds.index().device_begin(0), ds.index().device_end(0));
+  EXPECT_EQ(ds.index().device_end(1) - ds.index().device_begin(1), 1u);
   const auto days = user_days(ds);
   EXPECT_EQ(days.size(), 6u);  // rows exist for idle devices too
   const auto cls = classify_aps(ds);
@@ -59,12 +60,13 @@ TEST(Robustness, DeviceWithNoSamples) {
 TEST(Robustness, UploadGapsSplitAssociationRuns) {
   // A gap in the record stream must not merge two association runs.
   Dataset ds = empty_dataset(1, 1);
+  std::vector<Sample> rows;
   const ApId ap = add_ap(ds, "cafe-wifi-01");
-  add_sample(ds, 0, 10, 0, 100, WifiState::Associated, ap);
-  add_sample(ds, 0, 11, 0, 100, WifiState::Associated, ap);
+  add_sample(rows, 0, 10, 0, 100, WifiState::Associated, ap);
+  add_sample(rows, 0, 11, 0, 100, WifiState::Associated, ap);
   // bins 12-19 missing (upload failure)
-  add_sample(ds, 0, 20, 0, 100, WifiState::Associated, ap);
-  ds.build_index();
+  add_sample(rows, 0, 20, 0, 100, WifiState::Associated, ap);
+  test::set_rows(ds, rows);
   ApClassification cls = classify_aps(ds);
   const query::InMemorySource src(ds);
   const AssociationDurations d = association_durations(src, cls);
@@ -73,11 +75,12 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   // The AP is "other" (non-office here), so durations may be empty; use
   // a public ESSID variant to observe runs instead.
   Dataset ds2 = empty_dataset(1, 1);
+  rows.clear();
   const ApId pub = add_ap(ds2, "0000docomo");
-  add_sample(ds2, 0, 10, 0, 100, WifiState::Associated, pub);
-  add_sample(ds2, 0, 11, 0, 100, WifiState::Associated, pub);
-  add_sample(ds2, 0, 20, 0, 100, WifiState::Associated, pub);
-  ds2.build_index();
+  add_sample(rows, 0, 10, 0, 100, WifiState::Associated, pub);
+  add_sample(rows, 0, 11, 0, 100, WifiState::Associated, pub);
+  add_sample(rows, 0, 20, 0, 100, WifiState::Associated, pub);
+  test::set_rows(ds2, rows);
   cls = classify_aps(ds2);
   const query::InMemorySource src2(ds2);
   const AssociationDurations d2 = association_durations(src2, cls);
@@ -89,12 +92,13 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
 
 TEST(Robustness, AllZeroTrafficPopulation) {
   Dataset ds = empty_dataset(4, 3);
+  std::vector<Sample> rows;
   for (std::uint32_t dev = 0; dev < 4; ++dev) {
     for (int b = 0; b < 3 * kBinsPerDay; b += 36) {
-      add_sample(ds, dev, static_cast<TimeBin>(b), 0, 0);
+      add_sample(rows, dev, static_cast<TimeBin>(b), 0, 0);
     }
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const auto days = user_days(ds);
   const DailyVolumeStats s = daily_volume_stats(days);
   EXPECT_DOUBLE_EQ(s.median_all, 0.0);
@@ -110,10 +114,11 @@ TEST(Robustness, CapAnalysisNeedsFullLookback) {
   // Days 0-2 can never be classified (no 3-day history) and must not
   // produce ratios.
   Dataset ds = empty_dataset(1, 3);
+  std::vector<Sample> rows;
   for (int d = 0; d < 3; ++d) {
-    add_sample(ds, 0, static_cast<TimeBin>(d * kBinsPerDay), 500'000'000u, 0);
+    add_sample(rows, 0, static_cast<TimeBin>(d * kBinsPerDay), 500'000'000u, 0);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const CapAnalysis c = analyze_cap(ds.devices.size(), user_days(ds));
   EXPECT_EQ(c.ratio_capped.size() + c.ratio_others.size(), 0u);
 }
@@ -121,8 +126,9 @@ TEST(Robustness, CapAnalysisNeedsFullLookback) {
 TEST(Robustness, WeeklyProfilesHandlePartialWeeks) {
   // A 3-day campaign only populates some hours of the weekly frame.
   Dataset ds = empty_dataset(1, 3);
-  add_sample(ds, 0, 0, 1'000'000u, 0);
-  ds.build_index();
+  std::vector<Sample> rows;
+  add_sample(rows, 0, 0, 1'000'000u, 0);
+  test::set_rows(ds, rows);
   const query::InMemorySource src(ds);
   const WifiStateProfiles p = compute_wifi_states(src);
   const auto series = p.android_user.ratio_series();
@@ -143,8 +149,9 @@ TEST(Robustness, HeatmapIgnoresIdleDays) {
 
 TEST(Robustness, RssiAnalysisWithNoWifi) {
   Dataset ds = empty_dataset(2, 2);
-  add_sample(ds, 0, 0, 1'000'000u, 0);
-  ds.build_index();
+  std::vector<Sample> rows;
+  add_sample(rows, 0, 0, 1'000'000u, 0);
+  test::set_rows(ds, rows);
   const auto cls = classify_aps(ds);
   const query::InMemorySource src(ds);
   const RssiAnalysis r = rssi_analysis(src, cls);
@@ -154,10 +161,11 @@ TEST(Robustness, RssiAnalysisWithNoWifi) {
 
 TEST(Robustness, LargeVolumesDoNotOverflowRollups) {
   Dataset ds = empty_dataset(1, 1);
+  std::vector<Sample> rows;
   for (int b = 0; b < 100; ++b) {
-    add_sample(ds, 0, static_cast<TimeBin>(b), 4'000'000'000u, 0);
+    add_sample(rows, 0, static_cast<TimeBin>(b), 4'000'000'000u, 0);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const auto days = user_days(ds);
   EXPECT_NEAR(days[0].cell_rx_mb, 400'000.0, 1.0);  // 400 GB day
 }

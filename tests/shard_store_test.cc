@@ -75,9 +75,6 @@ class ShardRoundTrip : public ::testing::TestWithParam<std::size_t> {};
 auto fields(const DeviceInfo& d) {
   return std::tuple(d.id, d.os, d.carrier, d.recruited);
 }
-auto fields(const AppTraffic& t) {
-  return std::tuple(t.category, t.rx_bytes, t.tx_bytes);
-}
 auto fields(const SurveyResponse& s) {
   return std::tuple(s.occupation, s.connected[0], s.connected[1],
                     s.connected[2], s.reasons[0], s.reasons[1], s.reasons[2]);
@@ -125,19 +122,13 @@ TEST_P(ShardRoundTrip, MaterializedMatchesSimulator) {
   EXPECT_EQ(materialized.year, fresh.year);
   EXPECT_EQ(materialized.num_days(), fresh.num_days());
 
-  // The sample stream is packed (no padding): compare raw bytes.
-  ASSERT_EQ(materialized.samples.size(), fresh.samples.size());
-  EXPECT_EQ(std::memcmp(materialized.samples.span().data(),
-                        fresh.samples.span().data(),
-                        fresh.samples.span().size_bytes()),
-            0)
+  // The sample columns are packed: compare raw bytes and layouts.
+  EXPECT_TRUE(test::same_records(materialized, fresh))
       << "sample bytes differ at shard count " << shards;
 
   expect_elements_equal(std::span<const DeviceInfo>(materialized.devices),
                         std::span<const DeviceInfo>(fresh.devices),
                         "devices");
-  expect_elements_equal(materialized.app_traffic.span(),
-                        fresh.app_traffic.span(), "app_traffic");
   expect_elements_equal(std::span<const SurveyResponse>(materialized.survey),
                         std::span<const SurveyResponse>(fresh.survey),
                         "survey");
@@ -413,6 +404,39 @@ TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
   }
 }
 
+// A shard file that changes under an open store — truncated, or replaced
+// by the same shard of another campaign — between two passes is caught
+// on its next load: the file size and the header identity are checked
+// before the file is mapped, so the second pass fails with SourceError
+// instead of reading a mapping past the end of the file (SIGBUS).
+TEST(ShardStore, ShardChangedBetweenPassesFailsCleanly) {
+  const ScenarioConfig config =
+      scenario_config(Year::Y2015, kShardTestScale);
+  ScenarioConfig other = config;
+  other.seed += 1;
+  test::ScratchDir tmp;
+  (void)stream_and_open(other, tmp.path / "other", 4);
+  const fs::path shard = tmp.path / "store" / "shard-0001.tksnap";
+  for (const bool truncate : {true, false}) {
+    fs::remove_all(tmp.path / "store");
+    io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
+    const analysis::query::ShardedSource src(store, 1);
+    const auto pass = [&] {
+      src.fold<int>([](const Dataset&, std::size_t) { return 0; },
+                    [](int&&, std::size_t) {});
+    };
+    EXPECT_NO_THROW(pass());
+    if (truncate) {
+      fs::resize_file(shard, fs::file_size(shard) / 2);
+    } else {
+      fs::copy_file(tmp.path / "other" / "shard-0001.tksnap", shard,
+                    fs::copy_options::overwrite_existing);
+    }
+    EXPECT_THROW(pass(), analysis::query::SourceError)
+        << (truncate ? "truncated" : "replaced");
+  }
+}
+
 // The K-parallel scan's per-shard partials fold in shard order, so its
 // battery is byte-identical to the strict sequential scan. (This is the
 // concurrency stress the TSan job runs; the full shards x residency
@@ -474,11 +498,7 @@ TEST(ShardStore, MaterializeResidencyInvariant) {
   Dataset pipelined;
   ASSERT_TRUE(store.materialize(pipelined, {}, 1).ok());
   ASSERT_EQ(pipelined.devices.size(), sequential.devices.size());
-  ASSERT_EQ(pipelined.samples.size(), sequential.samples.size());
-  EXPECT_EQ(std::memcmp(pipelined.samples.span().data(),
-                        sequential.samples.span().data(),
-                        sequential.samples.span().size_bytes()),
-            0);
+  EXPECT_TRUE(test::same_records(pipelined, sequential));
 }
 
 // The full determinism matrix: the out-of-core battery's canonical JSON

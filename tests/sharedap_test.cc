@@ -18,13 +18,14 @@ using test::empty_dataset;
 Dataset dataset_with_pair(std::uint64_t b1, std::uint64_t b2,
                           std::string e1, std::string e2) {
   Dataset ds = empty_dataset(1, 2);
+  std::vector<Sample> rows;
   const ApId a = add_ap(ds, std::move(e1));
   const ApId b = add_ap(ds, std::move(e2));
   ds.aps[value(a)].bssid = b1;
   ds.aps[value(b)].bssid = b2;
-  add_sample(ds, 0, 60, 0, 100, WifiState::Associated, a);
-  add_sample(ds, 0, 61, 0, 100, WifiState::Associated, b);
-  ds.build_index();
+  add_sample(rows, 0, 60, 0, 100, WifiState::Associated, a);
+  add_sample(rows, 0, 61, 0, 100, WifiState::Associated, b);
+  test::set_rows(ds, rows);
   return ds;
 }
 
@@ -67,13 +68,14 @@ TEST(SharedAp, DifferentOuiNotGrouped) {
 
 TEST(SharedAp, NonPublicIgnored) {
   Dataset ds = empty_dataset(1, 2);
+  std::vector<Sample> rows;
   const ApId a = add_ap(ds, "corp-ap-01");
   const ApId b = add_ap(ds, "corp-ap-02");
   ds.aps[value(a)].bssid = 0x0017DF000010;
   ds.aps[value(b)].bssid = 0x0017DF000011;
-  add_sample(ds, 0, 60, 0, 100, WifiState::Associated, a);
-  add_sample(ds, 0, 61, 0, 100, WifiState::Associated, b);
-  ds.build_index();
+  add_sample(rows, 0, 60, 0, 100, WifiState::Associated, a);
+  add_sample(rows, 0, 61, 0, 100, WifiState::Associated, b);
+  test::set_rows(ds, rows);
   const auto cls = classify_aps(ds);
   const query::InMemorySource src(ds);
   const SharedApAnalysis s = detect_shared_aps(src, cls);

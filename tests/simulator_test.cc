@@ -13,20 +13,6 @@ namespace {
 
 using test::campaign;
 
-[[nodiscard]] bool samples_equal(const Sample& a, const Sample& b) {
-  return a.device == b.device && a.bin == b.bin && a.geo_cell == b.geo_cell &&
-         a.cell_rx == b.cell_rx && a.cell_tx == b.cell_tx &&
-         a.wifi_rx == b.wifi_rx && a.wifi_tx == b.wifi_tx && a.ap == b.ap &&
-         a.app_begin == b.app_begin && a.app_count == b.app_count &&
-         a.tech == b.tech && a.wifi_state == b.wifi_state &&
-         a.rssi_dbm == b.rssi_dbm && a.battery_pct == b.battery_pct &&
-         a.tethering == b.tethering &&
-         a.scan_pub24_all == b.scan_pub24_all &&
-         a.scan_pub24_strong == b.scan_pub24_strong &&
-         a.scan_pub5_all == b.scan_pub5_all &&
-         a.scan_pub5_strong == b.scan_pub5_strong;
-}
-
 TEST(Simulator, DeterministicAcrossThreadCounts) {
   // The tentpole guarantee: simulating with the thread pool produces a
   // dataset byte-identical to the serial run, for every campaign year.
@@ -37,22 +23,9 @@ TEST(Simulator, DeterministicAcrossThreadCounts) {
     const Dataset parallel = simulate_year(year, 0.05);
     core::set_thread_count(0);
 
-    ASSERT_EQ(serial.samples.size(), parallel.samples.size());
-    for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-      ASSERT_TRUE(samples_equal(serial.samples[i], parallel.samples[i]))
-          << "sample " << i << " differs (year "
-          << static_cast<int>(year) << ")";
-    }
-
-    ASSERT_EQ(serial.app_traffic.size(), parallel.app_traffic.size());
-    for (std::size_t i = 0; i < serial.app_traffic.size(); ++i) {
-      ASSERT_EQ(serial.app_traffic[i].category,
-                parallel.app_traffic[i].category);
-      ASSERT_EQ(serial.app_traffic[i].rx_bytes,
-                parallel.app_traffic[i].rx_bytes);
-      ASSERT_EQ(serial.app_traffic[i].tx_bytes,
-                parallel.app_traffic[i].tx_bytes);
-    }
+    ASSERT_TRUE(test::same_records(serial, parallel))
+        << "samples or app records differ (year " << static_cast<int>(year)
+        << ")";
 
     ASSERT_EQ(serial.truth.devices.size(), parallel.truth.devices.size());
     for (std::size_t i = 0; i < serial.truth.devices.size(); ++i) {
@@ -87,16 +60,8 @@ TEST(Simulator, DeterministicAcrossDevicePartitionings) {
     const Dataset other = simulate_year(Year::Y2015, 0.05);
     ASSERT_EQ(unsetenv("TOKYONET_SIM_DEVICE_BLOCK"), 0);
 
-    ASSERT_EQ(base.samples.size(), other.samples.size());
-    for (std::size_t i = 0; i < base.samples.size(); ++i) {
-      ASSERT_TRUE(samples_equal(base.samples[i], other.samples[i]))
-          << "sample " << i << " differs at block size " << block;
-    }
-    ASSERT_EQ(base.app_traffic.size(), other.app_traffic.size());
-    for (std::size_t i = 0; i < base.app_traffic.size(); ++i) {
-      ASSERT_EQ(base.app_traffic[i].rx_bytes, other.app_traffic[i].rx_bytes);
-      ASSERT_EQ(base.app_traffic[i].tx_bytes, other.app_traffic[i].tx_bytes);
-    }
+    ASSERT_TRUE(test::same_records(base, other))
+        << "samples or app records differ at block size " << block;
     ASSERT_EQ(base.truth.devices.size(), other.truth.devices.size());
     for (std::size_t i = 0; i < base.truth.devices.size(); ++i) {
       ASSERT_EQ(base.truth.devices[i].update_bin,
@@ -110,8 +75,8 @@ TEST(Simulator, EmitsDenseIndexedCampaign) {
   // flag must hold, since the columnar kernels take their fixed-stride
   // fast paths from it.
   const Dataset& ds = campaign(Year::Y2015);
-  ASSERT_NE(ds.index(), nullptr);
-  EXPECT_TRUE(ds.index()->dense());
+  ASSERT_TRUE(ds.indexed());
+  EXPECT_TRUE(ds.index().dense());
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
@@ -120,10 +85,10 @@ TEST(Simulator, DeterministicAcrossRuns) {
   ASSERT_EQ(a.samples.size(), b.samples.size());
   ASSERT_EQ(a.aps.size(), b.aps.size());
   for (std::size_t i = 0; i < a.samples.size(); i += 97) {
-    EXPECT_EQ(a.samples[i].cell_rx, b.samples[i].cell_rx);
-    EXPECT_EQ(a.samples[i].wifi_rx, b.samples[i].wifi_rx);
-    EXPECT_EQ(a.samples[i].ap, b.samples[i].ap);
-    EXPECT_EQ(a.samples[i].wifi_state, b.samples[i].wifi_state);
+    EXPECT_EQ(a.samples.cell_rx[i], b.samples.cell_rx[i]);
+    EXPECT_EQ(a.samples.wifi_rx[i], b.samples.wifi_rx[i]);
+    EXPECT_EQ(a.samples.ap[i], b.samples.ap[i]);
+    EXPECT_EQ(a.samples.wifi_state[i], b.samples.wifi_state[i]);
   }
 }
 
@@ -133,9 +98,10 @@ TEST(Simulator, SamplesSortedAndComplete) {
   // Every device emits exactly one sample per bin.
   EXPECT_EQ(ds.samples.size(),
             ds.devices.size() * static_cast<std::size_t>(ds.calendar.num_bins()));
-  for (std::size_t i = 1; i < ds.samples.size(); ++i) {
-    const Sample& p = ds.samples[i - 1];
-    const Sample& s = ds.samples[i];
+  const std::vector<Sample> rows = gather_rows(ds);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    const Sample& p = rows[i - 1];
+    const Sample& s = rows[i];
     ASSERT_TRUE(value(p.device) < value(s.device) ||
                 (p.device == s.device && p.bin < s.bin));
   }
@@ -155,7 +121,7 @@ TEST(Simulator, TruthArraysParallel) {
 TEST(Simulator, OneInterfacePerBin) {
   // The simulator routes each bin's traffic over exactly one interface.
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : ds.samples) {
+  for (const Sample& s : gather_rows(ds)) {
     const bool cell = s.cell_rx > 0 || s.cell_tx > 0;
     const bool wifi = s.wifi_rx > 0 || s.wifi_tx > 0;
     EXPECT_FALSE(cell && wifi);
@@ -173,11 +139,12 @@ TEST(Simulator, AppTrafficConservation) {
   // For Android samples, per-app RX sums to the interface counter.
   const Dataset& ds = campaign(Year::Y2015);
   std::size_t checked = 0;
-  for (const Sample& s : ds.samples) {
+  for (const Sample& s : gather_rows(ds)) {
     if (ds.devices[value(s.device)].os != Os::Android) continue;
     if (s.app_count == 0) continue;
     std::uint64_t rx = 0, tx = 0;
-    for (const AppTraffic& at : ds.apps_of(s)) {
+    for (std::size_t a = s.app_begin; a < s.app_begin + s.app_count; ++a) {
+      const AppTraffic& at = ds.app_traffic[a];
       rx += at.rx_bytes;
       tx += at.tx_bytes;
     }
@@ -192,7 +159,7 @@ TEST(Simulator, AppTrafficConservation) {
 
 TEST(Simulator, IosReportsNoAppBreakdown) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : ds.samples) {
+  for (const Sample& s : gather_rows(ds)) {
     if (ds.devices[value(s.device)].os == Os::Ios) {
       ASSERT_EQ(s.app_count, 0);
     }
@@ -201,7 +168,7 @@ TEST(Simulator, IosReportsNoAppBreakdown) {
 
 TEST(Simulator, IosReportsNoScans) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : ds.samples) {
+  for (const Sample& s : gather_rows(ds)) {
     if (ds.devices[value(s.device)].os == Os::Ios) {
       ASSERT_EQ(s.scan_pub24_all, 0);
       ASSERT_EQ(s.scan_pub5_all, 0);
@@ -211,7 +178,7 @@ TEST(Simulator, IosReportsNoScans) {
 
 TEST(Simulator, ScanStrongSubsetOfAll) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : ds.samples) {
+  for (const Sample& s : gather_rows(ds)) {
     ASSERT_LE(s.scan_pub24_strong, s.scan_pub24_all);
     ASSERT_LE(s.scan_pub5_strong, s.scan_pub5_all);
   }
@@ -219,7 +186,7 @@ TEST(Simulator, ScanStrongSubsetOfAll) {
 
 TEST(Simulator, AssociatedSamplesHaveRssi) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : ds.samples) {
+  for (const Sample& s : gather_rows(ds)) {
     if (s.wifi_state == WifiState::Associated) {
       ASSERT_NE(s.ap, kNoAp);
       ASSERT_LT(value(s.ap), ds.aps.size());
@@ -261,7 +228,7 @@ TEST(Simulator, UpdatedDevicesCarryTheImageVolume) {
     // that started on a short public-WiFi session may finish the image
     // over later sessions (or not at all within the campaign).
     double mb = 0;
-    for (const Sample& s : ds.device_samples(ds.devices[i].id)) {
+    for (const Sample& s : test::device_rows(ds, i)) {
       if (s.bin >= ub) mb += s.wifi_rx / 1e6;
     }
     EXPECT_GT(mb, 100.0);  // at least a substantial chunk streamed
@@ -281,7 +248,7 @@ TEST(Simulator, CappedDayTruthConsistentWithTraffic) {
   // capped days match the 3-day-window rule.
   for (const DeviceInfo& dev : ds.devices) {
     std::vector<double> daily(static_cast<std::size_t>(ds.num_days()), 0.0);
-    for (const Sample& s : ds.device_samples(dev.id)) {
+    for (const Sample& s : test::device_rows(ds, value(dev.id))) {
       daily[static_cast<std::size_t>(ds.calendar.day_of(s.bin))] +=
           s.cell_rx / 1e6;
     }
@@ -304,7 +271,7 @@ TEST(Simulator, HomeAssociationsUseTheHomeAp) {
     if (!t.has_home_ap) continue;
     // Samples associated during deep night at the home cell must use the
     // user's own home AP.
-    for (const Sample& s : ds.device_samples(dev.id)) {
+    for (const Sample& s : test::device_rows(ds, value(dev.id))) {
       if (s.wifi_state != WifiState::Associated) continue;
       if (ds.calendar.hour_of(s.bin) != 3) continue;
       EXPECT_EQ(s.ap, t.home_ap);

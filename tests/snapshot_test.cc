@@ -43,16 +43,6 @@ void expect_bytes_equal(std::span<const T> a, std::span<const T> b,
 auto fields(const DeviceInfo& d) {
   return std::tuple(d.id, d.os, d.carrier, d.recruited);
 }
-auto fields(const Sample& s) {
-  return std::tuple(s.device, s.bin, s.geo_cell, s.cell_rx, s.cell_tx,
-                    s.wifi_rx, s.wifi_tx, s.ap, s.app_begin, s.app_count,
-                    s.tech, s.wifi_state, s.rssi_dbm, s.battery_pct,
-                    s.tethering, s.scan_pub24_all, s.scan_pub24_strong,
-                    s.scan_pub5_all, s.scan_pub5_strong);
-}
-auto fields(const AppTraffic& t) {
-  return std::tuple(t.category, t.rx_bytes, t.tx_bytes);
-}
 auto fields(const SurveyResponse& s) {
   return std::tuple(s.occupation, s.connected[0], s.connected[1],
                     s.connected[2], s.reasons[0], s.reasons[1],
@@ -79,9 +69,7 @@ void expect_datasets_equal(const Dataset& a, const Dataset& b) {
 
   expect_elements_equal(std::span<const DeviceInfo>(a.devices),
                         std::span<const DeviceInfo>(b.devices), "devices");
-  expect_elements_equal(a.samples.span(), b.samples.span(), "samples");
-  expect_elements_equal(a.app_traffic.span(), b.app_traffic.span(),
-                        "app_traffic");
+  EXPECT_TRUE(test::same_records(a, b)) << "samples or app records";
   expect_elements_equal(std::span<const SurveyResponse>(a.survey),
                         std::span<const SurveyResponse>(b.survey),
                         "survey");
@@ -143,16 +131,13 @@ TEST_P(SnapshotRoundTrip, BitExactAllYears) {
   expect_datasets_equal(fresh, mapped);
   // A loaded snapshot serves the very bytes the save wrote, so the big
   // arrays must also match byte for byte (padding included).
-  expect_bytes_equal(fresh.samples.span(), mapped.samples.span(),
-                     "samples bytes");
-  expect_bytes_equal(fresh.app_traffic.span(), mapped.app_traffic.span(),
-                     "app_traffic bytes");
+  EXPECT_TRUE(test::same_records(fresh, mapped)) << "record bytes";
   EXPECT_TRUE(mapped.indexed());
   EXPECT_EQ(info.version, io::kSnapshotVersion);
   EXPECT_EQ(info.scenario_hash, hash);
   EXPECT_EQ(info.n_devices, fresh.devices.size());
   EXPECT_EQ(info.n_samples, fresh.samples.size());
-  EXPECT_EQ(info.sections.size(), 9u);
+  EXPECT_EQ(info.sections.size(), 9u + SampleColumns::kNumColumns);
 
   // Owned-read fallback must produce the same bits.
   Dataset owned;
@@ -165,11 +150,10 @@ TEST_P(SnapshotRoundTrip, BitExactAllYears) {
   EXPECT_FALSE(owned_info.mapped);
   expect_datasets_equal(fresh, owned);
 
-  // The per-device index works over the borrowed (mmapped) column.
-  for (const DeviceInfo& d : fresh.devices) {
-    expect_bytes_equal(fresh.device_samples(d.id),
-                       mapped.device_samples(d.id), "device_samples");
-  }
+  // Rows gather identically from the borrowed (mmapped) columns.
+  const std::vector<Sample> fresh_rows = gather_rows(fresh);
+  expect_bytes_equal(std::span<const Sample>(fresh_rows),
+                     std::span<const Sample>(gather_rows(mapped)), "rows");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -246,10 +230,11 @@ TEST(Snapshot, EmptyDatasetRoundTrips) {
 fs::path make_small_snapshot(const fs::path& dir) {
   Dataset ds = test::empty_dataset(3, 2);
   const ApId ap = test::add_ap(ds, "corner-cafe");
-  test::add_sample(ds, 0, 0, 1000);
-  test::add_sample(ds, 0, 1, 0, 2000, WifiState::Associated, ap);
-  test::add_sample(ds, 1, 5, 500);
-  ds.build_index();
+  std::vector<Sample> rows;
+  test::add_sample(rows, 0, 0, 1000);
+  test::add_sample(rows, 0, 1, 0, 2000, WifiState::Associated, ap);
+  test::add_sample(rows, 1, 5, 500);
+  test::set_rows(ds, rows);
   const fs::path file = dir / "small.tksnap";
   const io::SnapshotResult r = io::save_snapshot(ds, file);
   EXPECT_TRUE(r.ok()) << r.error;
@@ -391,7 +376,9 @@ TEST(CampaignCache, PathEncodesVersionYearAndHash) {
   const fs::path p13 = io::campaign_cache_path("/cache", c13);
   const fs::path p15 = io::campaign_cache_path("/cache", c15);
   EXPECT_NE(p13, p15);
-  EXPECT_NE(p13.string().find("campaign-v1-2013-"), std::string::npos)
+  EXPECT_NE(p13.string().find("campaign-v" +
+                              std::to_string(io::kSnapshotVersion) + "-2013-"),
+            std::string::npos)
       << p13;
   EXPECT_EQ(p13.extension(), ".tksnap");
 

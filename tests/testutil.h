@@ -8,12 +8,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "analysis/classify.h"
 #include "analysis/query/source.h"
+#include "core/dataset_index.h"
 #include "core/records.h"
+#include "core/sample_rows.h"
 #include "core/scenario.h"
 #include "sim/simulator.h"
 
@@ -81,7 +85,7 @@ struct ScratchDir {
 };
 
 /// A minimal hand-built dataset: `num_devices` devices, `num_days` days,
-/// no samples (callers append samples then call build_index()).
+/// no samples (callers append rows with add_sample(), then set_rows()).
 inline Dataset empty_dataset(int num_devices, int num_days,
                              Year year = Year::Y2015) {
   Dataset ds;
@@ -98,10 +102,11 @@ inline Dataset empty_dataset(int num_devices, int num_days,
   return ds;
 }
 
-/// Appends one sample with the given volumes (bytes) to `ds`.
-/// Samples must be appended in (device, bin) order.
-inline Sample& add_sample(Dataset& ds, std::uint32_t device, TimeBin bin,
-                          std::uint32_t cell_rx = 0, std::uint32_t wifi_rx = 0,
+/// Appends one sample row with the given volumes (bytes) to `rows`.
+/// Rows must be appended in (device, bin) order.
+inline Sample& add_sample(std::vector<Sample>& rows, std::uint32_t device,
+                          TimeBin bin, std::uint32_t cell_rx = 0,
+                          std::uint32_t wifi_rx = 0,
                           WifiState state = WifiState::Off,
                           ApId ap = kNoAp) {
   Sample s;
@@ -112,8 +117,38 @@ inline Sample& add_sample(Dataset& ds, std::uint32_t device, TimeBin bin,
   s.wifi_state = state;
   s.ap = ap;
   if (cell_rx > 0) s.tech = CellTech::Lte;
-  ds.samples.push_back(s);
-  return ds.samples.back();
+  rows.push_back(s);
+  return rows.back();
+}
+
+/// Replaces `ds`'s samples with `rows` (the one row-append path) and
+/// fails the test if they are rejected.
+inline void set_rows(Dataset& ds, const std::vector<Sample>& rows) {
+  ASSERT_EQ(assign_rows(ds, rows), "");
+}
+
+/// Device `d`'s samples as rows, in time order.
+inline std::vector<Sample> device_rows(const Dataset& ds, std::size_t d) {
+  const core::DatasetIndex& idx = ds.index();
+  std::vector<Sample> out;
+  std::size_t app = idx.device_app_begin(d);
+  for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+    out.push_back(gather_row(ds.samples, i, d, app));
+    app += ds.samples.app_count[i];
+  }
+  return out;
+}
+
+/// True when the two datasets hold the same samples — columns and
+/// per-device layout — and the same app records, byte for byte.
+inline bool same_records(const Dataset& a, const Dataset& b) {
+  const std::vector<Sample> x = gather_rows(a), y = gather_rows(b);
+  const auto same = [](const auto& u, const auto& v) {
+    return u.size() == v.size() &&
+           (u.empty() || std::memcmp(u.data(), v.data(),
+                                     u.size() * sizeof(u[0])) == 0);
+  };
+  return same(x, y) && same(a.app_traffic.span(), b.app_traffic.span());
 }
 
 /// Adds an AP with the given ESSID and returns its id.

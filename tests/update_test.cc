@@ -21,12 +21,13 @@ UpdateDetectOptions detect_2015() {
 
 TEST(UpdateDetect, FindsSyntheticBurst) {
   Dataset ds = empty_dataset(2, 15);  // device 1 is iOS
+  std::vector<Sample> rows;
   const TimeBin start = static_cast<TimeBin>(10 * kBinsPerDay + 120);
   for (int k = 0; k < 4; ++k) {
-    add_sample(ds, 1, static_cast<TimeBin>(start + k), 0, 150'000'000u,
+    add_sample(rows, 1, static_cast<TimeBin>(start + k), 0, 150'000'000u,
                WifiState::Associated, kNoAp);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const UpdateDetection det = detect_updates(ds, detect_2015());
   EXPECT_EQ(det.num_ios, 1);
   EXPECT_EQ(det.num_updated, 1);
@@ -36,23 +37,25 @@ TEST(UpdateDetect, FindsSyntheticBurst) {
 
 TEST(UpdateDetect, SlowAccumulationNotDetected) {
   Dataset ds = empty_dataset(2, 15);
+  std::vector<Sample> rows;
   // 600 MB spread thinly over a whole day: never 80 MB in a bin.
   for (int k = 0; k < kBinsPerDay; ++k) {
-    add_sample(ds, 1, static_cast<TimeBin>(10 * kBinsPerDay + k), 0,
+    add_sample(rows, 1, static_cast<TimeBin>(10 * kBinsPerDay + k), 0,
                4'200'000u, WifiState::Associated, kNoAp);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   const UpdateDetection det = detect_updates(ds, detect_2015());
   EXPECT_EQ(det.num_updated, 0);
 }
 
 TEST(UpdateDetect, BurstBeforeMinDayIgnored) {
   Dataset ds = empty_dataset(2, 15);
+  std::vector<Sample> rows;
   for (int k = 0; k < 4; ++k) {
-    add_sample(ds, 1, static_cast<TimeBin>(2 * kBinsPerDay + k), 0,
+    add_sample(rows, 1, static_cast<TimeBin>(2 * kBinsPerDay + k), 0,
                150'000'000u, WifiState::Associated, kNoAp);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   EXPECT_EQ(detect_updates(ds, detect_2015()).num_updated, 0);
   // Without the hint it is detected.
   EXPECT_EQ(detect_updates(ds).num_updated, 1);
@@ -60,11 +63,12 @@ TEST(UpdateDetect, BurstBeforeMinDayIgnored) {
 
 TEST(UpdateDetect, CellularBurstDoesNotCount) {
   Dataset ds = empty_dataset(2, 15);
+  std::vector<Sample> rows;
   for (int k = 0; k < 4; ++k) {
-    add_sample(ds, 1, static_cast<TimeBin>(10 * kBinsPerDay + k),
+    add_sample(rows, 1, static_cast<TimeBin>(10 * kBinsPerDay + k),
                150'000'000u, 0, WifiState::Off, kNoAp);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   EXPECT_EQ(detect_updates(ds, detect_2015()).num_updated, 0);
 }
 

@@ -35,9 +35,13 @@ TEST(UserDays, VolumesConserveSampleBytes) {
   const auto days = user_days(ds, keep_all);
   double rollup = 0, raw = 0, tether = 0;
   for (const UserDay& d : days) rollup += d.total_rx_mb() + d.total_tx_mb();
-  for (const Sample& s : ds.samples) {
-    raw += (s.total_rx() + s.total_tx()) / 1e6;
-    if (s.tethering) tether += (s.total_rx() + s.total_tx()) / 1e6;
+  const SampleColumns& c = ds.samples;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const double mb = (std::uint64_t{c.cell_rx[i]} + c.wifi_rx[i] +
+                       c.cell_tx[i] + c.wifi_tx[i]) /
+                      1e6;
+    raw += mb;
+    if ((c.flags[i] & SampleColumns::kFlagTethering) != 0) tether += mb;
   }
   EXPECT_NEAR(rollup, raw, raw * 1e-9);
 
@@ -52,10 +56,11 @@ TEST(UserDays, VolumesConserveSampleBytes) {
 
 TEST(UserDays, UpdateDaysExcluded) {
   Dataset ds = empty_dataset(1, 5);
+  std::vector<Sample> rows;
   for (int d = 0; d < 5; ++d) {
-    add_sample(ds, 0, static_cast<TimeBin>(d * kBinsPerDay), 1'000'000u, 0);
+    add_sample(rows, 0, static_cast<TimeBin>(d * kBinsPerDay), 1'000'000u, 0);
   }
-  ds.build_index();
+  test::set_rows(ds, rows);
   std::vector<std::int32_t> update_bins{2 * kBinsPerDay};  // update on day 2
   UserDayOptions opt;
   opt.update_bin_by_device = &update_bins;

@@ -43,6 +43,11 @@ expect 2 "${tokyonet}" report --year 2020
 expect 3 "${tokyonet}" report --in "${tmp}/no-such-dir"
 expect 3 "${tokyonet}" snapshot load --in "${tmp}/missing.snap"
 
+# 3: a snapshot another format version wrote (version field set to 1).
+expect 0 "${tokyonet}" snapshot save --year 2015 --scale 0.02 \
+    --out "${tmp}/v1.tksnap"
+printf '\001' | dd of="${tmp}/v1.tksnap" bs=1 seek=8 conv=notrunc 2>/dev/null
+expect 3 "${tokyonet}" snapshot load --in "${tmp}/v1.tksnap"
 # 4: verification failures.
 echo "this is not a snapshot" > "${tmp}/corrupt.snap"
 expect 4 "${tokyonet}" snapshot load --in "${tmp}/corrupt.snap"
@@ -90,6 +95,18 @@ echo "ok: fig list ooc column pins the out-of-core catalog"
 
 expect 3 "${tokyonet}" snapshot info --in "${tmp}/no-such-store"
 expect 3 "${tokyonet}" report --shard-dir "${tmp}/no-such-store"
+# A shard truncated, or replaced by the same shard of another
+# campaign, after the store was written fails verification with 4.
+expect 0 "${tokyonet}" snapshot shard --year 2015 --scale 0.02 --seed 7 \
+    --out "${tmp}/other" --shards 2
+cp -r "${tmp}/shards" "${tmp}/swapped"
+cp "${tmp}/other/shard-0001.tksnap" "${tmp}/swapped/shard-0001.tksnap"
+expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/swapped" \
+    --out-of-core
+cp -r "${tmp}/shards" "${tmp}/truncated"
+truncate -s 4096 "${tmp}/truncated/shard-0001.tksnap"
+expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/truncated" \
+    --out-of-core
 rm "${tmp}/shards/shard-0001.tksnap"
 expect 4 "${tokyonet}" snapshot info --in "${tmp}/shards"
 expect 4 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core

@@ -375,12 +375,16 @@ report::Runner::Options runner_options(const Args& args) {
   return opt;
 }
 
-// A snapshot (or shard store) that isn't there is a load error (3); one
-// that exists but fails header/checksum validation is a verification
-// error (4).
-int snapshot_failure_code(const std::string& path) {
+// A snapshot (or shard store) that isn't there, or that another
+// snapshot version wrote, is a load error (3): this build cannot read
+// it. One that exists but fails header/checksum validation is a
+// verification error (4).
+int snapshot_failure_code(const std::string& path, const std::string& error) {
   std::error_code ec;
-  return std::filesystem::exists(path, ec) ? kExitVerify : kExitLoad;
+  const bool other_version =
+      error.find("unsupported snapshot version") != std::string::npos;
+  return std::filesystem::exists(path, ec) && !other_version ? kExitVerify
+                                                             : kExitLoad;
 }
 
 // Installs the campaign held by shard directory `dir` into `runner` —
@@ -394,7 +398,7 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
   const io::SnapshotResult r = io::read_shard_manifest(dir, m);
   if (!r.ok()) {
     std::fprintf(stderr, "shard store: %s\n", r.error.c_str());
-    return snapshot_failure_code(dir);
+    return snapshot_failure_code(dir, r.error);
   }
   const auto year = to_year(m.year);
   if (!year) {
@@ -408,7 +412,7 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
           : runner.adopt_shards(*year, dir, resident_shards);
   if (!a.ok()) {
     std::fprintf(stderr, "shard store: %s\n", a.error.c_str());
-    return snapshot_failure_code(dir);
+    return snapshot_failure_code(dir, a.error);
   }
   out_year = *year;
   return kExitOk;
@@ -681,7 +685,7 @@ int cmd_report_out_of_core(const Args& args) {
   const io::SnapshotResult r = io::ShardedDataset::open(args.shard_dir, store);
   if (!r.ok()) {
     std::fprintf(stderr, "shard store: %s\n", r.error.c_str());
-    return snapshot_failure_code(args.shard_dir);
+    return snapshot_failure_code(args.shard_dir, r.error);
   }
   const io::ShardManifest& m = store.manifest();
   std::printf("dataset: %s campaign, %d days, %" PRIu64 " devices, %" PRIu64
@@ -694,7 +698,7 @@ int cmd_report_out_of_core(const Args& args) {
       store, tables, {args.resident_shards});
   if (!b.ok()) {
     std::fprintf(stderr, "out-of-core battery failed: %s\n", b.error.c_str());
-    return snapshot_failure_code(args.shard_dir);
+    return snapshot_failure_code(args.shard_dir, b.error);
   }
   for (const report::Table& t : tables) {
     std::printf("\n");
@@ -822,7 +826,7 @@ int cmd_snapshot_load(const Args& args) {
   const io::SnapshotResult r = io::load_snapshot(args.in_dir, ds, {}, &info);
   if (!r.ok()) {
     std::fprintf(stderr, "snapshot load failed: %s\n", r.error.c_str());
-    return snapshot_failure_code(args.in_dir);
+    return snapshot_failure_code(args.in_dir, r.error);
   }
   std::printf("loaded %s: %s campaign, %d days, %zu devices, %zu samples "
               "(%s)\n",
@@ -841,7 +845,7 @@ int cmd_shard_info(const Args& args) {
   const io::SnapshotResult r = io::read_shard_manifest(args.in_dir, m);
   if (!r.ok()) {
     std::fprintf(stderr, "snapshot info failed: %s\n", r.error.c_str());
-    return snapshot_failure_code(args.in_dir);
+    return snapshot_failure_code(args.in_dir, r.error);
   }
   std::printf("shard store %s\n", args.in_dir.c_str());
   std::printf("  store version  %u (snapshot v%u)\n", m.version,
@@ -885,7 +889,7 @@ int cmd_snapshot_info(const Args& args) {
   const io::SnapshotResult r = io::read_snapshot_info(args.in_dir, info);
   if (!r.ok()) {
     std::fprintf(stderr, "snapshot info failed: %s\n", r.error.c_str());
-    return snapshot_failure_code(args.in_dir);
+    return snapshot_failure_code(args.in_dir, r.error);
   }
   std::printf("snapshot %s\n", args.in_dir.c_str());
   std::printf("  version        %u\n", info.version);
@@ -1122,8 +1126,9 @@ int main(int argc, char** argv) {
     // An out-of-core scan lost its store mid-figure (truncated shard,
     // checksum flip, deleted file): load/verify semantics, not a crash.
     std::fprintf(stderr, "tokyonet: %s\n", e.what());
-    return args.shard_dir.empty() ? kExitLoad
-                                  : snapshot_failure_code(args.shard_dir);
+    return args.shard_dir.empty()
+               ? kExitLoad
+               : snapshot_failure_code(args.shard_dir, e.what());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tokyonet: %s\n", e.what());
     return kExitFailure;
