@@ -8,11 +8,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_ClassifyAtThreshold(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   analysis::ClassifyOptions opt;
   opt.home_presence_threshold = static_cast<double>(state.range(0)) / 100.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::classify_aps(ds, opt));
+    benchmark::DoNotOptimize(analysis::classify_aps(src, opt));
   }
 }
 BENCHMARK(BM_ClassifyAtThreshold)

@@ -9,12 +9,12 @@ namespace {
 using namespace tokyonet;
 
 void BM_RatiosUnderBands(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   const auto& days = bench::days(Year::Y2015);
   const analysis::UserClassifier classes(
       days, 40, 60, static_cast<double>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::compute_wifi_ratios(ds, days, classes));
+    benchmark::DoNotOptimize(analysis::compute_wifi_ratios(src, days, classes));
   }
 }
 BENCHMARK(BM_RatiosUnderBands)->Arg(90)->Arg(95)->Unit(benchmark::kMillisecond);

@@ -8,11 +8,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_ComputeRatios(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   const auto& days = bench::days(Year::Y2015);
   const analysis::UserClassifier& classes = bench::classifier(Year::Y2015);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::compute_wifi_ratios(ds, days, classes));
+    benchmark::DoNotOptimize(analysis::compute_wifi_ratios(src, days, classes));
   }
 }
 BENCHMARK(BM_ComputeRatios)->Unit(benchmark::kMillisecond);

@@ -7,11 +7,11 @@ namespace {
 using namespace tokyonet;
 
 void BM_RatiosWithClasses(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2013);
+  const auto& src = bench::context(Year::Y2013).source();
   const auto& days = bench::days(Year::Y2013);
   const analysis::UserClassifier& classes = bench::classifier(Year::Y2013);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::compute_wifi_ratios(ds, days, classes));
+    benchmark::DoNotOptimize(analysis::compute_wifi_ratios(src, days, classes));
   }
 }
 BENCHMARK(BM_RatiosWithClasses)->Unit(benchmark::kMillisecond);

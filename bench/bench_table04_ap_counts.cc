@@ -6,9 +6,9 @@ namespace {
 using namespace tokyonet;
 
 void BM_ClassifyAps(benchmark::State& state) {
-  const Dataset& ds = bench::campaign(Year::Y2015);
+  const auto& src = bench::context(Year::Y2015).source();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::classify_aps(ds));
+    benchmark::DoNotOptimize(analysis::classify_aps(src));
   }
 }
 BENCHMARK(BM_ClassifyAps)->Unit(benchmark::kMillisecond)->Iterations(3);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const Dataset ds = sim::simulate_year(year, scale);
     const analysis::query::InMemorySource src(ds);
     const auto days = analysis::user_days(ds);
-    const analysis::ApClassification cls = analysis::classify_aps(ds);
+    const analysis::ApClassification cls = analysis::classify_aps(src);
     const analysis::UserClassifier classes(days);
 
     const double wifi =
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         analysis::aggregate_series(src, analysis::Stream::CellRx).total_mb();
     rows[0].push_back(io::TextTable::pct(wifi / (wifi + cell), 0));
 
-    const auto ratios = analysis::compute_wifi_ratios(ds, days, classes);
+    const auto ratios = analysis::compute_wifi_ratios(src, days, classes);
     rows[1].push_back(io::TextTable::pct(ratios.traffic_all.mean_ratio(), 0));
     rows[2].push_back(io::TextTable::pct(ratios.users_all.mean_ratio(), 0));
 

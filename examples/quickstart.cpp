@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "analysis/classify.h"
+#include "analysis/query/source.h"
 #include "analysis/ratios.h"
 #include "analysis/volumes.h"
 #include "io/table.h"
@@ -46,7 +47,8 @@ int main(int argc, char** argv) {
 
   // 3. Classify access points the way §3.4.1 does — from the records
   //    alone — and summarize where WiFi happens.
-  const analysis::ApClassification cls = analysis::classify_aps(dataset);
+  const analysis::query::InMemorySource src(dataset);
+  const analysis::ApClassification cls = analysis::classify_aps(src);
   const auto counts = cls.counts();
   std::printf("\nassociated APs: %d home, %d public, %d other (%d office)\n",
               counts.home, counts.publik, counts.other, counts.office);
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
   // 4. The headline offloading metrics of Fig 6.
   const analysis::UserClassifier classes(days);
   const analysis::WifiRatios ratios =
-      analysis::compute_wifi_ratios(dataset, days, classes);
+      analysis::compute_wifi_ratios(src, days, classes);
   std::printf("\nmean WiFi-traffic ratio: %.2f   (paper 2015: 0.71)\n",
               ratios.traffic_all.mean_ratio());
   std::printf("mean WiFi-user ratio:    %.2f   (paper 2015: 0.48)\n",

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "analysis/classify.h"
+#include "analysis/query/source.h"
 #include "analysis/update.h"
 #include "io/table.h"
 #include "sim/simulator.h"
@@ -27,7 +28,8 @@ analysis::UpdateTiming run_scenario(const ScenarioConfig& config) {
   detect.min_day = config.update.release_day - 1;
   const auto detection = analysis::detect_updates(ds, detect);
   return analysis::analyze_update_timing(ds.devices, detection,
-                                         analysis::classify_aps(ds));
+                                         analysis::classify_aps(
+                                             analysis::query::InMemorySource(ds)));
 }
 
 void print_timing(const analysis::UpdateTiming& t) {

@@ -35,8 +35,8 @@ struct BatteryPartial {
 
   const core::DatasetIndex& idx = ds.index();
   // Chunked partials over the SoA columns. Every accumulation is an
-  // integer sum (exact in doubles / u64), so the chunk merge is
-  // byte-identical to the serial scan at any thread count.
+  // exact u64 sum, so the chunk merge is byte-identical to the serial
+  // scan at any thread count.
   const std::span<const TimeBin> bin = ds.samples.bin;
   const std::span<const std::uint8_t> battery = ds.samples.battery_pct;
   const std::span<const WifiState> state = ds.samples.wifi_state;
@@ -48,7 +48,7 @@ struct BatteryPartial {
         p.n = end - begin;
         for (std::size_t i = begin; i < end; ++i) {
           const std::uint8_t level = battery[i];
-          p.mean_level.add_hour(how[bin[i]], level, 1.0);
+          p.mean_level.add_hour(how[bin[i]], level);
           p.sum += level;
           p.low += level < 20;
           if (state[i] == WifiState::Off) {

@@ -6,6 +6,7 @@
 #include <span>
 #include <unordered_map>
 
+#include "analysis/query/source.h"
 #include "core/dataset_index.h"
 #include "core/parallel.h"
 #include "net/essid.h"
@@ -40,8 +41,7 @@ struct DeviceApStats {
 /// set union, which are grouping-independent.
 [[nodiscard]] DeviceApStats scan_device(const Dataset& ds,
                                         const ClassifyOptions& opt,
-                                        const DeviceInfo& dev,
-                                        int min_bins) {
+                                        std::size_t d, int min_bins) {
   DeviceApStats stats;
   std::unordered_map<std::uint32_t, std::size_t> ap_index;
   std::unordered_map<std::uint32_t, int> night_counts;  // per device-day
@@ -73,7 +73,6 @@ struct DeviceApStats {
   const std::span<const WifiState> state = ds.samples.wifi_state;
   const std::span<const std::uint32_t> aps = ds.samples.ap;
   const std::span<const GeoCell> geo = ds.samples.geo_cell;
-  const std::size_t d = value(dev.id);
   for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
     const TimeBin bin = bins[i];
     const bool associated = state[i] == WifiState::Associated &&
@@ -153,127 +152,66 @@ double ApClassification::home_ap_device_share() const {
          static_cast<double>(home_ap_of_device.size());
 }
 
-struct ApClassificationBuilder::Impl {
-  ClassifyOptions opt;
-  int min_bins = 0;
-  ApClassification out;
-  std::vector<int> assoc_bins;
-  std::vector<int> office_window_bins_count;
-  std::vector<std::set<GeoCell>> cells_seen;
-};
-
-ApClassificationBuilder::ApClassificationBuilder(std::size_t n_devices,
-                                                 std::size_t n_aps,
-                                                 const ClassifyOptions& opt)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->opt = opt;
-  impl_->min_bins =
+ApClassification classify_aps(const query::DataSource& src,
+                              const ClassifyOptions& opt) {
+  const int min_bins =
       static_cast<int>(opt.home_presence_threshold * night_window_bins(opt));
-  impl_->out.ap_class.assign(n_aps, ApClass::Other);
-  impl_->out.associated.assign(n_aps, false);
-  impl_->out.is_office.assign(n_aps, false);
-  impl_->out.is_mobile.assign(n_aps, false);
-  impl_->out.home_ap_of_device.assign(n_devices, kNoAp);
-  impl_->assoc_bins.assign(n_aps, 0);
-  impl_->office_window_bins_count.assign(n_aps, 0);
-  impl_->cells_seen.resize(n_aps);
-}
+  const std::vector<ApInfo>& aps = src.aps();
+  const std::size_t n_aps = aps.size();
+  ApClassification out;
+  out.ap_class.assign(n_aps, ApClass::Other);
+  out.associated.assign(n_aps, false);
+  out.is_office.assign(n_aps, false);
+  out.is_mobile.assign(n_aps, false);
+  out.home_ap_of_device.reserve(src.n_devices());
+  std::vector<int> assoc_bins(n_aps, 0);
+  std::vector<int> office_window_bins(n_aps, 0);
+  std::vector<std::set<GeoCell>> cells_seen(n_aps);
 
-ApClassificationBuilder::~ApClassificationBuilder() = default;
-
-struct ApClassificationBuilder::BlockStats::Impl {
-  std::vector<DeviceApStats> per_device;
-  std::vector<DeviceInfo> devices;  // the block's (local-id) device table
-};
-
-ApClassificationBuilder::BlockStats::BlockStats() = default;
-ApClassificationBuilder::BlockStats::BlockStats(BlockStats&&) noexcept =
-    default;
-ApClassificationBuilder::BlockStats&
-ApClassificationBuilder::BlockStats::operator=(BlockStats&&) noexcept =
-    default;
-ApClassificationBuilder::BlockStats::~BlockStats() = default;
-
-ApClassificationBuilder::BlockStats ApClassificationBuilder::scan_block(
-    const Dataset& block) const {
   // Per-device scans run in parallel; each returns the compact per-AP
-  // statistics its stream contributes plus its home-AP verdict. Only
-  // impl_->opt / impl_->min_bins are read, so concurrent scan_block()
-  // calls on different blocks never race.
-  BlockStats stats;
-  stats.impl_ = std::make_unique<BlockStats::Impl>();
-  stats.impl_->per_device =
-      core::parallel_map(block.devices.size(), [&](std::size_t i) {
-        return scan_device(block, impl_->opt, block.devices[i],
-                           impl_->min_bins);
+  // statistics its stream contributes plus its home-AP verdict. The
+  // ordered merge adds counts and unions cell sets, so the per-AP totals
+  // equal a serial one-pass scan exactly.
+  src.fold<std::vector<DeviceApStats>>(
+      [&](const Dataset& block, std::size_t) {
+        return core::parallel_map(block.devices.size(), [&](std::size_t d) {
+          return scan_device(block, opt, d, min_bins);
+        });
+      },
+      [&](std::vector<DeviceApStats>&& per_device, std::size_t) {
+        for (const DeviceApStats& stats : per_device) {
+          for (const DeviceApStats::PerAp& per_ap : stats.aps) {
+            out.associated[per_ap.ap] = true;
+            assoc_bins[per_ap.ap] += per_ap.assoc_bins;
+            office_window_bins[per_ap.ap] += per_ap.office_window_bins;
+            cells_seen[per_ap.ap].insert(per_ap.cells_seen.begin(),
+                                         per_ap.cells_seen.end());
+          }
+          out.home_ap_of_device.push_back(ApId{stats.home_ap});
+          if (stats.home_ap != value(kNoAp)) {
+            out.ap_class[stats.home_ap] = ApClass::Home;
+          }
+        }
       });
-  stats.impl_->devices = block.devices;
-  return stats;
-}
 
-void ApClassificationBuilder::merge_block(BlockStats block_stats,
-                                          std::size_t device_base) {
-  // Ordered merge into the per-AP aggregates. Counts merge by addition
-  // and cell sets by union, so the merged totals equal the serial
-  // one-pass totals exactly.
-  const std::vector<DeviceApStats>& per_device =
-      block_stats.impl_->per_device;
-  const std::vector<DeviceInfo>& block_devices = block_stats.impl_->devices;
-  ApClassification& out = impl_->out;
-  for (std::size_t i = 0; i < per_device.size(); ++i) {
-    const DeviceApStats& stats = per_device[i];
-    for (const DeviceApStats::PerAp& per_ap : stats.aps) {
-      out.associated[per_ap.ap] = true;
-      impl_->assoc_bins[per_ap.ap] += per_ap.assoc_bins;
-      impl_->office_window_bins_count[per_ap.ap] += per_ap.office_window_bins;
-      impl_->cells_seen[per_ap.ap].insert(per_ap.cells_seen.begin(),
-                                          per_ap.cells_seen.end());
-    }
-    if (stats.home_ap != value(kNoAp)) {
-      out.home_ap_of_device[device_base + value(block_devices[i].id)] =
-          ApId{stats.home_ap};
-      out.ap_class[stats.home_ap] = ApClass::Home;
-    }
-  }
-}
-
-void ApClassificationBuilder::add_device_block(const Dataset& block,
-                                               std::size_t device_base) {
-  merge_block(scan_block(block), device_base);
-}
-
-ApClassification ApClassificationBuilder::finish(
-    const std::vector<ApInfo>& aps) {
   // Non-home APs: public by ESSID, rest Other (with office/mobile
   // estimation).
-  ApClassification& out = impl_->out;
-  const ClassifyOptions& opt = impl_->opt;
-  const std::size_t n_aps = out.ap_class.size();
   for (std::size_t i = 0; i < n_aps; ++i) {
     if (!out.associated[i] || out.ap_class[i] == ApClass::Home) continue;
     if (net::is_public_essid(aps[i].essid)) {
       out.ap_class[i] = ApClass::Public;
       continue;
     }
-    out.ap_class[i] = ApClass::Other;
-    if (static_cast<int>(impl_->cells_seen[i].size()) >=
-        opt.mobile_min_cells) {
+    if (static_cast<int>(cells_seen[i].size()) >= opt.mobile_min_cells) {
       out.is_mobile[i] = true;
       continue;
     }
-    if (impl_->assoc_bins[i] >= opt.office_min_bins &&
-        impl_->office_window_bins_count[i] >=
-            opt.office_window_share * impl_->assoc_bins[i]) {
+    if (assoc_bins[i] >= opt.office_min_bins &&
+        office_window_bins[i] >= opt.office_window_share * assoc_bins[i]) {
       out.is_office[i] = true;
     }
   }
-  return std::move(out);
-}
-
-ApClassification classify_aps(const Dataset& ds, const ClassifyOptions& opt) {
-  ApClassificationBuilder builder(ds.devices.size(), ds.aps.size(), opt);
-  builder.add_device_block(ds, 0);
-  return builder.finish(ds.aps);
+  return out;
 }
 
 }  // namespace tokyonet::analysis

@@ -11,9 +11,9 @@
 //    excludes *mobile* APs (seen across several geolocation cells).
 #pragma once
 
-#include <memory>
 #include <vector>
 
+#include "analysis/query/fwd.h"
 #include "core/records.h"
 
 namespace tokyonet::analysis {
@@ -64,63 +64,11 @@ struct ApClassification {
   }
 };
 
-/// Runs the full classification over a campaign.
-[[nodiscard]] ApClassification classify_aps(const Dataset& ds,
+/// Runs the full classification over a campaign. Each device's scan
+/// depends only on its own stream; per-AP tallies merge by addition and
+/// set union and the per-device home-AP verdicts concatenate in device
+/// order, so every backend and shard count gives the same result.
+[[nodiscard]] ApClassification classify_aps(const query::DataSource& src,
                                             const ClassifyOptions& opt = {});
-
-/// Incremental form of classify_aps() for device-partitioned scans
-/// (analysis/query/source.h): feed each contiguous device block (a shard
-/// loaded with local device ids, samples referencing global AP ids),
-/// then finish() against the AP universe. Per-AP tallies merge by
-/// addition and set union and each device's home-AP verdict depends
-/// only on its own stream, so feeding blocks in device order
-/// reproduces classify_aps() byte-identically.
-class ApClassificationBuilder {
- public:
-  ApClassificationBuilder(std::size_t n_devices, std::size_t n_aps,
-                          const ClassifyOptions& opt = {});
-  ~ApClassificationBuilder();
-
-  ApClassificationBuilder(const ApClassificationBuilder&) = delete;
-  ApClassificationBuilder& operator=(const ApClassificationBuilder&) = delete;
-
-  /// Scans `block`'s devices (ids local to the block) whose global
-  /// device indices start at `device_base`.
-  void add_device_block(const Dataset& block, std::size_t device_base);
-
-  /// The per-device statistics one block contributes, detached from the
-  /// builder's accumulators so blocks can be scanned concurrently.
-  class BlockStats {
-   public:
-    BlockStats();
-    BlockStats(BlockStats&&) noexcept;
-    BlockStats& operator=(BlockStats&&) noexcept;
-    ~BlockStats();
-
-   private:
-    friend class ApClassificationBuilder;
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-  };
-
-  /// The scan half of add_device_block(): a pure function of `block`
-  /// and the builder's options, touching no builder state — safe to
-  /// call from several threads at once (the K-parallel shard scan in
-  /// analysis/query/source.cc does).
-  [[nodiscard]] BlockStats scan_block(const Dataset& block) const;
-
-  /// The merge half: folds a scanned block whose global device indices
-  /// start at `device_base` into the accumulators. Not thread-safe;
-  /// call in device order from one thread. add_device_block(b, base) ==
-  /// merge_block(scan_block(b), base).
-  void merge_block(BlockStats stats, std::size_t device_base);
-
-  /// Final per-AP classification pass; `aps` is the global universe.
-  [[nodiscard]] ApClassification finish(const std::vector<ApInfo>& aps);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace tokyonet::analysis

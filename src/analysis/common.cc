@@ -119,13 +119,6 @@ int WeeklyProfile::hour_of_week(const CampaignCalendar& cal,
   return sat_based * 24 + cal.hour_of(bin);
 }
 
-void WeeklyProfile::add(const CampaignCalendar& cal, TimeBin bin, double num,
-                        double den) noexcept {
-  const int h = hour_of_week(cal, bin);
-  num_[h] += num;
-  den_[h] += den;
-}
-
 void WeeklyProfile::merge(const WeeklyProfile& other) noexcept {
   for (int h = 0; h < kHours; ++h) {
     num_[h] += other.num_[h];
@@ -136,17 +129,19 @@ void WeeklyProfile::merge(const WeeklyProfile& other) noexcept {
 std::vector<double> WeeklyProfile::ratio_series() const {
   std::vector<double> out(kHours, 0.0);
   for (int h = 0; h < kHours; ++h) {
-    out[static_cast<std::size_t>(h)] = den_[h] > 0 ? num_[h] / den_[h] : 0.0;
+    out[static_cast<std::size_t>(h)] =
+        den_[h] > 0 ? static_cast<double>(num_[h]) / static_cast<double>(den_[h])
+                    : 0.0;
   }
   return out;
 }
 
-std::vector<double> WeeklyProfile::num_series() const {
-  return std::vector<double>(num_, num_ + kHours);
+std::vector<std::uint64_t> WeeklyProfile::num_series() const {
+  return std::vector<std::uint64_t>(num_, num_ + kHours);
 }
 
-std::vector<double> WeeklyProfile::den_series() const {
-  return std::vector<double>(den_, den_ + kHours);
+std::vector<std::uint64_t> WeeklyProfile::den_series() const {
+  return std::vector<std::uint64_t>(den_, den_ + kHours);
 }
 
 double WeeklyProfile::mean_ratio() const noexcept {
@@ -154,7 +149,7 @@ double WeeklyProfile::mean_ratio() const noexcept {
   int n = 0;
   for (int h = 0; h < kHours; ++h) {
     if (den_[h] > 0) {
-      sum += num_[h] / den_[h];
+      sum += static_cast<double>(num_[h]) / static_cast<double>(den_[h]);
       ++n;
     }
   }

@@ -6,6 +6,7 @@
 // ground truth. Tests compare analysis inferences against ground truth.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -73,22 +74,23 @@ class UserClassifier {
   double heavy_ = 0;
 };
 
-/// Aggregates a value per hour-of-week, week starting Saturday (the
+/// Aggregates a ratio per hour-of-week, week starting Saturday (the
 /// paper's weekly x-axes run Sat..Sat). Multiple campaign weeks fold
 /// onto one profile.
+///
+/// An exact monoid: numerator and denominator are u64 sums of the
+/// integers every caller adds (bytes, sample counts, battery levels),
+/// and the only division happens in ratio_series()/mean_ratio(). Merging
+/// partial profiles is therefore grouping-independent — any chunk,
+/// device block or shard decomposition gives the same bytes.
 class WeeklyProfile {
  public:
   static constexpr int kHours = 7 * 24;
 
-  /// `num` and `den` accumulate separately so ratios of sums (e.g.
-  /// WiFi-traffic ratio) can be formed per hour.
-  void add(const CampaignCalendar& cal, TimeBin bin, double num,
-           double den = 1.0) noexcept;
-
-  /// As add(), with the hour-of-week already resolved — pairs with the
-  /// precomputed per-bin table in core::DatasetIndex so scan kernels
-  /// skip the per-sample calendar arithmetic.
-  void add_hour(int hour, double num, double den = 1.0) noexcept {
+  /// Adds `num` / `den` to the sums of hour-of-week `hour` — pairs with
+  /// the precomputed per-bin table in core::DatasetIndex
+  /// (hour_of_week_table) or hour_of_week() below.
+  void add_hour(int hour, std::uint64_t num, std::uint64_t den = 1) noexcept {
     num_[hour] += num;
     den_[hour] += den;
   }
@@ -97,25 +99,23 @@ class WeeklyProfile {
   [[nodiscard]] static int hour_of_week(const CampaignCalendar& cal,
                                         TimeBin bin) noexcept;
 
-  /// Accumulates another profile's sums into this one (used to reduce
-  /// per-device partial profiles in a fixed order, so parallel kernels
-  /// give the same result at any thread count).
+  /// Accumulates another profile's sums into this one.
   void merge(const WeeklyProfile& other) noexcept;
 
   /// num/den per hour (0 where den == 0).
   [[nodiscard]] std::vector<double> ratio_series() const;
-  /// Plain numerator sums.
-  [[nodiscard]] std::vector<double> num_series() const;
-  /// Plain denominator sums (exposed so streaming/batch equivalence can
-  /// be asserted bit-for-bit, not just on the quotients).
-  [[nodiscard]] std::vector<double> den_series() const;
+  /// The exact sums (streaming/batch equivalence compares these).
+  [[nodiscard]] std::vector<std::uint64_t> num_series() const;
+  [[nodiscard]] std::vector<std::uint64_t> den_series() const;
 
   /// Mean of the ratio over hours with data.
   [[nodiscard]] double mean_ratio() const noexcept;
 
+  [[nodiscard]] bool operator==(const WeeklyProfile&) const = default;
+
  private:
-  double num_[kHours] = {};
-  double den_[kHours] = {};
+  std::uint64_t num_[kHours] = {};
+  std::uint64_t den_[kHours] = {};
 };
 
 /// Device's inferred nighttime (home) geolocation cell: the most common

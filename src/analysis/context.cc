@@ -1,19 +1,6 @@
 #include "analysis/context.h"
 
-#include <stdexcept>
-#include <utility>
-
 namespace tokyonet::analysis {
-
-const Dataset& AnalysisContext::dataset() const {
-  const Dataset* ds = src_->dataset_or_null();
-  if (ds == nullptr) {
-    throw std::logic_error(
-        "AnalysisContext::dataset(): campaign is not resident "
-        "(out-of-core source)");
-  }
-  return *ds;
-}
 
 std::span<const DeviceInfo> AnalysisContext::devices() const {
   ensure_scan();
@@ -94,19 +81,8 @@ const UserClassifier& AnalysisContext::classifier() const {
 
 const ApClassification& AnalysisContext::classification() const {
   std::call_once(classification_once_, [&] {
-    // Per-AP tallies merge by addition and set union; each device's
-    // home-AP verdict is its own. Feeding blocks in device order
-    // reproduces classify_aps() byte-identically (classify.h).
-    ApClassificationBuilder builder(src_->n_devices(), src_->aps().size());
-    src_->fold<ApClassificationBuilder::BlockStats>(
-        [&](const Dataset& block, std::size_t) {
-          return builder.scan_block(block);
-        },
-        [&](ApClassificationBuilder::BlockStats&& stats, std::size_t base) {
-          builder.merge_block(std::move(stats), base);
-        });
     classification_ =
-        std::make_unique<ApClassification>(builder.finish(src_->aps()));
+        std::make_unique<ApClassification>(classify_aps(*src_));
   });
   return *classification_;
 }

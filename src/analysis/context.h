@@ -19,7 +19,10 @@
 // at base 0; constructed from a ShardedSource each pass is one
 // bounded-memory sweep over the shards, byte-identical to the
 // in-memory result at any shard count. Beyond the intermediates
-// themselves, only O(devices + aps) state is retained.
+// themselves, only O(devices + aps) state is retained. The context
+// exposes no resident Dataset: figures read source() and these
+// intermediates, so every figure renders the same bytes on both
+// backends.
 #pragma once
 
 #include <memory>
@@ -54,11 +57,6 @@ class AnalysisContext {
     return *src_;
   }
 
-  /// The resident campaign. Only callable in-memory; out-of-core
-  /// figures must consume source() (enforced — throws std::logic_error
-  /// rather than silently materializing the campaign).
-  [[nodiscard]] const Dataset& dataset() const;
-
   /// The global device table (ids are global indices in both backends).
   [[nodiscard]] std::span<const DeviceInfo> devices() const;
 
@@ -75,7 +73,7 @@ class AnalysisContext {
   /// Heavy/light user-day classifier over days().
   [[nodiscard]] const UserClassifier& classifier() const;
 
-  /// AP classification (§3.4.1).
+  /// AP classification (§3.4.1): classify_aps(source()).
   [[nodiscard]] const ApClassification& classification() const;
 
   /// Per-device inferred nighttime home cell.

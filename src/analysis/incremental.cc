@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "analysis/query/source.h"
 #include "analysis/ratios.h"
 #include "core/dataset_index.h"
 
@@ -25,8 +26,6 @@ struct IncrementalAnalysis::DeviceState {
   }
 
   std::vector<UserDay> days;
-  WeeklyProfile traffic;  // WiFi share of download
-  WeeklyProfile users;    // associated share of samples
 };
 
 struct IncrementalAnalysis::ShardState {
@@ -34,6 +33,8 @@ struct IncrementalAnalysis::ShardState {
 
   mutable std::mutex mu;
   StreamTotals totals;
+  WeeklyProfile traffic;  // WiFi share of download
+  WeeklyProfile users;    // associated share of samples
   std::vector<std::uint64_t> ap_observations;
 };
 
@@ -95,13 +96,11 @@ void IncrementalAnalysis::add_batch(int shard, DeviceId device,
       ud.wifi_tx_mb += s.wifi_tx / kBytesPerMb;
     }
 
-    // Weekly ratio profiles: the exact expressions of the
-    // class-independent half of compute_wifi_ratios::add_sample.
-    const double wifi = s.wifi_rx / kBytesPerMb;
-    const double total = wifi + s.cell_rx / kBytesPerMb;
-    const bool assoc = s.wifi_state == WifiState::Associated;
-    if (total > 0) dev.traffic.add(calendar_, s.bin, wifi, total);
-    dev.users.add(calendar_, s.bin, assoc ? 1.0 : 0.0, 1.0);
+    // Weekly ratio profiles: compute_wifi_ratios' per-sample add into
+    // the class-independent pair (exact sums, so per shard suffices).
+    add_ratio_sample(ss.traffic, ss.users,
+                     WeeklyProfile::hour_of_week(calendar_, s.bin), s.wifi_rx,
+                     s.cell_rx, s.wifi_state == WifiState::Associated);
 
     if (s.ap != kNoAp) ++ss.ap_observations[value(s.ap)];
   }
@@ -133,13 +132,15 @@ StreamResult IncrementalAnalysis::result() const {
       out.totals.app_rx[c] += t.app_rx[c];
       out.totals.app_tx[c] += t.app_tx[c];
     }
+    out.wifi_traffic.merge(ss->traffic);
+    out.wifi_users.merge(ss->users);
     for (std::size_t a = 0; a < out.ap_observations.size(); ++a) {
       out.ap_observations[a] += ss->ap_observations[a];
     }
   }
 
-  // Per-device partials reduce in device-id order, matching the batch
-  // kernels' fixed reduction order regardless of the shard count.
+  // Per-device daily rows concatenate in device-id order, matching the
+  // batch rollup regardless of the shard count.
   const auto num_days = static_cast<std::size_t>(calendar_.num_days());
   out.user_days.reserve(devices_.size() * num_days);
   for (std::uint32_t d = 0; d < n_devices_; ++d) {
@@ -147,8 +148,6 @@ StreamResult IncrementalAnalysis::result() const {
     if (dev != nullptr) {
       out.user_days.insert(out.user_days.end(), dev->days.begin(),
                            dev->days.end());
-      out.wifi_traffic.merge(dev->traffic);
-      out.wifi_users.merge(dev->users);
     } else {
       // Device never reported: zero rows, like the batch rollup.
       for (std::size_t day = 0; day < num_days; ++day) {
@@ -177,7 +176,8 @@ StreamResult batch_stream_result(const Dataset& ds) {
   // batch kernels the streaming layer mirrors.
   out.user_days = user_days(ds);
   const UserClassifier classes(out.user_days);
-  const WifiRatios ratios = compute_wifi_ratios(ds, out.user_days, classes);
+  const WifiRatios ratios =
+      compute_wifi_ratios(query::InMemorySource(ds), out.user_days, classes);
   out.wifi_traffic = ratios.traffic_all;
   out.wifi_users = ratios.users_all;
 
@@ -224,12 +224,6 @@ namespace {
   return n == 0 || std::memcmp(a, b, n) == 0;
 }
 
-[[nodiscard]] bool doubles_equal(const std::vector<double>& a,
-                                 const std::vector<double>& b) {
-  return a.size() == b.size() &&
-         bytes_equal(a.data(), b.data(), a.size() * sizeof(double));
-}
-
 }  // namespace
 
 std::string compare_stream_results(const StreamResult& a,
@@ -255,16 +249,8 @@ std::string compare_stream_results(const StreamResult& a,
       }
     }
   }
-  if (!doubles_equal(a.wifi_traffic.num_series(),
-                     b.wifi_traffic.num_series()) ||
-      !doubles_equal(a.wifi_traffic.den_series(),
-                     b.wifi_traffic.den_series())) {
-    return "wifi_traffic profile differs";
-  }
-  if (!doubles_equal(a.wifi_users.num_series(), b.wifi_users.num_series()) ||
-      !doubles_equal(a.wifi_users.den_series(), b.wifi_users.den_series())) {
-    return "wifi_users profile differs";
-  }
+  if (a.wifi_traffic != b.wifi_traffic) return "wifi_traffic profile differs";
+  if (a.wifi_users != b.wifi_users) return "wifi_users profile differs";
   if (a.ap_observations.size() != b.ap_observations.size()) {
     return "ap_observations size: " + std::to_string(a.ap_observations.size()) +
            " vs " + std::to_string(b.ap_observations.size());

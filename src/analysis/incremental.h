@@ -17,10 +17,12 @@
 // (per device, in (device, bin) order — which sharding by device id
 // preserves), `IncrementalAnalysis::result()` is **byte-identical** to
 // `batch_stream_result()` over the same records, at any shard count.
-// The floating-point kernels achieve this the same way the parallel
-// batch kernels do (DESIGN.md §5c): accumulation is grouped per device
-// in arrival order, and per-device partials merge in device-id order at
-// query time. `compare_stream_results` checks the contract bit-for-bit.
+// It follows from the one rule of DESIGN.md §5c: the totals, the AP
+// counts and the two ratio profiles are exact integer sums kept per
+// shard and added at query time; the daily rollup is a per-device
+// product (doubles accumulated in that device's arrival order),
+// concatenated in device-id order. `compare_stream_results` checks the
+// contract bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +69,9 @@ struct StreamResult {
 /// Streaming accumulator. One instance serves all shards of an ingest
 /// server: each device id is owned by exactly one shard
 /// (`device % num_shards`), so shard workers touch disjoint per-device
-/// state; the only cross-shard arrays (totals, AP counts) are kept
-/// per shard and reduced at query time. All mutation and queries are
+/// state (the daily rollup); everything summed across devices (totals,
+/// ratio profiles, AP counts) is kept per shard and added at query
+/// time. All mutation and queries are
 /// internally synchronized per shard, so `result()` may be called while
 /// workers are committing.
 class IncrementalAnalysis {

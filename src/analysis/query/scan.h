@@ -5,9 +5,8 @@
 // for flat column scans, fixed 16-device blocks for scans that need
 // per-device fields or ranges. The partition depends only on the input
 // size — never on the thread count — and each partial is either an
-// exact integer accumulation (u64, or integer-valued doubles below
-// 2^53), a max-merge, or a per-device product, all of which reduce
-// grouping-independently. Merging the partials in index order therefore
+// exact integer accumulation (u64), a max-merge, or a per-device
+// product, all of which reduce grouping-independently. Merging the partials in index order therefore
 // reproduces the serial reference byte-identically at any thread count
 // (DESIGN.md §5c); this header is the one place that geometry and its
 // contract live, instead of one copy per kernel.

@@ -1,6 +1,7 @@
 #include "analysis/query/source.h"
 
 #include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <thread>
 
@@ -57,31 +58,39 @@ void ShardedSource::fold_blocks(const ScanFn& scan, const FoldFn& fold) const {
     std::condition_variable cv;
     std::vector<std::optional<std::shared_ptr<void>>> partials;
     std::size_t error_index;  // first failed shard, n_shards if none
-    io::SnapshotResult error;
+    std::exception_ptr error;
   };
   Slots slots;
   slots.partials.resize(n_shards);
   slots.error_index = n_shards;
 
+  // A failed load, or anything a load or a scan throws, is parked at its
+  // shard's position and rethrown on this thread: an exception escaping
+  // a std::thread would terminate the process.
   auto worker = [&] {
     io::ShardPrefetcher::Loaded item;
-    while (prefetcher.next(item)) {
-      if (!item.result.ok()) {
+    try {
+      while (prefetcher.next(item)) {
+        if (item.exception) std::rethrow_exception(item.exception);
+        if (!item.result.ok()) throw SourceError(std::move(item.result));
+        const std::size_t idx = item.index;
+        std::shared_ptr<void> p =
+            scan(item.dataset, store_->device_begin(idx));
+        // Drop the shard payload (and its residency token) before
+        // parking the partial for the folder.
+        item = io::ShardPrefetcher::Loaded{};
         std::lock_guard<std::mutex> lk(slots.mu);
-        if (item.index < slots.error_index) {
-          slots.error_index = item.index;
-          slots.error = item.result;
-        }
+        slots.partials[idx] = std::move(p);
         slots.cv.notify_all();
-        return;
       }
+    } catch (...) {
       const std::size_t idx = item.index;
-      std::shared_ptr<void> p = scan(item.dataset, store_->device_begin(idx));
-      // Drop the shard payload (and its residency token) before parking
-      // the partial for the folder.
       item = io::ShardPrefetcher::Loaded{};
       std::lock_guard<std::mutex> lk(slots.mu);
-      slots.partials[idx] = std::move(p);
+      if (idx < slots.error_index) {
+        slots.error_index = idx;
+        slots.error = std::current_exception();
+      }
       slots.cv.notify_all();
     }
   };
@@ -91,7 +100,7 @@ void ShardedSource::fold_blocks(const ScanFn& scan, const FoldFn& fold) const {
   workers.reserve(n_workers);
   for (std::size_t w = 0; w < n_workers; ++w) workers.emplace_back(worker);
 
-  io::SnapshotResult err;
+  std::exception_ptr err;
   try {
     for (std::size_t i = 0; i < n_shards; ++i) {
       std::unique_lock<std::mutex> lk(slots.mu);
@@ -99,8 +108,8 @@ void ShardedSource::fold_blocks(const ScanFn& scan, const FoldFn& fold) const {
         return slots.partials[i].has_value() || slots.error_index <= i;
       });
       if (slots.error_index <= i) {
-        // Shards >= error_index were never delivered; everything before
-        // it has already been folded.
+        // Shards >= error_index were never folded; everything before it
+        // has been.
         err = slots.error;
         break;
       }
@@ -110,12 +119,11 @@ void ShardedSource::fold_blocks(const ScanFn& scan, const FoldFn& fold) const {
       fold(std::move(p), store_->device_begin(i));
     }
   } catch (...) {
-    prefetcher.cancel();
-    for (std::thread& t : workers) t.join();
-    throw;
+    err = std::current_exception();
   }
+  if (err) prefetcher.cancel();
   for (std::thread& t : workers) t.join();
-  if (!err.ok()) throw SourceError(std::move(err));
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace tokyonet::analysis::query

@@ -20,11 +20,20 @@
 //    Partials are always folded in strict shard order on the calling
 //    thread.
 //
-// Determinism contract: every partial a kernel parks here is an exact
-// integer accumulation, a max-merge, or a per-device product, so the
-// shard-order fold reproduces the in-memory scan byte-identically at
-// any (threads, shards, resident_shards) — the same argument DESIGN.md
-// §5c makes for the chunk geometry in query/scan.h.
+// Determinism contract (DESIGN.md §5c, the one rule): every merge a
+// kernel parks here is exact integer arithmetic (u64 sums, including
+// analysis::WeeklyProfile), a max or a set union, or a concatenation of
+// per-device products in device order. Each is grouping-independent,
+// so the shard-order fold reproduces the in-memory scan byte-identically
+// at any (threads, shards, resident_shards) — the same argument that
+// covers the chunk geometry in query/scan.h. Every figure reads its
+// campaign through a DataSource, so every per-year figure runs on both
+// backends.
+//
+// Errors: a shard that fails to load surfaces as SourceError; any
+// exception a scan (or a load) throws on a pipeline thread is carried
+// to the thread calling fold_blocks and rethrown there once the
+// pipeline has stopped.
 #pragma once
 
 #include <cstddef>
@@ -75,15 +84,16 @@ class DataSource {
   }
 
   /// The whole campaign when it is resident (in-memory backend);
-  /// nullptr out of core. Only AnalysisContext::dataset() reads it, for
-  /// the figures without an out-of-core plan; kernels go through
-  /// fold_blocks on both backends.
+  /// nullptr out of core. No kernel or figure reads it — they go through
+  /// fold_blocks on both backends; it stays for the benchmark driver's
+  /// forwarding source (perfbench/driver.cc).
   [[nodiscard]] virtual const Dataset* dataset_or_null() const noexcept = 0;
 
   /// Type-erased block fold. `scan` may run concurrently for several
   /// blocks and must be a pure function of (block, base); `fold` runs
   /// on the calling thread, in device (= shard) order. Throws
-  /// SourceError when the backend fails to deliver a block.
+  /// SourceError when the backend fails to deliver a block, and
+  /// rethrows whatever `scan` threw, on the calling thread.
   using ScanFn =
       std::function<std::shared_ptr<void>(const Dataset& block,
                                           std::size_t device_base)>;

@@ -2,13 +2,14 @@
 
 #include <span>
 
+#include "analysis/query/scan.h"
+#include "analysis/query/source.h"
 #include "core/dataset_index.h"
-#include "core/parallel.h"
 
 namespace tokyonet::analysis {
 namespace {
 
-void merge(WifiRatios& into, const WifiRatios& from) {
+void merge(WifiRatios& into, const WifiRatios& from) noexcept {
   into.traffic_all.merge(from.traffic_all);
   into.users_all.merge(from.users_all);
   into.traffic_heavy.merge(from.traffic_heavy);
@@ -17,56 +18,67 @@ void merge(WifiRatios& into, const WifiRatios& from) {
   into.users_light.merge(from.users_light);
 }
 
-}  // namespace
-
-WifiRatios compute_wifi_ratios(const Dataset& ds,
-                               const std::vector<UserDay>& days,
-                               const UserClassifier& classes) {
-  // (device, day) -> class lookup.
+/// One block's profiles. `klass` holds each (global device, day)'s user
+/// class; the block's device d is global device `base + d`.
+[[nodiscard]] WifiRatios ratios_scan(const Dataset& ds, std::size_t base,
+                                     const std::vector<UserClass>& klass) {
   const auto num_days = static_cast<std::size_t>(ds.num_days());
-  std::vector<UserClass> klass(ds.devices.size() * num_days,
-                               UserClass::Neither);
-  for (const UserDay& d : days) {
-    klass[value(d.device) * num_days + static_cast<std::size_t>(d.day)] =
-        classes.classify(d);
-  }
-
-  const CampaignCalendar& cal = ds.calendar;
-  // One partial result per device, reduced in device order: the sums
-  // are grouped per device rather than interleaved, but the grouping is
-  // fixed, so the result is identical at any thread count.
   const core::DatasetIndex& idx = ds.index();
   const std::span<const TimeBin> bin = ds.samples.bin;
   const std::span<const std::uint32_t> wifi_rx = ds.samples.wifi_rx;
   const std::span<const std::uint32_t> cell_rx = ds.samples.cell_rx;
   const std::span<const WifiState> state = ds.samples.wifi_state;
-  const std::vector<WifiRatios> partials =
-      core::parallel_map(ds.devices.size(), [&](std::size_t d) {
+  const std::span<const std::uint16_t> how = idx.hour_of_week_table();
+  // Every profile sum is an exact integer, so the device-block partials
+  // merge to the same bytes at any thread count.
+  const std::vector<WifiRatios> partials = query::map_device_blocks(
+      ds.devices.size(), [&](std::size_t d0, std::size_t d1) {
         WifiRatios r;
-        for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
-          const TimeBin b = bin[i];
-          const double wifi = wifi_rx[i] / kBytesPerMb;
-          const double total = wifi + cell_rx[i] / kBytesPerMb;
-          const double assoc =
-              state[i] == WifiState::Associated ? 1.0 : 0.0;
-          const UserClass k =
-              klass[d * num_days + static_cast<std::size_t>(cal.day_of(b))];
-          if (total > 0) r.traffic_all.add(cal, b, wifi, total);
-          r.users_all.add(cal, b, assoc, 1.0);
-          if (k == UserClass::Heavy) {
-            if (total > 0) r.traffic_heavy.add(cal, b, wifi, total);
-            r.users_heavy.add(cal, b, assoc, 1.0);
-          } else if (k == UserClass::Light) {
-            if (total > 0) r.traffic_light.add(cal, b, wifi, total);
-            r.users_light.add(cal, b, assoc, 1.0);
+        for (std::size_t d = d0; d < d1; ++d) {
+          const UserClass* day_class = klass.data() + (base + d) * num_days;
+          for (std::size_t i = idx.device_begin(d); i < idx.device_end(d);
+               ++i) {
+            const TimeBin b = bin[i];
+            const int h = how[b];
+            const bool assoc = state[i] == WifiState::Associated;
+            add_ratio_sample(r.traffic_all, r.users_all, h, wifi_rx[i],
+                             cell_rx[i], assoc);
+            const UserClass k =
+                day_class[static_cast<std::size_t>(ds.calendar.day_of(b))];
+            if (k == UserClass::Heavy) {
+              add_ratio_sample(r.traffic_heavy, r.users_heavy, h, wifi_rx[i],
+                               cell_rx[i], assoc);
+            } else if (k == UserClass::Light) {
+              add_ratio_sample(r.traffic_light, r.users_light, h, wifi_rx[i],
+                               cell_rx[i], assoc);
+            }
           }
         }
         return r;
       });
-
   WifiRatios r;
   for (const WifiRatios& partial : partials) merge(r, partial);
   return r;
+}
+
+}  // namespace
+
+WifiRatios compute_wifi_ratios(const query::DataSource& src,
+                               const std::vector<UserDay>& days,
+                               const UserClassifier& classes) {
+  // (global device, day) -> class lookup.
+  const auto num_days = static_cast<std::size_t>(src.num_days());
+  std::vector<UserClass> klass(src.n_devices() * num_days,
+                               UserClass::Neither);
+  for (const UserDay& d : days) {
+    klass[value(d.device) * num_days + static_cast<std::size_t>(d.day)] =
+        classes.classify(d);
+  }
+  return src.reduce<WifiRatios>(
+      [&](const Dataset& block, std::size_t base) {
+        return ratios_scan(block, base, klass);
+      },
+      [](WifiRatios& acc, WifiRatios&& p) { merge(acc, p); });
 }
 
 }  // namespace tokyonet::analysis

@@ -77,9 +77,9 @@ struct CarrierCounts {
   // Branch-free counting pass: per block, one (hour-of-week, state)
   // counter bump per sample, then a single profile conversion per block.
   // The per-sample adds of the reference are 0/1 increments, so the
-  // count-converted sums are the same exact integers in doubles: the
-  // result is byte-identical to the serial reference at any thread
-  // count and any device grouping.
+  // count-converted sums are the same exact integers: the result is
+  // byte-identical to the serial reference at any thread count and any
+  // device grouping.
   const std::span<const TimeBin> bin = ds.samples.bin;
   const std::span<const WifiState> state = ds.samples.wifi_state;
   const std::span<const std::uint16_t> how = idx.hour_of_week_table();
@@ -128,8 +128,8 @@ struct CarrierCounts {
 }  // namespace
 
 WifiStateProfiles compute_wifi_states(const query::DataSource& src) {
-  // WeeklyProfile sums are exact integer counts in doubles, so merging
-  // per-block profiles in block order matches one whole-campaign scan.
+  // WeeklyProfile sums are exact integers, so merging per-block profiles
+  // matches one whole-campaign scan.
   return src.reduce<WifiStateProfiles>(
       [](const Dataset& block, std::size_t) { return wifi_states_scan(block); },
       [](WifiStateProfiles& acc, WifiStateProfiles&& p) { merge(acc, p); });

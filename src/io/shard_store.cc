@@ -490,6 +490,7 @@ SnapshotResult ShardedDataset::materialize(Dataset& out,
   // Each shard is dropped (releasing its residency token) before the
   // next is awaited.
   for (ShardPrefetcher::Loaded item; prefetch.next(item); item = {}) {
+    if (item.exception) std::rethrow_exception(item.exception);
     if (!item.result.ok()) {
       out = Dataset{};
       return item.result;
@@ -557,9 +558,14 @@ ShardPrefetcher::ShardPrefetcher(ShardedDataset& store,
       }
       Loaded item;
       item.index = i;
-      item.token = Impl::make_token(sh);
-      item.result = store.load_shard(i, item.dataset, opts);
-      const bool failed = !item.result.ok();
+      try {
+        item.token = Impl::make_token(sh);
+        item.result = store.load_shard(i, item.dataset, opts);
+      } catch (...) {
+        item.dataset = Dataset{};
+        item.exception = std::current_exception();
+      }
+      const bool failed = !item.result.ok() || item.exception;
       {
         std::lock_guard<std::mutex> lk(sh->mu);
         sh->ready.push_back(std::move(item));

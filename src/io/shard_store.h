@@ -43,6 +43,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -205,16 +206,20 @@ class ShardedDataset {
 /// consumer (the double-buffered prefetch); the K-parallel scan uses
 /// K + 1.
 ///
-/// Delivery is strictly in shard order. A failed load is delivered at
-/// its position as a Loaded carrying the error, after which the loader
-/// stops — the consumer sees the failure on its own thread, in order,
-/// with no further shards behind it (no hang, no partial fold).
+/// Delivery is strictly in shard order. A failed load — an error result,
+/// or an exception load_shard() threw (e.g. std::bad_alloc) — is
+/// delivered at its position as a Loaded carrying it, after which the
+/// loader stops: the consumer sees the failure on its own thread, in
+/// order, with no further shards behind it (no hang, no partial fold,
+/// no exception escaping the loader thread).
 class ShardPrefetcher {
  public:
   struct Loaded {
     std::size_t index = 0;
     Dataset dataset;
     SnapshotResult result;
+    /// What load_shard() threw, if anything; the consumer rethrows it.
+    std::exception_ptr exception;
     /// Releases this shard's residency token when destroyed; the loader
     /// cannot start shard j until fewer than max_resident tokens are
     /// outstanding.

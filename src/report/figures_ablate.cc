@@ -2,6 +2,7 @@
 // simulator ground truth where available. All run on the 2015 campaign.
 #include "analysis/availability.h"
 #include "analysis/classify.h"
+#include "analysis/query/source.h"
 #include "analysis/ratios.h"
 #include "report/figures.h"
 #include "report/registry.h"
@@ -16,11 +17,12 @@ struct PrecisionRecall {
   double device_share = 0;
 };
 
-PrecisionRecall evaluate_home_inference(const Dataset& ds,
-                                        const analysis::ApClassification& cls) {
+PrecisionRecall evaluate_home_inference(
+    const std::vector<DeviceTruth>& truth,
+    const analysis::ApClassification& cls) {
   int inferred = 0, correct = 0, owners = 0, correct_owner = 0;
-  for (std::size_t i = 0; i < ds.devices.size(); ++i) {
-    const DeviceTruth& t = ds.truth.devices[i];
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    const DeviceTruth& t = truth[i];
     owners += t.has_home_ap;
     const ApId ap = cls.home_ap_of_device[i];
     if (ap == kNoAp) continue;
@@ -38,13 +40,16 @@ PrecisionRecall evaluate_home_inference(const Dataset& ds,
 }
 
 Table ablate_home_threshold(const FigureContext& ctx) {
-  const Dataset& ds = ctx.dataset();
+  const analysis::query::DataSource& src = ctx.source();
+  // Simulator ground truth, one row per device in global device order.
+  const std::vector<DeviceTruth> truth = src.concat<DeviceTruth>(
+      [](const Dataset& block, std::size_t) { return block.truth.devices; });
   Table t({"threshold", "precision", "recall", "inferred share", "home APs"});
   for (const double threshold : {0.50, 0.60, 0.70, 0.80, 0.90}) {
     analysis::ClassifyOptions opt;
     opt.home_presence_threshold = threshold;
-    const auto cls = analysis::classify_aps(ds, opt);
-    const PrecisionRecall pr = evaluate_home_inference(ds, cls);
+    const auto cls = analysis::classify_aps(src, opt);
+    const PrecisionRecall pr = evaluate_home_inference(truth, cls);
     t.add_row({Value::pct(threshold, 0), Value::pct(pr.precision, 1),
                Value::pct(pr.recall, 1), Value::pct(pr.device_share, 1),
                Value::integer(cls.counts().home)});
@@ -76,7 +81,6 @@ Table ablate_rssi_cutoff(const FigureContext& ctx) {
 }
 
 Table ablate_user_bands(const FigureContext& ctx) {
-  const Dataset& ds = ctx.dataset();
   const auto& days = ctx.analysis().days();
 
   struct Bands {
@@ -89,7 +93,7 @@ Table ablate_user_bands(const FigureContext& ctx) {
                          Bands{40, 60, 90}}) {
     const analysis::UserClassifier classes(days, b.lo, b.hi, b.heavy);
     const analysis::WifiRatios r =
-        analysis::compute_wifi_ratios(ds, days, classes);
+        analysis::compute_wifi_ratios(ctx.source(), days, classes);
     const double light = r.traffic_light.mean_ratio();
     const double heavy = r.traffic_heavy.mean_ratio();
     t.add_row({Value::text(strf("%.0f-%.0f pct", b.lo, b.hi)),

@@ -52,10 +52,10 @@ Table table07(const FigureContext& ctx) {
 void register_app_figures(FigureRegistry& r) {
   r.add({"table06", "top app categories by download (RX) volume per context",
          "Table 6 (top app categories by RX volume)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &table06, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &table06});
   r.add({"table07", "top app categories by upload (TX) volume per context",
          "Table 7 (top app categories by TX volume)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &table07, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &table07});
 }
 
 }  // namespace tokyonet::report

@@ -105,13 +105,13 @@ Table sec42(const FigureContext& ctx) {
 
 void register_event_figures(FigureRegistry& r) {
   r.add({"fig18", "iOS 8.2 software update timing (CDF/PDF)",
-         "Fig 18 (software update timing, Sec 3.7)", {Year::Y2015}, &fig18, true});
+         "Fig 18 (software update timing, Sec 3.7)", {Year::Y2015}, &fig18});
   r.add({"fig19", "soft bandwidth cap: daily vs 3-day-mean download CDFs",
          "Fig 19 (soft bandwidth cap effect, Sec 3.8)",
-         {Year::Y2014, Year::Y2015}, &fig19, true});
+         {Year::Y2014, Year::Y2015}, &fig19});
   r.add({"sec42_battery", "weekly battery-level profile and WiFi-state check",
          "Sec 4.2 (battery levels vs WiFi state)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec42, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec42});
 }
 
 }  // namespace tokyonet::report

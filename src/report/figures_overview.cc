@@ -96,16 +96,16 @@ Table table09(const FigureContext& ctx) {
 void register_overview_figures(FigureRegistry& r) {
   r.add({"table01", "dataset overview: devices per OS and LTE share",
          "Table 1 (dataset overview)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table01, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table01});
   r.add({"table02", "user-survey demographics (occupation mix)",
          "Table 2 (user demographics)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table02, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table02});
   r.add({"table08", "survey: self-reported WiFi AP usage per location",
          "Table 8 (survey: associated WiFi APs)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table08, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table08});
   r.add({"table09", "survey: reasons for WiFi unavailability per location",
          "Table 9 (survey: reasons for unavailability)",
-         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table09, true});
+         {kEveryYear[0], kEveryYear[1], kEveryYear[2]}, &table09});
 }
 
 }  // namespace tokyonet::report

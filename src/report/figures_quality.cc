@@ -92,15 +92,15 @@ Table sec35(const FigureContext& ctx) {
 void register_quality_figures(FigureRegistry& r) {
   r.add({"fig15", "RSSI PDFs of associated 2.4 GHz home and public APs",
          "Fig 15 (RSSI PDFs of associated APs, 2015)", {Year::Y2015},
-         &fig15, true});
+         &fig15});
   r.add({"fig16", "PMF of associated 2.4 GHz channels, home vs public",
          "Fig 16 (associated 2.4 GHz channels)", {Year::Y2013, Year::Y2015},
-         &fig16, true});
+         &fig16});
   r.add({"fig17", "CCDFs of detected public WiFi networks per scan",
-         "Fig 17 (public WiFi availability, 2015)", {Year::Y2015}, &fig17, true});
+         "Fig 17 (public WiFi availability, 2015)", {Year::Y2015}, &fig17});
   r.add({"sec35_opportunity", "stable public-WiFi offload opportunity",
          "Sec 3.5 (offloadable traffic estimate)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec35, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec35});
 }
 
 }  // namespace tokyonet::report

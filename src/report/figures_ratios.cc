@@ -13,7 +13,7 @@ namespace {
 const char* kWeekDays[] = {"Sat", "Sun", "Mon", "Tue", "Wed", "Thu", "Fri"};
 
 analysis::WifiRatios wifi_ratios(const FigureContext& ctx) {
-  return analysis::compute_wifi_ratios(ctx.dataset(), ctx.analysis().days(),
+  return analysis::compute_wifi_ratios(ctx.source(), ctx.analysis().days(),
                                        ctx.analysis().classifier());
 }
 
@@ -128,7 +128,7 @@ void register_ratio_figures(FigureRegistry& r) {
          &fig08});
   r.add({"fig09", "Android WiFi interface states and iOS WiFi users",
          "Fig 9 (WiFi interface states by OS)", {Year::Y2013, Year::Y2015},
-         &fig09, true});
+         &fig09});
 }
 
 }  // namespace tokyonet::report

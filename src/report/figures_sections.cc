@@ -53,10 +53,10 @@ Table sec43(const FigureContext& ctx) {
 void register_section_figures(FigureRegistry& r) {
   r.add({"sec41_offload", "impact of home WiFi offload on RBB traffic",
          "Sec 4.1 (impact of home WiFi offload)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec41, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec41});
   r.add({"sec43_shared_aps", "multi-provider shared public APs",
          "Sec 4.3 (multi-provider shared APs)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec43, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &sec43});
 }
 
 }  // namespace tokyonet::report

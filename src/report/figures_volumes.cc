@@ -146,15 +146,15 @@ Table fig05(const FigureContext& ctx) {
 
 void register_volume_figures(FigureRegistry& r) {
   r.add({"fig02", "aggregated traffic volume over the first campaign week",
-         "Fig 2 (aggregated traffic volume, 2015)", {Year::Y2015}, &fig02, true});
+         "Fig 2 (aggregated traffic volume, 2015)", {Year::Y2015}, &fig02});
   r.add({"fig03", "CDFs of daily total traffic per user (RX and TX)",
          "Fig 3 (CDFs of daily total traffic per user)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig03, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig03});
   r.add({"fig04", "CDFs of daily traffic per interface type + headline facts",
-         "Fig 4 (daily volume per type, 2015)", {Year::Y2015}, &fig04, true});
+         "Fig 4 (daily volume per type, 2015)", {Year::Y2015}, &fig04});
   r.add({"fig05", "user-day heat map mass + cellular/WiFi user-type split",
          "Fig 5 (daily traffic volume per user)", {Year::Y2013, Year::Y2015},
-         &fig05, true});
+         &fig05});
 }
 
 }  // namespace tokyonet::report

@@ -192,25 +192,25 @@ Table table05(const FigureContext& ctx) {
 void register_wifi_figures(FigureRegistry& r) {
   r.add({"fig10", "associated unique APs per 5 km grid cell",
          "Fig 10 (associated APs per 5 km cell)", {Year::Y2013, Year::Y2015},
-         &fig10, true});
+         &fig10});
   r.add({"fig11", "WiFi traffic volume at home/public/office APs",
          "Fig 11 (WiFi traffic by AP location)", {Year::Y2013, Year::Y2015},
-         &fig11, true});
+         &fig11});
   r.add({"fig12", "number of APs a device associates with per day",
          "Fig 12 (associated APs per user per day)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig12, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig12});
   r.add({"fig13", "CCDFs of consecutive WiFi association time per AP class",
          "Fig 13 (CCDFs of WiFi association time)",
-         {Year::Y2013, Year::Y2015}, &fig13, true});
+         {Year::Y2013, Year::Y2015}, &fig13});
   r.add({"fig14", "5 GHz share of associated APs per location",
          "Fig 14 (5 GHz share of associated APs)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig14, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &fig14});
   r.add({"table04", "number of estimated APs by inferred class",
          "Table 4 (number of estimated APs)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &table04, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &table04});
   r.add({"table05", "ESSID class combinations per user-day",
          "Table 5 (ESSID combinations per user-day)",
-         {Year::Y2013, Year::Y2014, Year::Y2015}, &table05, true});
+         {Year::Y2013, Year::Y2014, Year::Y2015}, &table05});
 }
 
 }  // namespace tokyonet::report

@@ -9,10 +9,6 @@
 
 namespace tokyonet::report {
 
-const Dataset& FigureContext::dataset(Year y) const {
-  return runner_->dataset(y);
-}
-
 const analysis::AnalysisContext& FigureContext::analysis(Year y) const {
   return runner_->analysis(y);
 }
@@ -49,6 +45,7 @@ const FigureRegistry& FigureRegistry::instance() {
 
 void FigureRegistry::add(FigureSpec spec) {
   assert(spec.fn != nullptr && !spec.id.empty());
+  spec.out_of_core = spec.per_year();
   figures_.push_back(std::move(spec));
 }
 

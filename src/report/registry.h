@@ -20,12 +20,9 @@
 #include "core/types.h"
 #include "report/table.h"
 
-namespace tokyonet {
-class Dataset;
-namespace analysis {
+namespace tokyonet::analysis {
 class AnalysisContext;
-}  // namespace analysis
-}  // namespace tokyonet
+}  // namespace tokyonet::analysis
 
 namespace tokyonet::report {
 
@@ -44,15 +41,12 @@ class FigureContext {
   [[nodiscard]] Year year() const { return *year_; }
   [[nodiscard]] std::optional<Year> year_opt() const noexcept { return year_; }
 
-  /// Memoized dataset / analysis context for any campaign year. The
-  /// dataset is only available in-memory (throws std::logic_error out
-  /// of core); source() works in both backends and is what out_of_core
-  /// figures consume.
-  [[nodiscard]] const Dataset& dataset(Year y) const;
+  /// Memoized analysis context for any campaign year, and its
+  /// campaign as a query::DataSource — the only way a figure reads
+  /// records, so it renders the same bytes in memory and out of core.
   [[nodiscard]] const analysis::AnalysisContext& analysis(Year y) const;
   [[nodiscard]] const analysis::query::DataSource& source(Year y) const;
   /// Shorthands for the target year.
-  [[nodiscard]] const Dataset& dataset() const { return dataset(year()); }
   [[nodiscard]] const analysis::AnalysisContext& analysis() const {
     return analysis(year());
   }
@@ -76,12 +70,13 @@ struct FigureSpec {
   /// several years (e.g. Table 3's growth rates).
   std::vector<Year> years;
   FigureFn fn = nullptr;
-  /// True when the figure consumes only FigureContext::source() and the
-  /// context intermediates — it can run over a sharded store without
-  /// ever materializing the campaign (`fig run --out-of-core`). Figures
-  /// whose kernels need the resident Dataset (e.g. the Fig 6-8 ratio
-  /// scans, whose floating-point accumulation order is not
-  /// shard-decomposable) stay false.
+  /// Whether the figure renders over a sharded store without
+  /// materializing the campaign (`fig run --out-of-core`). Every figure
+  /// reads only FigureContext::source() and the context intermediates,
+  /// so FigureRegistry::add sets this to per_year(): only the
+  /// longitudinal figures, which span several campaigns, are false.
+  /// The program tests per_year() directly; the field stays for the
+  /// benchmark driver's pinned-id check (perfbench/driver.cc).
   bool out_of_core = false;
 
   [[nodiscard]] bool per_year() const noexcept { return !years.empty(); }
@@ -105,7 +100,8 @@ class FigureRegistry {
   }
   [[nodiscard]] std::size_t size() const noexcept { return figures_.size(); }
 
-  /// Used by the register_*_figures() functions during construction.
+  /// Used by the register_*_figures() functions during construction;
+  /// derives spec.out_of_core.
   void add(FigureSpec spec);
 
  private:

@@ -47,8 +47,8 @@ class Runner {
 
   /// Memoized campaign for `year`: simulated (or cache-loaded) at most
   /// once per Runner, thread-safely. Throws std::logic_error when the
-  /// year runs out of core (adopt_shards_out_of_core / adopt_source) —
-  /// figures flagged FigureSpec::out_of_core never call this.
+  /// year runs out of core (adopt_shards_out_of_core / adopt_source).
+  /// Figures never call this; they read analysis(year).source().
   [[nodiscard]] const Dataset& dataset(Year year);
 
   /// Memoized analysis context over `year`'s campaign (in-memory or
@@ -77,8 +77,8 @@ class Runner {
       std::size_t resident_shards = 1);
 
   /// Opens a sharded campaign store and installs it as `year`'s
-  /// campaign WITHOUT materializing it: every figure flagged
-  /// FigureSpec::out_of_core then runs through a query::ShardedSource
+  /// campaign WITHOUT materializing it: every per-year figure then runs
+  /// through a query::ShardedSource
   /// holding at most `resident_shards + 1` shards resident (exactly one
   /// at resident_shards = 0), byte-identical to the in-memory run.
   /// Must precede the first dataset()/analysis() resolution for `year`.

@@ -4,8 +4,8 @@
 // Runner + FigureRegistry path as the in-memory CLI, with the campaign
 // installed as a query::ShardedSource instead of a materialized
 // Dataset — so each emitted Table's canonical JSON is byte-identical to
-// the in-memory run, and the battery is just the registry entries that
-// carry FigureSpec::out_of_core (no figure-specific shard code).
+// the in-memory run, and the battery is just six registry entries (no
+// figure-specific shard code).
 #pragma once
 
 #include <vector>

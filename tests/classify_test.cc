@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/query/source.h"
+
 #include "testutil.h"
 
 namespace tokyonet::analysis {
@@ -38,7 +40,7 @@ Dataset overnight_dataset(double presence, std::string essid = "aterm-AB12-g") {
 
 TEST(Classify, OvernightCamperGetsHomeAp) {
   const Dataset ds = overnight_dataset(1.0);
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.home_ap_of_device[0], ApId{0});
   EXPECT_EQ(cls.class_of(ApId{0}), ApClass::Home);
   EXPECT_DOUBLE_EQ(cls.home_ap_device_share(), 1.0);
@@ -46,7 +48,7 @@ TEST(Classify, OvernightCamperGetsHomeAp) {
 
 TEST(Classify, BelowPresenceThresholdNotHome) {
   const Dataset ds = overnight_dataset(0.5);  // below the 70% rule
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.home_ap_of_device[0], kNoAp);
   EXPECT_EQ(cls.class_of(ApId{0}), ApClass::Other);
 }
@@ -58,7 +60,7 @@ TEST_P(HomeThresholdSweep, ThresholdGatesClassification) {
   const Dataset ds = overnight_dataset(presence);
   ClassifyOptions opt;
   opt.home_presence_threshold = GetParam();
-  const ApClassification cls = classify_aps(ds, opt);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds), opt);
   if (GetParam() <= presence) {
     EXPECT_EQ(cls.home_ap_of_device[0], ApId{0});
   } else {
@@ -73,7 +75,7 @@ TEST(Classify, FonBoxCampedOnOvernightIsHome) {
   // §3.4.1: FON APs with a public ESSID used around the clock at home
   // are classified home, not public.
   const Dataset ds = overnight_dataset(1.0, "FON_FREE_INTERNET");
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.class_of(ApId{0}), ApClass::Home);
 }
 
@@ -87,7 +89,7 @@ TEST(Classify, ProviderEssidIsPublic) {
                WifiState::Associated, ap);
   }
   test::set_rows(ds, rows);
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.class_of(ap), ApClass::Public);
 }
 
@@ -97,7 +99,7 @@ TEST(Classify, NeverAssociatedApsExcludedFromCounts) {
   (void)add_ap(ds, "0000docomo");
   (void)add_ap(ds, "corp-ap-22");
   test::set_rows(ds, rows);
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   const auto counts = cls.counts();
   EXPECT_EQ(counts.total, 0);
 }
@@ -114,7 +116,7 @@ TEST(Classify, WeekdayMiddayApIsOffice) {
     }
   }
   test::set_rows(ds, rows);
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.class_of(ap), ApClass::Other);
   EXPECT_TRUE(cls.is_office[value(ap)]);
   EXPECT_EQ(cls.counts().office, 1);
@@ -131,7 +133,7 @@ TEST(Classify, WeekendMiddayApIsNotOffice) {
     }
   }
   test::set_rows(ds, rows);
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_FALSE(cls.is_office[value(ap)]);
 }
 
@@ -145,15 +147,15 @@ TEST(Classify, ApSeenAcrossManyCellsIsMobile) {
     s.geo_cell = static_cast<GeoCell>(100 + k);  // moving
   }
   test::set_rows(ds, rows);
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_TRUE(cls.is_mobile[value(ap)]);
   EXPECT_FALSE(cls.is_office[value(ap)]);
 }
 
 TEST(Classify, IdempotentAcrossCalls) {
   const Dataset& ds = campaign(Year::Y2014);
-  const ApClassification a = classify_aps(ds);
-  const ApClassification b = classify_aps(ds);
+  const ApClassification a = classify_aps(query::InMemorySource(ds));
+  const ApClassification b = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(a.ap_class, b.ap_class);
   EXPECT_EQ(a.home_ap_of_device, b.home_ap_of_device);
 }
@@ -206,7 +208,7 @@ TEST(Classify, HomeShareTracksOwnership) {
 TEST(Classify, EmptyDatasetYieldsEmptyClassification) {
   Dataset ds = empty_dataset(0, 1);
   ds.build_index();
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.counts().total, 0);
   EXPECT_DOUBLE_EQ(cls.home_ap_device_share(), 0.0);
 }

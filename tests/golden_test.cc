@@ -44,8 +44,8 @@ TEST(Golden, EveryFigureMatchesItsGoldenFile) {
   EXPECT_EQ(report.figures, 75);
 }
 
-// The out-of-core backend against the same pinned files: every figure
-// carrying FigureSpec::out_of_core, rendered from a sharded store via
+// The out-of-core backend against the same pinned files: every per-year
+// figure, rendered from a sharded store via
 // Runner::adopt_shards_out_of_core (never materializing the campaign),
 // must byte-match the golden its in-memory rendering is pinned to.
 // CMake registers this as golden_query_threads{1,4}.
@@ -68,7 +68,7 @@ TEST(GoldenQuery, OutOfCoreFiguresMatchGoldens) {
     const io::SnapshotResult a = runner.adopt_shards_out_of_core(year, dir);
     ASSERT_TRUE(a.ok()) << a.error;
     for (const FigureSpec& spec : FigureRegistry::instance().figures()) {
-      if (!spec.out_of_core || !spec.applies_to(year)) continue;
+      if (!spec.applies_to(year)) continue;
       const fs::path golden = fs::path(TOKYONET_GOLDEN_DIR) /
                               golden_filename(spec, year);
       std::ifstream in(golden, std::ios::binary);
@@ -80,9 +80,9 @@ TEST(GoldenQuery, OutOfCoreFiguresMatchGoldens) {
       ++renderings;
     }
   }
-  // Every out-of-core (figure, year) combination in the catalog; grows
-  // when a figure gains an out-of-core plan.
-  EXPECT_EQ(renderings, 64);
+  // Every per-year (figure, year) combination in the catalog: all 75
+  // renderings but the two longitudinal ones (fig01, table03).
+  EXPECT_EQ(renderings, 73);
 }
 
 }  // namespace

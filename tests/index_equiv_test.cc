@@ -75,9 +75,15 @@ class Digest {
   void fold(const std::array<T, N>& a) {
     for (const T& x : a) fold(x);
   }
+  // Profile sums fold as the doubles they render: the digests were
+  // pinned when the sums were doubles, and integer sums below 2^53
+  // convert to exactly those values.
   void fold(const WeeklyProfile& p) {
-    fold(p.num_series());
-    fold(p.den_series());
+    for (const std::vector<std::uint64_t>& sums :
+         {p.num_series(), p.den_series()}) {
+      fold(sums.size());
+      for (const std::uint64_t x : sums) fold(static_cast<double>(x));
+    }
   }
 
   std::uint64_t h_ = 0x696E646578657175ull;  // "indexequ"
@@ -281,7 +287,7 @@ TEST(AnalysisContextTest, MatchesFreshComputation) {
     EXPECT_EQ(ctx.classifier().classify(d), classes.classify(d));
   }
 
-  const ApClassification cls = classify_aps(ds);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
   const auto got = ctx.classification().counts();
   const auto want = cls.counts();
   EXPECT_EQ(got.home, want.home);

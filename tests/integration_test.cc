@@ -84,7 +84,7 @@ TEST(Longitudinal, OffloadEnvironmentImproves) {
     const auto& src = campaign_source(y);
     const auto days = user_days(ds);
     const UserClassifier classes(days);
-    const WifiRatios r = compute_wifi_ratios(ds, days, classes);
+    const WifiRatios r = compute_wifi_ratios(src, days, classes);
     const WifiStateProfiles st = compute_wifi_states(src);
     EXPECT_GE(r.traffic_all.mean_ratio(), prev_traffic - 0.02);
     EXPECT_GE(r.users_all.mean_ratio(), prev_users - 0.02);

@@ -158,8 +158,10 @@ TEST_F(CsvRoundTrip, AnalysisIdenticalOnLoadedDataset) {
   EXPECT_DOUBLE_EQ(stats_a.median_all, stats_b.median_all);
   EXPECT_DOUBLE_EQ(stats_a.mean_wifi, stats_b.mean_wifi);
 
-  const auto cls_a = analysis::classify_aps(original);
-  const auto cls_b = analysis::classify_aps(loaded);
+  const auto cls_a =
+      analysis::classify_aps(analysis::query::InMemorySource(original));
+  const auto cls_b =
+      analysis::classify_aps(analysis::query::InMemorySource(loaded));
   EXPECT_EQ(cls_a.counts().home, cls_b.counts().home);
   EXPECT_EQ(cls_a.counts().publik, cls_b.counts().publik);
   EXPECT_EQ(cls_a.home_ap_of_device, cls_b.home_ap_of_device);

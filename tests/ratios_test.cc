@@ -20,11 +20,11 @@ const YearRatios& year_ratios(Year y) {
   static const YearRatios* cache[kNumYears] = {};
   const int i = static_cast<int>(y);
   if (cache[i] == nullptr) {
-    const Dataset& ds = campaign(y);
-    const auto days = user_days(ds);
+    const auto& src = test::campaign_source(y);
+    const auto days = user_days(campaign(y));
     const UserClassifier classes(days);
-    auto* yr = new YearRatios{compute_wifi_ratios(ds, days, classes),
-                              compute_wifi_states(test::campaign_source(y))};
+    auto* yr = new YearRatios{compute_wifi_ratios(src, days, classes),
+                              compute_wifi_states(src)};
     cache[i] = yr;
   }
   return *cache[i];

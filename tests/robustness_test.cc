@@ -27,12 +27,12 @@ using test::empty_dataset;
 TEST(Robustness, EmptyDatasetEverywhere) {
   Dataset ds = empty_dataset(0, 1);
   ds.build_index();
-  const ApClassification cls = classify_aps(ds);
+  const query::InMemorySource src(ds);
+  const ApClassification cls = classify_aps(src);
   const auto days = user_days(ds);
   EXPECT_TRUE(days.empty());
   EXPECT_EQ(cls.counts().total, 0);
   EXPECT_EQ(detect_updates(ds).num_ios, 0);
-  const query::InMemorySource src(ds);
   EXPECT_EQ(scan_availability(src).all_24.size(), 0u);
   EXPECT_EQ(offload_opportunity(src).num_wifi_available_users, 0);
   const CapAnalysis cap = analyze_cap(ds.devices.size(), days);
@@ -53,7 +53,7 @@ TEST(Robustness, DeviceWithNoSamples) {
   EXPECT_EQ(ds.index().device_end(1) - ds.index().device_begin(1), 1u);
   const auto days = user_days(ds);
   EXPECT_EQ(days.size(), 6u);  // rows exist for idle devices too
-  const auto cls = classify_aps(ds);
+  const auto cls = classify_aps(query::InMemorySource(ds));
   EXPECT_EQ(cls.home_ap_of_device[0], kNoAp);
 }
 
@@ -67,8 +67,8 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   // bins 12-19 missing (upload failure)
   add_sample(rows, 0, 20, 0, 100, WifiState::Associated, ap);
   test::set_rows(ds, rows);
-  ApClassification cls = classify_aps(ds);
   const query::InMemorySource src(ds);
+  ApClassification cls = classify_aps(src);
   const AssociationDurations d = association_durations(src, cls);
   std::size_t runs =
       d.home_hours.size() + d.public_hours.size() + d.office_hours.size();
@@ -81,8 +81,8 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
   add_sample(rows, 0, 11, 0, 100, WifiState::Associated, pub);
   add_sample(rows, 0, 20, 0, 100, WifiState::Associated, pub);
   test::set_rows(ds2, rows);
-  cls = classify_aps(ds2);
   const query::InMemorySource src2(ds2);
+  cls = classify_aps(src2);
   const AssociationDurations d2 = association_durations(src2, cls);
   ASSERT_EQ(d2.public_hours.size(), 2u);  // split, not merged
   EXPECT_DOUBLE_EQ(d2.public_hours[0], 2.0 / 6);
@@ -106,7 +106,8 @@ TEST(Robustness, AllZeroTrafficPopulation) {
   EXPECT_DOUBLE_EQ(f.zero_cell_share, 1.0);
   EXPECT_DOUBLE_EQ(f.zero_wifi_share, 1.0);
   const UserClassifier classes(days);
-  const WifiRatios r = compute_wifi_ratios(ds, days, classes);
+  const WifiRatios r =
+      compute_wifi_ratios(query::InMemorySource(ds), days, classes);
   for (double v : r.traffic_all.ratio_series()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
@@ -152,8 +153,8 @@ TEST(Robustness, RssiAnalysisWithNoWifi) {
   std::vector<Sample> rows;
   add_sample(rows, 0, 0, 1'000'000u, 0);
   test::set_rows(ds, rows);
-  const auto cls = classify_aps(ds);
   const query::InMemorySource src(ds);
+  const auto cls = classify_aps(src);
   const RssiAnalysis r = rssi_analysis(src, cls);
   EXPECT_TRUE(r.home_max_rssi.empty());
   EXPECT_DOUBLE_EQ(r.home_mean, 0.0);

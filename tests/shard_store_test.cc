@@ -12,11 +12,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "analysis/classify.h"
 #include "analysis/context.h"
 #include "analysis/query/source.h"
+#include "analysis/ratios.h"
 #include "core/records.h"
 #include "core/scenario.h"
 #include "io/snapshot.h"
@@ -404,6 +407,37 @@ TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
   }
 }
 
+// An exception a scan throws on a K-scanner thread is carried to the
+// thread calling fold_blocks and rethrown there after the pipeline has
+// stopped (it used to escape the std::thread and abort the process).
+// Everything before the failing shard has been folded, nothing after.
+TEST(ShardPipeline, ScanExceptionReachesCaller) {
+  const ScenarioConfig config =
+      scenario_config(Year::Y2015, kShardTestScale);
+  test::ScratchDir tmp;
+  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
+  const std::size_t failing_base = store.device_begin(2);
+
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
+    const analysis::query::ShardedSource src(store, k);
+    std::vector<std::size_t> folded;
+    try {
+      src.fold<int>(
+          [&](const Dataset&, std::size_t base) {
+            if (base == failing_base) throw std::runtime_error("scan failed");
+            return 0;
+          },
+          [&](int&&, std::size_t base) { folded.push_back(base); });
+      ADD_FAILURE() << "scan exception swallowed, resident_shards=" << k;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "scan failed") << "resident_shards=" << k;
+    }
+    EXPECT_EQ(folded, (std::vector<std::size_t>{store.device_begin(0),
+                                                store.device_begin(1)}))
+        << "resident_shards=" << k;
+  }
+}
+
 // A shard file that changes under an open store — truncated, or replaced
 // by the same shard of another campaign — between two passes is caught
 // on its next load: the file size and the header identity are checked
@@ -503,7 +537,8 @@ TEST(ShardStore, MaterializeResidencyInvariant) {
 
 // The full determinism matrix: the out-of-core battery's canonical JSON
 // must byte-match the in-memory registry rendering at every shard count
-// x residency budget (the thread dimension comes from the
+// x residency budget, and so must the Fig 6-8 ratio profiles and the AP
+// classification (the thread dimension comes from the
 // shard_scan_threads{1,4} ctest entries re-running this suite under
 // TOKYONET_THREADS).
 TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
@@ -515,6 +550,11 @@ TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
   opt.scale = kShardTestScale;
   report::Runner runner(opt);
   const auto& registry = report::FigureRegistry::instance();
+  const analysis::AnalysisContext& mem = runner.analysis(Year::Y2015);
+  const analysis::WifiRatios mem_ratios =
+      analysis::compute_wifi_ratios(mem.source(), mem.days(),
+                                    mem.classifier());
+  const analysis::ApClassification& mem_cls = mem.classification();
 
   for (const std::size_t shards :
        {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
@@ -536,6 +576,20 @@ TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
                   report::to_canonical_json(runner.run(*spec, Year::Y2015)))
             << t.id << " shards=" << shards << " K=" << k;
       }
+      if (k > 1) continue;
+      const std::string where =
+          "shards=" + std::to_string(shards) + " K=" + std::to_string(k);
+      const analysis::query::ShardedSource src(store, k);
+      EXPECT_TRUE(analysis::compute_wifi_ratios(src, mem.days(),
+                                                mem.classifier()) ==
+                  mem_ratios)
+          << where;
+      const analysis::ApClassification cls = analysis::classify_aps(src);
+      EXPECT_EQ(cls.ap_class, mem_cls.ap_class) << where;
+      EXPECT_EQ(cls.associated, mem_cls.associated) << where;
+      EXPECT_EQ(cls.is_office, mem_cls.is_office) << where;
+      EXPECT_EQ(cls.is_mobile, mem_cls.is_mobile) << where;
+      EXPECT_EQ(cls.home_ap_of_device, mem_cls.home_ap_of_device) << where;
     }
   }
 }

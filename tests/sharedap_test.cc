@@ -33,7 +33,7 @@ TEST(SharedAp, DetectsAdjacentBssidsAcrossProviders) {
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00254B000011,
                                        "0000docomo", "0001softbank");
   const query::InMemorySource src(ds);
-  const auto cls = classify_aps(ds);
+  const auto cls = classify_aps(src);
   const SharedApAnalysis s = detect_shared_aps(src, cls);
   ASSERT_EQ(s.groups.size(), 1u);
   EXPECT_EQ(s.groups[0].size(), 2u);
@@ -46,7 +46,7 @@ TEST(SharedAp, SameProviderNotGrouped) {
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00254B000011,
                                        "0000docomo", "0000docomo");
   const query::InMemorySource src(ds);
-  const auto cls = classify_aps(ds);
+  const auto cls = classify_aps(src);
   EXPECT_TRUE(detect_shared_aps(src, cls).groups.empty());
 }
 
@@ -54,7 +54,7 @@ TEST(SharedAp, DistantBssidsNotGrouped) {
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00254B000019,
                                        "0000docomo", "0001softbank");
   const query::InMemorySource src(ds);
-  const auto cls = classify_aps(ds);
+  const auto cls = classify_aps(src);
   EXPECT_TRUE(detect_shared_aps(src, cls).groups.empty());
 }
 
@@ -62,7 +62,7 @@ TEST(SharedAp, DifferentOuiNotGrouped) {
   const Dataset ds = dataset_with_pair(0x00254B000010, 0x00266C000011,
                                        "0000docomo", "0001softbank");
   const query::InMemorySource src(ds);
-  const auto cls = classify_aps(ds);
+  const auto cls = classify_aps(src);
   EXPECT_TRUE(detect_shared_aps(src, cls).groups.empty());
 }
 
@@ -76,8 +76,8 @@ TEST(SharedAp, NonPublicIgnored) {
   add_sample(rows, 0, 60, 0, 100, WifiState::Associated, a);
   add_sample(rows, 0, 61, 0, 100, WifiState::Associated, b);
   test::set_rows(ds, rows);
-  const auto cls = classify_aps(ds);
   const query::InMemorySource src(ds);
+  const auto cls = classify_aps(src);
   const SharedApAnalysis s = detect_shared_aps(src, cls);
   EXPECT_EQ(s.public_aps, 0);
   EXPECT_TRUE(s.groups.empty());

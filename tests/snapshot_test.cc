@@ -173,8 +173,10 @@ TEST(Snapshot, AnalysisIdenticalAfterReload) {
   ASSERT_TRUE(r.ok()) << r.error;
 
   // Classification: byte-identical per-AP classes and home-AP inference.
-  const analysis::ApClassification ca = analysis::classify_aps(fresh);
-  const analysis::ApClassification cb = analysis::classify_aps(loaded);
+  const analysis::query::InMemorySource fresh_src(fresh);
+  const analysis::query::InMemorySource loaded_src(loaded);
+  const analysis::ApClassification ca = analysis::classify_aps(fresh_src);
+  const analysis::ApClassification cb = analysis::classify_aps(loaded_src);
   EXPECT_EQ(ca.ap_class, cb.ap_class);
   EXPECT_EQ(ca.associated, cb.associated);
   EXPECT_EQ(ca.is_office, cb.is_office);
@@ -189,9 +191,10 @@ TEST(Snapshot, AnalysisIdenticalAfterReload) {
   // WiFi ratios: bit-identical weekly series.
   const analysis::UserClassifier ka(da);
   const analysis::UserClassifier kb(db);
-  const analysis::WifiRatios ra = analysis::compute_wifi_ratios(fresh, da, ka);
+  const analysis::WifiRatios ra =
+      analysis::compute_wifi_ratios(fresh_src, da, ka);
   const analysis::WifiRatios rb =
-      analysis::compute_wifi_ratios(loaded, db, kb);
+      analysis::compute_wifi_ratios(loaded_src, db, kb);
   const auto expect_profile_eq = [](const analysis::WeeklyProfile& x,
                                     const analysis::WeeklyProfile& y,
                                     const char* what) {

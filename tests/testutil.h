@@ -53,7 +53,7 @@ inline const analysis::ApClassification& campaign_classification(Year year) {
   const int i = static_cast<int>(year);
   if (cache[i] == nullptr) {
     cache[i] = new analysis::ApClassification(
-        analysis::classify_aps(campaign(year)));
+        analysis::classify_aps(campaign_source(year)));
   }
   return *cache[i];
 }

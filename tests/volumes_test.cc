@@ -109,9 +109,11 @@ TEST(WeeklyProfile, HourOfWeekStartsSaturday) {
 TEST(WeeklyProfile, RatioAndMean) {
   const CampaignCalendar cal(Date{2015, 2, 28}, 7);
   WeeklyProfile p;
-  p.add(cal, 0, 1.0, 2.0);
-  p.add(cal, 1, 1.0, 2.0);  // same hour
-  p.add(cal, static_cast<TimeBin>(kBinsPerDay), 3.0, 4.0);
+  p.add_hour(WeeklyProfile::hour_of_week(cal, 0), 1, 2);
+  p.add_hour(WeeklyProfile::hour_of_week(cal, 1), 1, 2);  // same hour
+  p.add_hour(WeeklyProfile::hour_of_week(
+                 cal, static_cast<TimeBin>(kBinsPerDay)),
+             3, 4);
   const auto r = p.ratio_series();
   EXPECT_DOUBLE_EQ(r[0], 0.5);
   EXPECT_DOUBLE_EQ(r[24], 0.75);

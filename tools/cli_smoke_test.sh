@@ -63,34 +63,39 @@ expect 0 "${tokyonet}" snapshot info --in "${tmp}/shards"
 expect 0 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core
 expect 2 "${tokyonet}" report --out-of-core  # needs --shard-dir
 
-# Out-of-core figure rendering: any ooc-flagged figure works, a figure
-# whose kernels need the resident dataset is rejected with 2 (and the
-# supported ids on stderr), and --out-of-core without a store is usage.
+# Out-of-core figure rendering: every per-year figure works (the Fig 6
+# ratio scan included), a longitudinal figure is rejected with 2 (it
+# spans several campaigns; a store holds one), and --out-of-core
+# without a store is usage.
 expect 0 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
     --out-of-core
 expect 0 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards" \
     --out-of-core --resident-shards 2
-expect 2 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
-    --out-of-core  # float accumulation: not shard-decomposable
+expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
+    --out-of-core
+expect 2 "${tokyonet}" fig run table03 --shard-dir "${tmp}/shards" \
+    --out-of-core  # longitudinal
 expect 2 "${tokyonet}" fig run table01 --out-of-core  # needs --shard-dir
-rejection="$("${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
+rejection="$("${tokyonet}" fig run table03 --shard-dir "${tmp}/shards" \
     --out-of-core 2>&1 || true)"
-if ! echo "${rejection}" | grep -q "fig12"; then
-  echo "FAIL: rejected --out-of-core run must list the supported ids" >&2
+if ! echo "${rejection}" | grep -q "longitudinal"; then
+  echo "FAIL: rejected --out-of-core run must say the figure is longitudinal" >&2
   exit 1
 fi
-echo "ok: non-ooc rejection lists supported ids"
+echo "ok: longitudinal rejection names the reason"
 
-# `fig list` carries the ooc column: table01 can run out of core, the
-# Fig 6 ratio scan cannot.
+# `fig list` carries the ooc column: every per-year figure (the Fig 6
+# ratio scan and the ablations included) runs out of core, the
+# longitudinal fig01 does not.
 list="$("${tokyonet}" fig list)"
 echo "${list}" | grep -q " ooc " || {
   echo "FAIL: fig list is missing the ooc column" >&2; exit 1; }
-echo "${list}" | grep "^table01 " | grep -q " yes " || {
-  echo "FAIL: table01 must be marked ooc=yes" >&2; exit 1; }
-if echo "${list}" | grep "^fig06 " | grep -q " yes "; then
-  echo "FAIL: fig06 must not be marked ooc" >&2; exit 1
-fi
+for id in table01 fig06 ablate_rssi_cutoff; do
+  echo "${list}" | grep "^${id} " | grep -q " yes " || {
+    echo "FAIL: ${id} must be marked ooc=yes" >&2; exit 1; }
+done
+echo "${list}" | grep "^fig01 " | grep -q " longitudinal  *- " || {
+  echo "FAIL: fig01 must be marked ooc=-" >&2; exit 1; }
 echo "ok: fig list ooc column pins the out-of-core catalog"
 
 expect 3 "${tokyonet}" snapshot info --in "${tmp}/no-such-store"

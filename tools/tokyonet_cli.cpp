@@ -3,7 +3,7 @@
 //   tokyonet fig list [--ids]
 //       Enumerate the figure registry: every paper figure/table
 //       reproduction with its id, years, paper reference and whether it
-//       can run out-of-core (the `ooc` column).
+//       can run out-of-core (the `ooc` column: every per-year figure).
 //
 //   tokyonet fig run <id> [--year Y] [--scale S] [--seed N]
 //                    [--format text|csv|json] [--shard-dir DIR]
@@ -14,9 +14,9 @@
 //       from a sharded store instead of simulation
 //       (--resident-shards >= 1 overlaps shard loads with the rebase).
 //       Adding --out-of-core renders the figure by scanning shards with
-//       bounded memory (never materializing the campaign); figures
-//       whose kernels need the resident dataset are rejected with exit
-//       2 and the list of supported ids.
+//       bounded memory (never materializing the campaign); a
+//       longitudinal figure spans several campaigns and is rejected
+//       with exit 2.
 //
 //   tokyonet fig all [--format text|csv|json] [--shard-dir DIR]
 //                    [--out-of-core] [--resident-shards K]
@@ -24,9 +24,8 @@
 //   tokyonet fig all --check-goldens [--goldens DIR]
 //       Render the whole catalog, or write / byte-compare the golden
 //       canonical-JSON files (always at the pinned golden scale).
-//       With --shard-dir --out-of-core, render every out-of-core
-//       capable figure for the store's campaign year with bounded
-//       memory.
+//       With --shard-dir --out-of-core, render every figure for the
+//       store's campaign year with bounded memory.
 //
 //   tokyonet simulate --year 2015 [--scale S] [--seed N] --out DIR
 //       Simulate a campaign and export it as CSV (observable data only).
@@ -418,21 +417,6 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
   return kExitOk;
 }
 
-// The non-negotiable precondition of --out-of-core figure rendering: a
-// store to scan, and a figure whose kernels are shard-decomposable.
-// Prints the supported ids on rejection so the caller can pick one.
-int reject_non_ooc_figure(const report::FigureSpec& spec) {
-  std::fprintf(stderr,
-               "%s cannot run out-of-core (its kernels need the resident "
-               "dataset); supported ids:\n",
-               spec.id.c_str());
-  for (const report::FigureSpec& s :
-       report::FigureRegistry::instance().figures()) {
-    if (s.out_of_core) std::fprintf(stderr, "  %s\n", s.id.c_str());
-  }
-  return kExitUsage;
-}
-
 // ---------------------------------------------------------------------
 // fig: the figure registry.
 
@@ -456,7 +440,7 @@ int cmd_fig_list(const Args& args) {
   }
   io::TextTable table({"id", "years", "ooc", "paper ref", "title"});
   for (const report::FigureSpec& spec : registry.figures()) {
-    table.add_row({spec.id, years_label(spec), spec.out_of_core ? "yes" : "-",
+    table.add_row({spec.id, years_label(spec), spec.per_year() ? "yes" : "-",
                    spec.paper_ref, spec.title});
   }
   table.print();
@@ -497,7 +481,14 @@ int cmd_fig_run(const Args& args) {
       std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
       return kExitUsage;
     }
-    if (!spec->out_of_core) return reject_non_ooc_figure(*spec);
+    if (!spec->per_year()) {
+      // A longitudinal figure spans several campaigns; a store holds one.
+      std::fprintf(stderr,
+                   "%s is longitudinal; it cannot run out of core over "
+                   "one campaign's store\n",
+                   spec->id.c_str());
+      return kExitUsage;
+    }
   }
   std::optional<Year> year;
   if (args.year) {
@@ -585,13 +576,9 @@ int cmd_fig_all(const Args& args) {
   const auto& registry = report::FigureRegistry::instance();
   bool first = true;
   for (const report::FigureSpec& spec : registry.figures()) {
-    // Out of core, the catalog narrows to the shard-decomposable
-    // figures for the store's campaign year — everything else would
-    // materialize or simulate a campaign.
-    if (args.out_of_core &&
-        (!spec.out_of_core || !spec.applies_to(*store_year))) {
-      continue;
-    }
+    // Out of core, the catalog narrows to the figures for the store's
+    // campaign year — the longitudinal ones would simulate the others.
+    if (args.out_of_core && !spec.applies_to(*store_year)) continue;
     if (!first && args.format == "text") std::printf("\n");
     first = false;
     const report::Table table = args.out_of_core
