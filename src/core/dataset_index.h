@@ -48,10 +48,13 @@ class DatasetIndex {
   /// Returns nullptr, with the first problem in `*error`, when the
   /// columns break the Dataset contract: a layout that does not tile the
   /// rows, column lengths that differ, bins out of order within a
-  /// device or outside the calendar, an AP outside `ds.aps`, or an app
-  /// range outside `ds.app_traffic` or not matching the rows' app
-  /// counts. Devices are checked in parallel; the lowest failing device
-  /// is reported, so the error is deterministic.
+  /// device or outside the calendar, an AP outside `ds.aps`, an unknown
+  /// WiFi state, cell technology or app category, or an app range
+  /// outside `ds.app_traffic` or not matching the rows' app counts.
+  /// Devices are checked in parallel, each by vectorizable column
+  /// reductions; only a failing device is walked row by row to name its
+  /// first bad row. The lowest failing device is reported, so the error
+  /// is deterministic.
   [[nodiscard]] static std::shared_ptr<const DatasetIndex> build(
       const Dataset& ds, SampleLayout layout, std::string* error);
 

@@ -21,6 +21,7 @@
 
 #include "core/clock.h"
 #include "core/column.h"
+#include "core/cow_vector.h"
 #include "core/types.h"
 
 namespace tokyonet::core {
@@ -202,7 +203,7 @@ struct ApTruth {
 /// All simulator ground truth for a campaign.
 struct GroundTruth {
   std::vector<DeviceTruth> devices;  // parallel to Dataset::devices
-  std::vector<ApTruth> aps;          // parallel to Dataset::aps
+  core::CowVector<ApTruth> aps;      // parallel to Dataset::aps
 };
 
 /// A full campaign: devices, the AP universe they encountered, and the
@@ -216,7 +217,9 @@ class Dataset {
   CampaignCalendar calendar;
 
   std::vector<DeviceInfo> devices;
-  std::vector<ApInfo> aps;
+  /// Shared copy-on-write: datasets loaded from one shard store all
+  /// read the store's table (write through aps.mut()).
+  core::CowVector<ApInfo> aps;
   SampleColumns samples;
   core::Column<AppTraffic> app_traffic;
   std::vector<SurveyResponse> survey;  // parallel to devices (recruited only meaningful)

@@ -57,7 +57,7 @@ struct TcpIngestListener::Impl {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) {
         if (errno == EINTR) continue;
-        return;  // listen socket closed by stop()
+        return;  // listen socket shut down by stop()
       }
       std::lock_guard<std::mutex> lk(mu);
       if (stopping) {
@@ -176,13 +176,15 @@ void TcpIngestListener::stop() {
     // Force live connections to EOF so their threads wind down.
     for (const int fd : impl_->live_fds) ::shutdown(fd, SHUT_RDWR);
   }
+  // Unblock accept() (shutdown makes it fail on Linux) and let the
+  // accept thread finish before the fd is closed and cleared, so the
+  // thread never reads a changing listen_fd or a recycled fd number.
+  if (impl_->listen_fd >= 0) ::shutdown(impl_->listen_fd, SHUT_RDWR);
+  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   if (impl_->listen_fd >= 0) {
-    // Unblock accept(): shutdown + close makes accept fail on Linux.
-    ::shutdown(impl_->listen_fd, SHUT_RDWR);
     ::close(impl_->listen_fd);
     impl_->listen_fd = -1;
   }
-  if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   {
     std::lock_guard<std::mutex> lk(impl_->mu);
     threads.swap(impl_->conn_threads);

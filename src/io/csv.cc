@@ -231,7 +231,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       ap.essid = cols[2];
       ap.band = static_cast<Band>(band);
       ap.channel = static_cast<std::uint8_t>(channel);
-      out.aps.push_back(std::move(ap));
+      out.aps.mut().push_back(std::move(ap));
     }
   }
   {
@@ -321,7 +321,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
   // Ground truth is intentionally absent; keep parallel arrays sized so
   // the analysis layer (which never reads them) stays safe to call.
   out.truth.devices.resize(out.devices.size());
-  out.truth.aps.resize(out.aps.size());
+  out.truth.aps.mut().resize(out.aps.size());
   // One validation covers every sample reference and the row order.
   if (std::string err = assign_rows(out, rows); !err.empty()) {
     result.error = "samples.csv: " + err;

@@ -152,12 +152,12 @@ class ShardedDataset {
 
   /// Loads shard `i` as a self-contained Dataset: the file's size and
   /// header are checked against the manifest, the file is
-  /// checksum-verified (mmapped when possible), the shared AP universe
-  /// is copied in, and the sample columns are validated against their
-  /// per-device ranges, which become the index. Device ids
-  /// are shard-local; add device_begin(i) to rebase. Only the returned
-  /// dataset's samples are resident — dropping it before loading the
-  /// next shard keeps memory bounded by one shard.
+  /// checksum-verified (mmapped when possible), the dataset shares the
+  /// store's one AP universe table (no copy), and the sample columns
+  /// are validated against their per-device ranges, which become the
+  /// index. Device ids are shard-local; add device_begin(i) to rebase.
+  /// Only the returned dataset's samples are resident — dropping it
+  /// before loading the next shard keeps memory bounded by one shard.
   ///
   /// Payload checksums are verified once per open: the first load of a
   /// shard rehashes every section; later loads of the same shard skip

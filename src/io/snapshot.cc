@@ -721,15 +721,16 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
     const char* blob =
         reinterpret_cast<const char*>(section_data[kSecApEssids]);
     const std::size_t blob_size = count_of(kSecApEssids);
-    out.aps.resize(count_of(kSecApFixed));
-    for (std::size_t i = 0; i < out.aps.size(); ++i) {
+    std::vector<ApInfo>& aps = out.aps.mut();
+    aps.resize(count_of(kSecApFixed));
+    for (std::size_t i = 0; i < aps.size(); ++i) {
       const ApRec& r = recs[i];
       if (std::uint64_t{r.essid_offset} + r.essid_len > blob_size) {
         result.error = path_err(
             path, "AP " + std::to_string(i) + " ESSID reference out of range");
         return result;
       }
-      ApInfo& ap = out.aps[i];
+      ApInfo& ap = aps[i];
       ap.bssid = r.bssid;
       ap.essid.assign(blob + r.essid_offset, r.essid_len);
       ap.band = static_cast<Band>(r.band);
@@ -795,10 +796,14 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
     }
   }
 
-  out.truth.aps.resize(count_of(kSecTruthAps));
-  copy_into(out.truth.aps.data(), section_data[kSecTruthAps],
-            out.truth.aps.size() * sizeof(ApTruth));
+  {
+    std::vector<ApTruth>& truth_aps = out.truth.aps.mut();
+    truth_aps.resize(count_of(kSecTruthAps));
+    copy_into(truth_aps.data(), section_data[kSecTruthAps],
+              truth_aps.size() * sizeof(ApTruth));
+  }
 
+  // Shares the universe's tables rather than copying them.
   if (opts.universe != nullptr) {
     out.aps = opts.universe->aps;
     out.truth.aps = opts.universe->truth.aps;

@@ -95,7 +95,7 @@ struct SnapshotLoadOptions {
   bool allow_mmap = true;
   /// The AP universe (aps and truth.aps) of a snapshot that carries
   /// none — a shard file, whose samples reference APs by global id — is
-  /// installed from here before validation (io/shard_store.cc).
+  /// shared from here (no copy) before validation (io/shard_store.cc).
   const Dataset* universe = nullptr;
   /// When set, a file whose header checksum differs is rejected before
   /// any section is read or hashed (a shard replaced since its store

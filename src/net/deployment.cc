@@ -202,16 +202,18 @@ double Deployment::expected_scan_count(GeoCell cell) const noexcept {
 }
 
 void Deployment::export_to(Dataset& dataset) const {
-  dataset.aps.clear();
-  dataset.aps.reserve(aps_.size());
-  dataset.truth.aps.clear();
-  dataset.truth.aps.reserve(aps_.size());
+  std::vector<ApInfo>& infos = dataset.aps.mut();
+  std::vector<ApTruth>& truths = dataset.truth.aps.mut();
+  infos.clear();
+  infos.reserve(aps_.size());
+  truths.clear();
+  truths.reserve(aps_.size());
   for (const AccessPoint& ap : aps_) {
-    dataset.aps.push_back(ap.info);
+    infos.push_back(ap.info);
     ApTruth t;
     t.placement = ap.placement;
     t.cell = ap.cell;
-    dataset.truth.aps.push_back(t);
+    truths.push_back(t);
   }
 }
 

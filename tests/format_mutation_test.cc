@@ -108,8 +108,8 @@ void write_store(const fs::path& dir) {
 
   for (std::uint32_t i = 0; i < 2; ++i) {
     Dataset shard = tiny_campaign(2 * i, 2);
-    shard.aps.clear();  // the universe file carries them
-    shard.truth.aps.clear();
+    shard.aps = {};  // the universe file carries them
+    shard.truth.aps = {};
     io::ShardEntry e;
     e.index = i;
     e.file = "shard-000" + std::to_string(i) + ".tksnap";

@@ -298,6 +298,37 @@ TEST(AnalysisContextTest, MatchesFreshComputation) {
   EXPECT_EQ(ctx.home_cells(), infer_home_cells(ds));
 }
 
+/// A 3-device, 2-day dataset whose rows all pass validation: every row
+/// carries one app record and rows j % 3 == 0 are associated with AP
+/// j % 4 of 4, the rest carry kNoAp. Dense: one row per bin. Sparse:
+/// six rows per device with a repeated bin.
+Dataset validation_fixture(bool dense) {
+  constexpr int kDays = 2;
+  Dataset ds = empty_dataset(3, kDays);
+  for (int a = 0; a < 4; ++a) test::add_ap(ds, "ap" + std::to_string(a));
+  std::vector<int> bins = {0, 7, 7, 150, 151, 287};
+  if (dense) {
+    bins.resize(kDays * kBinsPerDay);
+    for (std::size_t j = 0; j < bins.size(); ++j) bins[j] = static_cast<int>(j);
+  }
+  std::vector<Sample> rows;
+  std::uint32_t app = 0;
+  for (std::uint32_t d = 0; d < 3; ++d) {
+    for (std::size_t j = 0; j < bins.size(); ++j) {
+      const bool assoc = j % 3 == 0;
+      Sample& s = add_sample(
+          rows, d, static_cast<TimeBin>(bins[j]), 100, 0,
+          assoc ? WifiState::Associated : WifiState::Off,
+          assoc ? ApId{static_cast<std::uint32_t>(j % 4)} : kNoAp);
+      s.app_begin = app++;
+      s.app_count = 1;
+    }
+  }
+  ds.app_traffic.resize(app);
+  EXPECT_EQ(assign_rows(ds, rows), "");
+  return ds;
+}
+
 TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
   // Rows the row-append path must refuse, leaving the dataset unindexed.
   const auto rejects = [](int devices, int days, std::size_t apps,
@@ -334,6 +365,83 @@ TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
   EXPECT_FALSE(ds.validate().empty());
   EXPECT_FALSE(ds.build_index());
   EXPECT_FALSE(ds.indexed());
+
+  // Each bad value goes at the first, a middle and the last row (or app
+  // record) of the first, a middle and the last device. The messages —
+  // the first bad row, the lowest failing device — are pinned as one
+  // digest, recorded from the per-row validation walk.
+  enum Kind {
+    kBinPastCalendar, kBinDescends, kApPastUniverse, kApBelowNoAp,
+    kUnknownState, kUnknownTech, kUnknownCategory, kAppCountMismatch,
+    kNumKinds
+  };
+  std::string all;
+  for (const bool dense : {true, false}) {
+    const Dataset base = validation_fixture(dense);
+    ASSERT_TRUE(base.indexed());
+    // Accepted: equal bins (sparse), kNoAp rows, and the bin that drops
+    // from one device's last row to the next device's first.
+    ASSERT_EQ(base.validate(), "");
+    EXPECT_EQ(base.index().dense(), dense);
+    const core::DatasetIndex& idx = base.index();
+    const auto n_bins = static_cast<std::uint32_t>(base.calendar.num_bins());
+    const auto at = [](std::size_t begin, std::size_t end, int pos) {
+      return pos == 0 ? begin : pos == 1 ? begin + (end - begin) / 2 : end - 1;
+    };
+    const auto corrupt = [&](Dataset& ds, int kind, std::size_t d, int pos) {
+      SampleColumns& c = ds.samples;
+      const std::size_t i = at(idx.device_begin(d), idx.device_end(d), pos);
+      switch (kind) {
+        case kBinPastCalendar: c.bin[i] = static_cast<TimeBin>(n_bins); break;
+        case kBinDescends:
+          c.bin[i] = static_cast<TimeBin>(
+              pos == 0 ? c.bin[i + 1] + 1 : c.bin[i - 1] - 1);
+          break;
+        case kApPastUniverse: c.ap[i] = 4; break;
+        case kApBelowNoAp: c.ap[i] = 0xFFFFFFFEu; break;
+        case kUnknownState: c.wifi_state[i] = static_cast<WifiState>(3); break;
+        case kUnknownTech: c.tech[i] = static_cast<CellTech>(3); break;
+        case kUnknownCategory:
+          ds.app_traffic[at(idx.device_app_begin(d), idx.device_app_end(d),
+                            pos)]
+              .category = static_cast<AppCategory>(kNumAppCategories);
+          break;
+        case kAppCountMismatch: c.app_count[i] = 2; break;
+      }
+    };
+    for (int kind = 0; kind < kNumKinds; ++kind) {
+      for (const std::size_t d : {0u, 1u, 2u}) {
+        for (int pos = 0; pos < 3; ++pos) {
+          Dataset bad = base;
+          corrupt(bad, kind, d, pos);
+          const std::string error = bad.validate();
+          EXPECT_FALSE(error.empty()) << kind << " " << d << " " << pos;
+          EXPECT_FALSE(bad.build_index());
+          all += error + "\n";
+        }
+      }
+    }
+    // Two failing devices: the lower one is reported.
+    Dataset bad = base;
+    corrupt(bad, kBinPastCalendar, 2, 0);
+    corrupt(bad, kApPastUniverse, 1, 2);
+    all += bad.validate() + "\n";
+
+    // Day ranges, dense by arithmetic or sparse by a walk, equal a
+    // reference walk of the bins.
+    for (std::size_t d = 0; d < 3; ++d) {
+      std::size_t i = idx.device_begin(d);
+      for (int day = 0; day <= base.num_days(); ++day) {
+        while (i < idx.device_end(d) &&
+               base.samples.bin[i] < day * kBinsPerDay) {
+          ++i;
+        }
+        EXPECT_EQ(idx.day_begin(d, day), i) << d << " " << day;
+      }
+    }
+  }
+  EXPECT_EQ(core::hash_bytes(all.data(), all.size(), 0), 0x6e3421e1bce1f1afull)
+      << all;
 }
 
 TEST(DatasetIndexTest, RowsColumnsRowsRoundTrip) {

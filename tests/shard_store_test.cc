@@ -186,6 +186,43 @@ TEST(ShardStore, LoadShardServesLocalSlices) {
   EXPECT_EQ(samples, store.manifest().n_samples);
 }
 
+// Every dataset the store hands out reads the store's one AP universe
+// table; writing one dataset's table copies it for that dataset alone.
+TEST(ShardStore, LoadsShareTheUniverse) {
+  const ScenarioConfig config =
+      scenario_config(Year::Y2015, kShardTestScale);
+  test::ScratchDir tmp;
+  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
+
+  Dataset first, last, all;
+  ASSERT_TRUE(store.load_shard(0, first).ok());
+  ASSERT_TRUE(store.load_shard(3, last).ok());
+  ASSERT_TRUE(store.materialize(all).ok());
+  const std::vector<ApInfo>& universe = store.universe_aps();
+  ASSERT_FALSE(universe.empty());
+  ASSERT_FALSE(first.truth.aps.empty());
+  for (const Dataset* ds : {&first, &last, &all}) {
+    EXPECT_EQ(ds->aps.data(), universe.data());
+    EXPECT_EQ(ds->truth.aps.data(), first.truth.aps.data());
+  }
+
+  const std::uint64_t bssid = universe[0].bssid;
+  const ApPlacement placement = last.truth.aps[0].placement;
+  first.aps.mut()[0].bssid = ~bssid;
+  first.truth.aps.mut()[0].placement = placement == ApPlacement::Home
+                                           ? ApPlacement::Public
+                                           : ApPlacement::Home;
+  EXPECT_NE(first.aps.data(), universe.data());
+  EXPECT_EQ(first.aps[0].bssid, ~bssid);
+  EXPECT_EQ(universe[0].bssid, bssid);
+  EXPECT_EQ(last.aps[0].bssid, bssid);
+  EXPECT_EQ(last.aps.data(), universe.data());
+  EXPECT_NE(first.truth.aps[0].placement, placement);
+  EXPECT_EQ(last.truth.aps[0].placement, placement);
+  EXPECT_EQ(all.truth.aps.data(), last.truth.aps.data());
+  EXPECT_EQ(first.validate(), "");
+}
+
 // --- Out-of-core battery ----------------------------------------------
 
 // Every table the sharded battery emits must render to the same

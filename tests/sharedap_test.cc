@@ -21,8 +21,8 @@ Dataset dataset_with_pair(std::uint64_t b1, std::uint64_t b2,
   std::vector<Sample> rows;
   const ApId a = add_ap(ds, std::move(e1));
   const ApId b = add_ap(ds, std::move(e2));
-  ds.aps[value(a)].bssid = b1;
-  ds.aps[value(b)].bssid = b2;
+  ds.aps.mut()[value(a)].bssid = b1;
+  ds.aps.mut()[value(b)].bssid = b2;
   add_sample(rows, 0, 60, 0, 100, WifiState::Associated, a);
   add_sample(rows, 0, 61, 0, 100, WifiState::Associated, b);
   test::set_rows(ds, rows);
@@ -71,8 +71,8 @@ TEST(SharedAp, NonPublicIgnored) {
   std::vector<Sample> rows;
   const ApId a = add_ap(ds, "corp-ap-01");
   const ApId b = add_ap(ds, "corp-ap-02");
-  ds.aps[value(a)].bssid = 0x0017DF000010;
-  ds.aps[value(b)].bssid = 0x0017DF000011;
+  ds.aps.mut()[value(a)].bssid = 0x0017DF000010;
+  ds.aps.mut()[value(b)].bssid = 0x0017DF000011;
   add_sample(rows, 0, 60, 0, 100, WifiState::Associated, a);
   add_sample(rows, 0, 61, 0, 100, WifiState::Associated, b);
   test::set_rows(ds, rows);

@@ -159,8 +159,8 @@ inline ApId add_ap(Dataset& ds, std::string essid, Band band = Band::B24GHz,
   info.essid = std::move(essid);
   info.band = band;
   info.channel = channel;
-  ds.aps.push_back(std::move(info));
-  ds.truth.aps.push_back(ApTruth{});
+  ds.aps.mut().push_back(std::move(info));
+  ds.truth.aps.mut().push_back(ApTruth{});
   return ApId{static_cast<std::uint32_t>(ds.aps.size() - 1)};
 }
 
