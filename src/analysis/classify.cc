@@ -1,10 +1,10 @@
 #include "analysis/classify.h"
 
-#include <algorithm>
-#include <map>
+#include <array>
 #include <set>
 #include <span>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/query/source.h"
 #include "core/dataset_index.h"
@@ -21,10 +21,36 @@ namespace {
   return hours * kBinsPerHour;
 }
 
+/// The classifier's clock windows, resolved once per bin of day (and
+/// the weekday test once per campaign day) instead of per sample.
+struct BinWindows {
+  std::array<bool, kBinsPerDay> night{};   // in the nightly window
+  std::array<bool, kBinsPerDay> late{};    // night bin before midnight
+  std::array<bool, kBinsPerDay> office{};  // in the office hours
+  std::vector<bool> weekday;               // per campaign day
+
+  BinWindows(const CampaignCalendar& cal, const ClassifyOptions& opt)
+      : weekday(static_cast<std::size_t>(cal.num_days())) {
+    for (int b = 0; b < kBinsPerDay; ++b) {
+      const auto bin = static_cast<TimeBin>(b);
+      const auto i = static_cast<std::size_t>(b);
+      night[i] =
+          cal.in_hour_window(bin, opt.night_from_hour, opt.night_to_hour);
+      late[i] = cal.hour_of(bin) >= opt.night_from_hour;
+      office[i] =
+          cal.in_hour_window(bin, opt.office_from_hour, opt.office_to_hour);
+    }
+    for (int day = 0; day < cal.num_days(); ++day) {
+      weekday[static_cast<std::size_t>(day)] = !cal.is_weekend_day(day);
+    }
+  }
+};
+
 /// Association statistics one device contributes to the per-AP
-/// aggregates, plus its nightly home-AP verdict. A device touches only
-/// a handful of APs, so this stays compact and the per-AP arrays are
-/// only materialized once, during the ordered merge.
+/// aggregates, plus its home-AP verdict under each threshold of the
+/// sweep. A device touches only a handful of APs, so this stays compact
+/// and the per-AP arrays are only materialized once, during the ordered
+/// merge.
 struct DeviceApStats {
   struct PerAp {
     std::uint32_t ap = 0;
@@ -32,26 +58,35 @@ struct DeviceApStats {
     int office_window_bins = 0;
     std::set<GeoCell> cells_seen;
   };
-  std::vector<PerAp> aps;  // in order of first association
-  std::uint32_t home_ap = value(kNoAp);
+  std::vector<PerAp> aps;             // in order of first association
+  std::vector<std::uint32_t> home_ap;  // per threshold; kNoAp when none
 };
 
 /// Scans one device's samples. Pure function of that device's stream,
 /// so devices can run concurrently; all counts merge by addition and
 /// set union, which are grouping-independent.
 [[nodiscard]] DeviceApStats scan_device(const Dataset& ds,
-                                        const ClassifyOptions& opt,
-                                        std::size_t d, int min_bins) {
+                                        const BinWindows& win, std::size_t d,
+                                        std::span<const int> min_bins) {
   DeviceApStats stats;
   std::unordered_map<std::uint32_t, std::size_t> ap_index;
-  std::unordered_map<std::uint32_t, int> night_counts;  // per device-day
-  std::unordered_map<std::uint32_t, int> home_votes;
+  std::unordered_map<std::uint32_t, int> night_counts;  // per window
+  // Each nightly window's most-present AP and its bins, in window order.
+  std::vector<std::pair<std::uint32_t, int>> nights;
 
   // Nightly windows: a window belongs to the day it starts in (22:00 of
-  // day d through 06:00 of day d+1).
+  // day d through 06:00 of day d+1). Within a window, a run of one AP
+  // is added to night_counts once, when another AP starts or the window
+  // closes; keys therefore arrive in first-association order, as a
+  // per-sample count would insert them.
   int window_day = -1;
+  std::uint32_t run_ap = value(kNoAp);
+  int run_bins = 0;
   auto flush_window = [&]() {
     if (window_day < 0) return;
+    if (run_bins > 0) night_counts[run_ap] += run_bins;
+    run_ap = value(kNoAp);
+    run_bins = 0;
     // Most-present AP in this night's window.
     std::uint32_t best_ap = value(kNoAp);
     int best = 0;
@@ -61,9 +96,7 @@ struct DeviceApStats {
         best_ap = ap;
       }
     }
-    if (best >= min_bins && best_ap != value(kNoAp)) {
-      ++home_votes[best_ap];
-    }
+    if (best > 0) nights.emplace_back(best_ap, best);
     night_counts.clear();
     window_day = -1;
   };
@@ -73,54 +106,79 @@ struct DeviceApStats {
   const std::span<const WifiState> state = ds.samples.wifi_state;
   const std::span<const std::uint32_t> aps = ds.samples.ap;
   const std::span<const GeoCell> geo = ds.samples.geo_cell;
+  // The AP of the previous associated sample, its slot in stats.aps and
+  // the last cell recorded for it: a device dwells, so the AP lookup
+  // and the cell insert run once per change, not once per sample.
+  std::uint32_t last_ap = value(kNoAp);
+  std::size_t last_slot = 0;
+  GeoCell last_cell = kNoGeoCell;
   for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
-    const TimeBin bin = bins[i];
-    const bool associated = state[i] == WifiState::Associated &&
-                            aps[i] != value(kNoAp);
+    const int day = bins[i] / kBinsPerDay;
+    const auto b = static_cast<std::size_t>(bins[i] % kBinsPerDay);
+    const std::uint32_t ap = aps[i];
+    const bool associated =
+        state[i] == WifiState::Associated && ap != value(kNoAp);
     if (associated) {
-      const std::uint32_t ap = aps[i];
-      auto [it, inserted] = ap_index.try_emplace(ap, stats.aps.size());
-      if (inserted) {
-        stats.aps.emplace_back();
-        stats.aps.back().ap = ap;
+      if (ap != last_ap) {
+        const auto [it, inserted] = ap_index.try_emplace(ap, stats.aps.size());
+        if (inserted) {
+          stats.aps.emplace_back();
+          stats.aps.back().ap = ap;
+        }
+        last_ap = ap;
+        last_slot = it->second;
+        last_cell = kNoGeoCell;
       }
-      DeviceApStats::PerAp& per_ap = stats.aps[it->second];
+      DeviceApStats::PerAp& per_ap = stats.aps[last_slot];
       ++per_ap.assoc_bins;
-      if (geo[i] != kNoGeoCell) {
+      if (geo[i] != kNoGeoCell && geo[i] != last_cell) {
         per_ap.cells_seen.insert(geo[i]);
+        last_cell = geo[i];
       }
-      const bool weekday = !ds.calendar.is_weekend(bin);
-      if (weekday && ds.calendar.in_hour_window(bin, opt.office_from_hour,
-                                                opt.office_to_hour)) {
+      if (win.weekday[static_cast<std::size_t>(day)] && win.office[b]) {
         ++per_ap.office_window_bins;
       }
     }
 
     // Maintain the rolling nightly window.
-    const int hour = ds.calendar.hour_of(bin);
-    const bool in_night = ds.calendar.in_hour_window(
-        bin, opt.night_from_hour, opt.night_to_hour);
-    if (in_night) {
-      const int day = ds.calendar.day_of(bin);
-      const int wd = hour >= opt.night_from_hour ? day : day - 1;
+    if (win.night[b]) {
+      const int wd = win.late[b] ? day : day - 1;
       if (wd != window_day) {
         flush_window();
         window_day = wd;
       }
-      if (associated) ++night_counts[aps[i]];
+      if (associated) {
+        if (ap != run_ap) {
+          if (run_bins > 0) night_counts[run_ap] += run_bins;
+          run_ap = ap;
+          run_bins = 0;
+        }
+        ++run_bins;
+      }
     } else if (window_day >= 0) {
       flush_window();
     }
   }
   flush_window();
 
-  // The device's home AP is its most frequent nightly candidate.
-  int best = 0;
-  for (const auto& [ap, votes] : home_votes) {
-    if (votes > best) {
-      best = votes;
-      stats.home_ap = ap;
+  // Each threshold replays the nightly candidates into a fresh vote map;
+  // the device's home AP is its most frequent candidate (the first
+  // maximum in the map's iteration order).
+  stats.home_ap.reserve(min_bins.size());
+  for (const int need : min_bins) {
+    std::unordered_map<std::uint32_t, int> home_votes;
+    for (const auto& [ap, n] : nights) {
+      if (n >= need) ++home_votes[ap];
     }
+    std::uint32_t home = value(kNoAp);
+    int best = 0;
+    for (const auto& [ap, votes] : home_votes) {
+      if (votes > best) {
+        best = votes;
+        home = ap;
+      }
+    }
+    stats.home_ap.push_back(home);
   }
   return stats;
 }
@@ -152,66 +210,92 @@ double ApClassification::home_ap_device_share() const {
          static_cast<double>(home_ap_of_device.size());
 }
 
-ApClassification classify_aps(const query::DataSource& src,
-                              const ClassifyOptions& opt) {
-  const int min_bins =
-      static_cast<int>(opt.home_presence_threshold * night_window_bins(opt));
+std::vector<ApClassification> classify_aps(
+    const query::DataSource& src, const ClassifyOptions& opt,
+    std::span<const double> thresholds) {
+  std::vector<int> min_bins;
+  for (const double t : thresholds) {
+    min_bins.push_back(static_cast<int>(t * night_window_bins(opt)));
+  }
+  const BinWindows win(src.calendar(), opt);
   const std::vector<ApInfo>& aps = src.aps();
   const std::size_t n_aps = aps.size();
-  ApClassification out;
-  out.ap_class.assign(n_aps, ApClass::Other);
-  out.associated.assign(n_aps, false);
-  out.is_office.assign(n_aps, false);
-  out.is_mobile.assign(n_aps, false);
-  out.home_ap_of_device.reserve(src.n_devices());
+  std::vector<bool> associated(n_aps, false);
   std::vector<int> assoc_bins(n_aps, 0);
   std::vector<int> office_window_bins(n_aps, 0);
   std::vector<std::set<GeoCell>> cells_seen(n_aps);
+  std::vector<std::vector<ApId>> home_ap_of_device(thresholds.size());
+  for (std::vector<ApId>& homes : home_ap_of_device) {
+    homes.reserve(src.n_devices());
+  }
 
   // Per-device scans run in parallel; each returns the compact per-AP
-  // statistics its stream contributes plus its home-AP verdict. The
+  // statistics its stream contributes plus its home-AP verdicts. The
   // ordered merge adds counts and unions cell sets, so the per-AP totals
   // equal a serial one-pass scan exactly.
   src.fold<std::vector<DeviceApStats>>(
       [&](const Dataset& block, std::size_t) {
         return core::parallel_map(block.devices.size(), [&](std::size_t d) {
-          return scan_device(block, opt, d, min_bins);
+          return scan_device(block, win, d, min_bins);
         });
       },
       [&](std::vector<DeviceApStats>&& per_device, std::size_t) {
         for (const DeviceApStats& stats : per_device) {
           for (const DeviceApStats::PerAp& per_ap : stats.aps) {
-            out.associated[per_ap.ap] = true;
+            associated[per_ap.ap] = true;
             assoc_bins[per_ap.ap] += per_ap.assoc_bins;
             office_window_bins[per_ap.ap] += per_ap.office_window_bins;
             cells_seen[per_ap.ap].insert(per_ap.cells_seen.begin(),
                                          per_ap.cells_seen.end());
           }
-          out.home_ap_of_device.push_back(ApId{stats.home_ap});
-          if (stats.home_ap != value(kNoAp)) {
-            out.ap_class[stats.home_ap] = ApClass::Home;
+          for (std::size_t k = 0; k < thresholds.size(); ++k) {
+            home_ap_of_device[k].push_back(ApId{stats.home_ap[k]});
           }
         }
       });
 
   // Non-home APs: public by ESSID, rest Other (with office/mobile
-  // estimation).
+  // estimation). None of this depends on the threshold, so it is
+  // resolved once and each threshold only overlays its home APs.
+  ApClassification shared;
+  shared.ap_class.assign(n_aps, ApClass::Other);
+  shared.associated = std::move(associated);
+  shared.is_office.assign(n_aps, false);
+  shared.is_mobile.assign(n_aps, false);
   for (std::size_t i = 0; i < n_aps; ++i) {
-    if (!out.associated[i] || out.ap_class[i] == ApClass::Home) continue;
+    if (!shared.associated[i]) continue;
     if (net::is_public_essid(aps[i].essid)) {
-      out.ap_class[i] = ApClass::Public;
+      shared.ap_class[i] = ApClass::Public;
       continue;
     }
     if (static_cast<int>(cells_seen[i].size()) >= opt.mobile_min_cells) {
-      out.is_mobile[i] = true;
+      shared.is_mobile[i] = true;
       continue;
     }
     if (assoc_bins[i] >= opt.office_min_bins &&
         office_window_bins[i] >= opt.office_window_share * assoc_bins[i]) {
-      out.is_office[i] = true;
+      shared.is_office[i] = true;
+    }
+  }
+
+  std::vector<ApClassification> out(thresholds.size(), shared);
+  for (std::size_t k = 0; k < thresholds.size(); ++k) {
+    ApClassification& cls = out[k];
+    cls.home_ap_of_device = std::move(home_ap_of_device[k]);
+    for (const ApId home : cls.home_ap_of_device) {
+      if (home == kNoAp) continue;
+      cls.ap_class[value(home)] = ApClass::Home;
+      cls.is_office[value(home)] = false;
+      cls.is_mobile[value(home)] = false;
     }
   }
   return out;
+}
+
+ApClassification classify_aps(const query::DataSource& src,
+                              const ClassifyOptions& opt) {
+  return std::move(
+      classify_aps(src, opt, {&opt.home_presence_threshold, 1}).front());
 }
 
 }  // namespace tokyonet::analysis

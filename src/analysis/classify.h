@@ -11,6 +11,7 @@
 //    excludes *mobile* APs (seen across several geolocation cells).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "analysis/query/fwd.h"
@@ -70,5 +71,14 @@ struct ApClassification {
 /// order, so every backend and shard count gives the same result.
 [[nodiscard]] ApClassification classify_aps(const query::DataSource& src,
                                             const ClassifyOptions& opt = {});
+
+/// Threshold sweep: one classification per entry of `thresholds`, each
+/// equal to classify_aps() with `opt.home_presence_threshold` set to
+/// that entry (the field itself is ignored), from a single pass. Every
+/// nightly window's most-present AP is recorded once per device and
+/// replayed against each threshold.
+[[nodiscard]] std::vector<ApClassification> classify_aps(
+    const query::DataSource& src, const ClassifyOptions& opt,
+    std::span<const double> thresholds);
 
 }  // namespace tokyonet::analysis

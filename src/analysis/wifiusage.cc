@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <string_view>
+#include <unordered_map>
 
+#include "analysis/query/scan.h"
 #include "analysis/query/source.h"
 #include "core/dataset_index.h"
 
@@ -28,54 +29,74 @@ struct ApsPerDayCounts {
   }
 };
 
+// Tallies every device-day of `ds` with at least one association into
+// a partial P: on_day(acc, d, day, keys), where `keys` holds the
+// distinct key_of(ap) over that day's associated samples. A device
+// dwells, so a sample on the same AP as the previous associated sample
+// is skipped before the lookup, and the few distinct keys of a day live
+// in a flat vector. Devices run in the fixed blocks of query/scan.h and
+// the exact block partials merge in block order.
+template <typename P, typename KeyOf, typename OnDay>
+[[nodiscard]] P tally_associated_days(const Dataset& ds, const KeyOf& key_of,
+                                      const OnDay& on_day) {
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const WifiState> state = ds.samples.wifi_state;
+  const std::span<const std::uint32_t> aps = ds.samples.ap;
+  const std::vector<P> parts = query::map_device_blocks(
+      ds.devices.size(), [&](std::size_t d0, std::size_t d1) {
+        P acc;
+        std::vector<std::uint32_t> keys;
+        for (std::size_t d = d0; d < d1; ++d) {
+          for (int day = 0; day < ds.num_days(); ++day) {
+            keys.clear();
+            std::uint32_t last_ap = value(kNoAp);
+            const std::size_t end = idx.day_begin(d, day + 1);
+            for (std::size_t i = idx.day_begin(d, day); i < end; ++i) {
+              const std::uint32_t ap = aps[i];
+              if (state[i] != WifiState::Associated || ap == value(kNoAp) ||
+                  ap == last_ap) {
+                continue;
+              }
+              last_ap = ap;
+              const std::uint32_t key = key_of(ap);
+              if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+                keys.push_back(key);
+              }
+            }
+            if (!keys.empty()) {
+              on_day(acc, d, day, std::span<const std::uint32_t>(keys));
+            }
+          }
+        }
+        return acc;
+      });
+  P out;
+  for (const P& p : parts) out.merge(p);
+  return out;
+}
+
 // Scans one device block whose global device indices start at `base`;
 // `klass` is the campaign-wide (device, day) -> UserClass table.
 [[nodiscard]] ApsPerDayCounts aps_per_day_counts(
     const Dataset& ds, const std::vector<UserClass>& klass, std::size_t base) {
   const auto num_days = static_cast<std::size_t>(ds.num_days());
-  ApsPerDayCounts out;
-  const core::DatasetIndex& idx = ds.index();
-  const std::span<const TimeBin> bins = ds.samples.bin;
-  const std::span<const WifiState> state = ds.samples.wifi_state;
-  const std::span<const std::uint32_t> aps = ds.samples.ap;
-
-  std::set<std::uint32_t> seen;
-  for (const DeviceInfo& dev : ds.devices) {
-    const std::size_t d = value(dev.id);
-    int cur_day = -1;
-    seen.clear();
-    auto flush = [&](int day) {
-      if (cur_day < 0 || seen.empty()) {
-        seen.clear();
-        cur_day = day;
-        return;
-      }
-      const auto k = std::min<std::size_t>(seen.size(), 4) - 1;
-      const UserClass uc = klass[(base + value(dev.id)) * num_days +
-                                 static_cast<std::size_t>(cur_day)];
-      out.counts[0][k] += 1;
-      out.totals[0] += 1;
-      if (uc == UserClass::Heavy) {
-        out.counts[1][k] += 1;
-        out.totals[1] += 1;
-      } else if (uc == UserClass::Light) {
-        out.counts[2][k] += 1;
-        out.totals[2] += 1;
-      }
-      seen.clear();
-      cur_day = day;
-    };
-    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
-      const int day = ds.calendar.day_of(bins[i]);
-      if (day != cur_day) flush(day);
-      if (state[i] == WifiState::Associated &&
-          aps[i] != value(kNoAp)) {
-        seen.insert(aps[i]);
-      }
-    }
-    flush(-1);
-  }
-  return out;
+  return tally_associated_days<ApsPerDayCounts>(
+      ds, [](std::uint32_t ap) { return ap; },
+      [&](ApsPerDayCounts& out, std::size_t d, int day,
+          std::span<const std::uint32_t> seen) {
+        const auto k = std::min<std::size_t>(seen.size(), 4) - 1;
+        const UserClass uc = klass[(base + value(ds.devices[d].id)) * num_days +
+                                   static_cast<std::size_t>(day)];
+        out.counts[0][k] += 1;
+        out.totals[0] += 1;
+        if (uc == UserClass::Heavy) {
+          out.counts[1][k] += 1;
+          out.totals[1] += 1;
+        } else if (uc == UserClass::Light) {
+          out.counts[2][k] += 1;
+          out.totals[2] += 1;
+        }
+      });
 }
 
 [[nodiscard]] std::vector<UserClass> class_table(
@@ -106,69 +127,65 @@ struct ApsPerDayCounts {
 // contributes one increment keyed by its (home, public, other)
 // distinct-ESSID counts, so shard partials are additive.
 struct HpoCounts {
-  std::map<std::array<int, 3>, std::uint64_t> share;
+  // combo[h * 16 + p * 4 + o]: user-days with h + p + o <= 3.
+  std::array<std::uint64_t, 64> combo{};
   std::uint64_t four_plus = 0;
   std::uint64_t total = 0;
 
-  void merge(const HpoCounts& p) {
-    for (const auto& [key, v] : p.share) share[key] += v;
+  void merge(const HpoCounts& p) noexcept {
+    for (std::size_t k = 0; k < combo.size(); ++k) combo[k] += p.combo[k];
     four_plus += p.four_plus;
     total += p.total;
   }
 };
 
-[[nodiscard]] HpoCounts hpo_counts(const Dataset& ds,
-                                   const ApClassification& cls) {
-  HpoCounts out;
-  const core::DatasetIndex& idx = ds.index();
-  const std::span<const TimeBin> bins = ds.samples.bin;
-  const std::span<const WifiState> state = ds.samples.wifi_state;
-  const std::span<const std::uint32_t> aps = ds.samples.ap;
+// Table 5's key of each AP: its (class, ESSID) pair as one dense id,
+// essid * 3 + class, with every ESSID interned once from the campaign's
+// AP universe. Two BSSIDs sharing an ESSID and a class share a key.
+[[nodiscard]] std::vector<std::uint32_t> class_essid_keys(
+    const std::vector<ApInfo>& aps, const ApClassification& cls) {
+  std::unordered_map<std::string_view, std::uint32_t> essid_id;
+  essid_id.reserve(aps.size());
+  std::vector<std::uint32_t> keys(aps.size());
+  for (std::size_t i = 0; i < aps.size(); ++i) {
+    const auto next = static_cast<std::uint32_t>(essid_id.size());
+    const std::uint32_t id = essid_id.try_emplace(aps[i].essid, next)
+                                 .first->second;
+    keys[i] = id * 3 + static_cast<std::uint32_t>(cls.ap_class[i]);
+  }
+  return keys;
+}
 
-  std::set<std::pair<int, std::string_view>> essids;  // (class, essid)
-  for (const DeviceInfo& dev : ds.devices) {
-    const std::size_t d = value(dev.id);
-    int cur_day = -1;
-    essids.clear();
-    auto flush = [&](int day) {
-      if (cur_day >= 0 && !essids.empty()) {
-        std::array<int, 3> hpo{0, 0, 0};
-        for (const auto& [c, name] : essids) ++hpo[static_cast<std::size_t>(c)];
+[[nodiscard]] HpoCounts hpo_counts(const Dataset& ds,
+                                   const std::vector<std::uint32_t>& keys) {
+  return tally_associated_days<HpoCounts>(
+      ds, [&](std::uint32_t ap) { return keys[ap]; },
+      [](HpoCounts& out, std::size_t, int,
+         std::span<const std::uint32_t> essids) {
+        std::array<std::size_t, 3> hpo{0, 0, 0};
+        for (const std::uint32_t key : essids) ++hpo[key % 3];
         out.total += 1;
-        if (hpo[0] + hpo[1] + hpo[2] >= 4) {
+        if (essids.size() >= 4) {
           out.four_plus += 1;
         } else {
-          out.share[hpo] += 1;
+          out.combo[hpo[0] * 16 + hpo[1] * 4 + hpo[2]] += 1;
         }
-      }
-      essids.clear();
-      cur_day = day;
-    };
-    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
-      const int day = ds.calendar.day_of(bins[i]);
-      if (day != cur_day) flush(day);
-      const ApId ap{aps[i]};
-      if (state[i] == WifiState::Associated && ap != kNoAp) {
-        essids.emplace(static_cast<int>(cls.class_of(ap)),
-                       ds.aps[value(ap)].essid);
-      }
-    }
-    flush(-1);
-  }
-  return out;
+      });
 }
 
 [[nodiscard]] HpoBreakdown hpo_finalize(const HpoCounts& c) {
   HpoBreakdown out;
-  for (const auto& [key, v] : c.share) {
-    out.share[key] = static_cast<double>(v);
+  const auto total = static_cast<double>(c.total);
+  for (int h = 0; h < 4; ++h) {
+    for (int p = 0; p < 4; ++p) {
+      for (int o = 0; o < 4; ++o) {
+        const std::uint64_t v =
+            c.combo[static_cast<std::size_t>(h * 16 + p * 4 + o)];
+        if (v > 0) out.share[{h, p, o}] = static_cast<double>(v) / total;
+      }
+    }
   }
-  out.four_plus = static_cast<double>(c.four_plus);
-  if (c.total > 0) {
-    const auto total = static_cast<double>(c.total);
-    for (auto& [key, v] : out.share) v /= total;
-    out.four_plus /= total;
-  }
+  if (c.total > 0) out.four_plus = static_cast<double>(c.four_plus) / total;
   return out;
 }
 
@@ -241,9 +258,10 @@ ApsPerDay aps_per_day(const query::DataSource& src,
 
 HpoBreakdown hpo_breakdown(const query::DataSource& src,
                            const ApClassification& cls) {
+  const std::vector<std::uint32_t> keys = class_essid_keys(src.aps(), cls);
   return hpo_finalize(src.reduce<HpoCounts>(
       [&](const Dataset& block, std::size_t) {
-        return hpo_counts(block, cls);
+        return hpo_counts(block, keys);
       },
       [](HpoCounts& acc, HpoCounts&& p) { acc.merge(p); }));
 }

@@ -45,12 +45,13 @@ Table ablate_home_threshold(const FigureContext& ctx) {
   const std::vector<DeviceTruth> truth = src.concat<DeviceTruth>(
       [](const Dataset& block, std::size_t) { return block.truth.devices; });
   Table t({"threshold", "precision", "recall", "inferred share", "home APs"});
-  for (const double threshold : {0.50, 0.60, 0.70, 0.80, 0.90}) {
-    analysis::ClassifyOptions opt;
-    opt.home_presence_threshold = threshold;
-    const auto cls = analysis::classify_aps(src, opt);
+  constexpr double kThresholds[] = {0.50, 0.60, 0.70, 0.80, 0.90};
+  const std::vector<analysis::ApClassification> sweep =
+      analysis::classify_aps(src, {}, kThresholds);
+  for (std::size_t k = 0; k < sweep.size(); ++k) {
+    const analysis::ApClassification& cls = sweep[k];
     const PrecisionRecall pr = evaluate_home_inference(truth, cls);
-    t.add_row({Value::pct(threshold, 0), Value::pct(pr.precision, 1),
+    t.add_row({Value::pct(kThresholds[k], 0), Value::pct(pr.precision, 1),
                Value::pct(pr.recall, 1), Value::pct(pr.device_share, 1),
                Value::integer(cls.counts().home)});
   }

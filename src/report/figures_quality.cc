@@ -1,6 +1,10 @@
 // WiFi quality and availability figures (Figs 15-17) and the §3.5
 // offload-opportunity estimate, split out as its own registry entry so
 // it can run for all three years.
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "analysis/availability.h"
 #include "analysis/quality.h"
 #include "report/battery.h"
@@ -62,13 +66,39 @@ Table fig16(const FigureContext& ctx) {
   return t;
 }
 
+/// P[X > x] over a scan-count series, whose values are whole numbers in
+/// [0, 255] (the counts are u8), from a 256-bucket count: the same
+/// integer count over the same size as stats::Ecdf::ccdf, without
+/// copying and sorting the series.
+class ScanCountCcdf {
+ public:
+  explicit ScanCountCcdf(const std::vector<double>& values)
+      : size_(values.size()) {
+    for (const double v : values) ++count_[static_cast<std::size_t>(v)];
+  }
+
+  [[nodiscard]] double ccdf(double x) const noexcept {
+    if (size_ == 0) return 1.0;
+    std::uint64_t at_most = 0;
+    for (std::size_t v = 0; v < count_.size() && static_cast<double>(v) <= x;
+         ++v) {
+      at_most += count_[v];
+    }
+    return 1.0 - static_cast<double>(at_most) / static_cast<double>(size_);
+  }
+
+ private:
+  std::array<std::uint64_t, 256> count_{};
+  std::size_t size_;
+};
+
 Table fig17(const FigureContext& ctx) {
   const analysis::ScanAvailability s =
       analysis::scan_availability(ctx.source());
-  const auto a24 = s.ccdf_all_24();
-  const auto s24 = s.ccdf_strong_24();
-  const auto a5 = s.ccdf_all_5();
-  const auto s5 = s.ccdf_strong_5();
+  const ScanCountCcdf a24(s.all_24);
+  const ScanCountCcdf s24(s.strong_24);
+  const ScanCountCcdf a5(s.all_5);
+  const ScanCountCcdf s5(s.strong_5);
 
   Table t({"#APs", "2.4G all", "2.4G strong", "5G all", "5G strong"});
   for (const double n : {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0}) {

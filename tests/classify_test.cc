@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "analysis/query/source.h"
+#include "core/hash.h"
+#include "core/scenario.h"
+#include "io/shard_store.h"
+#include "sim/stream_runner.h"
 
 #include "testutil.h"
 
@@ -70,6 +77,52 @@ TEST_P(HomeThresholdSweep, ThresholdGatesClassification) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HomeThresholdSweep,
                          ::testing::Values(0.5, 0.6, 0.7, 0.8, 0.9));
+
+/// One digest over every field of each classification, in order.
+std::uint64_t classification_digest(const std::vector<ApClassification>& v) {
+  std::uint64_t h = 0;
+  const auto fold_bits = [&h](const std::vector<bool>& bits) {
+    const std::vector<std::uint8_t> bytes(bits.begin(), bits.end());
+    h = core::hash_bytes(bytes.data(), bytes.size(), h);
+  };
+  for (const ApClassification& c : v) {
+    h = core::hash_bytes(c.ap_class.data(), c.ap_class.size(), h);
+    fold_bits(c.associated);
+    fold_bits(c.is_office);
+    fold_bits(c.is_mobile);
+    h = core::hash_bytes(c.home_ap_of_device.data(),
+                         c.home_ap_of_device.size() * sizeof(ApId), h);
+  }
+  return h;
+}
+
+TEST(Classify, ThresholdSweepMatchesOneScanPerThreshold) {
+  // Pinned from five separate classify_aps() calls (one full scan per
+  // threshold), before the sweep shared one scan between them.
+  constexpr std::uint64_t kPinned = 0x24b15ad5d1dbadbbull;
+  constexpr double kThresholds[] = {0.50, 0.60, 0.70, 0.80, 0.90};
+  const std::vector<ApClassification> in_memory =
+      classify_aps(test::campaign_source(Year::Y2015), {}, kThresholds);
+  ASSERT_EQ(in_memory.size(), 5u);
+  EXPECT_EQ(classification_digest(in_memory), kPinned)
+      << "in memory: digest 0x" << std::hex
+      << classification_digest(in_memory);
+
+  test::ScratchDir tmp;
+  sim::StreamCampaignOptions opts;
+  opts.shards = 3;
+  const sim::StreamCampaignResult w = sim::stream_campaign(
+      scenario_config(Year::Y2015, test::kTestScale), tmp.path, opts);
+  ASSERT_TRUE(w.ok()) << w.error;
+  io::ShardedDataset store;
+  const io::SnapshotResult r = io::ShardedDataset::open(tmp.path, store);
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_EQ(store.num_shards(), 3u);
+  const std::vector<ApClassification> sharded =
+      classify_aps(query::ShardedSource(store), {}, kThresholds);
+  EXPECT_EQ(classification_digest(sharded), kPinned)
+      << "3 shards: digest 0x" << std::hex << classification_digest(sharded);
+}
 
 TEST(Classify, FonBoxCampedOnOvernightIsHome) {
   // §3.4.1: FON APs with a public ESSID used around the clock at home

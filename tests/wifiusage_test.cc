@@ -2,6 +2,12 @@
 // (Table 5), association durations (Fig 13), band fractions (Fig 14).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
+#include <map>
+#include <vector>
+
+#include "analysis/query/source.h"
 #include "analysis/wifiusage.h"
 #include "stats/descriptive.h"
 #include "testutil.h"
@@ -9,9 +15,21 @@
 namespace tokyonet::analysis {
 namespace {
 
+using test::add_ap;
+using test::add_sample;
 using test::campaign;
 using test::campaign_source;
 using test::campaign_classification;
+using test::empty_dataset;
+
+/// Appends associated samples on `aps`, one per bin from `first`.
+void associate(std::vector<Sample>& rows, std::uint32_t device, int day,
+               std::initializer_list<ApId> aps, int first = 0) {
+  auto bin = static_cast<TimeBin>(day * kBinsPerDay + first);
+  for (const ApId ap : aps) {
+    add_sample(rows, device, bin++, 0, 100, WifiState::Associated, ap);
+  }
+}
 
 TEST(ApsPerDay, SharesNormalizedPerClass) {
   const Dataset& ds = campaign(Year::Y2015);
@@ -77,6 +95,61 @@ TEST(Hpo, SingleHomeDominates) {
       EXPECT_LE(share, home_share + 1e-12);
     }
   }
+}
+
+TEST(Hpo, CountsDistinctEssidsPerClass) {
+  Dataset ds = empty_dataset(2, 3);
+  const ApId home_a = add_ap(ds, "aterm-AB12-g");
+  const ApId home_b = add_ap(ds, "aterm-AB12-g");  // same ESSID and class
+  const ApId fon_home = add_ap(ds, "FON_FREE_INTERNET");
+  const ApId fon_public = add_ap(ds, "FON_FREE_INTERNET");
+  const ApId pub = add_ap(ds, "0000docomo");
+  const ApId office = add_ap(ds, "corp-ap-01");
+  const ApId cafe = add_ap(ds, "cafe-wifi-99");
+  ApClassification cls;
+  cls.ap_class = {ApClass::Home,   ApClass::Home,  ApClass::Home,
+                  ApClass::Public, ApClass::Public, ApClass::Other,
+                  ApClass::Other};
+  cls.associated.assign(ds.aps.size(), true);
+  cls.is_office.assign(ds.aps.size(), false);
+  cls.is_mobile.assign(ds.aps.size(), false);
+
+  std::vector<Sample> rows;
+  // Device 0, day 0: two BSSIDs of one home ESSID -> (1, 0, 0).
+  associate(rows, 0, 0, {home_a, home_a, home_b, home_a, home_b});
+  // Day 1: only rows without an AP -> not a counted user-day.
+  add_sample(rows, 0, TimeBin{kBinsPerDay + 3}, 0, 0, WifiState::Associated, kNoAp);
+  add_sample(rows, 0, TimeBin{kBinsPerDay + 4}, 0, 0, WifiState::OnUnassociated);
+  // Day 2: one ESSID as home and as public -> (1, 1, 0).
+  associate(rows, 0, 2, {fon_home, fon_public, fon_home});
+  // Device 1, day 0: four distinct ESSIDs -> 4+.
+  associate(rows, 1, 0, {home_a, pub, office, cafe, pub});
+  // Day 2: the home ESSID again, through the other BSSID -> (1, 0, 0).
+  associate(rows, 1, 2, {home_b, home_b}, 40);
+  test::set_rows(ds, rows);
+
+  const HpoBreakdown h = hpo_breakdown(query::InMemorySource(ds), cls);
+  const std::map<std::array<int, 3>, double> want{{{1, 0, 0}, 0.5},
+                                                  {{1, 1, 0}, 0.25}};
+  EXPECT_EQ(h.share, want);
+  EXPECT_DOUBLE_EQ(h.four_plus, 0.25);
+}
+
+TEST(ApsPerDay, CountsDistinctBssidsPerDay) {
+  Dataset ds = empty_dataset(1, 3);
+  const ApId a = add_ap(ds, "aterm-AB12-g");
+  const ApId b = add_ap(ds, "aterm-AB12-g");
+  const ApId c = add_ap(ds, "0000docomo");
+  std::vector<Sample> rows;
+  associate(rows, 0, 0, {a, b, a, a, b});  // 2 APs
+  associate(rows, 0, 1, {c, c, c});        // 1 AP
+  add_sample(rows, 0, TimeBin{2 * kBinsPerDay}, 0, 0, WifiState::Associated, kNoAp);
+  test::set_rows(ds, rows);
+  const auto days = user_days(ds);
+  const ApsPerDay got =
+      aps_per_day(query::InMemorySource(ds), days, UserClassifier(days));
+  const std::array<double, 4> want{0.5, 0.5, 0, 0};
+  EXPECT_EQ(got.share[0], want);
 }
 
 TEST(Hpo, KeysAreSmallCounts) {
