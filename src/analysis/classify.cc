@@ -1,6 +1,7 @@
 #include "analysis/classify.h"
 
 #include <array>
+#include <limits>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -78,12 +79,14 @@ struct DeviceApStats {
   // day d through 06:00 of day d+1). Within a window, a run of one AP
   // is added to night_counts once, when another AP starts or the window
   // closes; keys therefore arrive in first-association order, as a
-  // per-sample count would insert them.
-  int window_day = -1;
+  // per-sample count would insert them. The first morning's window
+  // starts on day -1, so "no open window" needs a day no window has.
+  constexpr int kNoWindow = std::numeric_limits<int>::min();
+  int window_day = kNoWindow;
   std::uint32_t run_ap = value(kNoAp);
   int run_bins = 0;
   auto flush_window = [&]() {
-    if (window_day < 0) return;
+    if (window_day == kNoWindow) return;
     if (run_bins > 0) night_counts[run_ap] += run_bins;
     run_ap = value(kNoAp);
     run_bins = 0;
@@ -98,7 +101,7 @@ struct DeviceApStats {
     }
     if (best > 0) nights.emplace_back(best_ap, best);
     night_counts.clear();
-    window_day = -1;
+    window_day = kNoWindow;
   };
 
   const core::DatasetIndex& idx = ds.index();
@@ -155,7 +158,7 @@ struct DeviceApStats {
         }
         ++run_bins;
       }
-    } else if (window_day >= 0) {
+    } else if (window_day != kNoWindow) {
       flush_window();
     }
   }

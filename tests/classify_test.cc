@@ -124,6 +124,28 @@ TEST(Classify, ThresholdSweepMatchesOneScanPerThreshold) {
       << "3 shards: digest 0x" << std::hex << classification_digest(sharded);
 }
 
+TEST(Classify, FirstMorningDoesNotLeakIntoFirstNight) {
+  // 20 bins on day 0's 00:00-06:00 and 20 bins in night 0 (22:00 of day
+  // 0 to 06:00 of day 1): each window is below the 70% rule (33 of 48
+  // bins), so only adding the first morning to the first night would
+  // make the AP a home AP.
+  Dataset ds = empty_dataset(1, 2);
+  std::vector<Sample> rows;
+  const ApId ap = add_ap(ds, "aterm-AB12-g");
+  for (int k = 0; k < 20; ++k) {
+    add_sample(rows, 0, static_cast<TimeBin>(k), 0, 100,
+               WifiState::Associated, ap);
+  }
+  for (int k = 0; k < 20; ++k) {
+    add_sample(rows, 0, static_cast<TimeBin>(22 * kBinsPerHour + k), 0, 100,
+               WifiState::Associated, ap);
+  }
+  test::set_rows(ds, rows);
+  const ApClassification cls = classify_aps(query::InMemorySource(ds));
+  EXPECT_EQ(cls.home_ap_of_device[0], kNoAp);
+  EXPECT_EQ(cls.class_of(ap), ApClass::Other);
+}
+
 TEST(Classify, FonBoxCampedOnOvernightIsHome) {
   // §3.4.1: FON APs with a public ESSID used around the clock at home
   // are classified home, not public.
