@@ -1,6 +1,7 @@
 // Streaming ingest throughput (DESIGN.md §5e): loopback replay of each
 // campaign through the sharded IngestServer, verifying on the way that
-// the incremental results stay byte-identical to the batch kernels.
+// the kernels' result over the committed columns stays byte-identical
+// to their result over the campaign.
 //
 // Reproduction lines are greppable (`tokyonet-ingest: key=value ...`)
 // so tools/run_bench.sh can lift replay throughput into the bench JSON.
@@ -26,7 +27,7 @@ struct LoopbackRun {
 
 /// Replays `ds` through an in-process server and waits (shutdown) until
 /// every routed batch is committed, so records/sec measures the full
-/// pipeline: encode -> parse -> route -> shard commit -> incremental.
+/// pipeline: encode -> parse -> check -> route -> shard commit.
 LoopbackRun run_loopback(const Dataset& ds, int shards, bool shed,
                          std::size_t queue_capacity) {
   ingest::IngestConfig cfg;

@@ -1,39 +1,32 @@
-// Incremental (streaming) versions of the core analysis kernels.
+// The streaming ingest path's result: what a live stream is asked.
 //
-// The batch pipeline computes everything from a complete Dataset; the
-// ingest path (src/ingest) instead receives per-device record batches
-// one frame at a time and must answer analysis queries mid-stream. This
-// module maintains online state for four kernels:
+// The ingest server (src/ingest) commits each device's frames as sample
+// columns and answers queries, mid-stream or after it, by running
+// batch_stream_result over a DataSource whose blocks are the committed
+// columns. So the live stream and the archived campaign are answered
+// by the same kernels:
 //
 //   - macro traffic totals (per-interface byte sums, LTE share,
-//     per-app-category volumes) — integer accumulators,
-//   - per-user daily volumes (the `user_days` rollup),
+//     per-app-category volumes) and per-AP observation counts —
+//     integer sums, merged across blocks by reduce,
+//   - per-user daily volumes (the `user_days` rollup), concatenated
+//     across blocks in device order,
 //   - the WiFi/cellular traffic and WiFi-user weekly ratio profiles
 //     (the class-free `traffic_all` / `users_all` halves of
-//     `compute_wifi_ratios`),
-//   - per-AP observation counts (association samples per ApId).
+//     `compute_wifi_ratios`).
 //
-// Equivalence contract: after every record of a campaign has been fed
-// (per device, in (device, bin) order — which sharding by device id
-// preserves), `IncrementalAnalysis::result()` is **byte-identical** to
-// `batch_stream_result()` over the same records, at any shard count.
-// It follows from the one rule of DESIGN.md §5c: the totals, the AP
-// counts and the two ratio profiles are exact integer sums kept per
-// shard and added at query time; the daily rollup is a per-device
-// product (doubles accumulated in that device's arrival order),
-// concatenated in device-id order. `compare_stream_results` checks the
-// contract bit-for-bit.
+// Every merge is exact (DESIGN.md §5c), so the result over the ingest
+// server's per-shard blocks is byte-identical to the single in-memory
+// block of the same records. `compare_stream_results` checks that
+// bit for bit.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/common.h"
-#include "core/sample_rows.h"
+#include "analysis/query/fwd.h"
 
 namespace tokyonet::analysis {
 
@@ -66,67 +59,12 @@ struct StreamResult {
   std::vector<std::uint64_t> ap_observations;
 };
 
-/// Streaming accumulator. One instance serves all shards of an ingest
-/// server: each device id is owned by exactly one shard
-/// (`device % num_shards`), so shard workers touch disjoint per-device
-/// state (the daily rollup); everything summed across devices (totals,
-/// ratio profiles, AP counts) is kept per shard and added at query
-/// time. All mutation and queries are
-/// internally synchronized per shard, so `result()` may be called while
-/// workers are committing.
-class IncrementalAnalysis {
- public:
-  /// State for a campaign starting at `start` with `num_days` days,
-  /// `n_devices` devices and `n_aps` access points, committed by
-  /// `num_shards` shard workers.
-  IncrementalAnalysis(Date start, int num_days, std::uint32_t n_devices,
-                      std::uint32_t n_aps, int num_shards);
-  ~IncrementalAnalysis();  // out of line: members use incomplete types
+/// The stream's questions answered over `src`: one pass for the
+/// per-device daily rollup with the integer totals, one for the ratio
+/// profiles.
+[[nodiscard]] StreamResult batch_stream_result(const query::DataSource& src);
 
-  IncrementalAnalysis(const IncrementalAnalysis&) = delete;
-  IncrementalAnalysis& operator=(const IncrementalAnalysis&) = delete;
-
-  /// Commits one batch of records for one device. Must be called from
-  /// the worker owning `shard`, with `value(device) % num_shards() ==
-  /// shard`; a device's batches must arrive in (bin) order for the
-  /// equivalence contract to hold. `app` holds the frame-local
-  /// per-application records; each sample's `app_begin` indexes into it.
-  void add_batch(int shard, DeviceId device, std::span<const Sample> samples,
-                 std::span<const AppTraffic> app);
-
-  /// Merges all shard partials into one result, in a fixed order that
-  /// does not depend on the shard count. Safe mid-stream.
-  [[nodiscard]] StreamResult result() const;
-
-  [[nodiscard]] int num_shards() const noexcept {
-    return static_cast<int>(shards_.size());
-  }
-  [[nodiscard]] std::uint32_t num_devices() const noexcept {
-    return n_devices_;
-  }
-
-  /// Locks one shard's state, pausing its worker at the next commit.
-  /// Used by tests (deterministic backpressure) and by operators who
-  /// want several consistent reads in a row.
-  [[nodiscard]] std::unique_lock<std::mutex> freeze_shard(int shard) const;
-
- private:
-  struct DeviceState;
-  struct ShardState;
-
-  CampaignCalendar calendar_;
-  std::uint32_t n_devices_ = 0;
-  std::uint32_t n_aps_ = 0;
-  /// Lazily materialized per-device accumulators; slot i is written only
-  /// by the shard owning device i.
-  std::vector<std::unique_ptr<DeviceState>> devices_;
-  std::vector<std::unique_ptr<ShardState>> shards_;
-};
-
-/// The batch counterpart of `IncrementalAnalysis::result()`, computed
-/// with the existing batch kernels (`user_days`, `compute_wifi_ratios`)
-/// plus per-device reductions for the integer aggregates. Defined to be
-/// byte-identical to streaming the same dataset through the ingest path.
+/// batch_stream_result over the resident dataset (an InMemorySource).
 [[nodiscard]] StreamResult batch_stream_result(const Dataset& ds);
 
 /// Bit-exact comparison of two stream results (doubles are compared by

@@ -9,6 +9,17 @@
 namespace tokyonet::analysis {
 namespace {
 
+/// One sample's contribution to a (traffic, users) profile pair: its
+/// WiFi and total download bytes (only when it downloaded anything) and
+/// whether it was associated, out of one sample.
+void add_ratio_sample(WeeklyProfile& traffic, WeeklyProfile& users, int hour,
+                      std::uint32_t wifi_rx, std::uint32_t cell_rx,
+                      bool associated) noexcept {
+  const std::uint64_t total = std::uint64_t{wifi_rx} + cell_rx;
+  if (total > 0) traffic.add_hour(hour, wifi_rx, total);
+  users.add_hour(hour, associated ? 1 : 0);
+}
+
 void merge(WifiRatios& into, const WifiRatios& from) noexcept {
   into.traffic_all.merge(from.traffic_all);
   into.users_all.merge(from.users_all);

@@ -26,19 +26,6 @@ struct WifiRatios {
   [[nodiscard]] bool operator==(const WifiRatios&) const = default;
 };
 
-/// One sample's contribution to a (traffic, users) profile pair: its
-/// WiFi and total download bytes (only when it downloaded anything) and
-/// whether it was associated, out of one sample. The one per-sample add
-/// behind compute_wifi_ratios() and the streaming profiles
-/// (analysis/incremental.h).
-inline void add_ratio_sample(WeeklyProfile& traffic, WeeklyProfile& users,
-                             int hour, std::uint32_t wifi_rx,
-                             std::uint32_t cell_rx, bool associated) noexcept {
-  const std::uint64_t total = std::uint64_t{wifi_rx} + cell_rx;
-  if (total > 0) traffic.add_hour(hour, wifi_rx, total);
-  users.add_hour(hour, associated ? 1 : 0);
-}
-
 /// Computes all six weekly ratio profiles in one pass over the campaign.
 /// `days` and `classes` carry global device ids (AnalysisContext's
 /// days() and classifier()).

@@ -67,6 +67,97 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::empty() {
   return idx;
 }
 
+RunCheck check_device_run(const SampleColumns& cols,
+                          std::span<const AppTraffic> app_traffic,
+                          const DeviceRun& run, const RowLimits& limits) {
+  const std::size_t begin = run.row_begin;
+  const std::size_t end = run.row_end;
+  const TimeBin* const bin = cols.bin.data();
+  const std::uint32_t* const ap = cols.ap.data();
+  const std::uint8_t* const app_count = cols.app_count.data();
+  const std::uint8_t* const flags = cols.flags.data();
+  const WifiState* const state = cols.wifi_state.data();
+  const CellTech* const tech = cols.tech.data();
+
+  // Every rule as a branch-free reduction over one column, which the
+  // compiler vectorizes. AP value + 1 wraps kNoAp to 0, so one max
+  // bounds the AP column by num_aps.
+  TimeBin max_bin = 0;
+  for (std::size_t j = begin; j < end; ++j) {
+    max_bin = std::max(max_bin, bin[j]);
+  }
+  unsigned descends = 0, repeats = 0;
+  for (std::size_t j = begin + 1; j < end; ++j) {
+    descends |= unsigned{bin[j - 1] > bin[j]};
+    repeats |= unsigned{bin[j - 1] == bin[j]};
+  }
+  std::uint32_t max_ap = 0;
+  for (std::size_t j = begin; j < end; ++j) {
+    max_ap = std::max(max_ap, ap[j] + 1u);
+  }
+  std::uint8_t max_state = 0, max_tech = 0, flag_bits = 0;
+  for (std::size_t j = begin; j < end; ++j) {
+    max_state = std::max(max_state, static_cast<std::uint8_t>(state[j]));
+    max_tech = std::max(max_tech, static_cast<std::uint8_t>(tech[j]));
+    flag_bits |= flags[j];
+  }
+  std::uint64_t apps = 0;
+  for (std::size_t j = begin; j < end; ++j) apps += app_count[j];
+  const std::size_t app_begin = run.app_begin;
+  const std::size_t app_end = run.app_end;
+  const std::size_t n_apps = app_traffic.size();
+  bool ok = std::size_t{max_bin} < limits.num_bins && descends == 0 &&
+            max_ap <= limits.num_aps &&
+            max_state <= static_cast<std::uint8_t>(WifiState::Associated) &&
+            max_tech <= static_cast<std::uint8_t>(CellTech::Lte) &&
+            (flag_bits & ~SampleColumns::kFlagTethering) == 0 &&
+            app_begin <= app_end && app_end <= n_apps &&
+            app_end - app_begin == apps;
+  if (ok) {
+    std::uint8_t max_category = 0;
+    for (std::size_t a = app_begin; a < app_end; ++a) {
+      max_category = std::max(
+          max_category, static_cast<std::uint8_t>(app_traffic[a].category));
+    }
+    ok = max_category < kNumAppCategories;
+  }
+  if (ok) return {{}, repeats != 0};
+
+  // The same rules one row at a time, to name the first broken one.
+  const auto row = [](std::size_t i) { return "sample " + std::to_string(i); };
+  for (std::size_t i = begin; i < end; ++i) {
+    if (std::size_t{bin[i]} >= limits.num_bins) {
+      return {row(i) + " has bin " + std::to_string(bin[i]) + " outside the " +
+              std::to_string(limits.num_bins) + "-bin campaign"};
+    }
+    if (i > begin && bin[i - 1] > bin[i]) {
+      return {row(i) + " breaks (device, bin) ordering"};
+    }
+    if (ap[i] != value(kNoAp) && ap[i] >= limits.num_aps) {
+      return {row(i) + " references AP " + std::to_string(ap[i]) + " of " +
+              std::to_string(limits.num_aps)};
+    }
+    if (state[i] > WifiState::Associated || tech[i] > CellTech::Lte) {
+      return {row(i) + " has an unknown WiFi state or cell technology"};
+    }
+    if ((flags[i] & ~SampleColumns::kFlagTethering) != 0) {
+      return {row(i) + " has unknown flag bits"};
+    }
+  }
+  if (app_begin > app_end || app_end > n_apps || app_end - app_begin != apps) {
+    return {"device " + std::to_string(run.device) + " app range [" +
+            std::to_string(app_begin) + ", " + std::to_string(app_end) +
+            ") does not hold its rows' " + std::to_string(apps) + " of " +
+            std::to_string(n_apps) + " app records"};
+  }
+  for (std::size_t a = app_begin; a < app_end; ++a) {
+    if (static_cast<int>(app_traffic[a].category) >= kNumAppCategories) {
+      return {"app record " + std::to_string(a) + " has an unknown category"};
+    }
+  }
+  return {{}, repeats != 0};  // unreachable: the walk mirrors the reductions
+}
+
 std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
                                                         SampleLayout layout,
                                                         std::string* error) {
@@ -74,8 +165,7 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
   const std::size_t n = cols.size();
   const std::size_t n_devices = ds.devices.size();
   const auto n_bins = static_cast<std::size_t>(ds.calendar.num_bins());
-  const std::size_t n_aps = ds.aps.size();
-  const std::size_t n_apps = ds.app_traffic.size();
+  const RowLimits limits{n_bins, ds.aps.size()};
   const auto fail = [&](std::string what) {
     *error = std::move(what);
     return nullptr;
@@ -104,57 +194,7 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
   const int num_days = idx->num_days_;
   const std::size_t day_stride = static_cast<std::size_t>(num_days) + 1;
   idx->day_offset_.assign(n_devices * day_stride, 0);
-
   const TimeBin* const bin = cols.bin.data();
-  const std::uint32_t* const ap = cols.ap.data();
-  const std::uint8_t* const app_count = cols.app_count.data();
-  const WifiState* const state = cols.wifi_state.data();
-  const CellTech* const tech = cols.tech.data();
-  const AppTraffic* const app_records = ds.app_traffic.data();
-
-  // Device d's rules, one row at a time: returns the first broken one.
-  // Only a device whose column reductions below fail is walked, so the
-  // message names the same row the walk alone would.
-  const auto first_error = [&](std::size_t d) -> std::string {
-    const std::size_t begin = layout.device_offset[d];
-    const std::size_t end = layout.device_offset[d + 1];
-    const auto row = [](std::size_t i) {
-      return "sample " + std::to_string(i);
-    };
-    std::size_t apps = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (std::size_t{bin[i]} >= n_bins) {
-        return row(i) + " has bin " + std::to_string(bin[i]) +
-               " outside the " + std::to_string(n_bins) + "-bin campaign";
-      }
-      if (i > begin && bin[i - 1] > bin[i]) {
-        return row(i) + " breaks (device, bin) ordering";
-      }
-      if (ap[i] != value(kNoAp) && ap[i] >= n_aps) {
-        return row(i) + " references AP " + std::to_string(ap[i]) + " of " +
-               std::to_string(n_aps);
-      }
-      if (state[i] > WifiState::Associated || tech[i] > CellTech::Lte) {
-        return row(i) + " has an unknown WiFi state or cell technology";
-      }
-      apps += app_count[i];
-    }
-    const std::size_t app_begin = layout.app_range[2 * d];
-    const std::size_t app_end = layout.app_range[2 * d + 1];
-    if (app_begin > app_end || app_end > n_apps ||
-        app_end - app_begin != apps) {
-      return "device " + std::to_string(d) + " app range [" +
-             std::to_string(app_begin) + ", " + std::to_string(app_end) +
-             ") does not hold its rows' " + std::to_string(apps) + " of " +
-             std::to_string(n_apps) + " app records";
-    }
-    for (std::size_t a = app_begin; a < app_end; ++a) {
-      if (static_cast<int>(app_records[a].category) >= kNumAppCategories) {
-        return "app record " + std::to_string(a) + " has an unknown category";
-      }
-    }
-    return {};
-  };
 
   struct Check {
     std::string error;
@@ -164,55 +204,14 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
       parallel_map(n_devices, [&](std::size_t d) -> Check {
         const std::size_t begin = layout.device_offset[d];
         const std::size_t end = layout.device_offset[d + 1];
-
-        // Every rule as a branch-free reduction over one column, which
-        // the compiler vectorizes. AP value + 1 wraps kNoAp to 0, so one
-        // max bounds the AP column by n_aps.
-        TimeBin max_bin = 0;
-        for (std::size_t j = begin; j < end; ++j) {
-          max_bin = std::max(max_bin, bin[j]);
-        }
-        unsigned descends = 0, repeats = 0;
-        for (std::size_t j = begin + 1; j < end; ++j) {
-          descends |= unsigned{bin[j - 1] > bin[j]};
-          repeats |= unsigned{bin[j - 1] == bin[j]};
-        }
-        std::uint32_t max_ap = 0;
-        for (std::size_t j = begin; j < end; ++j) {
-          max_ap = std::max(max_ap, ap[j] + 1u);
-        }
-        std::uint8_t max_state = 0, max_tech = 0;
-        for (std::size_t j = begin; j < end; ++j) {
-          max_state = std::max(max_state, static_cast<std::uint8_t>(state[j]));
-          max_tech = std::max(max_tech, static_cast<std::uint8_t>(tech[j]));
-        }
-        std::uint64_t apps = 0;
-        for (std::size_t j = begin; j < end; ++j) apps += app_count[j];
-        const std::size_t app_begin = layout.app_range[2 * d];
-        const std::size_t app_end = layout.app_range[2 * d + 1];
-        bool ok = std::size_t{max_bin} < n_bins && descends == 0 &&
-                  max_ap <= n_aps &&
-                  max_state <= static_cast<std::uint8_t>(WifiState::Associated) &&
-                  max_tech <= static_cast<std::uint8_t>(CellTech::Lte) &&
-                  app_begin <= app_end && app_end <= n_apps &&
-                  app_end - app_begin == apps;
-        if (ok) {
-          std::uint8_t max_category = 0;
-          for (std::size_t a = app_begin; a < app_end; ++a) {
-            max_category = std::max(
-                max_category, static_cast<std::uint8_t>(app_records[a].category));
-          }
-          ok = max_category < kNumAppCategories;
-        }
-        if (!ok) {
-          if (std::string message = first_error(d); !message.empty()) {
-            return {std::move(message)};
-          }
-        }
+        const DeviceRun run{d, begin, end, layout.app_range[2 * d],
+                            layout.app_range[2 * d + 1]};
+        RunCheck check = check_device_run(cols, ds.app_traffic, run, limits);
+        if (!check.error.empty()) return {std::move(check.error)};
 
         // Rising bins, all inside the calendar, one per bin: dense, and
         // each day starts kBinsPerDay rows after the previous one.
-        const bool dense = end - begin == n_bins && descends == 0 && repeats == 0;
+        const bool dense = end - begin == n_bins && !check.repeated_bins;
         std::size_t* const days = idx->day_offset_.data() + d * day_stride;
         std::size_t i = begin;
         for (int day = 0; day < num_days; ++day) {

@@ -29,7 +29,7 @@ namespace tokyonet::core {
 
 /// Which rows and which app-traffic records belong to which device: the
 /// part of the index that is data rather than derived. Snapshots store
-/// it; the row-append path (core/sample_rows.h) derives it from rows.
+/// it; CSV import and the ingest server derive it from their rows.
 struct SampleLayout {
   /// Device d owns rows [device_offset[d], device_offset[d + 1]).
   std::vector<std::size_t> device_offset;
@@ -42,19 +42,50 @@ struct SampleLayout {
                                           std::size_t n_bins);
 };
 
+/// The universe one device's rows are checked against.
+struct RowLimits {
+  std::size_t num_bins = 0;  // every bin lies in [0, num_bins)
+  std::size_t num_aps = 0;   // every AP is kNoAp or lies in [0, num_aps)
+};
+
+/// One device's rows [row_begin, row_end) and app records
+/// [app_begin, app_end), as indices into the arrays they are checked in.
+struct DeviceRun {
+  std::size_t device = 0;
+  std::size_t row_begin = 0, row_end = 0;
+  std::size_t app_begin = 0, app_end = 0;
+};
+
+struct RunCheck {
+  /// The first broken rule, empty when the run is valid.
+  std::string error;
+  /// Two consecutive rows share a bin (valid, but not dense).
+  bool repeated_bins = false;
+};
+
+/// The one definition of a valid run of one device's rows, shared by
+/// DatasetIndex::build (per device), and by the ingest server (per
+/// Records frame, against the limits its Begin frame announced): every
+/// bin inside the calendar, bins never descending, every AP known, no
+/// unknown WiFi state, cell technology or flag bit, an app range inside
+/// `app_traffic` that holds exactly the rows' app counts, and no unknown
+/// app category. Each rule is a vectorizable column reduction; only a
+/// failing run is walked row by row, so the error names its first bad
+/// row (or app record) by its index in `cols` (or `app_traffic`).
+[[nodiscard]] RunCheck check_device_run(const SampleColumns& cols,
+                                        std::span<const AppTraffic> app_traffic,
+                                        const DeviceRun& run,
+                                        const RowLimits& limits);
+
 class DatasetIndex {
  public:
   /// Validates `ds.samples` against `layout` and builds the index.
   /// Returns nullptr, with the first problem in `*error`, when the
   /// columns break the Dataset contract: a layout that does not tile the
-  /// rows, column lengths that differ, bins out of order within a
-  /// device or outside the calendar, an AP outside `ds.aps`, an unknown
-  /// WiFi state, cell technology or app category, or an app range
-  /// outside `ds.app_traffic` or not matching the rows' app counts.
-  /// Devices are checked in parallel, each by vectorizable column
-  /// reductions; only a failing device is walked row by row to name its
-  /// first bad row. The lowest failing device is reported, so the error
-  /// is deterministic.
+  /// rows, column lengths that differ, or a device whose run fails
+  /// check_device_run against the calendar and `ds.aps`. Devices are
+  /// checked in parallel; the lowest failing device is reported, so the
+  /// error is deterministic.
   [[nodiscard]] static std::shared_ptr<const DatasetIndex> build(
       const Dataset& ds, SampleLayout layout, std::string* error);
 

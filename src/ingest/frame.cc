@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <span>
 
 #include "core/hash.h"
 
@@ -21,43 +22,61 @@ void append_bytes(std::vector<std::uint8_t>& out, const void* data,
   out.insert(out.end(), p, p + n);
 }
 
+/// Appends one frame to `out`; `write_payload()` appends its payload.
+template <typename WritePayload>
 void append_frame(FrameType type, std::uint32_t device,
                   std::uint32_t n_samples, std::uint32_t n_app,
-                  std::span<const std::uint8_t> payload,
-                  std::vector<std::uint8_t>& out) {
+                  std::vector<std::uint8_t>& out,
+                  WritePayload&& write_payload) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(FrameHeader));
+  write_payload();
   FrameHeader h;
   h.type = static_cast<std::uint16_t>(type);
   h.device = device;
   h.n_samples = n_samples;
   h.n_app = n_app;
-  h.payload_bytes = static_cast<std::uint32_t>(payload.size());
-  h.payload_crc = payload_crc(payload.data(), payload.size());
-  append_bytes(out, &h, sizeof(h));
-  append_bytes(out, payload.data(), payload.size());
+  h.payload_bytes = static_cast<std::uint32_t>(out.size() - at - sizeof(h));
+  h.payload_crc = payload_crc(out.data() + at + sizeof(h), h.payload_bytes);
+  std::memcpy(out.data() + at, &h, sizeof(h));
 }
 
 }  // namespace
 
-void encode_begin(const BeginPayload& info, std::vector<std::uint8_t>& out) {
-  append_frame(FrameType::Begin, 0, 0, 0,
-               {reinterpret_cast<const std::uint8_t*>(&info), sizeof(info)},
-               out);
+std::uint32_t sample_row_bytes() {
+  static const std::uint32_t bytes = [] {
+    std::uint32_t n = 0;
+    const SampleColumns cols;
+    SampleColumns::for_each([&](const auto& c) { n += sizeof(c[0]); }, cols);
+    return n;
+  }();
+  return bytes;
 }
 
-void encode_records(DeviceId device, std::span<const Sample> samples,
+void encode_begin(const BeginPayload& info, std::vector<std::uint8_t>& out) {
+  append_frame(FrameType::Begin, 0, 0, 0, out,
+               [&] { append_bytes(out, &info, sizeof(info)); });
+}
+
+void encode_records(DeviceId device, const SampleColumns& cols,
+                    std::size_t begin, std::size_t end,
                     std::span<const AppTraffic> app,
                     std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(samples.size_bytes() + app.size_bytes());
-  append_bytes(payload, samples.data(), samples.size_bytes());
-  append_bytes(payload, app.data(), app.size_bytes());
   append_frame(FrameType::Records, value(device),
-               static_cast<std::uint32_t>(samples.size()),
-               static_cast<std::uint32_t>(app.size()), payload, out);
+               static_cast<std::uint32_t>(end - begin),
+               static_cast<std::uint32_t>(app.size()), out, [&] {
+                 SampleColumns::for_each(
+                     [&](const auto& c) {
+                       append_bytes(out, c.data() + begin,
+                                    (end - begin) * sizeof(c[0]));
+                     },
+                     cols);
+                 append_bytes(out, app.data(), app.size_bytes());
+               });
 }
 
 void encode_end(std::vector<std::uint8_t>& out) {
-  append_frame(FrameType::End, 0, 0, 0, {}, out);
+  append_frame(FrameType::End, 0, 0, 0, out, [] {});
 }
 
 // --- FrameParser --------------------------------------------------------
@@ -114,7 +133,7 @@ FrameParser::Status FrameParser::next(Frame& out) {
       break;
     case FrameType::Records: {
       const std::uint64_t want =
-          std::uint64_t{h.n_samples} * sizeof(Sample) +
+          std::uint64_t{h.n_samples} * sample_row_bytes() +
           std::uint64_t{h.n_app} * sizeof(AppTraffic);
       if (want != h.payload_bytes) {
         return fail("Records frame length mismatch: header claims " +
@@ -145,46 +164,23 @@ FrameParser::Status FrameParser::next(Frame& out) {
   out.device = DeviceId{h.device};
   if (type == FrameType::Begin) {
     std::memcpy(&out.begin, payload, sizeof(BeginPayload));
-    if (out.begin.sample_size != sizeof(Sample) ||
+    if (out.begin.sample_size != sample_row_bytes() ||
         out.begin.app_size != sizeof(AppTraffic)) {
       return fail("record size mismatch (incompatible producer layout)");
     }
   } else if (type == FrameType::Records) {
-    // Empty vectors may hold no storage at all: skip zero-length copies,
-    // whose null pointers memcpy must not receive.
-    samples_.resize(h.n_samples);
-    app_.resize(h.n_app);
-    if (h.n_samples > 0) {
-      std::memcpy(samples_.data(), payload,
-                  std::size_t{h.n_samples} * sizeof(Sample));
-    }
-    if (h.n_app > 0) {
-      std::memcpy(app_.data(),
-                  payload + std::size_t{h.n_samples} * sizeof(Sample),
-                  std::size_t{h.n_app} * sizeof(AppTraffic));
-    }
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-      // Sample::tethering is a bool: a byte other than 0 or 1 would be
-      // undefined behaviour to read.
-      if (payload[i * sizeof(Sample) + offsetof(Sample, tethering)] > 1) {
-        return fail("sample " + std::to_string(i) +
-                    " has a non-boolean tethering flag");
-      }
-      const Sample& s = samples_[i];
-      if (s.device != out.device) {
-        return fail("sample " + std::to_string(i) +
-                    " belongs to device " + std::to_string(value(s.device)) +
-                    " inside a frame for device " +
-                    std::to_string(h.device));
-      }
-      if (s.app_count > 0 &&
-          std::uint64_t{s.app_begin} + s.app_count > h.n_app) {
-        return fail("sample " + std::to_string(i) +
-                    " references app records beyond the frame");
-      }
-    }
-    out.samples = {samples_.data(), samples_.size()};
-    out.app = {app_.data(), app_.size()};
+    // Each column's bytes in turn, then the app records. Empty columns
+    // may hold no storage at all: skip zero-length copies, whose null
+    // pointers memcpy must not receive.
+    const std::size_t n = h.n_samples;
+    const auto take = [&](auto& c, std::size_t count) {
+      c.resize_for_overwrite(count);
+      const std::size_t bytes = count * sizeof(c[0]);
+      if (bytes > 0) std::memcpy(c.data(), payload, bytes);
+      payload += bytes;
+    };
+    SampleColumns::for_each([&](auto& c) { take(c, n); }, out.samples);
+    take(out.app, h.n_app);
   }
 
   pos_ += sizeof(FrameHeader) + h.payload_bytes;

@@ -7,21 +7,20 @@
 //
 // Three frame types:
 //   Begin   — campaign metadata (calendar, device/AP universe sizes and
-//             the native record sizes, so a layout-skewed peer is
+//             the native record widths, so a layout-skewed peer is
 //             rejected exactly like an incompatible snapshot).
-//   Records — one device's batch: Sample[n_samples] ++ AppTraffic[n_app]
-//             in their native fixed-width encodings (the same layouts
-//             io/snapshot writes). Samples with app_count > 0 have
-//             app_begin rebased to index the frame's app array; samples
-//             with app_count == 0 keep their producer-side offset
-//             verbatim, so a committed stream can be reassembled
-//             byte-identically.
+//   Records — one device's rows, time-ordered, as the 17 sample columns
+//             (each contiguous, in SampleColumns::for_each order, at its
+//             native width: the snapshot v2 section encoding), followed
+//             by AppTraffic[n_app] in row order — a row's app records
+//             are the next app_count records.
 //   End     — clean end of stream (an EOF without End is an error).
 //
 // The payload CRC uses core::hash_bytes, the same 64-bit hash snapshots
-// use for sections. Every structural rule a decoder enforces (magic,
-// version, type, length arithmetic, CRC, app references, per-frame
-// device consistency) fails as a clean per-connection error — a
+// use for sections. The parser enforces the framing (magic, version,
+// type, length arithmetic, CRC); the server checks the rows themselves
+// with core::check_device_run, the validator snapshots and shards go
+// through. Either failure is a clean per-connection error — a
 // malformed frame can never take the server down (ingest/server.h).
 #pragma once
 
@@ -31,13 +30,13 @@
 #include <vector>
 
 #include "core/clock.h"
-#include "core/sample_rows.h"
+#include "core/records.h"
 
 namespace tokyonet::ingest {
 
 inline constexpr std::uint32_t kFrameMagic = 0x464B4954;  // "TIKF" LE
 /// Bump on any change to the header, payload layouts, or CRC.
-inline constexpr std::uint16_t kIngestVersion = 1;
+inline constexpr std::uint16_t kIngestVersion = 2;
 /// Upper bound on a frame payload; a header announcing more is
 /// malformed (it would otherwise let one bad length allocate GBs).
 inline constexpr std::uint32_t kMaxFramePayload = 8u << 20;
@@ -56,7 +55,10 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 32);
 
-/// Begin payload: everything the server needs to size its incremental
+/// Bytes of one sample row across the 17 columns.
+[[nodiscard]] std::uint32_t sample_row_bytes();
+
+/// Begin payload: everything the server needs to size its per-device
 /// state and validate later records.
 struct BeginPayload {
   std::uint32_t year = 0;  // calendar year, 2013..2015
@@ -66,22 +68,21 @@ struct BeginPayload {
   std::uint32_t num_days = 0;
   std::uint32_t n_devices = 0;
   std::uint32_t n_aps = 0;
-  /// Native record sizes of the producer; a disagreeing consumer
+  /// Native record widths of the producer; a disagreeing consumer
   /// rejects the session instead of misreading the stream.
-  std::uint32_t sample_size = sizeof(Sample);
+  std::uint32_t sample_size = sample_row_bytes();
   std::uint32_t app_size = sizeof(AppTraffic);
   std::uint32_t reserved[3] = {};
 };
 static_assert(sizeof(BeginPayload) == 48);
 
-/// One decoded frame. For Records, `samples`/`app` view the parser's
-/// internal buffer and are valid until the next parser call.
+/// One decoded frame; Records frames own their decoded columns.
 struct Frame {
   FrameType type = FrameType::End;
   DeviceId device{};
   BeginPayload begin;  // Begin frames only
-  std::span<const Sample> samples;
-  std::span<const AppTraffic> app;
+  SampleColumns samples;
+  core::Column<AppTraffic> app;
 };
 
 // --- Encoding -----------------------------------------------------------
@@ -89,10 +90,10 @@ struct Frame {
 /// Appends a Begin frame for `info` to `out`.
 void encode_begin(const BeginPayload& info, std::vector<std::uint8_t>& out);
 
-/// Appends a Records frame carrying one device's batch. `samples` must
-/// reference `app` through frame-local [app_begin, app_begin+app_count)
-/// ranges (samples with app_count == 0 are passed through untouched).
-void encode_records(DeviceId device, std::span<const Sample> samples,
+/// Appends a Records frame carrying rows [begin, end) of `cols` for one
+/// device, with `app`: the rows' app records, in row order.
+void encode_records(DeviceId device, const SampleColumns& cols,
+                    std::size_t begin, std::size_t end,
                     std::span<const AppTraffic> app,
                     std::vector<std::uint8_t>& out);
 
@@ -133,9 +134,6 @@ class FrameParser {
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  // consumed prefix of buf_
   std::string error_;
-  // Scratch holding the decoded records of the last Records frame.
-  std::vector<Sample> samples_;
-  std::vector<AppTraffic> app_;
 };
 
 }  // namespace tokyonet::ingest

@@ -1,9 +1,10 @@
 #include "ingest/replay.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
-#include "core/sample_rows.h"
+#include "core/dataset_index.h"
 
 namespace tokyonet::ingest {
 namespace {
@@ -68,16 +69,11 @@ bool replay_dataset(const Dataset& ds, const ReplayOptions& opts,
   encode_begin(begin_payload_for(ds, multiplier), buf);
   if (!flush()) return finish(false);
 
-  // Scratch for one frame's samples + frame-local app records.
-  std::vector<Sample> chunk;
-  std::vector<AppTraffic> apps;
-
-  // Each device's rows are gathered from the columns, in time order,
-  // with their app records copied next to them (frame-local offsets).
-  // Rows without records keep the running offset gather_row() derives,
-  // so the frames carry exactly the rows the campaign was built from.
+  // Each frame is a slice of one device's rows, copied column by
+  // column, with the app records of exactly those rows.
   const core::DatasetIndex& idx = ds.index();
   const std::span<const AppTraffic> app_traffic = ds.app_traffic;
+  const std::span<const std::uint8_t> app_count = ds.samples.app_count;
   for (std::uint32_t d = 0; d < n_devices; ++d) {
     const std::size_t run_begin = idx.device_begin(d);
     const std::size_t run_end = idx.device_end(d);
@@ -85,23 +81,15 @@ bool replay_dataset(const Dataset& ds, const ReplayOptions& opts,
       const DeviceId out_device{d + clone * n_devices};
       std::size_t app = idx.device_app_begin(d);
       for (std::size_t at = run_begin; at < run_end; at += batch_records) {
-        const std::size_t take = std::min(batch_records, run_end - at);
-        chunk.clear();
-        apps.clear();
-        for (std::size_t i = at; i < at + take; ++i) {
-          Sample s = gather_row(ds.samples, i, value(out_device), app);
-          if (s.app_count > 0) {
-            s.app_begin = static_cast<std::uint32_t>(apps.size());
-            apps.insert(apps.end(), app_traffic.begin() + static_cast<std::ptrdiff_t>(app),
-                        app_traffic.begin() + static_cast<std::ptrdiff_t>(app + s.app_count));
-            app += s.app_count;
-          }
-          chunk.push_back(s);
-        }
-        encode_records(out_device, chunk, apps, buf);
+        const std::size_t stop = std::min(at + batch_records, run_end);
+        std::size_t apps = 0;
+        for (std::size_t i = at; i < stop; ++i) apps += app_count[i];
+        encode_records(out_device, ds.samples, at, stop,
+                       app_traffic.subspan(app, apps), buf);
+        app += apps;
         st.frames += 1;
-        st.records += chunk.size();
-        st.app_records += apps.size();
+        st.records += stop - at;
+        st.app_records += apps;
         if (!flush()) return finish(false);
         pace(t0, opts.rate_records_per_sec, st.records);
       }

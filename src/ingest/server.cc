@@ -1,8 +1,11 @@
 #include "ingest/server.h"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
-#include "core/parallel.h"
+#include "analysis/query/source.h"
+#include "core/dataset_index.h"
 
 namespace tokyonet::ingest {
 namespace {
@@ -16,6 +19,11 @@ constexpr std::uint32_t kMaxUniverse = 1u << 24;
 
 [[nodiscard]] bool validate_begin(const BeginPayload& info,
                                   std::string* error) {
+  if (info.year < 2013 || info.year > 2015) {
+    *error = "Begin frame announces an unknown campaign year " +
+             std::to_string(info.year);
+    return false;
+  }
   if (info.num_days < 1 ||
       info.num_days > 0xFFFFu / static_cast<std::uint32_t>(kBinsPerDay)) {
     *error = "Begin frame announces an invalid campaign length of " +
@@ -36,11 +44,60 @@ constexpr std::uint32_t kMaxUniverse = 1u << 24;
 
 }  // namespace
 
+/// The committed stream as a DataSource: one block per server shard,
+/// each a contiguous device range gathered from the shards' columns
+/// when the scan reaches it. Callers hold every shard's `mu`.
+class IngestServer::CommittedSource final : public analysis::query::DataSource {
+ public:
+  CommittedSource(const IngestServer& server, const BeginPayload& info)
+      : server_(&server), info_(info), frame_(server.gather(info, 0, 0)) {
+    for (const std::unique_ptr<Shard>& shard : server.shards_) {
+      n_samples_ += shard->samples.size();
+    }
+  }
+
+  [[nodiscard]] Year year() const noexcept override { return frame_.year; }
+  [[nodiscard]] const CampaignCalendar& calendar() const noexcept override {
+    return frame_.calendar;
+  }
+  [[nodiscard]] std::size_t n_devices() const noexcept override {
+    return info_.n_devices;
+  }
+  [[nodiscard]] std::size_t n_samples() const noexcept override {
+    return n_samples_;
+  }
+  [[nodiscard]] const std::vector<ApInfo>& aps() const noexcept override {
+    return frame_.aps;
+  }
+  [[nodiscard]] const Dataset* dataset_or_null() const noexcept override {
+    return nullptr;
+  }
+  void fold_blocks(const ScanFn& scan, const FoldFn& fold) const override {
+    const std::size_t n = info_.n_devices;
+    const std::size_t blocks = server_->shards_.size();
+    const std::size_t per_block = (n + blocks - 1) / blocks;
+    for (std::size_t first = 0; first < n; first += per_block) {
+      const Dataset block =
+          server_->gather(info_, first, std::min(first + per_block, n));
+      fold(scan(block, first), first);
+    }
+  }
+
+ private:
+  const IngestServer* server_;
+  BeginPayload info_;
+  Dataset frame_;  // no devices: the year, calendar and AP universe
+  std::size_t n_samples_ = 0;
+};
+
 IngestServer::IngestServer(IngestConfig config) : config_(config) {
   if (config_.shards < 1) config_.shards = 1;
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
+  }
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    shard->worker = std::thread([this, &s = *shard] { worker_loop(s); });
   }
 }
 
@@ -58,7 +115,7 @@ void IngestServer::shutdown() {
     shut_down_ = true;
   }
   for (std::unique_ptr<Shard>& shard : shards_) shard->queue.close();
-  if (pump_.joinable()) pump_.join();
+  for (std::unique_ptr<Shard>& shard : shards_) shard->worker.join();
 }
 
 bool IngestServer::handle_begin(const BeginPayload& info,
@@ -80,37 +137,38 @@ bool IngestServer::handle_begin(const BeginPayload& info,
     return true;  // another session joining the same campaign
   }
 
-  incremental_ = std::make_unique<analysis::IncrementalAnalysis>(
-      Date{info.start_year, static_cast<int>(info.start_month),
-           static_cast<int>(info.start_day)},
-      static_cast<int>(info.num_days), info.n_devices, info.n_aps,
-      config_.shards);
   const std::size_t per_shard =
       (info.n_devices + static_cast<std::uint32_t>(config_.shards) - 1) /
       static_cast<std::uint32_t>(config_.shards);
   for (std::unique_ptr<Shard>& shard : shards_) {
     shard->ranges.assign(per_shard, {});
+    shard->next_bin.assign(per_shard, 0);
   }
+  aps_.mut().resize(info.n_aps);
   begin_ = info;
-
-  // One long-lived pool batch hosts all shard workers: with n ==
-  // max_threads every participant's first index claim is distinct, so
-  // each worker loop gets its own thread for the stream's lifetime.
-  pump_ = std::thread([this] {
-    core::ThreadPool::global(config_.shards)
-        .for_each(static_cast<std::size_t>(config_.shards), config_.shards,
-                  [this](std::size_t i) {
-                    worker_loop(static_cast<int>(i));
-                  });
-  });
   return true;
 }
 
 bool IngestServer::route(Batch batch, std::string* error) {
-  Shard& shard =
-      *shards_[value(batch.device) % static_cast<std::uint32_t>(
-                                         config_.shards)];
-  const std::uint64_t n_records = batch.samples.size();
+  const auto shards = static_cast<std::uint32_t>(config_.shards);
+  Shard& shard = *shards_[value(batch.device) % shards];
+  const std::size_t n_records = batch.samples.size();
+  // The bin check and the push are one step, so a device's batches
+  // reach the worker in the order their bins were checked in.
+  std::lock_guard<std::mutex> lk(shard.route_mu);
+  if (n_records > 0) {
+    std::uint32_t& next = shard.next_bin[value(batch.device) / shards];
+    if (batch.samples.bin.front() < next) {
+      frames_rejected_.fetch_add(1, kRelaxed);
+      *error = "Records frame for device " +
+               std::to_string(value(batch.device)) + " starts at bin " +
+               std::to_string(batch.samples.bin.front()) +
+               ", not after the device's last routed bin " +
+               std::to_string(next - 1);
+      return false;
+    }
+    next = std::uint32_t{batch.samples.bin.back()} + 1;
+  }
   if (config_.shed_on_overflow) {
     if (!shard.queue.try_push(std::move(batch))) {
       batches_shed_.fetch_add(1, kRelaxed);
@@ -125,38 +183,103 @@ bool IngestServer::route(Batch batch, std::string* error) {
   return true;
 }
 
-void IngestServer::worker_loop(int shard_index) {
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
+void IngestServer::worker_loop(Shard& shard) {
+  const auto shards = static_cast<std::uint32_t>(config_.shards);
   while (std::optional<Batch> batch = shard.queue.pop()) {
-    incremental_->add_batch(shard_index, batch->device, batch->samples,
-                            batch->app);
-    commit(shard_index, *batch);
-    batches_committed_.fetch_add(1, kRelaxed);
-    records_committed_.fetch_add(batch->samples.size(), kRelaxed);
-    app_records_committed_.fetch_add(batch->app.size(), kRelaxed);
+    const std::lock_guard<std::mutex> gate(shard.gate);
+    commit(shard, value(batch->device) / shards, *batch);
   }
 }
 
-void IngestServer::commit(int shard_index, Batch& batch) {
-  Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
+void IngestServer::commit(Shard& shard, std::size_t local_device,
+                          const Batch& batch) {
+  // The counters move under the commit lock too, so a reader holding
+  // every shard lock sees counters that match the committed data.
   std::lock_guard<std::mutex> lk(shard.mu);
-  const std::uint64_t sample_base = shard.samples.size();
-  const std::uint64_t app_base = shard.app.size();
-  // Rebase frame-local app references to shard storage; empty samples
-  // keep their producer-side offset verbatim (frame.h), which is what
-  // makes collect() byte-exact.
-  for (Sample& s : batch.samples) {
-    if (s.app_count > 0) {
-      s.app_begin = static_cast<std::uint32_t>(app_base + s.app_begin);
+  batches_committed_.fetch_add(1, kRelaxed);
+  records_committed_.fetch_add(batch.samples.size(), kRelaxed);
+  app_records_committed_.fetch_add(batch.app.size(), kRelaxed);
+  shard.ranges[local_device].push_back({shard.samples.size(),
+                                        batch.samples.size(), shard.app.size(),
+                                        batch.app.size()});
+  SampleColumns::for_each(
+      [](auto& to, const auto& from) {
+        to.insert(to.cend(), from.begin(), from.end());
+      },
+      shard.samples, batch.samples);
+  shard.app.insert(shard.app.cend(), batch.app.cbegin(), batch.app.cend());
+}
+
+Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
+                             std::size_t last) const {
+  const auto shards = static_cast<std::size_t>(config_.shards);
+  Dataset block;
+  block.year = static_cast<Year>(info.year - 2013);
+  block.calendar = CampaignCalendar(
+      Date{info.start_year, static_cast<int>(info.start_month),
+           static_cast<int>(info.start_day)},
+      static_cast<int>(info.num_days));
+  {
+    std::lock_guard<std::mutex> lk(init_mu_);
+    block.aps = aps_;
+  }
+  block.devices.resize(last - first);
+  for (std::size_t d = 0; d < block.devices.size(); ++d) {
+    block.devices[d].id = DeviceId{static_cast<std::uint32_t>(d)};
+  }
+
+  std::size_t rows = 0, apps = 0;
+  for (std::size_t d = first; d < last; ++d) {
+    for (const Range& r : shards_[d % shards]->ranges[d / shards]) {
+      rows += r.rows;
+      apps += r.apps;
     }
   }
-  shard.samples.insert(shard.samples.cend(), batch.samples.begin(),
-                       batch.samples.end());
-  shard.app.insert(shard.app.cend(), batch.app.begin(), batch.app.end());
-  const std::size_t local =
-      value(batch.device) / static_cast<std::uint32_t>(config_.shards);
-  shard.ranges[local].emplace_back(
-      sample_base, static_cast<std::uint32_t>(batch.samples.size()));
+  block.samples.resize_for_overwrite(rows);
+  block.app_traffic.resize_for_overwrite(apps);
+  core::SampleLayout layout;
+  layout.device_offset.resize(block.devices.size() + 1);
+  layout.app_range.resize(2 * block.devices.size());
+  std::size_t row = 0, app = 0;
+  for (std::size_t d = first; d < last; ++d) {
+    const Shard& shard = *shards_[d % shards];
+    layout.device_offset[d - first] = row;
+    layout.app_range[2 * (d - first)] = app;
+    for (const Range& r : shard.ranges[d / shards]) {
+      SampleColumns::for_each(
+          [&](auto& to, const auto& from) {
+            std::copy_n(from.data() + r.row, r.rows, to.data() + row);
+          },
+          block.samples, shard.samples);
+      std::copy_n(shard.app.data() + r.app, r.apps,
+                  block.app_traffic.data() + app);
+      row += r.rows;
+      app += r.apps;
+    }
+    layout.app_range[2 * (d - first) + 1] = app;
+  }
+  layout.device_offset.back() = row;
+  // Every committed batch passed check_device_run, and route() kept each
+  // device's bins ascending across batches, so the block is valid.
+  if (std::string error = block.index_samples(std::move(layout));
+      !error.empty()) {
+    throw std::logic_error("ingest: committed rows fail validation: " + error);
+  }
+  return block;
+}
+
+std::vector<std::unique_lock<std::mutex>> IngestServer::lock_shards() const {
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    locks.emplace_back(shard->mu);
+  }
+  return locks;
+}
+
+std::unique_lock<std::mutex> IngestServer::freeze_shard(int shard) {
+  return std::unique_lock<std::mutex>(
+      shards_[static_cast<std::size_t>(shard)]->gate);
 }
 
 IngestCounters IngestServer::counters() const {
@@ -181,44 +304,17 @@ std::optional<BeginPayload> IngestServer::campaign() const {
 }
 
 analysis::StreamResult IngestServer::result() const {
-  {
-    std::lock_guard<std::mutex> lk(init_mu_);
-    if (!incremental_) return {};
-  }
-  return incremental_->result();
+  const std::optional<BeginPayload> info = campaign();
+  if (!info.has_value()) return {};
+  const auto locks = lock_shards();
+  return analysis::batch_stream_result(CommittedSource(*this, *info));
 }
 
-IngestServer::CommittedStream IngestServer::collect() const {
-  CommittedStream out;
-  std::optional<BeginPayload> info = campaign();
-  if (!info.has_value()) return out;
-
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    locks.emplace_back(shard->mu);
-  }
-
-  const auto shards = static_cast<std::uint32_t>(config_.shards);
-  for (std::uint32_t d = 0; d < info->n_devices; ++d) {
-    const Shard& shard = *shards_[d % shards];
-    for (const auto& [offset, count] : shard.ranges[d / shards]) {
-      for (std::uint32_t i = 0; i < count; ++i) {
-        Sample s = shard.samples[offset + i];
-        if (s.app_count > 0) {
-          const Sample& stored = shard.samples[offset + i];
-          const std::uint32_t base =
-              static_cast<std::uint32_t>(out.app_traffic.size());
-          out.app_traffic.insert(
-              out.app_traffic.end(), shard.app.data() + stored.app_begin,
-              shard.app.data() + stored.app_begin + stored.app_count);
-          s.app_begin = base;
-        }
-        out.samples.push_back(s);
-      }
-    }
-  }
-  return out;
+Dataset IngestServer::collect() const {
+  const std::optional<BeginPayload> info = campaign();
+  if (!info.has_value()) return {};
+  const auto locks = lock_shards();
+  return gather(*info, 0, info->n_devices);
 }
 
 // --- Session ------------------------------------------------------------
@@ -268,7 +364,7 @@ bool IngestServer::Session::feed(std::span<const std::uint8_t> bytes) {
   }
 }
 
-bool IngestServer::Session::on_frame(const Frame& frame) {
+bool IngestServer::Session::on_frame(Frame& frame) {
   // Any rule violation from here on is a *session* error: the frame
   // decoded, but breaks the stream protocol or the announced universe.
   const auto reject = [&](std::string what) {
@@ -290,34 +386,28 @@ bool IngestServer::Session::on_frame(const Frame& frame) {
     }
     case FrameType::Records: {
       if (!begun_) return reject("Records frame before Begin");
-      if (value(frame.device) >= campaign_.n_devices) {
-        return reject("Records frame for device " +
-                      std::to_string(value(frame.device)) +
+      const std::uint32_t device = value(frame.device);
+      if (device >= campaign_.n_devices) {
+        return reject("Records frame for device " + std::to_string(device) +
                       " outside the announced universe of " +
                       std::to_string(campaign_.n_devices));
       }
-      const std::uint32_t num_bins = campaign_.num_days * kBinsPerDay;
-      for (std::size_t i = 0; i < frame.samples.size(); ++i) {
-        const Sample& s = frame.samples[i];
-        if (s.bin >= num_bins) {
-          return reject("sample " + std::to_string(i) + " at bin " +
-                        std::to_string(s.bin) +
-                        " outside the announced campaign of " +
-                        std::to_string(num_bins) + " bins");
-        }
-        if (s.ap != kNoAp && value(s.ap) >= campaign_.n_aps) {
-          return reject("sample " + std::to_string(i) +
-                        " references AP " + std::to_string(value(s.ap)) +
-                        " outside the announced universe of " +
-                        std::to_string(campaign_.n_aps));
-        }
+      const core::RunCheck check = core::check_device_run(
+          frame.samples, frame.app.span(),
+          {device, 0, frame.samples.size(), 0, frame.app.size()},
+          {std::size_t{campaign_.num_days} * kBinsPerDay, campaign_.n_aps});
+      if (!check.error.empty()) {
+        return reject("Records frame for device " + std::to_string(device) +
+                      ": " + check.error);
       }
-      Batch batch;
-      batch.device = frame.device;
-      batch.samples.assign(frame.samples.begin(), frame.samples.end());
-      batch.app.assign(frame.app.begin(), frame.app.end());
+      if (check.repeated_bins) {
+        return reject("Records frame for device " + std::to_string(device) +
+                      " repeats a bin");
+      }
       std::string error;
-      if (!server_->route(std::move(batch), &error)) {
+      if (!server_->route({frame.device, std::move(frame.samples),
+                           std::move(frame.app)},
+                          &error)) {
         return fail(std::move(error));
       }
       break;

@@ -1,25 +1,21 @@
 // Sharded streaming ingest server (DESIGN.md §5e).
 //
 // Sessions (one per connection, any thread) parse ingest frames
-// (ingest/frame.h) and route each device batch to the shard owning the
-// device (`device % shards`). Each shard worker drains a bounded FIFO
-// queue — blocking producers when it falls behind (backpressure), or
-// dropping batches with a counter in shed mode — and commits batches
-// into `core::Column`-backed storage plus the incremental analysis
-// state (analysis/incremental.h), which is queryable mid-stream.
-//
-// The shard workers run on the process-wide core::parallel pool, held
-// by one long-lived `for_each` batch for the lifetime of the stream.
-// While a stream is active, other `parallel_for` submissions therefore
-// queue behind it — materialize datasets *before* starting a server,
-// and prefer the serial query APIs (`result()`, `counters()`) while
-// ingesting.
+// (ingest/frame.h), check each Records frame's rows with
+// core::check_device_run, and route each device batch to the shard
+// owning the device (`device % shards`). Each shard has one worker
+// thread of its own. It drains a bounded FIFO queue — blocking
+// producers when it falls behind (backpressure), or dropping batches
+// with a counter in shed mode — and commits each batch's columns to the
+// shard's SampleColumns. result() runs the ordinary batch kernels over
+// the committed columns, mid-stream or after it.
 //
 // Error discipline: every malformed input — truncated frame, bad CRC,
-// wrong version, out-of-range record references — fails only the
-// session that sent it (counted in `sessions_failed`/`frames_rejected`)
-// and never the server; committed data from other sessions is
-// unaffected. This mirrors the snapshot loader's corruption handling.
+// wrong version, a row the validator rejects, bins that do not ascend
+// across a device's frames — fails only the session that sent it
+// (counted in `sessions_failed`/`frames_rejected`) and never the
+// server; committed data from other sessions is unaffected. This
+// mirrors the snapshot loader's corruption handling.
 #pragma once
 
 #include <atomic>
@@ -34,6 +30,7 @@
 
 #include "analysis/incremental.h"
 #include "core/column.h"
+#include "core/cow_vector.h"
 #include "ingest/frame.h"
 #include "ingest/queue.h"
 
@@ -98,7 +95,7 @@ class IngestServer {
     friend class IngestServer;
     explicit Session(IngestServer& server) : server_(&server) {}
     bool fail(std::string what);
-    bool on_frame(const Frame& f);
+    bool on_frame(Frame& f);
     void settle(bool clean);
 
     IngestServer* server_;
@@ -124,25 +121,25 @@ class IngestServer {
   /// Campaign announced by the first Begin frame (nullopt before).
   [[nodiscard]] std::optional<BeginPayload> campaign() const;
 
-  /// Mid-stream-safe snapshot of the incremental kernels. Empty before
-  /// the first Begin frame.
+  /// batch_stream_result over everything committed so far, safe
+  /// mid-stream: holds every shard's commit lock while the kernels scan
+  /// one block per shard (a contiguous device range gathered from the
+  /// shards' columns, one block resident at a time). Empty before the
+  /// first Begin frame.
   [[nodiscard]] analysis::StreamResult result() const;
 
-  /// The live incremental state (null before Begin); used by tests to
-  /// freeze shards for deterministic backpressure.
-  [[nodiscard]] const analysis::IncrementalAnalysis* incremental() const {
-    return incremental_.get();
-  }
+  /// Everything committed so far as one Dataset, devices in id order:
+  /// the producer's columns, layout and app records, byte for byte,
+  /// when nothing was shed (a device without app records gets an empty
+  /// range where the previous device's ended). Devices carry only their
+  /// ids and APs only their count: frames carry neither table. Empty
+  /// before Begin.
+  [[nodiscard]] Dataset collect() const;
 
-  /// The committed record stream, reassembled in device-id order with
-  /// `app_begin` rebased to the returned app array — byte-identical to
-  /// the producer's original (device, bin)-sorted arrays when nothing
-  /// was shed. Takes all shard locks; call once producers are done.
-  struct CommittedStream {
-    std::vector<Sample> samples;
-    std::vector<AppTraffic> app_traffic;
-  };
-  [[nodiscard]] CommittedStream collect() const;
+  /// Pauses shard `shard`'s worker before its next commit for as long
+  /// as the lock is held; result() and collect() still run. Used by
+  /// tests (deterministic backpressure, a fixed mid-stream point).
+  [[nodiscard]] std::unique_lock<std::mutex> freeze_shard(int shard);
 
   [[nodiscard]] const IngestConfig& config() const noexcept {
     return config_;
@@ -152,37 +149,57 @@ class IngestServer {
   /// One device batch in flight between a session and a shard worker.
   struct Batch {
     DeviceId device{};
-    std::vector<Sample> samples;
-    std::vector<AppTraffic> app;
+    SampleColumns samples;
+    core::Column<AppTraffic> app;
   };
 
-  /// Committed storage of one shard. Guarded by `mu`; the queue has its
-  /// own synchronization.
+  /// One committed batch: rows [row, row + rows) of a shard's columns
+  /// and app records [app, app + apps).
+  struct Range {
+    std::size_t row = 0, rows = 0;
+    std::size_t app = 0, apps = 0;
+  };
+
+  /// One shard: its queue, its worker and its committed columns.
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
 
     BoundedQueue<Batch> queue;
+    std::thread worker;
+    /// Orders route()'s bin check and queue push per device. Guards
+    /// next_bin: per owned device (local index = device / shards), the
+    /// lowest bin its next frame may start at.
+    std::mutex route_mu;
+    std::vector<std::uint32_t> next_bin;
+    /// Held by the worker while it commits, and by freeze_shard().
+    std::mutex gate;
+    /// Guards the committed data below.
     mutable std::mutex mu;
-    core::Column<Sample> samples;
+    SampleColumns samples;
     core::Column<AppTraffic> app;
-    /// Per owned device (local index = device / shards): committed
-    /// (offset, count) ranges into `samples`, in arrival order.
-    std::vector<std::vector<std::pair<std::uint64_t, std::uint32_t>>> ranges;
+    /// Per owned device: its committed batches, in arrival (= bin) order.
+    std::vector<std::vector<Range>> ranges;
   };
+
+  class CommittedSource;
 
   [[nodiscard]] bool handle_begin(const BeginPayload& info,
                                   std::string* error);
   [[nodiscard]] bool route(Batch batch, std::string* error);
-  void worker_loop(int shard_index);
-  void commit(int shard_index, Batch& batch);
+  void worker_loop(Shard& shard);
+  void commit(Shard& shard, std::size_t local_device, const Batch& batch);
+  /// Devices [first, last) as a block Dataset with local device ids.
+  /// Callers hold every shard's `mu`.
+  [[nodiscard]] Dataset gather(const BeginPayload& info, std::size_t first,
+                               std::size_t last) const;
+  [[nodiscard]] std::vector<std::unique_lock<std::mutex>> lock_shards() const;
 
   IngestConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable std::mutex init_mu_;  // guards begin_/incremental_ setup + pump
+  mutable std::mutex init_mu_;  // guards begin_, aps_ and shut_down_
   std::optional<BeginPayload> begin_;
-  std::unique_ptr<analysis::IncrementalAnalysis> incremental_;
-  std::thread pump_;
+  core::CowVector<ApInfo> aps_;  // the announced AP universe (ids only)
   bool shut_down_ = false;
 
   // Counters (relaxed: monotonic statistics, no ordering needed).

@@ -6,9 +6,10 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
-#include "core/sample_rows.h"
+#include "core/dataset_index.h"
 
 namespace tokyonet::io {
 namespace {
@@ -121,18 +122,30 @@ CsvResult save_dataset_csv(const Dataset& ds, const fs::path& dir) {
                  "device,bin,geo_cell,cell_rx,cell_tx,wifi_rx,wifi_tx,ap,"
                  "tech,wifi_state,rssi,battery,tether,s24a,s24s,s5a,s5s,"
                  "app_begin,app_count\n");
-    for_each_row(ds, [&](const Sample& s) {
-      std::fprintf(f.get(),
-                   "%u,%u,%u,%u,%u,%u,%u,%d,%d,%d,%d,%u,%d,%u,%u,%u,%u,%u,"
-                   "%u\n",
-                   value(s.device), s.bin, s.geo_cell, s.cell_rx, s.cell_tx,
-                   s.wifi_rx, s.wifi_tx,
-                   s.ap == kNoAp ? -1 : static_cast<int>(value(s.ap)),
-                   static_cast<int>(s.tech), static_cast<int>(s.wifi_state),
-                   s.rssi_dbm, s.battery_pct, s.tethering ? 1 : 0,
-                   s.scan_pub24_all, s.scan_pub24_strong, s.scan_pub5_all,
-                   s.scan_pub5_strong, s.app_begin, s.app_count);
-    });
+    // Each row's app_begin is the running offset in its device's app
+    // range, so rows without records carry the offset the next record
+    // would take.
+    const SampleColumns& c = ds.samples;
+    const core::DatasetIndex& idx = ds.index();
+    for (std::size_t d = 0; d < idx.num_devices(); ++d) {
+      std::size_t app = idx.device_app_begin(d);
+      for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+        std::fprintf(f.get(),
+                     "%zu,%u,%u,%u,%u,%u,%u,%d,%d,%d,%d,%u,%d,%u,%u,%u,%u,%zu,"
+                     "%u\n",
+                     d, c.bin[i], c.geo_cell[i], c.cell_rx[i], c.cell_tx[i],
+                     c.wifi_rx[i], c.wifi_tx[i],
+                     c.ap[i] == value(kNoAp) ? -1 : static_cast<int>(c.ap[i]),
+                     static_cast<int>(c.tech[i]),
+                     static_cast<int>(c.wifi_state[i]), c.rssi_dbm[i],
+                     c.battery_pct[i],
+                     (c.flags[i] & SampleColumns::kFlagTethering) != 0 ? 1 : 0,
+                     c.scan_pub24_all[i], c.scan_pub24_strong[i],
+                     c.scan_pub5_all[i], c.scan_pub5_strong[i], app,
+                     c.app_count[i]);
+        app += c.app_count[i];
+      }
+    }
   }
   {
     File f = open_for(dir / "apps.csv", "w", result);
@@ -252,44 +265,71 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
       out.app_traffic.push_back(at);
     }
   }
-  std::vector<Sample> rows;
+  // Each samples.csv field parses straight into its column, at the
+  // column's own width, so an out-of-range value is a malformed row. The
+  // device column gives the layout; each row's app_begin must be the
+  // running offset in its device's app range (what save writes).
+  core::SampleLayout layout;
   {
     File f = open_for(dir / "samples.csv", "r", result);
     if (!result.ok()) return result;
+    const std::size_t n_devices = out.devices.size();
+    layout.device_offset.assign(n_devices + 1, 0);
+    layout.app_range.assign(2 * n_devices, 0);
+    SampleColumns& c = out.samples;
+    std::size_t next = 0;  // first device whose row range is not open yet
+    std::size_t app_end = 0;
     (void)read_line(f.get(), line);
     while (read_line(f.get(), line)) {
       split(line, cols);
-      Sample s;
-      std::uint32_t device = 0;
-      int ap = 0, tech = 0, state = 0, rssi = 0, battery = 0, tether = 0;
-      unsigned u8tmp[5];
+      const std::size_t i = c.size();
+      c.resize_for_overwrite(i + 1);
+      std::size_t device = 0, app_begin = 0;
+      int ap = 0;
+      std::underlying_type_t<CellTech> tech = 0;
+      std::underlying_type_t<WifiState> state = 0;
+      std::uint8_t tether = 0;
       if (cols.size() != 19 || !parse_int(cols[0], device) ||
-          !parse_int(cols[1], s.bin) || !parse_int(cols[2], s.geo_cell) ||
-          !parse_int(cols[3], s.cell_rx) || !parse_int(cols[4], s.cell_tx) ||
-          !parse_int(cols[5], s.wifi_rx) || !parse_int(cols[6], s.wifi_tx) ||
-          !parse_int(cols[7], ap) || !parse_int(cols[8], tech) ||
-          !parse_int(cols[9], state) || !parse_int(cols[10], rssi) ||
-          !parse_int(cols[11], battery) || !parse_int(cols[12], tether) ||
-          !parse_int(cols[13], u8tmp[0]) || !parse_int(cols[14], u8tmp[1]) ||
-          !parse_int(cols[15], u8tmp[2]) || !parse_int(cols[16], u8tmp[3]) ||
-          !parse_int(cols[17], s.app_begin) || !parse_int(cols[18], u8tmp[4])) {
+          !parse_int(cols[1], c.bin[i]) || !parse_int(cols[2], c.geo_cell[i]) ||
+          !parse_int(cols[3], c.cell_rx[i]) ||
+          !parse_int(cols[4], c.cell_tx[i]) ||
+          !parse_int(cols[5], c.wifi_rx[i]) ||
+          !parse_int(cols[6], c.wifi_tx[i]) || !parse_int(cols[7], ap) ||
+          !parse_int(cols[8], tech) || !parse_int(cols[9], state) ||
+          !parse_int(cols[10], c.rssi_dbm[i]) ||
+          !parse_int(cols[11], c.battery_pct[i]) ||
+          !parse_int(cols[12], tether) || tether > 1 ||
+          !parse_int(cols[13], c.scan_pub24_all[i]) ||
+          !parse_int(cols[14], c.scan_pub24_strong[i]) ||
+          !parse_int(cols[15], c.scan_pub5_all[i]) ||
+          !parse_int(cols[16], c.scan_pub5_strong[i]) ||
+          !parse_int(cols[17], app_begin) ||
+          !parse_int(cols[18], c.app_count[i]) || ap < -1) {
         result.error = "samples.csv: malformed row: " + line;
         return result;
       }
-      s.battery_pct = static_cast<std::uint8_t>(battery);
-      s.tethering = tether != 0;
-      s.device = DeviceId{device};
-      s.ap = ap < 0 ? kNoAp : ApId{static_cast<std::uint32_t>(ap)};
-      s.tech = static_cast<CellTech>(tech);
-      s.wifi_state = static_cast<WifiState>(state);
-      s.rssi_dbm = static_cast<std::int8_t>(rssi);
-      s.scan_pub24_all = static_cast<std::uint8_t>(u8tmp[0]);
-      s.scan_pub24_strong = static_cast<std::uint8_t>(u8tmp[1]);
-      s.scan_pub5_all = static_cast<std::uint8_t>(u8tmp[2]);
-      s.scan_pub5_strong = static_cast<std::uint8_t>(u8tmp[3]);
-      s.app_count = static_cast<std::uint8_t>(u8tmp[4]);
-      rows.push_back(s);
+      if (device >= n_devices || device + 1 < next) {
+        result.error = "samples.csv: row " + std::to_string(i) +
+                       " references device " + std::to_string(device) +
+                       " out of order or of " + std::to_string(n_devices);
+        return result;
+      }
+      if (device >= next) {  // the device's first row opens its ranges
+        for (; next <= device; ++next) layout.device_offset[next] = i;
+        layout.app_range[2 * device] = app_end = app_begin;
+      } else if (app_begin != app_end) {
+        result.error = "samples.csv: row " + std::to_string(i) +
+                       " app records do not follow the device's previous ones";
+        return result;
+      }
+      app_end += c.app_count[i];
+      layout.app_range[2 * device + 1] = app_end;
+      c.ap[i] = ap < 0 ? value(kNoAp) : static_cast<std::uint32_t>(ap);
+      c.tech[i] = static_cast<CellTech>(tech);
+      c.wifi_state[i] = static_cast<WifiState>(state);
+      c.flags[i] = tether != 0 ? SampleColumns::kFlagTethering : 0;
     }
+    for (; next <= n_devices; ++next) layout.device_offset[next] = c.size();
   }
   {
     File f = open_for(dir / "survey.csv", "r", result);
@@ -323,7 +363,7 @@ CsvResult load_dataset_csv(const fs::path& dir, Dataset& out) {
   out.truth.devices.resize(out.devices.size());
   out.truth.aps.mut().resize(out.aps.size());
   // One validation covers every sample reference and the row order.
-  if (std::string err = assign_rows(out, rows); !err.empty()) {
+  if (std::string err = out.index_samples(std::move(layout)); !err.empty()) {
     result.error = "samples.csv: " + err;
   }
   return result;

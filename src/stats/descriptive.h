@@ -12,7 +12,7 @@ namespace tokyonet::stats {
 /// Unbiased sample variance; 0 for fewer than two values.
 [[nodiscard]] double variance(std::span<const double> xs) noexcept;
 
-/// Sample standard deviation.
+/// Square root of variance(), the sample standard deviation.
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
 /// p-th percentile (p in [0,100]) of *sorted* data, with linear

@@ -14,7 +14,7 @@ using test::campaign_source;
 
 TEST(Battery, LevelsInRange) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     ASSERT_GE(s.battery_pct, 1);
     ASSERT_LE(s.battery_pct, 100);
   }
@@ -48,8 +48,8 @@ TEST(Battery, IntraDayMonotoneWhileAwayFromPower) {
   for (const DeviceInfo& dev : ds.devices) {
     const auto samples = test::device_rows(ds, value(dev.id));
     for (std::size_t i = 1; i < samples.size(); ++i) {
-      const Sample& prev = samples[i - 1];
-      const Sample& cur = samples[i];
+      const test::Row& prev = samples[i - 1];
+      const test::Row& cur = samples[i];
       if (cur.bin != prev.bin + 1) continue;
       const int hour = ds.calendar.hour_of(cur.bin);
       if (hour < 10 || hour >= 17) continue;
@@ -65,7 +65,7 @@ TEST(Battery, IntraDayMonotoneWhileAwayFromPower) {
 
 TEST(Tethering, AndroidOnlyAndMatchesTruth) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     if (!s.tethering) continue;
     EXPECT_EQ(ds.devices[value(s.device)].os, Os::Android);
     EXPECT_TRUE(ds.truth.devices[value(s.device)].is_tetherer);
@@ -79,7 +79,7 @@ TEST(Tethering, SomeTetherTrafficExists) {
   const Dataset& ds = campaign(Year::Y2015);
   double tether_mb = 0;
   std::size_t tether_bins = 0;
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     if (s.tethering) {
       tether_mb += s.cell_rx / 1e6;
       ++tether_bins;

@@ -25,7 +25,7 @@ using test::empty_dataset;
 /// Builds a 3-day dataset where device 0 camps on AP "home" overnight.
 Dataset overnight_dataset(double presence, std::string essid = "aterm-AB12-g") {
   Dataset ds = empty_dataset(1, 3);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId home = add_ap(ds, std::move(essid));
   const int night_bins = 8 * kBinsPerHour;  // 22:00-06:00
   for (int day = 0; day < 2; ++day) {
@@ -130,7 +130,7 @@ TEST(Classify, FirstMorningDoesNotLeakIntoFirstNight) {
   // bins), so only adding the first morning to the first night would
   // make the AP a home AP.
   Dataset ds = empty_dataset(1, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId ap = add_ap(ds, "aterm-AB12-g");
   for (int k = 0; k < 20; ++k) {
     add_sample(rows, 0, static_cast<TimeBin>(k), 0, 100,
@@ -156,7 +156,7 @@ TEST(Classify, FonBoxCampedOnOvernightIsHome) {
 
 TEST(Classify, ProviderEssidIsPublic) {
   Dataset ds = empty_dataset(1, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId ap = add_ap(ds, "0000docomo");
   // Brief daytime association only.
   for (int k = 0; k < 3; ++k) {
@@ -170,7 +170,7 @@ TEST(Classify, ProviderEssidIsPublic) {
 
 TEST(Classify, NeverAssociatedApsExcludedFromCounts) {
   Dataset ds = empty_dataset(1, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   (void)add_ap(ds, "0000docomo");
   (void)add_ap(ds, "corp-ap-22");
   test::set_rows(ds, rows);
@@ -181,7 +181,7 @@ TEST(Classify, NeverAssociatedApsExcludedFromCounts) {
 
 TEST(Classify, WeekdayMiddayApIsOffice) {
   Dataset ds = empty_dataset(1, 7);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId ap = add_ap(ds, "corp-ap-01");
   // Day 2 of the 2015-02-28 calendar is a Monday.
   for (int day = 2; day < 7; ++day) {
@@ -199,7 +199,7 @@ TEST(Classify, WeekdayMiddayApIsOffice) {
 
 TEST(Classify, WeekendMiddayApIsNotOffice) {
   Dataset ds = empty_dataset(1, 2);  // days 0/1 are Sat/Sun
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId ap = add_ap(ds, "cafe-wifi-99");
   for (int day = 0; day < 2; ++day) {
     for (int hb = 11 * kBinsPerHour; hb < 17 * kBinsPerHour; ++hb) {
@@ -214,10 +214,10 @@ TEST(Classify, WeekendMiddayApIsNotOffice) {
 
 TEST(Classify, ApSeenAcrossManyCellsIsMobile) {
   Dataset ds = empty_dataset(1, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId ap = add_ap(ds, "PocketWiFi-AB12CD");
   for (int k = 0; k < 6; ++k) {
-    Sample& s = add_sample(rows, 0, static_cast<TimeBin>(8 * kBinsPerHour + k),
+    test::Row& s = add_sample(rows, 0, static_cast<TimeBin>(8 * kBinsPerHour + k),
                            0, 100, WifiState::Associated, ap);
     s.geo_cell = static_cast<GeoCell>(100 + k);  // moving
   }

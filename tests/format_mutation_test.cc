@@ -1,10 +1,11 @@
-// Mutation sweep over the on-disk formats. A tiny snapshot and one shard
-// of a two-shard store, both built here from hand-made rows, are
-// truncated at every offset, flipped at every byte and hit with seeded
-// multi-byte mutations. Every mutant must load as a clean error, or as
-// a dataset that validates and renders the per-year figure catalog —
-// never crash, report undefined behaviour or hang. The ASan job runs
-// this suite.
+// Mutation sweep over the byte-level formats. A tiny snapshot, one
+// shard of a two-shard store and an ingest frame stream, all built here
+// from hand-made rows, are truncated at every offset, flipped at every
+// byte and hit with seeded multi-byte mutations. Every file mutant must
+// load as a clean error, or as a dataset that validates and renders the
+// per-year figure catalog; every stream mutant must fail its session
+// cleanly or commit rows the kernels answer consistently — never crash,
+// report undefined behaviour or hang. The ASan job runs this suite.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -16,10 +17,14 @@
 #include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/incremental.h"
 #include "core/hash.h"
+#include "ingest/replay.h"
+#include "ingest/server.h"
 #include "io/shard_store.h"
 #include "io/snapshot.h"
 #include "report/registry.h"
@@ -42,13 +47,13 @@ Dataset tiny_campaign(std::uint32_t first, std::uint32_t count) {
   Dataset ds = test::empty_dataset(static_cast<int>(count), 2, kYear);
   const ApId home = test::add_ap(ds, "aterm-home-01");
   const ApId cafe = test::add_ap(ds, "0000docomo", Band::B5GHz, 36);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (std::uint32_t d = 0; d < count; ++d) {
     const std::uint32_t g = first + d;  // global device id
     ds.devices[d].os = g % 2 == 0 ? Os::Android : Os::Ios;
     for (int b = 0; b < 2 * kBinsPerDay; b += 9) {
       const bool assoc = (b / 9 + static_cast<int>(g)) % 3 == 0;
-      Sample& s = test::add_sample(
+      test::Row& s = test::add_sample(
           rows, d, static_cast<TimeBin>(b), assoc ? 0 : 20'000u * (g + 1),
           assoc ? 50'000u : 0,
           assoc ? WifiState::Associated : WifiState::OnUnassociated,
@@ -59,7 +64,6 @@ Dataset tiny_campaign(std::uint32_t first, std::uint32_t count) {
       s.scan_pub24_all = static_cast<std::uint8_t>(b % 5);
       s.scan_pub5_strong = static_cast<std::uint8_t>(b % 2);
       if (g % 2 == 0 && b % 2 == 0) {
-        s.app_begin = static_cast<std::uint32_t>(ds.app_traffic.size());
         s.app_count = 1;
         ds.app_traffic.push_back({.category = AppCategory::Video,
                                   .rx_bytes = 10'000u + g,
@@ -128,6 +132,32 @@ void write_store(const fs::path& dir) {
   ASSERT_TRUE(io::write_shard_manifest(m, dir).ok());
 }
 
+/// Calls `f(mutant, what)` for every truncation of `original`, every
+/// single-byte flip and kSeededMutants seeded multi-byte mutations.
+template <typename Bytes, typename F>
+void for_each_mutant(const Bytes& original, F&& f) {
+  for (std::size_t n = 0; n < original.size(); ++n) {
+    f(Bytes(original.begin(),
+            original.begin() + static_cast<std::ptrdiff_t>(n)),
+      "truncated to " + std::to_string(n));
+  }
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    Bytes bytes = original;
+    bytes[i] = static_cast<typename Bytes::value_type>(bytes[i] ^ 0x5A);
+    f(bytes, "byte " + std::to_string(i) + " flipped");
+  }
+  std::mt19937_64 rng(0x6D757461);  // fixed seed: the sweep is replayable
+  for (int m = 0; m < kSeededMutants; ++m) {
+    Bytes bytes = original;
+    const int edits = 2 + static_cast<int>(rng() % 7);
+    for (int e = 0; e < edits; ++e) {
+      bytes[rng() % bytes.size()] =
+          static_cast<typename Bytes::value_type>(rng());
+    }
+    f(bytes, "seeded mutant " + std::to_string(m));
+  }
+}
+
 /// Every truncation, every single-byte flip and kSeededMutants seeded
 /// multi-byte mutations of `original`, each written to `target` and
 /// loaded by `load` (which returns the dataset when the load succeeds).
@@ -145,8 +175,15 @@ void sweep(const fs::path& target, const std::vector<char>& original,
     ++loaded;
     ASSERT_EQ(ds->validate(), "") << what;
     std::uint64_t h = 0;
-    for (const Sample& s : gather_rows(*ds)) {
-      h = core::hash_bytes(&s, sizeof(s), h);
+    SampleColumns::for_each(
+        [&](const auto& c) {
+          h = core::hash_bytes(c.data(), c.span().size_bytes(), h);
+        },
+        ds->samples);
+    const core::SampleLayout& layout = ds->index().layout();
+    for (const std::vector<std::size_t>* v :
+         {&layout.device_offset, &layout.app_range}) {
+      h = core::hash_bytes(v->data(), v->size() * sizeof(std::size_t), h);
     }
     for (const AppTraffic& a : ds->app_traffic) {
       h = core::hash_bytes(&a, sizeof(a), h);
@@ -164,24 +201,7 @@ void sweep(const fs::path& target, const std::vector<char>& original,
     }
   };
 
-  for (std::size_t n = 0; n < original.size(); ++n) {
-    check({original.begin(), original.begin() + static_cast<std::ptrdiff_t>(n)},
-          "truncated to " + std::to_string(n));
-  }
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    std::vector<char> bytes = original;
-    bytes[i] = static_cast<char>(bytes[i] ^ 0x5A);
-    check(bytes, "byte " + std::to_string(i) + " flipped");
-  }
-  std::mt19937_64 rng(0x6D757461);  // fixed seed: the sweep is replayable
-  for (int m = 0; m < kSeededMutants; ++m) {
-    std::vector<char> bytes = original;
-    const int edits = 2 + static_cast<int>(rng() % 7);
-    for (int e = 0; e < edits; ++e) {
-      bytes[rng() % bytes.size()] = static_cast<char>(rng());
-    }
-    check(bytes, "seeded mutant " + std::to_string(m));
-  }
+  for_each_mutant(original, check);
   // The unmodified file must load.
   check(original, "original");
   EXPECT_GE(loaded, 1);
@@ -224,6 +244,46 @@ TEST(FormatMutation, ShardMutantsFailCleanlyOrLoadSound) {
     }
     return ds;
   });
+}
+
+// The ingest stream: Begin, the tiny campaign's rows in Records frames
+// of 16 rows, End. Every mutant fed to a fresh 2-shard server either
+// fails its session cleanly or is committed; either way, what was
+// committed answers result() exactly as batch_stream_result answers
+// collect().
+TEST(FormatMutation, IngestFrameMutantsFailCleanlyOrCommitSound) {
+  const Dataset ds = tiny_campaign(0, kDevices);
+  struct Sink final : ingest::FrameSink {
+    bool write(std::span<const std::uint8_t> b) override {
+      bytes.insert(bytes.end(), b.begin(), b.end());
+      return true;
+    }
+    std::vector<std::uint8_t> bytes;
+  } sink;
+  ingest::ReplayOptions opts;
+  opts.batch_records = 16;
+  ASSERT_TRUE(ingest::replay_dataset(ds, opts, sink));
+  ASSERT_LE(sink.bytes.size(), std::size_t{8} << 10);
+
+  int clean = 0;
+  const auto check = [&](const std::vector<std::uint8_t>& bytes,
+                         const std::string& what) {
+    ingest::IngestServer server({.shards = 2});
+    auto session = server.connect();
+    const bool ok = session->feed(bytes) && session->finish();
+    ASSERT_EQ(ok, session->error().empty()) << what;
+    clean += ok ? 1 : 0;
+    server.shutdown();
+    const Dataset committed = server.collect();
+    ASSERT_EQ(committed.validate(), "") << what;
+    ASSERT_EQ(analysis::compare_stream_results(
+                  server.result(), analysis::batch_stream_result(committed)),
+              "")
+        << what;
+  };
+  for_each_mutant(sink.bytes, check);
+  check(sink.bytes, "original");
+  EXPECT_GE(clean, 1);
 }
 
 // Regression cases for what the sweep found: values that the kernels

@@ -311,40 +311,39 @@ Dataset validation_fixture(bool dense) {
     bins.resize(kDays * kBinsPerDay);
     for (std::size_t j = 0; j < bins.size(); ++j) bins[j] = static_cast<int>(j);
   }
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   std::uint32_t app = 0;
   for (std::uint32_t d = 0; d < 3; ++d) {
     for (std::size_t j = 0; j < bins.size(); ++j) {
       const bool assoc = j % 3 == 0;
-      Sample& s = add_sample(
+      test::Row& s = add_sample(
           rows, d, static_cast<TimeBin>(bins[j]), 100, 0,
           assoc ? WifiState::Associated : WifiState::Off,
           assoc ? ApId{static_cast<std::uint32_t>(j % 4)} : kNoAp);
-      s.app_begin = app++;
       s.app_count = 1;
+      ++app;
     }
   }
   ds.app_traffic.resize(app);
-  EXPECT_EQ(assign_rows(ds, rows), "");
+  EXPECT_EQ(test::index_rows(ds, rows), "");
   return ds;
 }
 
 TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
   // Rows the row-append path must refuse, leaving the dataset unindexed.
   const auto rejects = [](int devices, int days, std::size_t apps,
-                          const std::vector<Sample>& rows) {
+                          const std::vector<test::Row>& rows) {
     Dataset ds = empty_dataset(devices, days);
     ds.app_traffic.resize(apps);
-    const std::string error = assign_rows(ds, rows);
+    const std::string error = test::index_rows(ds, rows);
     EXPECT_FALSE(ds.indexed()) << error;
     return !error.empty();
   };
   const auto row = [](std::uint32_t device, int bin, ApId ap = kNoAp,
-                      std::uint32_t app_begin = 0, std::uint8_t apps = 0) {
-    std::vector<Sample> one;
-    Sample& s = add_sample(one, device, static_cast<TimeBin>(bin));
+                      std::uint8_t apps = 0) {
+    std::vector<test::Row> one;
+    test::Row& s = add_sample(one, device, static_cast<TimeBin>(bin));
     s.ap = ap;
-    s.app_begin = app_begin;
     s.app_count = apps;
     return s;
   };
@@ -352,15 +351,18 @@ TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
   EXPECT_TRUE(rejects(1, 2, 0, {row(0, 5), row(0, 3)}));  // bin order
   EXPECT_TRUE(rejects(1, 1, 0, {row(0, kBinsPerDay)}));   // past day 0
   EXPECT_TRUE(rejects(1, 1, 0, {row(0, 0, ApId{3})}));    // no such AP
-  EXPECT_TRUE(rejects(1, 1, 2, {row(0, 0, kNoAp, 0, 3)}));  // 3 of 2 records
-  EXPECT_TRUE(rejects(1, 1, 4, {row(0, 0, kNoAp, 0, 2),
-                                row(0, 1, kNoAp, 3, 1)}));  // skips record 2
+  EXPECT_TRUE(rejects(1, 1, 2, {row(0, 0, kNoAp, 3)}));  // 3 of 2 records
 
   Dataset ds = empty_dataset(2, 1);
-  ASSERT_EQ(assign_rows(ds, std::vector<Sample>{row(0, 0), row(1, 0)}), "");
+  ASSERT_EQ(test::index_rows(ds, std::vector<test::Row>{row(0, 0), row(1, 0)}),
+            "");
   EXPECT_TRUE(ds.indexed());
   EXPECT_EQ(ds.validate(), "");
   // The same checks run on columns edited after the build.
+  ds.samples.flags[0] = 2;  // no such flag bit
+  EXPECT_NE(ds.validate().find("unknown flag bits"), std::string::npos);
+  ds.samples.flags[0] = SampleColumns::kFlagTethering;
+  EXPECT_EQ(ds.validate(), "");
   ds.samples.bin[1] = static_cast<TimeBin>(kBinsPerDay);
   EXPECT_FALSE(ds.validate().empty());
   EXPECT_FALSE(ds.build_index());
@@ -463,18 +465,14 @@ TEST(DatasetIndexTest, RowsColumnsRowsRoundTrip) {
   EXPECT_EQ(expect_begin, ds.samples.size());
 
   // Rows gathered from the columns build the same columns and layout,
-  // and gather back to the same bytes.
-  const std::vector<Sample> rows = gather_rows(ds);
+  // and gather back to the same rows.
+  const std::vector<test::Row> rows = test::rows_of(ds);
   ASSERT_EQ(rows.size(), ds.samples.size());
   Dataset copy = ds;
-  copy.samples = SampleColumns{};
-  ASSERT_EQ(assign_rows(copy, rows), "");
+  ASSERT_EQ(test::index_rows(copy, rows), "");
   EXPECT_TRUE(test::same_records(copy, ds));
   EXPECT_EQ(copy.index().dense(), idx.dense());
-  const std::vector<Sample> again = gather_rows(copy);
-  ASSERT_EQ(again.size(), rows.size());
-  EXPECT_EQ(std::memcmp(again.data(), rows.data(), rows.size() * sizeof(Sample)),
-            0);
+  EXPECT_TRUE(test::rows_of(copy) == rows);
 }
 
 TEST(DatasetIndexTest, HourOfWeekTableMatchesWeeklyProfile) {

@@ -1,19 +1,24 @@
 // Tests for the streaming ingest subsystem (src/ingest): frame
 // encode/decode round-trips, malformed-frame handling, bounded-queue
 // backpressure, the sharded server's error discipline, and the headline
-// invariant — a campaign replayed through ingest produces analysis
-// results byte-identical to the batch kernels, at any shard count.
+// invariant — the kernels' result over a campaign replayed through
+// ingest is byte-identical to their result over the campaign itself,
+// at any shard count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "analysis/incremental.h"
+#include "core/dataset_index.h"
 #include "ingest/frame.h"
 #include "ingest/queue.h"
 #include "ingest/replay.h"
@@ -29,29 +34,23 @@ using analysis::compare_stream_results;
 using analysis::StreamResult;
 
 /// A 3-device, 2-day dataset with app records, an AP association and a
-/// tethering sample — enough to touch every incremental kernel.
+/// tethering sample — enough to touch every stream kernel.
 Dataset tiny_dataset() {
   Dataset ds = test::empty_dataset(3, 2);
   const ApId ap = test::add_ap(ds, "home-net");
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
 
-  Sample& s0 = test::add_sample(rows, 0, 0, 5'000'000, 0);
-  s0.app_begin = 0;
-  s0.app_count = 2;
+  test::add_sample(rows, 0, 0, 5'000'000, 0).app_count = 2;
   ds.app_traffic.push_back(
       {.category = AppCategory::Video, .rx_bytes = 4'000'000,
        .tx_bytes = 100'000});
   ds.app_traffic.push_back(
       {.category = AppCategory::Social, .rx_bytes = 900'000,
        .tx_bytes = 50'000});
-  Sample& s1 =
-      test::add_sample(rows, 0, 150, 0, 2'000'000, WifiState::Associated, ap);
-  s1.app_begin = 2;  // app_count == 0: producer offset passes through
+  test::add_sample(rows, 0, 150, 0, 2'000'000, WifiState::Associated, ap);
   test::add_sample(rows, 1, 3, 1'000'000, 0).tethering = true;
-  Sample& s3 =
-      test::add_sample(rows, 1, 200, 0, 7'000'000, WifiState::Associated, ap);
-  s3.app_begin = 2;
-  s3.app_count = 1;
+  test::add_sample(rows, 1, 200, 0, 7'000'000, WifiState::Associated, ap)
+      .app_count = 1;
   ds.app_traffic.push_back(
       {.category = AppCategory::Browser, .rx_bytes = 6'000'000,
        .tx_bytes = 10'000});
@@ -59,6 +58,32 @@ Dataset tiny_dataset() {
 
   test::set_rows(ds, rows);
   return ds;
+}
+
+/// True when rows [a0, a0 + n) of `a` equal rows [b0, b0 + n) of `b`,
+/// column by column.
+bool same_rows(const SampleColumns& a, std::size_t a0, const SampleColumns& b,
+               std::size_t b0, std::size_t n) {
+  bool equal = true;
+  SampleColumns::for_each(
+      [&](const auto& x, const auto& y) {
+        equal = equal && x.size() >= a0 + n && y.size() >= b0 + n &&
+                std::equal(x.begin() + a0, x.begin() + a0 + n, y.begin() + b0);
+      },
+      a, b);
+  return equal;
+}
+
+/// Begin for `ds`, then `records` (encoded Records frames), fed to a
+/// fresh session of `server`. Returns what feed() returned.
+bool feed_after_begin(IngestServer& server, const Dataset& ds,
+                      const std::vector<std::uint8_t>& records,
+                      std::unique_ptr<IngestServer::Session>& session) {
+  session = server.connect();
+  std::vector<std::uint8_t> bytes;
+  encode_begin(begin_payload_for(ds), bytes);
+  bytes.insert(bytes.end(), records.begin(), records.end());
+  return session->feed(bytes);
 }
 
 /// Encodes ds as Begin + one Records frame per sample + End.
@@ -95,12 +120,9 @@ TEST(IngestFrameTest, RoundTripInArbitraryChunks) {
 
   std::vector<std::uint8_t> bytes;
   encode_begin(info, bytes);
-  const std::vector<Sample> samples = gather_rows(ds);
-  // One frame for device 0's two samples: frame-local app references.
-  std::vector<Sample> frame_samples = {samples[0], samples[1]};
-  const std::vector<AppTraffic> frame_apps = {ds.app_traffic[0],
-                                              ds.app_traffic[1]};
-  encode_records(DeviceId{0}, frame_samples, frame_apps, bytes);
+  // One frame for device 0's two rows and their two app records.
+  encode_records(DeviceId{0}, ds.samples, 0, 2,
+                 ds.app_traffic.span().subspan(0, 2), bytes);
   encode_end(bytes);
 
   // Feed in deliberately awkward 7-byte chunks.
@@ -111,16 +133,13 @@ TEST(IngestFrameTest, RoundTripInArbitraryChunks) {
     parser.feed({bytes.data() + at, n});
     Frame f;
     while (parser.next(f) == FrameParser::Status::Frame) {
-      // Records spans alias parser scratch; deep-copy what we check.
       frames.push_back(f);
       if (f.type == FrameType::Records) {
-        ASSERT_EQ(f.samples.size(), frame_samples.size());
-        EXPECT_EQ(std::memcmp(f.samples.data(), frame_samples.data(),
-                              f.samples.size() * sizeof(Sample)),
-                  0);
-        ASSERT_EQ(f.app.size(), frame_apps.size());
-        EXPECT_EQ(std::memcmp(f.app.data(), frame_apps.data(),
-                              f.app.size() * sizeof(AppTraffic)),
+        ASSERT_EQ(f.samples.size(), 2u);
+        EXPECT_TRUE(same_rows(f.samples, 0, ds.samples, 0, 2));
+        ASSERT_EQ(f.app.size(), 2u);
+        EXPECT_EQ(std::memcmp(f.app.data(), ds.app_traffic.data(),
+                              2 * sizeof(AppTraffic)),
                   0);
       }
     }
@@ -167,17 +186,24 @@ TEST(IngestFrameTest, BadMagicPoisonsParser) {
 }
 
 TEST(IngestFrameTest, WrongVersionRejected) {
-  std::vector<std::uint8_t> bytes;
-  encode_end(bytes);
-  FrameHeader h;
-  std::memcpy(&h, bytes.data(), sizeof(h));
-  h.version = 99;
-  std::memcpy(bytes.data(), &h, sizeof(h));
-  FrameParser parser;
-  parser.feed(bytes);
-  Frame f;
-  EXPECT_EQ(parser.next(f), FrameParser::Status::Error);
-  EXPECT_NE(parser.error().find("version"), std::string::npos);
+  // Version 1 (the row-struct frames) and a future version alike fail
+  // the session with the version error.
+  for (const std::uint16_t version : {1, 99}) {
+    std::vector<std::uint8_t> bytes;
+    encode_begin(begin_payload_for(tiny_dataset()), bytes);
+    FrameHeader h;
+    std::memcpy(&h, bytes.data(), sizeof(h));
+    h.version = version;
+    std::memcpy(bytes.data(), &h, sizeof(h));
+    IngestServer server(IngestConfig{});
+    auto s = server.connect();
+    EXPECT_FALSE(s->feed(bytes));
+    EXPECT_NE(s->error().find("unsupported ingest frame version " +
+                              std::to_string(version)),
+              std::string::npos)
+        << s->error();
+    EXPECT_EQ(server.counters().frames_rejected, 1u);
+  }
 }
 
 TEST(IngestFrameTest, CorruptPayloadFailsCrc) {
@@ -207,25 +233,23 @@ TEST(IngestFrameTest, OversizePayloadRejectedFromHeaderAlone) {
 }
 
 TEST(IngestFrameTest, NonBooleanTetheringRejected) {
-  std::vector<Sample> one = {gather_rows(tiny_dataset())[4]};
-  const std::uint8_t bad = 5;  // any byte but 0 or 1 is not a bool
-  std::memcpy(reinterpret_cast<std::uint8_t*>(one.data()) +
-                  offsetof(Sample, tethering),
-              &bad, 1);
-  std::vector<std::uint8_t> bytes;
-  encode_records(DeviceId{2}, one, {}, bytes);
-  FrameParser parser;
-  parser.feed(bytes);
-  Frame f;
-  EXPECT_EQ(parser.next(f), FrameParser::Status::Error);
-  EXPECT_NE(parser.error().find("non-boolean"), std::string::npos);
+  // The flags column's only bit is tethering; any other bit fails the
+  // session, like an unknown flag bit in a snapshot.
+  Dataset ds = tiny_dataset();
+  ds.samples.flags[4] = 5;
+  std::vector<std::uint8_t> records;
+  encode_records(DeviceId{2}, ds.samples, 4, 5, {}, records);
+  IngestServer server(IngestConfig{});
+  std::unique_ptr<IngestServer::Session> s;
+  EXPECT_FALSE(feed_after_begin(server, ds, records, s));
+  EXPECT_NE(s->error().find("unknown flag bits"), std::string::npos)
+      << s->error();
 }
 
 TEST(IngestFrameTest, HeaderLengthArithmeticChecked) {
   const Dataset ds = tiny_dataset();
   std::vector<std::uint8_t> bytes;
-  const std::vector<Sample> one = {gather_rows(ds)[4]};
-  encode_records(DeviceId{2}, one, {}, bytes);
+  encode_records(DeviceId{2}, ds.samples, 4, 5, {}, bytes);
   FrameHeader h;
   std::memcpy(&h, bytes.data(), sizeof(h));
   h.n_samples = 2;  // claims more records than the payload carries
@@ -238,33 +262,81 @@ TEST(IngestFrameTest, HeaderLengthArithmeticChecked) {
 }
 
 TEST(IngestFrameTest, AppReferencePastFrameRejected) {
-  Sample s;
-  s.device = DeviceId{1};
-  s.app_begin = 0;
-  s.app_count = 3;  // frame only carries one app record
-  const std::vector<Sample> samples = {s};
-  const std::vector<AppTraffic> apps = {
-      {.category = AppCategory::Game, .rx_bytes = 1, .tx_bytes = 1}};
-  std::vector<std::uint8_t> bytes;
-  encode_records(DeviceId{1}, samples, apps, bytes);
-  FrameParser parser;
-  parser.feed(bytes);
-  Frame f;
-  EXPECT_EQ(parser.next(f), FrameParser::Status::Error);
-  EXPECT_NE(parser.error().find("app records beyond"), std::string::npos);
+  // Row 4 claims three app records; the frame carries one.
+  Dataset ds = tiny_dataset();
+  ds.samples.app_count[4] = 3;
+  std::vector<std::uint8_t> records;
+  encode_records(DeviceId{2}, ds.samples, 4, 5,
+                 ds.app_traffic.span().subspan(0, 1), records);
+  IngestServer server(IngestConfig{});
+  std::unique_ptr<IngestServer::Session> s;
+  EXPECT_FALSE(feed_after_begin(server, ds, records, s));
+  EXPECT_NE(s->error().find("3 of 1 app records"), std::string::npos)
+      << s->error();
 }
 
-TEST(IngestFrameTest, ForeignDeviceInsideFrameRejected) {
-  Sample s;
-  s.device = DeviceId{5};
-  const std::vector<Sample> samples = {s};
-  std::vector<std::uint8_t> bytes;
-  encode_records(DeviceId{3}, samples, {}, bytes);
-  FrameParser parser;
-  parser.feed(bytes);
-  Frame f;
-  EXPECT_EQ(parser.next(f), FrameParser::Status::Error);
-  EXPECT_NE(parser.error().find("belongs to device"), std::string::npos);
+// Each Records frame is checked by core::check_device_run, and each
+// device's bins must keep ascending across its frames. A frame that
+// breaks either fails its session and commits nothing.
+TEST(IngestFrameTest, RowRulesFailTheSessionAndCommitNothing) {
+  const Dataset base = tiny_dataset();
+  struct Case {
+    const char* what;
+    std::function<void(Dataset&)> corrupt;
+    std::size_t good_rows;  // rows of device 0 sent first, in their own frame
+    const char* error;
+  };
+  const Case cases[] = {
+      {"unknown app category",
+       [](Dataset& ds) {
+         ds.app_traffic[0].category = static_cast<AppCategory>(250);
+       },
+       0, "unknown category"},
+      {"unknown cell technology",
+       [](Dataset& ds) { ds.samples.tech[1] = static_cast<CellTech>(200); },
+       0, "unknown WiFi state or cell technology"},
+      {"unknown WiFi state",
+       [](Dataset& ds) {
+         ds.samples.wifi_state[1] = static_cast<WifiState>(9);
+       },
+       0, "unknown WiFi state or cell technology"},
+      {"descending bins",
+       [](Dataset& ds) {
+         ds.samples.bin[0] = 5;
+         ds.samples.bin[1] = 0;
+       },
+       0, "ordering"},
+      {"repeated bin", [](Dataset& ds) { ds.samples.bin[1] = 0; }, 0,
+       "repeats a bin"},
+      {"first bin repeats the last routed bin",
+       [](Dataset& ds) { ds.samples.bin[1] = 0; }, 1,
+       "not after the device's last routed bin 0"},
+  };
+  for (const Case& c : cases) {
+    Dataset ds = base;
+    c.corrupt(ds);
+    // Device 0 owns rows [0, 2) and app records [0, 2), both on row 0.
+    std::vector<std::uint8_t> records;
+    const std::span<const AppTraffic> apps = ds.app_traffic.span();
+    if (c.good_rows > 0) {
+      encode_records(DeviceId{0}, base.samples, 0, c.good_rows,
+                     apps.subspan(0, 2), records);
+    }
+    encode_records(DeviceId{0}, ds.samples, c.good_rows, 2,
+                   c.good_rows > 0 ? apps.subspan(2, 0) : apps.subspan(0, 2),
+                   records);
+    IngestServer server({.shards = 2});
+    std::unique_ptr<IngestServer::Session> s;
+    EXPECT_FALSE(feed_after_begin(server, ds, records, s)) << c.what;
+    EXPECT_NE(s->error().find(c.error), std::string::npos)
+        << c.what << ": " << s->error();
+    server.shutdown();
+    const IngestCounters counters = server.counters();
+    EXPECT_EQ(counters.frames_rejected, 1u) << c.what;
+    EXPECT_EQ(counters.sessions_failed, 1u) << c.what;
+    EXPECT_EQ(counters.records_committed, c.good_rows) << c.what;
+    EXPECT_EQ(server.collect().samples.size(), c.good_rows) << c.what;
+  }
 }
 
 // --- Bounded queue ------------------------------------------------------
@@ -338,16 +410,8 @@ TEST(IngestServerTest, LoopbackStreamCommitsAndMatchesBatch) {
   EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
             "");
 
-  // Committed storage reassembles to the producer's exact byte stream.
-  const IngestServer::CommittedStream cs = server.collect();
-  ASSERT_EQ(cs.samples.size(), ds.samples.size());
-  EXPECT_EQ(std::memcmp(cs.samples.data(), gather_rows(ds).data(),
-                        cs.samples.size() * sizeof(Sample)),
-            0);
-  ASSERT_EQ(cs.app_traffic.size(), ds.app_traffic.size());
-  EXPECT_EQ(std::memcmp(cs.app_traffic.data(), ds.app_traffic.data(),
-                        cs.app_traffic.size() * sizeof(AppTraffic)),
-            0);
+  // The committed columns reassemble to the producer's exact records.
+  EXPECT_TRUE(test::same_records(server.collect(), ds));
 }
 
 TEST(IngestServerTest, MalformedSessionNeverTakesDownTheServer) {
@@ -361,10 +425,13 @@ TEST(IngestServerTest, MalformedSessionNeverTakesDownTheServer) {
     EXPECT_FALSE(bad->error().empty());
     EXPECT_FALSE(bad->finish());
   }
-  {  // Truncated mid-frame stream: clean EOF error on finish().
+  {  // Stream cut inside its first Records frame: clean EOF error on
+     // finish(), and nothing routed (a later replay of the same rows
+     // would otherwise break the devices' ascending bins).
     auto truncated = server.connect();
     const std::vector<std::uint8_t> bytes = encode_stream(ds, 2);
-    EXPECT_TRUE(truncated->feed({bytes.data(), bytes.size() - 10}));
+    const std::size_t cut = 2 * sizeof(FrameHeader) + sizeof(BeginPayload) + 10;
+    EXPECT_TRUE(truncated->feed({bytes.data(), cut}));
     EXPECT_FALSE(truncated->finish());
     EXPECT_NE(truncated->error().find("before End"), std::string::npos);
   }
@@ -380,20 +447,17 @@ TEST(IngestServerTest, MalformedSessionNeverTakesDownTheServer) {
   EXPECT_EQ(c.sessions_closed, 1u);
   EXPECT_EQ(c.sessions_failed, 2u);
   EXPECT_GE(c.frames_rejected, 1u);
-  // Note the truncated session still committed its complete frames;
-  // totals count records, not sessions.
-  EXPECT_GT(c.records_committed, ds.samples.size());
+  EXPECT_EQ(c.records_committed, ds.samples.size());
 }
 
 TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
   const Dataset ds = tiny_dataset();
-  const std::vector<Sample> one = {gather_rows(ds)[4]};  // device 2
 
   {  // Records before Begin
     IngestServer server(IngestConfig{});
     auto s = server.connect();
     std::vector<std::uint8_t> bytes;
-    encode_records(DeviceId{2}, one, {}, bytes);
+    encode_records(DeviceId{2}, ds.samples, 4, 5, {}, bytes);
     EXPECT_FALSE(s->feed(bytes));
     EXPECT_NE(s->error().find("before Begin"), std::string::npos);
   }
@@ -421,10 +485,7 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     auto s = server.connect();
     std::vector<std::uint8_t> bytes;
     encode_begin(begin_payload_for(ds), bytes);
-    Sample alien;
-    alien.device = DeviceId{99};
-    const std::vector<Sample> aliens = {alien};
-    encode_records(DeviceId{99}, aliens, {}, bytes);
+    encode_records(DeviceId{99}, ds.samples, 4, 5, {}, bytes);
     EXPECT_FALSE(s->feed(bytes));
     EXPECT_NE(s->error().find("outside the announced universe"),
               std::string::npos);
@@ -434,13 +495,13 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     auto s = server.connect();
     std::vector<std::uint8_t> bytes;
     encode_begin(begin_payload_for(ds), bytes);
-    Sample late = gather_rows(ds)[4];
-    late.bin = 2000;  // campaign has 2 * 144 bins
-    const std::vector<Sample> lates = {late};
-    encode_records(late.device, lates, {}, bytes);
+    Dataset late = ds;
+    late.samples.bin[4] = 2000;  // campaign has 2 * 144 bins
+    encode_records(DeviceId{2}, late.samples, 4, 5, {}, bytes);
     EXPECT_FALSE(s->feed(bytes));
-    EXPECT_NE(s->error().find("outside the announced campaign"),
-              std::string::npos);
+    EXPECT_NE(s->error().find("outside the 288-bin campaign"),
+              std::string::npos)
+        << s->error();
   }
 }
 
@@ -477,25 +538,23 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
   std::vector<std::uint8_t> begin;
   encode_begin(begin_payload_for(ds), begin);
   ASSERT_TRUE(session->feed(begin));
-  ASSERT_NE(server.incremental(), nullptr);
 
   {
     // Freeze the shard: its worker parks on the first commit, so the
     // 1-slot queue fills deterministically and later frames shed.
-    const auto frozen = server.incremental()->freeze_shard(0);
-    std::vector<std::uint8_t> frames;
-    for (const Sample& s : gather_rows(ds)) {
-      const std::vector<Sample> one = {s};
-      std::vector<Sample> rebased = one;
-      std::vector<AppTraffic> apps;
-      if (s.app_count > 0) {
-        apps.assign(ds.app_traffic.begin() + s.app_begin,
-                    ds.app_traffic.begin() + s.app_begin + s.app_count);
-        rebased[0].app_begin = 0;
+    const auto frozen = server.freeze_shard(0);
+    const core::DatasetIndex& idx = ds.index();
+    std::vector<std::uint8_t> frame;
+    for (std::uint32_t d = 0; d < ds.devices.size(); ++d) {
+      std::size_t app = idx.device_app_begin(d);
+      for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+        const std::size_t n_app = ds.samples.app_count[i];
+        frame.clear();
+        encode_records(DeviceId{d}, ds.samples, i, i + 1,
+                       ds.app_traffic.span().subspan(app, n_app), frame);
+        app += n_app;
+        ASSERT_TRUE(session->feed(frame));  // shedding is not an error
       }
-      frames.clear();
-      encode_records(s.device, rebased, apps, frames);
-      ASSERT_TRUE(session->feed(frames));  // shedding is not an error
     }
   }
 
@@ -538,6 +597,37 @@ TEST(IngestServerTest, ResultIsQueryableMidStream) {
   EXPECT_EQ(server.result().totals.n_samples, ds.samples.size());
 }
 
+TEST(IngestServerTest, FrozenMidStreamResultMatchesCollect) {
+  const Dataset& ds = test::campaign(Year::Y2013);
+  IngestServer server({.shards = 2});
+  auto session = server.connect();
+
+  const std::vector<std::uint8_t> bytes = encode_stream(ds, 512);
+  const std::size_t half = bytes.size() / 2;
+  ASSERT_TRUE(session->feed({bytes.data(), half}));
+  wait_for([&] { return server.counters().records_committed > 0; });
+  {
+    // With both workers paused, result() and collect() read the same
+    // committed prefix of the stream.
+    const auto frozen0 = server.freeze_shard(0);
+    const auto frozen1 = server.freeze_shard(1);
+    const std::uint64_t committed = server.counters().records_committed;
+    const StreamResult partial = server.result();
+    const Dataset prefix = server.collect();
+    EXPECT_EQ(server.counters().records_committed, committed);
+    EXPECT_EQ(prefix.samples.size(), committed);
+    EXPECT_EQ(partial.totals.n_samples, committed);
+    EXPECT_LT(committed, ds.samples.size());
+    EXPECT_EQ(compare_stream_results(partial, batch_stream_result(prefix)), "");
+  }
+
+  ASSERT_TRUE(session->feed({bytes.data() + half, bytes.size() - half}));
+  ASSERT_TRUE(session->finish()) << session->error();
+  server.shutdown();
+  EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
+            "");
+}
+
 // --- The headline invariant: ingest == batch, byte for byte -------------
 
 class ReplayEquivalenceTest : public ::testing::TestWithParam<Year> {};
@@ -561,16 +651,8 @@ TEST_P(ReplayEquivalenceTest, IncrementalMatchesBatchAtOneAndFourShards) {
     EXPECT_EQ(compare_stream_results(server.result(), batch), "")
         << "year " << year_number(year) << ", " << shards << " shards";
 
-    const IngestServer::CommittedStream cs = server.collect();
-    ASSERT_EQ(cs.samples.size(), ds.samples.size());
-    EXPECT_EQ(std::memcmp(cs.samples.data(), gather_rows(ds).data(),
-                          cs.samples.size() * sizeof(Sample)),
-              0)
-        << "committed samples diverge from the producer's";
-    ASSERT_EQ(cs.app_traffic.size(), ds.app_traffic.size());
-    EXPECT_EQ(std::memcmp(cs.app_traffic.data(), ds.app_traffic.data(),
-                          cs.app_traffic.size() * sizeof(AppTraffic)),
-              0);
+    EXPECT_TRUE(test::same_records(server.collect(), ds))
+        << "committed records diverge from the producer's";
   }
 }
 

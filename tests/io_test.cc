@@ -1,8 +1,12 @@
 // Tests for io: table rendering and CSV dataset round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/classify.h"
 #include "analysis/volumes.h"
@@ -110,11 +114,11 @@ TEST_F(CsvRoundTrip, PreservesObservableData) {
     EXPECT_EQ(loaded.aps[i].essid, original.aps[i].essid);
     EXPECT_EQ(loaded.aps[i].channel, original.aps[i].channel);
   }
-  const std::vector<Sample> original_rows = gather_rows(original);
-  const std::vector<Sample> loaded_rows = gather_rows(loaded);
+  const std::vector<test::Row> original_rows = test::rows_of(original);
+  const std::vector<test::Row> loaded_rows = test::rows_of(loaded);
   for (std::size_t i = 0; i < original_rows.size(); i += 997) {
-    const Sample& a = original_rows[i];
-    const Sample& b = loaded_rows[i];
+    const test::Row& a = original_rows[i];
+    const test::Row& b = loaded_rows[i];
     EXPECT_EQ(a.device, b.device);
     EXPECT_EQ(a.bin, b.bin);
     EXPECT_EQ(a.cell_rx, b.cell_rx);
@@ -194,6 +198,59 @@ TEST_F(CsvRoundTrip, DanglingApReferenceFails) {
   Dataset loaded;
   const CsvResult r = load_dataset_csv(dir_, loaded);
   EXPECT_FALSE(r.ok());
+}
+
+TEST_F(CsvRoundTrip, OutOfRangeSampleFieldIsMalformed) {
+  // Each field parses at its column's own width: a value the column
+  // cannot hold is a malformed row, never a narrowed one.
+  Dataset ds = test::empty_dataset(1, 1);
+  std::vector<test::Row> rows;
+  test::add_sample(rows, 0, 0, 1000);
+  test::add_sample(rows, 0, 1, 2000);
+  test::set_rows(ds, rows);
+  ASSERT_TRUE(save_dataset_csv(ds, dir_).ok());
+  const fs::path samples = dir_ / "samples.csv";
+  std::string text;
+  {
+    std::FILE* f = std::fopen(samples.string().c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    for (int c; (c = std::fgetc(f)) != EOF;) {
+      text.push_back(static_cast<char>(c));
+    }
+    std::fclose(f);
+  }
+  const std::size_t row = text.find('\n') + 1;  // the first data row
+  const std::size_t row_end = text.find('\n', row);
+
+  // samples.csv columns: 8 tech, 9 wifi_state, 10 rssi, 11 battery,
+  // 12 tether, 13 s24a, 18 app_count.
+  const std::pair<int, const char*> cases[] = {
+      {8, "258"}, {9, "256"}, {10, "-200"}, {11, "356"},
+      {12, "2"},  {13, "256"}, {18, "256"}};
+  for (const auto& [field, bad] : cases) {
+    std::vector<std::string> fields;
+    std::size_t at = row;
+    while (at <= row_end) {
+      const std::size_t comma = std::min(text.find(',', at), row_end);
+      fields.push_back(text.substr(at, comma - at));
+      at = comma + 1;
+    }
+    fields[static_cast<std::size_t>(field)] = bad;
+    std::string edited = text.substr(0, row);
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      edited += (i > 0 ? "," : "") + fields[i];
+    }
+    edited += text.substr(row_end);
+    std::FILE* f = std::fopen(samples.string().c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(edited.c_str(), f);
+    std::fclose(f);
+
+    Dataset loaded;
+    const CsvResult r = load_dataset_csv(dir_, loaded);
+    EXPECT_NE(r.error.find("malformed row"), std::string::npos)
+        << "field " << field << " = " << bad << ": " << r.error;
+  }
 }
 
 }  // namespace

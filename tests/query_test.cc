@@ -201,7 +201,7 @@ TEST(QuerySource, SingleDeviceMatchesSerialReference) {
 
   std::vector<std::uint64_t> expected(
       static_cast<std::size_t>(ds.num_days()) * 24, 0);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (TimeBin bin : {TimeBin{0}, TimeBin{5}, TimeBin{6}, TimeBin{200}}) {
     test::add_sample(rows, 0, bin, 1000u + bin);
     expected[static_cast<std::size_t>(bin / kBinsPerHour)] += 1000u + bin;

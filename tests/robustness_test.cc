@@ -45,7 +45,7 @@ TEST(Robustness, EmptyDatasetEverywhere) {
 
 TEST(Robustness, DeviceWithNoSamples) {
   Dataset ds = empty_dataset(3, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   // Only device 1 reports anything (devices 0 and 2 failed to upload).
   add_sample(rows, 1, 0, 1'000'000u, 0);
   test::set_rows(ds, rows);
@@ -60,7 +60,7 @@ TEST(Robustness, DeviceWithNoSamples) {
 TEST(Robustness, UploadGapsSplitAssociationRuns) {
   // A gap in the record stream must not merge two association runs.
   Dataset ds = empty_dataset(1, 1);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId ap = add_ap(ds, "cafe-wifi-01");
   add_sample(rows, 0, 10, 0, 100, WifiState::Associated, ap);
   add_sample(rows, 0, 11, 0, 100, WifiState::Associated, ap);
@@ -92,7 +92,7 @@ TEST(Robustness, UploadGapsSplitAssociationRuns) {
 
 TEST(Robustness, AllZeroTrafficPopulation) {
   Dataset ds = empty_dataset(4, 3);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (std::uint32_t dev = 0; dev < 4; ++dev) {
     for (int b = 0; b < 3 * kBinsPerDay; b += 36) {
       add_sample(rows, dev, static_cast<TimeBin>(b), 0, 0);
@@ -115,7 +115,7 @@ TEST(Robustness, CapAnalysisNeedsFullLookback) {
   // Days 0-2 can never be classified (no 3-day history) and must not
   // produce ratios.
   Dataset ds = empty_dataset(1, 3);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (int d = 0; d < 3; ++d) {
     add_sample(rows, 0, static_cast<TimeBin>(d * kBinsPerDay), 500'000'000u, 0);
   }
@@ -127,7 +127,7 @@ TEST(Robustness, CapAnalysisNeedsFullLookback) {
 TEST(Robustness, WeeklyProfilesHandlePartialWeeks) {
   // A 3-day campaign only populates some hours of the weekly frame.
   Dataset ds = empty_dataset(1, 3);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   add_sample(rows, 0, 0, 1'000'000u, 0);
   test::set_rows(ds, rows);
   const query::InMemorySource src(ds);
@@ -150,7 +150,7 @@ TEST(Robustness, HeatmapIgnoresIdleDays) {
 
 TEST(Robustness, RssiAnalysisWithNoWifi) {
   Dataset ds = empty_dataset(2, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   add_sample(rows, 0, 0, 1'000'000u, 0);
   test::set_rows(ds, rows);
   const query::InMemorySource src(ds);
@@ -162,7 +162,7 @@ TEST(Robustness, RssiAnalysisWithNoWifi) {
 
 TEST(Robustness, LargeVolumesDoNotOverflowRollups) {
   Dataset ds = empty_dataset(1, 1);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (int b = 0; b < 100; ++b) {
     add_sample(rows, 0, static_cast<TimeBin>(b), 4'000'000'000u, 0);
   }

@@ -18,7 +18,7 @@ using test::empty_dataset;
 Dataset dataset_with_pair(std::uint64_t b1, std::uint64_t b2,
                           std::string e1, std::string e2) {
   Dataset ds = empty_dataset(1, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId a = add_ap(ds, std::move(e1));
   const ApId b = add_ap(ds, std::move(e2));
   ds.aps.mut()[value(a)].bssid = b1;
@@ -68,7 +68,7 @@ TEST(SharedAp, DifferentOuiNotGrouped) {
 
 TEST(SharedAp, NonPublicIgnored) {
   Dataset ds = empty_dataset(1, 2);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const ApId a = add_ap(ds, "corp-ap-01");
   const ApId b = add_ap(ds, "corp-ap-02");
   ds.aps.mut()[value(a)].bssid = 0x0017DF000010;

@@ -98,10 +98,10 @@ TEST(Simulator, SamplesSortedAndComplete) {
   // Every device emits exactly one sample per bin.
   EXPECT_EQ(ds.samples.size(),
             ds.devices.size() * static_cast<std::size_t>(ds.calendar.num_bins()));
-  const std::vector<Sample> rows = gather_rows(ds);
+  const std::vector<test::Row> rows = test::rows_of(ds);
   for (std::size_t i = 1; i < rows.size(); ++i) {
-    const Sample& p = rows[i - 1];
-    const Sample& s = rows[i];
+    const test::Row& p = rows[i - 1];
+    const test::Row& s = rows[i];
     ASSERT_TRUE(value(p.device) < value(s.device) ||
                 (p.device == s.device && p.bin < s.bin));
   }
@@ -121,7 +121,7 @@ TEST(Simulator, TruthArraysParallel) {
 TEST(Simulator, OneInterfacePerBin) {
   // The simulator routes each bin's traffic over exactly one interface.
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     const bool cell = s.cell_rx > 0 || s.cell_tx > 0;
     const bool wifi = s.wifi_rx > 0 || s.wifi_tx > 0;
     EXPECT_FALSE(cell && wifi);
@@ -139,27 +139,32 @@ TEST(Simulator, AppTrafficConservation) {
   // For Android samples, per-app RX sums to the interface counter.
   const Dataset& ds = campaign(Year::Y2015);
   std::size_t checked = 0;
-  for (const Sample& s : gather_rows(ds)) {
-    if (ds.devices[value(s.device)].os != Os::Android) continue;
-    if (s.app_count == 0) continue;
-    std::uint64_t rx = 0, tx = 0;
-    for (std::size_t a = s.app_begin; a < s.app_begin + s.app_count; ++a) {
-      const AppTraffic& at = ds.app_traffic[a];
-      rx += at.rx_bytes;
-      tx += at.tx_bytes;
+  const SampleColumns& c = ds.samples;
+  const core::DatasetIndex& idx = ds.index();
+  for (std::size_t d = 0; d < ds.devices.size(); ++d) {
+    std::size_t app = idx.device_app_begin(d);
+    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
+      const std::size_t first = app;
+      app += c.app_count[i];
+      if (ds.devices[d].os != Os::Android || c.app_count[i] == 0) continue;
+      std::uint64_t rx = 0, tx = 0;
+      for (std::size_t a = first; a < app; ++a) {
+        rx += ds.app_traffic[a].rx_bytes;
+        tx += ds.app_traffic[a].tx_bytes;
+      }
+      const std::uint64_t iface_rx = std::uint64_t{c.cell_rx[i]} + c.wifi_rx[i];
+      const std::uint64_t iface_tx = std::uint64_t{c.cell_tx[i]} + c.wifi_tx[i];
+      ASSERT_NEAR(static_cast<double>(rx), static_cast<double>(iface_rx), 8.0);
+      ASSERT_NEAR(static_cast<double>(tx), static_cast<double>(iface_tx), 8.0);
+      ++checked;
     }
-    const std::uint64_t iface_rx = std::uint64_t{s.cell_rx} + s.wifi_rx;
-    const std::uint64_t iface_tx = std::uint64_t{s.cell_tx} + s.wifi_tx;
-    ASSERT_NEAR(static_cast<double>(rx), static_cast<double>(iface_rx), 8.0);
-    ASSERT_NEAR(static_cast<double>(tx), static_cast<double>(iface_tx), 8.0);
-    ++checked;
   }
   EXPECT_GT(checked, 1000u);
 }
 
 TEST(Simulator, IosReportsNoAppBreakdown) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     if (ds.devices[value(s.device)].os == Os::Ios) {
       ASSERT_EQ(s.app_count, 0);
     }
@@ -168,7 +173,7 @@ TEST(Simulator, IosReportsNoAppBreakdown) {
 
 TEST(Simulator, IosReportsNoScans) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     if (ds.devices[value(s.device)].os == Os::Ios) {
       ASSERT_EQ(s.scan_pub24_all, 0);
       ASSERT_EQ(s.scan_pub5_all, 0);
@@ -178,7 +183,7 @@ TEST(Simulator, IosReportsNoScans) {
 
 TEST(Simulator, ScanStrongSubsetOfAll) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     ASSERT_LE(s.scan_pub24_strong, s.scan_pub24_all);
     ASSERT_LE(s.scan_pub5_strong, s.scan_pub5_all);
   }
@@ -186,7 +191,7 @@ TEST(Simulator, ScanStrongSubsetOfAll) {
 
 TEST(Simulator, AssociatedSamplesHaveRssi) {
   const Dataset& ds = campaign(Year::Y2015);
-  for (const Sample& s : gather_rows(ds)) {
+  for (const test::Row& s : test::rows_of(ds)) {
     if (s.wifi_state == WifiState::Associated) {
       ASSERT_NE(s.ap, kNoAp);
       ASSERT_LT(value(s.ap), ds.aps.size());
@@ -228,7 +233,7 @@ TEST(Simulator, UpdatedDevicesCarryTheImageVolume) {
     // that started on a short public-WiFi session may finish the image
     // over later sessions (or not at all within the campaign).
     double mb = 0;
-    for (const Sample& s : test::device_rows(ds, i)) {
+    for (const test::Row& s : test::device_rows(ds, i)) {
       if (s.bin >= ub) mb += s.wifi_rx / 1e6;
     }
     EXPECT_GT(mb, 100.0);  // at least a substantial chunk streamed
@@ -248,7 +253,7 @@ TEST(Simulator, CappedDayTruthConsistentWithTraffic) {
   // capped days match the 3-day-window rule.
   for (const DeviceInfo& dev : ds.devices) {
     std::vector<double> daily(static_cast<std::size_t>(ds.num_days()), 0.0);
-    for (const Sample& s : test::device_rows(ds, value(dev.id))) {
+    for (const test::Row& s : test::device_rows(ds, value(dev.id))) {
       daily[static_cast<std::size_t>(ds.calendar.day_of(s.bin))] +=
           s.cell_rx / 1e6;
     }
@@ -271,7 +276,7 @@ TEST(Simulator, HomeAssociationsUseTheHomeAp) {
     if (!t.has_home_ap) continue;
     // Samples associated during deep night at the home cell must use the
     // user's own home AP.
-    for (const Sample& s : test::device_rows(ds, value(dev.id))) {
+    for (const test::Row& s : test::device_rows(ds, value(dev.id))) {
       if (s.wifi_state != WifiState::Associated) continue;
       if (ds.calendar.hour_of(s.bin) != 3) continue;
       EXPECT_EQ(s.ap, t.home_ap);

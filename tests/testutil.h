@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "analysis/query/source.h"
 #include "core/dataset_index.h"
 #include "core/records.h"
-#include "core/sample_rows.h"
 #include "core/scenario.h"
 #include "sim/simulator.h"
 
@@ -85,7 +85,7 @@ struct ScratchDir {
 };
 
 /// A minimal hand-built dataset: `num_devices` devices, `num_days` days,
-/// no samples (callers append rows with add_sample(), then set_rows()).
+/// no samples (callers build rows with add_sample(), then set_rows()).
 inline Dataset empty_dataset(int num_devices, int num_days,
                              Year year = Year::Y2015) {
   Dataset ds;
@@ -102,39 +102,133 @@ inline Dataset empty_dataset(int num_devices, int num_days,
   return ds;
 }
 
-/// Appends one sample row with the given volumes (bytes) to `rows`.
-/// Rows must be appended in (device, bin) order.
-inline Sample& add_sample(std::vector<Sample>& rows, std::uint32_t device,
-                          TimeBin bin, std::uint32_t cell_rx = 0,
-                          std::uint32_t wifi_rx = 0,
-                          WifiState state = WifiState::Off,
-                          ApId ap = kNoAp) {
-  Sample s;
-  s.device = DeviceId{device};
-  s.bin = bin;
-  s.cell_rx = cell_rx;
-  s.wifi_rx = wifi_rx;
-  s.wifi_state = state;
-  s.ap = ap;
-  if (cell_rx > 0) s.tech = CellTech::Lte;
-  rows.push_back(s);
+/// One row of a hand-built dataset: its device and the fields of one
+/// SampleColumns row (tethering stands for the flag bit).
+struct Row {
+  DeviceId device{};
+  TimeBin bin = 0;
+  GeoCell geo_cell = kNoGeoCell;
+  std::uint32_t cell_rx = 0, cell_tx = 0, wifi_rx = 0, wifi_tx = 0;
+  ApId ap = kNoAp;
+  std::uint8_t app_count = 0;
+  CellTech tech = CellTech::None;
+  WifiState wifi_state = WifiState::Off;
+  std::int8_t rssi_dbm = -127;
+  std::uint8_t battery_pct = 100;
+  bool tethering = false;
+  std::uint8_t scan_pub24_all = 0, scan_pub24_strong = 0;
+  std::uint8_t scan_pub5_all = 0, scan_pub5_strong = 0;
+
+  bool operator==(const Row&) const = default;
+};
+
+/// Appends one row with the given volumes (bytes) to `rows`. Rows must
+/// be appended in (device, bin) order.
+inline Row& add_sample(std::vector<Row>& rows, std::uint32_t device,
+                       TimeBin bin, std::uint32_t cell_rx = 0,
+                       std::uint32_t wifi_rx = 0,
+                       WifiState state = WifiState::Off, ApId ap = kNoAp) {
+  Row r;
+  r.device = DeviceId{device};
+  r.bin = bin;
+  r.cell_rx = cell_rx;
+  r.wifi_rx = wifi_rx;
+  r.wifi_state = state;
+  r.ap = ap;
+  if (cell_rx > 0) r.tech = CellTech::Lte;
+  rows.push_back(r);
   return rows.back();
 }
 
-/// Replaces `ds`'s samples with `rows` (the one row-append path) and
-/// fails the test if they are rejected.
-inline void set_rows(Dataset& ds, const std::vector<Sample>& rows) {
-  ASSERT_EQ(assign_rows(ds, rows), "");
+/// Replaces `ds`'s samples with `rows` and indexes them; returns the
+/// first problem. Each device's app records are the next app_count
+/// records of ds.app_traffic per row, in row order.
+[[nodiscard]] inline std::string index_rows(Dataset& ds,
+                                            const std::vector<Row>& rows) {
+  const std::size_t n_devices = ds.devices.size();
+  core::SampleLayout layout;
+  layout.device_offset.assign(n_devices + 1, rows.size());
+  layout.app_range.assign(2 * n_devices, 0);
+  SampleColumns& c = ds.samples;
+  c = SampleColumns{};
+  std::size_t next = 0, app = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    const std::size_t d = value(r.device);
+    if (d >= n_devices || d + 1 < next) {
+      return "row " + std::to_string(i) + " out of device order";
+    }
+    for (; next <= d; ++next) {
+      layout.device_offset[next] = i;
+      layout.app_range[2 * next] = layout.app_range[2 * next + 1] = app;
+    }
+    app += r.app_count;
+    layout.app_range[2 * d + 1] = app;
+    c.bin.push_back(r.bin);
+    c.cell_rx.push_back(r.cell_rx);
+    c.cell_tx.push_back(r.cell_tx);
+    c.wifi_rx.push_back(r.wifi_rx);
+    c.wifi_tx.push_back(r.wifi_tx);
+    c.ap.push_back(value(r.ap));
+    c.wifi_state.push_back(r.wifi_state);
+    c.tech.push_back(r.tech);
+    c.battery_pct.push_back(r.battery_pct);
+    c.rssi_dbm.push_back(r.rssi_dbm);
+    c.geo_cell.push_back(r.geo_cell);
+    c.app_count.push_back(r.app_count);
+    c.flags.push_back(r.tethering ? SampleColumns::kFlagTethering : 0);
+    c.scan_pub24_all.push_back(r.scan_pub24_all);
+    c.scan_pub24_strong.push_back(r.scan_pub24_strong);
+    c.scan_pub5_all.push_back(r.scan_pub5_all);
+    c.scan_pub5_strong.push_back(r.scan_pub5_strong);
+  }
+  for (; next < n_devices; ++next) {
+    layout.app_range[2 * next] = layout.app_range[2 * next + 1] = app;
+  }
+  return ds.index_samples(std::move(layout));
+}
+
+/// index_rows(), failing the test if the rows are rejected.
+inline void set_rows(Dataset& ds, const std::vector<Row>& rows) {
+  ASSERT_EQ(index_rows(ds, rows), "");
 }
 
 /// Device `d`'s samples as rows, in time order.
-inline std::vector<Sample> device_rows(const Dataset& ds, std::size_t d) {
+inline std::vector<Row> device_rows(const Dataset& ds, std::size_t d) {
   const core::DatasetIndex& idx = ds.index();
-  std::vector<Sample> out;
-  std::size_t app = idx.device_app_begin(d);
+  const SampleColumns& c = ds.samples;
+  std::vector<Row> out;
   for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
-    out.push_back(gather_row(ds.samples, i, d, app));
-    app += ds.samples.app_count[i];
+    Row r;
+    r.device = DeviceId{static_cast<std::uint32_t>(d)};
+    r.bin = c.bin[i];
+    r.geo_cell = c.geo_cell[i];
+    r.cell_rx = c.cell_rx[i];
+    r.cell_tx = c.cell_tx[i];
+    r.wifi_rx = c.wifi_rx[i];
+    r.wifi_tx = c.wifi_tx[i];
+    r.ap = ApId{c.ap[i]};
+    r.app_count = c.app_count[i];
+    r.tech = c.tech[i];
+    r.wifi_state = c.wifi_state[i];
+    r.rssi_dbm = c.rssi_dbm[i];
+    r.battery_pct = c.battery_pct[i];
+    r.tethering = (c.flags[i] & SampleColumns::kFlagTethering) != 0;
+    r.scan_pub24_all = c.scan_pub24_all[i];
+    r.scan_pub24_strong = c.scan_pub24_strong[i];
+    r.scan_pub5_all = c.scan_pub5_all[i];
+    r.scan_pub5_strong = c.scan_pub5_strong[i];
+    out.push_back(r);
+  }
+  return out;
+}
+
+/// Every sample of `ds` as rows, in (device, bin) order.
+inline std::vector<Row> rows_of(const Dataset& ds) {
+  std::vector<Row> out;
+  for (std::size_t d = 0; d < ds.devices.size(); ++d) {
+    const std::vector<Row> rows = device_rows(ds, d);
+    out.insert(out.end(), rows.begin(), rows.end());
   }
   return out;
 }
@@ -142,13 +236,28 @@ inline std::vector<Sample> device_rows(const Dataset& ds, std::size_t d) {
 /// True when the two datasets hold the same samples — columns and
 /// per-device layout — and the same app records, byte for byte.
 inline bool same_records(const Dataset& a, const Dataset& b) {
-  const std::vector<Sample> x = gather_rows(a), y = gather_rows(b);
   const auto same = [](const auto& u, const auto& v) {
     return u.size() == v.size() &&
-           (u.empty() || std::memcmp(u.data(), v.data(),
-                                     u.size() * sizeof(u[0])) == 0);
+           (u.empty() || std::memcmp(u.data(), v.data(), u.size_bytes()) == 0);
   };
-  return same(x, y) && same(a.app_traffic.span(), b.app_traffic.span());
+  bool equal = true;
+  SampleColumns::for_each(
+      [&](const auto& x, const auto& y) {
+        equal = equal && same(x.span(), y.span());
+      },
+      a.samples, b.samples);
+  // An empty app range has no position worth comparing: producers
+  // differ in where they put one.
+  const core::SampleLayout& la = a.index().layout();
+  const core::SampleLayout& lb = b.index().layout();
+  equal = equal && la.device_offset == lb.device_offset &&
+          la.app_range.size() == lb.app_range.size();
+  for (std::size_t i = 0; equal && i < la.app_range.size(); i += 2) {
+    const std::size_t n = la.app_range[i + 1] - la.app_range[i];
+    equal = n == lb.app_range[i + 1] - lb.app_range[i] &&
+            (n == 0 || la.app_range[i] == lb.app_range[i]);
+  }
+  return equal && same(a.app_traffic.span(), b.app_traffic.span());
 }
 
 /// Adds an AP with the given ESSID and returns its id.

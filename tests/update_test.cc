@@ -21,7 +21,7 @@ UpdateDetectOptions detect_2015() {
 
 TEST(UpdateDetect, FindsSyntheticBurst) {
   Dataset ds = empty_dataset(2, 15);  // device 1 is iOS
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   const TimeBin start = static_cast<TimeBin>(10 * kBinsPerDay + 120);
   for (int k = 0; k < 4; ++k) {
     add_sample(rows, 1, static_cast<TimeBin>(start + k), 0, 150'000'000u,
@@ -37,7 +37,7 @@ TEST(UpdateDetect, FindsSyntheticBurst) {
 
 TEST(UpdateDetect, SlowAccumulationNotDetected) {
   Dataset ds = empty_dataset(2, 15);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   // 600 MB spread thinly over a whole day: never 80 MB in a bin.
   for (int k = 0; k < kBinsPerDay; ++k) {
     add_sample(rows, 1, static_cast<TimeBin>(10 * kBinsPerDay + k), 0,
@@ -50,7 +50,7 @@ TEST(UpdateDetect, SlowAccumulationNotDetected) {
 
 TEST(UpdateDetect, BurstBeforeMinDayIgnored) {
   Dataset ds = empty_dataset(2, 15);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (int k = 0; k < 4; ++k) {
     add_sample(rows, 1, static_cast<TimeBin>(2 * kBinsPerDay + k), 0,
                150'000'000u, WifiState::Associated, kNoAp);
@@ -63,7 +63,7 @@ TEST(UpdateDetect, BurstBeforeMinDayIgnored) {
 
 TEST(UpdateDetect, CellularBurstDoesNotCount) {
   Dataset ds = empty_dataset(2, 15);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (int k = 0; k < 4; ++k) {
     add_sample(rows, 1, static_cast<TimeBin>(10 * kBinsPerDay + k),
                150'000'000u, 0, WifiState::Off, kNoAp);

@@ -56,7 +56,7 @@ TEST(UserDays, VolumesConserveSampleBytes) {
 
 TEST(UserDays, UpdateDaysExcluded) {
   Dataset ds = empty_dataset(1, 5);
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   for (int d = 0; d < 5; ++d) {
     add_sample(rows, 0, static_cast<TimeBin>(d * kBinsPerDay), 1'000'000u, 0);
   }

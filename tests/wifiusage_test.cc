@@ -23,7 +23,7 @@ using test::campaign_classification;
 using test::empty_dataset;
 
 /// Appends associated samples on `aps`, one per bin from `first`.
-void associate(std::vector<Sample>& rows, std::uint32_t device, int day,
+void associate(std::vector<test::Row>& rows, std::uint32_t device, int day,
                std::initializer_list<ApId> aps, int first = 0) {
   auto bin = static_cast<TimeBin>(day * kBinsPerDay + first);
   for (const ApId ap : aps) {
@@ -114,7 +114,7 @@ TEST(Hpo, CountsDistinctEssidsPerClass) {
   cls.is_office.assign(ds.aps.size(), false);
   cls.is_mobile.assign(ds.aps.size(), false);
 
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   // Device 0, day 0: two BSSIDs of one home ESSID -> (1, 0, 0).
   associate(rows, 0, 0, {home_a, home_a, home_b, home_a, home_b});
   // Day 1: only rows without an AP -> not a counted user-day.
@@ -140,7 +140,7 @@ TEST(ApsPerDay, CountsDistinctBssidsPerDay) {
   const ApId a = add_ap(ds, "aterm-AB12-g");
   const ApId b = add_ap(ds, "aterm-AB12-g");
   const ApId c = add_ap(ds, "0000docomo");
-  std::vector<Sample> rows;
+  std::vector<test::Row> rows;
   associate(rows, 0, 0, {a, b, a, a, b});  // 2 APs
   associate(rows, 0, 1, {c, c, c});        // 1 AP
   add_sample(rows, 0, TimeBin{2 * kBinsPerDay}, 0, 0, WifiState::Associated, kNoAp);

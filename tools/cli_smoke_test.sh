@@ -119,4 +119,22 @@ expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards"
 expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
     --out-of-core
 
+# Ingest: a loopback replay into a 4-shard server commits every record,
+# and the kernels' result over the committed columns is byte-identical
+# to their result over the campaign (exit 4 otherwise).
+expect 0 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 4
+stats="$("${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 4)"
+echo "${stats}" | grep -q "verify:   ingest == batch" || {
+  echo "FAIL: ingest stats must print 'verify:   ingest == batch'" >&2
+  exit 1; }
+echo "ok: ingest stats verifies ingest == batch"
+
+# 3: a CSV field its column cannot hold (battery 356 in the first
+# samples.csv row) is a malformed row, not a narrowed value.
+expect 0 "${tokyonet}" simulate --year 2015 --scale 0.02 --out "${tmp}/csv"
+awk -F, -v OFS=, 'NR == 2 { $12 = 356 } { print }' "${tmp}/csv/samples.csv" \
+    > "${tmp}/csv/samples.edited" &&
+  mv "${tmp}/csv/samples.edited" "${tmp}/csv/samples.csv"
+expect 3 "${tokyonet}" report --in "${tmp}/csv"
+
 echo "PASS: exit-code contract holds"

@@ -68,7 +68,7 @@
 //   tokyonet ingest serve --port P [--host H] [--shards N] [--queue N]
 //                         [--shed] [--sessions N]
 //       Run a TCP ingest server until N sessions have ended, then print
-//       the incremental analysis summary and counters.
+//       the counters and the stream's analysis summary.
 //
 //   tokyonet ingest replay --year Y --port P [--host H] [--scale S]
 //                          [--seed N] [--rate R] [--batch B]
@@ -79,13 +79,14 @@
 //                         [--queue N] [--shed] [--rate R] [--batch B]
 //                         [--multiplier M] [--no-verify]
 //       Loopback replay: stream a campaign through an in-process ingest
-//       server, print throughput/counters, and verify the incremental
-//       results are byte-identical to the batch kernels.
+//       server, print throughput/counters, and verify the kernels' result
+//       over the committed columns is byte-identical to their result
+//       over the original campaign.
 //
 // Exit codes: 0 success; 1 runtime failure; 2 bad usage or malformed
 // flags; 3 load/IO failure (missing input, unreadable file); 4
-// verification failure (golden mismatch, corrupt snapshot, incremental
-// != batch).
+// verification failure (golden mismatch, corrupt snapshot, ingest !=
+// batch).
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -956,7 +957,8 @@ ingest::ReplayOptions replay_options(const Args& args) {
   return opts;
 }
 
-void print_ingest_summary(const ingest::IngestServer& server) {
+void print_ingest_summary(const ingest::IngestServer& server,
+                          const analysis::StreamResult& r) {
   const ingest::IngestCounters c = server.counters();
   std::printf("sessions: %" PRIu64 " opened, %" PRIu64 " closed, %" PRIu64
               " failed\n",
@@ -970,7 +972,6 @@ void print_ingest_summary(const ingest::IngestServer& server) {
               c.batches_committed, c.records_committed,
               c.app_records_committed, c.batches_shed, c.records_shed);
 
-  const analysis::StreamResult r = server.result();
   if (r.totals.n_samples > 0) {
     const double gb = 1024.0 * 1024.0 * 1024.0;
     std::printf("stream:   %" PRIu64 " samples; cellular %.2f GB down, "
@@ -1010,7 +1011,7 @@ int cmd_ingest_serve(const Args& args) {
   }
   listener.stop();
   server.shutdown();
-  print_ingest_summary(server);
+  print_ingest_summary(server, server.result());
   const ingest::IngestCounters c = server.counters();
   return c.sessions_failed > 0 ? kExitFailure : kExitOk;
 }
@@ -1073,15 +1074,16 @@ int cmd_ingest_stats(const Args& args) {
               stats.wall_seconds > 0
                   ? static_cast<double>(stats.records) / stats.wall_seconds
                   : 0.0);
-  print_ingest_summary(server);
+  const analysis::StreamResult result = server.result();
+  print_ingest_summary(server, result);
 
   int rc = clean ? kExitOk : kExitFailure;
   const bool verify = !args.no_verify && args.multiplier <= 1 && !args.shed;
   if (verify && clean) {
     const std::string diff = analysis::compare_stream_results(
-        server.result(), analysis::batch_stream_result(ds));
+        result, analysis::batch_stream_result(ds));
     if (diff.empty()) {
-      std::printf("verify:   incremental == batch (byte-identical)\n");
+      std::printf("verify:   ingest == batch (byte-identical)\n");
     } else {
       std::fprintf(stderr, "verify: MISMATCH: %s\n", diff.c_str());
       rc = kExitVerify;
