@@ -1,8 +1,10 @@
 // Shared 64-bit byte hashing used wherever tokyonet checksums bytes on
-// disk or on the wire: snapshot sections (io/snapshot) and ingest frame
-// payloads (ingest/frame). The algorithm — a splitmix64 finalizer folded
-// over 8-byte words — is part of both formats, so it must not change
-// without bumping their version numbers.
+// disk or on the wire: snapshot sections and shard manifests
+// (io/snapshot, io/shard_store) use hash_bytes, ingest frame payloads
+// (ingest/frame) use hash_bytes_striped. Both algorithms — a splitmix64
+// finalizer folded over 8-byte words, serially or in four stripes — are
+// part of those formats, so neither may change without bumping the
+// formats' version numbers.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +46,11 @@ namespace tokyonet::core {
 /// producing out[l] == hash_bytes(data[l], n[l], seed[l]) exactly. The
 /// fold's serial multiply chain limits hash_bytes() to ~1 word per
 /// ~10 cycles; interleaving four chains keeps the multiplier busy and
-/// roughly triples single-thread checksum throughput (used by
-/// io/snapshot's chunked section checksums, whose per-chunk hashes are
-/// independent by construction). Same bytes, same seeds, same results —
-/// this is a scheduling change, not a format change.
+/// roughly triples single-thread checksum throughput. io/snapshot runs
+/// all of a file's section and chunk chains through it, four at a time;
+/// hash_bytes_striped runs one buffer's four stripes through it. Same
+/// bytes, same seeds, same results — a scheduling change, not a format
+/// change.
 inline void hash_bytes_x4(const void* const data[4], const std::size_t n[4],
                           const std::uint64_t seed[4],
                           std::uint64_t out[4]) noexcept {
@@ -82,6 +85,26 @@ inline void hash_bytes_x4(const void* const data[4], const std::size_t n[4],
     }
     out[l] = hl;
   }
+}
+
+/// Hash of `n` bytes at `data` under `seed`, as four independent
+/// chains: the first three stripes are (n / 32) * 8 bytes each, the
+/// fourth holds the rest, and stripe l is hashed with hash_bytes under
+/// seed + 1 + l. The four results fold into mix64(seed ^ n) in stripe
+/// order. One buffer hashes at hash_bytes_x4's throughput instead of one
+/// serial chain's; the ingest frame checksum (ingest/frame) is this.
+[[nodiscard]] inline std::uint64_t hash_bytes_striped(
+    const void* data, std::size_t n, std::uint64_t seed) noexcept {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  const std::size_t stripe = n / 32 * 8;
+  const void* starts[4] = {p, p + stripe, p + 2 * stripe, p + 3 * stripe};
+  const std::size_t bytes[4] = {stripe, stripe, stripe, n - 3 * stripe};
+  const std::uint64_t seeds[4] = {seed + 1, seed + 2, seed + 3, seed + 4};
+  std::uint64_t out[4];
+  hash_bytes_x4(starts, bytes, seeds, out);
+  std::uint64_t h = mix64(seed ^ n);
+  for (const std::uint64_t v : out) h = mix64(h ^ v);
+  return h;
 }
 
 }  // namespace tokyonet::core

@@ -13,7 +13,7 @@ constexpr std::uint64_t kFrameHashSeed = 0x746B796F696E6731ull;
 
 [[nodiscard]] std::uint64_t payload_crc(const std::uint8_t* data,
                                         std::size_t n) noexcept {
-  return core::hash_bytes(data, n, kFrameHashSeed);
+  return core::hash_bytes_striped(data, n, kFrameHashSeed);
 }
 
 void append_bytes(std::vector<std::uint8_t>& out, const void* data,

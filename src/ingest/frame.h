@@ -16,9 +16,11 @@
 //             are the next app_count records.
 //   End     — clean end of stream (an EOF without End is an error).
 //
-// The payload CRC uses core::hash_bytes, the same 64-bit hash snapshots
-// use for sections. The parser enforces the framing (magic, version,
-// type, length arithmetic, CRC); the server checks the rows themselves
+// The payload CRC is core::hash_bytes_striped: the 64-bit word hash
+// snapshot sections use, run as four independent stripes so a frame is
+// checksummed at multiplier throughput rather than at one serial
+// chain's. The parser enforces the framing (magic, version, type,
+// length arithmetic, CRC); the server checks the rows themselves
 // with core::check_device_run, the validator snapshots and shards go
 // through. Either failure is a clean per-connection error — a
 // malformed frame can never take the server down (ingest/server.h).
@@ -36,7 +38,7 @@ namespace tokyonet::ingest {
 
 inline constexpr std::uint32_t kFrameMagic = 0x464B4954;  // "TIKF" LE
 /// Bump on any change to the header, payload layouts, or CRC.
-inline constexpr std::uint16_t kIngestVersion = 2;
+inline constexpr std::uint16_t kIngestVersion = 3;
 /// Upper bound on a frame payload; a header announcing more is
 /// malformed (it would otherwise let one bad length allocate GBs).
 inline constexpr std::uint32_t kMaxFramePayload = 8u << 20;
@@ -51,7 +53,7 @@ struct FrameHeader {
   std::uint32_t n_samples = 0;
   std::uint32_t n_app = 0;
   std::uint32_t payload_bytes = 0;
-  std::uint64_t payload_crc = 0;  // core::hash_bytes over the payload
+  std::uint64_t payload_crc = 0;  // core::hash_bytes_striped of the payload
 };
 static_assert(sizeof(FrameHeader) == 32);
 

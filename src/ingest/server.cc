@@ -45,14 +45,16 @@ constexpr std::uint32_t kMaxUniverse = 1u << 24;
 }  // namespace
 
 /// The committed stream as a DataSource: one block per server shard,
-/// each a contiguous device range gathered from the shards' columns
+/// each a contiguous device range gathered from the shards' batches
 /// when the scan reaches it. Callers hold every shard's `mu`.
 class IngestServer::CommittedSource final : public analysis::query::DataSource {
  public:
   CommittedSource(const IngestServer& server, const BeginPayload& info)
       : server_(&server), info_(info), frame_(server.gather(info, 0, 0)) {
     for (const std::unique_ptr<Shard>& shard : server.shards_) {
-      n_samples_ += shard->samples.size();
+      for (const std::vector<Batch>& device : shard->batches) {
+        for (const Batch& batch : device) n_samples_ += batch.samples.size();
+      }
     }
   }
 
@@ -141,7 +143,7 @@ bool IngestServer::handle_begin(const BeginPayload& info,
       (info.n_devices + static_cast<std::uint32_t>(config_.shards) - 1) /
       static_cast<std::uint32_t>(config_.shards);
   for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->ranges.assign(per_shard, {});
+    shard->batches.assign(per_shard, {});
     shard->next_bin.assign(per_shard, 0);
   }
   aps_.mut().resize(info.n_aps);
@@ -187,27 +189,19 @@ void IngestServer::worker_loop(Shard& shard) {
   const auto shards = static_cast<std::uint32_t>(config_.shards);
   while (std::optional<Batch> batch = shard.queue.pop()) {
     const std::lock_guard<std::mutex> gate(shard.gate);
-    commit(shard, value(batch->device) / shards, *batch);
+    commit(shard, value(batch->device) / shards, std::move(*batch));
   }
 }
 
 void IngestServer::commit(Shard& shard, std::size_t local_device,
-                          const Batch& batch) {
+                          Batch batch) {
   // The counters move under the commit lock too, so a reader holding
   // every shard lock sees counters that match the committed data.
   std::lock_guard<std::mutex> lk(shard.mu);
   batches_committed_.fetch_add(1, kRelaxed);
   records_committed_.fetch_add(batch.samples.size(), kRelaxed);
   app_records_committed_.fetch_add(batch.app.size(), kRelaxed);
-  shard.ranges[local_device].push_back({shard.samples.size(),
-                                        batch.samples.size(), shard.app.size(),
-                                        batch.app.size()});
-  SampleColumns::for_each(
-      [](auto& to, const auto& from) {
-        to.insert(to.cend(), from.begin(), from.end());
-      },
-      shard.samples, batch.samples);
-  shard.app.insert(shard.app.cend(), batch.app.cbegin(), batch.app.cend());
+  shard.batches[local_device].push_back(std::move(batch));
 }
 
 Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
@@ -230,9 +224,9 @@ Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
 
   std::size_t rows = 0, apps = 0;
   for (std::size_t d = first; d < last; ++d) {
-    for (const Range& r : shards_[d % shards]->ranges[d / shards]) {
-      rows += r.rows;
-      apps += r.apps;
+    for (const Batch& b : shards_[d % shards]->batches[d / shards]) {
+      rows += b.samples.size();
+      apps += b.app.size();
     }
   }
   block.samples.resize_for_overwrite(rows);
@@ -242,19 +236,17 @@ Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
   layout.app_range.resize(2 * block.devices.size());
   std::size_t row = 0, app = 0;
   for (std::size_t d = first; d < last; ++d) {
-    const Shard& shard = *shards_[d % shards];
     layout.device_offset[d - first] = row;
     layout.app_range[2 * (d - first)] = app;
-    for (const Range& r : shard.ranges[d / shards]) {
+    for (const Batch& b : shards_[d % shards]->batches[d / shards]) {
       SampleColumns::for_each(
           [&](auto& to, const auto& from) {
-            std::copy_n(from.data() + r.row, r.rows, to.data() + row);
+            std::copy(from.begin(), from.end(), to.data() + row);
           },
-          block.samples, shard.samples);
-      std::copy_n(shard.app.data() + r.app, r.apps,
-                  block.app_traffic.data() + app);
-      row += r.rows;
-      app += r.apps;
+          block.samples, b.samples);
+      std::copy(b.app.begin(), b.app.end(), block.app_traffic.data() + app);
+      row += b.samples.size();
+      app += b.app.size();
     }
     layout.app_range[2 * (d - first) + 1] = app;
   }
@@ -319,12 +311,8 @@ Dataset IngestServer::collect() const {
 
 // --- Session ------------------------------------------------------------
 
-IngestServer::Session::~Session() {
-  if (!settled_) {
-    error_ = "session destroyed without finish()";
-    settle(/*clean=*/false);
-  }
-}
+// A session destroyed without finish() counts as failed.
+IngestServer::Session::~Session() { settle(/*clean=*/false); }
 
 void IngestServer::Session::settle(bool clean) {
   if (settled_) return;

@@ -6,9 +6,9 @@
 // owning the device (`device % shards`). Each shard has one worker
 // thread of its own. It drains a bounded FIFO queue — blocking
 // producers when it falls behind (backpressure), or dropping batches
-// with a counter in shed mode — and commits each batch's columns to the
-// shard's SampleColumns. result() runs the ordinary batch kernels over
-// the committed columns, mid-stream or after it.
+// with a counter in shed mode — and commits each batch by moving it into
+// its device's list of batches, with no copy. result() runs the ordinary
+// batch kernels over the committed batches, mid-stream or after it.
 //
 // Error discipline: every malformed input — truncated frame, bad CRC,
 // wrong version, a row the validator rejects, bins that do not ascend
@@ -124,7 +124,7 @@ class IngestServer {
   /// batch_stream_result over everything committed so far, safe
   /// mid-stream: holds every shard's commit lock while the kernels scan
   /// one block per shard (a contiguous device range gathered from the
-  /// shards' columns, one block resident at a time). Empty before the
+  /// shards' batches, one block resident at a time). Empty before the
   /// first Begin frame.
   [[nodiscard]] analysis::StreamResult result() const;
 
@@ -153,14 +153,7 @@ class IngestServer {
     core::Column<AppTraffic> app;
   };
 
-  /// One committed batch: rows [row, row + rows) of a shard's columns
-  /// and app records [app, app + apps).
-  struct Range {
-    std::size_t row = 0, rows = 0;
-    std::size_t app = 0, apps = 0;
-  };
-
-  /// One shard: its queue, its worker and its committed columns.
+  /// One shard: its queue, its worker and its committed batches.
   struct Shard {
     explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
 
@@ -175,10 +168,8 @@ class IngestServer {
     std::mutex gate;
     /// Guards the committed data below.
     mutable std::mutex mu;
-    SampleColumns samples;
-    core::Column<AppTraffic> app;
     /// Per owned device: its committed batches, in arrival (= bin) order.
-    std::vector<std::vector<Range>> ranges;
+    std::vector<std::vector<Batch>> batches;
   };
 
   class CommittedSource;
@@ -187,7 +178,7 @@ class IngestServer {
                                   std::string* error);
   [[nodiscard]] bool route(Batch batch, std::string* error);
   void worker_loop(Shard& shard);
-  void commit(Shard& shard, std::size_t local_device, const Batch& batch);
+  void commit(Shard& shard, std::size_t local_device, Batch batch);
   /// Devices [first, last) as a block Dataset with local device ids.
   /// Callers hold every shard's `mu`.
   [[nodiscard]] Dataset gather(const BeginPayload& info, std::size_t first,

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/dataset_index.h"
@@ -181,46 +182,67 @@ constexpr std::uint64_t kHashSeed = 0x746B796F6E657431ull;
 using core::hash_bytes;
 using core::mix64;
 
-/// Section checksum, computed in fixed 4 MiB chunks so big sections
-/// (samples, app traffic) hash on the core/parallel pool. The chunking
-/// is part of the format: save and load both call this. Chunk hashes
-/// are independent, so each parallel task hashes a group of four chunks
-/// through the interleaved core::hash_bytes_x4 kernel — same per-chunk
-/// values, ~3x the single-thread throughput.
-[[nodiscard]] std::uint64_t section_checksum(const void* data,
-                                             std::size_t n) {
+/// Every section's checksum. A section of up to 4 MiB is one hash chain
+/// whose value is its checksum; a larger one is one chain per fixed
+/// 4 MiB chunk (chunk c under seed kHashSeed + 1 + c), folded in chunk
+/// order. The chunking is part of the format: save and load both call
+/// this. All chains are independent, so they run four at a time through
+/// the interleaved core::hash_bytes_x4 kernel on the core/parallel pool,
+/// longest first so that the four lanes of a group are of similar
+/// length — the same values as hashing each chain alone.
+[[nodiscard]] std::array<std::uint64_t, kNumSections> section_checksums(
+    const void* const (&data)[kNumSections],
+    const SnapshotSection (&table)[kNumSections]) {
   constexpr std::size_t kChunk = std::size_t{4} << 20;
-  if (n <= kChunk) return hash_bytes(data, n, kHashSeed);
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  const std::size_t n_chunks = (n + kChunk - 1) / kChunk;
-  const std::size_t n_groups = (n_chunks + 3) / 4;
-  std::vector<std::uint64_t> hashes(n_chunks);
-  core::parallel_for(n_groups, [&](std::size_t g) {
-    const std::size_t first = g * 4;
-    const std::size_t last = std::min(first + 4, n_chunks);
-    if (last - first == 4) {
-      const void* chunk[4];
-      std::size_t bytes[4];
-      std::uint64_t seed[4];
-      for (std::size_t l = 0; l < 4; ++l) {
-        const std::size_t c = first + l;
-        const std::size_t begin = c * kChunk;
-        chunk[l] = p + begin;
-        bytes[l] = std::min(begin + kChunk, n) - begin;
-        seed[l] = kHashSeed + 1 + c;
-      }
-      core::hash_bytes_x4(chunk, bytes, seed, hashes.data() + first);
-    } else {
-      for (std::size_t c = first; c < last; ++c) {
-        const std::size_t begin = c * kChunk;
-        const std::size_t end = std::min(begin + kChunk, n);
-        hashes[c] = hash_bytes(p + begin, end - begin, kHashSeed + 1 + c);
-      }
+  struct Chain {
+    std::uint32_t section;
+    std::uint64_t seed;
+    const std::uint8_t* data;
+    std::size_t bytes;
+    std::uint64_t hash = 0;
+  };
+  std::vector<Chain> chains;
+  for (std::uint32_t s = 0; s < kNumSections; ++s) {
+    const auto* p = static_cast<const std::uint8_t*>(data[s]);
+    const auto n = static_cast<std::size_t>(table[s].bytes);
+    if (n <= kChunk) chains.push_back({s, kHashSeed, p, n});
+    for (std::size_t at = 0; n > kChunk && at < n; at += kChunk) {
+      chains.push_back(
+          {s, kHashSeed + 1 + at / kChunk, p + at, std::min(kChunk, n - at)});
     }
+  }
+  std::sort(chains.begin(), chains.end(), [](const Chain& a, const Chain& b) {
+    return a.bytes > b.bytes;
   });
-  std::uint64_t h = mix64(kHashSeed ^ n);
-  for (std::uint64_t v : hashes) h = mix64(h ^ v);
-  return h;
+  core::parallel_for((chains.size() + 3) / 4, [&](std::size_t g) {
+    const void* lane_data[4] = {};
+    std::size_t lane_bytes[4] = {};
+    std::uint64_t lane_seed[4] = {};
+    std::uint64_t out[4];
+    const std::size_t lanes = std::min<std::size_t>(4, chains.size() - 4 * g);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const Chain& c = chains[4 * g + l];
+      lane_data[l] = c.data;
+      lane_bytes[l] = c.bytes;
+      lane_seed[l] = c.seed;
+    }
+    core::hash_bytes_x4(lane_data, lane_bytes, lane_seed, out);
+    for (std::size_t l = 0; l < lanes; ++l) chains[4 * g + l].hash = out[l];
+  });
+
+  // Back to section and chunk order for the fold.
+  std::sort(chains.begin(), chains.end(), [](const Chain& a, const Chain& b) {
+    return std::tie(a.section, a.seed) < std::tie(b.section, b.seed);
+  });
+  std::array<std::uint64_t, kNumSections> sums{};
+  for (std::uint32_t s = 0; s < kNumSections; ++s) {
+    sums[s] = mix64(kHashSeed ^ table[s].bytes);
+  }
+  for (const Chain& c : chains) {
+    std::uint64_t& h = sums[c.section];
+    h = table[c.section].bytes <= kChunk ? c.hash : mix64(h ^ c.hash);
+  }
+  return sums;
 }
 
 [[nodiscard]] std::uint64_t header_table_checksum(
@@ -435,10 +457,12 @@ SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
     table[s].id = s;
     table[s].offset = offset;
     table[s].bytes = counts[s] * sizes[s];
-    // Big sections hash in parallel chunks on the core/parallel pool.
-    table[s].checksum = section_checksum(
-        payloads[s], static_cast<std::size_t>(table[s].bytes));
     offset = align_up(offset + table[s].bytes);
+  }
+  const std::array<std::uint64_t, kNumSections> sums =
+      section_checksums(payloads, table);
+  for (std::uint32_t s = 0; s < kNumSections; ++s) {
+    table[s].checksum = sums[s];
   }
   header.header_checksum = header_table_checksum(header, table);
 
@@ -670,19 +694,24 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
   }
   const std::uint8_t* const base = map ? map->data() : owned.data();
   const std::uint8_t* section_data[kNumSections] = {};
+  const void* section_void[kNumSections] = {};
   for (std::uint32_t s = 0; s < kNumSections; ++s) {
-    const std::size_t bytes = static_cast<std::size_t>(table[s].bytes);
     section_data[s] = base + table[s].offset;
-    // Parallel-chunked for the big sections, same as on save. Callers
-    // that already verified this file's payload in the same process
-    // (io/shard_store's once-per-open discipline) may skip the rehash;
-    // the header + section-table checksum above always runs.
-    if (opts.verify_payload &&
-        section_checksum(section_data[s], bytes) != table[s].checksum) {
-      result.error = path_err(
-          path, "checksum mismatch in section " + std::to_string(s) +
-                    " (corrupted file)");
-      return result;
+    section_void[s] = section_data[s];
+  }
+  // Callers that already verified this file's payload in the same
+  // process (io/shard_store's once-per-open discipline) may skip the
+  // rehash; the header + section-table checksum above always runs.
+  if (opts.verify_payload) {
+    const std::array<std::uint64_t, kNumSections> sums =
+        section_checksums(section_void, table);
+    for (std::uint32_t s = 0; s < kNumSections; ++s) {
+      if (sums[s] != table[s].checksum) {
+        result.error = path_err(
+            path, "checksum mismatch in section " + std::to_string(s) +
+                      " (corrupted file)");
+        return result;
+      }
     }
   }
 

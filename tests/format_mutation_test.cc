@@ -1,14 +1,18 @@
 // Mutation sweep over the byte-level formats. A tiny snapshot, one
-// shard of a two-shard store and an ingest frame stream, all built here
-// from hand-made rows, are truncated at every offset, flipped at every
-// byte and hit with seeded multi-byte mutations. Every file mutant must
-// load as a clean error, or as a dataset that validates and renders the
-// per-year figure catalog; every stream mutant must fail its session
-// cleanly or commit rows the kernels answer consistently — never crash,
-// report undefined behaviour or hang. The ASan job runs this suite.
+// shard of a two-shard store, the manifest of a three-shard store and
+// an ingest frame stream, all built here from hand-made rows, are
+// truncated at every offset, flipped at every byte and hit with seeded
+// multi-byte mutations. Every file mutant must load as a clean error,
+// or as a dataset that validates (and, for snapshots and shards,
+// renders the per-year figure catalog); every stream mutant must fail
+// its session cleanly or commit rows the kernels answer consistently —
+// never crash, report undefined behaviour or hang. The ASan job runs
+// this suite.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstddef>
+#include <cstdio>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -85,9 +89,10 @@ void write_file(const fs::path& p, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Writes the campaign as a two-shard store: a universe file plus
-/// devices [0, 2) and [2, 4), and the manifest over them.
-void write_store(const fs::path& dir) {
+/// Writes the campaign as a store of `n_shards` contiguous device
+/// ranges (two shards: devices [0, 2) and [2, 4)): a universe file, the
+/// shard files and the manifest over them.
+void write_store(const fs::path& dir, std::uint32_t n_shards) {
   fs::create_directories(dir);
   const Dataset full = tiny_campaign(0, kDevices);
   io::ShardManifest m;
@@ -110,15 +115,17 @@ void write_store(const fs::path& dir) {
   m.universe_bytes = info.file_bytes;
   m.universe_checksum = info.header_checksum;
 
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    Dataset shard = tiny_campaign(2 * i, 2);
+  for (std::uint32_t i = 0; i < n_shards; ++i) {
+    const std::uint32_t begin = i * kDevices / n_shards;
+    const std::uint32_t count = (i + 1) * kDevices / n_shards - begin;
+    Dataset shard = tiny_campaign(begin, count);
     shard.aps = {};  // the universe file carries them
     shard.truth.aps = {};
     io::ShardEntry e;
     e.index = i;
     e.file = "shard-000" + std::to_string(i) + ".tksnap";
-    e.device_begin = 2 * i;
-    e.device_count = 2;
+    e.device_begin = begin;
+    e.device_count = count;
     ASSERT_TRUE(io::save_snapshot(shard, dir / e.file).ok());
     ASSERT_TRUE(io::read_snapshot_info(dir / e.file, info).ok());
     e.n_samples = info.n_samples;
@@ -232,7 +239,7 @@ TEST(FormatMutation, SnapshotMutantsFailCleanlyOrLoadSound) {
 TEST(FormatMutation, ShardMutantsFailCleanlyOrLoadSound) {
   test::ScratchDir tmp;
   const fs::path dir = tmp.path / "store";
-  write_store(dir);
+  write_store(dir, 2);
   const fs::path shard = dir / "shard-0001.tksnap";
   const std::vector<char> original = read_file(shard);
   sweep(shard, original, [&]() -> std::optional<Dataset> {
@@ -244,6 +251,58 @@ TEST(FormatMutation, ShardMutantsFailCleanlyOrLoadSound) {
     }
     return ds;
   });
+}
+
+/// `manifest` with its trailing checksum line recomputed over the body,
+/// so a mutant reaches the line parser and the structural checks behind
+/// the checksum. The body ends after the last "\nchecksum " (all of
+/// `manifest` when there is none); the seed is the manifest format's
+/// (io/shard_store.cc).
+std::vector<char> reseal(const std::vector<char>& manifest) {
+  constexpr std::uint64_t kManifestHashSeed = 0x746B736861726431ull;
+  const std::string text(manifest.begin(), manifest.end());
+  const std::size_t at = text.rfind("\nchecksum ");
+  std::string body = at == std::string::npos ? text : text.substr(0, at + 1);
+  char line[32];
+  std::snprintf(line, sizeof(line), "checksum %016" PRIx64 "\n",
+                core::hash_bytes(body.data(), body.size(), kManifestHashSeed));
+  body += line;
+  return {body.begin(), body.end()};
+}
+
+// The manifest of a three-shard store. Every mutant either fails
+// ShardedDataset::open with an error, or opens a store whose every
+// shard loads and validates. The checksum line rejects nearly every
+// raw mutant, so the sweep runs twice: as mutated, and resealed.
+TEST(FormatMutation, ShardManifestMutantsFailCleanly) {
+  test::ScratchDir tmp;
+  const fs::path dir = tmp.path / "store";
+  write_store(dir, 3);
+  const fs::path manifest = dir / io::kShardManifestName;
+  const std::vector<char> original = read_file(manifest);
+  ASSERT_EQ(reseal(original), original);
+
+  int opened = 0;
+  const auto check = [&](const std::vector<char>& bytes,
+                         const std::string& what) {
+    write_file(manifest, bytes);
+    io::ShardedDataset store;
+    if (!io::ShardedDataset::open(dir, store).ok()) return;
+    ++opened;
+    for (std::size_t i = 0; i < store.num_shards(); ++i) {
+      Dataset ds;
+      const io::SnapshotResult load = store.load_shard(i, ds);
+      ASSERT_TRUE(load.ok()) << what << ": shard " << i << ": " << load.error;
+      ASSERT_EQ(ds.validate(), "") << what << ": shard " << i;
+    }
+  };
+  for_each_mutant(original, check);
+  for_each_mutant(original, [&](const std::vector<char>& bytes,
+                                const std::string& what) {
+    check(reseal(bytes), what + ", resealed");
+  });
+  check(original, "original");
+  EXPECT_GE(opened, 1);
 }
 
 // The ingest stream: Begin, the tiny campaign's rows in Records frames

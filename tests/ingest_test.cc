@@ -186,9 +186,10 @@ TEST(IngestFrameTest, BadMagicPoisonsParser) {
 }
 
 TEST(IngestFrameTest, WrongVersionRejected) {
-  // Version 1 (the row-struct frames) and a future version alike fail
-  // the session with the version error.
-  for (const std::uint16_t version : {1, 99}) {
+  // Version 1 (the row-struct frames), version 2 (column frames under
+  // the serial checksum) and a future version alike fail the session
+  // with the version error.
+  for (const std::uint16_t version : {1, 2, 99}) {
     std::vector<std::uint8_t> bytes;
     encode_begin(begin_payload_for(tiny_dataset()), bytes);
     FrameHeader h;
@@ -410,7 +411,7 @@ TEST(IngestServerTest, LoopbackStreamCommitsAndMatchesBatch) {
   EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
             "");
 
-  // The committed columns reassemble to the producer's exact records.
+  // The committed batches reassemble to the producer's exact records.
   EXPECT_TRUE(test::same_records(server.collect(), ds));
 }
 

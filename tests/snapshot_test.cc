@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -223,6 +224,28 @@ TEST(Snapshot, EmptyDatasetRoundTrips) {
   EXPECT_EQ(loaded.aps.size(), 0u);
   EXPECT_EQ(loaded.num_days(), 1);
   EXPECT_EQ(info.n_samples, 0u);
+}
+
+// Every section checksum of a test-scale 2015 campaign, pinned through
+// the header checksum that covers them all. Save and load schedule the
+// sections' hash chains four at a time (io/snapshot.cc); the values are
+// part of the format and must not move with the scheduling. The samples
+// columns span small one-chain sections and multi-chunk ones.
+TEST(Snapshot, SectionChecksumsPinned) {
+  test::ScratchDir tmp;
+  const fs::path file = tmp.path / "y2015.tksnap";
+  ASSERT_TRUE(io::save_snapshot(test::campaign(Year::Y2015), file).ok());
+  io::SnapshotInfo info;
+  ASSERT_TRUE(io::read_snapshot_info(file, info).ok());
+  std::uint64_t largest = 0;
+  for (const io::SnapshotSection& s : info.sections) {
+    largest = std::max(largest, s.bytes);
+  }
+  EXPECT_GT(largest, std::uint64_t{4} << 20);
+  EXPECT_EQ(info.header_checksum, 0x71bafe9b93fe4b68ull);
+  Dataset loaded;
+  const io::SnapshotResult r = io::load_snapshot(file, loaded);
+  EXPECT_TRUE(r.ok()) << r.error;
 }
 
 // --- Corruption rejection ---------------------------------------------

@@ -120,7 +120,7 @@ expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
     --out-of-core
 
 # Ingest: a loopback replay into a 4-shard server commits every record,
-# and the kernels' result over the committed columns is byte-identical
+# and the kernels' result over the committed batches is byte-identical
 # to their result over the campaign (exit 4 otherwise).
 expect 0 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 4
 stats="$("${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 4)"
