@@ -17,6 +17,13 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 /// one frame allocate per-entity state for billions of ids.
 constexpr std::uint32_t kMaxUniverse = 1u << 24;
 
+/// A committed batch with fewer rows takes the device's next batch into
+/// its own columns. Every committed batch but a device's last then holds
+/// at least this many rows, so a Batch's ~1 KB of column handles costs a
+/// few bytes per row whatever size of frame the peer sends; frames of
+/// this size or more are committed with no copy.
+constexpr std::size_t kMinBatchRows = 256;
+
 [[nodiscard]] bool validate_begin(const BeginPayload& info,
                                   std::string* error) {
   if (info.year < 2013 || info.year > 2015) {
@@ -201,7 +208,23 @@ void IngestServer::commit(Shard& shard, std::size_t local_device,
   batches_committed_.fetch_add(1, kRelaxed);
   records_committed_.fetch_add(batch.samples.size(), kRelaxed);
   app_records_committed_.fetch_add(batch.app.size(), kRelaxed);
-  shard.batches[local_device].push_back(std::move(batch));
+  std::vector<Batch>& device = shard.batches[local_device];
+  if (device.empty() || device.back().samples.size() >= kMinBatchRows) {
+    device.push_back(std::move(batch));
+    return;
+  }
+  // Reserving the floor first lets a run of small frames fill the last
+  // batch with one reallocation.
+  Batch& last = device.back();
+  const std::size_t rows =
+      std::max(kMinBatchRows, last.samples.size() + batch.samples.size());
+  SampleColumns::for_each(
+      [rows](auto& to, const auto& from) {
+        to.reserve(rows);
+        to.insert(to.cend(), from.begin(), from.end());
+      },
+      last.samples, batch.samples);
+  last.app.insert(last.app.cend(), batch.app.cbegin(), batch.app.cend());
 }
 
 Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,

@@ -7,7 +7,8 @@
 // thread of its own. It drains a bounded FIFO queue — blocking
 // producers when it falls behind (backpressure), or dropping batches
 // with a counter in shed mode — and commits each batch by moving it into
-// its device's list of batches, with no copy. result() runs the ordinary
+// its device's list of batches, with no copy, or, while the device's last
+// batch is small, by appending it there. result() runs the ordinary
 // batch kernels over the committed batches, mid-stream or after it.
 //
 // Error discipline: every malformed input — truncated frame, bad CRC,
@@ -168,7 +169,8 @@ class IngestServer {
     std::mutex gate;
     /// Guards the committed data below.
     mutable std::mutex mu;
-    /// Per owned device: its committed batches, in arrival (= bin) order.
+    /// Per owned device: its committed batches, in arrival (= bin) order;
+    /// all but the last hold at least kMinBatchRows rows (server.cc).
     std::vector<std::vector<Batch>> batches;
   };
 

@@ -629,6 +629,25 @@ TEST(IngestServerTest, FrozenMidStreamResultMatchesCollect) {
             "");
 }
 
+TEST(IngestServerTest, SmallFramesMergeIntoTheProducersRecords) {
+  // 8-row frames fill a device's last batch exactly to the row floor;
+  // 100-row frames cross it (100, 200, then 300 rows in one batch).
+  const Dataset& ds = test::campaign(Year::Y2013);
+  for (const std::size_t batch_records : {std::size_t{8}, std::size_t{100}}) {
+    IngestServer server({.shards = 2});
+    auto session = server.connect();
+    ASSERT_TRUE(session->feed(encode_stream(ds, batch_records)))
+        << session->error();
+    ASSERT_TRUE(session->finish()) << session->error();
+    server.shutdown();
+    EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
+              "")
+        << batch_records << "-row frames";
+    EXPECT_TRUE(test::same_records(server.collect(), ds))
+        << batch_records << "-row frames";
+  }
+}
+
 // --- The headline invariant: ingest == batch, byte for byte -------------
 
 class ReplayEquivalenceTest : public ::testing::TestWithParam<Year> {};
