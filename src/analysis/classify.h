@@ -19,7 +19,7 @@
 
 namespace tokyonet::analysis {
 
-/// Tunables, exposed for the ablation bench (DESIGN.md §6).
+/// Tunables, exposed for the ablation figures (DESIGN.md §6).
 struct ClassifyOptions {
   /// Minimum presence in the nightly window for a home candidate.
   double home_presence_threshold = 0.70;

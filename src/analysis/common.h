@@ -58,7 +58,7 @@ enum class UserClass : std::uint8_t { Light, Heavy, Neither };
 /// Classifies every user-day by its total download volume.
 class UserClassifier {
  public:
-  /// Thresholds can be overridden for the ablation bench.
+  /// Thresholds can be overridden for the ablation figures.
   explicit UserClassifier(const std::vector<UserDay>& days,
                           double light_lo_pct = 40, double light_hi_pct = 60,
                           double heavy_pct = 95);

@@ -6,9 +6,8 @@
 // classifier, the AP classification and the per-device home-cell
 // inference. AnalysisContext computes each of them at most once per
 // campaign — lazily, thread-safely via std::call_once — so the CLI, the
-// bench suite (bench/common.cc) and any multi-kernel driver pay for a
-// shared intermediate exactly once no matter how many kernels consume
-// it.
+// benchmark driver and any multi-kernel driver pay for a shared
+// intermediate exactly once no matter how many kernels consume it.
 //
 // The context runs over a query::DataSource, and both backends take the
 // same path: each intermediate is one fold_blocks pass, folding block

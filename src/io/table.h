@@ -1,5 +1,5 @@
-// Plain-text table/series printers used by the bench harnesses to emit
-// paper-style rows.
+// Plain-text table/series printers behind report::to_text() and the
+// CLI's listings.
 #pragma once
 
 #include <cstdio>

@@ -3,7 +3,7 @@
 // A FigureSpec names a reproduction (id, title, paper reference), the
 // campaign years the paper shows it for, and a pure function from an
 // analysis context to a report::Table. The CLI (`tokyonet fig`), the
-// bench binaries and the golden-file regression harness all execute
+// benchmark driver and the golden-file regression harness all execute
 // figures through this one catalog — there is no second wiring.
 //
 // Registration is explicit (report/figures.h) and happens on first use

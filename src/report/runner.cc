@@ -91,7 +91,7 @@ void Runner::resolve(Year year) {
       sim::CampaignCacheStatus status;
       ds_[i] = std::make_unique<Dataset>(sim::cached_campaign(config, &status));
       if (status.enabled && opt_.announce_cache) {
-        // run_bench.sh greps these lines to count cache hits per run.
+        // tools/cache_smoke_test.sh greps these lines to count cache hits.
         std::printf("tokyonet-cache: %s %s\n", status.hit ? "hit" : "miss",
                     status.path.string().c_str());
         if (!status.detail.empty()) {

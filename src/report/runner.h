@@ -4,9 +4,8 @@
 // (sim::cached_campaign; TOKYONET_CACHE_DIR), builds exactly one
 // analysis::AnalysisContext per year (std::call_once, shared by every
 // figure), and renders any FigureSpec as a report::Table. The CLI, the
-// bench binaries (bench/common.cc routes its old per-binary lazy
-// caches here) and the golden harness all drive figures through this
-// class.
+// benchmark driver and the golden harness all drive figures through
+// this class.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +32,7 @@ class Runner {
     /// Simulation seed override (default: the scenario's).
     std::optional<std::uint64_t> seed;
     /// Print "tokyonet-cache: hit|miss <path>" lines when the campaign
-    /// cache is enabled (run_bench.sh counts them).
+    /// cache is enabled (tools/cache_smoke_test.sh counts them).
     bool announce_cache = false;
   };
 

@@ -5,7 +5,7 @@
 // (registry id, title, paper reference, campaign year, free-form
 // notes). One model, three emitters:
 //   - to_text():  the aligned console rendering (io::TextTable) the
-//                 bench binaries and the CLI print;
+//                 CLI prints;
 //   - to_csv():   machine-readable rows;
 //   - to_canonical_json(): byte-stable JSON — keys in sorted order,
 //                 floats in shortest round-trip form — used by the

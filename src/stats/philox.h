@@ -352,8 +352,8 @@ class PhiloxRng {
   /// Refill policy: one block per fill, on demand. Simulator lanes are
   /// short (a handful of draws per bin), so prefetching a second block
   /// via philox4x32_pair wastes a whole block whenever the lane stops on
-  /// an odd block boundary — measured as a net loss on the campaign
-  /// bench. The pair kernel stays available for bulk columnar fills
+  /// an odd block boundary — measured as a net loss on campaign
+  /// simulation time. The pair kernel stays available for bulk columnar fills
   /// where the draw count is known up front.
   void refill() noexcept {
     const std::array<std::uint32_t, 4> x =

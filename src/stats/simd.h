@@ -22,7 +22,7 @@
 
 namespace tokyonet::stats::simd {
 
-/// Name of the instruction set the shim compiled to, for bench logs.
+/// Name of the instruction set the shim compiled to, for benchmark logs.
 [[nodiscard]] constexpr const char* active_isa() noexcept {
 #if defined(TOKYONET_SIMD_SSE2)
   return "sse2";

@@ -1,13 +1,13 @@
 // Mutation sweep over the byte-level formats. A tiny snapshot, one
-// shard of a two-shard store, the manifest of a three-shard store and
-// an ingest frame stream, all built here from hand-made rows, are
-// truncated at every offset, flipped at every byte and hit with seeded
-// multi-byte mutations. Every file mutant must load as a clean error,
-// or as a dataset that validates (and, for snapshots and shards,
-// renders the per-year figure catalog); every stream mutant must fail
-// its session cleanly or commit rows the kernels answer consistently —
-// never crash, report undefined behaviour or hang. The ASan job runs
-// this suite.
+// shard of a two-shard store, the manifest of a three-shard store, each
+// file of a CSV export and an ingest frame stream, all built here from
+// hand-made rows, are truncated at every offset, flipped at every byte
+// and hit with seeded multi-byte mutations. Every file mutant must load
+// as a clean error, or as a dataset that validates (and, for snapshots,
+// shards and CSV exports, renders the per-year figure catalog); every
+// stream mutant must fail its session cleanly or commit rows the
+// kernels answer consistently — never crash, report undefined
+// behaviour or hang. The ASan job runs this suite.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -29,6 +29,7 @@
 #include "core/hash.h"
 #include "ingest/replay.h"
 #include "ingest/server.h"
+#include "io/csv.h"
 #include "io/shard_store.h"
 #include "io/snapshot.h"
 #include "report/registry.h"
@@ -181,7 +182,27 @@ void sweep(const fs::path& target, const std::vector<char>& original,
     if (!ds) return;
     ++loaded;
     ASSERT_EQ(ds->validate(), "") << what;
-    std::uint64_t h = 0;
+    // Every field a kernel reads, so that each distinct dataset renders.
+    std::uint64_t h = core::hash_bytes(&ds->year, sizeof(ds->year), 0);
+    const Date start = ds->calendar.start_date();
+    const int frame[] = {start.year, start.month, start.day,
+                         ds->calendar.num_days()};
+    h = core::hash_bytes(frame, sizeof(frame), h);
+    for (const DeviceInfo& d : ds->devices) {
+      const std::uint32_t fields[] = {
+          value(d.id), static_cast<std::uint32_t>(d.os),
+          static_cast<std::uint32_t>(d.carrier), d.recruited ? 1u : 0u};
+      h = core::hash_bytes(fields, sizeof(fields), h);
+    }
+    for (const SurveyResponse& r : ds->survey) {
+      const std::uint32_t fields[] = {
+          static_cast<std::uint32_t>(r.occupation),
+          static_cast<std::uint32_t>(r.connected[0]),
+          static_cast<std::uint32_t>(r.connected[1]),
+          static_cast<std::uint32_t>(r.connected[2]),
+          r.reasons[0], r.reasons[1], r.reasons[2]};
+      h = core::hash_bytes(fields, sizeof(fields), h);
+    }
     SampleColumns::for_each(
         [&](const auto& c) {
           h = core::hash_bytes(c.data(), c.span().size_bytes(), h);
@@ -196,6 +217,9 @@ void sweep(const fs::path& target, const std::vector<char>& original,
       h = core::hash_bytes(&a, sizeof(a), h);
     }
     for (const ApInfo& ap : ds->aps) {
+      const std::uint32_t fields[] = {static_cast<std::uint32_t>(ap.band),
+                                      ap.channel};
+      h = core::hash_bytes(fields, sizeof(fields), h);
       h = core::hash_bytes(ap.essid.data(), ap.essid.size(), h ^ ap.bssid);
     }
     if (!rendered.insert(h).second) return;
@@ -251,6 +275,30 @@ TEST(FormatMutation, ShardMutantsFailCleanlyOrLoadSound) {
     }
     return ds;
   });
+}
+
+// A CSV export (io/csv.h): each of its six files is swept in turn, the
+// others left as written. A mutant either fails load_dataset_csv, which
+// the CLI reports as exit 3, or loads a dataset that validates and
+// renders the per-year catalog.
+TEST(FormatMutation, CsvMutantsFailCleanlyOrLoadSound) {
+  test::ScratchDir tmp;
+  const fs::path dir = tmp.path / "csv";
+  ASSERT_TRUE(io::save_dataset_csv(tiny_campaign(0, kDevices), dir).ok());
+  for (const char* name : {"meta.csv", "devices.csv", "aps.csv",
+                           "samples.csv", "apps.csv", "survey.csv"}) {
+    SCOPED_TRACE(name);
+    const fs::path file = dir / name;
+    const std::vector<char> original = read_file(file);
+    ASSERT_FALSE(original.empty());
+    ASSERT_LE(original.size(), std::size_t{16} << 10);
+    sweep(file, original, [&]() -> std::optional<Dataset> {
+      Dataset ds;
+      if (!io::load_dataset_csv(dir, ds).ok()) return std::nullopt;
+      return ds;
+    });
+    write_file(file, original);
+  }
 }
 
 /// `manifest` with its trailing checksum line recomputed over the body,

@@ -39,6 +39,20 @@ expect 2 "${tokyonet}" fig run fig01 --year 2015  # longitudinal: no --year
 expect 2 "${tokyonet}" fig run table01 --year 2015 --format yaml
 expect 2 "${tokyonet}" report --year 2020
 
+# 2: a count outside its range is a usage error, never clamped into it.
+# The ingest shard cap is checked while parsing, before the server
+# starts its one worker thread per shard.
+expect 2 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --batch 0
+expect 2 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 0
+expect 2 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 257
+expect 2 "${tokyonet}" snapshot shard --year 2015 --scale 0.02 \
+    --out "${tmp}/negative" --shards -1
+expect 2 "${tokyonet}" ingest serve --port 70000  # not wrapped to 4464
+rejection="$("${tokyonet}" ingest stats --year 2015 --batch 0 2>&1 || true)"
+echo "${rejection}" | grep -q -- "--batch must be at least 1" || {
+  echo "FAIL: an out-of-range count must name its flag" >&2; exit 1; }
+echo "ok: an out-of-range count names its flag"
+
 # 3: missing inputs.
 expect 3 "${tokyonet}" report --in "${tmp}/no-such-dir"
 expect 3 "${tokyonet}" snapshot load --in "${tmp}/missing.snap"

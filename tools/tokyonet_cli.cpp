@@ -68,7 +68,8 @@
 //   tokyonet ingest serve --port P [--host H] [--shards N] [--queue N]
 //                         [--shed] [--sessions N]
 //       Run a TCP ingest server until N sessions have ended, then print
-//       the counters and the stream's analysis summary.
+//       the counters and the stream's analysis summary. An ingest server
+//       runs one worker thread per shard, so --shards is 1..256.
 //
 //   tokyonet ingest replay --year Y --port P [--host H] [--scale S]
 //                          [--seed N] [--rate R] [--batch B]
@@ -84,7 +85,8 @@
 //       over the original campaign.
 //
 // Exit codes: 0 success; 1 runtime failure; 2 bad usage or malformed
-// flags; 3 load/IO failure (missing input, unreadable file); 4
+// flags (a count out of its range included: --batch 0 is an error, not
+// a 1-row batch); 3 load/IO failure (missing input, unreadable file); 4
 // verification failure (golden mismatch, corrupt snapshot, ingest !=
 // batch).
 #include <cerrno>
@@ -127,6 +129,11 @@ constexpr int kExitFailure = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitLoad = 3;
 constexpr int kExitVerify = 4;
+
+// The most shards `ingest` accepts. IngestServer starts one worker thread
+// per shard in its constructor, so the cap is checked while parsing,
+// before any thread starts.
+constexpr int kMaxIngestShards = 256;
 
 struct Args {
   std::string command;
@@ -197,8 +204,11 @@ int usage() {
                "  tokyonet ingest stats --year Y [--scale S] [--seed N] "
                "[--shards N] [--queue N] [--shed] [--rate R] [--batch B] "
                "[--multiplier M] [--no-verify]\n"
+               "ingest --shards is 1..%d; --queue, --sessions, --batch and "
+               "--multiplier are at least 1\n"
                "exit codes: 0 ok, 1 failure, 2 usage, 3 load/IO, "
-               "4 verification\n");
+               "4 verification\n",
+               kMaxIngestShards);
   return kExitUsage;
 }
 
@@ -215,6 +225,23 @@ bool parse_int_flag(const char* flag, const char* value, int& out) {
     return false;
   }
   out = static_cast<int>(parsed);
+  return true;
+}
+
+// A count flag: an integer in [lo, hi]. A value outside the range is bad
+// usage, never clamped into it.
+bool parse_count_flag(const char* flag, const char* value, int lo, int hi,
+                      int& out) {
+  if (!parse_int_flag(flag, value, out)) return false;
+  if (out < lo || out > hi) {
+    if (hi == INT_MAX) {
+      std::fprintf(stderr, "%s must be at least %d, got %d\n", flag, lo, out);
+    } else {
+      std::fprintf(stderr, "%s must be in %d..%d, got %d\n", flag, lo, hi,
+                   out);
+    }
+    return false;
+  }
   return true;
 }
 
@@ -302,7 +329,9 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (v == nullptr) return false;
       int k = 0;
-      if (!parse_int_flag("--resident-shards", v, k) || k < 0) return false;
+      if (!parse_count_flag("--resident-shards", v, 0, INT_MAX, k)) {
+        return false;
+      }
       args.resident_shards = static_cast<std::size_t>(k);
     } else if (flag == "--format") {
       const char* v = next();
@@ -325,19 +354,30 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--port") {
       const char* v = next();
       if (v == nullptr) return false;
-      if (!parse_int_flag("--port", v, args.port)) return false;
+      if (!parse_count_flag("--port", v, 1, 65535, args.port)) return false;
     } else if (flag == "--shards") {
       const char* v = next();
       if (v == nullptr) return false;
-      if (!parse_int_flag("--shards", v, args.shards)) return false;
+      // An ingest server needs at least one shard; a store's 0 means
+      // "size the shards automatically".
+      const bool ingest = args.command == "ingest";
+      if (!parse_count_flag("--shards", v, ingest ? 1 : 0,
+                            ingest ? kMaxIngestShards : INT_MAX,
+                            args.shards)) {
+        return false;
+      }
     } else if (flag == "--queue") {
       const char* v = next();
       if (v == nullptr) return false;
-      if (!parse_int_flag("--queue", v, args.queue)) return false;
+      if (!parse_count_flag("--queue", v, 1, INT_MAX, args.queue)) {
+        return false;
+      }
     } else if (flag == "--sessions") {
       const char* v = next();
       if (v == nullptr) return false;
-      if (!parse_int_flag("--sessions", v, args.sessions)) return false;
+      if (!parse_count_flag("--sessions", v, 1, INT_MAX, args.sessions)) {
+        return false;
+      }
     } else if (flag == "--rate") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -345,11 +385,15 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (flag == "--batch") {
       const char* v = next();
       if (v == nullptr) return false;
-      if (!parse_int_flag("--batch", v, args.batch)) return false;
+      if (!parse_count_flag("--batch", v, 1, INT_MAX, args.batch)) {
+        return false;
+      }
     } else if (flag == "--multiplier") {
       const char* v = next();
       if (v == nullptr) return false;
-      if (!parse_int_flag("--multiplier", v, args.multiplier)) return false;
+      if (!parse_count_flag("--multiplier", v, 1, INT_MAX, args.multiplier)) {
+        return false;
+      }
     } else if (flag == "--shed") {
       args.shed = true;
     } else if (flag == "--no-verify") {
@@ -788,7 +832,7 @@ int cmd_snapshot_shard(const Args& args) {
   ScenarioConfig config = scenario_config(*year, args.scale);
   if (args.seed) config.seed = *args.seed;
   sim::StreamCampaignOptions opts;
-  opts.shards = args.shards < 0 ? 0 : static_cast<std::size_t>(args.shards);
+  opts.shards = static_cast<std::size_t>(args.shards);
   opts.announce = true;
   // --resident-shards 0 forces the strictly sequential one-block writer;
   // any K >= 1 keeps the default simulate/serialize pipeline (two
@@ -941,19 +985,17 @@ int cmd_snapshot(const Args& args) {
 
 ingest::IngestConfig ingest_config(const Args& args) {
   ingest::IngestConfig config;
-  config.shards = args.shards < 1 ? 1 : args.shards;
-  config.queue_capacity =
-      args.queue < 1 ? 1 : static_cast<std::size_t>(args.queue);
+  config.shards = args.shards;
+  config.queue_capacity = static_cast<std::size_t>(args.queue);
   config.shed_on_overflow = args.shed;
   return config;
 }
 
 ingest::ReplayOptions replay_options(const Args& args) {
   ingest::ReplayOptions opts;
-  opts.batch_records = args.batch < 1 ? 1 : static_cast<std::size_t>(args.batch);
+  opts.batch_records = static_cast<std::size_t>(args.batch);
   opts.rate_records_per_sec = args.rate;
-  opts.device_multiplier =
-      args.multiplier < 1 ? 1 : static_cast<std::uint32_t>(args.multiplier);
+  opts.device_multiplier = static_cast<std::uint32_t>(args.multiplier);
   return opts;
 }
 
@@ -993,7 +1035,7 @@ int cmd_ingest_serve(const Args& args) {
     std::fprintf(stderr, "ingest serve: %s\n", error.c_str());
     return kExitFailure;
   }
-  const int want = args.sessions < 1 ? 1 : args.sessions;
+  const int want = args.sessions;
   std::printf("listening on %s:%u (%d shards, queue %d, %s); waiting for "
               "%d session%s\n",
               args.host.c_str(), listener.port(), server.config().shards,
