@@ -266,18 +266,29 @@ namespace {
 
 }  // namespace
 
-HourlySeries location_series(const query::DataSource& src,
-                             const ApClassification& cls, LocationFilter filter,
-                             bool rx) {
+query::Pending<HourlySeries> location_series(query::Sweep& sweep,
+                                             const ApClassification& cls,
+                                             LocationFilter filter, bool rx) {
   // Shard samples reference the global AP universe, so the per-AP keep
   // table is the same in every block; hour sums are u64 and add.
-  return hourly_series_from_sums(src.reduce<std::vector<std::uint64_t>>(
-      [&](const Dataset& block, std::size_t) {
+  return sweep.reduce<std::vector<std::uint64_t>>(
+      [&cls, filter, rx](const Dataset& block, std::size_t) {
         return location_hour_sums(block, cls, filter, rx);
       },
       [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& p) {
         add_hour_sums(acc, p);
-      }));
+      },
+      [](std::vector<std::uint64_t>&& sums) {
+        return hourly_series_from_sums(sums);
+      });
+}
+
+HourlySeries location_series(const query::DataSource& src,
+                             const ApClassification& cls, LocationFilter filter,
+                             bool rx) {
+  return query::run_alone(src, [&](query::Sweep& sweep) {
+    return location_series(sweep, cls, filter, rx);
+  });
 }
 
 WeekSplit weekday_weekend_split(const query::DataSource& src, Stream stream) {
@@ -388,17 +399,25 @@ namespace {
 
 }  // namespace
 
+query::Pending<WifiLocationShares> wifi_location_shares(
+    query::Sweep& sweep, const ApClassification& cls) {
+  return sweep.reduce<std::array<std::uint64_t, 4>>(
+      [&cls](const Dataset& block, std::size_t) {
+        return wifi_location_sums(block, cls);
+      },
+      [](std::array<std::uint64_t, 4>& acc, std::array<std::uint64_t, 4>&& p) {
+        for (std::size_t b = 0; b < 4; ++b) acc[b] += p[b];
+      },
+      [](std::array<std::uint64_t, 4>&& sums) {
+        return wifi_location_shares_from_sums(sums);
+      });
+}
+
 WifiLocationShares wifi_location_shares(const query::DataSource& src,
                                         const ApClassification& cls) {
-  return wifi_location_shares_from_sums(
-      src.reduce<std::array<std::uint64_t, 4>>(
-          [&](const Dataset& block, std::size_t) {
-            return wifi_location_sums(block, cls);
-          },
-          [](std::array<std::uint64_t, 4>& acc,
-             std::array<std::uint64_t, 4>&& p) {
-            for (std::size_t b = 0; b < 4; ++b) acc[b] += p[b];
-          }));
+  return query::run_alone(src, [&](query::Sweep& sweep) {
+    return wifi_location_shares(sweep, cls);
+  });
 }
 
 }  // namespace tokyonet::analysis

@@ -69,6 +69,11 @@ struct LocationFilter {
                                            const ApClassification& cls,
                                            LocationFilter filter,
                                            bool rx);
+/// The same kernel as an entry of `sweep` (Fig 11 runs six series and
+/// the shares below in one pass); `cls` must outlive sweep.run().
+[[nodiscard]] query::Pending<HourlySeries> location_series(
+    query::Sweep& sweep, const ApClassification& cls, LocationFilter filter,
+    bool rx);
 
 /// §3.1: cellular traffic is smaller on weekends, WiFi the opposite.
 struct WeekSplit {
@@ -95,5 +100,7 @@ struct WifiLocationShares {
 
 [[nodiscard]] WifiLocationShares wifi_location_shares(
     const query::DataSource& src, const ApClassification& cls);
+[[nodiscard]] query::Pending<WifiLocationShares> wifi_location_shares(
+    query::Sweep& sweep, const ApClassification& cls);
 
 }  // namespace tokyonet::analysis

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <limits>
+#include <memory>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -213,22 +214,32 @@ double ApClassification::home_ap_device_share() const {
          static_cast<double>(home_ap_of_device.size());
 }
 
-std::vector<ApClassification> classify_aps(
-    const query::DataSource& src, const ClassifyOptions& opt,
+query::Pending<std::vector<ApClassification>> classify_aps(
+    query::Sweep& sweep, const ClassifyOptions& opt,
     std::span<const double> thresholds) {
+  const query::DataSource& src = sweep.source();
   std::vector<int> min_bins;
   for (const double t : thresholds) {
     min_bins.push_back(static_cast<int>(t * night_window_bins(opt)));
   }
-  const BinWindows win(src.calendar(), opt);
-  const std::vector<ApInfo>& aps = src.aps();
-  const std::size_t n_aps = aps.size();
-  std::vector<bool> associated(n_aps, false);
-  std::vector<int> assoc_bins(n_aps, 0);
-  std::vector<int> office_window_bins(n_aps, 0);
-  std::vector<std::set<GeoCell>> cells_seen(n_aps);
-  std::vector<std::vector<ApId>> home_ap_of_device(thresholds.size());
-  for (std::vector<ApId>& homes : home_ap_of_device) {
+
+  // The per-AP tallies and per-threshold home verdicts the ordered fold
+  // accumulates; finish() turns them into the classifications.
+  struct Tallies {
+    std::vector<bool> associated;
+    std::vector<int> assoc_bins;
+    std::vector<int> office_window_bins;
+    std::vector<std::set<GeoCell>> cells_seen;
+    std::vector<std::vector<ApId>> home_ap_of_device;
+  };
+  const std::size_t n_aps = src.aps().size();
+  auto tally = std::make_shared<Tallies>();
+  tally->associated.assign(n_aps, false);
+  tally->assoc_bins.assign(n_aps, 0);
+  tally->office_window_bins.assign(n_aps, 0);
+  tally->cells_seen.resize(n_aps);
+  tally->home_ap_of_device.resize(thresholds.size());
+  for (std::vector<ApId>& homes : tally->home_ap_of_device) {
     homes.reserve(src.n_devices());
   }
 
@@ -236,63 +247,77 @@ std::vector<ApClassification> classify_aps(
   // statistics its stream contributes plus its home-AP verdicts. The
   // ordered merge adds counts and unions cell sets, so the per-AP totals
   // equal a serial one-pass scan exactly.
-  src.fold<std::vector<DeviceApStats>>(
-      [&](const Dataset& block, std::size_t) {
+  return sweep.fold<std::vector<DeviceApStats>>(
+      [win = BinWindows(src.calendar(), opt), min_bins](const Dataset& block,
+                                                        std::size_t) {
         return core::parallel_map(block.devices.size(), [&](std::size_t d) {
           return scan_device(block, win, d, min_bins);
         });
       },
-      [&](std::vector<DeviceApStats>&& per_device, std::size_t) {
+      [tally](std::vector<DeviceApStats>&& per_device, std::size_t) {
         for (const DeviceApStats& stats : per_device) {
           for (const DeviceApStats::PerAp& per_ap : stats.aps) {
-            associated[per_ap.ap] = true;
-            assoc_bins[per_ap.ap] += per_ap.assoc_bins;
-            office_window_bins[per_ap.ap] += per_ap.office_window_bins;
-            cells_seen[per_ap.ap].insert(per_ap.cells_seen.begin(),
-                                         per_ap.cells_seen.end());
+            tally->associated[per_ap.ap] = true;
+            tally->assoc_bins[per_ap.ap] += per_ap.assoc_bins;
+            tally->office_window_bins[per_ap.ap] += per_ap.office_window_bins;
+            tally->cells_seen[per_ap.ap].insert(per_ap.cells_seen.begin(),
+                                                per_ap.cells_seen.end());
           }
-          for (std::size_t k = 0; k < thresholds.size(); ++k) {
-            home_ap_of_device[k].push_back(ApId{stats.home_ap[k]});
+          for (std::size_t k = 0; k < stats.home_ap.size(); ++k) {
+            tally->home_ap_of_device[k].push_back(ApId{stats.home_ap[k]});
           }
         }
+      },
+      [tally, &aps = src.aps(), opt] {
+        // Non-home APs: public by ESSID, rest Other (with office/mobile
+        // estimation). None of this depends on the threshold, so it is
+        // resolved once and each threshold only overlays its home APs.
+        Tallies& t = *tally;
+        const std::size_t n = aps.size();
+        ApClassification shared;
+        shared.ap_class.assign(n, ApClass::Other);
+        shared.associated = std::move(t.associated);
+        shared.is_office.assign(n, false);
+        shared.is_mobile.assign(n, false);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (!shared.associated[i]) continue;
+          if (net::is_public_essid(aps[i].essid)) {
+            shared.ap_class[i] = ApClass::Public;
+            continue;
+          }
+          if (static_cast<int>(t.cells_seen[i].size()) >=
+              opt.mobile_min_cells) {
+            shared.is_mobile[i] = true;
+            continue;
+          }
+          if (t.assoc_bins[i] >= opt.office_min_bins &&
+              t.office_window_bins[i] >=
+                  opt.office_window_share * t.assoc_bins[i]) {
+            shared.is_office[i] = true;
+          }
+        }
+
+        std::vector<ApClassification> out(t.home_ap_of_device.size(), shared);
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          ApClassification& cls = out[k];
+          cls.home_ap_of_device = std::move(t.home_ap_of_device[k]);
+          for (const ApId home : cls.home_ap_of_device) {
+            if (home == kNoAp) continue;
+            cls.ap_class[value(home)] = ApClass::Home;
+            cls.is_office[value(home)] = false;
+            cls.is_mobile[value(home)] = false;
+          }
+        }
+        return out;
       });
+}
 
-  // Non-home APs: public by ESSID, rest Other (with office/mobile
-  // estimation). None of this depends on the threshold, so it is
-  // resolved once and each threshold only overlays its home APs.
-  ApClassification shared;
-  shared.ap_class.assign(n_aps, ApClass::Other);
-  shared.associated = std::move(associated);
-  shared.is_office.assign(n_aps, false);
-  shared.is_mobile.assign(n_aps, false);
-  for (std::size_t i = 0; i < n_aps; ++i) {
-    if (!shared.associated[i]) continue;
-    if (net::is_public_essid(aps[i].essid)) {
-      shared.ap_class[i] = ApClass::Public;
-      continue;
-    }
-    if (static_cast<int>(cells_seen[i].size()) >= opt.mobile_min_cells) {
-      shared.is_mobile[i] = true;
-      continue;
-    }
-    if (assoc_bins[i] >= opt.office_min_bins &&
-        office_window_bins[i] >= opt.office_window_share * assoc_bins[i]) {
-      shared.is_office[i] = true;
-    }
-  }
-
-  std::vector<ApClassification> out(thresholds.size(), shared);
-  for (std::size_t k = 0; k < thresholds.size(); ++k) {
-    ApClassification& cls = out[k];
-    cls.home_ap_of_device = std::move(home_ap_of_device[k]);
-    for (const ApId home : cls.home_ap_of_device) {
-      if (home == kNoAp) continue;
-      cls.ap_class[value(home)] = ApClass::Home;
-      cls.is_office[value(home)] = false;
-      cls.is_mobile[value(home)] = false;
-    }
-  }
-  return out;
+std::vector<ApClassification> classify_aps(
+    const query::DataSource& src, const ClassifyOptions& opt,
+    std::span<const double> thresholds) {
+  return query::run_alone(src, [&](query::Sweep& sweep) {
+    return classify_aps(sweep, opt, thresholds);
+  });
 }
 
 ApClassification classify_aps(const query::DataSource& src,

@@ -81,4 +81,12 @@ struct ApClassification {
     const query::DataSource& src, const ClassifyOptions& opt,
     std::span<const double> thresholds);
 
+/// The threshold sweep as an entry of `sweep` (the analysis context
+/// classifies in the same pass as its other intermediates): the scan
+/// and ordered fold of classify_aps(), and its per-AP verdicts once the
+/// pass has ended.
+[[nodiscard]] query::Pending<std::vector<ApClassification>> classify_aps(
+    query::Sweep& sweep, const ClassifyOptions& opt,
+    std::span<const double> thresholds);
+
 }  // namespace tokyonet::analysis

@@ -10,13 +10,17 @@
 // intermediate exactly once no matter how many kernels consume it.
 //
 // The context runs over a query::DataSource, and both backends take the
-// same path: each intermediate is one fold_blocks pass, folding block
-// partials in device order (update detection, user-day rollups, home
-// cells and home-AP verdicts are per-device products; classification
-// tallies merge by addition and set union). Constructed from a Dataset
-// it wraps an InMemorySource, whose single block is the whole campaign
-// at base 0; constructed from a ShardedSource each pass is one
-// bounded-memory sweep over the shards, byte-identical to the
+// same path: the first request for any intermediate makes one sweep
+// (query::Sweep) that computes all of them at once — devices, update
+// detection, the user-day rollup, the AP classification, the home
+// cells and the survey table — folding block partials in device order
+// (update detection, user-day rollups, home cells, survey rows and
+// home-AP verdicts are per-device products; classification tallies
+// merge by addition and set union). The classifier derives from days()
+// and makes no pass; app_breakdown() makes one more. Constructed from
+// a Dataset it wraps an InMemorySource, whose single block is the
+// whole campaign at base 0; constructed from a ShardedSource the sweep
+// is one bounded-memory pass over the shards, byte-identical to the
 // in-memory result at any shard count. Beyond the intermediates
 // themselves, only O(devices + aps) state is retained. The context
 // exposes no resident Dataset: figures read source() and these
@@ -29,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "analysis/apps.h"
 #include "analysis/classify.h"
 #include "analysis/common.h"
 #include "analysis/query/source.h"
@@ -44,9 +49,10 @@ class AnalysisContext {
       : owned_(std::make_unique<query::InMemorySource>(ds)),
         src_(owned_.get()) {}
 
-  /// Borrows `src` (must outlive the context). Every intermediate below
-  /// costs one fold_blocks pass: updates(), days() and devices() share
-  /// one, classification() and home_cells() take one each.
+  /// Borrows `src` (must outlive the context). devices(), updates(),
+  /// days(), classification(), home_cells() and survey() share one
+  /// pass, made on the first request for any of them; classifier()
+  /// makes none and app_breakdown() one.
   explicit AnalysisContext(const query::DataSource& src) : src_(&src) {}
 
   AnalysisContext(const AnalysisContext&) = delete;
@@ -78,22 +84,31 @@ class AnalysisContext {
   /// Per-device inferred nighttime home cell.
   [[nodiscard]] const std::vector<GeoCell>& home_cells() const;
 
+  /// The survey rows, parallel to devices() (Tables 2, 8 and 9); empty
+  /// when the campaign carries none.
+  [[nodiscard]] std::span<const SurveyResponse> survey() const;
+
+  /// Tables 6 and 7: app_breakdown() over classification() and
+  /// home_cells().
+  [[nodiscard]] const AppBreakdown& app_breakdown() const;
+
  private:
-  /// One pass computing devices + updates + days together (they share
-  /// the scan: the rollup excludes each device's detected update days).
-  void ensure_scan() const;
+  /// The one sweep behind every intermediate but the classifier and the
+  /// app breakdown.
+  void ensure_sweep() const;
 
   std::unique_ptr<query::InMemorySource> owned_;  // in-memory ctor only
   const query::DataSource* src_;
 
-  mutable std::once_flag scan_once_, classifier_once_, classification_once_,
-      home_cells_once_;
+  mutable std::once_flag sweep_once_, classifier_once_, app_breakdown_once_;
   mutable std::vector<DeviceInfo> devices_;
-  mutable std::unique_ptr<UpdateDetection> updates_;
-  mutable std::unique_ptr<std::vector<UserDay>> days_;
+  mutable UpdateDetection updates_;
+  mutable std::vector<UserDay> days_;
+  mutable ApClassification classification_;
+  mutable std::vector<GeoCell> home_cells_;
+  mutable std::vector<SurveyResponse> survey_;
   mutable std::unique_ptr<UserClassifier> classifier_;
-  mutable std::unique_ptr<ApClassification> classification_;
-  mutable std::unique_ptr<std::vector<GeoCell>> home_cells_;
+  mutable std::unique_ptr<AppBreakdown> app_breakdown_;
 };
 
 }  // namespace tokyonet::analysis

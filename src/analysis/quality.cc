@@ -68,6 +68,10 @@ using PairCounts = std::unordered_map<std::uint64_t, int>;
   return total;
 }
 
+void merge_pair_counts(PairCounts& acc, PairCounts&& p) {
+  for (const auto& [key, k] : p) acc[key] += k;
+}
+
 /// Per-AP arg-max over merged (ap, cell) counts. Picking the strictly
 /// larger count — or, on ties, the lower cell id — is
 /// order-independent, so the result matches the ordered-map reference
@@ -98,9 +102,7 @@ using PairCounts = std::unordered_map<std::uint64_t, int>;
           [&](const Dataset& block, std::size_t) {
             return ap_cell_pair_counts(block, keep);
           },
-          [](PairCounts& acc, PairCounts&& p) {
-            for (const auto& [key, k] : p) acc[key] += k;
-          }));
+          merge_pair_counts));
 }
 
 }  // namespace
@@ -376,12 +378,28 @@ namespace {
 
 }  // namespace
 
+query::Pending<ApDensityMap> ap_density_map(query::Sweep& sweep,
+                                            const ApClassification& cls,
+                                            ApClass which, int num_cells) {
+  const std::size_t n_aps = sweep.source().aps().size();
+  return sweep.reduce<PairCounts>(
+      [keep = class_keep_table(n_aps, cls, which)](const Dataset& block,
+                                                   std::size_t) {
+        return ap_cell_pair_counts(block, keep);
+      },
+      merge_pair_counts,
+      [n_aps, num_cells](PairCounts&& total) {
+        return density_from_top_cells(top_cells_from_counts(n_aps, total),
+                                      num_cells);
+      });
+}
+
 ApDensityMap ap_density_map(const query::DataSource& src,
                             const ApClassification& cls, ApClass which,
                             int num_cells) {
-  return density_from_top_cells(
-      top_cells(src, class_keep_table(src.aps().size(), cls, which)),
-      num_cells);
+  return query::run_alone(src, [&](query::Sweep& sweep) {
+    return ap_density_map(sweep, cls, which, num_cells);
+  });
 }
 
 }  // namespace tokyonet::analysis

@@ -69,5 +69,10 @@ struct ApDensityMap {
 [[nodiscard]] ApDensityMap ap_density_map(const query::DataSource& src,
                                           const ApClassification& cls,
                                           ApClass which, int num_cells);
+/// The same kernel as an entry of `sweep` (Fig 10 maps home and public
+/// APs in one pass); `cls` is read at registration only.
+[[nodiscard]] query::Pending<ApDensityMap> ap_density_map(
+    query::Sweep& sweep, const ApClassification& cls, ApClass which,
+    int num_cells);
 
 }  // namespace tokyonet::analysis

@@ -27,6 +27,28 @@ const std::vector<ApInfo>& ShardedSource::aps() const noexcept {
   return store_->universe_aps();
 }
 
+void Sweep::run() {
+  if (!entries_.empty()) {
+    // One partial per entry per block, folded entry by entry in block
+    // order; each is released as soon as its fold has consumed it.
+    using Partials = std::vector<std::shared_ptr<void>>;
+    src_->fold_blocks(
+        [&](const Dataset& block, std::size_t base) -> std::shared_ptr<void> {
+          auto parts = std::make_shared<Partials>();
+          parts->reserve(entries_.size());
+          for (const Entry& e : entries_) parts->push_back(e.scan(block, base));
+          return parts;
+        },
+        [&](std::shared_ptr<void> p, std::size_t base) {
+          Partials& parts = *std::static_pointer_cast<Partials>(p);
+          for (std::size_t i = 0; i < entries_.size(); ++i) {
+            entries_[i].fold(std::move(parts[i]), base);
+          }
+        });
+  }
+  for (std::function<void()>& finish : finish_) finish();
+}
+
 void ShardedSource::fold_blocks(const ScanFn& scan, const FoldFn& fold) const {
   const std::size_t n_shards = store_->num_shards();
 

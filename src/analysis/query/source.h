@@ -20,6 +20,13 @@
 //    Partials are always folded in strict shard order on the calling
 //    thread.
 //
+// Each fold_blocks call is one pass: out of core, every shard is loaded
+// and validated once per pass. A query::Sweep carries the (scan, fold)
+// pairs of several kernels in one pass, so a figure (or the context's
+// intermediates) pays one pass however many kernels it runs;
+// DataSource::fold/reduce/concat are one-entry sweeps, the single fold
+// path every kernel goes through.
+//
 // Determinism contract (DESIGN.md §5c, the one rule): every merge a
 // kernel parks here is exact integer arithmetic (u64 sums, including
 // analysis::WeeklyProfile), a max or a set union, or a concatenation of
@@ -41,6 +48,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -101,52 +109,167 @@ class DataSource {
                                     std::size_t device_base)>;
   virtual void fold_blocks(const ScanFn& scan, const FoldFn& fold) const = 0;
 
+  /// One-entry sweeps (Sweep below), for a kernel that makes its pass
+  /// alone.
+  ///
   /// Typed fold: scan(block, base) -> P, fold(P&&, base) in block order.
   template <typename P, typename Scan, typename Fold>
-  void fold(Scan&& scan, Fold&& fold) const {
-    fold_blocks(
-        [&](const Dataset& block, std::size_t base) -> std::shared_ptr<void> {
-          return std::make_shared<P>(scan(block, base));
-        },
-        [&](std::shared_ptr<void> p, std::size_t base) {
-          fold(std::move(*std::static_pointer_cast<P>(p)), base);
-        });
-  }
+  void fold(Scan&& scan, Fold&& fold) const;
 
   /// Ordered reduction for base-independent monoid partials: the first
   /// block's partial seeds the accumulator (so the single-block
   /// in-memory case is exactly the plain scan), later partials merge in
   /// block order via merge(acc, partial).
   template <typename P, typename Scan, typename Merge>
-  [[nodiscard]] P reduce(Scan&& scan, Merge&& merge) const {
-    std::optional<P> acc;
-    fold<P>(std::forward<Scan>(scan), [&](P&& p, std::size_t) {
-      if (!acc) {
-        acc.emplace(std::move(p));
-      } else {
-        merge(*acc, std::move(p));
-      }
-    });
-    return acc ? std::move(*acc) : P{};
-  }
+  [[nodiscard]] P reduce(Scan&& scan, Merge&& merge) const;
 
   /// Concatenation for per-device products: scan(block, base) returns
   /// one vector in block-local device order; appending in block order
   /// yields the campaign's products in global device order.
   template <typename T, typename Scan>
-  [[nodiscard]] std::vector<T> concat(Scan&& scan) const {
-    std::vector<T> out;
-    fold<std::vector<T>>(std::forward<Scan>(scan),
-                         [&](std::vector<T>&& p, std::size_t) {
-                           if (out.empty()) {
-                             out = std::move(p);
-                           } else {
-                             out.insert(out.end(), p.begin(), p.end());
-                           }
-                         });
+  [[nodiscard]] std::vector<T> concat(Scan&& scan) const;
+};
+
+/// The value a Sweep entry yields: set when its Sweep's run() returns.
+template <typename T>
+class Pending {
+ public:
+  /// The result; throws std::logic_error before the sweep has run.
+  [[nodiscard]] T& get() const {
+    if (!slot_->has_value()) {
+      throw std::logic_error("query::Pending read before its Sweep ran");
+    }
+    return **slot_;
+  }
+
+ private:
+  friend class Sweep;
+  std::shared_ptr<std::optional<T>> slot_ =
+      std::make_shared<std::optional<T>>();
+};
+
+/// Several typed (scan, fold) pairs carried by one fold_blocks pass.
+/// Each registered entry is a kernel's block scan and ordered fold;
+/// run() makes one pass, hands every delivered block to every scan (in
+/// registration order) and folds each entry's partial in block order,
+/// exactly as a pass of its own would. So N kernels over one source
+/// cost one load and validation of each shard instead of N, and each
+/// result is byte-identical to its separate pass (DESIGN.md §5c).
+///
+/// Entries own their scan/fold/finish callables (captured state is
+/// copied in); anything they capture by reference must outlive run().
+/// An exception from any scan or fold reaches the caller of run(), as
+/// for one fold_blocks call.
+class Sweep {
+ public:
+  explicit Sweep(const DataSource& src) noexcept : src_(&src) {}
+
+  Sweep(const Sweep&) = delete;
+  Sweep& operator=(const Sweep&) = delete;
+
+  [[nodiscard]] const DataSource& source() const noexcept { return *src_; }
+
+  /// scan(block, base) -> P; fold(P&&, base) in block order.
+  template <typename P, typename Scan, typename Fold>
+  void fold(Scan scan, Fold fold) {
+    entries_.push_back(
+        {[scan = std::move(scan)](const Dataset& block,
+                                  std::size_t base) -> std::shared_ptr<void> {
+           return std::make_shared<P>(scan(block, base));
+         },
+         [fold = std::move(fold)](std::shared_ptr<void> p,
+                                  std::size_t base) mutable {
+           fold(std::move(*std::static_pointer_cast<P>(p)), base);
+         }});
+  }
+
+  /// As fold(), then finish() once the pass has ended; the Pending
+  /// holds what finish() returns.
+  template <typename P, typename Scan, typename Fold, typename Finish>
+  auto fold(Scan scan, Fold fold, Finish finish)
+      -> Pending<std::remove_cvref_t<std::invoke_result_t<Finish&>>> {
+    using R = std::remove_cvref_t<std::invoke_result_t<Finish&>>;
+    this->fold<P>(std::move(scan), std::move(fold));
+    Pending<R> out;
+    finish_.push_back([slot = out.slot_, finish = std::move(finish)]() mutable {
+      slot->emplace(finish());
+    });
     return out;
   }
+
+  /// DataSource::reduce as an entry, its result passed through
+  /// finish(P&&) (the identity by default).
+  template <typename P, typename Scan, typename Merge,
+            typename Finish = std::identity>
+  auto reduce(Scan scan, Merge merge, Finish finish = {}) {
+    auto acc = std::make_shared<std::optional<P>>();
+    return fold<P>(
+        std::move(scan),
+        [acc, merge = std::move(merge)](P&& p, std::size_t) mutable {
+          if (!*acc) {
+            acc->emplace(std::move(p));
+          } else {
+            merge(**acc, std::move(p));
+          }
+        },
+        [acc, finish = std::move(finish)]() mutable
+            -> std::remove_cvref_t<std::invoke_result_t<Finish&, P&&>> {
+          return finish(*acc ? std::move(**acc) : P{});
+        });
+  }
+
+  /// DataSource::concat as an entry.
+  template <typename T, typename Scan>
+  Pending<std::vector<T>> concat(Scan scan) {
+    return reduce<std::vector<T>>(
+        std::move(scan), [](std::vector<T>& acc, std::vector<T>&& p) {
+          acc.insert(acc.end(), p.begin(), p.end());
+        });
+  }
+
+  /// Makes the one pass, then runs the finish steps in registration
+  /// order. Call once; a sweep with no entries makes no pass.
+  void run();
+
+ private:
+  struct Entry {
+    DataSource::ScanFn scan;
+    DataSource::FoldFn fold;
+  };
+  const DataSource* src_;
+  std::vector<Entry> entries_;
+  std::vector<std::function<void()>> finish_;
 };
+
+/// Runs a kernel's Sweep form as a pass of its own: add(sweep) registers
+/// the kernel and returns its Pending; run_alone returns the result.
+template <typename Add>
+auto run_alone(const DataSource& src, Add&& add) {
+  Sweep sweep(src);
+  auto out = add(sweep);
+  sweep.run();
+  return std::move(out.get());
+}
+
+template <typename P, typename Scan, typename Fold>
+void DataSource::fold(Scan&& scan, Fold&& fold) const {
+  Sweep sweep(*this);
+  sweep.fold<P>(std::ref(scan), std::ref(fold));
+  sweep.run();
+}
+
+template <typename P, typename Scan, typename Merge>
+P DataSource::reduce(Scan&& scan, Merge&& merge) const {
+  return run_alone(*this, [&](Sweep& sweep) {
+    return sweep.reduce<P>(std::ref(scan), std::ref(merge));
+  });
+}
+
+template <typename T, typename Scan>
+std::vector<T> DataSource::concat(Scan&& scan) const {
+  return run_alone(*this,
+                   [&](Sweep& sweep) { return sweep.concat<T>(std::ref(scan)); });
+}
 
 /// The resident campaign as a single block at device base 0. Wrap a
 /// Dataset in one to call any analysis kernel on it.

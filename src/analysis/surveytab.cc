@@ -2,45 +2,34 @@
 
 #include <cstdint>
 
-#include "analysis/query/source.h"
-
 namespace tokyonet::analysis {
 namespace {
 
-// Raw per-shard tallies behind the survey tables. Each recruited
-// device contributes integer increments keyed only by its own survey
-// row, so partials are additive across any device partition; the
-// ×100/n normalization happens once over the merged counts, from the
-// same integer operands as the all-at-once scan.
-struct DemographicsCounts {
-  std::array<std::uint64_t, kNumOccupations> occupation{};
-  std::uint64_t respondents = 0;
-
-  void merge(const DemographicsCounts& p) noexcept {
-    for (std::size_t i = 0; i < kNumOccupations; ++i) {
-      occupation[i] += p.occupation[i];
-    }
-    respondents += p.respondents;
-  }
-};
-
-[[nodiscard]] DemographicsCounts demographics_counts(const Dataset& ds) {
-  DemographicsCounts out;
-  for (const DeviceInfo& dev : ds.devices) {
-    if (!dev.recruited) continue;
-    const SurveyResponse& r = ds.survey[value(dev.id)];
-    ++out.occupation[static_cast<std::size_t>(r.occupation)];
-    ++out.respondents;
-  }
-  return out;
+// The survey row of a recruited device, or nullptr for a device that
+// was not recruited or a campaign without survey rows.
+[[nodiscard]] const SurveyResponse* response(
+    const DeviceInfo& dev, std::size_t d,
+    std::span<const SurveyResponse> survey) noexcept {
+  return dev.recruited && d < survey.size() ? &survey[d] : nullptr;
 }
 
-[[nodiscard]] Demographics demographics_finalize(
-    const DemographicsCounts& c) {
+}  // namespace
+
+// Each table tallies integer counts and normalizes them once (×100/n),
+// so the result depends only on the rows, not on how they were
+// gathered.
+Demographics demographics(std::span<const DeviceInfo> devices,
+                          std::span<const SurveyResponse> survey) {
+  std::array<std::uint64_t, kNumOccupations> occupation{};
   Demographics d;
-  d.respondents = static_cast<int>(c.respondents);
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const SurveyResponse* r = response(devices[i], i, survey);
+    if (r == nullptr) continue;
+    ++occupation[static_cast<std::size_t>(r->occupation)];
+    ++d.respondents;
+  }
   for (std::size_t i = 0; i < kNumOccupations; ++i) {
-    d.percent[i] = static_cast<double>(c.occupation[i]);
+    d.percent[i] = static_cast<double>(occupation[i]);
   }
   if (d.respondents > 0) {
     for (double& p : d.percent) p = p * 100.0 / d.respondents;
@@ -48,128 +37,69 @@ struct DemographicsCounts {
   return d;
 }
 
-struct ApUsageCounts {
+SurveyApUsage survey_ap_usage(std::span<const DeviceInfo> devices,
+                              std::span<const SurveyResponse> survey) {
   std::array<std::uint64_t, kNumSurveyLocations> yes{}, no{}, not_answered{};
   std::uint64_t n = 0;
-
-  void merge(const ApUsageCounts& p) noexcept {
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const SurveyResponse* r = response(devices[i], i, survey);
+    if (r == nullptr) continue;
+    ++n;
     for (std::size_t loc = 0; loc < kNumSurveyLocations; ++loc) {
-      yes[loc] += p.yes[loc];
-      no[loc] += p.no[loc];
-      not_answered[loc] += p.not_answered[loc];
-    }
-    n += p.n;
-  }
-};
-
-[[nodiscard]] ApUsageCounts ap_usage_counts(const Dataset& ds) {
-  ApUsageCounts out;
-  for (const DeviceInfo& dev : ds.devices) {
-    if (!dev.recruited) continue;
-    ++out.n;
-    const SurveyResponse& r = ds.survey[value(dev.id)];
-    for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
-      switch (r.connected[loc]) {
-        case SurveyYesNo::Yes: ++out.yes[static_cast<std::size_t>(loc)]; break;
-        case SurveyYesNo::No: ++out.no[static_cast<std::size_t>(loc)]; break;
-        case SurveyYesNo::NotAnswered:
-          ++out.not_answered[static_cast<std::size_t>(loc)];
-          break;
+      switch (r->connected[loc]) {
+        case SurveyYesNo::Yes: ++yes[loc]; break;
+        case SurveyYesNo::No: ++no[loc]; break;
+        case SurveyYesNo::NotAnswered: ++not_answered[loc]; break;
       }
     }
   }
-  return out;
-}
-
-[[nodiscard]] SurveyApUsage ap_usage_finalize(const ApUsageCounts& c) {
   SurveyApUsage u;
   for (std::size_t loc = 0; loc < kNumSurveyLocations; ++loc) {
-    u.yes[loc] = static_cast<double>(c.yes[loc]);
-    u.no[loc] = static_cast<double>(c.no[loc]);
-    u.not_answered[loc] = static_cast<double>(c.not_answered[loc]);
+    u.yes[loc] = static_cast<double>(yes[loc]);
+    u.no[loc] = static_cast<double>(no[loc]);
+    u.not_answered[loc] = static_cast<double>(not_answered[loc]);
   }
-  if (c.n > 0) {
-    const auto n = static_cast<double>(c.n);
+  if (n > 0) {
+    const auto total = static_cast<double>(n);
     for (std::size_t loc = 0; loc < kNumSurveyLocations; ++loc) {
-      u.yes[loc] *= 100.0 / n;
-      u.no[loc] *= 100.0 / n;
-      u.not_answered[loc] *= 100.0 / n;
+      u.yes[loc] *= 100.0 / total;
+      u.no[loc] *= 100.0 / total;
+      u.not_answered[loc] *= 100.0 / total;
     }
   }
   return u;
 }
 
-struct ReasonsCounts {
+SurveyReasons survey_reasons(std::span<const DeviceInfo> devices,
+                             std::span<const SurveyResponse> survey) {
   std::array<std::array<std::uint64_t, kNumSurveyReasons>,
              kNumSurveyLocations>
       gave{};
-  std::array<std::uint64_t, kNumSurveyLocations> respondents{};
-
-  void merge(const ReasonsCounts& p) noexcept {
+  SurveyReasons out;
+  for (std::size_t i = 0; i < devices.size(); ++i) {
+    const SurveyResponse* r = response(devices[i], i, survey);
+    if (r == nullptr) continue;
     for (std::size_t loc = 0; loc < kNumSurveyLocations; ++loc) {
-      for (std::size_t r = 0; r < kNumSurveyReasons; ++r) {
-        gave[loc][r] += p.gave[loc][r];
-      }
-      respondents[loc] += p.respondents[loc];
-    }
-  }
-};
-
-[[nodiscard]] ReasonsCounts reasons_counts(const Dataset& ds) {
-  ReasonsCounts out;
-  for (const DeviceInfo& dev : ds.devices) {
-    if (!dev.recruited) continue;
-    const SurveyResponse& r = ds.survey[value(dev.id)];
-    for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
-      if (r.connected[loc] != SurveyYesNo::No) continue;
-      ++out.respondents[static_cast<std::size_t>(loc)];
-      for (int reason = 0; reason < kNumSurveyReasons; ++reason) {
-        if (r.gave_reason(static_cast<SurveyLocation>(loc),
-                          static_cast<SurveyReason>(reason))) {
-          ++out.gave[static_cast<std::size_t>(loc)]
-                    [static_cast<std::size_t>(reason)];
+      if (r->connected[loc] != SurveyYesNo::No) continue;
+      ++out.respondents[loc];
+      for (std::size_t reason = 0; reason < kNumSurveyReasons; ++reason) {
+        if (r->gave_reason(static_cast<SurveyLocation>(loc),
+                           static_cast<SurveyReason>(reason))) {
+          ++gave[loc][reason];
         }
       }
     }
   }
-  return out;
-}
-
-[[nodiscard]] SurveyReasons reasons_finalize(const ReasonsCounts& c) {
-  SurveyReasons out;
   for (std::size_t loc = 0; loc < kNumSurveyLocations; ++loc) {
-    out.respondents[loc] = static_cast<int>(c.respondents[loc]);
     for (std::size_t r = 0; r < kNumSurveyReasons; ++r) {
-      out.percent[loc][r] = static_cast<double>(c.gave[loc][r]);
+      out.percent[loc][r] = static_cast<double>(gave[loc][r]);
     }
-    if (c.respondents[loc] == 0) continue;
+    if (out.respondents[loc] == 0) continue;
     for (double& p : out.percent[loc]) {
-      p *= 100.0 / static_cast<double>(c.respondents[loc]);
+      p *= 100.0 / static_cast<double>(out.respondents[loc]);
     }
   }
   return out;
-}
-
-}  // namespace
-
-Demographics demographics(const query::DataSource& src) {
-  return demographics_finalize(src.reduce<DemographicsCounts>(
-      [](const Dataset& block, std::size_t) {
-        return demographics_counts(block);
-      },
-      [](DemographicsCounts& acc, DemographicsCounts&& p) { acc.merge(p); }));
-}
-
-SurveyApUsage survey_ap_usage(const query::DataSource& src) {
-  return ap_usage_finalize(src.reduce<ApUsageCounts>(
-      [](const Dataset& block, std::size_t) { return ap_usage_counts(block); },
-      [](ApUsageCounts& acc, ApUsageCounts&& p) { acc.merge(p); }));
-}
-
-SurveyReasons survey_reasons(const query::DataSource& src) {
-  return reasons_finalize(src.reduce<ReasonsCounts>(
-      [](const Dataset& block, std::size_t) { return reasons_counts(block); },
-      [](ReasonsCounts& acc, ReasonsCounts&& p) { acc.merge(p); }));
 }
 
 }  // namespace tokyonet::analysis

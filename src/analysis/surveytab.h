@@ -1,10 +1,16 @@
 // Survey tabulation (Tables 2, 8 and 9): demographics, self-reported
 // WiFi connectivity per location, and reasons for unavailability.
+//
+// The tables read only the device table and its survey rows, which the
+// analysis context gathers in its one pass (AnalysisContext::devices()
+// and survey()), so they make no pass of their own. `survey` is
+// parallel to `devices` (global device index); a campaign without
+// survey rows passes an empty span and has no respondents.
 #pragma once
 
 #include <array>
+#include <span>
 
-#include "analysis/query/fwd.h"
 #include "core/records.h"
 
 namespace tokyonet::analysis {
@@ -15,7 +21,8 @@ struct Demographics {
   int respondents = 0;
 };
 
-[[nodiscard]] Demographics demographics(const query::DataSource& src);
+[[nodiscard]] Demographics demographics(
+    std::span<const DeviceInfo> devices, std::span<const SurveyResponse> survey);
 
 /// Table 8: yes/no/not-answered (%) per location.
 struct SurveyApUsage {
@@ -24,7 +31,8 @@ struct SurveyApUsage {
   std::array<double, kNumSurveyLocations> not_answered{};
 };
 
-[[nodiscard]] SurveyApUsage survey_ap_usage(const query::DataSource& src);
+[[nodiscard]] SurveyApUsage survey_ap_usage(
+    std::span<const DeviceInfo> devices, std::span<const SurveyResponse> survey);
 
 /// Table 9: share (%) of "No" respondents giving each reason, per
 /// location (multiple answers allowed).
@@ -34,6 +42,7 @@ struct SurveyReasons {
   std::array<int, kNumSurveyLocations> respondents{};
 };
 
-[[nodiscard]] SurveyReasons survey_reasons(const query::DataSource& src);
+[[nodiscard]] SurveyReasons survey_reasons(
+    std::span<const DeviceInfo> devices, std::span<const SurveyResponse> survey);
 
 }  // namespace tokyonet::analysis

@@ -127,21 +127,34 @@ struct CarrierCounts {
 
 }  // namespace
 
-WifiStateProfiles compute_wifi_states(const query::DataSource& src) {
+query::Pending<WifiStateProfiles> compute_wifi_states(query::Sweep& sweep) {
   // WeeklyProfile sums are exact integers, so merging per-block profiles
   // matches one whole-campaign scan.
-  return src.reduce<WifiStateProfiles>(
+  return sweep.reduce<WifiStateProfiles>(
       [](const Dataset& block, std::size_t) { return wifi_states_scan(block); },
       [](WifiStateProfiles& acc, WifiStateProfiles&& p) { merge(acc, p); });
 }
 
-std::array<double, kNumCarriers> ios_wifi_user_by_carrier(
-    const query::DataSource& src) {
-  return carrier_ratios(src.reduce<CarrierCounts>(
+WifiStateProfiles compute_wifi_states(const query::DataSource& src) {
+  return query::run_alone(
+      src, [](query::Sweep& sweep) { return compute_wifi_states(sweep); });
+}
+
+query::Pending<std::array<double, kNumCarriers>> ios_wifi_user_by_carrier(
+    query::Sweep& sweep) {
+  return sweep.reduce<CarrierCounts>(
       [](const Dataset& block, std::size_t) {
         return ios_wifi_user_counts(block);
       },
-      [](CarrierCounts& acc, CarrierCounts&& p) { acc.merge(p); }));
+      [](CarrierCounts& acc, CarrierCounts&& p) { acc.merge(p); },
+      [](CarrierCounts&& counts) { return carrier_ratios(counts); });
+}
+
+std::array<double, kNumCarriers> ios_wifi_user_by_carrier(
+    const query::DataSource& src) {
+  return query::run_alone(src, [](query::Sweep& sweep) {
+    return ios_wifi_user_by_carrier(sweep);
+  });
 }
 
 }  // namespace tokyonet::analysis

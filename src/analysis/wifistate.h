@@ -29,11 +29,17 @@ struct WifiStateProfiles {
 
 [[nodiscard]] WifiStateProfiles compute_wifi_states(
     const query::DataSource& src);
+/// The same kernel as an entry of `sweep` (Fig 9 runs it with the
+/// carrier check below in one pass).
+[[nodiscard]] query::Pending<WifiStateProfiles> compute_wifi_states(
+    query::Sweep& sweep);
 
 /// §3.3.4's carrier check: mean WiFi-user ratio of iOS devices per
 /// cellular carrier. The paper finds no difference between the three
 /// iPhone carriers — OS, not carrier, drives WiFi connectivity.
 [[nodiscard]] std::array<double, kNumCarriers> ios_wifi_user_by_carrier(
     const query::DataSource& src);
+[[nodiscard]] query::Pending<std::array<double, kNumCarriers>>
+ios_wifi_user_by_carrier(query::Sweep& sweep);
 
 }  // namespace tokyonet::analysis

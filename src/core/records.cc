@@ -9,11 +9,26 @@ namespace tokyonet {
 
 namespace {
 
-/// The non-sample half of validation: device ids and the survey and
-/// ground-truth shapes, O(devices + aps).
+/// The AP universe's part of validation: every band known, and the
+/// ground truth covering every AP. O(aps).
+[[nodiscard]] std::string universe_error(const Dataset& ds) {
+  const std::size_t n_aps = ds.aps.size();
+  for (std::size_t i = 0; i < n_aps; ++i) {
+    if (ds.aps[i].band > Band::B5GHz) {
+      return "AP " + std::to_string(i) + " has an unknown band";
+    }
+  }
+  if (!ds.truth.aps.empty() && ds.truth.aps.size() != n_aps) {
+    return "ground truth covers " + std::to_string(ds.truth.aps.size()) +
+           " of " + std::to_string(n_aps) + " APs";
+  }
+  return {};
+}
+
+/// The rest of the non-sample half of validation: device ids and the
+/// survey and per-device ground-truth shapes, O(devices).
 [[nodiscard]] std::string frame_error(const Dataset& ds) {
   const std::size_t n_devices = ds.devices.size();
-  const std::size_t n_aps = ds.aps.size();
   const auto n_days = static_cast<std::size_t>(ds.calendar.num_days());
 
   // Enum-valued fields index per-category arrays in the kernels, so a
@@ -26,11 +41,6 @@ namespace {
     }
     if (d.os > Os::Ios || static_cast<int>(d.carrier) >= kNumCarriers) {
       return "device " + std::to_string(i) + " has an unknown OS or carrier";
-    }
-  }
-  for (std::size_t i = 0; i < n_aps; ++i) {
-    if (ds.aps[i].band > Band::B5GHz) {
-      return "AP " + std::to_string(i) + " has an unknown band";
     }
   }
   for (std::size_t i = 0; i < ds.survey.size(); ++i) {
@@ -50,10 +60,6 @@ namespace {
   if (!ds.truth.devices.empty() && ds.truth.devices.size() != n_devices) {
     return "ground truth covers " + std::to_string(ds.truth.devices.size()) +
            " of " + std::to_string(n_devices) + " devices";
-  }
-  if (!ds.truth.aps.empty() && ds.truth.aps.size() != n_aps) {
-    return "ground truth covers " + std::to_string(ds.truth.aps.size()) +
-           " of " + std::to_string(n_aps) + " APs";
   }
   for (std::size_t i = 0; i < ds.truth.devices.size(); ++i) {
     const std::size_t cd = ds.truth.devices[i].capped_day.size();
@@ -79,8 +85,11 @@ namespace {
 
 Dataset::Dataset() : index_(core::DatasetIndex::empty()) {}
 
-std::string Dataset::index_samples(core::SampleLayout layout) {
-  std::string error = frame_error(*this);
+std::string Dataset::index_samples(core::SampleLayout layout,
+                                   UniverseCheck universe) {
+  std::string error =
+      universe == UniverseCheck::Full ? universe_error(*this) : std::string();
+  if (error.empty()) error = frame_error(*this);
   index_ = error.empty()
                ? core::DatasetIndex::build(*this, std::move(layout), &error)
                : nullptr;
@@ -102,6 +111,7 @@ const core::DatasetIndex& Dataset::index() const noexcept {
 }
 
 std::string Dataset::validate() const {
+  if (std::string err = universe_error(*this); !err.empty()) return err;
   if (std::string err = frame_error(*this); !err.empty()) return err;
   std::string error;
   (void)core::DatasetIndex::build(*this, current_layout(*this), &error);

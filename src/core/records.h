@@ -236,7 +236,15 @@ class Dataset {
   /// sound, installs the index built from the layout
   /// (core/dataset_index.h). Returns an empty string on success, else
   /// the first problem (the dataset is then unindexed).
-  [[nodiscard]] std::string index_samples(core::SampleLayout layout);
+  ///
+  /// `universe` = Trusted skips the AP universe's own checks (bands,
+  /// truth.aps size) for a dataset whose aps and truth.aps are shared
+  /// from a universe that already passed them and cannot change — a
+  /// shard load sharing its store's resident universe. Samples are
+  /// still checked against the universe's size.
+  enum class UniverseCheck { Full, Trusted };
+  [[nodiscard]] std::string index_samples(
+      core::SampleLayout layout, UniverseCheck universe = UniverseCheck::Full);
 
   /// Re-validates the dataset against the current layout and rebuilds
   /// the index from it (a dataset never indexed must have no samples:

@@ -408,7 +408,8 @@ SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
   // hashed. Payload checksums are rehashed only on the shard's first
   // load this open (or always, under TOKYONET_SHARD_VERIFY=always). The
   // file carries no AP universe, so the shared one is installed before
-  // the columns are validated — on every load.
+  // the columns are validated against it — on every load. The
+  // universe's own checks ran once, when open() loaded it.
   SnapshotLoadOptions sopts = opts;
   sopts.universe = &universe_;
   sopts.expect_header_checksum = entry.header_checksum;

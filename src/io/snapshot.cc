@@ -853,7 +853,12 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
       layout.app_range[2 * d + 1] = static_cast<std::size_t>(recs[d].app_end);
     }
   }
-  const std::string invalid = out.index_samples(std::move(layout));
+  // A shared universe was validated when it was loaded (ShardedDataset::
+  // open) and is immutable, so only this file's own contents are checked.
+  const std::string invalid = out.index_samples(
+      std::move(layout), opts.universe != nullptr
+                             ? Dataset::UniverseCheck::Trusted
+                             : Dataset::UniverseCheck::Full);
   if (!invalid.empty()) {
     out = Dataset{};
     result.error = path_err(path, "invalid dataset: " + invalid);

@@ -96,6 +96,8 @@ struct SnapshotLoadOptions {
   /// The AP universe (aps and truth.aps) of a snapshot that carries
   /// none — a shard file, whose samples reference APs by global id — is
   /// shared from here (no copy) before validation (io/shard_store.cc).
+  /// It must be a dataset load_snapshot returned: its own checks (AP
+  /// bands, truth.aps size) are not repeated on every load.
   const Dataset* universe = nullptr;
   /// When set, a file whose header checksum differs is rejected before
   /// any section is read or hashed (a shard replaced since its store

@@ -1,6 +1,7 @@
 // Application-category tables (Tables 6-7): top categories per traffic
 // context, ranked by download or upload volume.
 #include "analysis/apps.h"
+#include "analysis/context.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
@@ -9,9 +10,7 @@ namespace tokyonet::report {
 namespace {
 
 Table app_table(const FigureContext& ctx, bool rx) {
-  const analysis::AppBreakdown b = analysis::app_breakdown(
-      ctx.source(), ctx.analysis().classification(),
-      ctx.analysis().home_cells());
+  const analysis::AppBreakdown& b = ctx.analysis().app_breakdown();
 
   static const char* kContexts[] = {"Cell home", "Cell other", "WiFi home",
                                     "WiFi public"};

@@ -1,5 +1,6 @@
 // Dataset overview and survey tables (Tables 1, 2, 8, 9). All are
 // per-year; stacking the three years reproduces the paper's layouts.
+#include "analysis/context.h"
 #include "analysis/surveytab.h"
 #include "analysis/volumes.h"
 #include "report/battery.h"
@@ -33,7 +34,8 @@ Table table01(const FigureContext& ctx) {
 }
 
 Table table02(const FigureContext& ctx) {
-  const analysis::Demographics d = analysis::demographics(ctx.source());
+  const analysis::Demographics d = analysis::demographics(
+      ctx.analysis().devices(), ctx.analysis().survey());
   Table t({"year", "occupation", "share [%]"});
   for (int o = 0; o < kNumOccupations; ++o) {
     t.add_row({Value::integer(year_number(ctx.year())),
@@ -45,7 +47,8 @@ Table table02(const FigureContext& ctx) {
 }
 
 Table table08(const FigureContext& ctx) {
-  const analysis::SurveyApUsage u = analysis::survey_ap_usage(ctx.source());
+  const analysis::SurveyApUsage u = analysis::survey_ap_usage(
+      ctx.analysis().devices(), ctx.analysis().survey());
   static const char* kPaperYes[] = {"70.4/72.9/78.2", "31.6/25.6/28.0",
                                     "44.9/47.9/53.6"};
   Table t({"year", "location", "answer", "share [%]", "paper yes"});
@@ -64,7 +67,8 @@ Table table08(const FigureContext& ctx) {
 }
 
 Table table09(const FigureContext& ctx) {
-  const analysis::SurveyReasons r = analysis::survey_reasons(ctx.source());
+  const analysis::SurveyReasons r = analysis::survey_reasons(
+      ctx.analysis().devices(), ctx.analysis().survey());
   Table t({"year", "location", "reason", "share [%]"});
   for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
     const auto l = static_cast<std::size_t>(loc);

@@ -1,5 +1,8 @@
 // Weekly WiFi-ratio figures (Figs 6-9): traffic/user WiFi ratios, their
 // split by user class, and WiFi interface states by OS.
+#include <optional>
+
+#include "analysis/query/source.h"
 #include "analysis/ratios.h"
 #include "analysis/wifistate.h"
 #include "report/figures.h"
@@ -76,8 +79,17 @@ Table fig08(const FigureContext& ctx) {
 }
 
 Table fig09(const FigureContext& ctx) {
-  const analysis::WifiStateProfiles p =
-      analysis::compute_wifi_states(ctx.source());
+  // The carrier check (2015 only) rides the profiles' pass.
+  analysis::query::Sweep sweep(ctx.source());
+  const auto profiles = analysis::compute_wifi_states(sweep);
+  std::optional<analysis::query::Pending<std::array<double, kNumCarriers>>>
+      carriers;
+  if (ctx.year() == Year::Y2015) {
+    carriers = analysis::ios_wifi_user_by_carrier(sweep);
+  }
+  sweep.run();
+
+  const analysis::WifiStateProfiles& p = profiles.get();
   const auto user = p.android_user.ratio_series();
   const auto off = p.android_off.ratio_series();
   const auto avail = p.android_available.ratio_series();
@@ -103,13 +115,12 @@ Table fig09(const FigureContext& ctx) {
       "iOS vs Android WiFi-user: %.2f vs %.2f   [paper: iOS ~30%% higher "
       "in 2015]",
       p.ios_user.mean_ratio(), p.android_user.mean_ratio()));
-  if (ctx.year() == Year::Y2015) {
-    const auto carriers =
-        analysis::ios_wifi_user_by_carrier(ctx.source());
+  if (carriers) {
+    const std::array<double, kNumCarriers>& c = carriers->get();
     t.notes.push_back(strf(
         "iOS WiFi-user share by carrier: %.2f / %.2f / %.2f   [paper: no "
         "carrier difference]",
-        carriers[0], carriers[1], carriers[2]));
+        c[0], c[1], c[2]));
   }
   return t;
 }

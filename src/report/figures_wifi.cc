@@ -5,6 +5,7 @@
 #include <map>
 
 #include "analysis/aggregate.h"
+#include "analysis/query/source.h"
 #include "analysis/quality.h"
 #include "analysis/wifiusage.h"
 #include "geo/region.h"
@@ -43,14 +44,23 @@ namespace {
 Table fig10(const FigureContext& ctx) {
   const geo::TokyoRegion region;
   const int cells = region.grid().num_cells();
+  constexpr ApClass kClasses[] = {ApClass::Home, ApClass::Public};
+
+  // Both density maps in one pass.
+  analysis::query::Sweep sweep(ctx.source());
+  std::vector<analysis::query::Pending<analysis::ApDensityMap>> maps;
+  for (const ApClass c : kClasses) {
+    maps.push_back(analysis::ap_density_map(
+        sweep, ctx.analysis().classification(), c, cells));
+  }
+  sweep.run();
 
   Table t({"year", "AP class", "cells >= 1 AP", "cells >= 100 APs",
            "max APs per cell"});
-  for (const ApClass c : {ApClass::Home, ApClass::Public}) {
-    const analysis::ApDensityMap m = analysis::ap_density_map(
-        ctx.source(), ctx.analysis().classification(), c, cells);
+  for (std::size_t i = 0; i < maps.size(); ++i) {
+    const analysis::ApDensityMap& m = maps[i].get();
     t.add_row({Value::integer(year_number(ctx.year())),
-               Value::text(std::string(to_string(c))),
+               Value::text(std::string(to_string(kClasses[i]))),
                Value::integer(m.cells_with_ap), Value::integer(m.cells_with_100),
                Value::integer(m.max_count)});
   }
@@ -63,18 +73,20 @@ Table fig10(const FigureContext& ctx) {
 Table fig11(const FigureContext& ctx) {
   const auto& src = ctx.source();
   const auto& cls = ctx.analysis().classification();
-  const auto home_rx =
-      analysis::location_series(src, cls, {ApClass::Home, false}, true);
-  const auto home_tx =
-      analysis::location_series(src, cls, {ApClass::Home, false}, false);
-  const auto pub_rx =
-      analysis::location_series(src, cls, {ApClass::Public, false}, true);
-  const auto pub_tx =
-      analysis::location_series(src, cls, {ApClass::Public, false}, false);
-  const auto off_rx =
-      analysis::location_series(src, cls, {ApClass::Other, true}, true);
-  const auto off_tx =
-      analysis::location_series(src, cls, {ApClass::Other, true}, false);
+
+  // Six series and the location shares in one pass.
+  analysis::query::Sweep sweep(src);
+  const auto series = [&](analysis::LocationFilter filter, bool rx) {
+    return analysis::location_series(sweep, cls, filter, rx);
+  };
+  const auto home_rx = series({ApClass::Home, false}, true);
+  const auto home_tx = series({ApClass::Home, false}, false);
+  const auto pub_rx = series({ApClass::Public, false}, true);
+  const auto pub_tx = series({ApClass::Public, false}, false);
+  const auto off_rx = series({ApClass::Other, true}, true);
+  const auto off_tx = series({ApClass::Other, true}, false);
+  const auto shares = analysis::wifi_location_shares(sweep, cls);
+  sweep.run();
 
   Table t({"year", "date", "hour", "Home RX", "Home TX", "Public RX",
            "Public TX", "Office RX", "Office TX"});
@@ -84,15 +96,16 @@ Table fig11(const FigureContext& ctx) {
       t.add_row({Value::integer(year_number(ctx.year())),
                  Value::text(src.calendar().day_label(day)),
                  Value::text(std::to_string(hour) + ":00"),
-                 Value::real(home_rx.mbps[i], 2), Value::real(home_tx.mbps[i], 2),
-                 Value::real(pub_rx.mbps[i], 3), Value::real(pub_tx.mbps[i], 3),
-                 Value::real(off_rx.mbps[i], 3),
-                 Value::real(off_tx.mbps[i], 3)});
+                 Value::real(home_rx.get().mbps[i], 2),
+                 Value::real(home_tx.get().mbps[i], 2),
+                 Value::real(pub_rx.get().mbps[i], 3),
+                 Value::real(pub_tx.get().mbps[i], 3),
+                 Value::real(off_rx.get().mbps[i], 3),
+                 Value::real(off_tx.get().mbps[i], 3)});
     }
   }
 
-  const analysis::WifiLocationShares s =
-      analysis::wifi_location_shares(src, cls);
+  const analysis::WifiLocationShares& s = shares.get();
   t.notes.push_back(strf(
       "WiFi volume shares: home %.1f%%, public %.1f%%, office %.1f%%, "
       "other %.1f%%   [paper 2015: home 95%%, public+office ~4%%]",

@@ -6,6 +6,12 @@
 // figure), and renders any FigureSpec as a report::Table. The CLI, the
 // benchmark driver and the golden harness all drive figures through
 // this class.
+//
+// Out of core, each store pass loads every shard once. A figure makes
+// at most one pass of its own (the kernels it runs together share a
+// query::Sweep), plus the context's one sweep if it is the first to
+// need an intermediate, and app_breakdown()'s if it is the first of
+// Tables 6/7; figures that read only intermediates make none.
 #pragma once
 
 #include <cstdint>

@@ -205,9 +205,21 @@ TEST(Macro, SeriesMonotoneGrowth) {
   }
 }
 
+// The survey tables over one simulated campaign's device and survey
+// rows.
+Demographics demographics_of(Year y) {
+  return demographics(campaign(y).devices, campaign(y).survey);
+}
+SurveyApUsage survey_ap_usage_of(Year y) {
+  return survey_ap_usage(campaign(y).devices, campaign(y).survey);
+}
+SurveyReasons survey_reasons_of(Year y) {
+  return survey_reasons(campaign(y).devices, campaign(y).survey);
+}
+
 TEST(Survey, DemographicsSumTo100) {
   for (Year y : kAllYears) {
-    const Demographics d = demographics(campaign_source(y));
+    const Demographics d = demographics_of(y);
     double sum = 0;
     for (double p : d.percent) sum += p;
     EXPECT_NEAR(sum, 100.0, 1e-9);
@@ -217,7 +229,7 @@ TEST(Survey, DemographicsSumTo100) {
 
 TEST(Survey, OfficeWorkersLargestGroup) {
   // Table 2: office workers are the top occupation (20-24%).
-  const Demographics d = demographics(campaign_source(Year::Y2015));
+  const Demographics d = demographics_of(Year::Y2015);
   const double office =
       d.percent[static_cast<std::size_t>(Occupation::OfficeWorker)];
   for (int o = 0; o < kNumOccupations; ++o) {
@@ -227,7 +239,7 @@ TEST(Survey, OfficeWorkersLargestGroup) {
 }
 
 TEST(Survey, ApUsageRowsSumTo100) {
-  const SurveyApUsage u = survey_ap_usage(campaign_source(Year::Y2015));
+  const SurveyApUsage u = survey_ap_usage_of(Year::Y2015);
   for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
     EXPECT_NEAR(u.yes[static_cast<std::size_t>(loc)] +
                     u.no[static_cast<std::size_t>(loc)] +
@@ -239,8 +251,8 @@ TEST(Survey, ApUsageRowsSumTo100) {
 TEST(Survey, Table8Shape) {
   // Home yes ~70-78%, office yes low (~26-32%), public ~45-54%, and
   // home/public grow over the years while office stays flat.
-  const SurveyApUsage u13 = survey_ap_usage(campaign_source(Year::Y2013));
-  const SurveyApUsage u15 = survey_ap_usage(campaign_source(Year::Y2015));
+  const SurveyApUsage u13 = survey_ap_usage_of(Year::Y2013);
+  const SurveyApUsage u15 = survey_ap_usage_of(Year::Y2015);
   EXPECT_NEAR(u15.yes[0], 78.2, 12.0);
   EXPECT_LT(u15.yes[1], 45.0);
   EXPECT_GT(u15.yes[0], u13.yes[0]);
@@ -250,8 +262,7 @@ TEST(Survey, Table8Shape) {
 TEST(Survey, PublicConnectivityOverReported) {
   // §4.2: users report more public connectivity than the traffic shows.
   const Dataset& ds = campaign(Year::Y2015);
-  const auto& src = campaign_source(Year::Y2015);
-  const SurveyApUsage u = survey_ap_usage(src);
+  const SurveyApUsage u = survey_ap_usage(ds.devices, ds.survey);
   double config = 0;
   for (const DeviceTruth& t : ds.truth.devices) config += t.uses_public_wifi;
   const double truth_pct = config / static_cast<double>(ds.devices.size()) * 100;
@@ -259,7 +270,7 @@ TEST(Survey, PublicConnectivityOverReported) {
 }
 
 TEST(Survey, ReasonsOnlyWherePeopleSaidNo) {
-  const SurveyReasons r = survey_reasons(campaign_source(Year::Y2015));
+  const SurveyReasons r = survey_reasons_of(Year::Y2015);
   for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
     EXPECT_GT(r.respondents[static_cast<std::size_t>(loc)], 0);
     for (double p : r.percent[static_cast<std::size_t>(loc)]) {
@@ -275,8 +286,8 @@ TEST(Survey, ReasonsOnlyWherePeopleSaidNo) {
 
 TEST(Survey, SecurityConcernGrowsForPublicWifi) {
   // Table 9: public-WiFi security worry 15% (2014) -> 35% (2015).
-  const SurveyReasons r14 = survey_reasons(campaign_source(Year::Y2014));
-  const SurveyReasons r15 = survey_reasons(campaign_source(Year::Y2015));
+  const SurveyReasons r14 = survey_reasons_of(Year::Y2014);
+  const SurveyReasons r15 = survey_reasons_of(Year::Y2015);
   const auto sec = static_cast<std::size_t>(SurveyReason::SecurityIssue);
   EXPECT_GT(r15.percent[2][sec], r14.percent[2][sec]);
 }

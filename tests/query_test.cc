@@ -10,14 +10,21 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/aggregate.h"
+#include "analysis/classify.h"
+#include "analysis/common.h"
 #include "analysis/context.h"
+#include "analysis/quality.h"
+#include "analysis/wifistate.h"
 #include "core/parallel.h"
 #include "core/records.h"
 #include "core/scenario.h"
+#include "geo/region.h"
 #include "io/shard_store.h"
 #include "report/registry.h"
 #include "report/runner.h"
@@ -67,22 +74,26 @@ class CountingSource final : public query::DataSource {
   mutable int passes_ = 0;
 };
 
-/// The context's pass budget over `inner`: updates(), days() and
-/// devices() share one pass, classification() and home_cells() take one
-/// each, and nothing is computed twice.
+/// The context's pass budget over `inner`: every intermediate —
+/// devices(), updates(), days(), classification(), home_cells() and
+/// survey() — shares one pass, the classifier costs none,
+/// app_breakdown() one more, and nothing is computed twice.
 void expect_context_pass_budget(const query::DataSource& inner) {
   const CountingSource src(inner);
   const analysis::AnalysisContext ctx(src);
+  EXPECT_EQ(src.passes(), 0);
+  (void)ctx.survey();
+  EXPECT_EQ(src.passes(), 1);
+  EXPECT_EQ(ctx.devices().size(), inner.n_devices());
+  EXPECT_EQ(ctx.survey().size(), inner.n_devices());
   (void)ctx.updates();
   (void)ctx.days();
-  EXPECT_EQ(ctx.devices().size(), inner.n_devices());
-  EXPECT_EQ(src.passes(), 1);
   (void)ctx.classifier();  // built from days(), no pass of its own
-  EXPECT_EQ(src.passes(), 1);
   (void)ctx.classification();
-  EXPECT_EQ(src.passes(), 2);
   (void)ctx.home_cells();
-  EXPECT_EQ(src.passes(), 3);
+  EXPECT_EQ(src.passes(), 1);
+  (void)ctx.app_breakdown();
+  EXPECT_EQ(src.passes(), 2);
 
   (void)ctx.updates();
   (void)ctx.days();
@@ -90,7 +101,18 @@ void expect_context_pass_budget(const query::DataSource& inner) {
   (void)ctx.classifier();
   (void)ctx.classification();
   (void)ctx.home_cells();
-  EXPECT_EQ(src.passes(), 3);
+  (void)ctx.survey();
+  (void)ctx.app_breakdown();
+  EXPECT_EQ(src.passes(), 2);
+
+  // The sweep's intermediates equal the kernels' own passes.
+  const analysis::ApClassification cls = analysis::classify_aps(inner);
+  EXPECT_EQ(ctx.classification().ap_class, cls.ap_class);
+  EXPECT_EQ(ctx.classification().home_ap_of_device, cls.home_ap_of_device);
+  EXPECT_EQ(ctx.home_cells(),
+            inner.concat<GeoCell>([](const Dataset& block, std::size_t) {
+              return analysis::infer_home_cells(block);
+            }));
 }
 
 /// Restores the environment-derived thread count on scope exit.
@@ -303,9 +325,8 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
 
 // --- Context pass budget -------------------------------------------------
 
-// Both backends run the context's intermediates through the same folds,
-// so the in-memory context costs the same passes as the out-of-core one
-// (whose 30-pass `fig all` the benchmark smoke test pins).
+// Both backends run the context's intermediates through the same sweep,
+// so the in-memory context costs the same passes as the out-of-core one.
 TEST(QueryContext, PassBudgetInMemory) {
   const Dataset ds =
       sim::Simulator(scenario_config(Year::Y2015, kQueryTestScale)).run();
@@ -324,6 +345,243 @@ TEST(QueryContext, PassBudgetThreeShards) {
   ASSERT_TRUE(io::ShardedDataset::open(tmp.path / "store", store).ok());
   ASSERT_EQ(store.num_shards(), 3u);
   expect_context_pass_budget(query::ShardedSource(store));
+}
+
+// --- Sweeps ----------------------------------------------------------------
+
+/// Calls fn(source, label) on the in-memory source of one small campaign
+/// and on the sharded source of the same campaign streamed into 1, 3 and
+/// 16 shards, each at resident_shards 0 and 1.
+template <typename Fn>
+void for_each_backend(const Fn& fn) {
+  const ScenarioConfig config = scenario_config(Year::Y2013, kQueryTestScale);
+  const Dataset ds = sim::Simulator(config).run();
+  fn(query::InMemorySource(ds), std::string("in-memory"));
+  test::ScratchDir tmp;
+  for (const std::size_t shards : {1, 3, 16}) {
+    const fs::path dir = tmp.path / ("store" + std::to_string(shards));
+    sim::StreamCampaignOptions opts;
+    opts.shards = shards;
+    ASSERT_TRUE(sim::stream_campaign(config, dir, opts).ok());
+    io::ShardedDataset store;
+    ASSERT_TRUE(io::ShardedDataset::open(dir, store).ok());
+    ASSERT_EQ(store.num_shards(), shards);
+    for (const std::size_t k : {0, 1}) {
+      fn(query::ShardedSource(store, k),
+         std::to_string(shards) + " shards, K=" + std::to_string(k));
+    }
+  }
+}
+
+/// The block bases one lone fold over `src` sees.
+std::vector<std::size_t> block_bases(const query::DataSource& src) {
+  std::vector<std::size_t> bases;
+  src.fold<int>([](const Dataset&, std::size_t) { return 0; },
+                [&](int&&, std::size_t base) { bases.push_back(base); });
+  return bases;
+}
+
+// N kernels registered on one sweep make one pass and give exactly the
+// results of their N separate passes, on every backend.
+TEST(QuerySweep, FoldsEqualSeparatePasses) {
+  const int cells = geo::TokyoRegion().grid().num_cells();
+  const double thresholds[] = {0.5, 0.7};
+  for_each_backend([&](const query::DataSource& inner,
+                       const std::string& label) {
+    const analysis::ApClassification cls = analysis::classify_aps(inner);
+    const CountingSource src(inner);
+    query::Sweep sweep(src);
+    const auto home_rx = analysis::location_series(
+        sweep, cls, {ApClass::Home, false}, true);
+    const auto office_tx = analysis::location_series(
+        sweep, cls, {ApClass::Other, true}, false);
+    const auto shares = analysis::wifi_location_shares(sweep, cls);
+    const auto density =
+        analysis::ap_density_map(sweep, cls, ApClass::Public, cells);
+    const auto states = analysis::compute_wifi_states(sweep);
+    const auto carriers = analysis::ios_wifi_user_by_carrier(sweep);
+    const auto classified = analysis::classify_aps(sweep, {}, thresholds);
+    const auto devices = sweep.concat<std::uint32_t>(
+        [](const Dataset& block, std::size_t base) {
+          std::vector<std::uint32_t> ids;
+          for (const DeviceInfo& d : block.devices) {
+            ids.push_back(static_cast<std::uint32_t>(base + value(d.id)));
+          }
+          return ids;
+        });
+    sweep.run();
+    EXPECT_EQ(src.passes(), 1) << label;
+
+    EXPECT_EQ(home_rx.get().mbps,
+              analysis::location_series(inner, cls, {ApClass::Home, false},
+                                        true)
+                  .mbps)
+        << label;
+    EXPECT_EQ(office_tx.get().mbps,
+              analysis::location_series(inner, cls, {ApClass::Other, true},
+                                        false)
+                  .mbps)
+        << label;
+    const analysis::WifiLocationShares s =
+        analysis::wifi_location_shares(inner, cls);
+    EXPECT_EQ(shares.get().home, s.home) << label;
+    EXPECT_EQ(shares.get().publik, s.publik) << label;
+    EXPECT_EQ(shares.get().office, s.office) << label;
+    EXPECT_EQ(shares.get().other, s.other) << label;
+    EXPECT_EQ(density.get().count_by_cell,
+              analysis::ap_density_map(inner, cls, ApClass::Public, cells)
+                  .count_by_cell)
+        << label;
+    const analysis::WifiStateProfiles p = analysis::compute_wifi_states(inner);
+    EXPECT_EQ(states.get().android_off.ratio_series(),
+              p.android_off.ratio_series())
+        << label;
+    EXPECT_EQ(states.get().ios_user.ratio_series(), p.ios_user.ratio_series())
+        << label;
+    EXPECT_EQ(carriers.get(), analysis::ios_wifi_user_by_carrier(inner))
+        << label;
+    const std::vector<analysis::ApClassification> separate =
+        analysis::classify_aps(inner, {}, thresholds);
+    ASSERT_EQ(classified.get().size(), separate.size()) << label;
+    for (std::size_t k = 0; k < separate.size(); ++k) {
+      EXPECT_EQ(classified.get()[k].ap_class, separate[k].ap_class) << label;
+      EXPECT_EQ(classified.get()[k].is_office, separate[k].is_office) << label;
+      EXPECT_EQ(classified.get()[k].home_ap_of_device,
+                separate[k].home_ap_of_device)
+          << label;
+    }
+    ASSERT_EQ(devices.get().size(), inner.n_devices()) << label;
+    for (std::size_t d = 0; d < devices.get().size(); ++d) {
+      EXPECT_EQ(devices.get()[d], d) << label;
+    }
+  });
+}
+
+// Every entry's fold sees the blocks in shard order, as a lone fold does,
+// and a sweep without entries makes no pass.
+TEST(QuerySweep, EachFoldSeesBlocksInShardOrder) {
+  for_each_backend([](const query::DataSource& inner,
+                      const std::string& label) {
+    const std::vector<std::size_t> expected = block_bases(inner);
+    ASSERT_FALSE(expected.empty()) << label;
+    EXPECT_EQ(expected.front(), 0u) << label;
+    for (std::size_t i = 1; i < expected.size(); ++i) {
+      EXPECT_LT(expected[i - 1], expected[i]) << label;
+    }
+
+    const CountingSource src(inner);
+    query::Sweep empty(src);
+    empty.run();
+    EXPECT_EQ(src.passes(), 0) << label;
+
+    query::Sweep sweep(src);
+    std::vector<std::size_t> seen[3];
+    for (std::vector<std::size_t>& bases : seen) {
+      sweep.fold<std::size_t>(
+          [](const Dataset&, std::size_t base) { return base; },
+          [&bases](std::size_t&& scanned, std::size_t base) {
+            EXPECT_EQ(scanned, base);
+            bases.push_back(base);
+          });
+    }
+    sweep.run();
+    EXPECT_EQ(src.passes(), 1) << label;
+    for (const std::vector<std::size_t>& bases : seen) {
+      EXPECT_EQ(bases, expected) << label;
+    }
+  });
+}
+
+// An exception the second scan of a sweep throws reaches the caller of
+// run(), as ShardPipeline.ScanExceptionReachesCaller requires for one
+// scan: every entry has folded the blocks before the failing one and no
+// other, and no finish step has run.
+TEST(QuerySweep, SecondScanExceptionReachesCaller) {
+  for_each_backend([](const query::DataSource& src, const std::string& label) {
+    const std::vector<std::size_t> bases = block_bases(src);
+    const std::size_t failing = bases[bases.size() / 2];
+    const std::vector<std::size_t> before(
+        bases.begin(),
+        bases.begin() + static_cast<std::ptrdiff_t>(bases.size() / 2));
+
+    query::Sweep sweep(src);
+    std::vector<std::size_t> folded[3];
+    const auto record = [&folded](int entry) {
+      return [&folded, entry](int&&, std::size_t base) {
+        folded[entry].push_back(base);
+      };
+    };
+    const query::Pending<int> first = sweep.reduce<int>(
+        [](const Dataset&, std::size_t) { return 1; },
+        [](int& acc, int&& p) { acc += p; });
+    sweep.fold<int>([](const Dataset&, std::size_t) { return 0; }, record(0));
+    sweep.fold<int>(
+        [failing](const Dataset&, std::size_t base) {
+          if (base == failing) throw std::runtime_error("second scan failed");
+          return 0;
+        },
+        record(1));
+    sweep.fold<int>([](const Dataset&, std::size_t) { return 0; }, record(2));
+    try {
+      sweep.run();
+      ADD_FAILURE() << "scan exception swallowed, " << label;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "second scan failed") << label;
+    }
+    for (const std::vector<std::size_t>& f : folded) {
+      EXPECT_EQ(f, before) << label;
+    }
+    EXPECT_THROW((void)first.get(), std::logic_error) << label;
+  });
+}
+
+// --- Passes per figure -----------------------------------------------------
+
+// The out-of-core catalog's store passes, figure by figure, over a
+// 16-shard 2015 store in the order the benchmark renders them: the
+// level-0 context sweep rides fig03, every figure that scans the store
+// makes one pass however many kernels it runs, and the figures that
+// read only context intermediates make none. 16 in total.
+TEST(FigurePasses, OutOfCoreCatalogMakesOnePassPerScanningFigure) {
+  const ScenarioConfig config = scenario_config(Year::Y2015, kQueryTestScale);
+  test::ScratchDir tmp;
+  sim::StreamCampaignOptions opts;
+  opts.shards = 16;
+  ASSERT_TRUE(sim::stream_campaign(config, tmp.path / "store", opts).ok());
+  io::ShardedDataset store;
+  ASSERT_TRUE(io::ShardedDataset::open(tmp.path / "store", store).ok());
+  ASSERT_EQ(store.num_shards(), 16u);
+  const query::ShardedSource sharded(store, 0);
+  const CountingSource src(sharded);
+
+  report::Runner::Options opt;
+  opt.scale = kQueryTestScale;
+  report::Runner runner(opt);
+  runner.adopt_source(Year::Y2015, src);
+
+  const struct {
+    const char* id;
+    int passes;
+  } kExpected[] = {
+      {"fig02", 1},   {"fig03", 1},   {"fig04", 0},
+      {"fig05", 0},   {"fig09", 1},   {"fig10", 1},
+      {"fig11", 1},   {"fig12", 1},   {"fig13", 1},
+      {"fig14", 0},   {"fig15", 1},   {"fig16", 1},
+      {"fig17", 1},   {"fig18", 0},   {"fig19", 0},
+      {"sec35_opportunity", 1},       {"sec41_offload", 1},
+      {"sec42_battery", 1},           {"sec43_shared_aps", 0},
+      {"table01", 1}, {"table02", 0}, {"table04", 0},
+      {"table05", 1}, {"table06", 1}, {"table07", 0},
+      {"table08", 0}, {"table09", 0}};
+  const auto& registry = report::FigureRegistry::instance();
+  for (const auto& e : kExpected) {
+    const report::FigureSpec* spec = registry.find(e.id);
+    ASSERT_NE(spec, nullptr) << e.id;
+    const int before = src.passes();
+    (void)runner.run(*spec, Year::Y2015);
+    EXPECT_EQ(src.passes() - before, e.passes) << e.id;
+  }
+  EXPECT_EQ(src.passes(), 16);
 }
 
 }  // namespace
