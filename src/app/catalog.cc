@@ -10,7 +10,7 @@ namespace {
 
 // Categories with explicitly modelled shares. Everything else shares a
 // small residual weight.
-constexpr std::array<AppCategory, 15> kMajor{
+constexpr std::array<AppCategory, kNumMajorCategories> kMajor{
     AppCategory::Browser,       AppCategory::Social,
     AppCategory::Video,         AppCategory::Communication,
     AppCategory::News,          AppCategory::Game,
@@ -139,23 +139,28 @@ double category_tx_ratio(AppCategory category) noexcept {
   }
 }
 
-AppMixer::AppMixer(Year year) : year_(year), tx_noise_(0.0, 0.5) {
-  // Per-scenario table build: each context's 15 major shares plus the
+std::array<double, kNumMajorCategories + 1> category_weights(
+    Year year, Context context) noexcept {
+  const ShareRow& row = share_row(year, context);
+  std::array<double, kNumMajorCategories + 1> weights{};
+  double major_total = 0;
+  for (std::size_t i = 0; i < kMajor.size(); ++i) {
+    weights[i] = row[i];
+    major_total += row[i];
+  }
+  weights[kMajor.size()] = std::max(0.0, 1.0 - major_total);
+  return weights;
+}
+
+AppMixer::AppMixer(Year year)
+    : year_(year), count_table_(kCategoryCountWeights), tx_noise_(0.0, 0.5) {
+  // Per-scenario table build: each context's major shares plus the
   // collapsed minor tail become one alias table, so per-bin category
   // draws cost one uniform instead of a weight rescan.
   for (int c = 0; c < kNumContexts; ++c) {
-    const ShareRow& row = share_row(year, static_cast<Context>(c));
-    std::array<double, kMajor.size() + 1> weights{};
-    double major_total = 0;
-    for (std::size_t i = 0; i < kMajor.size(); ++i) {
-      weights[i] = row[i];
-      major_total += row[i];
-    }
-    weights[kMajor.size()] = std::max(0.0, 1.0 - major_total);
-    category_table_[static_cast<std::size_t>(c)] = stats::AliasTable(weights);
+    category_table_[static_cast<std::size_t>(c)] =
+        stats::AliasTable(category_weights(year, static_cast<Context>(c)));
   }
-  static constexpr double kCountWeights[] = {0.50, 0.35, 0.15};
-  count_table_ = stats::AliasTable(kCountWeights);
 }
 
 double AppMixer::expected_share(Context context,
@@ -196,11 +201,10 @@ std::uint64_t AppMixer::mix(Context context, double demand_mb,
                                 : kMinor[rng.uniform_int(kMinor.size())];
     const double tx_mb =
         demand_mb * category_tx_ratio(cat) * tx_noise_.draw(rng);
-    AppTraffic at;
+    AppTraffic& at = out.emplace_back();
     at.category = cat;
     at.rx_bytes = saturate_u32(mb_to_bytes(demand_mb));
     at.tx_bytes = saturate_u32(mb_to_bytes(tx_mb));
-    out.push_back(at);
     return at.tx_bytes;
   }
   bool taken[kMajor.size() + 1] = {};
@@ -237,11 +241,10 @@ std::uint64_t AppMixer::mix(Context context, double demand_mb,
     const double rx_mb = demand_mb * split[i] / split_total;
     const double tx_mb =
         rx_mb * category_tx_ratio(cats[i]) * tx_noise_.draw(rng);
-    AppTraffic at;
+    AppTraffic& at = out.emplace_back();
     at.category = cats[i];
     at.rx_bytes = saturate_u32(mb_to_bytes(rx_mb));
     at.tx_bytes = saturate_u32(mb_to_bytes(tx_mb));
-    out.push_back(at);
     tx_total += at.tx_bytes;
   }
   return tx_total;

@@ -30,6 +30,19 @@ enum class Context : std::uint8_t {
 };
 inline constexpr int kNumContexts = 5;
 
+/// Categories whose volume shares are modelled one by one; the others
+/// share one collapsed minor-tail entry.
+inline constexpr std::size_t kNumMajorCategories = 15;
+
+/// Weights of AppMixer's category draw in `context`: the major shares,
+/// then the minor tail (whatever the majors leave of 1).
+[[nodiscard]] std::array<double, kNumMajorCategories + 1> category_weights(
+    Year year, Context context) noexcept;
+
+/// Weights of 1, 2 and 3 active categories per bin.
+inline constexpr std::array<double, 3> kCategoryCountWeights{0.50, 0.35,
+                                                             0.15};
+
 /// Per-category upload/download character.
 struct CategoryShape {
   AppCategory category;

@@ -1,6 +1,6 @@
 // Strict parsing for the numeric TOKYONET_* environment knobs
-// (TOKYONET_THREADS, TOKYONET_RESIDENT_SHARDS, TOKYONET_CACHE_SHARDS,
-// TOKYONET_SIM_DEVICE_BLOCK), so every knob follows one rule.
+// (TOKYONET_THREADS, TOKYONET_RESIDENT_SHARDS, TOKYONET_CACHE_SHARDS),
+// so every knob follows one rule.
 #pragma once
 
 namespace tokyonet::core {

@@ -9,7 +9,6 @@
 
 #include "app/catalog.h"
 #include "core/dataset_index.h"
-#include "core/env.h"
 #include "core/parallel.h"
 #include "geo/region.h"
 #include "net/cellular.h"
@@ -36,15 +35,12 @@ using net::Deployment;
 constexpr std::uint32_t kLaneDayBase = 0x00010000u;
 constexpr std::uint32_t kLaneSetup = 0xFFFF0000u;
 
-/// Device-block granularity for the parallel sweep, from
-/// TOKYONET_SIM_DEVICE_BLOCK (default 1). The counter-based streams
-/// make campaign bytes independent of this partitioning; the knob
-/// exists so tests can assert that, and so streaming generation can
-/// pick coarser blocks.
-[[nodiscard]] std::size_t device_block_size() noexcept {
-  return static_cast<std::size_t>(
-      core::env_integer("TOKYONET_SIM_DEVICE_BLOCK", 1, 1L << 20, 1));
-}
+/// Bin-lane blocks computed ahead per device-day (PhiloxRng::reseat's
+/// prefill). An Android bin draws its app mix and scan summary and
+/// spans several blocks; an iOS bin rarely needs more than one.
+constexpr std::uint32_t kPrefillBlocksAndroid = 3;
+constexpr std::uint32_t kPrefillBlocksIos = 1;
+static_assert(kPrefillBlocksAndroid <= stats::PhiloxRng::kMaxPrefillBlocks);
 
 [[nodiscard]] std::uint32_t mb_to_bytes_u32(double mb) noexcept {
   if (mb <= 0) return 0;
@@ -74,14 +70,12 @@ struct SegmentState {
   GeoCell cell = kNoGeoCell;
   /// Scan-summary parameters are fixed for the whole dwell (they depend
   /// only on `where` and `cell`), so the AP-density lookup, the Poisson
-  /// CDF walks and the binomial starting masses are resolved once per
-  /// segment — lazily, on the first bin that actually scans — instead of
-  /// per bin. Draws through these caches are bit-identical to the
-  /// uncached transforms.
+  /// CDF walks and the choice of strong-thinning table are resolved once
+  /// per segment — lazily, on the first bin that actually scans —
+  /// instead of per bin. Draws through these caches are bit-identical
+  /// to the uncached transforms.
   bool scan_ready = false;
   std::size_t scan_env = 2;  // index into the strong-thinning tables
-  double strong24_p = 0;
-  double strong5_p = 0;
   stats::PoissonCdfCache scan24;
   stats::PoissonCdfCache scan5;
 };
@@ -150,26 +144,24 @@ struct DeviceRows {
 }  // namespace
 
 struct CampaignEngine::Impl {
-  explicit Impl(const ScenarioConfig& config)
+  Impl(const ScenarioConfig& config, std::size_t device_block)
       : config_(config),
+        device_block_(std::max<std::size_t>(device_block, 1)),
         root_rng_(config_.seed),
         region_(),
         deployment_(config_, region_, root_rng_),
         mixer_(config_.year) {
-    // pow(1 - p, n) for the six dwell-fixed strong-scan thinning
-    // probabilities (three environments x two bands): emit_scan's
-    // binomial draws start their CDF walk from these masses instead of
-    // re-running std::pow twice per Android bin. Same pow, same bits —
-    // just hoisted from the bin loop to scenario setup.
+    // The binomial CDFs of the six dwell-fixed strong-scan thinning
+    // probabilities (three environments x two bands): emit_scan's draws
+    // become a table count instead of a pow and a divide-per-step walk
+    // per Android bin. Same recurrence, same bits — just hoisted from
+    // the bin loop to scenario setup.
     constexpr double kEnvStrong[kNumScanEnvs] = {0.5, 0.2, 1.0};
     for (std::size_t e = 0; e < kNumScanEnvs; ++e) {
       const double p24 = config_.deployment.scan_strong_frac * kEnvStrong[e];
       const double p5 = std::min(1.0, p24 * 1.3);
-      strong_p_[e] = {p24, p5};
-      for (std::size_t n = 0; n < kStrongPmf0N; ++n) {
-        strong_pmf0_[e][0][n] = std::pow(1.0 - p24, static_cast<double>(n));
-        strong_pmf0_[e][1][n] = std::pow(1.0 - p5, static_cast<double>(n));
-      }
+      strong_cdf_[e] = {stats::BinomialCdfTable(p24, kStrongCdfN),
+                        stats::BinomialCdfTable(p5, kStrongCdfN)};
     }
 
     // Campaign-global population state. Rng::fork() is const — it never
@@ -211,7 +203,7 @@ struct CampaignEngine::Impl {
     const std::size_t n_local = end - begin;
     core::DatasetIndex::DenseBuilder builder(ds);
 
-    const std::size_t block = device_block_size();
+    const std::size_t block = device_block_;
     const std::size_t n_blocks = (n_local + block - 1) / block;
     std::vector<DeviceOutput> outputs(n_local);
     core::parallel_for(n_blocks, [&](std::size_t blk) {
@@ -223,8 +215,9 @@ struct CampaignEngine::Impl {
         net::DeviceCapTracker cap(config_.cap, config_.num_days);
         DeviceOutput out;
         // Android devices emit ~0.8 records per bin on average; one
-        // right-sized reservation avoids the mid-campaign regrow.
-        out.app_traffic.reserve(n_bins);
+        // right-sized reservation avoids the mid-campaign regrow. iOS
+        // devices emit none.
+        if (user.os == Os::Android) out.app_traffic.reserve(n_bins);
         simulate_device(ctx, DeviceRows(ds.samples, li * n_bins),
                         out.app_traffic, cap, ds.calendar);
         out.update_bin = ctx.update_bin;
@@ -459,13 +452,23 @@ struct CampaignEngine::Impl {
 
     // One reseatable engine serves every per-bin lane below — same
     // sequences as constructing a PhiloxRng per bin, minus the per-bin
-    // key derivation.
+    // key derivation. Each day's 144 bin lanes get their first blocks
+    // computed in one batch up front, off the draws' critical path.
     stats::PhiloxRng rng(config_.seed, dev, 0);
+    const std::array<std::uint32_t, 2> key =
+        stats::PhiloxRng::derive_key(config_.seed);
+    const std::uint32_t prefill =
+        user.os == Os::Android ? kPrefillBlocksAndroid : kPrefillBlocksIos;
+    std::array<std::uint64_t, 2 * kPrefillBlocksAndroid * kBinsPerDay>
+        blocks;
 
     for (int day = 0; day < cal.num_days(); ++day) {
       const bool weekend = cal.is_weekend_day(day);
       stats::PhiloxRng day_rng(config_.seed, dev,
                                kLaneDayBase + static_cast<std::uint32_t>(day));
+      stats::philox4x32_fill(key, dev,
+                             static_cast<std::uint32_t>(day * kBinsPerDay),
+                             kBinsPerDay, prefill, blocks.data());
       const DaySchedule sched = ScheduleBuilder::build(user, weekend, day_rng);
 
       const double daily_mb =
@@ -515,7 +518,9 @@ struct CampaignEngine::Impl {
       for (int b = 0; b < kBinsPerDay; ++b) {
         const auto bin =
             static_cast<TimeBin>(day * kBinsPerDay + b);
-        rng.reseat(dev, static_cast<std::uint32_t>(bin));
+        rng.reseat(dev, static_cast<std::uint32_t>(bin),
+                   blocks.data() + 2 * prefill * static_cast<std::size_t>(b),
+                   prefill);
         const Where where = sched.where[static_cast<std::size_t>(b)];
         if (where != seg.where) {
           seg.where = where;
@@ -748,8 +753,6 @@ struct CampaignEngine::Impl {
       const double frac5 = config_.deployment.scan_5ghz_frac;
       seg.scan24.reset(expected * (1.0 - frac5));
       seg.scan5.reset(expected * frac5);
-      seg.strong24_p = strong_p_[seg.scan_env][0];
-      seg.strong5_p = strong_p_[seg.scan_env][1];
       seg.scan_ready = true;
     }
     const unsigned all24 = seg.scan24.draw(rng);
@@ -758,30 +761,21 @@ struct CampaignEngine::Impl {
     // (5 GHz cells are smaller, so a detected 5 GHz AP is more often
     // close enough to be strong). One inversion draw per band replaces
     // the per-detected-network bernoulli loop.
-    const unsigned strong24 =
-        rng.binomial_pmf0(all24, seg.strong24_p,
-                          strong_pmf0(seg.scan_env, 0, all24));
-    const unsigned strong5 =
-        rng.binomial_pmf0(all5, seg.strong5_p,
-                          strong_pmf0(seg.scan_env, 1, all5));
+    const auto& strong = strong_cdf_[seg.scan_env];
+    const unsigned strong24 = strong[0].draw(rng, all24);
+    const unsigned strong5 = strong[1].draw(rng, all5);
     return {saturate_u8(all24), saturate_u8(strong24), saturate_u8(all5),
             saturate_u8(strong5)};
   }
 
-  /// pow(1 - p, n) for a strong-thinning binomial, from the scenario
-  /// table (falling back to the live pow only for freak scan counts past
-  /// the table; either way the bits match the uncached draw).
-  [[nodiscard]] double strong_pmf0(std::size_t env, std::size_t band,
-                                   unsigned n) const {
-    if (n < kStrongPmf0N) return strong_pmf0_[env][band][n];
-    return std::pow(1.0 - strong_p_[env][band], static_cast<double>(n));
-  }
-
   // home / commute / everywhere else
   static constexpr std::size_t kNumScanEnvs = 3;
-  static constexpr unsigned kStrongPmf0N = 384;
+  /// Scan counts are Poisson with a mean of at most ~25; counts from
+  /// here up take binomial()'s live walk.
+  static constexpr unsigned kStrongCdfN = 64;
 
   ScenarioConfig config_;
+  std::size_t device_block_;
   stats::Rng root_rng_;
   geo::TokyoRegion region_;
   Deployment deployment_;
@@ -792,13 +786,13 @@ struct CampaignEngine::Impl {
   /// draw, no per-bin quantile polynomial / exp).
   stats::NormalTable fading_noise_{0.0, 1.5};
   stats::LognormalTable ios_tx_noise_{0.0, 0.5};
-  std::array<std::array<double, 2>, kNumScanEnvs> strong_p_{};
-  std::array<std::array<std::array<double, kStrongPmf0N>, 2>, kNumScanEnvs>
-      strong_pmf0_{};
+  std::array<std::array<stats::BinomialCdfTable, 2>, kNumScanEnvs>
+      strong_cdf_{};
 };
 
-CampaignEngine::CampaignEngine(const ScenarioConfig& config)
-    : impl_(std::make_unique<Impl>(config)) {}
+CampaignEngine::CampaignEngine(const ScenarioConfig& config,
+                               std::size_t device_block)
+    : impl_(std::make_unique<Impl>(config, device_block)) {}
 
 CampaignEngine::~CampaignEngine() = default;
 

@@ -31,7 +31,13 @@ class CampaignEngine {
   /// home/office APs created in the deployment), mobile-hotspot
   /// assignment and the survey answers. Deterministic in `config`
   /// (including seed and scale); the config is copied.
-  explicit CampaignEngine(const ScenarioConfig& config);
+  ///
+  /// `device_block` is how many devices one parallel task simulates
+  /// (0 counts as 1). The campaign bytes do not depend on it — that is
+  /// what Simulator.DeterministicAcrossDevicePartitionings pins — so it
+  /// is not part of the scenario and never moves scenario_hash().
+  explicit CampaignEngine(const ScenarioConfig& config,
+                          std::size_t device_block = 1);
   ~CampaignEngine();
 
   CampaignEngine(const CampaignEngine&) = delete;

@@ -13,7 +13,9 @@ namespace tokyonet::sim {
 // The campaign loop lives in sim/engine.cc (CampaignEngine); run() is
 // the classic one-shot form: the whole panel in one block, universe
 // attached.
-Dataset Simulator::run() const { return CampaignEngine(config_).run_all(); }
+Dataset Simulator::run() const {
+  return CampaignEngine(config_, device_block_).run_all();
+}
 
 Dataset simulate_year(Year year, double scale) {
   return Simulator(scenario_config(year, scale)).run();

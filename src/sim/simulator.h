@@ -3,6 +3,7 @@
 // software would have uploaded (§2).
 #pragma once
 
+#include <cstddef>
 #include <filesystem>
 #include <string>
 
@@ -17,7 +18,10 @@ namespace tokyonet::sim {
 /// always produces the same dataset, bit for bit.
 class Simulator {
  public:
-  explicit Simulator(ScenarioConfig config) : config_(std::move(config)) {}
+  /// `device_block`: devices per parallel task (CampaignEngine); any
+  /// value yields the same dataset.
+  explicit Simulator(ScenarioConfig config, std::size_t device_block = 1)
+      : config_(std::move(config)), device_block_(device_block) {}
 
   [[nodiscard]] Dataset run() const;
 
@@ -27,6 +31,7 @@ class Simulator {
 
  private:
   ScenarioConfig config_;
+  std::size_t device_block_;
 };
 
 /// Convenience: simulate the calibrated scenario for `year` at `scale`.

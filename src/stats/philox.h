@@ -16,8 +16,8 @@
 // inverse-CDF rational approximation instead of Box-Muller, so there is
 // no cached second variate — the asymmetric cache-drop bug the old
 // Rng::poisson normal-approximation branch had cannot recur).
-// Categorical/zipf draws on hot paths go through the precomputed tables
-// in stats/tables.h instead of per-draw weight scans.
+// Categorical and quantile draws on hot paths go through the
+// precomputed tables in stats/tables.h instead of per-draw weight scans.
 #pragma once
 
 #include <algorithm>
@@ -25,9 +25,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "stats/rng.h"   // splitmix64
-#include "stats/simd.h"  // ISA detection + intrinsics
+#include "stats/simd.h"  // count_less_f64
 
 namespace tokyonet::stats {
 
@@ -53,72 +54,28 @@ namespace tokyonet::stats {
   return ctr;
 }
 
-/// Two consecutive Philox4x32-10 blocks — counters identical except
-/// ctr[2] (the slot), which takes `ctr[2]` and `ctr[2] + 1` — returned
-/// as the four 64-bit outputs in draw order. On SSE2 both blocks run
-/// through one round loop (pmuludq performs the two 32x32->64 multiplies
-/// of a round for both blocks at once); elsewhere it is two scalar
-/// blocks. Every path produces bit-identical values: the pair is purely
-/// a throughput optimization for lanes that consume > 2 draws.
-[[nodiscard]] inline std::array<std::uint64_t, 4> philox4x32_pair(
-    std::array<std::uint32_t, 4> ctr, std::array<std::uint32_t, 2> key) noexcept {
-#if defined(TOKYONET_SIMD_SSE2)
-  constexpr std::uint32_t kMul0 = 0xD2511F53u;
-  constexpr std::uint32_t kMul1 = 0xCD9E8D57u;
-  // Lane layout: even 32-bit lanes hold block A, odd pairs block B.
-  //   v02 = [c0_A, c2_A, c0_B, c2_B]   (the multiplied words)
-  //   v13 = [c1_A, c3_A, c1_B, c3_B]   (the xored words)
-  __m128i v02 = _mm_set_epi32(static_cast<int>(ctr[2] + 1),
-                              static_cast<int>(ctr[0]),
-                              static_cast<int>(ctr[2]),
-                              static_cast<int>(ctr[0]));
-  __m128i v13 = _mm_set_epi32(static_cast<int>(ctr[3]),
-                              static_cast<int>(ctr[1]),
-                              static_cast<int>(ctr[3]),
-                              static_cast<int>(ctr[1]));
-  __m128i k = _mm_set_epi32(static_cast<int>(key[1]),
-                            static_cast<int>(key[0]),
-                            static_cast<int>(key[1]),
-                            static_cast<int>(key[0]));
-  const __m128i weyl = _mm_set_epi32(static_cast<int>(0xBB67AE85u),
-                                     static_cast<int>(0x9E3779B9u),
-                                     static_cast<int>(0xBB67AE85u),
-                                     static_cast<int>(0x9E3779B9u));
-  const __m128i mul0 = _mm_set1_epi32(static_cast<int>(kMul0));
-  const __m128i mul1 = _mm_set1_epi32(static_cast<int>(kMul1));
-  const __m128i lo32 = _mm_set1_epi64x(0xFFFFFFFFll);
-  for (int round = 0; round < 10; ++round) {
-    const __m128i p0 = _mm_mul_epu32(v02, mul0);                  // c0 * M0
-    const __m128i p1 = _mm_mul_epu32(_mm_srli_epi64(v02, 32), mul1);  // c2 * M1
-    // New multiplied words: {hi(p1), hi(p0)} ^ {c1, c3} ^ {k0, k1}.
-    const __m128i hi =
-        _mm_or_si128(_mm_srli_epi64(p1, 32),
-                     _mm_slli_epi64(_mm_srli_epi64(p0, 32), 32));
-    // New xored words: {lo(p1), lo(p0)}.
-    const __m128i lo = _mm_or_si128(_mm_and_si128(p1, lo32),
-                                    _mm_slli_epi64(_mm_and_si128(p0, lo32), 32));
-    v02 = _mm_xor_si128(_mm_xor_si128(hi, v13), k);
-    v13 = lo;
-    k = _mm_add_epi32(k, weyl);
-  }
-  alignas(16) std::uint32_t a02[4];
-  alignas(16) std::uint32_t a13[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(a02), v02);
-  _mm_store_si128(reinterpret_cast<__m128i*>(a13), v13);
-  return {(std::uint64_t{a13[0]} << 32) | a02[0],
-          (std::uint64_t{a13[1]} << 32) | a02[1],
-          (std::uint64_t{a13[2]} << 32) | a02[2],
-          (std::uint64_t{a13[3]} << 32) | a02[3]};
-#else
-  const std::array<std::uint32_t, 4> a = philox4x32(ctr, key);
-  ctr[2] += 1;
-  const std::array<std::uint32_t, 4> b = philox4x32(ctr, key);
-  return {(std::uint64_t{a[1]} << 32) | a[0],
-          (std::uint64_t{a[3]} << 32) | a[2],
-          (std::uint64_t{b[1]} << 32) | b[0],
-          (std::uint64_t{b[3]} << 32) | b[2]};
-#endif
-}
+/// Fills the first `slots` blocks of `lanes` consecutive lanes of one
+/// stream: block (stream, lane0 + i, s) lands at out[2 * (i * slots + s)]
+/// as the two u64 draws PhiloxRng serves from it, low words first. The
+/// blocks are independent, so this is a throughput kernel: an AVX2 path
+/// (chosen at run time) computes eight at once, and the portable loop
+/// lets the CPU overlap the scalar blocks. Both emit exactly
+/// philox4x32's words.
+void philox4x32_fill(std::array<std::uint32_t, 2> key, std::uint32_t stream,
+                     std::uint32_t lane0, std::uint32_t lanes,
+                     std::uint32_t slots, std::uint64_t* out) noexcept;
+
+/// philox4x32_fill through the portable loop on every host (the
+/// dispatched kernel's reference).
+void philox4x32_fill_portable(std::array<std::uint32_t, 2> key,
+                              std::uint32_t stream, std::uint32_t lane0,
+                              std::uint32_t lanes, std::uint32_t slots,
+                              std::uint64_t* out) noexcept;
+
+/// Largest range uniform_int() (and rows an AliasTable) takes: u32 * n
+/// must stay below 2^53, where a double still holds the product exactly,
+/// for the integer draw to equal the double formula it replaced.
+inline constexpr std::uint64_t kMaxExactDrawRange = std::uint64_t{1} << 21;
 
 /// The poisson() transform walks the exact CDF up to this mean and
 /// switches to a rounded-normal approximation above it. The walk costs
@@ -163,6 +120,30 @@ class PhiloxRng {
     filled_ = 0;
     has_spare_ = false;
   }
+
+  /// reseat() with the lane's first `n_blocks` blocks (at most
+  /// kMaxPrefillBlocks) already computed, as philox4x32_fill lays them
+  /// out for this (stream, lane). Draws are served from those blocks,
+  /// then from on-demand refills at slot n_blocks: the sequence is the
+  /// plain reseat()'s.
+  void reseat(std::uint32_t stream, std::uint32_t lane,
+              const std::uint64_t* blocks, std::uint32_t n_blocks) noexcept {
+    assert(n_blocks <= kMaxPrefillBlocks);
+    stream_ = stream;
+    lane_ = lane;
+    slot_ = n_blocks;
+    pos_ = 0;
+    filled_ = 2 * n_blocks;
+    has_spare_ = false;
+    for (std::uint32_t i = 0; i < filled_; ++i) buf_[i] = blocks[i];
+  }
+
+  /// Most blocks reseat() takes prefilled.
+  static constexpr std::uint32_t kMaxPrefillBlocks = 3;
+
+  /// Fixed ctr[3] tag separating tokyonet draw streams from any other
+  /// Philox use of the same key ("toky").
+  static constexpr std::uint32_t kDomainTag = 0x746F6B79u;
 
   [[nodiscard]] std::uint64_t next_u64() noexcept {
     if (pos_ == filled_) refill();
@@ -217,11 +198,11 @@ class PhiloxRng {
     return lo + (hi - lo) * uniform32();
   }
 
-  /// Uniform integer in [0, n). Requires 0 < n (and n far below 2^32:
-  /// draws resolve 32 bits).
+  /// Uniform integer in [0, n), 0 < n <= kMaxExactDrawRange: the high
+  /// word of u32 * n, which equals floor(uniform32() * n) exactly.
   [[nodiscard]] std::uint64_t uniform_int(std::uint64_t n) noexcept {
-    assert(n > 0);
-    return static_cast<std::uint64_t>(uniform32() * static_cast<double>(n));
+    assert(n > 0 && n <= kMaxExactDrawRange);
+    return (std::uint64_t{next_u32()} * n) >> 32;
   }
 
   [[nodiscard]] bool bernoulli(double p) noexcept { return uniform32() < p; }
@@ -283,20 +264,8 @@ class PhiloxRng {
   [[nodiscard]] unsigned binomial(unsigned n, double p) noexcept {
     if (n == 0 || p <= 0) return 0;
     if (p >= 1) return n;
-    return binomial_pmf0(n, p, std::pow(1.0 - p, static_cast<double>(n)));
-  }
-
-  /// binomial() with the CDF walk's starting mass pmf0 supplied by the
-  /// caller. pmf0 must equal std::pow(1.0 - p, double(n)) exactly — the
-  /// simulator precomputes those powers per scenario (p is fixed per
-  /// dwell environment) so the per-bin std::pow disappears while every
-  /// draw stays bit-identical to binomial(n, p).
-  [[nodiscard]] unsigned binomial_pmf0(unsigned n, double p,
-                                       double pmf0) noexcept {
-    if (n == 0 || p <= 0) return 0;
-    if (p >= 1) return n;
     const double u = uniform32_open();
-    double pmf = pmf0;
+    double pmf = std::pow(1.0 - p, static_cast<double>(n));
     double cdf = pmf;
     const double odds = p / (1.0 - p);
     unsigned k = 0;
@@ -345,16 +314,14 @@ class PhiloxRng {
   }
 
  private:
-  /// Fixed ctr[3] tag separating tokyonet draw streams from any other
-  /// Philox use of the same key ("toky").
-  static constexpr std::uint32_t kDomainTag = 0x746F6B79u;
-
-  /// Refill policy: one block per fill, on demand. Simulator lanes are
-  /// short (a handful of draws per bin), so prefetching a second block
-  /// via philox4x32_pair wastes a whole block whenever the lane stops on
-  /// an odd block boundary — measured as a net loss on campaign
-  /// simulation time. The pair kernel stays available for bulk columnar fills
-  /// where the draw count is known up front.
+  /// Refill policy: one block per fill, on demand. A lane's length is
+  /// not known up front (it ranges from one block to a dozen per bin),
+  /// and a block computed on demand sits on the draw's critical path
+  /// (~30 ns of dependent multiplies). So callers that know a batch of
+  /// lanes in advance — the simulator's 144 bin lanes of a device-day —
+  /// compute their first blocks together with philox4x32_fill, where
+  /// independent blocks overlap, and hand them to reseat(); only the
+  /// rarer long lanes reach this path.
   void refill() noexcept {
     const std::array<std::uint32_t, 4> x =
         philox4x32({stream_, lane_, slot_, kDomainTag}, key_);
@@ -369,7 +336,7 @@ class PhiloxRng {
   std::uint32_t stream_ = 0;
   std::uint32_t lane_ = 0;
   std::uint32_t slot_ = 0;
-  std::array<std::uint64_t, 4> buf_{};
+  std::array<std::uint64_t, 2 * kMaxPrefillBlocks> buf_{};
   std::uint32_t pos_ = 0;
   std::uint32_t filled_ = 0;
   std::uint32_t spare_ = 0;
@@ -449,6 +416,54 @@ class PoissonCdfCache {
   double sd_ = 0;
   unsigned size_ = 0;
   bool started_ = false;
+};
+
+/// Binomial(n, p) for a fixed p, bit-identical to PhiloxRng::binomial
+/// draw for draw.
+///
+/// The simulator thins scan counts with one of six dwell-fixed
+/// probabilities, so the CDF walk binomial() redoes per draw — a pow, a
+/// divide per step — is computed once per scenario for every n below
+/// `n_max`: row n holds the walk's partial sums cdf[0 .. n-1]. The walk
+/// stops at the first k with u <= cdf[k] (or at n), which for a
+/// non-decreasing row is the count of entries below u: a branch-free
+/// SIMD count, as in PoissonCdfCache. Larger n fall back to binomial().
+class BinomialCdfTable {
+ public:
+  BinomialCdfTable() = default;
+
+  BinomialCdfTable(double p, unsigned n_max) : p_(p), n_max_(n_max) {
+    if (p <= 0 || p >= 1) {
+      n_max_ = 0;  // binomial() returns without drawing
+      return;
+    }
+    // Row n starts at n * (n - 1) / 2.
+    cdf_.resize(static_cast<std::size_t>(n_max) * (n_max - 1) / 2);
+    const double odds = p / (1.0 - p);
+    for (unsigned n = 1; n < n_max; ++n) {
+      double* row = cdf_.data() + static_cast<std::size_t>(n) * (n - 1) / 2;
+      double pmf = std::pow(1.0 - p, static_cast<double>(n));
+      double cdf = pmf;
+      row[0] = cdf;
+      for (unsigned k = 1; k < n; ++k) {
+        pmf *= odds * static_cast<double>(n - k + 1) / static_cast<double>(k);
+        cdf += pmf;
+        row[k] = cdf;
+      }
+    }
+  }
+
+  [[nodiscard]] unsigned draw(PhiloxRng& rng, unsigned n) const noexcept {
+    if (n == 0 || n >= n_max_) return rng.binomial(n, p_);
+    const double u = rng.uniform32_open();
+    const double* row = cdf_.data() + static_cast<std::size_t>(n) * (n - 1) / 2;
+    return static_cast<unsigned>(simd::count_less_f64(row, n, u));
+  }
+
+ private:
+  std::vector<double> cdf_;
+  double p_ = 0;
+  unsigned n_max_ = 0;
 };
 
 }  // namespace tokyonet::stats

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "app/catalog.h"
 #include "core/scenario.h"
 #include "stats/tables.h"
 
@@ -56,28 +59,8 @@ TEST(Philox, BlockIsConstexpr) {
   EXPECT_EQ(out[3], 0x9b00dbd8u);
 }
 
-TEST(Philox, PairMatchesTwoScalarBlocks) {
-  // philox4x32_pair is a throughput shortcut, not a different function:
-  // on every ISA it must emit exactly the u64s of the blocks at slots
-  // ctr[2] and ctr[2]+1, including across the ctr[2] wraparound.
-  const std::array<std::uint32_t, 2> key{0xa4093822u, 0x299f31d0u};
-  for (const std::uint32_t slot :
-       {0u, 1u, 2u, 1000003u, 0x7fffffffu, 0xfffffffeu, 0xffffffffu}) {
-    const std::array<std::uint32_t, 4> ctr{0x243f6a88u, 0x85a308d3u, slot,
-                                           0x03707344u};
-    const std::array<std::uint64_t, 4> pair = philox4x32_pair(ctr, key);
-    const std::array<std::uint32_t, 4> lo = philox4x32(ctr, key);
-    const std::array<std::uint32_t, 4> hi =
-        philox4x32({ctr[0], ctr[1], slot + 1u, ctr[3]}, key);
-    EXPECT_EQ(pair[0], (std::uint64_t{lo[1]} << 32) | lo[0]) << slot;
-    EXPECT_EQ(pair[1], (std::uint64_t{lo[3]} << 32) | lo[2]) << slot;
-    EXPECT_EQ(pair[2], (std::uint64_t{hi[1]} << 32) | hi[0]) << slot;
-    EXPECT_EQ(pair[3], (std::uint64_t{hi[3]} << 32) | hi[2]) << slot;
-  }
-}
-
 TEST(PhiloxRng, BatchingPreservesSlotOrder) {
-  // The pair-batched refill must serve the same sequence as a slot-wise
+  // On-demand refills must serve the same sequence as a slot-wise
   // reconstruction from the raw block function: two u64s per slot, low
   // half (words 1:0) before high half (words 3:2).
   PhiloxRng rng(20150228, 41, 7);
@@ -249,8 +232,7 @@ TEST(PhiloxRng, BinomialBoundsAndMoments) {
 }
 
 // ---------------------------------------------------------------------------
-// Precomputed draw tables (satellite of the same change: O(1) hot-path
-// categorical/zipf draws).
+// Precomputed draw tables: O(1) hot-path categorical draws.
 
 TEST(AliasTable, MatchesWeights) {
   const std::vector<double> weights{1.0, 3.0, 0.0, 6.0};
@@ -270,28 +252,262 @@ TEST(AliasTable, MatchesWeights) {
   EXPECT_NEAR(counts[3] / double(kN), 0.6, 0.01);
 }
 
-TEST(ZipfTable, MatchesHarmonicWeights) {
-  constexpr std::size_t n = 50;
-  constexpr double s = 1.1;
-  const ZipfTable table(n, s);
-  ASSERT_EQ(table.size(), n);
-  PhiloxRng rng(10, 0, 0);
-  std::vector<int> counts(n + 1, 0);
-  constexpr int kN = 120000;
-  for (int i = 0; i < kN; ++i) {
-    const std::size_t r = table.draw(rng);
-    ASSERT_GE(r, 1u);
-    ASSERT_LE(r, n);
-    ++counts[r];
+// ---------------------------------------------------------------------------
+// Draw identity: the table draws and uniform_int resolve a 32-bit counter
+// value with integer arithmetic. Each must return exactly what the double
+// formula it replaced returned — the campaigns were generated with those
+// — so the references below are verbatim copies of the old formulas, and
+// the inputs are every row and knot boundary +-1 plus 10^6 random u32.
+
+// The double-precision Walker table the integer AliasTable replaced.
+struct DoubleAliasTable {
+  std::vector<double> prob;
+  std::vector<std::uint32_t> alias;
+
+  explicit DoubleAliasTable(std::span<const double> weights) {
+    const std::size_t n = weights.size();
+    double total = 0;
+    for (double w : weights) total += w;
+    prob.assign(n, 0.0);
+    alias.assign(n, 0);
+    std::vector<double> scaled(n);
+    std::vector<std::uint32_t> small, large;
+    for (std::size_t i = 0; i < n; ++i) {
+      scaled[i] = weights[i] * static_cast<double>(n) / total;
+      (scaled[i] < 1.0 ? small : large).push_back(
+          static_cast<std::uint32_t>(i));
+    }
+    while (!small.empty() && !large.empty()) {
+      const std::uint32_t s = small.back();
+      const std::uint32_t l = large.back();
+      small.pop_back();
+      large.pop_back();
+      prob[s] = scaled[s];
+      alias[s] = l;
+      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+      (scaled[l] < 1.0 ? small : large).push_back(l);
+    }
+    for (const std::uint32_t i : large) prob[i] = 1.0;
+    for (const std::uint32_t i : small) prob[i] = 1.0;
   }
-  double norm = 0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    norm += 1.0 / std::pow(double(k), s);
+
+  [[nodiscard]] std::size_t draw(std::uint32_t u) const {
+    const double x =
+        static_cast<double>(u) * 0x1.0p-32 * static_cast<double>(prob.size());
+    const auto row = static_cast<std::size_t>(x);
+    const double frac = x - static_cast<double>(row);
+    return frac < prob[row] ? row : alias[row];
   }
-  for (const std::size_t rank : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{10}, n}) {
-    const double expect = 1.0 / std::pow(double(rank), s) / norm;
-    EXPECT_NEAR(counts[rank] / double(kN), expect, 0.01) << "rank " << rank;
+};
+
+// The double-precision quantile interpolation LognormalTable and
+// NormalTable used, over knots built the same way.
+std::vector<double> reference_knots(double mu, double sigma, bool log_normal) {
+  std::vector<double> q(QuantileTable::kKnots);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const double p =
+        (static_cast<double>(i) + 0.5) / static_cast<double>(q.size());
+    const double z = mu + sigma * PhiloxRng::inverse_normal_cdf(p);
+    q[i] = log_normal ? std::exp(z) : z;
+  }
+  return q;
+}
+
+double reference_quantile_draw(const std::vector<double>& q, std::uint32_t u) {
+  const double x = static_cast<double>(u) * 0x1.0p-32 *
+                       static_cast<double>(q.size()) -
+                   0.5;
+  if (x <= 0) return q.front();
+  const auto i = static_cast<std::size_t>(x);
+  if (i + 1 >= q.size()) return q.back();
+  const double frac = x - static_cast<double>(i);
+  return q[i] + frac * (q[i + 1] - q[i]);
+}
+
+std::uint64_t reference_uniform_int(std::uint32_t u, std::uint64_t n) {
+  return static_cast<std::uint64_t>(static_cast<double>(u) * 0x1.0p-32 *
+                                    static_cast<double>(n));
+}
+
+// Makes `u` the next next_u32() of `rng`: reseat() serves prefilled
+// blocks verbatim, so any counter value can be fed to a draw.
+PhiloxRng& feed(PhiloxRng& rng, std::uint32_t u) {
+  const std::uint64_t block[2] = {u, 0};
+  rng.reseat(0, 0, block, 1);
+  return rng;
+}
+
+// The u32s within 2 of the real number x = k * 2^32 / n-style boundary
+// (clamped to the u32 range).
+void add_around(std::vector<std::uint32_t>& out, double x) {
+  const double base = std::floor(x);
+  for (double d = -2; d <= 2; ++d) {
+    const double v = base + d;
+    if (v >= 0 && v <= 0xFFFFFFFFp0) out.push_back(static_cast<std::uint32_t>(v));
+  }
+}
+
+// 10^6 counter values from a fixed stream, plus both ends of the range.
+std::vector<std::uint32_t> random_u32s() {
+  PhiloxRng rng(0xD1CE, 0, 0);
+  std::vector<std::uint32_t> out{0u, 0xFFFFFFFFu};
+  for (int i = 0; i < 1000000; ++i) out.push_back(rng.next_u32());
+  return out;
+}
+
+void expect_alias_identity(std::span<const double> weights) {
+  const AliasTable table(weights);
+  const DoubleAliasTable ref(weights);
+  const double n = static_cast<double>(weights.size());
+  std::vector<std::uint32_t> probes = random_u32s();
+  for (std::size_t r = 0; r <= weights.size(); ++r) {
+    add_around(probes, static_cast<double>(r) * 0x1.0p32 / n);
+    if (r < weights.size()) {
+      add_around(probes, (static_cast<double>(r) + ref.prob[r]) * 0x1.0p32 / n);
+    }
+  }
+  PhiloxRng rng(0, 0, 0);
+  for (const std::uint32_t u : probes) {
+    ASSERT_EQ(table.draw(feed(rng, u)), ref.draw(u)) << "u = " << u;
+  }
+}
+
+void expect_quantile_identity(const QuantileTable& table, double mu,
+                              double sigma, bool log_normal) {
+  const std::vector<double> knots = reference_knots(mu, sigma, log_normal);
+  std::vector<std::uint32_t> probes = random_u32s();
+  for (std::size_t i = 0; i <= knots.size(); ++i) {
+    add_around(probes, (static_cast<double>(i) + 0.5) * 0x1.0p20);
+  }
+  PhiloxRng rng(0, 0, 0);
+  for (const std::uint32_t u : probes) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(table.draw(feed(rng, u))),
+              std::bit_cast<std::uint64_t>(reference_quantile_draw(knots, u)))
+        << "u = " << u;
+  }
+}
+
+TEST(DrawIdentity, SimulatorAliasTablesMatchDoubleFormula) {
+  // Every alias table the simulator builds: AppMixer's five per-context
+  // category tables for each year, and its categories-per-bin table.
+  for (const Year year : {Year::Y2013, Year::Y2014, Year::Y2015}) {
+    for (int c = 0; c < app::kNumContexts; ++c) {
+      SCOPED_TRACE(testing::Message() << "year " << static_cast<int>(year)
+                                      << " context " << c);
+      expect_alias_identity(
+          app::category_weights(year, static_cast<app::Context>(c)));
+    }
+  }
+  expect_alias_identity(app::kCategoryCountWeights);
+  // A zero weight, and an odd row count that leaves inexact thresholds.
+  expect_alias_identity(std::vector<double>{1.0, 3.0, 0.0, 6.0});
+  expect_alias_identity(std::vector<double>{0.1, 0.7, 0.13, 0.07, 2.9});
+}
+
+TEST(DrawIdentity, QuantileTablesMatchDoubleFormula) {
+  // The simulator's tables: tx-ratio and activity jitter (lognormal),
+  // RSSI fast fading (normal).
+  expect_quantile_identity(LognormalTable(0.0, 0.5), 0.0, 0.5, true);
+  expect_quantile_identity(LognormalTable(0.0, 0.35), 0.0, 0.35, true);
+  expect_quantile_identity(NormalTable(0.0, 1.5), 0.0, 1.5, false);
+}
+
+TEST(DrawIdentity, UniformIntMatchesDoubleFormula) {
+  const std::vector<std::uint32_t> random = random_u32s();
+  PhiloxRng rng(0, 0, 0);
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3}, std::uint64_t{10},
+        std::uint64_t{13}, std::uint64_t{78}, std::uint64_t{1000003},
+        kMaxExactDrawRange - 1, kMaxExactDrawRange}) {
+    std::vector<std::uint32_t> probes = random;
+    for (std::uint64_t k = 0; k <= n; ++k) {
+      add_around(probes, static_cast<double>(k) * 0x1.0p32 /
+                             static_cast<double>(n));
+    }
+    for (const std::uint32_t u : probes) {
+      ASSERT_EQ(feed(rng, u).uniform_int(n), reference_uniform_int(u, n))
+          << "n = " << n << ", u = " << u;
+    }
+  }
+}
+
+TEST(DrawIdentity, BinomialCdfTableMatchesBinomial) {
+  // The table answers from precomputed partial sums what binomial()
+  // walks per draw: same value and same counter consumption for every
+  // n, below the table's bound and past it, and for degenerate p.
+  constexpr unsigned kTableN = 64;
+  for (const double p : {0.044, 0.1, 0.2, 0.286, 0.5, 0.93, 0.0, 1.0}) {
+    const BinomialCdfTable table(p, kTableN);
+    PhiloxRng a(11, 3, 5);
+    PhiloxRng b(11, 3, 5);
+    for (int i = 0; i < 200000; ++i) {
+      const auto n = static_cast<unsigned>(i % (kTableN + 20));
+      ASSERT_EQ(table.draw(a, n), b.binomial(n, p))
+          << "p = " << p << ", n = " << n << ", draw " << i;
+    }
+    ASSERT_EQ(a.next_u64(), b.next_u64()) << "p = " << p;
+  }
+}
+
+TEST(DrawIdentity, FillMatchesScalarBlocks) {
+  // philox4x32_fill is a throughput kernel, not a different function:
+  // the dispatched path (AVX2 where the host has it) and the portable
+  // loop must both emit philox4x32's words for every (lane, slot),
+  // including batches that are not a multiple of eight blocks and lane
+  // counters that wrap.
+  const std::array<std::uint32_t, 2> key = PhiloxRng::derive_key(20150228);
+  for (const std::uint32_t lanes : {1u, 5u, 8u, 9u, 144u}) {
+    for (const std::uint32_t slots : {1u, 2u, 3u, 4u}) {
+      for (const std::uint32_t lane0 : {0u, 3744u, 0xFFFFFFF0u}) {
+        const std::size_t n = std::size_t{lanes} * slots;
+        std::vector<std::uint64_t> fast(2 * n), portable(2 * n);
+        philox4x32_fill(key, 41, lane0, lanes, slots, fast.data());
+        philox4x32_fill_portable(key, 41, lane0, lanes, slots,
+                                 portable.data());
+        for (std::uint32_t i = 0; i < lanes; ++i) {
+          for (std::uint32_t s = 0; s < slots; ++s) {
+            const std::array<std::uint32_t, 4> x = philox4x32(
+                {41u, lane0 + i, s, PhiloxRng::kDomainTag}, key);
+            const std::size_t at = 2 * (std::size_t{i} * slots + s);
+            const std::uint64_t lo = (std::uint64_t{x[1]} << 32) | x[0];
+            const std::uint64_t hi = (std::uint64_t{x[3]} << 32) | x[2];
+            ASSERT_EQ(fast[at], lo) << lanes << "x" << slots << " @" << at;
+            ASSERT_EQ(fast[at + 1], hi) << lanes << "x" << slots << " @" << at;
+            ASSERT_EQ(portable[at], lo) << lanes << "x" << slots << " @" << at;
+            ASSERT_EQ(portable[at + 1], hi)
+                << lanes << "x" << slots << " @" << at;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DrawIdentity, PrefilledReseatMatchesPlainReseat) {
+  // A lane served from prefilled blocks continues with on-demand refills
+  // at the next slot: the sequence is the plain reseat()'s whether the
+  // lane stops inside the prefill or runs past it.
+  const std::array<std::uint32_t, 2> key = PhiloxRng::derive_key(77);
+  constexpr std::uint32_t kLanes = 12;
+  for (std::uint32_t slots = 0; slots <= PhiloxRng::kMaxPrefillBlocks;
+       ++slots) {
+    std::vector<std::uint64_t> blocks(2 * kLanes * slots);
+    philox4x32_fill(key, 5, 100, kLanes, slots, blocks.data());
+    PhiloxRng prefilled(77, 0, 0);
+    PhiloxRng plain(77, 0, 0);
+    for (std::uint32_t i = 0; i < kLanes; ++i) {
+      prefilled.reseat(5, 100 + i, blocks.data() + 2 * i * slots, slots);
+      plain.reseat(5, 100 + i);
+      // Mixed widths, as the simulator draws them; 3 * i draws reach
+      // past every prefill depth on the later lanes.
+      for (std::uint32_t d = 0; d < 3 * i; ++d) {
+        if (d % 3 == 2) {
+          ASSERT_EQ(prefilled.next_u64(), plain.next_u64()) << slots;
+        } else {
+          ASSERT_EQ(prefilled.next_u32(), plain.next_u32()) << slots;
+        }
+      }
+    }
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "core/dataset_index.h"
 #include "core/parallel.h"
@@ -52,13 +51,12 @@ TEST(Simulator, DeterministicAcrossDevicePartitionings) {
   // Counter-based draws key on (device, day, bin), not on how many draws
   // some earlier device consumed — so sweeping the panel one device at a
   // time, sixteen at a time, or as one block must produce byte-identical
-  // campaigns. TOKYONET_SIM_DEVICE_BLOCK picks the sweep granularity
-  // (default 1).
+  // campaigns. The Simulator's device-block option picks the sweep
+  // granularity (default 1).
   const Dataset base = simulate_year(Year::Y2015, 0.05);
-  for (const char* block : {"16", "1000000"}) {
-    ASSERT_EQ(setenv("TOKYONET_SIM_DEVICE_BLOCK", block, 1), 0);
-    const Dataset other = simulate_year(Year::Y2015, 0.05);
-    ASSERT_EQ(unsetenv("TOKYONET_SIM_DEVICE_BLOCK"), 0);
+  for (const std::size_t block : {std::size_t{16}, std::size_t{1000000}}) {
+    const Dataset other =
+        sim::Simulator(scenario_config(Year::Y2015, 0.05), block).run();
 
     ASSERT_TRUE(test::same_records(base, other))
         << "samples or app records differ at block size " << block;
