@@ -22,61 +22,9 @@ void add_hour_sums(std::vector<std::uint64_t>& acc,
   for (std::size_t h = 0; h < acc.size(); ++h) acc[h] += p[h];
 }
 
-[[nodiscard]] std::span<const std::uint32_t> stream_column(
-    const SampleColumns& cols, Stream stream) noexcept {
-  switch (stream) {
-    case Stream::CellRx: return cols.cell_rx;
-    case Stream::CellTx: return cols.cell_tx;
-    case Stream::WifiRx: return cols.wifi_rx;
-    case Stream::WifiTx: return cols.wifi_tx;
-  }
-  return {};
-}
-
-// The exact per-hour byte sums behind aggregate_series(). u64 addition
-// is associative, so summing per-block hour sums and converting once
-// gives the same series at any shard count.
-[[nodiscard]] std::vector<std::uint64_t> hour_sums_scan(const Dataset& ds,
-                                                        Stream stream) {
-  const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
-
-  const core::DatasetIndex& idx = ds.index();
-  const std::span<const TimeBin> bin = ds.samples.bin;
-  const std::span<const std::uint32_t> bytes = stream_column(ds.samples, stream);
-  const std::size_t n = bin.size();
-  std::vector<std::vector<std::uint64_t>> partials;
-  if (idx.dense()) {
-    // Dense campaign: each device contributes exactly kBinsPerHour
-    // consecutive samples per hour, so the hour sums are fixed-stride
-    // runs — no per-sample bin division, no scatter, and the inner sum
-    // auto-vectorizes.
-    partials = query::map_device_blocks(
-        idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
-          std::vector<std::uint64_t> sums(n_hours, 0);
-          static_assert(kBinsPerHour == 6);
-          for (std::size_t d = d0; d < d1; ++d) {
-            const std::uint32_t* p = bytes.data() + idx.device_begin(d);
-            for (std::size_t h = 0; h < n_hours; ++h, p += kBinsPerHour) {
-              sums[h] +=
-                  std::uint64_t{p[0]} + p[1] + p[2] + p[3] + p[4] + p[5];
-            }
-          }
-          return sums;
-        });
-  } else {
-    partials = query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-      std::vector<std::uint64_t> sums(n_hours, 0);
-      for (std::size_t i = begin; i < end; ++i) {
-        sums[static_cast<std::size_t>(bin[i] / kBinsPerHour)] += bytes[i];
-      }
-      return sums;
-    });
-  }
-  std::vector<std::uint64_t> total(n_hours, 0);
-  for (const std::vector<std::uint64_t>& p : partials) add_hour_sums(total, p);
-  return total;
-}
-
+// The exact per-hour byte sums of every stream, plus the LTE tallies.
+// u64 addition is associative, so summing per-block partials and
+// converting once gives the same series at any shard count.
 [[nodiscard]] AllStreamSums all_streams_scan(const Dataset& ds) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
   AllStreamSums out;
@@ -92,9 +40,10 @@ void add_hour_sums(std::vector<std::uint64_t>& acc,
   };
   std::vector<Partial> partials;
   if (idx.dense()) {
-    // Dense campaign: fixed-stride hour runs per device, all four
-    // streams and the LTE tallies in one walk (see the dense path of
-    // hour_sums_scan() for the stride argument).
+    // Dense campaign: each device contributes exactly kBinsPerHour
+    // consecutive samples per hour, so the hour sums are fixed-stride
+    // runs — no per-sample bin division, no scatter — for all four
+    // streams and the LTE tallies in one walk.
     partials = query::map_device_blocks(
         idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
       Partial part;
@@ -165,13 +114,8 @@ HourlySeries hourly_series_from_sums(std::span<const std::uint64_t> sums) {
 }
 
 HourlySeries aggregate_series(const query::DataSource& src, Stream stream) {
-  return hourly_series_from_sums(src.reduce<std::vector<std::uint64_t>>(
-      [&](const Dataset& block, std::size_t) {
-        return hour_sums_scan(block, stream);
-      },
-      [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& p) {
-        add_hour_sums(acc, p);
-      }));
+  return hourly_series_from_sums(
+      aggregate_all_streams(src).hour_sums[static_cast<int>(stream)]);
 }
 
 AllStreamSums aggregate_all_streams(const query::DataSource& src) {
@@ -218,7 +162,7 @@ namespace {
   const std::size_t n = bin.size();
   std::vector<std::vector<std::uint64_t>> partials;
   if (idx.dense()) {
-    // Fixed-stride hour runs as in aggregate_series, with the keep
+    // Fixed-stride hour runs as in all_streams_scan, with the keep
     // select folded into the accumulate.
     partials = query::map_device_blocks(
         idx.num_devices(), [&](std::size_t d0, std::size_t d1) {

@@ -33,8 +33,8 @@ enum class Stream : std::uint8_t {
   WifiTx,
 };
 
-/// Fig 2: one aggregated series per stream. Accumulated as exact u64
-/// hour sums per block and converted once, so the result is
+/// Fig 2: one aggregated series per stream — aggregate_all_streams()'s
+/// hour sums for `stream`, converted once, so the result is
 /// byte-identical at any shard count.
 [[nodiscard]] HourlySeries aggregate_series(const query::DataSource& src,
                                             Stream stream);
@@ -44,12 +44,11 @@ enum class Stream : std::uint8_t {
     std::span<const std::uint64_t> sums);
 
 /// Every per-stream hour-sum vector plus the LTE byte sums, from one
-/// fused pass over the traffic columns. Byte-identical to four
-/// aggregate_series() hour sums and overview()'s LTE sums — all
-/// accumulators are exact u64 sums, so fusing the loops changes only
-/// the order of associative additions — at roughly a quarter of the
-/// column traffic. The out-of-core backend is the hot caller: it pays
-/// this pass once per shard.
+/// fused pass over the traffic columns. The LTE sums are byte-identical
+/// to overview()'s — all accumulators are exact u64 sums, so fusing the
+/// loops changes only the order of associative additions. The
+/// out-of-core backend is the hot caller: it pays this pass once per
+/// shard.
 struct AllStreamSums {
   /// Indexed by Stream (CellRx, CellTx, WifiRx, WifiTx).
   std::vector<std::uint64_t> hour_sums[4];

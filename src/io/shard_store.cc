@@ -13,7 +13,6 @@
 #include <system_error>
 #include <thread>
 
-#include "core/dataset_index.h"
 #include "core/env.h"
 #include "core/hash.h"
 
@@ -421,91 +420,6 @@ SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
   if (!result.ok()) return result;
   if (payload_verified_ != nullptr && sopts.verify_payload) {
     payload_verified_.get()[i].store(true, std::memory_order_release);
-  }
-  return result;
-}
-
-SnapshotResult ShardedDataset::materialize(Dataset& out,
-                                           const SnapshotLoadOptions& opts,
-                                           std::size_t resident_shards) {
-  SnapshotResult result;
-  out = Dataset{};
-  out.year = universe_.year;
-  out.calendar = universe_.calendar;
-  out.devices.reserve(static_cast<std::size_t>(manifest_.n_devices));
-  out.survey.reserve(static_cast<std::size_t>(manifest_.n_devices));
-  out.truth.devices.reserve(static_cast<std::size_t>(manifest_.n_devices));
-  out.samples.resize_for_overwrite(
-      static_cast<std::size_t>(manifest_.n_samples));
-  out.app_traffic.reserve(static_cast<std::size_t>(manifest_.n_app_traffic));
-  core::SampleLayout layout;
-  layout.device_offset.push_back(0);
-
-  // Shards arrive through the prefetcher, each validated against the
-  // shared universe; the concatenation is validated and indexed once
-  // more at the end. With resident_shards >= 1 the next shard's load
-  // overlaps the current shard's copy (at most two shard payloads
-  // resident); 0 loads strictly sequentially.
-  std::size_t sample_base = 0;
-  const auto concat_shard = [&](Dataset& shard) {
-    const std::size_t app_base = out.app_traffic.size();
-    const std::size_t device_base = out.devices.size();
-    for (const DeviceInfo& d : shard.devices) {
-      DeviceInfo g = d;
-      g.id = DeviceId{static_cast<std::uint32_t>(device_base + value(d.id))};
-      out.devices.push_back(g);
-    }
-    out.survey.insert(out.survey.end(), shard.survey.begin(),
-                      shard.survey.end());
-    for (DeviceTruth& t : shard.truth.devices) {
-      out.truth.devices.push_back(std::move(t));
-    }
-    out.app_traffic.insert(out.app_traffic.end(), shard.app_traffic.begin(),
-                           shard.app_traffic.end());
-
-    // Columns copy as they are; the layout rebases row ranges always and
-    // app ranges only for Android devices — iOS devices keep their empty
-    // range at 0, exactly as the simulator's splice leaves them.
-    const SampleColumns& from = shard.samples;
-    SampleColumns::for_each(
-        [&](auto& dst, const auto& src) {
-          if (!src.empty()) {
-            std::memcpy(dst.data() + sample_base, src.data(),
-                        src.size() * sizeof(src[0]));
-          }
-        },
-        out.samples, from);
-    const core::DatasetIndex& idx = shard.index();
-    for (std::size_t d = 0; d < shard.devices.size(); ++d) {
-      layout.device_offset.push_back(sample_base + idx.device_end(d));
-      const std::size_t rebase =
-          shard.devices[d].os == Os::Android ? app_base : 0;
-      layout.app_range.push_back(rebase + idx.device_app_begin(d));
-      layout.app_range.push_back(rebase + idx.device_app_end(d));
-    }
-    sample_base += shard.samples.size();
-  };
-
-  ShardPrefetcher prefetch(*this, std::min<std::size_t>(resident_shards, 1) + 1,
-                           opts);
-  // Each shard is dropped (releasing its residency token) before the
-  // next is awaited.
-  for (ShardPrefetcher::Loaded item; prefetch.next(item); item = {}) {
-    if (item.exception) std::rethrow_exception(item.exception);
-    if (!item.result.ok()) {
-      out = Dataset{};
-      return item.result;
-    }
-    concat_shard(item.dataset);
-  }
-
-  out.aps = universe_.aps;
-  out.truth.aps = universe_.truth.aps;
-
-  const std::string invalid = out.index_samples(std::move(layout));
-  if (!invalid.empty()) {
-    out = Dataset{};
-    result.error = dir_err(dir_, "invalid materialized dataset: " + invalid);
   }
   return result;
 }

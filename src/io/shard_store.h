@@ -33,11 +33,10 @@
 // per call, which is the out-of-core analysis contract: per-device
 // kernels run shard by shard and their partials reduce in shard (=
 // device) order, byte-identical to the in-memory run (DESIGN.md §5i).
-// materialize() concatenates every shard back into one in-memory
-// Dataset equal to what the one-shot simulator produces: every field
-// value, and the sample columns byte for byte (struct padding in
-// the small record arrays is the one thing not pinned — see
-// tests/shard_store_test.cc).
+// A store is only ever scanned that way, never copied back into one
+// Dataset: each shard equals the one-shot simulator's slice of its
+// device range — every field value, and the sample columns byte for
+// byte (tests/shard_store_test.cc).
 #pragma once
 
 #include <atomic>
@@ -167,18 +166,6 @@ class ShardedDataset {
   /// once-per-open bookkeeping is atomic.
   [[nodiscard]] SnapshotResult load_shard(std::size_t i, Dataset& out,
                                           const SnapshotLoadOptions& opts = {});
-
-  /// Concatenates every shard into one in-memory Dataset with global
-  /// device ids and rebased app-traffic offsets — value-identical to
-  /// the in-memory simulation the store was streamed from (and
-  /// byte-identical in the sample columns). With
-  /// `resident_shards` >= 1 (the default) the next shard's read +
-  /// checksum overlaps the current shard's rebase (at most two shard
-  /// payloads resident beyond the output); 0 loads strictly
-  /// sequentially.
-  [[nodiscard]] SnapshotResult materialize(Dataset& out,
-                                           const SnapshotLoadOptions& opts = {},
-                                           std::size_t resident_shards = 1);
 
  private:
   std::filesystem::path dir_;

@@ -895,15 +895,4 @@ fs::path campaign_cache_path(const fs::path& dir,
   return dir / name;
 }
 
-fs::path campaign_cache_shard_dir(const fs::path& dir,
-                                  const ScenarioConfig& config,
-                                  std::size_t shards) {
-  char name[96];
-  std::snprintf(name, sizeof(name),
-                "campaign-v%u-%d-%016" PRIx64 "-s%zu.tkshards",
-                kSnapshotVersion, year_number(config.year),
-                scenario_hash(config), shards);
-  return dir / name;
-}
-
 }  // namespace tokyonet::io

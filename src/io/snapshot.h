@@ -139,13 +139,4 @@ struct SnapshotLoadOptions {
 [[nodiscard]] std::filesystem::path campaign_cache_path(
     const std::filesystem::path& dir, const ScenarioConfig& config);
 
-/// Directory name a *sharded* campaign cache entry gets inside `dir`:
-/// campaign-v<version>-<year>-<scenario hash, hex>-s<shards>.tkshards
-/// The shard count is part of the key (and the .tkshards suffix keeps
-/// the namespace disjoint from single-file entries), so a sharded
-/// request can never be served an in-memory blob — and vice versa.
-[[nodiscard]] std::filesystem::path campaign_cache_shard_dir(
-    const std::filesystem::path& dir, const ScenarioConfig& config,
-    std::size_t shards);
-
 }  // namespace tokyonet::io

@@ -3,13 +3,14 @@
 #include "analysis/battery.h"
 #include "analysis/cap.h"
 #include "analysis/update.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
 #include "stats/distribution.h"
 
 namespace tokyonet::report {
+
+namespace {
 
 Table render_fig18(const analysis::UpdateDetection& det,
                    const analysis::UpdateTiming& u) {
@@ -43,8 +44,6 @@ Table render_fig18(const analysis::UpdateDetection& det,
       u.median_delay_home, u.median_delay_no_home));
   return t;
 }
-
-namespace {
 
 Table fig18(const FigureContext& ctx) {
   const auto& det = ctx.analysis().updates();

@@ -3,12 +3,13 @@
 #include "analysis/context.h"
 #include "analysis/surveytab.h"
 #include "analysis/volumes.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
 
 namespace tokyonet::report {
+
+namespace {
 
 Table render_table01(Year year, int num_days,
                      const analysis::DatasetOverview& o) {
@@ -23,8 +24,6 @@ Table render_table01(Year year, int num_days,
   t.notes.push_back("paper panel: 1755 / 1676 / 1616 devices");
   return t;
 }
-
-namespace {
 
 constexpr Year kEveryYear[] = {Year::Y2013, Year::Y2014, Year::Y2015};
 

@@ -7,12 +7,13 @@
 
 #include "analysis/availability.h"
 #include "analysis/quality.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
 
 namespace tokyonet::report {
+
+namespace {
 
 Table render_sec35(Year year, const analysis::OffloadOpportunity& opp) {
   Table t({"year", "WiFi-available users", "stable opportunity",
@@ -26,8 +27,6 @@ Table render_sec35(Year year, const analysis::OffloadOpportunity& opp) {
       "public options; 15-20% of their cellular volume is offloadable");
   return t;
 }
-
-namespace {
 
 Table fig15(const FigureContext& ctx) {
   const analysis::RssiAnalysis r = analysis::rssi_analysis(

@@ -3,12 +3,14 @@
 #include "analysis/aggregate.h"
 #include "analysis/usertype.h"
 #include "analysis/volumes.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
+#include "stats/distribution.h"
 
 namespace tokyonet::report {
+
+namespace {
 
 Table render_fig02(const CampaignCalendar& cal, int num_days,
                    const analysis::HourlySeries& cell_rx,
@@ -70,8 +72,6 @@ Table render_fig05(Year year, const analysis::UserTypeStats& s,
       "~8%; 55% of mixed users above the diagonal");
   return t;
 }
-
-namespace {
 
 Table fig02(const FigureContext& ctx) {
   const auto& src = ctx.source();

@@ -5,11 +5,11 @@
 #include <map>
 
 #include "analysis/aggregate.h"
+#include "analysis/classify.h"
 #include "analysis/query/source.h"
 #include "analysis/quality.h"
 #include "analysis/wifiusage.h"
 #include "geo/region.h"
-#include "report/battery.h"
 #include "report/figures.h"
 #include "report/registry.h"
 #include "report/runner.h"
@@ -17,6 +17,8 @@
 #include "stats/distribution.h"
 
 namespace tokyonet::report {
+
+namespace {
 
 Table render_table04(Year year_, const analysis::ApClassification& cls) {
   const analysis::ApClassification::Counts c = cls.counts();
@@ -38,8 +40,6 @@ Table render_table04(Year year_, const analysis::ApClassification& cls) {
       100 * cls.home_ap_device_share()));
   return t;
 }
-
-namespace {
 
 Table fig10(const FigureContext& ctx) {
   const geo::TokyoRegion region;

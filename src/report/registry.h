@@ -70,8 +70,8 @@ struct FigureSpec {
   /// several years (e.g. Table 3's growth rates).
   std::vector<Year> years;
   FigureFn fn = nullptr;
-  /// Whether the figure renders over a sharded store without
-  /// materializing the campaign (`fig run --out-of-core`). Every figure
+  /// Whether the figure renders over a sharded store, scanned shard by
+  /// shard (`fig run --shard-dir`). Every figure
   /// reads only FigureContext::source() and the context intermediates,
   /// so FigureRegistry::add sets this to per_year(): only the
   /// longitudinal figures, which span several campaigns, are false.

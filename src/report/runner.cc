@@ -16,31 +16,6 @@ void Runner::adopt(Year year, Dataset ds) {
   adopted_[i] = std::make_unique<Dataset>(std::move(ds));
 }
 
-io::SnapshotResult Runner::adopt_shards(Year year,
-                                        const std::filesystem::path& dir,
-                                        std::size_t resident_shards) {
-  io::ShardedDataset store;
-  if (io::SnapshotResult r = io::ShardedDataset::open(dir, store); !r.ok()) {
-    return r;
-  }
-  if (store.year() != year) {
-    std::string err = "shard store ";
-    err += dir.string();
-    err += " holds the ";
-    err += std::to_string(year_number(store.year()));
-    err += " campaign, not ";
-    err += std::to_string(year_number(year));
-    return {std::move(err)};
-  }
-  Dataset ds;
-  if (io::SnapshotResult r = store.materialize(ds, {}, resident_shards);
-      !r.ok()) {
-    return r;
-  }
-  adopt(year, std::move(ds));
-  return {};
-}
-
 io::SnapshotResult Runner::adopt_shards_out_of_core(
     Year year, const std::filesystem::path& dir,
     std::size_t resident_shards) {

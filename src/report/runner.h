@@ -60,33 +60,18 @@ class Runner {
   /// out-of-core; analysis(year).source() is the backend-agnostic view).
   [[nodiscard]] const analysis::AnalysisContext& analysis(Year year);
 
-  /// True when `year`'s campaign was installed as an out-of-core source
-  /// (dataset(year) would throw).
-  [[nodiscard]] bool out_of_core(Year year) const noexcept {
-    return external_src_[static_cast<int>(year)] != nullptr;
-  }
-
   /// Installs an externally loaded dataset (CSV import, snapshot) as
   /// `year`'s campaign. Must be called before the first dataset(year)
   /// resolution for that year.
   void adopt(Year year, Dataset ds);
 
-  /// Opens a sharded campaign store (io/shard_store.h), materializes it
-  /// back into one in-memory Dataset and adopt()s the result as
-  /// `year`'s campaign. Fails if the store's campaign year disagrees
-  /// with `year`. `resident_shards` >= 1 overlaps the next shard's load
-  /// with the current shard's concatenation (io::ShardedDataset::
-  /// materialize); 0 loads strictly sequentially.
-  [[nodiscard]] io::SnapshotResult adopt_shards(
-      Year year, const std::filesystem::path& dir,
-      std::size_t resident_shards = 1);
-
-  /// Opens a sharded campaign store and installs it as `year`'s
-  /// campaign WITHOUT materializing it: every per-year figure then runs
-  /// through a query::ShardedSource
-  /// holding at most `resident_shards + 1` shards resident (exactly one
-  /// at resident_shards = 0), byte-identical to the in-memory run.
-  /// Must precede the first dataset()/analysis() resolution for `year`.
+  /// Opens a sharded campaign store (io/shard_store.h) and installs it
+  /// as `year`'s campaign: every per-year figure then scans it through a
+  /// query::ShardedSource holding at most `resident_shards + 1` shards
+  /// resident (exactly one at resident_shards = 0), byte-identical to
+  /// the in-memory run. Fails if the store's campaign year disagrees
+  /// with `year`. Must precede the first dataset()/analysis()
+  /// resolution for `year`.
   [[nodiscard]] io::SnapshotResult adopt_shards_out_of_core(
       Year year, const std::filesystem::path& dir,
       std::size_t resident_shards = 1);

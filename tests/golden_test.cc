@@ -46,7 +46,7 @@ TEST(Golden, EveryFigureMatchesItsGoldenFile) {
 
 // The out-of-core backend against the same pinned files: every per-year
 // figure, rendered from a sharded store via
-// Runner::adopt_shards_out_of_core (never materializing the campaign),
+// Runner::adopt_shards_out_of_core (scanned shard by shard),
 // must byte-match the golden its in-memory rendering is pinned to.
 // CMake registers this as golden_query_threads{1,4}.
 TEST(GoldenQuery, OutOfCoreFiguresMatchGoldens) {

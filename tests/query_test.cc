@@ -309,7 +309,8 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   ASSERT_TRUE(
       out_of_core.adopt_shards_out_of_core(Year::Y2013, tmp.path / "store", 1)
           .ok());
-  EXPECT_TRUE(out_of_core.out_of_core(Year::Y2013));
+  EXPECT_EQ(out_of_core.analysis(Year::Y2013).source().dataset_or_null(),
+            nullptr);
   EXPECT_THROW((void)out_of_core.dataset(Year::Y2013), std::logic_error);
   const auto& registry = report::FigureRegistry::instance();
   for (const char* id : {"table01", "fig02", "fig12"}) {

@@ -1,8 +1,8 @@
 // Sharded campaign store (io/shard_store.h) + streaming runner
-// (sim/stream_runner.h) + out-of-core battery (report/sharded.h):
-// byte-identity against the one-shot simulator at several shard
-// counts, the failure modes of the directory format, and the sharded
-// campaign-cache storage mode.
+// (sim/stream_runner.h) + the headline battery scanned out of core
+// (report::Runner over a query::ShardedSource): byte-identity against
+// the one-shot simulator at several shard counts, and the failure modes
+// of the directory format.
 #include "io/shard_store.h"
 
 #include <gtest/gtest.h>
@@ -14,18 +14,19 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/classify.h"
 #include "analysis/context.h"
 #include "analysis/query/source.h"
 #include "analysis/ratios.h"
+#include "core/dataset_index.h"
 #include "core/records.h"
 #include "core/scenario.h"
 #include "io/snapshot.h"
 #include "report/registry.h"
 #include "report/runner.h"
-#include "report/sharded.h"
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
@@ -68,6 +69,28 @@ io::ShardedDataset stream_and_open(const ScenarioConfig& config,
   return store;
 }
 
+/// Renders the headline battery (table01, fig02, fig05, table04,
+/// sec35_opportunity, + fig18 for the 2015 campaign) the way the CLI's
+/// `report --shard-dir` does: a report::Runner over `store`, scanned
+/// through a query::ShardedSource with `resident_shards` = K. A scan
+/// that loses the store throws query::SourceError.
+std::vector<report::Table> scan_battery(io::ShardedDataset& store,
+                                        std::size_t resident_shards) {
+  const analysis::query::ShardedSource src(store, resident_shards);
+  report::Runner runner;
+  runner.adopt_source(store.year(), src);
+  std::vector<report::Table> tables;
+  for (const char* id : {"table01", "fig02", "fig05", "table04",
+                         "sec35_opportunity", "fig18"}) {
+    if (std::string_view(id) == "fig18" && store.year() != Year::Y2015) {
+      continue;
+    }
+    tables.push_back(runner.run(*report::FigureRegistry::instance().find(id),
+                                store.year()));
+  }
+  return tables;
+}
+
 // --- Byte identity -----------------------------------------------------
 
 class ShardRoundTrip : public ::testing::TestWithParam<std::size_t> {};
@@ -103,10 +126,12 @@ void expect_elements_equal(std::span<const T> a, std::span<const T> b,
   }
 }
 
-// The partition-invariance claim: a campaign streamed shard by shard
-// and materialized back equals the one-shot in-memory simulation — the
-// packed sample column byte for byte, everything else field for field —
-// at any shard count.
+// The partition-invariance claim: every shard of a campaign streamed
+// shard by shard equals the one-shot in-memory simulation's slice of
+// its device range — the packed sample columns and each device's
+// app-traffic run byte for byte, the per-device row ranges, every small
+// record field for field (device ids rebased) — and the store's AP
+// universe equals the simulation's, at any shard count.
 TEST_P(ShardRoundTrip, MaterializedMatchesSimulator) {
   const std::size_t shards = GetParam();
   const ScenarioConfig config =
@@ -116,37 +141,87 @@ TEST_P(ShardRoundTrip, MaterializedMatchesSimulator) {
       stream_and_open(config, tmp.path / "store", shards);
   ASSERT_EQ(store.num_shards(), shards);
   ASSERT_EQ(store.manifest().scenario_hash, scenario_hash(config));
-
-  Dataset materialized;
-  const io::SnapshotResult m = store.materialize(materialized);
-  ASSERT_TRUE(m.ok()) << m.error;
   const Dataset fresh = sim::Simulator(config).run();
-  ASSERT_EQ(materialized.devices.size(), fresh.devices.size());
-  EXPECT_EQ(materialized.year, fresh.year);
-  EXPECT_EQ(materialized.num_days(), fresh.num_days());
+  ASSERT_EQ(store.manifest().n_devices, fresh.devices.size());
+  EXPECT_EQ(store.year(), fresh.year);
+  EXPECT_EQ(store.calendar().num_days(), fresh.num_days());
+  const core::DatasetIndex& fi = fresh.index();
 
-  // The sample columns are packed: compare raw bytes and layouts.
-  EXPECT_TRUE(test::same_records(materialized, fresh))
-      << "sample bytes differ at shard count " << shards;
+  for (std::size_t i = 0; i < shards; ++i) {
+    Dataset shard;
+    const io::SnapshotResult r = store.load_shard(i, shard);
+    ASSERT_TRUE(r.ok()) << r.error;
+    const std::size_t base = store.device_begin(i);
+    const std::size_t n = shard.devices.size();
+    ASSERT_EQ(base + n, i + 1 < shards ? store.device_begin(i + 1)
+                                       : fresh.devices.size())
+        << "shard " << i;
+    ASSERT_GT(n, 0u) << "shard " << i;
+    const core::DatasetIndex& si = shard.index();
 
-  expect_elements_equal(std::span<const DeviceInfo>(materialized.devices),
-                        std::span<const DeviceInfo>(fresh.devices),
-                        "devices");
-  expect_elements_equal(std::span<const SurveyResponse>(materialized.survey),
-                        std::span<const SurveyResponse>(fresh.survey),
-                        "survey");
-  expect_elements_equal(std::span<const ApTruth>(materialized.truth.aps),
+    // The sample columns are packed: compare the raw bytes of the
+    // shard's rows against the fresh rows of its devices.
+    const std::size_t row0 = fi.device_begin(base);
+    ASSERT_EQ(shard.samples.size(), fi.device_end(base + n - 1) - row0)
+        << "shard " << i;
+    bool same_bytes = true;
+    SampleColumns::for_each(
+        [&](const auto& a, const auto& b) {
+          const auto slice = b.span().subspan(row0, a.size());
+          same_bytes = same_bytes &&
+                       std::memcmp(a.data(), slice.data(),
+                                   slice.size_bytes()) == 0;
+        },
+        shard.samples, fresh.samples);
+    EXPECT_TRUE(same_bytes) << "sample bytes differ in shard " << i
+                            << " of " << shards;
+
+    std::vector<DeviceInfo> devices(fresh.devices.begin() + base,
+                                    fresh.devices.begin() + base + n);
+    for (DeviceInfo& d : devices) {
+      d.id = DeviceId{static_cast<std::uint32_t>(value(d.id) - base)};
+    }
+    expect_elements_equal(std::span<const DeviceInfo>(shard.devices),
+                          std::span<const DeviceInfo>(devices), "devices");
+    expect_elements_equal(
+        std::span<const SurveyResponse>(shard.survey),
+        std::span<const SurveyResponse>(fresh.survey).subspan(base, n),
+        "survey");
+    expect_elements_equal(
+        std::span<const DeviceTruth>(shard.truth.devices),
+        std::span<const DeviceTruth>(fresh.truth.devices).subspan(base, n),
+        "truth.devices");
+
+    for (std::size_t d = 0; d < n; ++d) {
+      const std::size_t g = base + d;
+      ASSERT_EQ(si.device_end(d) - si.device_begin(d),
+                fi.device_end(g) - fi.device_begin(g))
+          << "shard " << i << " device " << d;
+      const std::size_t apps = si.device_app_end(d) - si.device_app_begin(d);
+      ASSERT_EQ(apps, fi.device_app_end(g) - fi.device_app_begin(g))
+          << "shard " << i << " device " << d;
+      if (apps == 0) continue;
+      EXPECT_EQ(std::memcmp(shard.app_traffic.data() + si.device_app_begin(d),
+                            fresh.app_traffic.data() + fi.device_app_begin(g),
+                            apps * sizeof(AppTraffic)),
+                0)
+          << "app traffic differs: shard " << i << " device " << d;
+    }
+  }
+
+  // The universe, held once by the store and shared by every shard.
+  Dataset first;
+  ASSERT_TRUE(store.load_shard(0, first).ok());
+  expect_elements_equal(std::span<const ApTruth>(first.truth.aps),
                         std::span<const ApTruth>(fresh.truth.aps),
                         "truth.aps");
-  expect_elements_equal(
-      std::span<const DeviceTruth>(materialized.truth.devices),
-      std::span<const DeviceTruth>(fresh.truth.devices), "truth.devices");
-  ASSERT_EQ(materialized.aps.size(), fresh.aps.size());
+  const std::vector<ApInfo>& aps = store.universe_aps();
+  ASSERT_EQ(aps.size(), fresh.aps.size());
   for (std::size_t i = 0; i < fresh.aps.size(); ++i) {
-    ASSERT_EQ(materialized.aps[i].bssid, fresh.aps[i].bssid) << i;
-    ASSERT_EQ(materialized.aps[i].essid, fresh.aps[i].essid) << i;
-    ASSERT_EQ(materialized.aps[i].band, fresh.aps[i].band) << i;
-    ASSERT_EQ(materialized.aps[i].channel, fresh.aps[i].channel) << i;
+    ASSERT_EQ(aps[i].bssid, fresh.aps[i].bssid) << i;
+    ASSERT_EQ(aps[i].essid, fresh.aps[i].essid) << i;
+    ASSERT_EQ(aps[i].band, fresh.aps[i].band) << i;
+    ASSERT_EQ(aps[i].channel, fresh.aps[i].channel) << i;
   }
 }
 
@@ -194,14 +269,19 @@ TEST(ShardStore, LoadsShareTheUniverse) {
   test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
 
-  Dataset first, last, all;
+  Dataset first, last;
   ASSERT_TRUE(store.load_shard(0, first).ok());
   ASSERT_TRUE(store.load_shard(3, last).ok());
-  ASSERT_TRUE(store.materialize(all).ok());
+  // The prefetcher hands out shards through the same load.
+  io::ShardPrefetcher prefetcher(store, 1);
+  io::ShardPrefetcher::Loaded prefetched;
+  ASSERT_TRUE(prefetcher.next(prefetched));
+  ASSERT_TRUE(prefetched.result.ok()) << prefetched.result.error;
+  Dataset& delivered = prefetched.dataset;
   const std::vector<ApInfo>& universe = store.universe_aps();
   ASSERT_FALSE(universe.empty());
   ASSERT_FALSE(first.truth.aps.empty());
-  for (const Dataset* ds : {&first, &last, &all}) {
+  for (const Dataset* ds : {&first, &last, &delivered}) {
     EXPECT_EQ(ds->aps.data(), universe.data());
     EXPECT_EQ(ds->truth.aps.data(), first.truth.aps.data());
   }
@@ -219,13 +299,13 @@ TEST(ShardStore, LoadsShareTheUniverse) {
   EXPECT_EQ(last.aps.data(), universe.data());
   EXPECT_NE(first.truth.aps[0].placement, placement);
   EXPECT_EQ(last.truth.aps[0].placement, placement);
-  EXPECT_EQ(all.truth.aps.data(), last.truth.aps.data());
+  EXPECT_EQ(delivered.truth.aps.data(), last.truth.aps.data());
   EXPECT_EQ(first.validate(), "");
 }
 
 // --- Out-of-core battery ----------------------------------------------
 
-// Every table the sharded battery emits must render to the same
+// Every battery table scanned out of core must render to the same
 // canonical JSON as the in-memory registry path over the same campaign.
 TEST(ShardStore, OutOfCoreBatteryMatchesRunner) {
   const ScenarioConfig config =
@@ -233,9 +313,7 @@ TEST(ShardStore, OutOfCoreBatteryMatchesRunner) {
   test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 5);
 
-  std::vector<report::Table> tables;
-  const io::SnapshotResult b = report::run_sharded_battery(store, tables);
-  ASSERT_TRUE(b.ok()) << b.error;
+  const std::vector<report::Table> tables = scan_battery(store, 1);
   ASSERT_EQ(tables.size(), 6u);  // 2015: headline five + fig18
 
   report::Runner::Options opt;
@@ -257,13 +335,13 @@ TEST(ShardStore, OutOfCoreBatterySkipsFig18Before2015) {
       scenario_config(Year::Y2013, kShardTestScale);
   test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 2);
-  std::vector<report::Table> tables;
-  ASSERT_TRUE(report::run_sharded_battery(store, tables).ok());
+  const std::vector<report::Table> tables = scan_battery(store, 1);
   ASSERT_EQ(tables.size(), 5u);
   for (const report::Table& t : tables) EXPECT_NE(t.id, "fig18");
 }
 
-// Runner::adopt_shards refuses a store for a different campaign year.
+// Runner::adopt_shards_out_of_core refuses a store for a different
+// campaign year.
 TEST(ShardStore, AdoptShardsChecksYear) {
   const ScenarioConfig config =
       scenario_config(Year::Y2014, kShardTestScale);
@@ -273,10 +351,15 @@ TEST(ShardStore, AdoptShardsChecksYear) {
   ASSERT_TRUE(sim::stream_campaign(config, tmp.path / "store", opts).ok());
 
   report::Runner wrong;
-  EXPECT_FALSE(wrong.adopt_shards(Year::Y2015, tmp.path / "store").ok());
+  const io::SnapshotResult r =
+      wrong.adopt_shards_out_of_core(Year::Y2015, tmp.path / "store");
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("holds the 2014 campaign"), std::string::npos)
+      << r.error;
   report::Runner right;
-  ASSERT_TRUE(right.adopt_shards(Year::Y2014, tmp.path / "store").ok());
-  EXPECT_EQ(right.dataset(Year::Y2014).year, Year::Y2014);
+  ASSERT_TRUE(
+      right.adopt_shards_out_of_core(Year::Y2014, tmp.path / "store").ok());
+  EXPECT_EQ(right.analysis(Year::Y2014).source().year(), Year::Y2014);
 }
 
 // --- Failure modes -----------------------------------------------------
@@ -435,11 +518,13 @@ TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
     }
 
     std::vector<report::Table> tables;
-    const io::SnapshotResult b =
-        report::run_sharded_battery(store, tables, {k});
-    EXPECT_FALSE(b.ok()) << "resident_shards=" << k;
-    EXPECT_NE(b.error.find("checksum"), std::string::npos)
-        << "resident_shards=" << k << ": " << b.error;
+    try {
+      tables = scan_battery(store, k);
+      ADD_FAILURE() << "battery must fail, resident_shards=" << k;
+    } catch (const analysis::query::SourceError& e) {
+      EXPECT_NE(e.result().error.find("checksum"), std::string::npos)
+          << "resident_shards=" << k << ": " << e.result().error;
+    }
     EXPECT_TRUE(tables.empty()) << "resident_shards=" << k;
   }
 }
@@ -518,10 +603,8 @@ TEST(ShardPipeline, ParallelScanMatchesSequential) {
   test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 16);
 
-  std::vector<report::Table> sequential;
-  ASSERT_TRUE(report::run_sharded_battery(store, sequential, {0}).ok());
-  std::vector<report::Table> parallel;
-  ASSERT_TRUE(report::run_sharded_battery(store, parallel, {4}).ok());
+  const std::vector<report::Table> sequential = scan_battery(store, 0);
+  const std::vector<report::Table> parallel = scan_battery(store, 4);
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(report::to_canonical_json(parallel[i]),
@@ -556,25 +639,9 @@ TEST(ShardPipeline, StreamWriterPipelineMatchesSequential) {
   }
 }
 
-// materialize() with the load-ahead thread returns the same dataset as
-// the strictly sequential loader.
-TEST(ShardStore, MaterializeResidencyInvariant) {
-  const ScenarioConfig config =
-      scenario_config(Year::Y2015, kShardTestScale);
-  test::ScratchDir tmp;
-  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
-
-  Dataset sequential;
-  ASSERT_TRUE(store.materialize(sequential, {}, 0).ok());
-  Dataset pipelined;
-  ASSERT_TRUE(store.materialize(pipelined, {}, 1).ok());
-  ASSERT_EQ(pipelined.devices.size(), sequential.devices.size());
-  EXPECT_TRUE(test::same_records(pipelined, sequential));
-}
-
-// The full determinism matrix: the out-of-core battery's canonical JSON
-// must byte-match the in-memory registry rendering at every shard count
-// x residency budget, and so must the Fig 6-8 ratio profiles and the AP
+// The full determinism matrix: the battery's canonical JSON scanned out
+// of core must byte-match the in-memory registry rendering at every
+// shard count x residency budget, and so must the Fig 6-8 ratio profiles and the AP
 // classification (the thread dimension comes from the
 // shard_scan_threads{1,4} ctest entries re-running this suite under
 // TOKYONET_THREADS).
@@ -600,11 +667,7 @@ TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
         stream_and_open(config, tmp.path / "store", shards);
     for (const std::size_t k : {std::size_t{0}, std::size_t{1},
                                 std::size_t{2}, std::size_t{4}}) {
-      std::vector<report::Table> tables;
-      const io::SnapshotResult b =
-          report::run_sharded_battery(store, tables, {k});
-      ASSERT_TRUE(b.ok()) << "shards=" << shards << " K=" << k << ": "
-                          << b.error;
+      const std::vector<report::Table> tables = scan_battery(store, k);
       ASSERT_EQ(tables.size(), 6u) << "shards=" << shards << " K=" << k;
       for (const report::Table& t : tables) {
         const report::FigureSpec* spec = registry.find(t.id);
@@ -681,50 +744,6 @@ TEST(ShardStore, ShardVerifyAlwaysRestoresRehash) {
   const io::SnapshotResult again = store.load_shard(0, out);
   EXPECT_FALSE(again.ok());
   EXPECT_NE(again.error.find("checksum"), std::string::npos) << again.error;
-}
-
-// --- Sharded campaign-cache storage mode -------------------------------
-
-TEST(ShardedCampaignCache, MissThenHitAndDisjointKeyspace) {
-  test::ScratchDir tmp;
-  ASSERT_EQ(::setenv("TOKYONET_CACHE_DIR", tmp.path.c_str(), 1), 0);
-  ASSERT_EQ(::setenv("TOKYONET_CACHE_SHARDS", "3", 1), 0);
-  const ScenarioConfig config =
-      scenario_config(Year::Y2013, kShardTestScale);
-
-  sim::CampaignCacheStatus first;
-  const Dataset cold = sim::cached_campaign(config, &first);
-  EXPECT_TRUE(first.enabled);
-  EXPECT_FALSE(first.hit);
-  EXPECT_TRUE(first.detail.empty()) << first.detail;
-  EXPECT_TRUE(io::is_shard_dir(first.path)) << first.path;
-  EXPECT_NE(first.path.string().find("-s3.tkshards"), std::string::npos)
-      << first.path;
-
-  sim::CampaignCacheStatus second;
-  const Dataset warm = sim::cached_campaign(config, &second);
-  EXPECT_TRUE(second.hit);
-  ASSERT_EQ(warm.devices.size(), cold.devices.size());
-  ASSERT_EQ(warm.samples.size(), cold.samples.size());
-
-  // The sharded entry lives under its own key: flipping the mode off
-  // must miss (classic single-file key), not read the directory.
-  ASSERT_EQ(::unsetenv("TOKYONET_CACHE_SHARDS"), 0);
-  sim::CampaignCacheStatus classic;
-  const Dataset replay = sim::cached_campaign(config, &classic);
-  EXPECT_FALSE(classic.hit);
-  EXPECT_NE(classic.path, second.path);
-  ASSERT_EQ(replay.samples.size(), cold.samples.size());
-
-  // ...and a different shard count is again a different entry.
-  ASSERT_EQ(::setenv("TOKYONET_CACHE_SHARDS", "5", 1), 0);
-  sim::CampaignCacheStatus resharded;
-  (void)sim::cached_campaign(config, &resharded);
-  EXPECT_FALSE(resharded.hit);
-  EXPECT_NE(resharded.path, second.path);
-
-  ASSERT_EQ(::unsetenv("TOKYONET_CACHE_SHARDS"), 0);
-  ASSERT_EQ(::unsetenv("TOKYONET_CACHE_DIR"), 0);
 }
 
 }  // namespace

@@ -74,26 +74,35 @@ expect 4 "${tokyonet}" fig all --check-goldens --goldens "${tmp}/empty-goldens"
 expect 0 "${tokyonet}" snapshot shard --year 2015 --scale 0.02 \
     --out "${tmp}/shards" --shards 2
 expect 0 "${tokyonet}" snapshot info --in "${tmp}/shards"
-expect 0 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core
-expect 2 "${tokyonet}" report --out-of-core  # needs --shard-dir
+expect 0 "${tokyonet}" report --shard-dir "${tmp}/shards"
+# A store is always scanned: there is no flag that selects another way
+# to read it.
+expect 2 "${tokyonet}" report --out-of-core  # unknown flag
+expect 2 "${tokyonet}" fig run table01 --out-of-core  # unknown flag
 
-# Out-of-core figure rendering: every per-year figure works (the Fig 6
-# ratio scan included), a longitudinal figure is rejected with 2 (it
-# spans several campaigns; a store holds one), and --out-of-core
-# without a store is usage.
-expect 0 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
-    --out-of-core
+# Scanning a store reports exactly what simulating the same campaign
+# reports: same header, same tables, byte for byte.
+"${tokyonet}" report --year 2015 --scale 0.02 > "${tmp}/report-memory.txt"
+"${tokyonet}" report --shard-dir "${tmp}/shards" > "${tmp}/report-store.txt"
+if ! cmp -s "${tmp}/report-memory.txt" "${tmp}/report-store.txt"; then
+  echo "FAIL: report --shard-dir differs from report --year:" >&2
+  diff "${tmp}/report-memory.txt" "${tmp}/report-store.txt" >&2 || true
+  exit 1
+fi
+echo "ok: report --shard-dir == report --year, byte for byte"
+
+# Figure rendering over a store: every per-year figure works (the Fig 6
+# ratio scan included), and a longitudinal figure is rejected with 2 (it
+# spans several campaigns; a store holds one).
+expect 0 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards"
 expect 0 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards" \
-    --out-of-core --resident-shards 2
-expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards" \
-    --out-of-core
-expect 2 "${tokyonet}" fig run table03 --shard-dir "${tmp}/shards" \
-    --out-of-core  # longitudinal
-expect 2 "${tokyonet}" fig run table01 --out-of-core  # needs --shard-dir
+    --resident-shards 2
+expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards"
+expect 2 "${tokyonet}" fig run table03 --shard-dir "${tmp}/shards"
 rejection="$("${tokyonet}" fig run table03 --shard-dir "${tmp}/shards" \
-    --out-of-core 2>&1 || true)"
+    2>&1 || true)"
 if ! echo "${rejection}" | grep -q "longitudinal"; then
-  echo "FAIL: rejected --out-of-core run must say the figure is longitudinal" >&2
+  echo "FAIL: rejected store run must say the figure is longitudinal" >&2
   exit 1
 fi
 echo "ok: longitudinal rejection names the reason"
@@ -120,18 +129,14 @@ expect 0 "${tokyonet}" snapshot shard --year 2015 --scale 0.02 --seed 7 \
     --out "${tmp}/other" --shards 2
 cp -r "${tmp}/shards" "${tmp}/swapped"
 cp "${tmp}/other/shard-0001.tksnap" "${tmp}/swapped/shard-0001.tksnap"
-expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/swapped" \
-    --out-of-core
+expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/swapped"
 cp -r "${tmp}/shards" "${tmp}/truncated"
 truncate -s 4096 "${tmp}/truncated/shard-0001.tksnap"
-expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/truncated" \
-    --out-of-core
+expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/truncated"
 rm "${tmp}/shards/shard-0001.tksnap"
 expect 4 "${tokyonet}" snapshot info --in "${tmp}/shards"
-expect 4 "${tokyonet}" report --shard-dir "${tmp}/shards" --out-of-core
+expect 4 "${tokyonet}" report --shard-dir "${tmp}/shards"
 expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards"
-expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards" \
-    --out-of-core
 
 # Ingest: a loopback replay into a 4-shard server commits every record,
 # and the kernels' result over the committed batches is byte-identical

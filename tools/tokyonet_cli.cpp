@@ -7,40 +7,38 @@
 //
 //   tokyonet fig run <id> [--year Y] [--scale S] [--seed N]
 //                    [--format text|csv|json] [--shard-dir DIR]
-//                    [--out-of-core] [--resident-shards K]
+//                    [--resident-shards K]
 //       Render one registered reproduction. Without --year a per-year
 //       figure is stacked over all its paper years; longitudinal
 //       figures take no --year. With --shard-dir the campaign comes
-//       from a sharded store instead of simulation
-//       (--resident-shards >= 1 overlaps shard loads with the rebase).
-//       Adding --out-of-core renders the figure by scanning shards with
-//       bounded memory (never materializing the campaign); a
+//       from a sharded store instead of simulation, and the figure
+//       scans it shard by shard with bounded memory (--resident-shards
+//       below); only the store's campaign year renders, and a
 //       longitudinal figure spans several campaigns and is rejected
 //       with exit 2.
 //
 //   tokyonet fig all [--format text|csv|json] [--shard-dir DIR]
-//                    [--out-of-core] [--resident-shards K]
+//                    [--resident-shards K]
 //   tokyonet fig all --update-goldens [--goldens DIR]
 //   tokyonet fig all --check-goldens [--goldens DIR]
 //       Render the whole catalog, or write / byte-compare the golden
 //       canonical-JSON files (always at the pinned golden scale).
-//       With --shard-dir --out-of-core, render every figure for the
-//       store's campaign year with bounded memory.
+//       With --shard-dir, render every figure for the store's campaign
+//       year with bounded memory.
 //
 //   tokyonet simulate --year 2015 [--scale S] [--seed N] --out DIR
 //       Simulate a campaign and export it as CSV (observable data only).
 //
-//   tokyonet report (--in DIR | --shard-dir DIR [--out-of-core]
-//                    [--resident-shards K] | --year Y [--scale S])
+//   tokyonet report (--in DIR | --shard-dir DIR [--resident-shards K]
+//                    | --year Y [--scale S])
 //       Print the headline reproductions for a dataset through the
 //       figure registry (Table 1/4, user types, offload opportunity,
-//       and for 2015 the update event). --shard-dir reads a sharded
-//       campaign store; with --out-of-core the battery is computed by
-//       scanning shards with bounded memory instead of materializing
-//       the campaign: --resident-shards K (default 1, or
-//       TOKYONET_RESIDENT_SHARDS) pipelines the scan with at most K+1
-//       shards resident — 0 restores the strict one-shard-at-a-time
-//       scan — and the tables are byte-identical at every K.
+//       and for 2015 the update event). --shard-dir scans a sharded
+//       campaign store with bounded memory: --resident-shards K
+//       (default 1, or TOKYONET_RESIDENT_SHARDS) pipelines the scan
+//       with at most K+1 shards resident — 0 restores the strict
+//       one-shard-at-a-time scan. The output is byte-identical at
+//       every K, and to `report --year` over the same campaign.
 //
 //   tokyonet years [--scale S]
 //       Headline report for all three campaigns plus the longitudinal
@@ -115,7 +113,6 @@
 #include "report/golden.h"
 #include "report/registry.h"
 #include "report/runner.h"
-#include "report/sharded.h"
 #include "report/table.h"
 #include "sim/simulator.h"
 #include "sim/stream_runner.h"
@@ -144,7 +141,6 @@ struct Args {
   std::string in_dir;
   std::string out_dir;
   std::string shard_dir;
-  bool out_of_core = false;
   // The K of DESIGN.md §5j: 0 = strict sequential shard scan, 1 =
   // prefetch one shard ahead, K >= 2 = scan K shards concurrently.
   // Defaults from TOKYONET_RESIDENT_SHARDS; --resident-shards overrides.
@@ -177,16 +173,15 @@ int usage() {
                "  tokyonet fig list [--ids]\n"
                "  tokyonet fig run <id> [--year Y] [--scale S] [--seed N] "
                "[--format text|csv|json] [--shard-dir DIR] "
-               "[--out-of-core] [--resident-shards K]\n"
+               "[--resident-shards K]\n"
                "  tokyonet fig all [--format text|csv|json] "
-               "[--shard-dir DIR] [--out-of-core] [--resident-shards K]\n"
+               "[--shard-dir DIR] [--resident-shards K]\n"
                "  tokyonet fig all --update-goldens|--check-goldens "
                "[--goldens DIR]\n"
                "  tokyonet simulate --year 2013|2014|2015 [--scale S] "
                "[--seed N] --out DIR\n"
                "  tokyonet report (--in DIR | --shard-dir DIR "
-               "[--out-of-core] [--resident-shards K] | --year Y "
-               "[--scale S])\n"
+               "[--resident-shards K] | --year Y [--scale S])\n"
                "  tokyonet years [--scale S]\n"
                "  tokyonet snapshot save --year Y [--scale S] [--seed N] "
                "--out FILE\n"
@@ -323,8 +318,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (v == nullptr) return false;
       args.shard_dir = v;
-    } else if (flag == "--out-of-core") {
-      args.out_of_core = true;
     } else if (flag == "--resident-shards") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -431,13 +424,11 @@ int snapshot_failure_code(const std::string& path, const std::string& error) {
                                                              : kExitLoad;
 }
 
-// Installs the campaign held by shard directory `dir` into `runner` —
-// materialized, or with `out_of_core` as a query::ShardedSource the
-// figures scan with bounded memory — and reports its year. Returns
-// kExitOk or the exit code to fail with.
+// Installs the campaign held by shard directory `dir` into `runner` as
+// a query::ShardedSource the figures scan with bounded memory, and
+// reports its year. Returns kExitOk or the exit code to fail with.
 int adopt_shard_dir(report::Runner& runner, const std::string& dir,
-                    std::size_t resident_shards, bool out_of_core,
-                    Year& out_year) {
+                    std::size_t resident_shards, Year& out_year) {
   io::ShardManifest m;
   const io::SnapshotResult r = io::read_shard_manifest(dir, m);
   if (!r.ok()) {
@@ -451,9 +442,7 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
     return kExitVerify;
   }
   const io::SnapshotResult a =
-      out_of_core
-          ? runner.adopt_shards_out_of_core(*year, dir, resident_shards)
-          : runner.adopt_shards(*year, dir, resident_shards);
+      runner.adopt_shards_out_of_core(*year, dir, resident_shards);
   if (!a.ok()) {
     std::fprintf(stderr, "shard store: %s\n", a.error.c_str());
     return snapshot_failure_code(dir, a.error);
@@ -521,19 +510,13 @@ int cmd_fig_run(const Args& args) {
                  args.figure_id.c_str());
     return kExitUsage;
   }
-  if (args.out_of_core) {
-    if (args.shard_dir.empty()) {
-      std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
-      return kExitUsage;
-    }
-    if (!spec->per_year()) {
-      // A longitudinal figure spans several campaigns; a store holds one.
-      std::fprintf(stderr,
-                   "%s is longitudinal; it cannot run out of core over "
-                   "one campaign's store\n",
-                   spec->id.c_str());
-      return kExitUsage;
-    }
+  if (!args.shard_dir.empty() && !spec->per_year()) {
+    // A longitudinal figure spans several campaigns; a store holds one.
+    std::fprintf(stderr,
+                 "%s is longitudinal; it cannot run over one campaign's "
+                 "store\n",
+                 spec->id.c_str());
+    return kExitUsage;
   }
   std::optional<Year> year;
   if (args.year) {
@@ -552,19 +535,18 @@ int cmd_fig_run(const Args& args) {
   if (!args.shard_dir.empty()) {
     Year store_year;
     const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, args.out_of_core,
-                                   store_year);
+                                   args.resident_shards, store_year);
     if (rc != kExitOk) return rc;
-    if (args.out_of_core && year && *year != store_year) {
+    if (year && *year != store_year) {
       // The other years would have to be simulated in memory, defeating
-      // the bounded-memory point of --out-of-core.
+      // the bounded-memory point of a store.
       std::fprintf(stderr,
-                   "--out-of-core renders the store's campaign year only\n");
+                   "--shard-dir renders the store's campaign year only\n");
       return kExitUsage;
     }
-    // A per-year figure defaults to the store's campaign year instead
-    // of stacking (the other years would have to be simulated).
-    if (spec->per_year() && !year) year = store_year;
+    // A per-year figure renders the store's campaign year instead of
+    // stacking (the other years would have to be simulated).
+    year = store_year;
   }
   const report::Table table = (spec->per_year() && !year)
                                   ? runner.run_stacked(*spec)
@@ -605,30 +587,25 @@ int cmd_fig_all(const Args& args) {
     return kExitOk;
   }
 
-  if (args.out_of_core && args.shard_dir.empty()) {
-    std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
-    return kExitUsage;
-  }
   report::Runner runner(runner_options(args));
   std::optional<Year> store_year;
   if (!args.shard_dir.empty()) {
     Year y;
-    const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, args.out_of_core, y);
+    const int rc =
+        adopt_shard_dir(runner, args.shard_dir, args.resident_shards, y);
     if (rc != kExitOk) return rc;
     store_year = y;
   }
   const auto& registry = report::FigureRegistry::instance();
   bool first = true;
   for (const report::FigureSpec& spec : registry.figures()) {
-    // Out of core, the catalog narrows to the figures for the store's
+    // Over a store, the catalog narrows to the figures for the store's
     // campaign year — the longitudinal ones would simulate the others.
-    if (args.out_of_core && !spec.applies_to(*store_year)) continue;
+    if (store_year && !spec.applies_to(*store_year)) continue;
     if (!first && args.format == "text") std::printf("\n");
     first = false;
-    const report::Table table = args.out_of_core
-                                    ? runner.run(spec, *store_year)
-                                    : runner.run_stacked(spec);
+    const report::Table table = store_year ? runner.run(spec, *store_year)
+                                           : runner.run_stacked(spec);
     if (!render_table(table, args.format)) return kExitUsage;
   }
   return kExitOk;
@@ -664,12 +641,13 @@ Dataset make_dataset(const Args& args, Year year) {
 
 // The headline reproductions for one campaign year, rendered through
 // the registry: dataset/panel overview, AP census, user types, offload
-// opportunity, and (2015) the iOS update event.
+// opportunity, and (2015) the iOS update event. The same output whether
+// the campaign is simulated, imported or scanned from a shard store.
 void print_report(report::Runner& runner, Year year) {
-  const Dataset& ds = runner.dataset(year);
+  const analysis::query::DataSource& src = runner.analysis(year).source();
   std::printf("dataset: %s campaign, %d days, %zu devices, %zu samples\n",
-              std::string(to_string(ds.year)).c_str(), ds.num_days(),
-              ds.devices.size(), ds.samples.size());
+              std::string(to_string(src.year())).c_str(), src.num_days(),
+              src.n_devices(), src.n_samples());
 
   const auto& registry = report::FigureRegistry::instance();
   static constexpr const char* kHeadline[] = {
@@ -707,52 +685,12 @@ int cmd_simulate(const Args& args) {
   return kExitOk;
 }
 
-// The headline battery computed out-of-core: the registry's battery
-// figures rendered over a query::ShardedSource with at most
-// --resident-shards + 1 shards resident (one when K = 0). Same tables
-// (byte-identical canonical JSON) as the in-memory report at every K,
-// bounded memory.
-int cmd_report_out_of_core(const Args& args) {
-  io::ShardedDataset store;
-  const io::SnapshotResult r = io::ShardedDataset::open(args.shard_dir, store);
-  if (!r.ok()) {
-    std::fprintf(stderr, "shard store: %s\n", r.error.c_str());
-    return snapshot_failure_code(args.shard_dir, r.error);
-  }
-  const io::ShardManifest& m = store.manifest();
-  std::printf("dataset: %s campaign, %d days, %" PRIu64 " devices, %" PRIu64
-              " samples (%zu shards, out-of-core)\n",
-              std::string(to_string(store.year())).c_str(), m.num_days,
-              m.n_devices, m.n_samples, store.num_shards());
-
-  std::vector<report::Table> tables;
-  const io::SnapshotResult b = report::run_sharded_battery(
-      store, tables, {args.resident_shards});
-  if (!b.ok()) {
-    std::fprintf(stderr, "out-of-core battery failed: %s\n", b.error.c_str());
-    return snapshot_failure_code(args.shard_dir, b.error);
-  }
-  for (const report::Table& t : tables) {
-    std::printf("\n");
-    std::fputs(report::to_text(t).c_str(), stdout);
-  }
-  std::printf("\n(full catalog: tokyonet fig list)\n");
-  return kExitOk;
-}
-
 int cmd_report(const Args& args) {
-  if (args.out_of_core && args.shard_dir.empty()) {
-    std::fprintf(stderr, "--out-of-core needs --shard-dir\n");
-    return kExitUsage;
-  }
-  if (!args.shard_dir.empty() && args.out_of_core) {
-    return cmd_report_out_of_core(args);
-  }
   report::Runner runner(runner_options(args));
   Year year;
   if (!args.shard_dir.empty()) {
-    const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, false, year);
+    const int rc =
+        adopt_shard_dir(runner, args.shard_dir, args.resident_shards, year);
     if (rc != kExitOk) return rc;
   } else if (!args.in_dir.empty()) {
     Dataset ds;
@@ -785,8 +723,8 @@ int cmd_years(const Args& args) {
     print_report(runner, y);
     std::printf("\n");
   }
-  // The longitudinal figures reuse the campaigns already materialized
-  // by the per-year reports above.
+  // The longitudinal figures reuse the campaigns already simulated by
+  // the per-year reports above.
   const auto& registry = report::FigureRegistry::instance();
   for (const char* id : {"fig01", "table03"}) {
     if (const report::FigureSpec* spec = registry.find(id)) {
