@@ -81,7 +81,9 @@ struct AppPartial {
   const std::span<const WifiState> state = ds.samples.wifi_state;
   const std::span<const std::uint32_t> apcol = ds.samples.ap;
   const std::span<const std::uint16_t> geo = ds.samples.geo_cell;
-  const std::span<const AppTraffic> apps = ds.app_traffic.span();
+  const std::span<const AppCategory> app_category = ds.app_traffic.category;
+  const std::span<const std::uint32_t> app_rx = ds.app_traffic.rx_bytes;
+  const std::span<const std::uint32_t> app_tx = ds.app_traffic.tx_bytes;
   const std::size_t n_devices = ds.devices.size();
   const int days_total = ds.num_days();
   const std::vector<AppPartial> partials = query::map_device_blocks(
@@ -138,9 +140,9 @@ struct AppPartial {
               auto& rx_row = p.rx[static_cast<std::size_t>(ctx)];
               auto& tx_row = p.tx[static_cast<std::size_t>(ctx)];
               for (std::size_t a2 = a0; a2 < a0 + run_count; ++a2) {
-                const auto c = static_cast<std::size_t>(apps[a2].category);
-                rx_row[c] += apps[a2].rx_bytes;
-                tx_row[c] += apps[a2].tx_bytes;
+                const auto c = static_cast<std::size_t>(app_category[a2]);
+                rx_row[c] += app_rx[a2];
+                tx_row[c] += app_tx[a2];
               }
               i = j;
             }

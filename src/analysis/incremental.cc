@@ -54,7 +54,7 @@ struct BlockScan {
   for (std::size_t d = 0; d < ds.devices.size(); ++d) {
     for (std::size_t a = idx.device_app_begin(d); a < idx.device_app_end(d);
          ++a) {
-      const AppTraffic& at = ds.app_traffic[a];
+      const AppTraffic at = ds.app_traffic[a];
       ++t.n_app_records;
       t.app_rx[static_cast<int>(at.category)] += at.rx_bytes;
       t.app_tx[static_cast<int>(at.category)] += at.tx_bytes;

@@ -67,63 +67,106 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::empty() {
   return idx;
 }
 
-RunCheck check_device_run(const SampleColumns& cols,
-                          std::span<const AppTraffic> app_traffic,
-                          const DeviceRun& run, const RowLimits& limits) {
+namespace {
+
+/// What every rule of a run reduces to. A run is valid when `descends`,
+/// `ap_over` and the flag bits outside kFlagTethering are 0, the maxima
+/// name known enum values, the last bin lies inside the calendar and
+/// the app range holds `apps` records, all of known category.
+struct RunReduction {
+  std::uint16_t descends = 0;  // OR of (previous bin - bin) where positive
+  std::uint16_t repeats = 0;   // nonzero when two consecutive bins are equal
+  std::uint32_t ap_over = 0;   // nonzero when an AP is neither kNoAp nor known
+  std::uint8_t max_state = 0, max_tech = 0, flag_bits = 0;
+  std::uint8_t max_category = 0;  // over the app range, when it is sound
+  std::uint64_t apps = 0;         // sum of app_count
+};
+
+/// The rules as contiguous column reductions: one loop per element
+/// width, each reading its columns once, with no branch and no early
+/// exit, so the compiler vectorizes every loop. Bins never descending
+/// makes the last bin the largest, so the calendar bound is one compare;
+/// AP value + 1 wraps kNoAp to 0, so one compare bounds the AP column.
+RunReduction reduce_run(const SampleColumns& cols, const AppCategory* category,
+                        std::size_t n_apps, const DeviceRun& run,
+                        std::uint32_t ap_limit) {
   const std::size_t begin = run.row_begin;
   const std::size_t end = run.row_end;
   const TimeBin* const bin = cols.bin.data();
   const std::uint32_t* const ap = cols.ap.data();
-  const std::uint8_t* const app_count = cols.app_count.data();
-  const std::uint8_t* const flags = cols.flags.data();
   const WifiState* const state = cols.wifi_state.data();
   const CellTech* const tech = cols.tech.data();
+  const std::uint8_t* const flags = cols.flags.data();
+  const std::uint8_t* const app_count = cols.app_count.data();
 
-  // Every rule as a branch-free reduction over one column, which the
-  // compiler vectorizes. AP value + 1 wraps kNoAp to 0, so one max
-  // bounds the AP column by num_aps.
-  TimeBin max_bin = 0;
-  for (std::size_t j = begin; j < end; ++j) {
-    max_bin = std::max(max_bin, bin[j]);
-  }
-  unsigned descends = 0, repeats = 0;
+  std::uint16_t descends = 0, repeats = 0;
   for (std::size_t j = begin + 1; j < end; ++j) {
-    descends |= unsigned{bin[j - 1] > bin[j]};
-    repeats |= unsigned{bin[j - 1] == bin[j]};
+    const std::uint16_t prev = bin[j - 1], cur = bin[j];
+    descends |= static_cast<std::uint16_t>(prev > cur ? prev - cur : 0);
+    repeats |= static_cast<std::uint16_t>(prev == cur);
   }
-  std::uint32_t max_ap = 0;
+  std::uint32_t ap_over = 0;
   for (std::size_t j = begin; j < end; ++j) {
-    max_ap = std::max(max_ap, ap[j] + 1u);
+    ap_over |= static_cast<std::uint32_t>(ap[j] + 1u > ap_limit);
   }
+  // A block of 2^24 rows sums its app counts (at most 255 each) in 32
+  // bits, which vectorizes wider than a 64-bit sum.
   std::uint8_t max_state = 0, max_tech = 0, flag_bits = 0;
-  for (std::size_t j = begin; j < end; ++j) {
-    max_state = std::max(max_state, static_cast<std::uint8_t>(state[j]));
-    max_tech = std::max(max_tech, static_cast<std::uint8_t>(tech[j]));
-    flag_bits |= flags[j];
-  }
   std::uint64_t apps = 0;
-  for (std::size_t j = begin; j < end; ++j) apps += app_count[j];
+  constexpr std::size_t kBlock = std::size_t{1} << 24;
+  for (std::size_t b = begin; b < end; b += kBlock) {
+    const std::size_t stop = end - b > kBlock ? b + kBlock : end;
+    std::uint32_t block_apps = 0;
+    for (std::size_t j = b; j < stop; ++j) {
+      max_state = std::max(max_state, static_cast<std::uint8_t>(state[j]));
+      max_tech = std::max(max_tech, static_cast<std::uint8_t>(tech[j]));
+      flag_bits |= flags[j];
+      block_apps += app_count[j];
+    }
+    apps += block_apps;
+  }
+  std::uint8_t max_category = 0;
+  if (run.app_begin <= run.app_end && run.app_end <= n_apps) {
+    for (std::size_t a = run.app_begin; a < run.app_end; ++a) {
+      max_category =
+          std::max(max_category, static_cast<std::uint8_t>(category[a]));
+    }
+  }
+  return {descends, repeats,   ap_over,      max_state,
+          max_tech, flag_bits, max_category, apps};
+}
+
+}  // namespace
+
+RunCheck check_device_run(const SampleColumns& cols,
+                          std::span<const AppCategory> app_category,
+                          const DeviceRun& run, const RowLimits& limits) {
+  const std::size_t begin = run.row_begin;
+  const std::size_t end = run.row_end;
   const std::size_t app_begin = run.app_begin;
   const std::size_t app_end = run.app_end;
-  const std::size_t n_apps = app_traffic.size();
-  bool ok = std::size_t{max_bin} < limits.num_bins && descends == 0 &&
-            max_ap <= limits.num_aps &&
-            max_state <= static_cast<std::uint8_t>(WifiState::Associated) &&
-            max_tech <= static_cast<std::uint8_t>(CellTech::Lte) &&
-            (flag_bits & ~SampleColumns::kFlagTethering) == 0 &&
-            app_begin <= app_end && app_end <= n_apps &&
-            app_end - app_begin == apps;
-  if (ok) {
-    std::uint8_t max_category = 0;
-    for (std::size_t a = app_begin; a < app_end; ++a) {
-      max_category = std::max(
-          max_category, static_cast<std::uint8_t>(app_traffic[a].category));
-    }
-    ok = max_category < kNumAppCategories;
-  }
-  if (ok) return {{}, repeats != 0};
+  const std::size_t n_apps = app_category.size();
+  const auto ap_limit = static_cast<std::uint32_t>(
+      std::min<std::size_t>(limits.num_aps, 0xFFFFFFFFu));
+  const RunReduction r =
+      reduce_run(cols, app_category.data(), n_apps, run, ap_limit);
+  const std::uint64_t apps = r.apps;
+  const bool ok =
+      r.descends == 0 && (end == begin || cols.bin[end - 1] < limits.num_bins) &&
+      r.ap_over == 0 &&
+      r.max_state <= static_cast<std::uint8_t>(WifiState::Associated) &&
+      r.max_tech <= static_cast<std::uint8_t>(CellTech::Lte) &&
+      (r.flag_bits & ~SampleColumns::kFlagTethering) == 0 &&
+      app_begin <= app_end && app_end <= n_apps &&
+      app_end - app_begin == apps && r.max_category < kNumAppCategories;
+  if (ok) return {{}, r.repeats != 0};
 
   // The same rules one row at a time, to name the first broken one.
+  const TimeBin* const bin = cols.bin.data();
+  const std::uint32_t* const ap = cols.ap.data();
+  const WifiState* const state = cols.wifi_state.data();
+  const CellTech* const tech = cols.tech.data();
+  const std::uint8_t* const flags = cols.flags.data();
   const auto row = [](std::size_t i) { return "sample " + std::to_string(i); };
   for (std::size_t i = begin; i < end; ++i) {
     if (std::size_t{bin[i]} >= limits.num_bins) {
@@ -151,11 +194,11 @@ RunCheck check_device_run(const SampleColumns& cols,
             std::to_string(n_apps) + " app records"};
   }
   for (std::size_t a = app_begin; a < app_end; ++a) {
-    if (static_cast<int>(app_traffic[a].category) >= kNumAppCategories) {
+    if (static_cast<int>(app_category[a]) >= kNumAppCategories) {
       return {"app record " + std::to_string(a) + " has an unknown category"};
     }
   }
-  return {{}, repeats != 0};  // unreachable: the walk mirrors the reductions
+  return {{}, r.repeats != 0};  // unreachable: the walk mirrors the reductions
 }
 
 std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
@@ -175,6 +218,11 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
   SampleColumns::for_each(
       [&](const auto& c) { same_length = same_length && c.size() == n; }, cols);
   if (!same_length) return fail("sample columns differ in length");
+  const std::size_t n_apps = ds.app_traffic.size();
+  AppColumns::for_each(
+      [&](const auto& c) { same_length = same_length && c.size() == n_apps; },
+      ds.app_traffic);
+  if (!same_length) return fail("app record columns differ in length");
   if (layout.device_offset.size() != n_devices + 1 ||
       layout.app_range.size() != 2 * n_devices) {
     return fail("sample layout covers a different number of devices");
@@ -206,7 +254,7 @@ std::shared_ptr<const DatasetIndex> DatasetIndex::build(const Dataset& ds,
         const std::size_t end = layout.device_offset[d + 1];
         const DeviceRun run{d, begin, end, layout.app_range[2 * d],
                             layout.app_range[2 * d + 1]};
-        RunCheck check = check_device_run(cols, ds.app_traffic, run, limits);
+        RunCheck check = check_device_run(cols, ds.app_traffic.category, run, limits);
         if (!check.error.empty()) return {std::move(check.error)};
 
         // Rising bins, all inside the calendar, one per bin: dense, and

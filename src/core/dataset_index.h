@@ -33,8 +33,9 @@ namespace tokyonet::core {
 struct SampleLayout {
   /// Device d owns rows [device_offset[d], device_offset[d + 1]).
   std::vector<std::size_t> device_offset;
-  /// Device d's per-application records are Dataset::app_traffic
-  /// [app_range[2d], app_range[2d + 1]), in row order.
+  /// Device d's per-application records are rows
+  /// [app_range[2d], app_range[2d + 1]) of Dataset::app_traffic, in
+  /// row order.
   std::vector<std::size_t> app_range;
 
   /// One row per (device, bin), no app records.
@@ -68,14 +69,14 @@ struct RunCheck {
 /// Records frame, against the limits its Begin frame announced): every
 /// bin inside the calendar, bins never descending, every AP known, no
 /// unknown WiFi state, cell technology or flag bit, an app range inside
-/// `app_traffic` that holds exactly the rows' app counts, and no unknown
-/// app category. Each rule is a vectorizable column reduction; only a
+/// `app_category` (the app records' category column) that holds exactly
+/// the rows' app counts, and no unknown app category. Every rule is a
+/// contiguous column reduction, read once and vectorized; only a
 /// failing run is walked row by row, so the error names its first bad
-/// row (or app record) by its index in `cols` (or `app_traffic`).
-[[nodiscard]] RunCheck check_device_run(const SampleColumns& cols,
-                                        std::span<const AppTraffic> app_traffic,
-                                        const DeviceRun& run,
-                                        const RowLimits& limits);
+/// row (or app record) by its index in `cols` (or `app_category`).
+[[nodiscard]] RunCheck check_device_run(
+    const SampleColumns& cols, std::span<const AppCategory> app_category,
+    const DeviceRun& run, const RowLimits& limits);
 
 class DatasetIndex {
  public:

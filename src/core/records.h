@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,14 +37,10 @@ using GeoCell = std::uint16_t;
 inline constexpr GeoCell kNoGeoCell = 0xFFFF;
 
 /// Traffic attributed to one application category within one sample
-/// (Android only; iOS reports a single `Unknown` aggregate, §2).
+/// (Android only; iOS reports a single `Unknown` aggregate, §2): one
+/// record's values. A campaign stores its records as AppColumns.
 struct AppTraffic {
   AppCategory category = AppCategory::Unknown;
-  /// Explicit padding, always zero: these records are serialized raw
-  /// (io/snapshot.cc), so compiler-inserted padding would leak
-  /// indeterminate bytes into snapshot files and break byte-level
-  /// write determinism.
-  std::uint8_t reserved[3] = {};
   std::uint32_t rx_bytes = 0;
   std::uint32_t tx_bytes = 0;
 };
@@ -56,7 +53,10 @@ struct DeviceInfo {
   /// True for recruited participants (who also answer the survey);
   /// false for organic app-store installs (§2).
   bool recruited = true;
-  /// Explicit padding, always zero (serialized raw — see AppTraffic).
+  /// Explicit padding, always zero: these records are serialized raw
+  /// (io/snapshot.cc), so compiler-inserted padding would leak
+  /// indeterminate bytes into snapshot files and break byte-level
+  /// write determinism.
   std::uint8_t reserved = 0;
 };
 
@@ -134,7 +134,77 @@ struct SampleColumns {
   void resize_for_overwrite(std::size_t n) {
     for_each([n](auto& c) { c.resize_for_overwrite(n); }, *this);
   }
+};
 
+/// The campaign's per-application records (§3.6 Tables 6/7), one
+/// core::Column per AppTraffic field, in row order: a device's records
+/// follow its rows, each row owning the next app_count of them. Stored
+/// and streamed column by column (9 bytes a record, no padding), so the
+/// run check reads the 1-byte category column alone.
+struct AppColumns {
+  core::Column<AppCategory> category;
+  core::Column<std::uint32_t> rx_bytes, tx_bytes;
+
+  static constexpr std::size_t kNumColumns = 3;
+
+  [[nodiscard]] std::size_t size() const noexcept { return category.size(); }
+
+  /// Record `i`'s values.
+  [[nodiscard]] AppTraffic operator[](std::size_t i) const noexcept {
+    return {category[i], rx_bytes[i], tx_bytes[i]};
+  }
+
+  void push_back(const AppTraffic& a) {
+    category.push_back(a.category);
+    rx_bytes.push_back(a.rx_bytes);
+    tx_bytes.push_back(a.tx_bytes);
+  }
+
+  /// As SampleColumns::for_each, over the three app-record columns in
+  /// declaration order — also the snapshot section and frame order.
+  template <typename F, typename... S>
+  static void for_each(F&& f, S&... c) {
+    f(c.category...);
+    f(c.rx_bytes...);
+    f(c.tx_bytes...);
+  }
+
+  /// Grows every column to `n` records without zero-filling.
+  void resize_for_overwrite(std::size_t n) {
+    for_each([n](auto& c) { c.resize_for_overwrite(n); }, *this);
+  }
+
+  /// Resizes every column to `n` records, value-initializing new ones.
+  void resize(std::size_t n) {
+    for_each([n](auto& c) { c.resize(n); }, *this);
+  }
+
+  void reserve(std::size_t n) {
+    for_each([n](auto& c) { c.reserve(n); }, *this);
+  }
+
+  /// Appends every record of `from`.
+  void append(const AppColumns& from) {
+    for_each(
+        [](auto& to, const auto& src) {
+          to.insert(to.cend(), src.begin(), src.end());
+        },
+        *this, from);
+  }
+
+  /// Appends `records`, each field to its column.
+  void append(std::span<const AppTraffic> records) {
+    const std::size_t n = size();
+    resize_for_overwrite(n + records.size());
+    AppCategory* const cat = category.data() + n;
+    std::uint32_t* const rx = rx_bytes.data() + n;
+    std::uint32_t* const tx = tx_bytes.data() + n;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      cat[i] = records[i].category;
+      rx[i] = records[i].rx_bytes;
+      tx[i] = records[i].tx_bytes;
+    }
+  }
 };
 
 /// Post-campaign survey answers from one recruited user (§4.2).
@@ -195,7 +265,7 @@ struct DeviceTruth {
 /// Ground truth about one AP.
 struct ApTruth {
   ApPlacement placement = ApPlacement::Public;
-  /// Explicit padding, always zero (serialized raw — see AppTraffic).
+  /// Explicit padding, always zero (serialized raw — see DeviceInfo).
   std::uint8_t reserved = 0;
   GeoCell cell = kNoGeoCell;
 };
@@ -221,7 +291,7 @@ class Dataset {
   /// read the store's table (write through aps.mut()).
   core::CowVector<ApInfo> aps;
   SampleColumns samples;
-  core::Column<AppTraffic> app_traffic;
+  AppColumns app_traffic;
   std::vector<SurveyResponse> survey;  // parallel to devices (recruited only meaningful)
   GroundTruth truth;
 

@@ -41,15 +41,52 @@ void append_frame(FrameType type, std::uint32_t device,
   std::memcpy(out.data() + at, &h, sizeof(h));
 }
 
+/// Bytes of one row across every column of `Columns`.
+template <typename Columns>
+[[nodiscard]] std::uint32_t row_bytes() {
+  std::uint32_t n = 0;
+  const Columns cols;
+  Columns::for_each([&](const auto& c) { n += sizeof(c[0]); }, cols);
+  return n;
+}
+
+/// Appends records [begin, end) of every column of `cols`, each column
+/// contiguous, in for_each order.
+template <typename Columns>
+void append_columns(std::vector<std::uint8_t>& out, const Columns& cols,
+                    std::size_t begin, std::size_t end) {
+  Columns::for_each(
+      [&](const auto& c) {
+        append_bytes(out, c.data() + begin, (end - begin) * sizeof(c[0]));
+      },
+      cols);
+}
+
+/// Reads `n` records of every column of `out` from `payload`, in the
+/// order append_columns writes them, and advances `payload`. Empty
+/// columns may hold no storage at all: zero-length copies, whose null
+/// pointers memcpy must not receive, are skipped.
+template <typename Columns>
+void take_columns(Columns& out, std::size_t n, const std::uint8_t*& payload) {
+  Columns::for_each(
+      [&](auto& c) {
+        c.resize_for_overwrite(n);
+        const std::size_t bytes = n * sizeof(c[0]);
+        if (bytes > 0) std::memcpy(c.data(), payload, bytes);
+        payload += bytes;
+      },
+      out);
+}
+
 }  // namespace
 
 std::uint32_t sample_row_bytes() {
-  static const std::uint32_t bytes = [] {
-    std::uint32_t n = 0;
-    const SampleColumns cols;
-    SampleColumns::for_each([&](const auto& c) { n += sizeof(c[0]); }, cols);
-    return n;
-  }();
+  static const std::uint32_t bytes = row_bytes<SampleColumns>();
+  return bytes;
+}
+
+std::uint32_t app_row_bytes() {
+  static const std::uint32_t bytes = row_bytes<AppColumns>();
   return bytes;
 }
 
@@ -59,19 +96,14 @@ void encode_begin(const BeginPayload& info, std::vector<std::uint8_t>& out) {
 }
 
 void encode_records(DeviceId device, const SampleColumns& cols,
-                    std::size_t begin, std::size_t end,
-                    std::span<const AppTraffic> app,
+                    std::size_t begin, std::size_t end, const AppColumns& app,
+                    std::size_t app_begin, std::size_t app_end,
                     std::vector<std::uint8_t>& out) {
   append_frame(FrameType::Records, value(device),
                static_cast<std::uint32_t>(end - begin),
-               static_cast<std::uint32_t>(app.size()), out, [&] {
-                 SampleColumns::for_each(
-                     [&](const auto& c) {
-                       append_bytes(out, c.data() + begin,
-                                    (end - begin) * sizeof(c[0]));
-                     },
-                     cols);
-                 append_bytes(out, app.data(), app.size_bytes());
+               static_cast<std::uint32_t>(app_end - app_begin), out, [&] {
+                 append_columns(out, cols, begin, end);
+                 append_columns(out, app, app_begin, app_end);
                });
 }
 
@@ -134,7 +166,7 @@ FrameParser::Status FrameParser::next(Frame& out) {
     case FrameType::Records: {
       const std::uint64_t want =
           std::uint64_t{h.n_samples} * sample_row_bytes() +
-          std::uint64_t{h.n_app} * sizeof(AppTraffic);
+          std::uint64_t{h.n_app} * app_row_bytes();
       if (want != h.payload_bytes) {
         return fail("Records frame length mismatch: header claims " +
                     std::to_string(h.n_samples) + " samples + " +
@@ -165,22 +197,12 @@ FrameParser::Status FrameParser::next(Frame& out) {
   if (type == FrameType::Begin) {
     std::memcpy(&out.begin, payload, sizeof(BeginPayload));
     if (out.begin.sample_size != sample_row_bytes() ||
-        out.begin.app_size != sizeof(AppTraffic)) {
+        out.begin.app_size != app_row_bytes()) {
       return fail("record size mismatch (incompatible producer layout)");
     }
   } else if (type == FrameType::Records) {
-    // Each column's bytes in turn, then the app records. Empty columns
-    // may hold no storage at all: skip zero-length copies, whose null
-    // pointers memcpy must not receive.
-    const std::size_t n = h.n_samples;
-    const auto take = [&](auto& c, std::size_t count) {
-      c.resize_for_overwrite(count);
-      const std::size_t bytes = count * sizeof(c[0]);
-      if (bytes > 0) std::memcpy(c.data(), payload, bytes);
-      payload += bytes;
-    };
-    SampleColumns::for_each([&](auto& c) { take(c, n); }, out.samples);
-    take(out.app, h.n_app);
+    take_columns(out.samples, h.n_samples, payload);
+    take_columns(out.app, h.n_app, payload);
   }
 
   pos_ += sizeof(FrameHeader) + h.payload_bytes;

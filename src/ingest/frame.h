@@ -11,9 +11,10 @@
 //             rejected exactly like an incompatible snapshot).
 //   Records — one device's rows, time-ordered, as the 17 sample columns
 //             (each contiguous, in SampleColumns::for_each order, at its
-//             native width: the snapshot v2 section encoding), followed
-//             by AppTraffic[n_app] in row order — a row's app records
-//             are the next app_count records.
+//             native width: the snapshot v3 section encoding), followed
+//             by the rows' n_app app records as the 3 AppColumns columns
+//             in the same encoding (9 bytes a record), in row order — a
+//             row's app records are the next app_count records.
 //   End     — clean end of stream (an EOF without End is an error).
 //
 // The payload CRC is core::hash_bytes_striped: the 64-bit word hash
@@ -38,7 +39,7 @@ namespace tokyonet::ingest {
 
 inline constexpr std::uint32_t kFrameMagic = 0x464B4954;  // "TIKF" LE
 /// Bump on any change to the header, payload layouts, or CRC.
-inline constexpr std::uint16_t kIngestVersion = 3;
+inline constexpr std::uint16_t kIngestVersion = 4;
 /// Upper bound on a frame payload; a header announcing more is
 /// malformed (it would otherwise let one bad length allocate GBs).
 inline constexpr std::uint32_t kMaxFramePayload = 8u << 20;
@@ -59,6 +60,8 @@ static_assert(sizeof(FrameHeader) == 32);
 
 /// Bytes of one sample row across the 17 columns.
 [[nodiscard]] std::uint32_t sample_row_bytes();
+/// Bytes of one app record across the 3 columns.
+[[nodiscard]] std::uint32_t app_row_bytes();
 
 /// Begin payload: everything the server needs to size its per-device
 /// state and validate later records.
@@ -73,7 +76,7 @@ struct BeginPayload {
   /// Native record widths of the producer; a disagreeing consumer
   /// rejects the session instead of misreading the stream.
   std::uint32_t sample_size = sample_row_bytes();
-  std::uint32_t app_size = sizeof(AppTraffic);
+  std::uint32_t app_size = app_row_bytes();
   std::uint32_t reserved[3] = {};
 };
 static_assert(sizeof(BeginPayload) == 48);
@@ -84,7 +87,7 @@ struct Frame {
   DeviceId device{};
   BeginPayload begin;  // Begin frames only
   SampleColumns samples;
-  core::Column<AppTraffic> app;
+  AppColumns app;
 };
 
 // --- Encoding -----------------------------------------------------------
@@ -93,10 +96,11 @@ struct Frame {
 void encode_begin(const BeginPayload& info, std::vector<std::uint8_t>& out);
 
 /// Appends a Records frame carrying rows [begin, end) of `cols` for one
-/// device, with `app`: the rows' app records, in row order.
+/// device, with records [app_begin, app_end) of `app`: the rows' app
+/// records, in row order.
 void encode_records(DeviceId device, const SampleColumns& cols,
-                    std::size_t begin, std::size_t end,
-                    std::span<const AppTraffic> app,
+                    std::size_t begin, std::size_t end, const AppColumns& app,
+                    std::size_t app_begin, std::size_t app_end,
                     std::vector<std::uint8_t>& out);
 
 /// Appends an End frame to `out`.

@@ -72,7 +72,6 @@ bool replay_dataset(const Dataset& ds, const ReplayOptions& opts,
   // Each frame is a slice of one device's rows, copied column by
   // column, with the app records of exactly those rows.
   const core::DatasetIndex& idx = ds.index();
-  const std::span<const AppTraffic> app_traffic = ds.app_traffic;
   const std::span<const std::uint8_t> app_count = ds.samples.app_count;
   for (std::uint32_t d = 0; d < n_devices; ++d) {
     const std::size_t run_begin = idx.device_begin(d);
@@ -84,8 +83,8 @@ bool replay_dataset(const Dataset& ds, const ReplayOptions& opts,
         const std::size_t stop = std::min(at + batch_records, run_end);
         std::size_t apps = 0;
         for (std::size_t i = at; i < stop; ++i) apps += app_count[i];
-        encode_records(out_device, ds.samples, at, stop,
-                       app_traffic.subspan(app, apps), buf);
+        encode_records(out_device, ds.samples, at, stop, ds.app_traffic, app,
+                       app + apps, buf);
         app += apps;
         st.frames += 1;
         st.records += stop - at;

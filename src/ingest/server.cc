@@ -224,7 +224,7 @@ void IngestServer::commit(Shard& shard, std::size_t local_device,
         to.insert(to.cend(), from.begin(), from.end());
       },
       last.samples, batch.samples);
-  last.app.insert(last.app.cend(), batch.app.cbegin(), batch.app.cend());
+  last.app.append(batch.app);
 }
 
 Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
@@ -267,7 +267,11 @@ Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
             std::copy(from.begin(), from.end(), to.data() + row);
           },
           block.samples, b.samples);
-      std::copy(b.app.begin(), b.app.end(), block.app_traffic.data() + app);
+      AppColumns::for_each(
+          [&](auto& to, const auto& from) {
+            std::copy(from.begin(), from.end(), to.data() + app);
+          },
+          block.app_traffic, b.app);
       row += b.samples.size();
       app += b.app.size();
     }
@@ -404,7 +408,7 @@ bool IngestServer::Session::on_frame(Frame& frame) {
                       std::to_string(campaign_.n_devices));
       }
       const core::RunCheck check = core::check_device_run(
-          frame.samples, frame.app.span(),
+          frame.samples, frame.app.category.span(),
           {device, 0, frame.samples.size(), 0, frame.app.size()},
           {std::size_t{campaign_.num_days} * kBinsPerDay, campaign_.n_aps});
       if (!check.error.empty()) {

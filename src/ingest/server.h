@@ -151,7 +151,7 @@ class IngestServer {
   struct Batch {
     DeviceId device{};
     SampleColumns samples;
-    core::Column<AppTraffic> app;
+    AppColumns app;
   };
 
   /// One shard: its queue, its worker and its committed batches.

@@ -151,9 +151,10 @@ CsvResult save_dataset_csv(const Dataset& ds, const fs::path& dir) {
     File f = open_for(dir / "apps.csv", "w", result);
     if (!result.ok()) return result;
     std::fprintf(f.get(), "category,rx,tx\n");
-    for (const AppTraffic& at : ds.app_traffic) {
-      std::fprintf(f.get(), "%d,%u,%u\n", static_cast<int>(at.category),
-                   at.rx_bytes, at.tx_bytes);
+    const AppColumns& apps = ds.app_traffic;
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      std::fprintf(f.get(), "%d,%u,%u\n", static_cast<int>(apps.category[i]),
+                   apps.rx_bytes[i], apps.tx_bytes[i]);
     }
   }
   {

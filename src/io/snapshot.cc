@@ -40,14 +40,14 @@ enum SectionId : std::uint32_t {
   kSecApFixed,       // ApRec[n]
   kSecApEssids,      // byte blob referenced by ApRec
   kSecDeviceRanges,  // DeviceRangeRec[n devices]
-  kSecAppTraffic,    // AppTraffic[n]        (zero-copy target)
   kSecSurvey,        // SurveyResponse[n]
   kSecTruthDevices,  // TruthDeviceRec[n]
   kSecTruthCapped,   // byte blob referenced by TruthDeviceRec
   kSecTruthAps,      // ApTruth[n]
-  // One section per sample column, in SampleColumns order (zero-copy
-  // targets).
-  kSecSamples,
+  // One section per app-record column, in AppColumns order, then one
+  // per sample column, in SampleColumns order (zero-copy targets).
+  kSecApps,
+  kSecSamples = kSecApps + AppColumns::kNumColumns,
   kNumSections = kSecSamples + SampleColumns::kNumColumns,
 };
 
@@ -117,7 +117,7 @@ struct RawHeader {
   std::uint64_t scenario_hash = 0;
   std::uint64_t header_checksum = 0;  // over header (this field = 0) + table
 };
-static_assert(sizeof(RawHeader) == 368);
+static_assert(sizeof(RawHeader) == 392);
 static_assert(sizeof(SnapshotSection) == 32);
 
 /// Bytes of the header fields that locate the version: every snapshot
@@ -129,22 +129,21 @@ constexpr std::size_t kVersionPrefix = sizeof(kMagic) + sizeof(std::uint32_t);
   static const std::array<std::uint32_t, kNumSections> sizes = [] {
     std::array<std::uint32_t, kNumSections> r = {
         sizeof(DeviceInfo),     sizeof(ApRec), 1, sizeof(DeviceRangeRec),
-        sizeof(AppTraffic),     sizeof(SurveyResponse),
-        sizeof(TruthDeviceRec), 1,             sizeof(ApTruth)};
-    std::size_t s = kSecSamples;
-    const SampleColumns columns;
-    SampleColumns::for_each(
-        [&](const auto& c) {
-          r[s++] = sizeof(typename std::decay_t<decltype(c)>::value_type);
-        },
-        columns);
+        sizeof(SurveyResponse), sizeof(TruthDeviceRec), 1, sizeof(ApTruth)};
+    std::size_t s = kSecApps;
+    const auto width = [&](const auto& c) {
+      r[s++] = sizeof(typename std::decay_t<decltype(c)>::value_type);
+    };
+    const AppColumns apps;
+    const SampleColumns samples;
+    AppColumns::for_each(width, apps);
+    SampleColumns::for_each(width, samples);
     return r;
   }();
   return sizes;
 }
 
-static_assert(std::is_trivially_copyable_v<AppTraffic> &&
-              std::is_trivially_copyable_v<DeviceInfo> &&
+static_assert(std::is_trivially_copyable_v<DeviceInfo> &&
               std::is_trivially_copyable_v<SurveyResponse> &&
               std::is_trivially_copyable_v<ApTruth>);
 
@@ -155,7 +154,6 @@ static_assert(std::is_trivially_copyable_v<AppTraffic> &&
 // tests rely on. Types that need alignment carry explicit zeroed
 // `reserved`/`pad` fields instead.
 static_assert(std::has_unique_object_representations_v<DeviceRangeRec> &&
-              std::has_unique_object_representations_v<AppTraffic> &&
               std::has_unique_object_representations_v<DeviceInfo> &&
               std::has_unique_object_representations_v<SurveyResponse> &&
               std::has_unique_object_representations_v<ApTruth> &&
@@ -417,22 +415,22 @@ SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
 
   // Section payloads, by id.
   const void* payloads[kNumSections] = {
-      ds.devices.data(),  ap_recs.data(),           essid_blob.data(),
-      ranges.data(),      ds.app_traffic.data(),    ds.survey.data(),
-      truth_recs.data(),  capped_blob.data(),       ds.truth.aps.data(),
+      ds.devices.data(),   ap_recs.data(),     essid_blob.data(),
+      ranges.data(),       ds.survey.data(),   truth_recs.data(),
+      capped_blob.data(),  ds.truth.aps.data(),
   };
   std::uint64_t counts[kNumSections] = {
-      ds.devices.size(),  ap_recs.size(),           essid_blob.size(),
-      ranges.size(),      ds.app_traffic.size(),    ds.survey.size(),
-      truth_recs.size(),  capped_blob.size(),       ds.truth.aps.size(),
+      ds.devices.size(),   ap_recs.size(),     essid_blob.size(),
+      ranges.size(),       ds.survey.size(),   truth_recs.size(),
+      capped_blob.size(),  ds.truth.aps.size(),
   };
-  std::size_t col = kSecSamples;
-  SampleColumns::for_each(
-      [&](const auto& c) {
-        payloads[col] = c.data();
-        counts[col++] = c.size();
-      },
-      ds.samples);
+  std::size_t col = kSecApps;
+  const auto column = [&](const auto& c) {
+    payloads[col] = c.data();
+    counts[col++] = c.size();
+  };
+  AppColumns::for_each(column, ds.app_traffic);
+  SampleColumns::for_each(column, ds.samples);
   const std::array<std::uint32_t, kNumSections>& sizes = record_sizes();
 
   RawHeader header{};
@@ -580,6 +578,11 @@ namespace {
       return fail("sample columns differ in length");
     }
   }
+  for (std::uint32_t s = kSecApps; s < kSecSamples; ++s) {
+    if (header.counts[s] != header.counts[kSecApps]) {
+      return fail("app record columns differ in length");
+    }
+  }
   if (header.counts[kSecDeviceRanges] != header.counts[kSecDevices]) {
     return fail("device range count does not match the device count");
   }
@@ -604,7 +607,7 @@ namespace {
   info.n_devices = header.counts[kSecDevices];
   info.n_aps = header.counts[kSecApFixed];
   info.n_samples = header.counts[kSecSamples];
-  info.n_app_traffic = header.counts[kSecAppTraffic];
+  info.n_app_traffic = header.counts[kSecApps];
   info.scenario_hash = header.scenario_hash;
   info.file_bytes = file_bytes;
   info.header_checksum = header.header_checksum;
@@ -767,7 +770,7 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
     }
   }
 
-  // The sample columns and the app traffic are served zero-copy from
+  // The app-record and sample columns are served zero-copy from
   // the mapping when there is one: the Columns borrow the mapped arrays
   // and share ownership of it. Section offsets are 64-byte aligned, so
   // the record alignment requirement is always met.
@@ -782,9 +785,9 @@ SnapshotResult load_snapshot(const fs::path& path, Dataset& out,
       copy_into(column.data(), section_data[s], count_of(s) * sizeof(T));
     }
   };
-  std::uint32_t col = kSecSamples;
+  std::uint32_t col = kSecApps;
+  AppColumns::for_each([&](auto& c) { install(c, col++); }, out.app_traffic);
   SampleColumns::for_each([&](auto& c) { install(c, col++); }, out.samples);
-  install(out.app_traffic, kSecAppTraffic);
 
   out.survey.resize(count_of(kSecSurvey));
   copy_into(out.survey.data(), section_data[kSecSurvey],

@@ -7,9 +7,10 @@
 //
 //   [ header | section table | 64-byte-aligned sections ... ]
 //
-// Each of the 17 sample columns is its own section, next to the
+// Each of the 17 sample columns and each of the 3 app-record columns
+// (category, rx, tx: 9 bytes a record) is its own section, next to the
 // per-device ranges that say which rows and app records belong to which
-// device. Fixed-width record arrays are written with one bulk fwrite
+// device: 28 sections in all. Fixed-width record arrays are written with one bulk fwrite
 // each; variable-width data (ESSIDs, per-device capped-day bitmaps) is
 // split into a fixed record array plus a byte blob. Every section
 // carries a 64-bit checksum computed in 4 MiB chunks on the
@@ -17,7 +18,7 @@
 // snapshot scales with cores.
 //
 // Loads map the file read-only and serve the big arrays (the sample
-// columns and `app_traffic`) zero-copy as borrowed Columns pinning the
+// and app-record columns) zero-copy as borrowed Columns pinning the
 // mapping; non-mappable inputs (or allow_mmap = false) fall back to an
 // owned read. Either way the file is fully verified first — magic,
 // version, record sizes, section bounds, the file size the section
@@ -42,7 +43,7 @@ namespace tokyonet::io {
 
 /// Bump on any change to the on-disk layout *or* to what a simulation
 /// with a given scenario hash produces.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Result of a snapshot operation; `ok()` is false on the first
 /// structural problem and `error` names it.
@@ -77,7 +78,7 @@ struct SnapshotInfo {
   /// directory verification can spot a swapped or regenerated file
   /// without rehashing its sections.
   std::uint64_t header_checksum = 0;
-  /// Load only: true when the sample columns and app_traffic are served
+  /// Load only: true when the sample and app-record columns are served
   /// zero-copy from the mapped file.
   bool mapped = false;
   std::vector<SnapshotSection> sections;

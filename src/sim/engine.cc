@@ -100,7 +100,11 @@ struct DeviceContext {
 /// Variable-length outputs of one device's simulation. Fixed-length
 /// output (one row per bin) goes straight into the device's rows of
 /// Dataset::samples; everything here is spliced in device order
-/// afterwards so the dataset is byte-identical to a serial run.
+/// afterwards so the dataset is byte-identical to a serial run. App
+/// records stay one AppTraffic vector per device until the splice
+/// transposes them into Dataset::app_traffic's columns: three column
+/// vectors per device left ~15 MB of freed memory in each pool thread's
+/// malloc arena (DESIGN.md §5d).
 struct DeviceOutput {
   std::vector<AppTraffic> app_traffic;
   std::vector<std::uint8_t> capped_day;
@@ -243,8 +247,7 @@ struct CampaignEngine::Impl {
         const std::size_t offset = ds.app_traffic.size();
         builder.set_app_range(li, offset, offset + out.app_traffic.size());
       }
-      ds.app_traffic.insert(ds.app_traffic.end(), out.app_traffic.begin(),
-                            out.app_traffic.end());
+      ds.app_traffic.append(out.app_traffic);
       auto& truth = ds.truth.devices[li];
       truth.update_bin = out.update_bin;
       truth.capped_day = std::move(out.capped_day);

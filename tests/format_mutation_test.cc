@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -213,9 +214,11 @@ void sweep(const fs::path& target, const std::vector<char>& original,
          {&layout.device_offset, &layout.app_range}) {
       h = core::hash_bytes(v->data(), v->size() * sizeof(std::size_t), h);
     }
-    for (const AppTraffic& a : ds->app_traffic) {
-      h = core::hash_bytes(&a, sizeof(a), h);
-    }
+    AppColumns::for_each(
+        [&](const auto& c) {
+          h = core::hash_bytes(c.data(), c.span().size_bytes(), h);
+        },
+        ds->app_traffic);
     for (const ApInfo& ap : ds->aps) {
       const std::uint32_t fields[] = {static_cast<std::uint32_t>(ap.band),
                                       ap.channel};
@@ -393,12 +396,177 @@ TEST(FormatMutation, IngestFrameMutantsFailCleanlyOrCommitSound) {
   EXPECT_GE(clean, 1);
 }
 
+/// Byte `b` of app-record column `col` (0 category, 1 rx, 2 tx): the
+/// byte at offset `b` of that column's snapshot section or frame block.
+std::uint8_t& app_column_byte(AppColumns& apps, std::size_t col,
+                              std::size_t b) {
+  void* const data[] = {apps.category.data(), apps.rx_bytes.data(),
+                        apps.tx_bytes.data()};
+  return static_cast<std::uint8_t*>(data[col])[b];
+}
+
+// The three app-record sections (category, rx, tx) hold the only bytes
+// the shard-load validation reads as app records. With the payload
+// checksum off, so that each mutated value reaches that validation,
+// every byte of each is rewritten: an unknown category is refused and
+// names its record; any other value loads, into exactly the record and
+// field it was written over. With the checksum on, each mutant fails it.
+TEST(FormatMutation, SnapshotAppColumnMutantsRefusedOrLoadAsWritten) {
+  test::ScratchDir tmp;
+  const fs::path file = tmp.path / "tiny.tksnap";
+  const Dataset ds = tiny_campaign(0, kDevices);
+  ASSERT_TRUE(io::save_snapshot(ds, file).ok());
+  io::SnapshotInfo info;
+  ASSERT_TRUE(io::read_snapshot_info(file, info).ok());
+  const std::vector<char> original = read_file(file);
+  const std::size_t n_apps = ds.app_traffic.size();
+  ASSERT_GT(n_apps, 0u);
+  // Sections 8, 9 and 10, after the eight fixed-record sections.
+  constexpr std::uint32_t kFirstAppSection = 8;
+  const std::size_t widths[] = {1, 4, 4};
+
+  io::SnapshotLoadOptions unchecked;
+  unchecked.verify_payload = false;
+  int loaded = 0, refused = 0;
+  for (std::uint32_t col = 0; col < 3; ++col) {
+    const io::SnapshotSection& sec = info.sections[kFirstAppSection + col];
+    ASSERT_EQ(sec.bytes, n_apps * widths[col]) << col;
+    for (std::size_t b = 0; b < sec.bytes; ++b) {
+      const std::size_t at = sec.offset + b;
+      const auto was = static_cast<std::uint8_t>(original[at]);
+      for (const int now : {was ^ 0x5A, 0xFF, kNumAppCategories}) {
+        if (now == was) continue;
+        std::vector<char> bytes = original;
+        bytes[at] = static_cast<char>(now);
+        write_file(file, bytes);
+        const std::string what = "section " + std::to_string(col) +
+                                 " byte " + std::to_string(b) + " = " +
+                                 std::to_string(now);
+        Dataset out;
+        EXPECT_NE(io::load_snapshot(file, out).error.find("checksum mismatch"),
+                  std::string::npos)
+            << what;
+        unchecked.allow_mmap = !unchecked.allow_mmap;
+        const io::SnapshotResult r = io::load_snapshot(file, out, unchecked);
+        if (col == 0 && now >= kNumAppCategories) {
+          EXPECT_NE(r.error.find("app record " + std::to_string(b) +
+                                 " has an unknown category"),
+                    std::string::npos)
+              << what << ": " << r.error;
+          ++refused;
+          continue;
+        }
+        ASSERT_TRUE(r.ok()) << what << ": " << r.error;
+        ++loaded;
+        AppColumns want = ds.app_traffic;
+        app_column_byte(want, col, b) = static_cast<std::uint8_t>(now);
+        AppColumns::for_each(
+            [&](const auto& got, const auto& expected) {
+              EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                                    expected.span().size_bytes()),
+                        0)
+                  << what;
+            },
+            out.app_traffic, want);
+      }
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(loaded, 0);
+}
+
+// The app-record columns of every Records frame, rewritten byte by byte
+// and resealed (payload CRC recomputed), so that each mutant reaches the
+// server's run check: an unknown category fails the session and names
+// the record; any other value is committed into exactly the record and
+// field it was written over, and the incremental result still equals the
+// batch result over what was committed.
+TEST(FormatMutation, IngestAppColumnMutantsRefusedOrCommitAsWritten) {
+  const Dataset ds = tiny_campaign(0, kDevices);
+  struct Sink final : ingest::FrameSink {
+    bool write(std::span<const std::uint8_t> b) override {
+      bytes.insert(bytes.end(), b.begin(), b.end());
+      return true;
+    }
+    std::vector<std::uint8_t> bytes;
+  } sink;
+  ingest::ReplayOptions opts;
+  opts.batch_records = 16;
+  ASSERT_TRUE(ingest::replay_dataset(ds, opts, sink));
+
+  constexpr std::uint64_t kFrameHashSeed = 0x746B796F696E6731ull;
+  const std::size_t widths[] = {1, 4, 4};
+  int committed = 0, refused = 0;
+  std::size_t first_record = 0;  // of the current frame, in campaign order
+  for (std::size_t at = 0; at < sink.bytes.size();) {
+    ingest::FrameHeader h;
+    std::memcpy(&h, sink.bytes.data() + at, sizeof(h));
+    const std::size_t payload = at + sizeof(h);
+    const std::size_t apps_at =
+        payload + std::size_t{h.n_samples} * ingest::sample_row_bytes();
+    for (std::size_t b = 0;
+         b < std::size_t{h.n_app} * ingest::app_row_bytes(); ++b) {
+      const std::size_t col = b < h.n_app ? 0 : b < 5 * h.n_app ? 1 : 2;
+      const std::size_t in_col =
+          col == 0 ? b : col == 1 ? b - h.n_app : b - 5 * h.n_app;
+      const std::uint8_t was = sink.bytes[apps_at + b];
+      for (const int now : {was ^ 0x5A, kNumAppCategories}) {
+        if (now == was || (col != 0 && now == kNumAppCategories)) continue;
+        std::vector<std::uint8_t> bytes = sink.bytes;
+        bytes[apps_at + b] = static_cast<std::uint8_t>(now);
+        h.payload_crc = core::hash_bytes_striped(
+            bytes.data() + payload, h.payload_bytes, kFrameHashSeed);
+        std::memcpy(bytes.data() + at, &h, sizeof(h));
+        const std::string what = "frame at " + std::to_string(at) +
+                                 " app byte " + std::to_string(b) + " = " +
+                                 std::to_string(now);
+
+        ingest::IngestServer server({.shards = 2});
+        auto session = server.connect();
+        const bool ok = session->feed(bytes) && session->finish();
+        server.shutdown();
+        if (col == 0 && now >= kNumAppCategories) {
+          EXPECT_FALSE(ok) << what;
+          EXPECT_NE(session->error().find("unknown category"),
+                    std::string::npos)
+              << what << ": " << session->error();
+          ++refused;
+          continue;
+        }
+        ASSERT_TRUE(ok) << what << ": " << session->error();
+        ++committed;
+        const Dataset got = server.collect();
+        AppColumns want = ds.app_traffic;
+        app_column_byte(want, col, in_col + first_record * widths[col]) =
+            static_cast<std::uint8_t>(now);
+        AppColumns::for_each(
+            [&](const auto& g, const auto& w) {
+              ASSERT_EQ(g.size(), w.size()) << what;
+              EXPECT_EQ(std::memcmp(g.data(), w.data(), w.span().size_bytes()),
+                        0)
+                  << what;
+            },
+            got.app_traffic, want);
+        EXPECT_EQ(analysis::compare_stream_results(
+                      server.result(), analysis::batch_stream_result(got)),
+                  "")
+            << what;
+      }
+    }
+    first_record += h.n_app;
+    at = payload + h.payload_bytes;
+  }
+  EXPECT_EQ(first_record, ds.app_traffic.size());
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(committed, 0);
+}
+
 // Regression cases for what the sweep found: values that the kernels
 // use as array indices, and a raw bool, are now part of validation.
 
 TEST(FormatMutation, UnknownEnumValuesRejected) {
   Dataset ds = tiny_campaign(0, kDevices);
-  ds.app_traffic[0].category = static_cast<AppCategory>(88);
+  ds.app_traffic.category[0] = static_cast<AppCategory>(88);
   EXPECT_FALSE(ds.build_index());
   ds = tiny_campaign(0, kDevices);
   ds.samples.wifi_state[3] = static_cast<WifiState>(232);

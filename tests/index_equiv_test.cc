@@ -404,9 +404,9 @@ TEST(DatasetIndexTest, RejectsUnorderedOrOutOfRangeSamples) {
         case kUnknownState: c.wifi_state[i] = static_cast<WifiState>(3); break;
         case kUnknownTech: c.tech[i] = static_cast<CellTech>(3); break;
         case kUnknownCategory:
-          ds.app_traffic[at(idx.device_app_begin(d), idx.device_app_end(d),
-                            pos)]
-              .category = static_cast<AppCategory>(kNumAppCategories);
+          ds.app_traffic.category[at(idx.device_app_begin(d),
+                                     idx.device_app_end(d), pos)] =
+              static_cast<AppCategory>(kNumAppCategories);
           break;
         case kAppCountMismatch: c.app_count[i] = 2; break;
       }

@@ -121,8 +121,7 @@ TEST(IngestFrameTest, RoundTripInArbitraryChunks) {
   std::vector<std::uint8_t> bytes;
   encode_begin(info, bytes);
   // One frame for device 0's two rows and their two app records.
-  encode_records(DeviceId{0}, ds.samples, 0, 2,
-                 ds.app_traffic.span().subspan(0, 2), bytes);
+  encode_records(DeviceId{0}, ds.samples, 0, 2, ds.app_traffic, 0, 2, bytes);
   encode_end(bytes);
 
   // Feed in deliberately awkward 7-byte chunks.
@@ -138,9 +137,12 @@ TEST(IngestFrameTest, RoundTripInArbitraryChunks) {
         ASSERT_EQ(f.samples.size(), 2u);
         EXPECT_TRUE(same_rows(f.samples, 0, ds.samples, 0, 2));
         ASSERT_EQ(f.app.size(), 2u);
-        EXPECT_EQ(std::memcmp(f.app.data(), ds.app_traffic.data(),
-                              2 * sizeof(AppTraffic)),
-                  0);
+        AppColumns::for_each(
+            [](const auto& got, const auto& sent) {
+              EXPECT_EQ(std::memcmp(got.data(), sent.data(), 2 * sizeof(got[0])),
+                        0);
+            },
+            f.app, ds.app_traffic);
       }
     }
     ASSERT_FALSE(parser.failed()) << parser.error();
@@ -187,9 +189,9 @@ TEST(IngestFrameTest, BadMagicPoisonsParser) {
 
 TEST(IngestFrameTest, WrongVersionRejected) {
   // Version 1 (the row-struct frames), version 2 (column frames under
-  // the serial checksum) and a future version alike fail the session
-  // with the version error.
-  for (const std::uint16_t version : {1, 2, 99}) {
+  // the serial checksum), version 3 (12-byte app-record structs) and a
+  // future version alike fail the session with the version error.
+  for (const std::uint16_t version : {1, 2, 3, 99}) {
     std::vector<std::uint8_t> bytes;
     encode_begin(begin_payload_for(tiny_dataset()), bytes);
     FrameHeader h;
@@ -239,7 +241,7 @@ TEST(IngestFrameTest, NonBooleanTetheringRejected) {
   Dataset ds = tiny_dataset();
   ds.samples.flags[4] = 5;
   std::vector<std::uint8_t> records;
-  encode_records(DeviceId{2}, ds.samples, 4, 5, {}, records);
+  encode_records(DeviceId{2}, ds.samples, 4, 5, AppColumns{}, 0, 0, records);
   IngestServer server(IngestConfig{});
   std::unique_ptr<IngestServer::Session> s;
   EXPECT_FALSE(feed_after_begin(server, ds, records, s));
@@ -250,7 +252,7 @@ TEST(IngestFrameTest, NonBooleanTetheringRejected) {
 TEST(IngestFrameTest, HeaderLengthArithmeticChecked) {
   const Dataset ds = tiny_dataset();
   std::vector<std::uint8_t> bytes;
-  encode_records(DeviceId{2}, ds.samples, 4, 5, {}, bytes);
+  encode_records(DeviceId{2}, ds.samples, 4, 5, AppColumns{}, 0, 0, bytes);
   FrameHeader h;
   std::memcpy(&h, bytes.data(), sizeof(h));
   h.n_samples = 2;  // claims more records than the payload carries
@@ -267,8 +269,7 @@ TEST(IngestFrameTest, AppReferencePastFrameRejected) {
   Dataset ds = tiny_dataset();
   ds.samples.app_count[4] = 3;
   std::vector<std::uint8_t> records;
-  encode_records(DeviceId{2}, ds.samples, 4, 5,
-                 ds.app_traffic.span().subspan(0, 1), records);
+  encode_records(DeviceId{2}, ds.samples, 4, 5, ds.app_traffic, 0, 1, records);
   IngestServer server(IngestConfig{});
   std::unique_ptr<IngestServer::Session> s;
   EXPECT_FALSE(feed_after_begin(server, ds, records, s));
@@ -290,7 +291,7 @@ TEST(IngestFrameTest, RowRulesFailTheSessionAndCommitNothing) {
   const Case cases[] = {
       {"unknown app category",
        [](Dataset& ds) {
-         ds.app_traffic[0].category = static_cast<AppCategory>(250);
+         ds.app_traffic.category[0] = static_cast<AppCategory>(250);
        },
        0, "unknown category"},
       {"unknown cell technology",
@@ -318,14 +319,12 @@ TEST(IngestFrameTest, RowRulesFailTheSessionAndCommitNothing) {
     c.corrupt(ds);
     // Device 0 owns rows [0, 2) and app records [0, 2), both on row 0.
     std::vector<std::uint8_t> records;
-    const std::span<const AppTraffic> apps = ds.app_traffic.span();
     if (c.good_rows > 0) {
-      encode_records(DeviceId{0}, base.samples, 0, c.good_rows,
-                     apps.subspan(0, 2), records);
+      encode_records(DeviceId{0}, base.samples, 0, c.good_rows, ds.app_traffic,
+                     0, 2, records);
     }
-    encode_records(DeviceId{0}, ds.samples, c.good_rows, 2,
-                   c.good_rows > 0 ? apps.subspan(2, 0) : apps.subspan(0, 2),
-                   records);
+    encode_records(DeviceId{0}, ds.samples, c.good_rows, 2, ds.app_traffic,
+                   c.good_rows > 0 ? 2 : 0, 2, records);
     IngestServer server({.shards = 2});
     std::unique_ptr<IngestServer::Session> s;
     EXPECT_FALSE(feed_after_begin(server, ds, records, s)) << c.what;
@@ -458,7 +457,7 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     IngestServer server(IngestConfig{});
     auto s = server.connect();
     std::vector<std::uint8_t> bytes;
-    encode_records(DeviceId{2}, ds.samples, 4, 5, {}, bytes);
+    encode_records(DeviceId{2}, ds.samples, 4, 5, AppColumns{}, 0, 0, bytes);
     EXPECT_FALSE(s->feed(bytes));
     EXPECT_NE(s->error().find("before Begin"), std::string::npos);
   }
@@ -486,7 +485,7 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     auto s = server.connect();
     std::vector<std::uint8_t> bytes;
     encode_begin(begin_payload_for(ds), bytes);
-    encode_records(DeviceId{99}, ds.samples, 4, 5, {}, bytes);
+    encode_records(DeviceId{99}, ds.samples, 4, 5, AppColumns{}, 0, 0, bytes);
     EXPECT_FALSE(s->feed(bytes));
     EXPECT_NE(s->error().find("outside the announced universe"),
               std::string::npos);
@@ -498,7 +497,7 @@ TEST(IngestServerTest, ProtocolViolationsFailTheSession) {
     encode_begin(begin_payload_for(ds), bytes);
     Dataset late = ds;
     late.samples.bin[4] = 2000;  // campaign has 2 * 144 bins
-    encode_records(DeviceId{2}, late.samples, 4, 5, {}, bytes);
+    encode_records(DeviceId{2}, late.samples, 4, 5, AppColumns{}, 0, 0, bytes);
     EXPECT_FALSE(s->feed(bytes));
     EXPECT_NE(s->error().find("outside the 288-bin campaign"),
               std::string::npos)
@@ -551,8 +550,8 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
       for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
         const std::size_t n_app = ds.samples.app_count[i];
         frame.clear();
-        encode_records(DeviceId{d}, ds.samples, i, i + 1,
-                       ds.app_traffic.span().subspan(app, n_app), frame);
+        encode_records(DeviceId{d}, ds.samples, i, i + 1, ds.app_traffic, app,
+                       app + n_app, frame);
         app += n_app;
         ASSERT_TRUE(session->feed(frame));  // shedding is not an error
       }

@@ -201,11 +201,15 @@ TEST_P(ShardRoundTrip, MaterializedMatchesSimulator) {
       ASSERT_EQ(apps, fi.device_app_end(g) - fi.device_app_begin(g))
           << "shard " << i << " device " << d;
       if (apps == 0) continue;
-      EXPECT_EQ(std::memcmp(shard.app_traffic.data() + si.device_app_begin(d),
-                            fresh.app_traffic.data() + fi.device_app_begin(g),
-                            apps * sizeof(AppTraffic)),
-                0)
-          << "app traffic differs: shard " << i << " device " << d;
+      AppColumns::for_each(
+          [&](const auto& s, const auto& f) {
+            EXPECT_EQ(std::memcmp(s.data() + si.device_app_begin(d),
+                                  f.data() + fi.device_app_begin(g),
+                                  apps * sizeof(s[0])),
+                      0)
+                << "app traffic differs: shard " << i << " device " << d;
+          },
+          shard.app_traffic, fresh.app_traffic);
     }
   }
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "core/dataset_index.h"
+#include "core/hash.h"
 #include "core/parallel.h"
+#include "core/scenario.h"
+#include "report/golden.h"
 #include "testutil.h"
 
 namespace tokyonet::sim {
@@ -65,6 +71,35 @@ TEST(Simulator, DeterministicAcrossDevicePartitionings) {
       ASSERT_EQ(base.truth.devices[i].update_bin,
                 other.truth.devices[i].update_bin);
     }
+  }
+}
+
+TEST(Simulator, CampaignContentDigestPinned) {
+  // What the golden campaigns hold, independent of how records are laid
+  // out: each of the 17 sample columns' bytes, then every app record as
+  // (category u8, rx u32, tx u32), chained over 2013-15 at the golden
+  // scale. The values were recorded before app records became columns
+  // (when they were 12-byte structs) and must not move with a layout.
+  const std::uint64_t pinned[] = {0x526f4214b01ea621ull, 0x865c2e6e6ea32111ull,
+                                  0x4d7b175bdc33e3b7ull};
+  std::uint64_t h = 0;
+  for (const Year year : kAllYears) {
+    const Dataset ds =
+        Simulator(scenario_config(year, report::kGoldenScale)).run();
+    SampleColumns::for_each(
+        [&](const auto& c) {
+          h = core::hash_bytes(c.data(), c.span().size_bytes(), h);
+        },
+        ds.samples);
+    const AppColumns& apps = ds.app_traffic;
+    std::vector<std::uint8_t> records(9 * apps.size());
+    for (std::size_t i = 0; i < apps.size(); ++i) {
+      records[9 * i] = static_cast<std::uint8_t>(apps.category[i]);
+      std::memcpy(&records[9 * i + 1], &apps.rx_bytes[i], 4);
+      std::memcpy(&records[9 * i + 5], &apps.tx_bytes[i], 4);
+    }
+    h = core::hash_bytes(records.data(), records.size(), h);
+    EXPECT_EQ(h, pinned[static_cast<int>(year)]) << year_number(year);
   }
 }
 

@@ -138,7 +138,9 @@ TEST_P(SnapshotRoundTrip, BitExactAllYears) {
   EXPECT_EQ(info.scenario_hash, hash);
   EXPECT_EQ(info.n_devices, fresh.devices.size());
   EXPECT_EQ(info.n_samples, fresh.samples.size());
-  EXPECT_EQ(info.sections.size(), 9u + SampleColumns::kNumColumns);
+  EXPECT_EQ(info.n_app_traffic, fresh.app_traffic.size());
+  EXPECT_EQ(info.sections.size(),
+            8u + AppColumns::kNumColumns + SampleColumns::kNumColumns);
 
   // Owned-read fallback must produce the same bits.
   Dataset owned;
@@ -226,15 +228,19 @@ TEST(Snapshot, EmptyDatasetRoundTrips) {
   EXPECT_EQ(info.n_samples, 0u);
 }
 
-// Every section checksum of a test-scale 2015 campaign, pinned through
-// the header checksum that covers them all. Save and load schedule the
-// sections' hash chains four at a time (io/snapshot.cc); the values are
-// part of the format and must not move with the scheduling. The samples
-// columns span small one-chain sections and multi-chunk ones.
+// Every section checksum of a 2015 campaign at scale 0.25, pinned
+// through the header checksum that covers them all. Save and load
+// schedule the sections' hash chains four at a time (io/snapshot.cc);
+// the values are part of the format and must not move with the
+// scheduling. The columns span small one-chain sections and multi-chunk
+// ones (each 4-byte column holds over 4 MiB at this scale).
 TEST(Snapshot, SectionChecksumsPinned) {
   test::ScratchDir tmp;
   const fs::path file = tmp.path / "y2015.tksnap";
-  ASSERT_TRUE(io::save_snapshot(test::campaign(Year::Y2015), file).ok());
+  ASSERT_TRUE(io::save_snapshot(
+                  sim::Simulator(scenario_config(Year::Y2015, 0.25)).run(),
+                  file)
+                  .ok());
   io::SnapshotInfo info;
   ASSERT_TRUE(io::read_snapshot_info(file, info).ok());
   std::uint64_t largest = 0;
@@ -242,7 +248,7 @@ TEST(Snapshot, SectionChecksumsPinned) {
     largest = std::max(largest, s.bytes);
   }
   EXPECT_GT(largest, std::uint64_t{4} << 20);
-  EXPECT_EQ(info.header_checksum, 0x71bafe9b93fe4b68ull);
+  EXPECT_EQ(info.header_checksum, 0x25b34376296f3b41ull);
   Dataset loaded;
   const io::SnapshotResult r = io::load_snapshot(file, loaded);
   EXPECT_TRUE(r.ok()) << r.error;
@@ -310,6 +316,29 @@ TEST(SnapshotCorruption, WrongVersionRejected) {
   const io::SnapshotResult r = io::load_snapshot(file, out);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("version"), std::string::npos) << r.error;
+}
+
+// A file of the previous layout (version 2: one 12-byte record section
+// for the app records) is refused by its version, before any section is
+// read.
+TEST(SnapshotCorruption, Version2FileRejectedByVersion) {
+  test::ScratchDir tmp;
+  const fs::path file = make_small_snapshot(tmp.path);
+  {
+    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+    const std::uint32_t v2 = 2;
+    f.seekp(8);  // the version field follows the 8-byte magic
+    f.write(reinterpret_cast<const char*>(&v2), sizeof(v2));
+    ASSERT_TRUE(f.good());
+  }
+  Dataset out;
+  const io::SnapshotResult r = io::load_snapshot(file, out);
+  EXPECT_NE(r.error.find("unsupported snapshot version 2 (this build reads 3)"),
+            std::string::npos)
+      << r.error;
+  io::SnapshotInfo info;
+  EXPECT_NE(io::read_snapshot_info(file, info).error.find("version 2"),
+            std::string::npos);
 }
 
 TEST(SnapshotCorruption, FlippedSampleByteRejected) {

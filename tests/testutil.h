@@ -257,7 +257,12 @@ inline bool same_records(const Dataset& a, const Dataset& b) {
     equal = n == lb.app_range[i + 1] - lb.app_range[i] &&
             (n == 0 || la.app_range[i] == lb.app_range[i]);
   }
-  return equal && same(a.app_traffic.span(), b.app_traffic.span());
+  AppColumns::for_each(
+      [&](const auto& x, const auto& y) {
+        equal = equal && same(x.span(), y.span());
+      },
+      a.app_traffic, b.app_traffic);
+  return equal;
 }
 
 /// Adds an AP with the given ESSID and returns its id.

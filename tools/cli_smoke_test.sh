@@ -133,6 +133,24 @@ expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/swapped"
 cp -r "${tmp}/shards" "${tmp}/truncated"
 truncate -s 4096 "${tmp}/truncated/shard-0001.tksnap"
 expect 4 "${tokyonet}" fig run table01 --shard-dir "${tmp}/truncated"
+# A payload byte flipped in shard-0001 fails the first store pass that
+# loads it: report exits 4 and writes nothing to stdout, not the header
+# and the tables rendered before that pass.
+cp -r "${tmp}/shards" "${tmp}/flipped"
+flip="${tmp}/flipped/shard-0001.tksnap"
+at=$(( $(stat -c %s "${flip}") - 1 ))
+byte=$(od -An -tu1 -j "${at}" -N1 "${flip}" | tr -d ' ')
+printf "\\$(printf '%03o' $(( byte ^ 0x5A )))" |
+  dd of="${flip}" bs=1 seek="${at}" conv=notrunc 2>/dev/null
+got=0
+"${tokyonet}" report --shard-dir "${tmp}/flipped" > "${tmp}/flipped.txt" \
+    2>/dev/null || got=$?
+if [ "${got}" != 4 ] || [ -s "${tmp}/flipped.txt" ]; then
+  echo "FAIL: report over a corrupt shard exited ${got} and printed" \
+       "$(wc -c < "${tmp}/flipped.txt") bytes, want exit 4 and none" >&2
+  exit 1
+fi
+echo "ok (exit 4): report over a corrupt shard prints nothing"
 rm "${tmp}/shards/shard-0001.tksnap"
 expect 4 "${tokyonet}" snapshot info --in "${tmp}/shards"
 expect 4 "${tokyonet}" report --shard-dir "${tmp}/shards"

@@ -643,28 +643,29 @@ Dataset make_dataset(const Args& args, Year year) {
 // the registry: dataset/panel overview, AP census, user types, offload
 // opportunity, and (2015) the iOS update event. The same output whether
 // the campaign is simulated, imported or scanned from a shard store.
+// The whole report is rendered before any of it is written, so a store
+// pass that fails (a SourceError, exit 4) leaves stdout empty.
 void print_report(report::Runner& runner, Year year) {
   const analysis::query::DataSource& src = runner.analysis(year).source();
-  std::printf("dataset: %s campaign, %d days, %zu devices, %zu samples\n",
-              std::string(to_string(src.year())).c_str(), src.num_days(),
-              src.n_devices(), src.n_samples());
+  char header[160];
+  std::snprintf(header, sizeof(header),
+                "dataset: %s campaign, %d days, %zu devices, %zu samples\n",
+                std::string(to_string(src.year())).c_str(), src.num_days(),
+                src.n_devices(), src.n_samples());
+  std::string out = header;
 
   const auto& registry = report::FigureRegistry::instance();
-  static constexpr const char* kHeadline[] = {
-      "table01", "table04", "fig05", "sec35_opportunity"};
-  for (const char* id : kHeadline) {
-    const report::FigureSpec* spec = registry.find(id);
-    if (spec == nullptr) continue;
-    std::printf("\n");
-    std::fputs(report::to_text(runner.run(*spec, year)).c_str(), stdout);
-  }
-  if (year == Year::Y2015) {
-    if (const report::FigureSpec* spec = registry.find("fig18")) {
-      std::printf("\n");
-      std::fputs(report::to_text(runner.run(*spec, year)).c_str(), stdout);
+  const auto render = [&](const char* id) {
+    if (const report::FigureSpec* spec = registry.find(id)) {
+      out += "\n" + report::to_text(runner.run(*spec, year));
     }
+  };
+  for (const char* id : {"table01", "table04", "fig05", "sec35_opportunity"}) {
+    render(id);
   }
-  std::printf("\n(full catalog: tokyonet fig list)\n");
+  if (year == Year::Y2015) render("fig18");
+  out += "\n(full catalog: tokyonet fig list)\n";
+  std::fputs(out.c_str(), stdout);
 }
 
 int cmd_simulate(const Args& args) {
