@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     const auto shares = analysis::wifi_location_shares(src, cls);
     rows[5].push_back(io::TextTable::pct(shares.home, 0));
 
-    const auto impact = analysis::offload_impact(src, days, cls);
+    const auto impact = analysis::offload_impact(days, shares);
     rows[6].push_back(io::TextTable::pct(impact.est_rbb_share, 0));
 
     const auto opportunity = analysis::offload_opportunity(src);

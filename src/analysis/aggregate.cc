@@ -130,111 +130,6 @@ AllStreamSums aggregate_all_streams(const query::DataSource& src) {
       });
 }
 
-namespace {
-
-// The exact per-hour byte sums behind location_series(). All
-// accumulation is u64 (the serial reference sums u32 byte counts into
-// doubles, which is exact below 2^53, so integer sums convert to the
-// same doubles), which makes per-shard partials merge byte-identically.
-[[nodiscard]] std::vector<std::uint64_t> location_hour_sums(
-    const Dataset& ds, const ApClassification& cls, LocationFilter filter,
-    bool rx) {
-  const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
-
-  const core::DatasetIndex& idx = ds.index();
-  // Fold the per-sample class/office test into one per-AP table with a
-  // trailing always-zero sentinel row: clamping the AP id into the table
-  // maps unassociated samples (ap == kNoAp) to the sentinel, so the scan
-  // is a branch-free select — one byte gather, one multiply — instead of
-  // three data-dependent branches per sample.
-  const std::size_t naps = ds.aps.size();
-  std::vector<std::uint8_t> keep(naps + 1, 0);
-  for (std::size_t a = 0; a < naps; ++a) {
-    keep[a] = cls.ap_class[a] == filter.ap_class &&
-              (!filter.office_only || cls.is_office[a]);
-  }
-
-  const std::span<const TimeBin> bin = ds.samples.bin;
-  const std::span<const std::uint32_t> ap = ds.samples.ap;
-  const std::span<const WifiState> state = ds.samples.wifi_state;
-  const std::span<const std::uint32_t> bytes =
-      rx ? ds.samples.wifi_rx : ds.samples.wifi_tx;
-  const std::size_t n = bin.size();
-  std::vector<std::vector<std::uint64_t>> partials;
-  if (idx.dense()) {
-    // Fixed-stride hour runs as in all_streams_scan, with the keep
-    // select folded into the accumulate.
-    partials = query::map_device_blocks(
-        idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
-          std::vector<std::uint64_t> sums(n_hours, 0);
-          for (std::size_t d = d0; d < d1; ++d) {
-            const std::size_t begin = idx.device_begin(d);
-            const std::uint32_t* ap_p = ap.data() + begin;
-            const WifiState* st_p = state.data() + begin;
-            const std::uint32_t* by_p = bytes.data() + begin;
-            for (std::size_t h = 0; h < n_hours; ++h) {
-              std::uint64_t acc = 0;
-              for (std::size_t j = 0; j < kBinsPerHour; ++j) {
-                const std::uint32_t a = ap_p[j];
-                const std::size_t ki = a < naps ? a : naps;
-                const std::uint64_t sel =
-                    keep[ki] & (st_p[j] == WifiState::Associated);
-                acc += sel * by_p[j];
-              }
-              sums[h] += acc;
-              ap_p += kBinsPerHour;
-              st_p += kBinsPerHour;
-              by_p += kBinsPerHour;
-            }
-          }
-          return sums;
-        });
-  } else {
-    partials = query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-      std::vector<std::uint64_t> sums(n_hours, 0);
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::uint32_t a = ap[i];
-        const std::size_t ki = a < naps ? a : naps;
-        const std::uint64_t sel =
-            keep[ki] & (state[i] == WifiState::Associated);
-        sums[static_cast<std::size_t>(bin[i] / kBinsPerHour)] +=
-            sel * bytes[i];
-      }
-      return sums;
-    });
-  }
-  std::vector<std::uint64_t> total(n_hours, 0);
-  for (const std::vector<std::uint64_t>& p : partials) add_hour_sums(total, p);
-  return total;
-}
-
-}  // namespace
-
-query::Pending<HourlySeries> location_series(query::Sweep& sweep,
-                                             const ApClassification& cls,
-                                             LocationFilter filter, bool rx) {
-  // Shard samples reference the global AP universe, so the per-AP keep
-  // table is the same in every block; hour sums are u64 and add.
-  return sweep.reduce<std::vector<std::uint64_t>>(
-      [&cls, filter, rx](const Dataset& block, std::size_t) {
-        return location_hour_sums(block, cls, filter, rx);
-      },
-      [](std::vector<std::uint64_t>& acc, std::vector<std::uint64_t>&& p) {
-        add_hour_sums(acc, p);
-      },
-      [](std::vector<std::uint64_t>&& sums) {
-        return hourly_series_from_sums(sums);
-      });
-}
-
-HourlySeries location_series(const query::DataSource& src,
-                             const ApClassification& cls, LocationFilter filter,
-                             bool rx) {
-  return query::run_alone(src, [&](query::Sweep& sweep) {
-    return location_series(sweep, cls, filter, rx);
-  });
-}
-
 WeekSplit weekday_weekend_split(const query::DataSource& src, Stream stream) {
   return week_split(aggregate_series(src, stream), src.calendar(),
                     src.num_days());
@@ -264,104 +159,176 @@ WeekSplit week_split(const HourlySeries& series, const CampaignCalendar& cal,
 
 namespace {
 
-// Exact byte sums per location bucket (home, public, office, other).
-// The serial reference accumulated doubles; u32 byte counts sum exactly
-// in doubles below 2^53, so u64 sums convert to the same values and
-// merge byte-identically across chunks and shards.
-[[nodiscard]] std::array<std::uint64_t, 4> wifi_location_sums(
-    const Dataset& ds, const ApClassification& cls) {
-  std::array<std::uint64_t, 4> out{};
+// The trash bucket a scan routes unassociated samples, and AP ids
+// outside the universe, to: the select is one byte gather, no branch.
+constexpr std::size_t kTrash = WifiLocationHours::kNumBuckets;
 
-  // Per-AP bucket (home/public/office/other) resolved once; a fifth
-  // trash bucket absorbs out-of-range AP ids so the gather needs no
-  // bounds branch.
-  const std::size_t naps = ds.aps.size();
-  std::vector<std::uint8_t> bucket(naps + 1, 4);
+// One (rx, tx) pair of u64 sums per (bucket, hour), the trash bucket
+// included: slot (bucket * n_hours + hour) * 2 holds rx, the next tx.
+using LocationSlots = std::vector<std::uint64_t>;
+
+// Per-AP bucket, with a trailing trash row that clamped AP ids (kNoAp
+// included) land on.
+[[nodiscard]] std::vector<std::uint8_t> location_buckets(
+    const ApClassification& cls) {
+  const std::size_t naps = cls.ap_class.size();
+  std::vector<std::uint8_t> bucket(naps + 1, kTrash);
   for (std::size_t a = 0; a < naps; ++a) {
     switch (cls.ap_class[a]) {
-      case ApClass::Home: bucket[a] = 0; break;
-      case ApClass::Public: bucket[a] = 1; break;
-      case ApClass::Other: bucket[a] = cls.is_office[a] ? 2 : 3; break;
+      case ApClass::Home: bucket[a] = WifiLocationHours::kHome; break;
+      case ApClass::Public: bucket[a] = WifiLocationHours::kPublic; break;
+      case ApClass::Other:
+        bucket[a] = cls.is_office[a] ? WifiLocationHours::kOffice
+                                     : WifiLocationHours::kOther;
+        break;
     }
   }
+  return bucket;
+}
+
+// The associated WiFi bytes of one block by (bucket, hour). All sums
+// are exact u64, so chunk, block and shard partials add to the same
+// bytes in any grouping.
+[[nodiscard]] LocationSlots location_hours_scan(
+    const Dataset& ds, const std::vector<std::uint8_t>& bucket) {
+  const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
+  const std::size_t n_slots = (kTrash + 1) * n_hours * 2;
+  const std::size_t naps = bucket.size() - 1;
+
+  const core::DatasetIndex& idx = ds.index();
+  const std::span<const TimeBin> bin = ds.samples.bin;
   const std::span<const std::uint32_t> ap = ds.samples.ap;
   const std::span<const WifiState> state = ds.samples.wifi_state;
   const std::span<const std::uint32_t> wifi_rx = ds.samples.wifi_rx;
   const std::span<const std::uint32_t> wifi_tx = ds.samples.wifi_tx;
-  const std::size_t n = ap.size();
-  using Sums = std::array<std::uint64_t, 5>;
-  const std::vector<Sums> partials =
-      query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-        Sums sums{};
-        // Devices dwell on one AP for many consecutive bins, so
-        // run-length-encode the AP stream: one bucket lookup per
-        // association run, and the byte sum inside a run is a
-        // contiguous select-accumulate the compiler vectorizes.
-        // u64 adds are associative, so per-run partial sums merge
-        // byte-identically with the per-sample reference.
-        std::size_t i = begin;
-        while (i < end) {
-          const std::uint32_t a = ap[i];
-          std::size_t j = i + 1;
-          while (j < end && ap[j] == a) ++j;
-          if (a != value(kNoAp)) {
-            std::uint64_t acc = 0;
-            for (std::size_t k = i; k < j; ++k) {
-              const std::uint64_t sel = state[k] == WifiState::Associated;
-              acc += sel * (std::uint64_t{wifi_rx[k]} + wifi_tx[k]);
+  const auto add = [&](LocationSlots& sums, std::size_t i, std::size_t hour) {
+    const std::uint32_t a = ap[i];
+    const std::size_t b = state[i] == WifiState::Associated
+                              ? bucket[a < naps ? a : naps]
+                              : kTrash;
+    std::uint64_t* slot = sums.data() + (b * n_hours + hour) * 2;
+    slot[0] += wifi_rx[i];
+    slot[1] += wifi_tx[i];
+  };
+  std::vector<LocationSlots> partials;
+  if (idx.dense()) {
+    // Fixed-stride hour runs as in all_streams_scan: no bin reads.
+    partials = query::map_device_blocks(
+        idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
+          LocationSlots sums(n_slots, 0);
+          for (std::size_t d = d0; d < d1; ++d) {
+            std::size_t i = idx.device_begin(d);
+            for (std::size_t h = 0; h < n_hours; ++h) {
+              for (int j = 0; j < kBinsPerHour; ++j, ++i) add(sums, i, h);
             }
-            const std::size_t ki = a < naps ? a : naps;
-            sums[bucket[ki]] += acc;
           }
-          i = j;
-        }
-        return sums;
-      });
-  for (const Sums& p : partials) {
-    for (std::size_t b = 0; b < 4; ++b) out[b] += p[b];
+          return sums;
+        });
+  } else {
+    partials = query::map_chunks(
+        bin.size(), [&](std::size_t begin, std::size_t end) {
+          LocationSlots sums(n_slots, 0);
+          for (std::size_t i = begin; i < end; ++i) {
+            add(sums, i, static_cast<std::size_t>(bin[i] / kBinsPerHour));
+          }
+          return sums;
+        });
   }
-  
-  return out;
+  LocationSlots total(n_slots, 0);
+  for (const LocationSlots& p : partials) add_hour_sums(total, p);
+  return total;
 }
 
-[[nodiscard]] WifiLocationShares wifi_location_shares_from_sums(
-    const std::array<std::uint64_t, 4>& sums) {
-  const double home = static_cast<double>(sums[0]);
-  const double publik = static_cast<double>(sums[1]);
-  const double office = static_cast<double>(sums[2]);
-  const double other = static_cast<double>(sums[3]);
-  const double total = home + publik + office + other;
-  WifiLocationShares shares;
-  if (total > 0) {
-    shares.home = home / total;
-    shares.publik = publik / total;
-    shares.office = office / total;
-    shares.other = other / total;
+[[nodiscard]] WifiLocationHours location_hours_from_slots(
+    const LocationSlots& slots, std::size_t n_hours) {
+  WifiLocationHours out;
+  for (std::size_t b = 0; b < WifiLocationHours::kNumBuckets; ++b) {
+    out.rx_sums[b].resize(n_hours);
+    out.tx_sums[b].resize(n_hours);
+    for (std::size_t h = 0; h < n_hours; ++h) {
+      out.rx_sums[b][h] = slots[(b * n_hours + h) * 2];
+      out.tx_sums[b][h] = slots[(b * n_hours + h) * 2 + 1];
+    }
   }
-  return shares;
+  return out;
 }
 
 }  // namespace
 
-query::Pending<WifiLocationShares> wifi_location_shares(
+HourlySeries WifiLocationHours::series(LocationFilter filter, bool rx) const {
+  const auto& sums = rx ? rx_sums : tx_sums;
+  std::vector<std::uint64_t> out(sums[kHome].size(), 0);
+  const auto add = [&](Bucket b) { add_hour_sums(out, sums[b]); };
+  switch (filter.ap_class) {
+    // classify_aps flags offices among Other APs only, so an office-only
+    // home or public filter keeps no AP.
+    case ApClass::Home:
+      if (!filter.office_only) add(kHome);
+      break;
+    case ApClass::Public:
+      if (!filter.office_only) add(kPublic);
+      break;
+    case ApClass::Other:
+      add(kOffice);
+      if (!filter.office_only) add(kOther);
+      break;
+  }
+  return hourly_series_from_sums(out);
+}
+
+WifiLocationShares WifiLocationHours::shares() const {
+  std::array<double, kNumBuckets> volume{};
+  for (std::size_t b = 0; b < kNumBuckets; ++b) {
+    std::uint64_t sum = 0;
+    for (std::size_t h = 0; h < rx_sums[b].size(); ++h) {
+      sum += rx_sums[b][h] + tx_sums[b][h];
+    }
+    volume[b] = static_cast<double>(sum);
+  }
+  const double total = volume[kHome] + volume[kPublic] + volume[kOffice] +
+                       volume[kOther];
+  WifiLocationShares shares;
+  if (total > 0) {
+    shares.home = volume[kHome] / total;
+    shares.publik = volume[kPublic] / total;
+    shares.office = volume[kOffice] / total;
+    shares.other = volume[kOther] / total;
+  }
+  return shares;
+}
+
+query::Pending<WifiLocationHours> wifi_location_hours(
     query::Sweep& sweep, const ApClassification& cls) {
-  return sweep.reduce<std::array<std::uint64_t, 4>>(
-      [&cls](const Dataset& block, std::size_t) {
-        return wifi_location_sums(block, cls);
+  // Shard samples reference the global AP universe, so the per-AP bucket
+  // table is the same in every block.
+  const auto n_hours = static_cast<std::size_t>(sweep.source().num_days()) * 24;
+  return sweep.reduce<LocationSlots>(
+      [bucket = location_buckets(cls)](const Dataset& block, std::size_t) {
+        return location_hours_scan(block, bucket);
       },
-      [](std::array<std::uint64_t, 4>& acc, std::array<std::uint64_t, 4>&& p) {
-        for (std::size_t b = 0; b < 4; ++b) acc[b] += p[b];
-      },
-      [](std::array<std::uint64_t, 4>&& sums) {
-        return wifi_location_shares_from_sums(sums);
+      [](LocationSlots& acc, LocationSlots&& p) { add_hour_sums(acc, p); },
+      [n_hours](LocationSlots&& slots) {
+        if (slots.empty()) slots.assign((kTrash + 1) * n_hours * 2, 0);
+        return location_hours_from_slots(slots, n_hours);
       });
+}
+
+WifiLocationHours wifi_location_hours(const query::DataSource& src,
+                                      const ApClassification& cls) {
+  return query::run_alone(src, [&](query::Sweep& sweep) {
+    return wifi_location_hours(sweep, cls);
+  });
+}
+
+HourlySeries location_series(const query::DataSource& src,
+                             const ApClassification& cls, LocationFilter filter,
+                             bool rx) {
+  return wifi_location_hours(src, cls).series(filter, rx);
 }
 
 WifiLocationShares wifi_location_shares(const query::DataSource& src,
                                         const ApClassification& cls) {
-  return query::run_alone(src, [&](query::Sweep& sweep) {
-    return wifi_location_shares(sweep, cls);
-  });
+  return wifi_location_hours(src, cls).shares();
 }
 
 }  // namespace tokyonet::analysis

@@ -2,6 +2,7 @@
 // series (Fig 11), in Mbps per campaign hour.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -64,15 +65,42 @@ struct LocationFilter {
   bool office_only = false;  // only meaningful with ApClass::Other
 };
 
+/// Share summary used in §3.4.1: home / public / office share of total
+/// WiFi volume (95% / ~4% in the paper).
+struct WifiLocationShares {
+  double home = 0;
+  double publik = 0;
+  double office = 0;
+  double other = 0;  // non-office remainder of Other
+};
+
+/// Associated WiFi bytes per AP location bucket and campaign hour, from
+/// one scan: the exact sums behind every location_series() and
+/// wifi_location_shares(). Buckets are home, public, office (Other with
+/// the office flag) and the non-office rest of Other.
+struct WifiLocationHours {
+  enum Bucket : std::uint8_t { kHome, kPublic, kOffice, kOther, kNumBuckets };
+  /// [bucket][hour], num_days * 24 hours each.
+  std::array<std::vector<std::uint64_t>, kNumBuckets> rx_sums, tx_sums;
+
+  /// Fig 11's series for one filter, in Mbps.
+  [[nodiscard]] HourlySeries series(LocationFilter filter, bool rx) const;
+  /// The buckets' shares of the associated rx + tx bytes.
+  [[nodiscard]] WifiLocationShares shares() const;
+};
+
+[[nodiscard]] WifiLocationHours wifi_location_hours(
+    const query::DataSource& src, const ApClassification& cls);
+/// The same kernel as an entry of `sweep`; `cls` is read at
+/// registration only.
+[[nodiscard]] query::Pending<WifiLocationHours> wifi_location_hours(
+    query::Sweep& sweep, const ApClassification& cls);
+
+/// wifi_location_hours(src, cls).series(filter, rx).
 [[nodiscard]] HourlySeries location_series(const query::DataSource& src,
                                            const ApClassification& cls,
                                            LocationFilter filter,
                                            bool rx);
-/// The same kernel as an entry of `sweep` (Fig 11 runs six series and
-/// the shares below in one pass); `cls` must outlive sweep.run().
-[[nodiscard]] query::Pending<HourlySeries> location_series(
-    query::Sweep& sweep, const ApClassification& cls, LocationFilter filter,
-    bool rx);
 
 /// §3.1: cellular traffic is smaller on weekends, WiFi the opposite.
 struct WeekSplit {
@@ -88,18 +116,8 @@ struct WeekSplit {
 [[nodiscard]] WeekSplit week_split(const HourlySeries& series,
                                    const CampaignCalendar& cal, int num_days);
 
-/// Share summary used in §3.4.1: home / public / office share of total
-/// WiFi volume (95% / ~4% in the paper).
-struct WifiLocationShares {
-  double home = 0;
-  double publik = 0;
-  double office = 0;
-  double other = 0;  // non-office remainder of Other
-};
-
+/// wifi_location_hours(src, cls).shares().
 [[nodiscard]] WifiLocationShares wifi_location_shares(
     const query::DataSource& src, const ApClassification& cls);
-[[nodiscard]] query::Pending<WifiLocationShares> wifi_location_shares(
-    query::Sweep& sweep, const ApClassification& cls);
 
 }  // namespace tokyonet::analysis

@@ -5,6 +5,7 @@
 #include <span>
 
 #include "analysis/common.h"
+#include "analysis/query/scan.h"
 #include "analysis/query/source.h"
 #include "core/dataset_index.h"
 #include "core/parallel.h"
@@ -13,52 +14,47 @@
 namespace tokyonet::analysis {
 namespace {
 
-[[nodiscard]] ScanAvailability availability_scan(const Dataset& ds) {
-  ScanAvailability out;
+void merge(ScanCountHistogram& into, const ScanCountHistogram& from) noexcept {
+  for (std::size_t v = 0; v < into.count.size(); ++v) {
+    into.count[v] += from.count[v];
+  }
+}
 
+void merge(ScanAvailability& into, const ScanAvailability& from) noexcept {
+  merge(into.all_24, from.all_24);
+  merge(into.strong_24, from.strong_24);
+  merge(into.all_5, from.all_5);
+  merge(into.strong_5, from.strong_5);
+}
+
+// Sample counts per scan value: exact u64 sums, so the 16-device-block
+// partials (and shard partials) add to the same histograms in any
+// grouping.
+[[nodiscard]] ScanAvailability availability_scan(const Dataset& ds) {
   const core::DatasetIndex& idx = ds.index();
-  // Two passes. Pass 1 counts each device's WiFi-available samples with
-  // a SIMD byte-compare, giving exact output offsets via a prefix sum;
-  // pass 2 fills the final vectors in place at those offsets. No
-  // partial vectors, no reallocation, no concatenation — and the
-  // emission order is the (device, bin) sample order by construction,
-  // identical at any thread count or device partitioning.
   const std::span<const WifiState> state = ds.samples.wifi_state;
-  const auto* state_u8 = reinterpret_cast<const std::uint8_t*>(state.data());
-  constexpr auto kAvail = static_cast<std::uint8_t>(WifiState::OnUnassociated);
   const std::span<const std::uint8_t> a24 = ds.samples.scan_pub24_all;
   const std::span<const std::uint8_t> s24 = ds.samples.scan_pub24_strong;
   const std::span<const std::uint8_t> a5 = ds.samples.scan_pub5_all;
   const std::span<const std::uint8_t> s5 = ds.samples.scan_pub5_strong;
-  const std::size_t n_devices = ds.devices.size();
-
-  std::vector<std::size_t> offset(n_devices + 1, 0);
-  core::parallel_for(n_devices, [&](std::size_t d) {
-    if (ds.devices[d].os != Os::Android) return;
-    const std::size_t begin = idx.device_begin(d);
-    offset[d + 1] = stats::simd::count_eq_u8(
-        state_u8 + begin, idx.device_end(d) - begin, kAvail);
-  });
-  for (std::size_t d = 0; d < n_devices; ++d) offset[d + 1] += offset[d];
-
-  const std::size_t total = offset[n_devices];
-  out.all_24.resize(total);
-  out.strong_24.resize(total);
-  out.all_5.resize(total);
-  out.strong_5.resize(total);
-  core::parallel_for(n_devices, [&](std::size_t d) {
-    if (ds.devices[d].os != Os::Android) return;
-    std::size_t pos = offset[d];
-    const std::size_t end = idx.device_end(d);
-    for (std::size_t i = idx.device_begin(d); i < end; ++i) {
-      if (state[i] != WifiState::OnUnassociated) continue;
-      out.all_24[pos] = a24[i];
-      out.strong_24[pos] = s24[i];
-      out.all_5[pos] = a5[i];
-      out.strong_5[pos] = s5[i];
-      ++pos;
-    }
-  });
+  const std::vector<ScanAvailability> partials = query::map_device_blocks(
+      ds.devices.size(), [&](std::size_t d0, std::size_t d1) {
+        ScanAvailability p;
+        for (std::size_t d = d0; d < d1; ++d) {
+          if (ds.devices[d].os != Os::Android) continue;
+          for (std::size_t i = idx.device_begin(d); i < idx.device_end(d);
+               ++i) {
+            if (state[i] != WifiState::OnUnassociated) continue;
+            ++p.all_24.count[a24[i]];
+            ++p.strong_24.count[s24[i]];
+            ++p.all_5.count[a5[i]];
+            ++p.strong_5.count[s5[i]];
+          }
+        }
+        return p;
+      });
+  ScanAvailability out;
+  for (const ScanAvailability& p : partials) merge(out, p);
   return out;
 }
 
@@ -147,32 +143,48 @@ struct OffloadDeviceMetrics {
 
 }  // namespace
 
+std::uint64_t ScanCountHistogram::samples() const noexcept {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : count) n += c;
+  return n;
+}
+
+double ScanCountHistogram::ccdf(double x) const noexcept {
+  const std::uint64_t n = samples();
+  if (n == 0) return 1.0;
+  std::uint64_t at_most = 0;
+  for (std::size_t v = 0; v < count.size() && static_cast<double>(v) <= x;
+       ++v) {
+    at_most += count[v];
+  }
+  return 1.0 - static_cast<double>(at_most) / static_cast<double>(n);
+}
+
 ScanAvailability scan_availability(const query::DataSource& src) {
-  // Per-block series are emitted in (device, bin) order, so appending
-  // them in block order reproduces the campaign's emission order.
   return src.reduce<ScanAvailability>(
       [](const Dataset& block, std::size_t) {
         return availability_scan(block);
       },
-      [](ScanAvailability& acc, ScanAvailability&& p) {
-        const auto append = [](std::vector<double>& into,
-                               const std::vector<double>& from) {
-          into.insert(into.end(), from.begin(), from.end());
-        };
-        append(acc.all_24, p.all_24);
-        append(acc.strong_24, p.strong_24);
-        append(acc.all_5, p.all_5);
-        append(acc.strong_5, p.strong_5);
-      });
+      [](ScanAvailability& acc, ScanAvailability&& p) { merge(acc, p); });
 }
 
 OffloadOpportunity offload_opportunity(const query::DataSource& src,
                                        const OpportunityOptions& opt) {
-  return opportunity_from_metrics(
+  return offload_opportunity(src, {&opt, 1}).front();
+}
+
+std::vector<OffloadOpportunity> offload_opportunity(
+    const query::DataSource& src, std::span<const OpportunityOptions> opts) {
+  const std::vector<OffloadDeviceMetrics> metrics =
       src.concat<OffloadDeviceMetrics>([](const Dataset& block, std::size_t) {
         return device_metrics_scan(block);
-      }),
-      opt);
+      });
+  std::vector<OffloadOpportunity> out;
+  out.reserve(opts.size());
+  for (const OpportunityOptions& opt : opts) {
+    out.push_back(opportunity_from_metrics(metrics, opt));
+  }
+  return out;
 }
 
 }  // namespace tokyonet::analysis

@@ -3,30 +3,37 @@
 // 10-minute scan, and the offloadable-cellular-traffic estimate.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/query/fwd.h"
 #include "core/records.h"
-#include "stats/distribution.h"
 
 namespace tokyonet::analysis {
 
-/// Scan-count series by band and strength, over samples of devices in
-/// the WiFi-available state (Android; iOS reports no scans).
-struct ScanAvailability {
-  std::vector<double> all_24;
-  std::vector<double> strong_24;
-  std::vector<double> all_5;
-  std::vector<double> strong_5;
+/// How many samples reported each scan count (a u8, so 256 values).
+struct ScanCountHistogram {
+  std::array<std::uint64_t, 256> count{};
 
-  [[nodiscard]] stats::Ecdf ccdf_all_24() const { return stats::Ecdf(all_24); }
-  [[nodiscard]] stats::Ecdf ccdf_strong_24() const {
-    return stats::Ecdf(strong_24);
-  }
-  [[nodiscard]] stats::Ecdf ccdf_all_5() const { return stats::Ecdf(all_5); }
-  [[nodiscard]] stats::Ecdf ccdf_strong_5() const {
-    return stats::Ecdf(strong_5);
-  }
+  /// Samples counted.
+  [[nodiscard]] std::uint64_t samples() const noexcept;
+  /// P[X > x] over the samples (1 when there are none): the same
+  /// integer count over the same size as stats::Ecdf::ccdf.
+  [[nodiscard]] double ccdf(double x) const noexcept;
+
+  [[nodiscard]] bool operator==(const ScanCountHistogram&) const = default;
+};
+
+/// Scan-count histograms by band and strength, over samples of devices
+/// in the WiFi-available state (Android; iOS reports no scans). Every
+/// histogram counts the same samples.
+struct ScanAvailability {
+  ScanCountHistogram all_24;
+  ScanCountHistogram strong_24;
+  ScanCountHistogram all_5;
+  ScanCountHistogram strong_5;
 };
 
 [[nodiscard]] ScanAvailability scan_availability(const query::DataSource& src);
@@ -53,5 +60,11 @@ struct OpportunityOptions {
 
 [[nodiscard]] OffloadOpportunity offload_opportunity(
     const query::DataSource& src, const OpportunityOptions& opt = {});
+
+/// One estimate per entry of `opts`, each equal to offload_opportunity()
+/// with that entry, from one pass: the per-device tallies do not depend
+/// on the options.
+[[nodiscard]] std::vector<OffloadOpportunity> offload_opportunity(
+    const query::DataSource& src, std::span<const OpportunityOptions> opts);
 
 }  // namespace tokyonet::analysis

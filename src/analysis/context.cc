@@ -127,4 +127,20 @@ const AppBreakdown& AnalysisContext::app_breakdown() const {
   return *app_breakdown_;
 }
 
+const WifiRatios& AnalysisContext::wifi_ratios() const {
+  std::call_once(wifi_ratios_once_, [&] {
+    wifi_ratios_ = std::make_unique<WifiRatios>(
+        compute_wifi_ratios(*src_, days(), classifier()));
+  });
+  return *wifi_ratios_;
+}
+
+const WifiLocationHours& AnalysisContext::wifi_location_hours() const {
+  std::call_once(wifi_location_hours_once_, [&] {
+    wifi_location_hours_ = std::make_unique<WifiLocationHours>(
+        analysis::wifi_location_hours(*src_, classification()));
+  });
+  return *wifi_location_hours_;
+}
+
 }  // namespace tokyonet::analysis

@@ -17,14 +17,14 @@
 // (update detection, user-day rollups, home cells, survey rows and
 // home-AP verdicts are per-device products; classification tallies
 // merge by addition and set union). The classifier derives from days()
-// and makes no pass; app_breakdown() makes one more. Constructed from
-// a Dataset it wraps an InMemorySource, whose single block is the
-// whole campaign at base 0; constructed from a ShardedSource the sweep
-// is one bounded-memory pass over the shards, byte-identical to the
-// in-memory result at any shard count. Beyond the intermediates
-// themselves, only O(devices + aps) state is retained. The context
-// exposes no resident Dataset: figures read source() and these
-// intermediates, so every figure renders the same bytes on both
+// and makes no pass; app_breakdown(), wifi_ratios() and
+// wifi_location_hours() make one more each. Constructed from a Dataset it wraps an InMemorySource, whose
+// single block is the whole campaign at base 0; constructed from a
+// ShardedSource the sweep is one bounded-memory pass over the shards,
+// byte-identical to the in-memory result at any shard count. Beyond the
+// intermediates themselves, only O(devices + aps) state is retained.
+// The context exposes no resident Dataset: figures read source() and
+// these intermediates, so every figure renders the same bytes on both
 // backends.
 #pragma once
 
@@ -33,10 +33,12 @@
 #include <span>
 #include <vector>
 
+#include "analysis/aggregate.h"
 #include "analysis/apps.h"
 #include "analysis/classify.h"
 #include "analysis/common.h"
 #include "analysis/query/source.h"
+#include "analysis/ratios.h"
 #include "analysis/update.h"
 #include "core/records.h"
 
@@ -52,7 +54,8 @@ class AnalysisContext {
   /// Borrows `src` (must outlive the context). devices(), updates(),
   /// days(), classification(), home_cells() and survey() share one
   /// pass, made on the first request for any of them; classifier()
-  /// makes none and app_breakdown() one.
+  /// makes none, and app_breakdown(), wifi_ratios() and
+  /// wifi_location_hours() one each.
   explicit AnalysisContext(const query::DataSource& src) : src_(&src) {}
 
   AnalysisContext(const AnalysisContext&) = delete;
@@ -92,6 +95,12 @@ class AnalysisContext {
   /// home_cells().
   [[nodiscard]] const AppBreakdown& app_breakdown() const;
 
+  /// Figs 6-8: compute_wifi_ratios() over days() and classifier().
+  [[nodiscard]] const WifiRatios& wifi_ratios() const;
+
+  /// Fig 11 and §4.1: wifi_location_hours() over classification().
+  [[nodiscard]] const WifiLocationHours& wifi_location_hours() const;
+
  private:
   /// The one sweep behind every intermediate but the classifier and the
   /// app breakdown.
@@ -100,7 +109,8 @@ class AnalysisContext {
   std::unique_ptr<query::InMemorySource> owned_;  // in-memory ctor only
   const query::DataSource* src_;
 
-  mutable std::once_flag sweep_once_, classifier_once_, app_breakdown_once_;
+  mutable std::once_flag sweep_once_, classifier_once_, app_breakdown_once_,
+      wifi_ratios_once_, wifi_location_hours_once_;
   mutable std::vector<DeviceInfo> devices_;
   mutable UpdateDetection updates_;
   mutable std::vector<UserDay> days_;
@@ -109,6 +119,8 @@ class AnalysisContext {
   mutable std::vector<SurveyResponse> survey_;
   mutable std::unique_ptr<UserClassifier> classifier_;
   mutable std::unique_ptr<AppBreakdown> app_breakdown_;
+  mutable std::unique_ptr<WifiRatios> wifi_ratios_;
+  mutable std::unique_ptr<WifiLocationHours> wifi_location_hours_;
 };
 
 }  // namespace tokyonet::analysis

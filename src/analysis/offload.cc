@@ -1,13 +1,11 @@
 #include "analysis/offload.h"
 
-#include "analysis/aggregate.h"
 #include "stats/descriptive.h"
 
 namespace tokyonet::analysis {
 
-OffloadImpact offload_impact(const query::DataSource& src,
-                             const std::vector<UserDay>& days,
-                             const ApClassification& cls,
+OffloadImpact offload_impact(const std::vector<UserDay>& days,
+                             const WifiLocationShares& shares,
                              const OffloadAssumptions& assume) {
   OffloadImpact out;
   std::vector<double> cell, wifi;
@@ -28,7 +26,7 @@ OffloadImpact offload_impact(const query::DataSource& src,
   // §4.1: est. smartphone-WiFi share of total RBB volume = 20% x ratio,
   // discounted by the share of WiFi volume that is at home.
   out.est_rbb_share = assume.cellular_share_of_rbb * out.wifi_to_cell_ratio *
-                      wifi_location_shares(src, cls).home;
+                      shares.home;
   out.est_home_share = out.median_wifi_rx_mb / assume.rbb_median_daily_mb;
   return out;
 }

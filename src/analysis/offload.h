@@ -4,9 +4,8 @@
 
 #include <vector>
 
-#include "analysis/classify.h"
+#include "analysis/aggregate.h"
 #include "analysis/common.h"
-#include "analysis/query/fwd.h"
 #include "core/records.h"
 
 namespace tokyonet::analysis {
@@ -32,8 +31,10 @@ struct OffloadAssumptions {
   double rbb_median_daily_mb = 436.0;
 };
 
+/// `shares` are the campaign's WiFi location shares
+/// (wifi_location_shares()); only the home share is read.
 [[nodiscard]] OffloadImpact offload_impact(
-    const query::DataSource& src, const std::vector<UserDay>& days,
-    const ApClassification& cls, const OffloadAssumptions& assume = {});
+    const std::vector<UserDay>& days, const WifiLocationShares& shares,
+    const OffloadAssumptions& assume = {});
 
 }  // namespace tokyonet::analysis

@@ -352,19 +352,15 @@ InterferenceAnalysis channel_interference(const query::DataSource& src,
 
 namespace {
 
-[[nodiscard]] std::vector<std::uint8_t> class_keep_table(
-    std::size_t n_aps, const ApClassification& cls, ApClass which) {
-  std::vector<std::uint8_t> keep(n_aps, 0);
-  for (std::size_t a = 0; a < n_aps; ++a) keep[a] = cls.ap_class[a] == which;
-  return keep;
-}
-
 [[nodiscard]] ApDensityMap density_from_top_cells(
-    const std::vector<GeoCell>& top_cell, int num_cells) {
+    const std::vector<GeoCell>& top_cell, const std::vector<ApClass>& klass,
+    ApClass which, int num_cells) {
   ApDensityMap out;
   out.count_by_cell.assign(static_cast<std::size_t>(num_cells), 0);
-  for (const GeoCell best_cell : top_cell) {
-    if (best_cell != kNoGeoCell && best_cell < num_cells) {
+  for (std::size_t a = 0; a < top_cell.size(); ++a) {
+    const GeoCell best_cell = top_cell[a];
+    if (klass[a] == which && best_cell != kNoGeoCell &&
+        best_cell < num_cells) {
       ++out.count_by_cell[best_cell];
     }
   }
@@ -378,28 +374,40 @@ namespace {
 
 }  // namespace
 
-query::Pending<ApDensityMap> ap_density_map(query::Sweep& sweep,
-                                            const ApClassification& cls,
-                                            ApClass which, int num_cells) {
+query::Pending<std::vector<ApDensityMap>> ap_density_maps(
+    query::Sweep& sweep, const ApClassification& cls,
+    std::span<const ApClass> which, int num_cells) {
   const std::size_t n_aps = sweep.source().aps().size();
+  std::vector<std::uint8_t> keep(n_aps, 0);
+  for (std::size_t a = 0; a < n_aps; ++a) {
+    keep[a] = std::find(which.begin(), which.end(), cls.ap_class[a]) !=
+              which.end();
+  }
   return sweep.reduce<PairCounts>(
-      [keep = class_keep_table(n_aps, cls, which)](const Dataset& block,
-                                                   std::size_t) {
+      [keep = std::move(keep)](const Dataset& block, std::size_t) {
         return ap_cell_pair_counts(block, keep);
       },
       merge_pair_counts,
-      [n_aps, num_cells](PairCounts&& total) {
-        return density_from_top_cells(top_cells_from_counts(n_aps, total),
-                                      num_cells);
+      [n_aps, num_cells, klass = cls.ap_class,
+       which = std::vector<ApClass>(which.begin(), which.end())](
+          PairCounts&& total) {
+        const std::vector<GeoCell> top = top_cells_from_counts(n_aps, total);
+        std::vector<ApDensityMap> maps;
+        for (const ApClass c : which) {
+          maps.push_back(density_from_top_cells(top, klass, c, num_cells));
+        }
+        return maps;
       });
 }
 
 ApDensityMap ap_density_map(const query::DataSource& src,
                             const ApClassification& cls, ApClass which,
                             int num_cells) {
-  return query::run_alone(src, [&](query::Sweep& sweep) {
-    return ap_density_map(sweep, cls, which, num_cells);
-  });
+  std::vector<ApDensityMap> maps =
+      query::run_alone(src, [&](query::Sweep& sweep) {
+        return ap_density_maps(sweep, cls, {&which, 1}, num_cells);
+      });
+  return std::move(maps.front());
 }
 
 }  // namespace tokyonet::analysis

@@ -3,6 +3,7 @@
 // (Fig 16); plus the geolocated AP-density maps of Fig 10.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "analysis/classify.h"
@@ -69,10 +70,12 @@ struct ApDensityMap {
 [[nodiscard]] ApDensityMap ap_density_map(const query::DataSource& src,
                                           const ApClassification& cls,
                                           ApClass which, int num_cells);
-/// The same kernel as an entry of `sweep` (Fig 10 maps home and public
-/// APs in one pass); `cls` is read at registration only.
-[[nodiscard]] query::Pending<ApDensityMap> ap_density_map(
-    query::Sweep& sweep, const ApClassification& cls, ApClass which,
-    int num_cells);
+/// One map per entry of `which` (Fig 10 maps home and public APs), from
+/// one (AP, cell) count over the APs of all listed classes as an entry
+/// of `sweep`: an AP's top cell depends only on its own counts, so the
+/// classes split after the pass. `cls` is read at registration only.
+[[nodiscard]] query::Pending<std::vector<ApDensityMap>> ap_density_maps(
+    query::Sweep& sweep, const ApClassification& cls,
+    std::span<const ApClass> which, int num_cells);
 
 }  // namespace tokyonet::analysis

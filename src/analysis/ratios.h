@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analysis/common.h"
@@ -32,5 +33,13 @@ struct WifiRatios {
 [[nodiscard]] WifiRatios compute_wifi_ratios(const query::DataSource& src,
                                              const std::vector<UserDay>& days,
                                              const UserClassifier& classes);
+
+/// The profiles for several classifiers from the same one pass: entry k
+/// equals compute_wifi_ratios(src, days, classes[k]). Each device-day's
+/// samples are summed into 24 hour slots once, and the slots feed the
+/// all-user profiles and every classifier's heavy or light profile.
+[[nodiscard]] std::vector<WifiRatios> compute_wifi_ratios(
+    const query::DataSource& src, const std::vector<UserDay>& days,
+    std::span<const UserClassifier> classes);
 
 }  // namespace tokyonet::analysis

@@ -40,17 +40,19 @@ PrecisionRecall evaluate_home_inference(
 }
 
 Table ablate_home_threshold(const FigureContext& ctx) {
-  const analysis::query::DataSource& src = ctx.source();
-  // Simulator ground truth, one row per device in global device order.
-  const std::vector<DeviceTruth> truth = src.concat<DeviceTruth>(
-      [](const Dataset& block, std::size_t) { return block.truth.devices; });
-  Table t({"threshold", "precision", "recall", "inferred share", "home APs"});
   constexpr double kThresholds[] = {0.50, 0.60, 0.70, 0.80, 0.90};
-  const std::vector<analysis::ApClassification> sweep =
-      analysis::classify_aps(src, {}, kThresholds);
-  for (std::size_t k = 0; k < sweep.size(); ++k) {
-    const analysis::ApClassification& cls = sweep[k];
-    const PrecisionRecall pr = evaluate_home_inference(truth, cls);
+  // The threshold sweep and the simulator ground truth (one row per
+  // device in global device order) in one pass.
+  analysis::query::Sweep sweep(ctx.source());
+  const auto classified = analysis::classify_aps(sweep, {}, kThresholds);
+  const auto truth = sweep.concat<DeviceTruth>(
+      [](const Dataset& block, std::size_t) { return block.truth.devices; });
+  sweep.run();
+
+  Table t({"threshold", "precision", "recall", "inferred share", "home APs"});
+  for (std::size_t k = 0; k < classified.get().size(); ++k) {
+    const analysis::ApClassification& cls = classified.get()[k];
+    const PrecisionRecall pr = evaluate_home_inference(truth.get(), cls);
     t.add_row({Value::pct(kThresholds[k], 0), Value::pct(pr.precision, 1),
                Value::pct(pr.recall, 1), Value::pct(pr.device_share, 1),
                Value::integer(cls.counts().home)});
@@ -65,13 +67,17 @@ Table ablate_home_threshold(const FigureContext& ctx) {
 Table ablate_rssi_cutoff(const FigureContext& ctx) {
   Table t({"usable =", "stable-bin share", "users w/ opportunity",
            "offloadable cell share"});
+  std::vector<analysis::OpportunityOptions> opts;
   for (const double stable : {0.05, 0.15, 0.30, 0.50}) {
-    analysis::OpportunityOptions opt;
-    opt.stable_bin_share = stable;
-    const auto o = analysis::offload_opportunity(ctx.source(), opt);
-    t.add_row({Value::text("strong (>= -70 dBm)"), Value::pct(stable, 0),
-               Value::pct(o.users_with_stable_opportunity, 0),
-               Value::pct(o.offloadable_cell_share, 0)});
+    opts.emplace_back().stable_bin_share = stable;
+  }
+  const std::vector<analysis::OffloadOpportunity> sweep =
+      analysis::offload_opportunity(ctx.source(), opts);
+  for (std::size_t k = 0; k < opts.size(); ++k) {
+    t.add_row({Value::text("strong (>= -70 dBm)"),
+               Value::pct(opts[k].stable_bin_share, 0),
+               Value::pct(sweep[k].users_with_stable_opportunity, 0),
+               Value::pct(sweep[k].offloadable_cell_share, 0)});
   }
   t.notes.push_back(
       "reading: the offloadable share is insensitive to the stability "
@@ -89,14 +95,17 @@ Table ablate_user_bands(const FigureContext& ctx) {
   };
   Table t({"light band", "heavy band", "light WiFi ratio", "heavy WiFi ratio",
            "separation"});
-  for (const Bands& b : {Bands{30, 70, 95}, Bands{40, 60, 95},
-                         Bands{45, 55, 95}, Bands{40, 60, 99},
-                         Bands{40, 60, 90}}) {
-    const analysis::UserClassifier classes(days, b.lo, b.hi, b.heavy);
-    const analysis::WifiRatios r =
-        analysis::compute_wifi_ratios(ctx.source(), days, classes);
-    const double light = r.traffic_light.mean_ratio();
-    const double heavy = r.traffic_heavy.mean_ratio();
+  constexpr Bands kBands[] = {{30, 70, 95}, {40, 60, 95}, {45, 55, 95},
+                              {40, 60, 99}, {40, 60, 90}};
+  std::vector<analysis::UserClassifier> classes;
+  for (const Bands& b : kBands) classes.emplace_back(days, b.lo, b.hi, b.heavy);
+  // Every band's profiles from one pass.
+  const std::vector<analysis::WifiRatios> ratios =
+      analysis::compute_wifi_ratios(ctx.source(), days, classes);
+  for (std::size_t k = 0; k < classes.size(); ++k) {
+    const Bands& b = kBands[k];
+    const double light = ratios[k].traffic_light.mean_ratio();
+    const double heavy = ratios[k].traffic_heavy.mean_ratio();
     t.add_row({Value::text(strf("%.0f-%.0f pct", b.lo, b.hi)),
                Value::text(strf("top %.0f%%", 100 - b.heavy)),
                Value::pct(light, 0), Value::pct(heavy, 0),

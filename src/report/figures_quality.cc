@@ -1,10 +1,6 @@
 // WiFi quality and availability figures (Figs 15-17) and the §3.5
 // offload-opportunity estimate, split out as its own registry entry so
 // it can run for all three years.
-#include <array>
-#include <cstdint>
-#include <vector>
-
 #include "analysis/availability.h"
 #include "analysis/quality.h"
 #include "report/figures.h"
@@ -65,45 +61,16 @@ Table fig16(const FigureContext& ctx) {
   return t;
 }
 
-/// P[X > x] over a scan-count series, whose values are whole numbers in
-/// [0, 255] (the counts are u8), from a 256-bucket count: the same
-/// integer count over the same size as stats::Ecdf::ccdf, without
-/// copying and sorting the series.
-class ScanCountCcdf {
- public:
-  explicit ScanCountCcdf(const std::vector<double>& values)
-      : size_(values.size()) {
-    for (const double v : values) ++count_[static_cast<std::size_t>(v)];
-  }
-
-  [[nodiscard]] double ccdf(double x) const noexcept {
-    if (size_ == 0) return 1.0;
-    std::uint64_t at_most = 0;
-    for (std::size_t v = 0; v < count_.size() && static_cast<double>(v) <= x;
-         ++v) {
-      at_most += count_[v];
-    }
-    return 1.0 - static_cast<double>(at_most) / static_cast<double>(size_);
-  }
-
- private:
-  std::array<std::uint64_t, 256> count_{};
-  std::size_t size_;
-};
-
 Table fig17(const FigureContext& ctx) {
   const analysis::ScanAvailability s =
       analysis::scan_availability(ctx.source());
-  const ScanCountCcdf a24(s.all_24);
-  const ScanCountCcdf s24(s.strong_24);
-  const ScanCountCcdf a5(s.all_5);
-  const ScanCountCcdf s5(s.strong_5);
 
   Table t({"#APs", "2.4G all", "2.4G strong", "5G all", "5G strong"});
   for (const double n : {0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0}) {
-    t.add_row({Value::real(n, 0), Value::real(a24.ccdf(n), 4),
-               Value::real(s24.ccdf(n), 4), Value::real(a5.ccdf(n), 4),
-               Value::real(s5.ccdf(n), 4)});
+    t.add_row({Value::real(n, 0), Value::real(s.all_24.ccdf(n), 4),
+               Value::real(s.strong_24.ccdf(n), 4),
+               Value::real(s.all_5.ccdf(n), 4),
+               Value::real(s.strong_5.ccdf(n), 4)});
   }
   t.notes.push_back(
       "paper: 90% of devices see fewer than 10 2.4 GHz APs; ~30% see any "

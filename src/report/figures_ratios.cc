@@ -15,13 +15,8 @@ namespace {
 // Campaigns start on a Saturday; WeeklyProfile hour 0 = Sat 0:00.
 const char* kWeekDays[] = {"Sat", "Sun", "Mon", "Tue", "Wed", "Thu", "Fri"};
 
-analysis::WifiRatios wifi_ratios(const FigureContext& ctx) {
-  return analysis::compute_wifi_ratios(ctx.source(), ctx.analysis().days(),
-                                       ctx.analysis().classifier());
-}
-
 Table fig06(const FigureContext& ctx) {
-  const analysis::WifiRatios r = wifi_ratios(ctx);
+  const analysis::WifiRatios& r = ctx.analysis().wifi_ratios();
   const auto traffic = r.traffic_all.ratio_series();
   const auto users = r.users_all.ratio_series();
 
@@ -43,7 +38,7 @@ Table fig06(const FigureContext& ctx) {
 }
 
 Table ratio_by_class(const FigureContext& ctx, bool traffic) {
-  const analysis::WifiRatios r = wifi_ratios(ctx);
+  const analysis::WifiRatios& r = ctx.analysis().wifi_ratios();
   const analysis::WeeklyProfile& h = traffic ? r.traffic_heavy : r.users_heavy;
   const analysis::WeeklyProfile& l = traffic ? r.traffic_light : r.users_light;
   const auto heavy = h.ratio_series();

@@ -10,8 +10,10 @@ namespace tokyonet::report {
 namespace {
 
 Table sec41(const FigureContext& ctx) {
+  // The shares come from the context's memoized location scan, which
+  // Fig 11 reads too.
   const analysis::OffloadImpact o = analysis::offload_impact(
-      ctx.source(), ctx.analysis().days(), ctx.analysis().classification());
+      ctx.analysis().days(), ctx.analysis().wifi_location_hours().shares());
 
   Table t({"year", "metric", "value", "paper 2015"});
   const Value year = Value::integer(year_number(ctx.year()));

@@ -46,19 +46,17 @@ Table fig10(const FigureContext& ctx) {
   const int cells = region.grid().num_cells();
   constexpr ApClass kClasses[] = {ApClass::Home, ApClass::Public};
 
-  // Both density maps in one pass.
-  analysis::query::Sweep sweep(ctx.source());
-  std::vector<analysis::query::Pending<analysis::ApDensityMap>> maps;
-  for (const ApClass c : kClasses) {
-    maps.push_back(analysis::ap_density_map(
-        sweep, ctx.analysis().classification(), c, cells));
-  }
-  sweep.run();
+  // Both density maps from one (AP, cell) count.
+  const std::vector<analysis::ApDensityMap> maps = analysis::query::run_alone(
+      ctx.source(), [&](analysis::query::Sweep& sweep) {
+        return analysis::ap_density_maps(
+            sweep, ctx.analysis().classification(), kClasses, cells);
+      });
 
   Table t({"year", "AP class", "cells >= 1 AP", "cells >= 100 APs",
            "max APs per cell"});
   for (std::size_t i = 0; i < maps.size(); ++i) {
-    const analysis::ApDensityMap& m = maps[i].get();
+    const analysis::ApDensityMap& m = maps[i];
     t.add_row({Value::integer(year_number(ctx.year())),
                Value::text(std::string(to_string(kClasses[i]))),
                Value::integer(m.cells_with_ap), Value::integer(m.cells_with_100),
@@ -72,21 +70,16 @@ Table fig10(const FigureContext& ctx) {
 
 Table fig11(const FigureContext& ctx) {
   const auto& src = ctx.source();
-  const auto& cls = ctx.analysis().classification();
-
-  // Six series and the location shares in one pass.
-  analysis::query::Sweep sweep(src);
-  const auto series = [&](analysis::LocationFilter filter, bool rx) {
-    return analysis::location_series(sweep, cls, filter, rx);
-  };
-  const auto home_rx = series({ApClass::Home, false}, true);
-  const auto home_tx = series({ApClass::Home, false}, false);
-  const auto pub_rx = series({ApClass::Public, false}, true);
-  const auto pub_tx = series({ApClass::Public, false}, false);
-  const auto off_rx = series({ApClass::Other, true}, true);
-  const auto off_tx = series({ApClass::Other, true}, false);
-  const auto shares = analysis::wifi_location_shares(sweep, cls);
-  sweep.run();
+  // Six series and the location shares, all from the context's one
+  // bucketed scan (§4.1 reads its shares too).
+  const analysis::WifiLocationHours& hours =
+      ctx.analysis().wifi_location_hours();
+  const auto home_rx = hours.series({ApClass::Home, false}, true);
+  const auto home_tx = hours.series({ApClass::Home, false}, false);
+  const auto pub_rx = hours.series({ApClass::Public, false}, true);
+  const auto pub_tx = hours.series({ApClass::Public, false}, false);
+  const auto off_rx = hours.series({ApClass::Other, true}, true);
+  const auto off_tx = hours.series({ApClass::Other, true}, false);
 
   Table t({"year", "date", "hour", "Home RX", "Home TX", "Public RX",
            "Public TX", "Office RX", "Office TX"});
@@ -96,16 +89,16 @@ Table fig11(const FigureContext& ctx) {
       t.add_row({Value::integer(year_number(ctx.year())),
                  Value::text(src.calendar().day_label(day)),
                  Value::text(std::to_string(hour) + ":00"),
-                 Value::real(home_rx.get().mbps[i], 2),
-                 Value::real(home_tx.get().mbps[i], 2),
-                 Value::real(pub_rx.get().mbps[i], 3),
-                 Value::real(pub_tx.get().mbps[i], 3),
-                 Value::real(off_rx.get().mbps[i], 3),
-                 Value::real(off_tx.get().mbps[i], 3)});
+                 Value::real(home_rx.mbps[i], 2),
+                 Value::real(home_tx.mbps[i], 2),
+                 Value::real(pub_rx.mbps[i], 3),
+                 Value::real(pub_tx.mbps[i], 3),
+                 Value::real(off_rx.mbps[i], 3),
+                 Value::real(off_tx.mbps[i], 3)});
     }
   }
 
-  const analysis::WifiLocationShares& s = shares.get();
+  const analysis::WifiLocationShares s = hours.shares();
   t.notes.push_back(strf(
       "WiFi volume shares: home %.1f%%, public %.1f%%, office %.1f%%, "
       "other %.1f%%   [paper 2015: home 95%%, public+office ~4%%]",

@@ -177,9 +177,9 @@ TEST(Offload, ImpactEstimatesMatchPaperBands) {
   // §4.1: WiFi:cell ~1.4:1; ~28% of RBB volume; ~12% of a median
   // residential customer's daily download.
   const Dataset& ds = campaign(Year::Y2015);
-  const auto& src = campaign_source(Year::Y2015);
-  const OffloadImpact o =
-      offload_impact(src, user_days(ds), campaign_classification(Year::Y2015));
+  const OffloadImpact o = offload_impact(
+      user_days(ds), wifi_location_shares(campaign_source(Year::Y2015),
+                                          campaign_classification(Year::Y2015)));
   EXPECT_GT(o.wifi_to_cell_ratio, 1.0);
   EXPECT_LT(o.wifi_to_cell_ratio, 2.5);
   EXPECT_NEAR(o.est_rbb_share, 0.28, 0.15);

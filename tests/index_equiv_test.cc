@@ -219,10 +219,37 @@ TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
   });
 }
 
+// scan_availability() returned its four series sample by sample when
+// this digest was pinned; it now counts them. The series are rebuilt
+// here in their old (device, bin) order — the WiFi-available samples of
+// Android devices — so the digest keeps its pin, and each count must be
+// the histogram of its series.
 TEST(IndexEquivalence, ScanAvailability) {
   expect_pinned(0x08c1fd419291dbcfull, [](Digest& d, Year y) {
+    const Dataset& ds = campaign(y);
+    const SampleColumns& c = ds.samples;
+    std::vector<double> series[4];
+    for (std::size_t dev = 0; dev < ds.devices.size(); ++dev) {
+      if (ds.devices[dev].os != Os::Android) continue;
+      for (std::size_t i = ds.index().device_begin(dev);
+           i < ds.index().device_end(dev); ++i) {
+        if (c.wifi_state[i] != WifiState::OnUnassociated) continue;
+        series[0].push_back(c.scan_pub24_all[i]);
+        series[1].push_back(c.scan_pub24_strong[i]);
+        series[2].push_back(c.scan_pub5_all[i]);
+        series[3].push_back(c.scan_pub5_strong[i]);
+      }
+    }
+    d.add(series[0], series[1], series[2], series[3]);
+
     const ScanAvailability r = scan_availability(campaign_source(y));
-    d.add(r.all_24, r.strong_24, r.all_5, r.strong_5);
+    const ScanCountHistogram* counts[] = {&r.all_24, &r.strong_24, &r.all_5,
+                                          &r.strong_5};
+    for (int k = 0; k < 4; ++k) {
+      ScanCountHistogram h;
+      for (const double v : series[k]) ++h.count[static_cast<std::size_t>(v)];
+      EXPECT_TRUE(*counts[k] == h) << "series " << k;
+    }
   });
 }
 

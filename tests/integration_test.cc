@@ -133,9 +133,9 @@ TEST(Longitudinal, ScanCoverageImproves) {
   // from a rarity to common.
   const auto strong_share = [](Year y) {
     const ScanAvailability s = scan_availability(campaign_source(y));
-    std::size_t with5 = 0;
-    for (double v : s.strong_5) with5 += v > 0;
-    return static_cast<double>(with5) / static_cast<double>(s.strong_5.size());
+    const std::uint64_t with5 = s.strong_5.samples() - s.strong_5.count[0];
+    return static_cast<double>(with5) /
+           static_cast<double>(s.strong_5.samples());
   };
   EXPECT_GT(strong_share(Year::Y2015), strong_share(Year::Y2013) * 1.5);
 }

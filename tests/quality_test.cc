@@ -116,37 +116,44 @@ TEST(Density, PublicCoverageSpreadsOverYears) {
 
 TEST(Scan, SeriesOnlyFromAvailableAndroids) {
   const ScanAvailability s = scan_availability(campaign_source(Year::Y2015));
-  ASSERT_GT(s.all_24.size(), 1000u);
-  EXPECT_EQ(s.all_24.size(), s.strong_24.size());
-  EXPECT_EQ(s.all_24.size(), s.all_5.size());
+  ASSERT_GT(s.all_24.samples(), 1000u);
+  EXPECT_EQ(s.all_24.samples(), s.strong_24.samples());
+  EXPECT_EQ(s.all_24.samples(), s.all_5.samples());
+  EXPECT_EQ(s.all_24.samples(), s.strong_5.samples());
+}
+
+/// Σ scan count over the samples of one histogram.
+double scan_sum(const ScanCountHistogram& h) {
+  double sum = 0;
+  for (std::size_t v = 0; v < h.count.size(); ++v) {
+    sum += static_cast<double>(v * h.count[v]);
+  }
+  return sum;
 }
 
 TEST(Scan, StrongStochasticallyBelowAll) {
+  // Each sample's strong count is at most its count of all networks, so
+  // the strong CCDF lies under the all-networks CCDF everywhere.
   const ScanAvailability s = scan_availability(campaign_source(Year::Y2015));
-  double all = 0, strong = 0;
-  for (std::size_t i = 0; i < s.all_24.size(); ++i) {
-    all += s.all_24[i];
-    strong += s.strong_24[i];
-    ASSERT_LE(s.strong_24[i], s.all_24[i]);
+  for (int x = 0; x < 256; ++x) {
+    ASSERT_LE(s.strong_24.ccdf(x), s.all_24.ccdf(x)) << "x=" << x;
   }
-  EXPECT_LT(strong, all * 0.5);
+  EXPECT_LT(scan_sum(s.strong_24), scan_sum(s.all_24) * 0.5);
 }
 
 TEST(Scan, MostDevicesSeeFewAps) {
   // Fig 17: 90% of WiFi-available device-bins see < 10 2.4 GHz APs.
   const ScanAvailability s = scan_availability(campaign_source(Year::Y2015));
-  const auto e = s.ccdf_all_24();
-  EXPECT_LT(e.ccdf(10), 0.25);
-  EXPECT_GT(e.ccdf(0.5), 0.05);  // but some do see hotspots
+  EXPECT_LT(s.all_24.ccdf(10), 0.25);
+  EXPECT_GT(s.all_24.ccdf(0.5), 0.05);  // but some do see hotspots
 }
 
 TEST(Scan, FiveGhzDetectionGrowsOverYears) {
   // §3.5: 5 GHz public deployment improves markedly by 2015.
   const auto share5 = [](Year y) {
     const ScanAvailability s = scan_availability(campaign_source(y));
-    double all24 = 0, all5 = 0;
-    for (double v : s.all_24) all24 += v;
-    for (double v : s.all_5) all5 += v;
+    const double all24 = scan_sum(s.all_24);
+    const double all5 = scan_sum(s.all_5);
     return all5 / (all5 + all24);
   };
   EXPECT_GT(share5(Year::Y2015), share5(Year::Y2013) + 0.1);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "analysis/common.h"
 #include "analysis/context.h"
 #include "analysis/quality.h"
+#include "analysis/ratios.h"
 #include "analysis/wifistate.h"
 #include "core/parallel.h"
 #include "core/records.h"
@@ -77,7 +79,8 @@ class CountingSource final : public query::DataSource {
 /// The context's pass budget over `inner`: every intermediate —
 /// devices(), updates(), days(), classification(), home_cells() and
 /// survey() — shares one pass, the classifier costs none,
-/// app_breakdown() one more, and nothing is computed twice.
+/// app_breakdown() and wifi_ratios() one more each, and nothing is
+/// computed twice.
 void expect_context_pass_budget(const query::DataSource& inner) {
   const CountingSource src(inner);
   const analysis::AnalysisContext ctx(src);
@@ -94,6 +97,10 @@ void expect_context_pass_budget(const query::DataSource& inner) {
   EXPECT_EQ(src.passes(), 1);
   (void)ctx.app_breakdown();
   EXPECT_EQ(src.passes(), 2);
+  (void)ctx.wifi_ratios();
+  EXPECT_EQ(src.passes(), 3);
+  (void)ctx.wifi_location_hours();
+  EXPECT_EQ(src.passes(), 4);
 
   (void)ctx.updates();
   (void)ctx.days();
@@ -103,7 +110,9 @@ void expect_context_pass_budget(const query::DataSource& inner) {
   (void)ctx.home_cells();
   (void)ctx.survey();
   (void)ctx.app_breakdown();
-  EXPECT_EQ(src.passes(), 2);
+  (void)ctx.wifi_ratios();
+  (void)ctx.wifi_location_hours();
+  EXPECT_EQ(src.passes(), 4);
 
   // The sweep's intermediates equal the kernels' own passes.
   const analysis::ApClassification cls = analysis::classify_aps(inner);
@@ -113,6 +122,13 @@ void expect_context_pass_budget(const query::DataSource& inner) {
             inner.concat<GeoCell>([](const Dataset& block, std::size_t) {
               return analysis::infer_home_cells(block);
             }));
+  EXPECT_TRUE(ctx.wifi_ratios() ==
+              analysis::compute_wifi_ratios(inner, ctx.days(),
+                                            ctx.classifier()));
+  const analysis::WifiLocationHours hours =
+      analysis::wifi_location_hours(inner, cls);
+  EXPECT_EQ(ctx.wifi_location_hours().rx_sums, hours.rx_sums);
+  EXPECT_EQ(ctx.wifi_location_hours().tx_sums, hours.tx_sums);
 }
 
 /// Restores the environment-derived thread count on scope exit.
@@ -392,13 +408,9 @@ TEST(QuerySweep, FoldsEqualSeparatePasses) {
     const analysis::ApClassification cls = analysis::classify_aps(inner);
     const CountingSource src(inner);
     query::Sweep sweep(src);
-    const auto home_rx = analysis::location_series(
-        sweep, cls, {ApClass::Home, false}, true);
-    const auto office_tx = analysis::location_series(
-        sweep, cls, {ApClass::Other, true}, false);
-    const auto shares = analysis::wifi_location_shares(sweep, cls);
-    const auto density =
-        analysis::ap_density_map(sweep, cls, ApClass::Public, cells);
+    const auto hours = analysis::wifi_location_hours(sweep, cls);
+    constexpr ApClass kPublic[] = {ApClass::Public};
+    const auto density = analysis::ap_density_maps(sweep, cls, kPublic, cells);
     const auto states = analysis::compute_wifi_states(sweep);
     const auto carriers = analysis::ios_wifi_user_by_carrier(sweep);
     const auto classified = analysis::classify_aps(sweep, {}, thresholds);
@@ -413,23 +425,24 @@ TEST(QuerySweep, FoldsEqualSeparatePasses) {
     sweep.run();
     EXPECT_EQ(src.passes(), 1) << label;
 
-    EXPECT_EQ(home_rx.get().mbps,
+    EXPECT_EQ(hours.get().series({ApClass::Home, false}, true).mbps,
               analysis::location_series(inner, cls, {ApClass::Home, false},
                                         true)
                   .mbps)
         << label;
-    EXPECT_EQ(office_tx.get().mbps,
+    EXPECT_EQ(hours.get().series({ApClass::Other, true}, false).mbps,
               analysis::location_series(inner, cls, {ApClass::Other, true},
                                         false)
                   .mbps)
         << label;
     const analysis::WifiLocationShares s =
         analysis::wifi_location_shares(inner, cls);
-    EXPECT_EQ(shares.get().home, s.home) << label;
-    EXPECT_EQ(shares.get().publik, s.publik) << label;
-    EXPECT_EQ(shares.get().office, s.office) << label;
-    EXPECT_EQ(shares.get().other, s.other) << label;
-    EXPECT_EQ(density.get().count_by_cell,
+    EXPECT_EQ(hours.get().shares().home, s.home) << label;
+    EXPECT_EQ(hours.get().shares().publik, s.publik) << label;
+    EXPECT_EQ(hours.get().shares().office, s.office) << label;
+    EXPECT_EQ(hours.get().shares().other, s.other) << label;
+    ASSERT_EQ(density.get().size(), 1u) << label;
+    EXPECT_EQ(density.get().front().count_by_cell,
               analysis::ap_density_map(inner, cls, ApClass::Public, cells)
                   .count_by_cell)
         << label;
@@ -542,7 +555,8 @@ TEST(QuerySweep, SecondScanExceptionReachesCaller) {
 // 16-shard 2015 store in the order the benchmark renders them: the
 // level-0 context sweep rides fig03, every figure that scans the store
 // makes one pass however many kernels it runs, and the figures that
-// read only context intermediates make none. 16 in total.
+// read only context intermediates make none: sec41_offload reads the
+// location shares of the scan fig11 memoized. 15 in total.
 TEST(FigurePasses, OutOfCoreCatalogMakesOnePassPerScanningFigure) {
   const ScenarioConfig config = scenario_config(Year::Y2015, kQueryTestScale);
   test::ScratchDir tmp;
@@ -569,7 +583,7 @@ TEST(FigurePasses, OutOfCoreCatalogMakesOnePassPerScanningFigure) {
       {"fig11", 1},   {"fig12", 1},   {"fig13", 1},
       {"fig14", 0},   {"fig15", 1},   {"fig16", 1},
       {"fig17", 1},   {"fig18", 0},   {"fig19", 0},
-      {"sec35_opportunity", 1},       {"sec41_offload", 1},
+      {"sec35_opportunity", 1},       {"sec41_offload", 0},
       {"sec42_battery", 1},           {"sec43_shared_aps", 0},
       {"table01", 1}, {"table02", 0}, {"table04", 0},
       {"table05", 1}, {"table06", 1}, {"table07", 0},
@@ -582,7 +596,61 @@ TEST(FigurePasses, OutOfCoreCatalogMakesOnePassPerScanningFigure) {
     (void)runner.run(*spec, Year::Y2015);
     EXPECT_EQ(src.passes() - before, e.passes) << e.id;
   }
-  EXPECT_EQ(src.passes(), 16);
+  EXPECT_EQ(src.passes(), 15);
+}
+
+// Every per-year id, rendered in registry (id) order over the same
+// store: the six the benchmark leaves out add four passes, 19 in all.
+// Each parameter sweep is one pass: ablate_home_threshold's thresholds
+// and ground truth, ablate_rssi_cutoff's four cutoffs and
+// ablate_user_bands' five bands. fig06 makes the context's memoized
+// WiFi-ratio pass, which fig07 and fig08 read. The ablations sort
+// first, so ablate_user_bands (it reads days()) also carries the
+// level-0 context sweep that rides fig03 in the benchmark's order.
+// fig11 makes the context's memoized location pass, which
+// sec41_offload reads.
+TEST(FigurePasses, PerYearCatalogInRegistryOrder) {
+  const ScenarioConfig config = scenario_config(Year::Y2015, kQueryTestScale);
+  test::ScratchDir tmp;
+  sim::StreamCampaignOptions opts;
+  opts.shards = 16;
+  ASSERT_TRUE(sim::stream_campaign(config, tmp.path / "store", opts).ok());
+  io::ShardedDataset store;
+  ASSERT_TRUE(io::ShardedDataset::open(tmp.path / "store", store).ok());
+  const query::ShardedSource sharded(store, 0);
+  const CountingSource src(sharded);
+
+  report::Runner::Options opt;
+  opt.scale = kQueryTestScale;
+  report::Runner runner(opt);
+  runner.adopt_source(Year::Y2015, src);
+
+  const std::map<std::string, int> kExpected = {
+      {"ablate_home_threshold", 1}, {"ablate_rssi_cutoff", 1},
+      {"ablate_user_bands", 2},     {"fig02", 1},
+      {"fig03", 0},   {"fig04", 0},   {"fig05", 0},   {"fig06", 1},
+      {"fig07", 0},   {"fig08", 0},   {"fig09", 1},   {"fig10", 1},
+      {"fig11", 1},   {"fig12", 1},   {"fig13", 1},   {"fig14", 0},
+      {"fig15", 1},   {"fig16", 1},   {"fig17", 1},   {"fig18", 0},
+      {"fig19", 0},   {"sec35_opportunity", 1},       {"sec41_offload", 0},
+      {"sec42_battery", 1},           {"sec43_shared_aps", 0},
+      {"table01", 1}, {"table02", 0}, {"table04", 0}, {"table05", 1},
+      {"table06", 1}, {"table07", 0}, {"table08", 0}, {"table09", 0}};
+  std::size_t rendered = 0;
+  for (const report::FigureSpec& spec :
+       report::FigureRegistry::instance().figures()) {
+    if (!spec.per_year()) continue;
+    ASSERT_TRUE(spec.applies_to(Year::Y2015)) << spec.id;
+    const auto expected = kExpected.find(spec.id);
+    ASSERT_NE(expected, kExpected.end()) << spec.id;
+    const int before = src.passes();
+    (void)runner.run(spec, Year::Y2015);
+    EXPECT_EQ(src.passes() - before, expected->second) << spec.id;
+    ++rendered;
+  }
+  EXPECT_EQ(rendered, kExpected.size());
+  EXPECT_EQ(rendered, 33u);
+  EXPECT_EQ(src.passes(), 19);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ TEST(Robustness, EmptyDatasetEverywhere) {
   EXPECT_TRUE(days.empty());
   EXPECT_EQ(cls.counts().total, 0);
   EXPECT_EQ(detect_updates(ds).num_ios, 0);
-  EXPECT_EQ(scan_availability(src).all_24.size(), 0u);
+  EXPECT_EQ(scan_availability(src).all_24.samples(), 0u);
   EXPECT_EQ(offload_opportunity(src).num_wifi_available_users, 0);
   const CapAnalysis cap = analyze_cap(ds.devices.size(), days);
   EXPECT_DOUBLE_EQ(cap.capped_user_share, 0.0);
