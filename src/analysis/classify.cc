@@ -1,11 +1,11 @@
 #include "analysis/classify.h"
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <memory>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/query/source.h"
@@ -48,6 +48,31 @@ struct BinWindows {
   }
 };
 
+/// Per-AP counts of one device: a handful of APs, so a flat list.
+using ApCounts = std::vector<std::pair<std::uint32_t, int>>;
+
+void add_count(ApCounts& counts, std::uint32_t ap, int n) {
+  const auto it = std::find_if(counts.begin(), counts.end(),
+                               [ap](const auto& c) { return c.first == ap; });
+  if (it == counts.end()) {
+    counts.emplace_back(ap, n);
+  } else {
+    it->second += n;
+  }
+}
+
+/// The AP with the largest count, the lowest AP id among equal counts
+/// (kNoAp and 0 when `counts` is empty).
+[[nodiscard]] std::pair<std::uint32_t, int> max_count(const ApCounts& counts) {
+  std::pair<std::uint32_t, int> best{value(kNoAp), 0};
+  for (const auto& [ap, n] : counts) {
+    if (n > best.second || (n == best.second && ap < best.first)) {
+      best = {ap, n};
+    }
+  }
+  return best;
+}
+
 /// Association statistics one device contributes to the per-AP
 /// aggregates, plus its home-AP verdict under each threshold of the
 /// sweep. A device touches only a handful of APs, so this stays compact
@@ -71,36 +96,27 @@ struct DeviceApStats {
                                         const BinWindows& win, std::size_t d,
                                         std::span<const int> min_bins) {
   DeviceApStats stats;
-  std::unordered_map<std::uint32_t, std::size_t> ap_index;
-  std::unordered_map<std::uint32_t, int> night_counts;  // per window
+  ApCounts night_counts;  // per window
   // Each nightly window's most-present AP and its bins, in window order.
   std::vector<std::pair<std::uint32_t, int>> nights;
 
   // Nightly windows: a window belongs to the day it starts in (22:00 of
   // day d through 06:00 of day d+1). Within a window, a run of one AP
   // is added to night_counts once, when another AP starts or the window
-  // closes; keys therefore arrive in first-association order, as a
-  // per-sample count would insert them. The first morning's window
-  // starts on day -1, so "no open window" needs a day no window has.
+  // closes. The first morning's window starts on day -1, so "no open
+  // window" needs a day no window has.
   constexpr int kNoWindow = std::numeric_limits<int>::min();
   int window_day = kNoWindow;
   std::uint32_t run_ap = value(kNoAp);
   int run_bins = 0;
   auto flush_window = [&]() {
     if (window_day == kNoWindow) return;
-    if (run_bins > 0) night_counts[run_ap] += run_bins;
+    if (run_bins > 0) add_count(night_counts, run_ap, run_bins);
     run_ap = value(kNoAp);
     run_bins = 0;
     // Most-present AP in this night's window.
-    std::uint32_t best_ap = value(kNoAp);
-    int best = 0;
-    for (const auto& [ap, n] : night_counts) {
-      if (n > best) {
-        best = n;
-        best_ap = ap;
-      }
-    }
-    if (best > 0) nights.emplace_back(best_ap, best);
+    const auto best = max_count(night_counts);
+    if (best.second > 0) nights.push_back(best);
     night_counts.clear();
     window_day = kNoWindow;
   };
@@ -124,13 +140,12 @@ struct DeviceApStats {
         state[i] == WifiState::Associated && ap != value(kNoAp);
     if (associated) {
       if (ap != last_ap) {
-        const auto [it, inserted] = ap_index.try_emplace(ap, stats.aps.size());
-        if (inserted) {
-          stats.aps.emplace_back();
-          stats.aps.back().ap = ap;
+        last_slot = 0;
+        while (last_slot < stats.aps.size() && stats.aps[last_slot].ap != ap) {
+          ++last_slot;
         }
+        if (last_slot == stats.aps.size()) stats.aps.emplace_back().ap = ap;
         last_ap = ap;
-        last_slot = it->second;
         last_cell = kNoGeoCell;
       }
       DeviceApStats::PerAp& per_ap = stats.aps[last_slot];
@@ -153,7 +168,7 @@ struct DeviceApStats {
       }
       if (associated) {
         if (ap != run_ap) {
-          if (run_bins > 0) night_counts[run_ap] += run_bins;
+          if (run_bins > 0) add_count(night_counts, run_ap, run_bins);
           run_ap = ap;
           run_bins = 0;
         }
@@ -165,24 +180,17 @@ struct DeviceApStats {
   }
   flush_window();
 
-  // Each threshold replays the nightly candidates into a fresh vote map;
-  // the device's home AP is its most frequent candidate (the first
-  // maximum in the map's iteration order).
+  // Each threshold replays the nightly candidates into fresh votes; the
+  // device's home AP is its most frequent candidate, the lowest AP id
+  // among equal votes.
   stats.home_ap.reserve(min_bins.size());
+  ApCounts home_votes;
   for (const int need : min_bins) {
-    std::unordered_map<std::uint32_t, int> home_votes;
+    home_votes.clear();
     for (const auto& [ap, n] : nights) {
-      if (n >= need) ++home_votes[ap];
+      if (n >= need) add_count(home_votes, ap, 1);
     }
-    std::uint32_t home = value(kNoAp);
-    int best = 0;
-    for (const auto& [ap, votes] : home_votes) {
-      if (votes > best) {
-        best = votes;
-        home = ap;
-      }
-    }
-    stats.home_ap.push_back(home);
+    stats.home_ap.push_back(max_count(home_votes).first);
   }
   return stats;
 }

@@ -91,17 +91,26 @@ std::vector<UserDay> user_days(const Dataset& ds, const UserDayOptions& opt) {
   return out;
 }
 
-UserClassifier::UserClassifier(const std::vector<UserDay>& days,
-                               double light_lo_pct, double light_hi_pct,
-                               double heavy_pct) {
+std::vector<double> sorted_rx_mb(const std::vector<UserDay>& days) {
   std::vector<double> rx;
   rx.reserve(days.size());
   for (const UserDay& d : days) rx.push_back(d.total_rx_mb());
   std::sort(rx.begin(), rx.end());
-  light_lo_ = stats::percentile_sorted(rx, light_lo_pct);
-  light_hi_ = stats::percentile_sorted(rx, light_hi_pct);
-  heavy_ = stats::percentile_sorted(rx, heavy_pct);
+  return rx;
 }
+
+UserClassifier::UserClassifier(const std::vector<UserDay>& days,
+                               double light_lo_pct, double light_hi_pct,
+                               double heavy_pct)
+    : UserClassifier(sorted_rx_mb(days), light_lo_pct, light_hi_pct,
+                     heavy_pct) {}
+
+UserClassifier::UserClassifier(std::span<const double> sorted_rx,
+                               double light_lo_pct, double light_hi_pct,
+                               double heavy_pct)
+    : light_lo_(stats::percentile_sorted(sorted_rx, light_lo_pct)),
+      light_hi_(stats::percentile_sorted(sorted_rx, light_hi_pct)),
+      heavy_(stats::percentile_sorted(sorted_rx, heavy_pct)) {}
 
 UserClass UserClassifier::classify(const UserDay& d) const noexcept {
   const double rx = d.total_rx_mb();

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/records.h"
@@ -55,6 +56,11 @@ struct UserDayOptions {
 /// be light one day and heavy another.
 enum class UserClass : std::uint8_t { Light, Heavy, Neither };
 
+/// Every user-day's total download in MB, sorted ascending: what a
+/// UserClassifier's percentiles read.
+[[nodiscard]] std::vector<double> sorted_rx_mb(
+    const std::vector<UserDay>& days);
+
 /// Classifies every user-day by its total download volume.
 class UserClassifier {
  public:
@@ -62,6 +68,10 @@ class UserClassifier {
   explicit UserClassifier(const std::vector<UserDay>& days,
                           double light_lo_pct = 40, double light_hi_pct = 60,
                           double heavy_pct = 95);
+
+  /// From sorted_rx_mb(days), so several bands share one sorted copy.
+  UserClassifier(std::span<const double> sorted_rx, double light_lo_pct,
+                 double light_hi_pct, double heavy_pct);
 
   [[nodiscard]] UserClass classify(const UserDay& d) const noexcept;
   [[nodiscard]] double light_lo() const noexcept { return light_lo_; }

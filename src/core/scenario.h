@@ -178,8 +178,9 @@ struct ScenarioConfig {
 /// generator, re-ordered draws, or a transform rewrite — so cached
 /// campaigns keyed by scenario_hash() are regenerated instead of replayed
 /// from a stale snapshot. v2: counter-based Philox4x32 streams replaced
-/// the sequential per-device xoshiro walk.
-inline constexpr int kRngVersion = 2;
+/// the sequential per-device generator walk. v3: population, survey and
+/// deployment draw from Philox coordinates too.
+inline constexpr int kRngVersion = 3;
 
 /// Stable 64-bit digest of every simulation-relevant field of a
 /// ScenarioConfig (including seed and scale) plus the generator version

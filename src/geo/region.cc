@@ -28,7 +28,7 @@ TokyoRegion::TokyoRegion() : grid_(36, 30) {}
 
 std::span<const City> TokyoRegion::cities() const noexcept { return kCities; }
 
-Point TokyoRegion::sample_mixture(stats::Rng& rng, bool office) const {
+Point TokyoRegion::sample_mixture(stats::PhiloxRng& rng, bool office) const {
   std::array<double, kCities.size()> w;
   for (std::size_t i = 0; i < kCities.size(); ++i) {
     w[i] = office ? kCities[i].office_weight : kCities[i].home_weight;
@@ -41,15 +41,15 @@ Point TokyoRegion::sample_mixture(stats::Rng& rng, bool office) const {
   return p;
 }
 
-Point TokyoRegion::sample_home(stats::Rng& rng) const {
+Point TokyoRegion::sample_home(stats::PhiloxRng& rng) const {
   return sample_mixture(rng, /*office=*/false);
 }
 
-Point TokyoRegion::sample_office(stats::Rng& rng) const {
+Point TokyoRegion::sample_office(stats::PhiloxRng& rng) const {
   return sample_mixture(rng, /*office=*/true);
 }
 
-Point TokyoRegion::sample_public_spot(stats::Rng& rng) const {
+Point TokyoRegion::sample_public_spot(stats::PhiloxRng& rng) const {
   // 70% of public spots follow the downtown/office density (stations,
   // shopping districts), 30% the residential density (suburban stations,
   // convenience stores).

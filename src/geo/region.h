@@ -5,7 +5,7 @@
 #include <span>
 
 #include "geo/grid.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::geo {
 
@@ -21,14 +21,14 @@ class TokyoRegion {
   [[nodiscard]] std::span<const City> cities() const noexcept;
 
   /// Draws a residential location (home-weight mixture).
-  [[nodiscard]] Point sample_home(stats::Rng& rng) const;
+  [[nodiscard]] Point sample_home(stats::PhiloxRng& rng) const;
   /// Draws a workplace location (office-weight mixture; much more
   /// concentrated downtown).
-  [[nodiscard]] Point sample_office(stats::Rng& rng) const;
+  [[nodiscard]] Point sample_office(stats::PhiloxRng& rng) const;
   /// Draws a public-space location (cafes, stations, streets): a blend of
   /// the office mixture (downtown hotspots) and the home mixture
   /// (suburban stations/shops).
-  [[nodiscard]] Point sample_public_spot(stats::Rng& rng) const;
+  [[nodiscard]] Point sample_public_spot(stats::PhiloxRng& rng) const;
 
   /// Relative activity density of a cell in [0, 1]: how "downtown" it
   /// is. Drives public AP deployment density.
@@ -43,7 +43,7 @@ class TokyoRegion {
   }
 
  private:
-  [[nodiscard]] Point sample_mixture(stats::Rng& rng, bool office) const;
+  [[nodiscard]] Point sample_mixture(stats::PhiloxRng& rng, bool office) const;
 
   Grid grid_;
 };

@@ -4,12 +4,10 @@
 #include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
 #include <span>
-#include <string_view>
 #include <system_error>
 #include <thread>
 
@@ -384,9 +382,6 @@ SnapshotResult ShardedDataset::open(const fs::path& dir, ShardedDataset& out,
   for (std::size_t i = 0; i < n_shards; ++i) {
     out.payload_verified_.get()[i].store(false, std::memory_order_relaxed);
   }
-  const char* verify_env = std::getenv("TOKYONET_SHARD_VERIFY");
-  out.verify_always_ =
-      verify_env != nullptr && std::string_view(verify_env) == "always";
   return result;
 }
 
@@ -405,17 +400,17 @@ SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
   // differs from what its section table implies, or whose header is not
   // the one the manifest recorded, is rejected before it is mapped or
   // hashed. Payload checksums are rehashed only on the shard's first
-  // load this open (or always, under TOKYONET_SHARD_VERIFY=always). The
-  // file carries no AP universe, so the shared one is installed before
-  // the columns are validated against it — on every load. The
-  // universe's own checks ran once, when open() loaded it.
+  // load this open. The file carries no AP universe, so the shared one
+  // is installed before the columns are validated against it — on
+  // every load. The universe's own checks ran once, when open() loaded
+  // it.
   SnapshotLoadOptions sopts = opts;
   sopts.universe = &universe_;
   sopts.expect_header_checksum = entry.header_checksum;
   const bool verified =
       payload_verified_ != nullptr &&
       payload_verified_.get()[i].load(std::memory_order_acquire);
-  if (verified && !verify_always_) sopts.verify_payload = false;
+  if (verified) sopts.verify_payload = false;
   result = load_snapshot(path, out, sopts);
   if (!result.ok()) return result;
   if (payload_verified_ != nullptr && sopts.verify_payload) {

@@ -161,9 +161,8 @@ class ShardedDataset {
   /// Payload checksums are verified once per open: the first load of a
   /// shard rehashes every section; later loads of the same shard skip
   /// the rehash (header and manifest identity checks always run).
-  /// Setting TOKYONET_SHARD_VERIFY=always before open() restores the
-  /// rehash on every load. Thread-safe for distinct or equal `i` — the
-  /// once-per-open bookkeeping is atomic.
+  /// Thread-safe for distinct or equal `i` — the once-per-open
+  /// bookkeeping is atomic.
   [[nodiscard]] SnapshotResult load_shard(std::size_t i, Dataset& out,
                                           const SnapshotLoadOptions& opts = {});
 
@@ -178,7 +177,6 @@ class ShardedDataset {
   // prefetcher's loader thread and direct load_shard() callers never
   // race on the bookkeeping.
   std::shared_ptr<std::atomic<bool>[]> payload_verified_;
-  bool verify_always_ = false;  // TOKYONET_SHARD_VERIFY=always
 };
 
 /// Asynchronous shard loader for pipelined scans (DESIGN.md §5j): a

@@ -108,8 +108,7 @@ struct SnapshotLoadOptions {
   /// header and section-table checksum is always verified). Only for
   /// callers that have already payload-verified the same file in this
   /// process — io/shard_store verifies each shard once per open and
-  /// skips the rehash on later loads (TOKYONET_SHARD_VERIFY=always
-  /// restores the per-load rehash).
+  /// skips the rehash on later loads.
   bool verify_payload = true;
 };
 

@@ -6,12 +6,15 @@ namespace tokyonet::net {
 namespace {
 
 // Channel weights over 1..13 per policy. FactoryDefaultHeavy reproduces
-// the 2013 home-AP Ch1 concentration of Fig 16(a); AutoSelect the more
-// dispersed 2015 shape of Fig 16(b).
+// the 2013 home-AP Ch1 concentration of Fig 16(a); AutoSelect, the
+// interference-avoiding firmware that replaces it by 2015 (§3.4.5),
+// settles on the non-overlapping channels and mostly off the crowded
+// Ch1, which relaxes the pile-up of Fig 16(b) and makes overlapping
+// same-cell home pairs rarer.
 constexpr std::array<double, 13> kFactoryDefaultWeights{
     0.38, 0.05, 0.05, 0.04, 0.04, 0.09, 0.04, 0.04, 0.03, 0.04, 0.11, 0.05, 0.04};
 constexpr std::array<double, 13> kAutoSelectWeights{
-    0.14, 0.05, 0.06, 0.06, 0.06, 0.13, 0.06, 0.06, 0.06, 0.06, 0.13, 0.07, 0.06};
+    0.12, 0.02, 0.02, 0.02, 0.02, 0.34, 0.02, 0.02, 0.02, 0.02, 0.34, 0.02, 0.02};
 constexpr std::array<double, 13> kPlannedWeights{
     0.30, 0.01, 0.01, 0.01, 0.01, 0.29, 0.01, 0.01, 0.01, 0.01, 0.28, 0.03, 0.02};
 
@@ -20,7 +23,8 @@ constexpr std::array<std::uint8_t, 8> k5GhzChannels{36, 40, 44, 48,
 
 }  // namespace
 
-std::uint8_t pick_channel_24(ChannelPolicy policy, stats::Rng& rng) noexcept {
+std::uint8_t pick_channel_24(ChannelPolicy policy,
+                             stats::PhiloxRng& rng) noexcept {
   const std::array<double, 13>* weights = nullptr;
   switch (policy) {
     case ChannelPolicy::FactoryDefaultHeavy:
@@ -36,7 +40,7 @@ std::uint8_t pick_channel_24(ChannelPolicy policy, stats::Rng& rng) noexcept {
   return static_cast<std::uint8_t>(1 + rng.categorical(*weights));
 }
 
-std::uint8_t pick_channel_5(stats::Rng& rng) noexcept {
+std::uint8_t pick_channel_5(stats::PhiloxRng& rng) noexcept {
   return k5GhzChannels[rng.uniform_int(k5GhzChannels.size())];
 }
 

@@ -9,7 +9,7 @@
 #include <cstdint>
 
 #include "core/types.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::net {
 
@@ -22,10 +22,10 @@ enum class ChannelPolicy : std::uint8_t {
 
 /// Draws a 2.4 GHz channel (1..13) under `policy`.
 [[nodiscard]] std::uint8_t pick_channel_24(ChannelPolicy policy,
-                                           stats::Rng& rng) noexcept;
+                                           stats::PhiloxRng& rng) noexcept;
 
 /// Draws a 5 GHz channel from the W52/W53/W56 sets used in Japan.
-[[nodiscard]] std::uint8_t pick_channel_5(stats::Rng& rng) noexcept;
+[[nodiscard]] std::uint8_t pick_channel_5(stats::PhiloxRng& rng) noexcept;
 
 /// Home channel policy mix per campaign year: the share of home APs that
 /// still use the factory-default behaviour (shrinks over the years).

@@ -19,7 +19,7 @@ constexpr std::uint64_t kOuiMobile = 0x00266Cull << 24;
 }  // namespace
 
 Deployment::Deployment(const ScenarioConfig& config,
-                       const geo::TokyoRegion& region, stats::Rng& rng)
+                       const geo::TokyoRegion& region, stats::PhiloxRng& rng)
     : config_(&config),
       region_(&region),
       essids_(static_cast<int>(config.year)) {
@@ -118,7 +118,7 @@ std::uint64_t Deployment::next_bssid(ApPlacement placement) noexcept {
   return oui | bssid_serial_;
 }
 
-ApId Deployment::create_home_ap(geo::Point where, stats::Rng& rng) {
+ApId Deployment::create_home_ap(geo::Point where, stats::PhiloxRng& rng) {
   const DeploymentParams& dep = config_->deployment;
   AccessPoint ap;
   ap.location = where;
@@ -140,7 +140,7 @@ ApId Deployment::create_home_ap(geo::Point where, stats::Rng& rng) {
   return append(std::move(ap));
 }
 
-ApId Deployment::create_office_ap(geo::Point where, stats::Rng& rng) {
+ApId Deployment::create_office_ap(geo::Point where, stats::PhiloxRng& rng) {
   const DeploymentParams& dep = config_->deployment;
   AccessPoint ap;
   ap.location = where;
@@ -183,7 +183,7 @@ double Deployment::draw_association_distance_m(ApPlacement placement,
     case ApPlacement::Office:
       return rng.lognormal(std::log(15.0), 0.50);
     case ApPlacement::Public:
-      return rng.lognormal(std::log(21.0), 0.72);
+      return rng.lognormal(std::log(18.0), 0.55);
     case ApPlacement::OtherVenue:
       return rng.lognormal(std::log(12.0), 0.55);
     case ApPlacement::MobileHotspot:

@@ -17,7 +17,6 @@
 #include "net/essid.h"
 #include "net/radio.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace tokyonet::net {
 
@@ -33,7 +32,7 @@ class Deployment {
  public:
   /// Deploys the public/venue/mobile universe for `config`.
   Deployment(const ScenarioConfig& config, const geo::TokyoRegion& region,
-             stats::Rng& rng);
+             stats::PhiloxRng& rng);
 
   Deployment(const Deployment&) = delete;
   Deployment& operator=(const Deployment&) = delete;
@@ -42,10 +41,10 @@ class Deployment {
 
   /// Creates a home AP at `where` for one household. A small fraction are
   /// FON community boxes broadcasting the public FON ESSID (§3.4.1).
-  [[nodiscard]] ApId create_home_ap(geo::Point where, stats::Rng& rng);
+  [[nodiscard]] ApId create_home_ap(geo::Point where, stats::PhiloxRng& rng);
 
   /// Creates an office AP at `where` for one BYOD workplace.
-  [[nodiscard]] ApId create_office_ap(geo::Point where, stats::Rng& rng);
+  [[nodiscard]] ApId create_office_ap(geo::Point where, stats::PhiloxRng& rng);
 
   [[nodiscard]] const std::vector<AccessPoint>& aps() const noexcept {
     return aps_;

@@ -42,7 +42,7 @@ constexpr std::array<std::string_view, 5> kVenuePrefixes{
     "cafe-wifi-", "hotel-guest-", "shop-ap-", "salon-net-", "guest-",
 };
 
-std::string with_hex_suffix(std::string_view prefix, stats::Rng& rng,
+std::string with_hex_suffix(std::string_view prefix, stats::PhiloxRng& rng,
                             int digits) {
   std::string out{prefix};
   static constexpr char kHex[] = "0123456789ABCDEF";
@@ -65,7 +65,7 @@ bool is_fon_essid(std::string_view essid) noexcept {
   return essid == kFonEssid;
 }
 
-std::string EssidFactory::home(stats::Rng& rng) const {
+std::string EssidFactory::home(stats::PhiloxRng& rng) const {
   const auto& prefix =
       kHomeVendorPrefixes[rng.uniform_int(kHomeVendorPrefixes.size())];
   return with_hex_suffix(prefix, rng, 6);
@@ -73,12 +73,12 @@ std::string EssidFactory::home(stats::Rng& rng) const {
 
 std::string EssidFactory::home_fon() const { return std::string{kFonEssid}; }
 
-std::string EssidFactory::office(stats::Rng& rng) const {
+std::string EssidFactory::office(stats::PhiloxRng& rng) const {
   const auto& prefix = kOfficePrefixes[rng.uniform_int(kOfficePrefixes.size())];
   return with_hex_suffix(prefix, rng, 4);
 }
 
-std::string EssidFactory::public_hotspot(stats::Rng& rng) const {
+std::string EssidFactory::public_hotspot(stats::PhiloxRng& rng) const {
   std::array<double, kPublicProviders.size()> w;
   for (std::size_t i = 0; i < kPublicProviders.size(); ++i) {
     w[i] = kPublicProviders[i].weight[year_];
@@ -86,12 +86,12 @@ std::string EssidFactory::public_hotspot(stats::Rng& rng) const {
   return std::string{kPublicProviders[rng.categorical(w)].essid};
 }
 
-std::string EssidFactory::venue(stats::Rng& rng) const {
+std::string EssidFactory::venue(stats::PhiloxRng& rng) const {
   const auto& prefix = kVenuePrefixes[rng.uniform_int(kVenuePrefixes.size())];
   return with_hex_suffix(prefix, rng, 4);
 }
 
-std::string EssidFactory::mobile_hotspot(stats::Rng& rng) const {
+std::string EssidFactory::mobile_hotspot(stats::PhiloxRng& rng) const {
   return with_hex_suffix("PocketWiFi-", rng, 6);
 }
 

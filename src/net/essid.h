@@ -8,7 +8,7 @@
 #include <string>
 #include <string_view>
 
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::net {
 
@@ -31,13 +31,13 @@ class EssidFactory {
   /// `year_index`: 0 = 2013, 1 = 2014, 2 = 2015.
   explicit EssidFactory(int year_index) noexcept : year_(year_index) {}
 
-  [[nodiscard]] std::string home(stats::Rng& rng) const;
+  [[nodiscard]] std::string home(stats::PhiloxRng& rng) const;
   /// A small fraction of "home" routers are FON boxes.
   [[nodiscard]] std::string home_fon() const;
-  [[nodiscard]] std::string office(stats::Rng& rng) const;
-  [[nodiscard]] std::string public_hotspot(stats::Rng& rng) const;
-  [[nodiscard]] std::string venue(stats::Rng& rng) const;
-  [[nodiscard]] std::string mobile_hotspot(stats::Rng& rng) const;
+  [[nodiscard]] std::string office(stats::PhiloxRng& rng) const;
+  [[nodiscard]] std::string public_hotspot(stats::PhiloxRng& rng) const;
+  [[nodiscard]] std::string venue(stats::PhiloxRng& rng) const;
+  [[nodiscard]] std::string mobile_hotspot(stats::PhiloxRng& rng) const;
 
  private:
   int year_;

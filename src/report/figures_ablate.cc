@@ -97,8 +97,9 @@ Table ablate_user_bands(const FigureContext& ctx) {
            "separation"});
   constexpr Bands kBands[] = {{30, 70, 95}, {40, 60, 95}, {45, 55, 95},
                               {40, 60, 99}, {40, 60, 90}};
+  const std::vector<double> rx = analysis::sorted_rx_mb(days);
   std::vector<analysis::UserClassifier> classes;
-  for (const Bands& b : kBands) classes.emplace_back(days, b.lo, b.hi, b.heavy);
+  for (const Bands& b : kBands) classes.emplace_back(rx, b.lo, b.hi, b.heavy);
   // Every band's profiles from one pass.
   const std::vector<analysis::WifiRatios> ratios =
       analysis::compute_wifi_ratios(ctx.source(), days, classes);

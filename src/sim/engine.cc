@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "sim/survey.h"
 #include "sim/user.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 #include "stats/tables.h"
 
 namespace tokyonet::sim {
@@ -26,14 +26,28 @@ namespace {
 using geo::Point;
 using net::Deployment;
 
-// Counter-stream lanes: every hot-path draw is keyed by
-// (campaign seed, device id, lane, slot). Setup draws (persistent radio
-// conditions) use one fixed lane per device; each day's schedule-level
-// draws use a day lane; each bin's draws use the global bin index as
-// the lane. Lanes never collide: bins stay below kLaneDayBase
-// (26 days * 144 bins = 3744) and days below the setup lane.
+// Counter-stream coordinates: every draw is keyed by (campaign seed,
+// stream, lane, slot), where the stream is a device id. A device's
+// profile, its survey answers and its persistent radio conditions each
+// use one fixed lane; each day's schedule-level draws use a day lane;
+// each bin's draws use the global bin index as the lane. The draws the
+// whole campaign shares (the public, venue and mobile AP deployment,
+// the phases of the population's share sequences) use one reserved
+// stream above every device id.
 constexpr std::uint32_t kLaneDayBase = 0x00010000u;
 constexpr std::uint32_t kLaneSetup = 0xFFFF0000u;
+constexpr std::uint32_t kLanePopulation = 0xFFFF0001u;
+constexpr std::uint32_t kLaneSurvey = 0xFFFF0002u;
+constexpr std::uint32_t kStreamShared = 0xFFFFFFFFu;
+
+// Lanes never collide: a bin lane is a TimeBin, below kLaneDayBase; a
+// calendar of TimeBins holds at most 455 days, so the day lanes end
+// below the setup lane; the population and survey lanes follow it.
+constexpr std::uint32_t kMaxDays =
+    (std::numeric_limits<TimeBin>::max() + 1u) / kBinsPerDay;
+static_assert(std::numeric_limits<TimeBin>::max() < kLaneDayBase);
+static_assert(kLaneDayBase + kMaxDays <= kLaneSetup);
+static_assert(kLaneSetup < kLanePopulation && kLanePopulation < kLaneSurvey);
 
 /// Bin-lane blocks computed ahead per device-day (PhiloxRng::reseat's
 /// prefill). An Android bin draws its app mix and scan summary and
@@ -151,9 +165,11 @@ struct CampaignEngine::Impl {
   Impl(const ScenarioConfig& config, std::size_t device_block)
       : config_(config),
         device_block_(std::max<std::size_t>(device_block, 1)),
-        root_rng_(config_.seed),
         region_(),
-        deployment_(config_, region_, root_rng_),
+        deployment_([this] {
+          stats::PhiloxRng rng(config_.seed, kStreamShared, kLaneSetup);
+          return Deployment(config_, region_, rng);
+        }()),
         mixer_(config_.year) {
     // The binomial CDFs of the six dwell-fixed strong-scan thinning
     // probabilities (three environments x two bands): emit_scan's draws
@@ -168,20 +184,20 @@ struct CampaignEngine::Impl {
                         stats::BinomialCdfTable(p5, kStrongCdfN)};
     }
 
-    // Campaign-global population state. Rng::fork() is const — it never
-    // advances root_rng_ — so taking both forks here preserves the draw
-    // sequence the one-shot runner produced.
-    stats::Rng pop_rng = root_rng_.fork(0xA11CE);
-    PopulationBuilder builder(config_, region_);
-    users_ = builder.build(deployment_, pop_rng);
+    // The population: each user's draws come from its own lane and the
+    // phases of the share sequences from the shared stream, but the home
+    // and office APs a user creates take the next AP ids, so users are
+    // built in order.
+    stats::PhiloxRng shares_rng(config_.seed, kStreamShared, kLanePopulation);
+    users_ = build_population(config_, region_, deployment_, kLanePopulation,
+                              shares_rng);
+    // Device streams must stay below the shared stream.
+    assert(users_.size() <= kStreamShared);
     assign_mobile_hotspots();
 
     // Survey answers depend only on profiles (never on samples), so they
     // are drawn once up front and sliced per block afterwards.
-    Dataset scratch;
-    stats::Rng survey_rng = root_rng_.fork(0x50BE);
-    build_survey(config_, users_, survey_rng, scratch);
-    survey_all_ = std::move(scratch.survey);
+    survey_all_ = build_survey(config_, users_, kLaneSurvey);
   }
 
   Dataset run_block(std::size_t begin, std::size_t end, bool with_universe) {
@@ -190,7 +206,7 @@ struct CampaignEngine::Impl {
     ds.year = config_.year;
     ds.calendar = CampaignCalendar(config_.start_date, config_.num_days);
 
-    PopulationBuilder::export_range(users_, begin, end, region_, ds);
+    export_population(users_, begin, end, region_, ds);
     ds.survey.assign(survey_all_.begin() + static_cast<std::ptrdiff_t>(begin),
                      survey_all_.begin() + static_cast<std::ptrdiff_t>(end));
 
@@ -779,7 +795,6 @@ struct CampaignEngine::Impl {
 
   ScenarioConfig config_;
   std::size_t device_block_;
-  stats::Rng root_rng_;
   geo::TokyoRegion region_;
   Deployment deployment_;
   app::AppMixer mixer_;

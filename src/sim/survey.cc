@@ -31,7 +31,7 @@ constexpr ReasonProfile kPublic[3] = {
 
 void fill_reasons(SurveyResponse& r, SurveyLocation loc,
                   const ReasonProfile& p, bool truly_no_ap, int year,
-                  stats::Rng& rng) {
+                  stats::PhiloxRng& rng) {
   // Users who genuinely lack an AP lean on "no available APs" /
   // "no configuration"; others sample the population profile.
   const double no_aps = truly_no_ap ? p.no_aps * 1.5 : p.no_aps * 0.6;
@@ -51,14 +51,15 @@ void fill_reasons(SurveyResponse& r, SurveyLocation loc,
 
 }  // namespace
 
-void build_survey(const ScenarioConfig& config,
-                  const std::vector<UserProfile>& users, stats::Rng& rng,
-                  Dataset& dataset) {
+std::vector<SurveyResponse> build_survey(const ScenarioConfig& config,
+                                         const std::vector<UserProfile>& users,
+                                         std::uint32_t lane) {
   const int year = static_cast<int>(config.year);
-  dataset.survey.assign(users.size(), SurveyResponse{});
+  std::vector<SurveyResponse> survey(users.size());
 
   for (const UserProfile& u : users) {
     if (!u.recruited) continue;
+    stats::PhiloxRng rng(config.seed, value(u.id), lane);
     SurveyResponse r;
     r.occupation = u.occupation;
 
@@ -100,8 +101,9 @@ void build_survey(const ScenarioConfig& config,
       fill_reasons(r, SurveyLocation::Public, kPublic[year],
                    !u.uses_public_wifi, year, rng);
     }
-    dataset.survey[value(u.id)] = r;
+    survey[value(u.id)] = r;
   }
+  return survey;
 }
 
 }  // namespace tokyonet::sim

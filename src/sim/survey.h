@@ -12,14 +12,14 @@
 #include "core/records.h"
 #include "core/scenario.h"
 #include "sim/user.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::sim {
 
-/// Fills `dataset.survey` (parallel to devices; only recruited users
-/// participate).
-void build_survey(const ScenarioConfig& config,
-                  const std::vector<UserProfile>& users, stats::Rng& rng,
-                  Dataset& dataset);
+/// One response per user, parallel to `users`; only recruited users
+/// answer. User i answers from PhiloxRng(config.seed, i, lane).
+[[nodiscard]] std::vector<SurveyResponse> build_survey(
+    const ScenarioConfig& config, const std::vector<UserProfile>& users,
+    std::uint32_t lane);
 
 }  // namespace tokyonet::sim

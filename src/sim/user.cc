@@ -1,12 +1,44 @@
 #include "sim/user.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace tokyonet::sim {
 namespace {
 
-[[nodiscard]] bool occupation_works(Occupation o, stats::Rng& rng) {
+/// Panel shares realized as shares: a trait the scenario gives as a
+/// share of the panel reads user i's point frac(phase + i * step) on its
+/// own additive sequence instead of an independent draw. Every run of
+/// consecutive users (each OS's recruits, the whole panel) then holds
+/// the share to within a user or two; independent draws wander by a few
+/// points at a few hundred devices, enough to reverse a year-to-year
+/// direction or to leave a 2 % habit with no user. The steps are
+/// quadratic irrationals independent over the rationals, so the traits
+/// are also jointly equidistributed.
+class ShareSequences {
+ public:
+  enum Trait { kArchetype, kTetherer, kMobileHotspot, kUpdateSeeker, kCount };
+
+  /// One phase per trait, drawn from `rng`.
+  explicit ShareSequences(stats::PhiloxRng& rng) {
+    for (double& p : phase_) p = rng.uniform();
+  }
+
+  /// User `i`'s uniform in [0, 1) for `trait`.
+  [[nodiscard]] double at(Trait trait, int i) const {
+    return std::fmod(phase_[trait] + i * kStep[trait], 1.0);
+  }
+
+ private:
+  // (sqrt(5) - 1) / 2, sqrt(2) - 1, sqrt(3) - 1, sqrt(7) - 2.
+  static constexpr double kStep[kCount] = {
+      0.6180339887498949, 0.4142135623730951, 0.7320508075688772,
+      0.6457513110645906};
+  std::array<double, kCount> phase_{};
+};
+
+[[nodiscard]] bool occupation_works(Occupation o, stats::PhiloxRng& rng) {
   switch (o) {
     case Occupation::GovernmentWorker:
     case Occupation::OfficeWorker:
@@ -30,13 +62,11 @@ namespace {
 
 }  // namespace
 
-PopulationBuilder::PopulationBuilder(const ScenarioConfig& config,
-                                     const geo::TokyoRegion& region)
-    : config_(&config), region_(&region) {}
-
-std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
-                                                  stats::Rng& rng) const {
-  const ScenarioConfig& cfg = *config_;
+std::vector<UserProfile> build_population(const ScenarioConfig& cfg,
+                                          const geo::TokyoRegion& region,
+                                          net::Deployment& deployment,
+                                          std::uint32_t lane,
+                                          stats::PhiloxRng& shares_rng) {
   const AdoptionParams& adopt = cfg.adoption;
 
   const int n_android = cfg.scaled(cfg.population.n_android);
@@ -47,6 +77,7 @@ std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
 
   std::vector<UserProfile> users;
   users.reserve(static_cast<std::size_t>(n_total));
+  const ShareSequences shares(shares_rng);
 
   // Home-AP ownership per archetype. Cellular-intensive users mostly lack
   // (or never configured) a usable home AP; WiFi-intensive users nearly
@@ -65,6 +96,7 @@ std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
   for (int i = 0; i < n_total; ++i) {
     UserProfile u;
     u.id = DeviceId{static_cast<std::uint32_t>(i)};
+    stats::PhiloxRng rng(cfg.seed, value(u.id), lane);
     u.os = i < n_android ? Os::Android
            : i < n_android + n_ios ? Os::Ios
            : (rng.bernoulli(0.5) ? Os::Android : Os::Ios);
@@ -83,13 +115,13 @@ std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
     // population-wide target.
     const double cell_frac_os = u.os == Os::Ios ? f_cell * 0.75
                                                 : f_cell * 1.22;
-    const double arch = rng.uniform();
+    const double arch = shares.at(ShareSequences::kArchetype, i);
     u.archetype = arch < cell_frac_os ? UserArchetype::CellularIntensive
                   : arch < cell_frac_os + f_wifi ? UserArchetype::WifiIntensive
                                                  : UserArchetype::Mixed;
 
-    u.home = region_->sample_home(rng);
-    if (u.works) u.office = region_->sample_office(rng);
+    u.home = region.sample_home(rng);
+    if (u.works) u.office = region.sample_office(rng);
 
     switch (u.archetype) {
       case UserArchetype::CellularIntensive:
@@ -132,7 +164,8 @@ std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
     }
 
     u.has_mobile_hotspot =
-        u.archetype != UserArchetype::CellularIntensive && rng.bernoulli(0.02);
+        u.archetype != UserArchetype::CellularIntensive &&
+        shares.at(ShareSequences::kMobileHotspot, i) < 0.02;
     u.uses_sync =
         u.has_home_ap && rng.bernoulli(cfg.demand.sync_users_frac);
     // Hotspot state is only observable on Android (§2), so tethering is
@@ -140,7 +173,7 @@ std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
     // cellular download.
     u.is_tetherer = u.os == Os::Android &&
                     u.archetype != UserArchetype::WifiIntensive &&
-                    rng.bernoulli(0.02);
+                    shares.at(ShareSequences::kTetherer, i) < 0.02;
 
     u.demand_mu =
         cfg.demand.daily_mu_log_mb + rng.normal(0.0, cfg.demand.user_sigma);
@@ -156,8 +189,9 @@ std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
         u.demand_mu += u.has_home_ap ? 0.12 : -0.12;
         break;
     }
-    u.update_seeker =
-        u.os == Os::Ios && rng.bernoulli(cfg.update.public_seeker_frac);
+    u.update_seeker = u.os == Os::Ios &&
+                      shares.at(ShareSequences::kUpdateSeeker, i) <
+                          cfg.update.public_seeker_frac;
     // Seekers without a home AP go out of their way to find WiFi for the
     // update (§3.7), which presumes they know how to join public APs.
     if (u.update_seeker && !u.has_home_ap) u.uses_public_wifi = true;
@@ -171,16 +205,9 @@ std::vector<UserProfile> PopulationBuilder::build(net::Deployment& deployment,
   return users;
 }
 
-void PopulationBuilder::export_to(const std::vector<UserProfile>& users,
-                                  const geo::TokyoRegion& region,
-                                  Dataset& dataset) {
-  export_range(users, 0, users.size(), region, dataset);
-}
-
-void PopulationBuilder::export_range(const std::vector<UserProfile>& users,
-                                     std::size_t begin, std::size_t end,
-                                     const geo::TokyoRegion& region,
-                                     Dataset& dataset) {
+void export_population(const std::vector<UserProfile>& users,
+                       std::size_t begin, std::size_t end,
+                       const geo::TokyoRegion& region, Dataset& dataset) {
   dataset.devices.clear();
   dataset.devices.reserve(end - begin);
   dataset.truth.devices.clear();

@@ -13,7 +13,7 @@
 #include "core/scenario.h"
 #include "geo/region.h"
 #include "net/deployment.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::sim {
 
@@ -62,33 +62,24 @@ struct UserProfile {
   bool update_seeker = false;
 };
 
-/// Builds the device population, creating home/office APs in the
-/// deployment as a side effect, and fills Dataset::devices plus the
-/// device half of Dataset::truth.
-class PopulationBuilder {
- public:
-  PopulationBuilder(const ScenarioConfig& config,
-                    const geo::TokyoRegion& region);
+/// Generates the device population, creating each user's home and
+/// office APs in `deployment`. User i draws its profile, and its private
+/// APs' names and radios, from PhiloxRng(config.seed, i, lane); the
+/// traits the scenario gives as panel shares (archetype, tethering,
+/// mobile hotspot, update seeking) come from additive sequences over
+/// user ids whose phases `shares_rng` draws once. A profile therefore
+/// depends on its coordinates alone; the APs' ids are handed out in user
+/// order.
+[[nodiscard]] std::vector<UserProfile> build_population(
+    const ScenarioConfig& config, const geo::TokyoRegion& region,
+    net::Deployment& deployment, std::uint32_t lane,
+    stats::PhiloxRng& shares_rng);
 
-  /// Generates all users. Deterministic given `rng`'s state.
-  [[nodiscard]] std::vector<UserProfile> build(net::Deployment& deployment,
-                                               stats::Rng& rng) const;
-
-  /// Converts profiles into the observable DeviceInfo vector and the
-  /// ground-truth DeviceTruth vector of `dataset`.
-  static void export_to(const std::vector<UserProfile>& users,
-                        const geo::TokyoRegion& region, Dataset& dataset);
-
-  /// Range form for sharded generation: exports users [begin, end) with
-  /// *local* device ids (0 .. end - begin), so a shard's dataset is
-  /// self-contained. export_to() is export_range() over the full span.
-  static void export_range(const std::vector<UserProfile>& users,
-                           std::size_t begin, std::size_t end,
-                           const geo::TokyoRegion& region, Dataset& dataset);
-
- private:
-  const ScenarioConfig* config_;
-  const geo::TokyoRegion* region_;
-};
+/// Converts profiles [begin, end) into the observable DeviceInfo vector
+/// and the ground-truth DeviceTruth vector of `dataset`, with *local*
+/// device ids (0 .. end - begin), so a shard's dataset is self-contained.
+void export_population(const std::vector<UserProfile>& users,
+                       std::size_t begin, std::size_t end,
+                       const geo::TokyoRegion& region, Dataset& dataset);
 
 }  // namespace tokyonet::sim

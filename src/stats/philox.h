@@ -1,23 +1,21 @@
-// Counter-based random number generation (Philox4x32-10).
+// Counter-based random number generation (Philox4x32-10): the one
+// generator behind every simulated draw. Each draw is keyed by *where it
+// happens* rather than by how many draws preceded it:
 //
-// The simulator's hot path keys every draw by *where it happens* rather
-// than by how many draws preceded it:
-//
-//     value = philox(key(seed), counter(device, lane, slot))
+//     value = philox(key(seed), counter(stream, lane, slot))
 //
 // so any device block — one device, sixteen, or the whole panel — can be
-// generated independently and still reproduce the exact same campaign.
-// This is the property ROADMAP item 1's streaming/out-of-core generation
-// needs: a device's (day, bin) draws can be produced on any machine, in
-// any order, with no per-device engine state to carry around.
+// generated independently, on any machine and in any order, and still
+// reproduce the exact same campaign. The engine and every transform are
+// written out here (<random>'s distributions are implementation-defined),
+// so campaigns are the same on every platform.
 //
 // The distribution transforms here are *stateless*: each one maps a
 // fixed number of counter outputs to a variate (normal uses an
 // inverse-CDF rational approximation instead of Box-Muller, so there is
-// no cached second variate — the asymmetric cache-drop bug the old
-// Rng::poisson normal-approximation branch had cannot recur).
-// Categorical and quantile draws on hot paths go through the
-// precomputed tables in stats/tables.h instead of per-draw weight scans.
+// no cached second variate). Categorical and quantile draws on hot paths
+// go through the precomputed tables in stats/tables.h instead of
+// per-draw weight scans.
 #pragma once
 
 #include <algorithm>
@@ -25,9 +23,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "stats/rng.h"   // splitmix64
+#include "core/hash.h"   // mix64
 #include "stats/simd.h"  // count_less_f64
 
 namespace tokyonet::stats {
@@ -86,24 +85,23 @@ inline constexpr double kPoissonInversionCutoffMean = 30.0;
 
 /// Counter-based RNG stream: Philox4x32-10 keyed by a campaign seed,
 /// addressed by (stream, lane). The simulator uses stream = device id
-/// and lane = an encoding of (day | bin | setup), so every sample's
-/// draws are reproducible from coordinates alone.
-///
-/// Draw methods mirror stats::Rng so call sites read identically; each
-/// instance serves draws from successive counter slots of its lane.
+/// and lane = an encoding of (day | bin | setup | population | survey),
+/// and one reserved stream above every device id for the draws the
+/// campaign shares (sim/engine.cc), so every draw is reproducible from
+/// coordinates alone. Each instance serves draws from successive
+/// counter slots of its lane.
 class PhiloxRng {
  public:
   PhiloxRng(std::uint64_t seed, std::uint32_t stream,
             std::uint32_t lane) noexcept
       : key_(derive_key(seed)), stream_(stream), lane_(lane) {}
 
-  /// The Philox key words for a campaign seed (splitmix64-mixed).
-  /// Exposed so tests can reconstruct any stream's draws from raw
-  /// philox4x32 block calls.
+  /// The Philox key words for a campaign seed: the first splitmix64
+  /// output seeded with it. Exposed so tests can reconstruct any
+  /// stream's draws from raw philox4x32 block calls.
   [[nodiscard]] static std::array<std::uint32_t, 2> derive_key(
       std::uint64_t seed) noexcept {
-    std::uint64_t sm = seed;
-    const std::uint64_t k = splitmix64(sm);
+    const std::uint64_t k = core::mix64(seed + 0x9E3779B97F4A7C15ull);
     return {static_cast<std::uint32_t>(k),
             static_cast<std::uint32_t>(k >> 32)};
   }
@@ -206,6 +204,25 @@ class PhiloxRng {
   }
 
   [[nodiscard]] bool bernoulli(double p) noexcept { return uniform32() < p; }
+
+  /// Index in [0, weights.size()) with probability proportional to
+  /// weights[i], by one scan of the weights (set-up draws; hot paths use
+  /// an AliasTable). Requires at least one positive weight.
+  [[nodiscard]] std::size_t categorical(
+      std::span<const double> weights) noexcept {
+    double total = 0;
+    for (const double w : weights) {
+      assert(w >= 0);
+      total += w;
+    }
+    assert(total > 0);
+    double x = uniform32() * total;
+    for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
+      x -= weights[i];
+      if (x < 0) return i;
+    }
+    return weights.size() - 1;
+  }
 
   /// Standard normal via the inverse CDF (Acklam's rational
   /// approximation, |rel err| < 1.2e-9): one uniform in, one variate

@@ -1,10 +1,10 @@
 // Precomputed draw tables for categorical and quantile-interpolated
 // distributions.
 //
-// Rng::categorical re-sums its weights on every draw, which is fine for
-// a handful of setup draws but O(n) per draw on hot paths. These tables
-// pay the O(n) preparation once per scenario and then draw in O(1)
-// (Walker's alias method: one uniform, one table row per draw).
+// PhiloxRng::categorical re-sums its weights on every draw, which is
+// fine for a handful of set-up draws but O(n) per draw on hot paths.
+// These tables pay the O(n) preparation once per scenario and then draw
+// in O(1) (Walker's alias method: one uniform, one table row per draw).
 //
 // Every draw takes one 32-bit counter output and finds its row (and a
 // quantile table's interpolation fraction) with integer arithmetic.
@@ -18,7 +18,7 @@
 #include <span>
 #include <vector>
 
-#include "stats/philox.h"  // kMaxExactDrawRange
+#include "stats/philox.h"
 
 namespace tokyonet::stats {
 
@@ -38,9 +38,7 @@ class AliasTable {
   [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
 
   /// Index in [0, size()) with probability weights[i] / sum(weights).
-  /// Works with any engine exposing next_u32().
-  template <typename R>
-  [[nodiscard]] std::size_t draw(R& rng) const noexcept {
+  [[nodiscard]] std::size_t draw(PhiloxRng& rng) const noexcept {
     const std::uint64_t m = std::uint64_t{rng.next_u32()} * rows_.size();
     const std::size_t row = m >> 32;
     const Row& r = rows_[row];
@@ -71,8 +69,7 @@ class QuantileTable {
 
   QuantileTable() = default;
 
-  template <typename R>
-  [[nodiscard]] double draw(R& rng) const noexcept {
+  [[nodiscard]] double draw(PhiloxRng& rng) const noexcept {
     constexpr int kFracBits = 32 - kKnotBits;
     constexpr std::uint32_t kHalfKnot = 1u << (kFracBits - 1);
     const std::uint32_t u = rng.next_u32();

@@ -99,7 +99,7 @@ std::uint64_t classification_digest(const std::vector<ApClassification>& v) {
 TEST(Classify, ThresholdSweepMatchesOneScanPerThreshold) {
   // Pinned from five separate classify_aps() calls (one full scan per
   // threshold), before the sweep shared one scan between them.
-  constexpr std::uint64_t kPinned = 0x24b15ad5d1dbadbbull;
+  constexpr std::uint64_t kPinned = 0xab2a5b41119bb7f6ull;
   constexpr double kThresholds[] = {0.50, 0.60, 0.70, 0.80, 0.90};
   const std::vector<ApClassification> in_memory =
       classify_aps(test::campaign_source(Year::Y2015), {}, kThresholds);
@@ -122,6 +122,59 @@ TEST(Classify, ThresholdSweepMatchesOneScanPerThreshold) {
       classify_aps(query::ShardedSource(store), {}, kThresholds);
   EXPECT_EQ(classification_digest(sharded), kPinned)
       << "3 shards: digest 0x" << std::hex << classification_digest(sharded);
+}
+
+/// Device 0 over two nights on APs 0 and 1, associated in the order
+/// `first`, `second`: `split` puts each night's first half on `first`
+/// and its second half on `second` (a tie inside every window);
+/// otherwise night 0 is all `first` and night 1 all `second` (each
+/// window has one winner, and the two winners tie on votes).
+Dataset two_ap_nights(bool second_is_ap0, bool split) {
+  Dataset ds = empty_dataset(1, 3);
+  const ApId ap0 = add_ap(ds, "aterm-AB12-g");
+  const ApId ap1 = add_ap(ds, "aterm-CD34-g");
+  const ApId first = second_is_ap0 ? ap1 : ap0;
+  const ApId second = second_is_ap0 ? ap0 : ap1;
+  std::vector<test::Row> rows;
+  const int night_bins = 8 * kBinsPerHour;  // 22:00-06:00
+  for (int day = 0; day < 2; ++day) {
+    for (int k = 0; k < night_bins; ++k) {
+      const auto bin =
+          static_cast<TimeBin>(day * kBinsPerDay + 22 * kBinsPerHour + k);
+      const bool on_first = split ? k < night_bins / 2 : day == 0;
+      add_sample(rows, 0, bin, 0, 1000, WifiState::Associated,
+                 on_first ? first : second);
+    }
+  }
+  test::set_rows(ds, rows);
+  return ds;
+}
+
+TEST(Classify, TieBreakIsLowestApId) {
+  constexpr double kThresholds[] = {0.50, 0.60, 0.70, 0.80, 0.90};
+  for (const bool second_is_ap0 : {false, true}) {
+    SCOPED_TRACE(second_is_ap0 ? "AP 1 first" : "AP 0 first");
+    // Tied votes: each night is one AP's, at every threshold.
+    const Dataset votes = two_ap_nights(second_is_ap0, /*split=*/false);
+    const std::vector<ApClassification> by_votes =
+        classify_aps(query::InMemorySource(votes), {}, kThresholds);
+    ASSERT_EQ(by_votes.size(), std::size(kThresholds));
+    for (const ApClassification& cls : by_votes) {
+      EXPECT_EQ(cls.home_ap_of_device[0], ApId{0});
+      EXPECT_EQ(cls.class_of(ApId{0}), ApClass::Home);
+      EXPECT_EQ(cls.class_of(ApId{1}), ApClass::Other);
+    }
+    // Tied windows: both APs are present for half of every night, which
+    // only the 50 % threshold accepts.
+    const Dataset windows = two_ap_nights(second_is_ap0, /*split=*/true);
+    const std::vector<ApClassification> by_windows =
+        classify_aps(query::InMemorySource(windows), {}, kThresholds);
+    ASSERT_EQ(by_windows.size(), std::size(kThresholds));
+    EXPECT_EQ(by_windows[0].home_ap_of_device[0], ApId{0});
+    for (std::size_t k = 1; k < by_windows.size(); ++k) {
+      EXPECT_EQ(by_windows[k].home_ap_of_device[0], kNoAp);
+    }
+  }
 }
 
 TEST(Classify, FirstMorningDoesNotLeakIntoFirstNight) {

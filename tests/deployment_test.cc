@@ -13,14 +13,12 @@ class DeploymentTest : public ::testing::Test {
  protected:
   DeploymentTest()
       : config_(scenario_config(Year::Y2015, 0.1)),
-        rng_(123),
-        prng_(123, 0, 0),
+        rng_(123, 0, 0),
         deployment_(config_, region_, rng_) {}
 
   ScenarioConfig config_;
   geo::TokyoRegion region_;
-  stats::Rng rng_;
-  stats::PhiloxRng prng_;
+  stats::PhiloxRng rng_;
   Deployment deployment_;
 };
 
@@ -94,7 +92,7 @@ TEST_F(DeploymentTest, OfficeApBand) {
 TEST_F(DeploymentTest, PickPublicApReturnsLocalAp) {
   // Downtown Tokyo must have public APs.
   const geo::Point tokyo{90, 75};
-  const auto id = deployment_.pick_public_ap(tokyo, prng_);
+  const auto id = deployment_.pick_public_ap(tokyo, rng_);
   ASSERT_TRUE(id.has_value());
   const AccessPoint& ap = deployment_.ap(*id);
   EXPECT_EQ(ap.placement, ApPlacement::Public);
@@ -103,15 +101,15 @@ TEST_F(DeploymentTest, PickPublicApReturnsLocalAp) {
 
 TEST_F(DeploymentTest, PickPublicApEmptyCell) {
   // The far corner of the region should have no hotspots at small scale.
-  EXPECT_FALSE(deployment_.pick_public_ap({1, 149}, prng_).has_value());
+  EXPECT_FALSE(deployment_.pick_public_ap({1, 149}, rng_).has_value());
 }
 
 TEST_F(DeploymentTest, AssociationDistancesOrdered) {
   double home = 0, pub = 0;
   for (int i = 0; i < 2000; ++i) {
-    home += deployment_.draw_association_distance_m(ApPlacement::Home, prng_);
-    pub += deployment_.draw_association_distance_m(ApPlacement::Public, prng_);
-    EXPECT_GT(deployment_.draw_association_distance_m(ApPlacement::Home, prng_),
+    home += deployment_.draw_association_distance_m(ApPlacement::Home, rng_);
+    pub += deployment_.draw_association_distance_m(ApPlacement::Public, rng_);
+    EXPECT_GT(deployment_.draw_association_distance_m(ApPlacement::Home, rng_),
               0);
   }
   // Public cells are larger (Fig 15's weaker public RSSI).

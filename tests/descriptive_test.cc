@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::stats {
 namespace {
@@ -43,7 +43,7 @@ class PercentileOracle : public ::testing::TestWithParam<double> {};
 TEST_P(PercentileOracle, MatchesNearestRankWithinOneGap) {
   // Property: the interpolated percentile lies between the two nearest
   // order statistics.
-  Rng rng(99);
+  PhiloxRng rng(99, 0, 0);
   std::vector<double> xs;
   for (int i = 0; i < 501; ++i) xs.push_back(rng.uniform(0, 100));
   const double p = GetParam();
@@ -61,7 +61,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PercentileOracle,
                                            99.9, 100.0));
 
 TEST(Descriptive, SummaryOrdering) {
-  Rng rng(5);
+  PhiloxRng rng(5, 0, 0);
   std::vector<double> xs;
   for (int i = 0; i < 1000; ++i) xs.push_back(rng.lognormal(1, 1));
   const Summary s = summarize(xs);
@@ -104,7 +104,7 @@ TEST(Descriptive, LinearFitExact) {
 }
 
 TEST(Descriptive, LinearFitNoisy) {
-  Rng rng(3);
+  PhiloxRng rng(3, 0, 0);
   std::vector<double> xs, ys;
   for (int i = 0; i < 200; ++i) {
     xs.push_back(i);

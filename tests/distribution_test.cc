@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::stats {
 namespace {
@@ -26,7 +26,7 @@ TEST(Ecdf, EmptyIsZero) {
 }
 
 TEST(Ecdf, QuantileInvertsCdf) {
-  Rng rng(1);
+  PhiloxRng rng(1, 0, 0);
   std::vector<double> xs;
   for (int i = 0; i < 2000; ++i) xs.push_back(rng.lognormal(0, 1));
   const Ecdf e(xs);
@@ -40,7 +40,7 @@ class EcdfMonotone : public ::testing::TestWithParam<bool> {};
 
 TEST_P(EcdfMonotone, SeriesMonotoneAndBounded) {
   const bool log_spaced = GetParam();
-  Rng rng(2);
+  PhiloxRng rng(2, 0, 0);
   std::vector<double> xs;
   for (int i = 0; i < 500; ++i) xs.push_back(rng.lognormal(2, 1));
   const Ecdf e(xs);
@@ -83,7 +83,7 @@ TEST(Histogram, CountsAndClamping) {
 }
 
 TEST(Histogram, PmfSumsToOne) {
-  Rng rng(3);
+  PhiloxRng rng(3, 0, 0);
   Histogram h(-90, -20, 25);
   for (int i = 0; i < 1000; ++i) h.add(rng.normal(-55, 8));
   double sum = 0;
@@ -92,7 +92,7 @@ TEST(Histogram, PmfSumsToOne) {
 }
 
 TEST(Histogram, PdfIntegratesToOne) {
-  Rng rng(4);
+  PhiloxRng rng(4, 0, 0);
   Histogram h(-95, -20, 30);
   for (int i = 0; i < 1000; ++i) h.add(rng.normal(-55, 8));
   double integral = 0;

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "geo/region.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace tokyonet::geo {
 namespace {
@@ -53,7 +53,7 @@ class RegionSampling : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RegionSampling, SamplesStayInBounds) {
   const TokyoRegion region;
-  stats::Rng rng(GetParam());
+  stats::PhiloxRng rng(GetParam(), 0, 0);
   for (int i = 0; i < 500; ++i) {
     for (const Point p : {region.sample_home(rng), region.sample_office(rng),
                           region.sample_public_spot(rng)}) {
@@ -67,7 +67,7 @@ TEST_P(RegionSampling, SamplesStayInBounds) {
 
 TEST_P(RegionSampling, OfficesMoreConcentratedThanHomes) {
   const TokyoRegion region;
-  stats::Rng rng(GetParam());
+  stats::PhiloxRng rng(GetParam(), 0, 0);
   const Point tokyo{90, 75};
   double home_dist = 0, office_dist = 0;
   const int n = 2000;

@@ -104,7 +104,7 @@ void expect_pinned(std::uint64_t pinned, const Body& body) {
 }
 
 TEST(IndexEquivalence, AggregateSeries) {
-  expect_pinned(0xbaa7500844e4eed9ull, [](Digest& d, Year y) {
+  expect_pinned(0xc68ff4cae9ac74c8ull, [](Digest& d, Year y) {
     for (Stream s : {Stream::CellRx, Stream::CellTx, Stream::WifiRx,
                      Stream::WifiTx}) {
       d.add(aggregate_series(campaign_source(y), s).mbps);
@@ -113,7 +113,7 @@ TEST(IndexEquivalence, AggregateSeries) {
 }
 
 TEST(IndexEquivalence, LocationSeries) {
-  expect_pinned(0xd65ee461477e53ccull, [](Digest& d, Year y) {
+  expect_pinned(0x470275a16dfb50bbull, [](Digest& d, Year y) {
     const LocationFilter filters[] = {
         {ApClass::Home, false}, {ApClass::Public, false}, {ApClass::Other, true}};
     const ApClassification& cls = campaign_classification(y);
@@ -126,7 +126,7 @@ TEST(IndexEquivalence, LocationSeries) {
 }
 
 TEST(IndexEquivalence, WifiLocationShares) {
-  expect_pinned(0xa73e1448956f9a5eull, [](Digest& d, Year y) {
+  expect_pinned(0x45508697cbd43106ull, [](Digest& d, Year y) {
     const WifiLocationShares r =
         wifi_location_shares(campaign_source(y), campaign_classification(y));
     d.add(r.home, r.publik, r.office, r.other);
@@ -134,7 +134,7 @@ TEST(IndexEquivalence, WifiLocationShares) {
 }
 
 TEST(IndexEquivalence, RssiAnalysis) {
-  expect_pinned(0x71fd8891119870f6ull, [](Digest& d, Year y) {
+  expect_pinned(0xe93ce799e24c1406ull, [](Digest& d, Year y) {
     const RssiAnalysis r =
         rssi_analysis(campaign_source(y), campaign_classification(y));
     d.add(r.home_max_rssi, r.public_max_rssi, r.home_mean, r.public_mean,
@@ -143,7 +143,7 @@ TEST(IndexEquivalence, RssiAnalysis) {
 }
 
 TEST(IndexEquivalence, ChannelAnalysis) {
-  expect_pinned(0x876e8f71e683d627ull, [](Digest& d, Year y) {
+  expect_pinned(0xe66e0de8cffd6195ull, [](Digest& d, Year y) {
     const ChannelAnalysis r =
         channel_analysis(campaign_source(y), campaign_classification(y));
     d.add(r.home_pmf, r.public_pmf);
@@ -151,7 +151,7 @@ TEST(IndexEquivalence, ChannelAnalysis) {
 }
 
 TEST(IndexEquivalence, ChannelInterference) {
-  expect_pinned(0xb7942c04f13fafd2ull, [](Digest& d, Year y) {
+  expect_pinned(0xdd38342026844be0ull, [](Digest& d, Year y) {
     const geo::TokyoRegion region;
     const InterferenceAnalysis r =
         channel_interference(campaign_source(y), campaign_classification(y),
@@ -162,7 +162,7 @@ TEST(IndexEquivalence, ChannelInterference) {
 }
 
 TEST(IndexEquivalence, ApDensityMap) {
-  expect_pinned(0x833de30bd8716c93ull, [](Digest& d, Year y) {
+  expect_pinned(0x6d80116d0f920cfcull, [](Digest& d, Year y) {
     const geo::TokyoRegion region;
     for (ApClass which : {ApClass::Home, ApClass::Public}) {
       const ApDensityMap r =
@@ -174,27 +174,27 @@ TEST(IndexEquivalence, ApDensityMap) {
 }
 
 TEST(IndexEquivalence, WifiStates) {
-  expect_pinned(0x3a264b7db96810f2ull, [](Digest& d, Year y) {
+  expect_pinned(0x8a8a44bf328a1010ull, [](Digest& d, Year y) {
     const WifiStateProfiles r = compute_wifi_states(campaign_source(y));
     d.add(r.android_user, r.android_off, r.android_available, r.ios_user);
   });
 }
 
 TEST(IndexEquivalence, IosWifiUserByCarrier) {
-  expect_pinned(0xbf64472024a0f828ull, [](Digest& d, Year y) {
+  expect_pinned(0xa171f0d01206399full, [](Digest& d, Year y) {
     d.add(ios_wifi_user_by_carrier(campaign_source(y)));
   });
 }
 
 TEST(IndexEquivalence, VolumesOverview) {
-  expect_pinned(0x8716b34ff36470f9ull, [](Digest& d, Year y) {
+  expect_pinned(0x78c56ee4ff47f548ull, [](Digest& d, Year y) {
     const DatasetOverview r = overview(campaign_source(y));
     d.add(r.n_android, r.n_ios, r.n_total, r.lte_traffic_share);
   });
 }
 
 TEST(IndexEquivalence, AppBreakdown) {
-  expect_pinned(0xd03af797ccb60a15ull, [](Digest& d, Year y) {
+  expect_pinned(0xcce6e00cdb0d36e7ull, [](Digest& d, Year y) {
     const std::vector<GeoCell> homes = infer_home_cells(campaign(y));
     const AppBreakdown r =
         app_breakdown(campaign_source(y), campaign_classification(y), homes);
@@ -203,7 +203,7 @@ TEST(IndexEquivalence, AppBreakdown) {
 }
 
 TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
-  expect_pinned(0x48cd3861c248255full, [](Digest& d, Year y) {
+  expect_pinned(0x374feabac61015e2ull, [](Digest& d, Year y) {
     if (y != Year::Y2015) return;
     const Dataset& ds = campaign(y);
     const std::vector<GeoCell> homes = infer_home_cells(ds);
@@ -225,7 +225,7 @@ TEST(IndexEquivalence, AppBreakdownLightUsersOnly) {
 // Android devices — so the digest keeps its pin, and each count must be
 // the histogram of its series.
 TEST(IndexEquivalence, ScanAvailability) {
-  expect_pinned(0x08c1fd419291dbcfull, [](Digest& d, Year y) {
+  expect_pinned(0x320fbe7c594872f4ull, [](Digest& d, Year y) {
     const Dataset& ds = campaign(y);
     const SampleColumns& c = ds.samples;
     std::vector<double> series[4];
@@ -254,14 +254,14 @@ TEST(IndexEquivalence, ScanAvailability) {
 }
 
 TEST(IndexEquivalence, BatteryAnalysis) {
-  expect_pinned(0x757e64abbcb30de7ull, [](Digest& d, Year y) {
+  expect_pinned(0x72a7ccd201804c8cull, [](Digest& d, Year y) {
     const BatteryAnalysis r = battery_analysis(campaign_source(y));
     d.add(r.mean_level, r.low_share, r.mean);
   });
 }
 
 TEST(IndexEquivalence, UserDaysThreadInvariant) {
-  expect_pinned(0xee340d3d91b587cdull, [](Digest& d, Year y) {
+  expect_pinned(0x0444e8c0f339bb4aull, [](Digest& d, Year y) {
     for (const UserDay& u : user_days(campaign(y))) {
       d.add(value(u.device), u.day, u.cell_rx_mb, u.cell_tx_mb, u.wifi_rx_mb,
             u.wifi_tx_mb);
@@ -270,7 +270,7 @@ TEST(IndexEquivalence, UserDaysThreadInvariant) {
 }
 
 TEST(IndexEquivalence, HomeCellsAndOffloadThreadInvariant) {
-  expect_pinned(0x5dc16b9777505fb1ull, [](Digest& d, Year y) {
+  expect_pinned(0xf7273f3a27f76e0dull, [](Digest& d, Year y) {
     d.add(infer_home_cells(campaign(y)));
     const OffloadOpportunity r = offload_opportunity(campaign_source(y));
     d.add(r.users_with_stable_opportunity, r.offloadable_cell_share,

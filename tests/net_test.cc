@@ -8,7 +8,6 @@
 #include "net/essid.h"
 #include "net/radio.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace tokyonet::net {
 namespace {
@@ -35,7 +34,7 @@ class EssidFactoryYears : public ::testing::TestWithParam<int> {};
 
 TEST_P(EssidFactoryYears, GeneratedNamesClassifyCorrectly) {
   const EssidFactory factory(GetParam());
-  stats::Rng rng(42);
+  stats::PhiloxRng rng(42, 0, 0);
   for (int i = 0; i < 200; ++i) {
     EXPECT_TRUE(is_public_essid(factory.public_hotspot(rng)));
     EXPECT_FALSE(is_public_essid(factory.home(rng)));
@@ -48,7 +47,7 @@ TEST_P(EssidFactoryYears, GeneratedNamesClassifyCorrectly) {
 
 TEST_P(EssidFactoryYears, HomeNamesDiverse) {
   const EssidFactory factory(GetParam());
-  stats::Rng rng(7);
+  stats::PhiloxRng rng(7, 0, 0);
   std::set<std::string> names;
   for (int i = 0; i < 300; ++i) names.insert(factory.home(rng));
   EXPECT_GT(names.size(), 290u);
@@ -117,7 +116,7 @@ TEST(Radio, QuantizeClamps) {
 }
 
 TEST(Channel, RangesPerPolicy) {
-  stats::Rng rng(5);
+  stats::PhiloxRng rng(5, 0, 0);
   for (auto policy : {ChannelPolicy::FactoryDefaultHeavy,
                       ChannelPolicy::AutoSelect,
                       ChannelPolicy::PlannedNonOverlap}) {
@@ -130,7 +129,7 @@ TEST(Channel, RangesPerPolicy) {
 }
 
 TEST(Channel, PlannedFavorsNonOverlapping) {
-  stats::Rng rng(6);
+  stats::PhiloxRng rng(6, 0, 0);
   int non_overlap = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
@@ -141,7 +140,7 @@ TEST(Channel, PlannedFavorsNonOverlapping) {
 }
 
 TEST(Channel, FactoryDefaultPilesOnChannelOne) {
-  stats::Rng rng(7);
+  stats::PhiloxRng rng(7, 0, 0);
   int ch1_factory = 0, ch1_auto = 0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
@@ -152,7 +151,7 @@ TEST(Channel, FactoryDefaultPilesOnChannelOne) {
 }
 
 TEST(Channel, FiveGhzFromJapaneseSets) {
-  stats::Rng rng(8);
+  stats::PhiloxRng rng(8, 0, 0);
   for (int i = 0; i < 200; ++i) {
     const int ch = pick_channel_5(rng);
     EXPECT_TRUE(ch == 36 || ch == 40 || ch == 44 || ch == 48 || ch == 52 ||

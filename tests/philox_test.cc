@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -229,6 +231,131 @@ TEST(PhiloxRng, BinomialBoundsAndMoments) {
   }
   const double got = static_cast<double>(sum) / kN;
   EXPECT_NEAR(got, n * p, 6.0 * std::sqrt(n * p * (1 - p) / kN));
+}
+
+// ---------------------------------------------------------------------------
+// The transforms the set-up draws (population, deployment, survey) use,
+// over several seeds. The `Rng` and `RngMoments` suites keep the names
+// they had when a sequential generator served those draws.
+
+TEST(Rng, DeterministicGivenSeed) {
+  PhiloxRng a(42, 0, 0), b(42, 0, 0);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(a.next_u64(), b.next_u64());
+  }
+}
+
+TEST(Rng, DifferentSeedsDiverge) {
+  PhiloxRng a(1, 0, 0), b(2, 0, 0);
+  int same = 0;
+  for (int i = 0; i < 100; ++i) same += a.next_u64() == b.next_u64();
+  EXPECT_EQ(same, 0);
+}
+
+class RngMoments : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RngMoments, UniformInUnitIntervalWithCorrectMean) {
+  PhiloxRng rng(GetParam(), 0, 0);
+  double sum = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double u = rng.uniform();
+    ASSERT_GE(u, 0.0);
+    ASSERT_LT(u, 1.0);
+    sum += u;
+  }
+  EXPECT_NEAR(sum / 20000, 0.5, 0.02);
+}
+
+TEST_P(RngMoments, NormalMeanAndVariance) {
+  PhiloxRng rng(GetParam(), 0, 0);
+  double sum = 0, ss = 0;
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.normal(3.0, 2.0);
+    sum += x;
+    ss += x * x;
+  }
+  const double mean = sum / n;
+  const double var = ss / n - mean * mean;
+  EXPECT_NEAR(mean, 3.0, 0.1);
+  EXPECT_NEAR(var, 4.0, 0.3);
+}
+
+TEST_P(RngMoments, LognormalMedian) {
+  PhiloxRng rng(GetParam(), 0, 0);
+  std::vector<double> xs;
+  for (int i = 0; i < 20001; ++i) xs.push_back(rng.lognormal(2.0, 0.5));
+  std::nth_element(xs.begin(), xs.begin() + 10000, xs.end());
+  EXPECT_NEAR(xs[10000], std::exp(2.0), 0.3);
+}
+
+TEST_P(RngMoments, ExponentialMean) {
+  PhiloxRng rng(GetParam(), 0, 0);
+  double sum = 0;
+  for (int i = 0; i < 20000; ++i) sum += rng.exponential(2.0);
+  EXPECT_NEAR(sum / 20000, 0.5, 0.03);
+}
+
+TEST_P(RngMoments, PoissonMean) {
+  PhiloxRng rng(GetParam(), 0, 0);
+  double small = 0, large = 0;
+  for (int i = 0; i < 20000; ++i) {
+    small += rng.poisson(3.0);
+    large += rng.poisson(80.0);  // normal-approximation branch
+  }
+  EXPECT_NEAR(small / 20000, 3.0, 0.1);
+  EXPECT_NEAR(large / 20000, 80.0, 0.5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RngMoments,
+                         ::testing::Values(1ull, 42ull, 20150228ull,
+                                           0xDEADBEEFull));
+
+TEST(Rng, UniformIntCoversRange) {
+  PhiloxRng rng(9, 0, 0);
+  std::set<std::uint64_t> seen;
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t v = rng.uniform_int(7);
+    ASSERT_LT(v, 7u);
+    seen.insert(v);
+  }
+  EXPECT_EQ(seen.size(), 7u);
+}
+
+TEST(Rng, BernoulliEdgeCases) {
+  PhiloxRng rng(9, 0, 0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(rng.bernoulli(0.0));
+    EXPECT_TRUE(rng.bernoulli(1.0));
+  }
+}
+
+TEST(Rng, CategoricalRespectsWeights) {
+  PhiloxRng rng(11, 0, 0);
+  const double w[] = {1.0, 0.0, 3.0};
+  int counts[3] = {0, 0, 0};
+  for (int i = 0; i < 10000; ++i) ++counts[rng.categorical(w)];
+  EXPECT_EQ(counts[1], 0);
+  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.35);
+  // A single positive weight is always drawn, wherever it sits.
+  const double last[] = {0.0, 0.0, 2.0};
+  const double first[] = {2.0, 0.0, 0.0};
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.categorical(last), 2u);
+    EXPECT_EQ(rng.categorical(first), 0u);
+  }
+}
+
+TEST(Rng, ParetoAboveScale) {
+  // Pareto(xm, alpha) is at least xm, with median xm * 2^(1 / alpha).
+  PhiloxRng rng(17, 0, 0);
+  std::vector<double> xs;
+  for (int i = 0; i < 20001; ++i) {
+    xs.push_back(rng.pareto(2.0, 1.5));
+    ASSERT_GE(xs.back(), 2.0);
+  }
+  std::nth_element(xs.begin(), xs.begin() + 10000, xs.end());
+  EXPECT_NEAR(xs[10000], 2.0 * std::pow(2.0, 1.0 / 1.5), 0.1);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,20 +8,23 @@
 namespace tokyonet::sim {
 namespace {
 
+// Any two distinct lanes: users draw from (seed, user id, lane).
+constexpr std::uint32_t kPopulationLane = 1;
+constexpr std::uint32_t kSurveyLane = 2;
+
 class PopulationTest : public ::testing::Test {
  protected:
   PopulationTest()
       : config_(scenario_config(Year::Y2015, 0.5)),
-        rng_(99),
+        rng_(99, 0, 0),
         deployment_(config_, region_, rng_) {
-    PopulationBuilder builder(config_, region_);
-    stats::Rng pop_rng(4242);
-    users_ = builder.build(deployment_, pop_rng);
+    users_ = build_population(config_, region_, deployment_, kPopulationLane,
+                              rng_);
   }
 
   ScenarioConfig config_;
   geo::TokyoRegion region_;
-  stats::Rng rng_;
+  stats::PhiloxRng rng_;
   net::Deployment deployment_;
   std::vector<UserProfile> users_;
 };
@@ -128,7 +131,7 @@ TEST_F(PopulationTest, OccupationDistributionFollowsSurveyWeights) {
 
 TEST_F(PopulationTest, ExportFillsParallelTruth) {
   Dataset ds;
-  PopulationBuilder::export_to(users_, region_, ds);
+  export_population(users_, 0, users_.size(), region_, ds);
   ASSERT_EQ(ds.devices.size(), users_.size());
   ASSERT_EQ(ds.truth.devices.size(), users_.size());
   for (std::size_t i = 0; i < users_.size(); ++i) {
@@ -140,17 +143,15 @@ TEST_F(PopulationTest, ExportFillsParallelTruth) {
 
 TEST_F(PopulationTest, SurveyOnlyRecruitedAnswer) {
   Dataset ds;
-  PopulationBuilder::export_to(users_, region_, ds);
-  stats::Rng rng(5);
-  build_survey(config_, users_, rng, ds);
+  export_population(users_, 0, users_.size(), region_, ds);
+  ds.survey = build_survey(config_, users_, kSurveyLane);
   ASSERT_EQ(ds.survey.size(), users_.size());
 }
 
 TEST_F(PopulationTest, SurveyHomeAnswersTrackOwnership) {
   Dataset ds;
-  PopulationBuilder::export_to(users_, region_, ds);
-  stats::Rng rng(6);
-  build_survey(config_, users_, rng, ds);
+  export_population(users_, 0, users_.size(), region_, ds);
+  ds.survey = build_survey(config_, users_, kSurveyLane);
   int own_yes = 0, own_total = 0, no_own_yes = 0, no_own_total = 0;
   for (const UserProfile& u : users_) {
     if (!u.recruited) continue;
@@ -169,9 +170,8 @@ TEST_F(PopulationTest, SurveyHomeAnswersTrackOwnership) {
 
 TEST_F(PopulationTest, SurveyReasonsOnlyFromNoAnswers) {
   Dataset ds;
-  PopulationBuilder::export_to(users_, region_, ds);
-  stats::Rng rng(7);
-  build_survey(config_, users_, rng, ds);
+  export_population(users_, 0, users_.size(), region_, ds);
+  ds.survey = build_survey(config_, users_, kSurveyLane);
   for (const UserProfile& u : users_) {
     if (!u.recruited) continue;
     const SurveyResponse& r = ds.survey[value(u.id)];
@@ -187,15 +187,12 @@ TEST_F(PopulationTest, SecurityConcernOnlyAskedFrom2014) {
   // The 2013 survey had no security/LTE questions (Table 9's NA cells).
   ScenarioConfig cfg13 = scenario_config(Year::Y2013, 0.5);
   geo::TokyoRegion region;
-  stats::Rng r(1);
+  stats::PhiloxRng r(1, 0, 0);
   net::Deployment dep(cfg13, region, r);
-  PopulationBuilder builder(cfg13, region);
-  stats::Rng pop_rng(2);
-  const auto users = builder.build(dep, pop_rng);
+  const auto users = build_population(cfg13, region, dep, kPopulationLane, r);
   Dataset ds;
-  PopulationBuilder::export_to(users, region, ds);
-  stats::Rng survey_rng(3);
-  build_survey(cfg13, users, survey_rng, ds);
+  export_population(users, 0, users.size(), region, ds);
+  ds.survey = build_survey(cfg13, users, kSurveyLane);
   for (const UserProfile& u : users) {
     if (!u.recruited) continue;
     const SurveyResponse& resp = ds.survey[value(u.id)];

@@ -730,25 +730,5 @@ TEST(ShardStore, PayloadVerifiedOncePerOpen) {
   EXPECT_NE(fresh.error.find("checksum"), std::string::npos) << fresh.error;
 }
 
-// TOKYONET_SHARD_VERIFY=always (read at open()) restores the rehash on
-// every load.
-TEST(ShardStore, ShardVerifyAlwaysRestoresRehash) {
-  const ScenarioConfig config =
-      scenario_config(Year::Y2015, kShardTestScale);
-  test::ScratchDir tmp;
-  ASSERT_EQ(::setenv("TOKYONET_SHARD_VERIFY", "always", 1), 0);
-  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 3);
-  ASSERT_EQ(::unsetenv("TOKYONET_SHARD_VERIFY"), 0);
-
-  Dataset out;
-  ASSERT_TRUE(store.load_shard(0, out).ok());
-  const fs::path shard = tmp.path / "store" / "shard-0000.tksnap";
-  flip_byte(shard, fs::file_size(shard) - 128);
-
-  const io::SnapshotResult again = store.load_shard(0, out);
-  EXPECT_FALSE(again.ok());
-  EXPECT_NE(again.error.find("checksum"), std::string::npos) << again.error;
-}
-
 }  // namespace
 }  // namespace tokyonet

@@ -248,7 +248,7 @@ TEST(Snapshot, SectionChecksumsPinned) {
     largest = std::max(largest, s.bytes);
   }
   EXPECT_GT(largest, std::uint64_t{4} << 20);
-  EXPECT_EQ(info.header_checksum, 0x25b34376296f3b41ull);
+  EXPECT_EQ(info.header_checksum, 0xc8637f2a11163a8aull);
   Dataset loaded;
   const io::SnapshotResult r = io::load_snapshot(file, loaded);
   EXPECT_TRUE(r.ok()) << r.error;
