@@ -22,52 +22,40 @@ void add_hour_sums(std::vector<std::uint64_t>& acc,
   for (std::size_t h = 0; h < acc.size(); ++h) acc[h] += p[h];
 }
 
-// The exact per-hour byte sums of every stream, plus the LTE tallies.
-// u64 addition is associative, so summing per-block partials and
-// converting once gives the same series at any shard count.
+// The exact per-hour byte sums of every stream. u64 addition is
+// associative, so summing per-block partials and converting once gives
+// the same series at any shard count.
 [[nodiscard]] AllStreamSums all_streams_scan(const Dataset& ds) {
   const auto n_hours = static_cast<std::size_t>(ds.num_days()) * 24;
-  AllStreamSums out;
-  for (auto& sums : out.hour_sums) sums.assign(n_hours, 0);
+  const auto empty = [n_hours] {
+    AllStreamSums part;
+    for (auto& sums : part.hour_sums) sums.assign(n_hours, 0);
+    return part;
+  };
 
   const core::DatasetIndex& idx = ds.index();
   const std::span<const std::uint32_t> cols[4] = {
       ds.samples.cell_rx, ds.samples.cell_tx, ds.samples.wifi_rx, ds.samples.wifi_tx};
-  const std::span<const CellTech> tech = ds.samples.tech;
-  struct Partial {
-    std::vector<std::uint64_t> hour_sums[4];
-    std::uint64_t lte = 0, total = 0;
-  };
-  std::vector<Partial> partials;
+  std::vector<AllStreamSums> partials;
   if (idx.dense()) {
     // Dense campaign: each device contributes exactly kBinsPerHour
     // consecutive samples per hour, so the hour sums are fixed-stride
     // runs — no per-sample bin division, no scatter — for all four
-    // streams and the LTE tallies in one walk.
+    // streams in one walk.
     partials = query::map_device_blocks(
         idx.num_devices(), [&](std::size_t d0, std::size_t d1) {
-      Partial part;
-      for (auto& sums : part.hour_sums) sums.assign(n_hours, 0);
+      AllStreamSums part = empty();
       static_assert(kBinsPerHour == 6);
       for (std::size_t d = d0; d < d1; ++d) {
         const std::size_t begin = idx.device_begin(d);
         const std::uint32_t* p[4];
         for (int s = 0; s < 4; ++s) p[s] = cols[s].data() + begin;
-        const CellTech* t = tech.data() + begin;
         for (std::size_t h = 0; h < n_hours; ++h) {
-          for (int j = 0; j < kBinsPerHour; ++j) {
-            const std::uint32_t rx = p[0][j];
-            if (rx != 0) {
-              part.total += rx;
-              if (t[j] == CellTech::Lte) part.lte += rx;
-            }
-          }
           for (int s = 0; s < 4; ++s) {
             part.hour_sums[s][h] += std::uint64_t{p[s][0]} + p[s][1] +
                                     p[s][2] + p[s][3] + p[s][4] + p[s][5];
             p[s] += kBinsPerHour;
           }
-          t += kBinsPerHour;
         }
       }
       return part;
@@ -76,28 +64,17 @@ void add_hour_sums(std::vector<std::uint64_t>& acc,
     const std::span<const TimeBin> bin = ds.samples.bin;
     const std::size_t n = bin.size();
     partials = query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-      Partial part;
-      for (auto& sums : part.hour_sums) sums.assign(n_hours, 0);
+      AllStreamSums part = empty();
       for (std::size_t i = begin; i < end; ++i) {
         const auto hour = static_cast<std::size_t>(bin[i] / kBinsPerHour);
         for (int s = 0; s < 4; ++s) part.hour_sums[s][hour] += cols[s][i];
-        const std::uint32_t rx = cols[0][i];
-        if (rx != 0) {
-          part.total += rx;
-          if (tech[i] == CellTech::Lte) part.lte += rx;
-        }
       }
       return part;
     });
   }
-  for (const Partial& p : partials) {
-    for (int s = 0; s < 4; ++s) {
-      for (std::size_t h = 0; h < n_hours; ++h) {
-        out.hour_sums[s][h] += p.hour_sums[s][h];
-      }
-    }
-    out.lte.lte += p.lte;
-    out.lte.total += p.total;
+  AllStreamSums out = empty();
+  for (const AllStreamSums& p : partials) {
+    for (int s = 0; s < 4; ++s) add_hour_sums(out.hour_sums[s], p.hour_sums[s]);
   }
   return out;
 }
@@ -125,14 +102,7 @@ AllStreamSums aggregate_all_streams(const query::DataSource& src) {
         for (int s = 0; s < 4; ++s) {
           add_hour_sums(acc.hour_sums[s], p.hour_sums[s]);
         }
-        acc.lte.lte += p.lte.lte;
-        acc.lte.total += p.lte.total;
       });
-}
-
-WeekSplit weekday_weekend_split(const query::DataSource& src, Stream stream) {
-  return week_split(aggregate_series(src, stream), src.calendar(),
-                    src.num_days());
 }
 
 WeekSplit week_split(const HourlySeries& series, const CampaignCalendar& cal,
@@ -318,12 +288,6 @@ WifiLocationHours wifi_location_hours(const query::DataSource& src,
   return query::run_alone(src, [&](query::Sweep& sweep) {
     return wifi_location_hours(sweep, cls);
   });
-}
-
-HourlySeries location_series(const query::DataSource& src,
-                             const ApClassification& cls, LocationFilter filter,
-                             bool rx) {
-  return wifi_location_hours(src, cls).series(filter, rx);
 }
 
 WifiLocationShares wifi_location_shares(const query::DataSource& src,

@@ -10,7 +10,6 @@
 
 #include "analysis/classify.h"
 #include "analysis/query/fwd.h"
-#include "analysis/volumes.h"
 #include "core/records.h"
 
 namespace tokyonet::analysis {
@@ -44,16 +43,12 @@ enum class Stream : std::uint8_t {
 [[nodiscard]] HourlySeries hourly_series_from_sums(
     std::span<const std::uint64_t> sums);
 
-/// Every per-stream hour-sum vector plus the LTE byte sums, from one
-/// fused pass over the traffic columns. The LTE sums are byte-identical
-/// to overview()'s — all accumulators are exact u64 sums, so fusing the
-/// loops changes only the order of associative additions. The
-/// out-of-core backend is the hot caller: it pays this pass once per
-/// shard.
+/// Every per-stream hour-sum vector, from one fused pass over the
+/// traffic columns (exact u64 sums, so the result is the same at any
+/// shard count).
 struct AllStreamSums {
   /// Indexed by Stream (CellRx, CellTx, WifiRx, WifiTx).
   std::vector<std::uint64_t> hour_sums[4];
-  LteTrafficSums lte;
 };
 
 [[nodiscard]] AllStreamSums aggregate_all_streams(const query::DataSource& src);
@@ -75,7 +70,7 @@ struct WifiLocationShares {
 };
 
 /// Associated WiFi bytes per AP location bucket and campaign hour, from
-/// one scan: the exact sums behind every location_series() and
+/// one scan: the exact sums behind every Fig 11 series and
 /// wifi_location_shares(). Buckets are home, public, office (Other with
 /// the office flag) and the non-office rest of Other.
 struct WifiLocationHours {
@@ -96,23 +91,14 @@ struct WifiLocationHours {
 [[nodiscard]] query::Pending<WifiLocationHours> wifi_location_hours(
     query::Sweep& sweep, const ApClassification& cls);
 
-/// wifi_location_hours(src, cls).series(filter, rx).
-[[nodiscard]] HourlySeries location_series(const query::DataSource& src,
-                                           const ApClassification& cls,
-                                           LocationFilter filter,
-                                           bool rx);
-
 /// §3.1: cellular traffic is smaller on weekends, WiFi the opposite.
 struct WeekSplit {
   double weekday_mbps = 0;  // mean rate over weekday hours
   double weekend_mbps = 0;
 };
 
-[[nodiscard]] WeekSplit weekday_weekend_split(const query::DataSource& src,
-                                              Stream stream);
-
-/// The split over an already-computed series (Fig 2 has all four
-/// series from one aggregate_all_streams() pass).
+/// The split of one series (Fig 2 has all four series from one
+/// aggregate_all_streams() pass).
 [[nodiscard]] WeekSplit week_split(const HourlySeries& series,
                                    const CampaignCalendar& cal, int num_days);
 

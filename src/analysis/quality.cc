@@ -400,14 +400,4 @@ query::Pending<std::vector<ApDensityMap>> ap_density_maps(
       });
 }
 
-ApDensityMap ap_density_map(const query::DataSource& src,
-                            const ApClassification& cls, ApClass which,
-                            int num_cells) {
-  std::vector<ApDensityMap> maps =
-      query::run_alone(src, [&](query::Sweep& sweep) {
-        return ap_density_maps(sweep, cls, {&which, 1}, num_cells);
-      });
-  return std::move(maps.front());
-}
-
 }  // namespace tokyonet::analysis

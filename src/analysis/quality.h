@@ -67,9 +67,6 @@ struct ApDensityMap {
   int max_count = 0;
 };
 
-[[nodiscard]] ApDensityMap ap_density_map(const query::DataSource& src,
-                                          const ApClassification& cls,
-                                          ApClass which, int num_cells);
 /// One map per entry of `which` (Fig 10 maps home and public APs), from
 /// one (AP, cell) count over the APs of all listed classes as an entry
 /// of `sweep`: an AP's top cell depends only on its own counts, so the

@@ -1,7 +1,20 @@
 #include "analysis/usertype.h"
 
 namespace tokyonet::analysis {
+namespace {
 
+/// The integer tallies behind UserTypeStats.
+struct UserTypeCounts {
+  std::size_t cell_intensive = 0;
+  std::size_t wifi_intensive = 0;
+  std::size_t mixed = 0;
+  std::size_t active = 0;
+  std::size_t mixed_days = 0;
+  std::size_t mixed_above = 0;
+};
+
+/// Tallies `days` (device ids local to [0, n_devices), grouped by
+/// device) into `counts`.
 void accumulate_user_type_counts(UserTypeCounts& counts,
                                  std::size_t n_devices,
                                  const std::vector<UserDay>& days,
@@ -54,6 +67,8 @@ UserTypeStats user_type_stats_from_counts(const UserTypeCounts& counts) {
   return s;
 }
 
+}  // namespace
+
 UserTypeStats user_type_stats(std::size_t n_devices,
                               const std::vector<UserDay>& days,
                               double idle_mb) {
@@ -62,18 +77,13 @@ UserTypeStats user_type_stats(std::size_t n_devices,
   return user_type_stats_from_counts(counts);
 }
 
-void accumulate_user_day_heatmap(stats::LogHist2d& h,
-                                 const std::vector<UserDay>& days) {
+stats::LogHist2d user_day_heatmap(const std::vector<UserDay>& days,
+                                  int bins_per_decade) {
+  stats::LogHist2d h(-2.0, 3.0, bins_per_decade);
   for (const UserDay& d : days) {
     if (d.cell_rx_mb <= 0 && d.wifi_rx_mb <= 0) continue;
     h.add(d.cell_rx_mb, d.wifi_rx_mb);
   }
-}
-
-stats::LogHist2d user_day_heatmap(const std::vector<UserDay>& days,
-                                  int bins_per_decade) {
-  stats::LogHist2d h(-2.0, 3.0, bins_per_decade);
-  accumulate_user_day_heatmap(h, days);
   return h;
 }
 

@@ -10,6 +10,13 @@
 namespace tokyonet::analysis {
 namespace {
 
+/// Exact byte sums behind Table 1's %LTE: total cellular download and
+/// the LTE-carried part (u64, so block partials add byte-identically).
+struct LteTrafficSums {
+  std::uint64_t lte = 0;
+  std::uint64_t total = 0;
+};
+
 [[nodiscard]] LteTrafficSums lte_sums_scan(const Dataset& ds) {
   std::uint64_t lte = 0, total = 0;
   // Chunked u64 sums over the sample columns: exact and associative, so
@@ -17,12 +24,9 @@ namespace {
   const std::span<const std::uint32_t> cell_rx = ds.samples.cell_rx;
   const std::span<const CellTech> tech = ds.samples.tech;
   const std::size_t n = cell_rx.size();
-  struct Sums {
-    std::uint64_t lte = 0, total = 0;
-  };
-  const std::vector<Sums> partials =
+  const std::vector<LteTrafficSums> partials =
       query::map_chunks(n, [&](std::size_t begin, std::size_t end) {
-        Sums sums;
+        LteTrafficSums sums;
         for (std::size_t i = begin; i < end; ++i) {
           if (cell_rx[i] == 0) continue;
           sums.total += cell_rx[i];
@@ -30,7 +34,7 @@ namespace {
         }
         return sums;
       });
-  for (const Sums& p : partials) {
+  for (const LteTrafficSums& p : partials) {
     lte += p.lte;
     total += p.total;
   }

@@ -22,13 +22,6 @@ struct DatasetOverview {
 
 [[nodiscard]] DatasetOverview overview(const query::DataSource& src);
 
-/// Exact byte sums behind Table 1's %LTE: total cellular download and
-/// the LTE-carried part (u64, so block partials add byte-identically).
-struct LteTrafficSums {
-  std::uint64_t lte = 0;
-  std::uint64_t total = 0;
-};
-
 /// Table 3 row set (download volumes, MB/day).
 struct DailyVolumeStats {
   double median_all = 0, mean_all = 0;

@@ -250,6 +250,25 @@ using core::mix64;
   return hash_bytes(table, sizeof(table), a);
 }
 
+/// The header description of a file with this header and table.
+void describe(const RawHeader& header,
+              const SnapshotSection (&table)[kNumSections],
+              std::uint64_t file_bytes, SnapshotInfo& info) {
+  info.version = header.version;
+  info.year = static_cast<int>(header.year);
+  info.start = Date{header.start_year, static_cast<int>(header.start_month),
+                    static_cast<int>(header.start_day)};
+  info.num_days = static_cast<int>(header.num_days);
+  info.n_devices = header.counts[kSecDevices];
+  info.n_aps = header.counts[kSecApFixed];
+  info.n_samples = header.counts[kSecSamples];
+  info.n_app_traffic = header.counts[kSecApps];
+  info.scenario_hash = header.scenario_hash;
+  info.file_bytes = file_bytes;
+  info.header_checksum = header.header_checksum;
+  info.sections.assign(table, table + kNumSections);
+}
+
 // --- File helpers ------------------------------------------------------
 
 struct FileCloser {
@@ -343,7 +362,7 @@ class MappedFile {
 // --- Save --------------------------------------------------------------
 
 SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
-                             std::uint64_t scenario_hash) {
+                             std::uint64_t scenario_hash, SnapshotInfo* info) {
   SnapshotResult result;
 
   // Flatten the variable-width parts: ESSIDs and capped-day bitmaps.
@@ -498,6 +517,9 @@ SnapshotResult save_snapshot(const Dataset& ds, const fs::path& path,
   if (ec) {
     result.error = path_err(path, "rename failed: " + ec.message());
     fs::remove(tmp, ec);
+  } else if (info != nullptr) {
+    const SnapshotSection& last = table[kNumSections - 1];
+    describe(header, table, last.offset + last.bytes, *info);
   }
   return result;
 }
@@ -599,19 +621,7 @@ namespace {
     return fail("ground-truth AP count does not match the AP count");
   }
 
-  info.version = header.version;
-  info.year = static_cast<int>(header.year);
-  info.start = Date{header.start_year, static_cast<int>(header.start_month),
-                    static_cast<int>(header.start_day)};
-  info.num_days = static_cast<int>(header.num_days);
-  info.n_devices = header.counts[kSecDevices];
-  info.n_aps = header.counts[kSecApFixed];
-  info.n_samples = header.counts[kSecSamples];
-  info.n_app_traffic = header.counts[kSecApps];
-  info.scenario_hash = header.scenario_hash;
-  info.file_bytes = file_bytes;
-  info.header_checksum = header.header_checksum;
-  info.sections.assign(table, table + kNumSections);
+  describe(header, table, file_bytes, info);
   return result;
 }
 

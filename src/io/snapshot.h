@@ -87,9 +87,12 @@ struct SnapshotInfo {
 /// Writes `ds` as a snapshot at `path` (atomically: a temp file in the
 /// same directory is renamed over `path` on success). `scenario_hash`
 /// tags the file with the scenario that produced it (0 = unknown).
+/// `info` (optional) receives the header description of the file
+/// written — what read_snapshot_info() would return for it.
 [[nodiscard]] SnapshotResult save_snapshot(const Dataset& ds,
                                            const std::filesystem::path& path,
-                                           std::uint64_t scenario_hash = 0);
+                                           std::uint64_t scenario_hash = 0,
+                                           SnapshotInfo* info = nullptr);
 
 struct SnapshotLoadOptions {
   /// When false, skip mmap and always read into owned memory.

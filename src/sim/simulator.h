@@ -1,10 +1,23 @@
 // Campaign simulator: drives every simulated user through the campaign
 // calendar, emitting the 10-minute record stream the paper's measurement
 // software would have uploaded (§2).
+//
+// A Simulator owns everything that is global to one campaign — the
+// scenario, the region, the AP deployment, the user population and the
+// survey answers — and generates the per-device sample stream for any
+// contiguous device range on demand. Because every hot-path draw is
+// keyed by (seed, global device id, lane, slot) through counter-based
+// Philox streams, the bytes of a device's samples do not depend on which
+// block generated them: run_block(0, n) equals the concatenation of
+// run_block(0, k) and run_block(k, n) for every k, sample for sample.
+// That partition invariance is what lets sim::stream_campaign()
+// (stream_runner.h) write million-user campaigns one shard at a time
+// without ever holding the full panel in memory.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "core/records.h"
@@ -12,26 +25,49 @@
 
 namespace tokyonet::sim {
 
-/// Runs one measurement campaign and returns the full dataset.
+/// Runs one measurement campaign.
 ///
 /// Deterministic: the same ScenarioConfig (including seed and scale)
-/// always produces the same dataset, bit for bit.
+/// always produces the same dataset, bit for bit, at any thread count.
 class Simulator {
  public:
-  /// `device_block`: devices per parallel task (CampaignEngine); any
-  /// value yields the same dataset.
-  explicit Simulator(ScenarioConfig config, std::size_t device_block = 1)
-      : config_(std::move(config)), device_block_(device_block) {}
+  /// Builds the campaign-global state: deployment, population (with
+  /// home/office APs created in the deployment), mobile-hotspot
+  /// assignment and the survey answers. The config is copied.
+  explicit Simulator(const ScenarioConfig& config);
+  ~Simulator();
 
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+
+  /// Number of devices in the campaign panel.
+  [[nodiscard]] std::size_t num_devices() const noexcept;
+
+  /// Simulates devices [begin, end) into a self-contained Dataset whose
+  /// device ids are *local* (0 .. end - begin): devices, ground truth,
+  /// survey and samples cover exactly the block, and the per-device app
+  /// ranges are local to the block's app_traffic array. The sample rows
+  /// per device are identical to the full run's — only the device and
+  /// app-range offsets differ — so concatenating the blocks of a
+  /// partition (rebasing the offsets back) reproduces run() exactly.
+  ///
+  /// The AP tables are left empty — the shard store keeps one shared
+  /// copy — so the block does not pass Dataset::validate() until a
+  /// universe is installed.
+  [[nodiscard]] Dataset run_block(std::size_t begin, std::size_t end) const;
+
+  /// The whole panel with the AP universe attached: run_block(0, n)
+  /// plus universe()'s AP tables.
   [[nodiscard]] Dataset run() const;
 
-  [[nodiscard]] const ScenarioConfig& config() const noexcept {
-    return config_;
-  }
+  /// Just the campaign frame and AP universe (year, calendar,
+  /// Dataset::aps, truth.aps) — no devices or samples. This is the
+  /// shard store's shared universe file.
+  [[nodiscard]] Dataset universe() const;
 
  private:
-  ScenarioConfig config_;
-  std::size_t device_block_;
+  struct Impl;
+  std::unique_ptr<const Impl> impl_;
 };
 
 /// Convenience: simulate the calibrated scenario for `year` at `scale`.
@@ -55,5 +91,10 @@ struct CampaignCacheStatus {
 /// input, so a cached load is byte-identical to a fresh simulation.
 [[nodiscard]] Dataset cached_campaign(const ScenarioConfig& config,
                                       CampaignCacheStatus* status = nullptr);
+
+/// Prints what cached_campaign() did when the cache is enabled: a
+/// "tokyonet-cache: hit|miss <path>" line on stdout
+/// (tools/cache_smoke_test.sh counts them) and any note on stderr.
+void announce_cache(const CampaignCacheStatus& status);
 
 }  // namespace tokyonet::sim

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <thread>
+#include <future>
 #include <system_error>
 #include <vector>
 
 #include "io/snapshot.h"
-#include "sim/engine.h"
+#include "sim/simulator.h"
 
 namespace tokyonet::sim {
 
@@ -26,17 +26,16 @@ StreamCampaignResult stream_campaign(const ScenarioConfig& config,
     return result;
   }
 
-  CampaignEngine engine(config);
-  const std::size_t n_devices = engine.num_devices();
+  const Simulator sim(config);
+  const std::size_t n_devices = sim.num_devices();
   if (n_devices == 0) {
     result.error = "campaign has no devices (scale too small?)";
     return result;
   }
-  const std::size_t per_shard =
-      std::max<std::size_t>(1, opts.devices_per_shard);
   std::size_t n_shards = opts.shards != 0
                              ? opts.shards
-                             : (n_devices + per_shard - 1) / per_shard;
+                             : (n_devices + kDevicesPerShard - 1) /
+                                   kDevicesPerShard;
   n_shards = std::clamp<std::size_t>(n_shards, 1, n_devices);
 
   const std::uint64_t hash = scenario_hash(config);
@@ -52,22 +51,15 @@ StreamCampaignResult stream_campaign(const ScenarioConfig& config,
   // The shared AP universe first: one file instead of one copy per
   // shard (ESSID strings dominate the AP payload).
   {
-    const Dataset u = engine.universe();
-    m.n_aps = u.aps.size();
     m.universe_file = "universe.tksnap";
+    io::SnapshotInfo info;
     const io::SnapshotResult w =
-        io::save_snapshot(u, dir / m.universe_file, hash);
+        io::save_snapshot(sim.universe(), dir / m.universe_file, hash, &info);
     if (!w.ok()) {
       result.error = w.error;
       return result;
     }
-    io::SnapshotInfo info;
-    const io::SnapshotResult r =
-        io::read_snapshot_info(dir / m.universe_file, info);
-    if (!r.ok()) {
-      result.error = r.error;
-      return result;
-    }
+    m.n_aps = info.n_aps;
     m.universe_bytes = info.file_bytes;
     m.universe_checksum = info.header_checksum;
   }
@@ -85,52 +77,33 @@ StreamCampaignResult stream_campaign(const ScenarioConfig& config,
   // checksums block i while this thread simulates block i+1, so at most
   // two blocks are resident. The blocks' bytes are unaffected — Philox
   // streams are counter-based, so run_block(i+1) is the same whether or
-  // not block i is still being written. Entries are appended in order
-  // after each writer join.
-  const bool pipelined = opts.pipeline && n_shards > 1;
-  Dataset next;
-  if (pipelined) {
-    next = engine.run_block(bounds[0], bounds[1], /*with_universe=*/false);
-  }
+  // not block i is still being written. The writer's future joins it on
+  // every path: its destructor waits when run_block throws, and get()
+  // rethrows an exception of the writer here. Entries are appended in
+  // order after each join.
+  Dataset block = sim.run_block(bounds[0], bounds[1]);
   for (std::size_t i = 0; i < n_shards; ++i) {
     char name[48];
     std::snprintf(name, sizeof(name), "shard-%04zu.tksnap", i);
-    Dataset block = pipelined ? std::move(next)
-                              : engine.run_block(bounds[i], bounds[i + 1],
-                                                 /*with_universe=*/false);
-    const std::size_t block_samples = block.samples.size();
-
-    std::string write_error;
     io::SnapshotInfo info;
-    auto write_block = [&write_error, &info, hash](const Dataset& b,
-                                                   const fs::path& path) {
-      const io::SnapshotResult w = io::save_snapshot(b, path, hash);
-      if (!w.ok()) {
-        write_error = w.error;
-        return;
-      }
-      const io::SnapshotResult r = io::read_snapshot_info(path, info);
-      if (!r.ok()) write_error = r.error;
-    };
-
-    if (pipelined && i + 1 < n_shards) {
-      std::thread writer(
-          [&write_block, &block, path = dir / name] { write_block(block, path); });
-      next = engine.run_block(bounds[i + 1], bounds[i + 2],
-                              /*with_universe=*/false);
-      writer.join();
-    } else {
-      write_block(block, dir / name);
-    }
-    if (!write_error.empty()) {
-      result.error = write_error;
+    std::future<io::SnapshotResult> written =
+        std::async(std::launch::async, [&block, &info, hash,
+                                        path = dir / name] {
+          return io::save_snapshot(block, path, hash, &info);
+        });
+    Dataset next;
+    if (i + 1 < n_shards) next = sim.run_block(bounds[i + 1], bounds[i + 2]);
+    const io::SnapshotResult w = written.get();
+    if (!w.ok()) {
+      result.error = w.error;
       return result;
     }
+    block = std::move(next);
     if (opts.announce) {
       std::fprintf(stderr,
                    "tokyonet-stream: shard %zu/%zu devices [%zu, %zu) "
-                   "%zu samples\n",
-                   i + 1, n_shards, bounds[i], bounds[i + 1], block_samples);
+                   "%" PRIu64 " samples\n",
+                   i + 1, n_shards, bounds[i], bounds[i + 1], info.n_samples);
     }
 
     io::ShardEntry e;

@@ -2,13 +2,13 @@
 // holding at most two shards' samples in memory.
 //
 // stream_campaign() partitions the device panel into contiguous blocks,
-// runs each block through the CampaignEngine (whose counter-based
+// runs each block through Simulator::run_block (whose counter-based
 // Philox streams make the bytes independent of the partitioning) and
-// saves it as one shard-store snapshot. By default the write is
-// pipelined (DESIGN.md §5j): a writer thread serializes and checksums
-// block i while the caller's thread simulates block i+1, so at most two
-// blocks are resident and the simulated bytes are unchanged — the
-// pipeline reorders work across blocks, never within one. Peak memory
+// saves it as one shard-store snapshot. The write is pipelined
+// (DESIGN.md §5j): a writer thread serializes and checksums block i
+// while the caller's thread simulates block i+1, so at most two blocks
+// are resident and the simulated bytes are unchanged — the pipeline
+// reorders work across blocks, never within one. Peak memory
 // is the campaign-global state (population, deployment) plus two
 // shards' sample columns — a scale-1000 (~1.7 M device)
 // campaign streams in a few GB of RSS where the in-memory path would
@@ -28,18 +28,16 @@
 
 namespace tokyonet::sim {
 
+/// Devices per shard when StreamCampaignOptions::shards is 0. 2048
+/// devices ≈ 7.7 M samples ≈ 260 MB of sample payload per shard (34 B
+/// per sample).
+inline constexpr std::size_t kDevicesPerShard = 2048;
+
 struct StreamCampaignOptions {
-  /// Exact shard count; 0 derives it from devices_per_shard.
+  /// Exact shard count; 0 derives it from kDevicesPerShard.
   std::size_t shards = 0;
-  /// Target devices per shard when `shards` is 0. 2048 devices ≈ 7.7 M
-  /// samples ≈ 260 MB of sample payload per shard (34 B per sample).
-  std::size_t devices_per_shard = 2048;
   /// Print one progress line per shard to stderr.
   bool announce = false;
-  /// Overlap block i's serialize + checksum with block i+1's simulation
-  /// (two blocks resident). false restores the strictly sequential
-  /// one-block-resident writer.
-  bool pipeline = true;
 };
 
 struct StreamCampaignResult {

@@ -87,7 +87,7 @@ inline constexpr double kPoissonInversionCutoffMean = 30.0;
 /// addressed by (stream, lane). The simulator uses stream = device id
 /// and lane = an encoding of (day | bin | setup | population | survey),
 /// and one reserved stream above every device id for the draws the
-/// campaign shares (sim/engine.cc), so every draw is reproducible from
+/// campaign shares (sim/simulator.cc), so every draw is reproducible from
 /// coordinates alone. Each instance serves draws from successive
 /// counter slots of its lane.
 class PhiloxRng {

@@ -64,15 +64,12 @@ TEST(Aggregate, LocationSeriesPartitionWifi) {
   const auto& src = campaign_source(Year::Y2015);
   const ApClassification& cls = campaign_classification(Year::Y2015);
   const double total = aggregate_series(src, Stream::WifiRx).total_mb();
-  const double home =
-      location_series(src, cls, {ApClass::Home, false}, true).total_mb();
-  const double pub =
-      location_series(src, cls, {ApClass::Public, false}, true).total_mb();
-  const double other =
-      location_series(src, cls, {ApClass::Other, false}, true).total_mb();
+  const WifiLocationHours hours = wifi_location_hours(src, cls);
+  const double home = hours.series({ApClass::Home, false}, true).total_mb();
+  const double pub = hours.series({ApClass::Public, false}, true).total_mb();
+  const double other = hours.series({ApClass::Other, false}, true).total_mb();
   EXPECT_NEAR(home + pub + other, total, total * 1e-6);
-  const double office =
-      location_series(src, cls, {ApClass::Other, true}, true).total_mb();
+  const double office = hours.series({ApClass::Other, true}, true).total_mb();
   EXPECT_LE(office, other);
 }
 

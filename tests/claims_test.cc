@@ -83,8 +83,10 @@ TEST(Carriers, IosWifiRatiosSimilarAcrossCarriers) {
 TEST(WeekSplit, CellularWeekdayHeavyWifiWeekendHeavy) {
   // §3.1: cellular traffic is smaller on weekends, WiFi is the opposite.
   const auto& src = campaign_source(Year::Y2015);
-  const WeekSplit cell = weekday_weekend_split(src, Stream::CellRx);
-  const WeekSplit wifi = weekday_weekend_split(src, Stream::WifiRx);
+  const WeekSplit cell = week_split(aggregate_series(src, Stream::CellRx),
+                                    src.calendar(), src.num_days());
+  const WeekSplit wifi = week_split(aggregate_series(src, Stream::WifiRx),
+                                    src.calendar(), src.num_days());
   EXPECT_GT(cell.weekday_mbps, cell.weekend_mbps);
   EXPECT_GT(wifi.weekend_mbps, wifi.weekday_mbps);
 }
@@ -93,7 +95,8 @@ TEST(WeekSplit, RatesPositive) {
   const auto& src = campaign_source(Year::Y2013);
   for (Stream s : {Stream::CellRx, Stream::CellTx, Stream::WifiRx,
                    Stream::WifiTx}) {
-    const WeekSplit split = weekday_weekend_split(src, s);
+    const WeekSplit split =
+        week_split(aggregate_series(src, s), src.calendar(), src.num_days());
     EXPECT_GT(split.weekday_mbps, 0.0);
     EXPECT_GT(split.weekend_mbps, 0.0);
   }

@@ -119,7 +119,7 @@ TEST(IndexEquivalence, LocationSeries) {
     const ApClassification& cls = campaign_classification(y);
     for (const LocationFilter& f : filters) {
       for (bool rx : {true, false}) {
-        d.add(location_series(campaign_source(y), cls, f, rx).mbps);
+        d.add(wifi_location_hours(campaign_source(y), cls).series(f, rx).mbps);
       }
     }
   });
@@ -164,10 +164,10 @@ TEST(IndexEquivalence, ChannelInterference) {
 TEST(IndexEquivalence, ApDensityMap) {
   expect_pinned(0x6d80116d0f920cfcull, [](Digest& d, Year y) {
     const geo::TokyoRegion region;
-    for (ApClass which : {ApClass::Home, ApClass::Public}) {
-      const ApDensityMap r =
-          ap_density_map(campaign_source(y), campaign_classification(y), which,
-                         region.grid().num_cells());
+    for (const ApDensityMap& r :
+         test::density_maps(campaign_source(y), campaign_classification(y),
+                            {ApClass::Home, ApClass::Public},
+                            region.grid().num_cells())) {
       d.add(r.count_by_cell, r.cells_with_ap, r.cells_with_100, r.max_count);
     }
   });

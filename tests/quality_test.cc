@@ -92,8 +92,9 @@ TEST(Density, CountsMatchClassifiedAps) {
   const auto& src = campaign_source(Year::Y2015);
   const ApClassification& cls = campaign_classification(Year::Y2015);
   const geo::TokyoRegion region;
-  const ApDensityMap m =
-      ap_density_map(src, cls, ApClass::Home, region.grid().num_cells());
+  const ApDensityMap m = test::density_maps(src, cls, {ApClass::Home},
+                                            region.grid().num_cells())
+                             .front();
   int total = 0;
   for (int n : m.count_by_cell) total += n;
   EXPECT_EQ(total, cls.counts().home);
@@ -104,12 +105,16 @@ TEST(Density, CountsMatchClassifiedAps) {
 TEST(Density, PublicCoverageSpreadsOverYears) {
   // Fig 10: cells with at least one public AP grow 2013 -> 2015.
   const geo::TokyoRegion region;
-  const ApDensityMap m13 = ap_density_map(
-      campaign_source(Year::Y2013), campaign_classification(Year::Y2013),
-      ApClass::Public, region.grid().num_cells());
-  const ApDensityMap m15 = ap_density_map(
-      campaign_source(Year::Y2015), campaign_classification(Year::Y2015),
-      ApClass::Public, region.grid().num_cells());
+  const ApDensityMap m13 =
+      test::density_maps(campaign_source(Year::Y2013),
+                         campaign_classification(Year::Y2013),
+                         {ApClass::Public}, region.grid().num_cells())
+          .front();
+  const ApDensityMap m15 =
+      test::density_maps(campaign_source(Year::Y2015),
+                         campaign_classification(Year::Y2015),
+                         {ApClass::Public}, region.grid().num_cells())
+          .front();
   EXPECT_GT(m15.cells_with_ap, m13.cells_with_ap);
   EXPECT_GE(m15.max_count, m13.max_count);
 }

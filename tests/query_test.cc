@@ -22,6 +22,7 @@
 #include "analysis/context.h"
 #include "analysis/quality.h"
 #include "analysis/ratios.h"
+#include "analysis/volumes.h"
 #include "analysis/wifistate.h"
 #include "core/parallel.h"
 #include "core/records.h"
@@ -208,8 +209,9 @@ TEST(QuerySource, EmptyDatasetYieldsZeroShapes) {
 
   const analysis::AllStreamSums sums = analysis::aggregate_all_streams(src);
   for (const auto& hour_sums : sums.hour_sums) EXPECT_TRUE(hour_sums.empty());
-  EXPECT_EQ(sums.lte.total, 0u);
-  EXPECT_EQ(sums.lte.lte, 0u);
+  const analysis::DatasetOverview o = analysis::overview(src);
+  EXPECT_EQ(o.n_total, 0);
+  EXPECT_EQ(o.lte_traffic_share, 0.0);
 
   int blocks = 0;
   std::size_t devices = 0;
@@ -270,14 +272,14 @@ TEST(QuerySource, ChunkStraddlingScanIsThreadCountInvariant) {
 
   core::set_thread_count(1);
   const analysis::AllStreamSums serial = analysis::aggregate_all_streams(src);
+  const double serial_lte = analysis::overview(src).lte_traffic_share;
   core::set_thread_count(4);
   const analysis::AllStreamSums parallel =
       analysis::aggregate_all_streams(src);
   for (int stream = 0; stream < 4; ++stream) {
     EXPECT_EQ(serial.hour_sums[stream], parallel.hour_sums[stream]);
   }
-  EXPECT_EQ(serial.lte.total, parallel.lte.total);
-  EXPECT_EQ(serial.lte.lte, parallel.lte.lte);
+  EXPECT_EQ(serial_lte, analysis::overview(src).lte_traffic_share);
 }
 
 // --- Out-of-core backend ------------------------------------------------
@@ -301,6 +303,8 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   const query::InMemorySource mem(ds);
   const analysis::AllStreamSums expected =
       analysis::aggregate_all_streams(mem);
+  const double expected_lte = analysis::overview(mem).lte_traffic_share;
+  ASSERT_GT(expected_lte, 0.0);
 
   for (const std::size_t k :
        {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
@@ -313,8 +317,8 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
       EXPECT_EQ(ooc.hour_sums[stream], expected.hour_sums[stream])
           << "stream=" << stream << " resident_shards=" << k;
     }
-    EXPECT_EQ(ooc.lte.total, expected.lte.total) << "resident_shards=" << k;
-    EXPECT_EQ(ooc.lte.lte, expected.lte.lte) << "resident_shards=" << k;
+    EXPECT_EQ(analysis::overview(src).lte_traffic_share, expected_lte)
+        << "resident_shards=" << k;
   }
 
   // Figure-level identity through Runner::adopt_shards_out_of_core.
@@ -425,15 +429,13 @@ TEST(QuerySweep, FoldsEqualSeparatePasses) {
     sweep.run();
     EXPECT_EQ(src.passes(), 1) << label;
 
+    const analysis::WifiLocationHours alone =
+        analysis::wifi_location_hours(inner, cls);
     EXPECT_EQ(hours.get().series({ApClass::Home, false}, true).mbps,
-              analysis::location_series(inner, cls, {ApClass::Home, false},
-                                        true)
-                  .mbps)
+              alone.series({ApClass::Home, false}, true).mbps)
         << label;
     EXPECT_EQ(hours.get().series({ApClass::Other, true}, false).mbps,
-              analysis::location_series(inner, cls, {ApClass::Other, true},
-                                        false)
-                  .mbps)
+              alone.series({ApClass::Other, true}, false).mbps)
         << label;
     const analysis::WifiLocationShares s =
         analysis::wifi_location_shares(inner, cls);
@@ -443,7 +445,8 @@ TEST(QuerySweep, FoldsEqualSeparatePasses) {
     EXPECT_EQ(hours.get().shares().other, s.other) << label;
     ASSERT_EQ(density.get().size(), 1u) << label;
     EXPECT_EQ(density.get().front().count_by_cell,
-              analysis::ap_density_map(inner, cls, ApClass::Public, cells)
+              test::density_maps(inner, cls, {ApClass::Public}, cells)
+                  .front()
                   .count_by_cell)
         << label;
     const analysis::WifiStateProfiles p = analysis::compute_wifi_states(inner);

@@ -39,12 +39,6 @@ namespace fs = std::filesystem;
 
 constexpr double kShardTestScale = 0.02;
 
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
 void flip_byte(const fs::path& p, std::uintmax_t offset) {
   std::fstream f(p, std::ios::in | std::ios::out | std::ios::binary);
   f.seekg(static_cast<std::streamoff>(offset));
@@ -614,32 +608,6 @@ TEST(ShardPipeline, ParallelScanMatchesSequential) {
     EXPECT_EQ(report::to_canonical_json(parallel[i]),
               report::to_canonical_json(sequential[i]))
         << sequential[i].id;
-  }
-}
-
-// The writer pipeline (simulate block i+1 while block i serializes)
-// must not change a single byte of the store: same manifest, same shard
-// files as the strictly sequential writer.
-TEST(ShardPipeline, StreamWriterPipelineMatchesSequential) {
-  const ScenarioConfig config =
-      scenario_config(Year::Y2015, kShardTestScale);
-  test::ScratchDir tmp;
-  sim::StreamCampaignOptions pipelined;
-  pipelined.shards = 3;
-  ASSERT_TRUE(
-      sim::stream_campaign(config, tmp.path / "piped", pipelined).ok());
-  sim::StreamCampaignOptions sequential;
-  sequential.shards = 3;
-  sequential.pipeline = false;
-  ASSERT_TRUE(
-      sim::stream_campaign(config, tmp.path / "seq", sequential).ok());
-
-  for (const char* name :
-       {"MANIFEST.tks", "universe.tksnap", "shard-0000.tksnap",
-        "shard-0001.tksnap", "shard-0002.tksnap"}) {
-    EXPECT_EQ(read_file(tmp.path / "piped" / name),
-              read_file(tmp.path / "seq" / name))
-        << name;
   }
 }
 

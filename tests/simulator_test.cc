@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/dataset_index.h"
@@ -53,23 +54,66 @@ TEST(Simulator, DeterministicAcrossThreadCounts) {
   }
 }
 
+/// Appends the raw bytes of every sample and app-record column of `ds`
+/// to `out`, one string per column.
+void append_columns(const Dataset& ds, std::vector<std::string>& out) {
+  std::size_t k = 0;
+  const auto add = [&](const auto& c) {
+    if (out.size() <= k) out.emplace_back();
+    if (!c.empty()) {
+      out[k].append(reinterpret_cast<const char*>(c.data()),
+                    c.size() * sizeof(*c.data()));
+    }
+    ++k;
+  };
+  SampleColumns::for_each(add, ds.samples);
+  AppColumns::for_each(add, ds.app_traffic);
+}
+
 TEST(Simulator, DeterministicAcrossDevicePartitionings) {
   // Counter-based draws key on (device, day, bin), not on how many draws
-  // some earlier device consumed — so sweeping the panel one device at a
-  // time, sixteen at a time, or as one block must produce byte-identical
-  // campaigns. The Simulator's device-block option picks the sweep
-  // granularity (default 1).
-  const Dataset base = simulate_year(Year::Y2015, 0.05);
-  for (const std::size_t block : {std::size_t{16}, std::size_t{1000000}}) {
-    const Dataset other =
-        sim::Simulator(scenario_config(Year::Y2015, 0.05), block).run();
+  // some earlier device consumed — so the blocks of any partition of the
+  // panel, uneven and empty blocks included, concatenate to run()'s
+  // campaign byte for byte.
+  const Simulator sim(scenario_config(Year::Y2015, 0.05));
+  const Dataset whole = sim.run();
+  const std::size_t n = sim.num_devices();
+  ASSERT_EQ(n, whole.devices.size());
+  ASSERT_GT(n, 20u);
+  std::vector<std::string> expected;
+  append_columns(whole, expected);
 
-    ASSERT_TRUE(test::same_records(base, other))
-        << "samples or app records differ at block size " << block;
-    ASSERT_EQ(base.truth.devices.size(), other.truth.devices.size());
-    for (std::size_t i = 0; i < base.truth.devices.size(); ++i) {
-      ASSERT_EQ(base.truth.devices[i].update_bin,
-                other.truth.devices[i].update_bin);
+  std::vector<std::size_t> singles(n + 1);
+  for (std::size_t i = 0; i <= n; ++i) singles[i] = i;
+  for (const std::vector<std::size_t>& cuts :
+       {std::vector<std::size_t>{0, n}, {0, 1, 17, n - 3, n},
+        {0, 5, 5, n / 2, n}, singles}) {
+    SCOPED_TRACE(::testing::Message() << cuts.size() - 1 << " blocks");
+    std::vector<std::string> joined;
+    for (std::size_t b = 0; b + 1 < cuts.size(); ++b) {
+      const Dataset block = sim.run_block(cuts[b], cuts[b + 1]);
+      ASSERT_EQ(block.devices.size(), cuts[b + 1] - cuts[b]);
+      EXPECT_TRUE(block.aps.empty());
+      append_columns(block, joined);
+      for (std::size_t li = 0; li < block.devices.size(); ++li) {
+        const std::size_t d = cuts[b] + li;
+        EXPECT_EQ(value(block.devices[li].id), li);
+        EXPECT_EQ(block.devices[li].os, whole.devices[d].os);
+        EXPECT_EQ(block.devices[li].carrier, whole.devices[d].carrier);
+        EXPECT_EQ(block.index().device_app_end(li) -
+                      block.index().device_app_begin(li),
+                  whole.index().device_app_end(d) -
+                      whole.index().device_app_begin(d));
+        EXPECT_EQ(block.truth.devices[li].update_bin,
+                  whole.truth.devices[d].update_bin);
+        EXPECT_EQ(block.truth.devices[li].capped_day,
+                  whole.truth.devices[d].capped_day);
+        EXPECT_EQ(block.survey[li].occupation, whole.survey[d].occupation);
+      }
+    }
+    ASSERT_EQ(joined.size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_TRUE(joined[k] == expected[k]) << "column " << k;
     }
   }
 }

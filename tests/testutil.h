@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/classify.h"
+#include "analysis/quality.h"
 #include "analysis/query/source.h"
 #include "core/dataset_index.h"
 #include "core/records.h"
@@ -45,6 +47,18 @@ inline const analysis::query::InMemorySource& campaign_source(Year year) {
     cache[i] = new analysis::query::InMemorySource(campaign(year));
   }
   return *cache[i];
+}
+
+/// Fig 10's density maps of the classes in `which`, from one pass over
+/// `src`.
+inline std::vector<analysis::ApDensityMap> density_maps(
+    const analysis::query::DataSource& src,
+    const analysis::ApClassification& cls, std::initializer_list<ApClass> which,
+    int num_cells) {
+  return analysis::query::run_alone(src, [&](analysis::query::Sweep& sweep) {
+    return analysis::ap_density_maps(
+        sweep, cls, {which.begin(), which.size()}, num_cells);
+  });
 }
 
 /// Cached AP classification for the shared campaign.

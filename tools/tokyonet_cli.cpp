@@ -55,13 +55,12 @@
 //       its manifest instead.
 //
 //   tokyonet snapshot shard --year Y [--scale S] [--seed N] --out DIR
-//                           [--shards N] [--resident-shards K]
+//                           [--shards N]
 //       Stream a campaign simulation into a sharded store
 //       (io/shard_store.h) without ever materializing it: block i+1
 //       simulates while block i serializes, so peak memory is two
-//       shards (with --resident-shards 0, strictly sequential: one) and
-//       million-device campaigns fit in a few GB. --shards 0 sizes
-//       shards automatically (~2048 devices each).
+//       shards and million-device campaigns fit in a few GB. --shards 0
+//       sizes shards automatically (2048 devices each).
 //
 //   tokyonet ingest serve --port P [--host H] [--shards N] [--queue N]
 //                         [--shed] [--sessions N]
@@ -186,7 +185,7 @@ int usage() {
                "  tokyonet snapshot save --year Y [--scale S] [--seed N] "
                "--out FILE\n"
                "  tokyonet snapshot shard --year Y [--scale S] [--seed N] "
-               "--out DIR [--shards N] [--resident-shards K]\n"
+               "--out DIR [--shards N]\n"
                "  tokyonet snapshot load --in FILE\n"
                "  tokyonet snapshot info --in PATH\n"
                "  tokyonet snapshot warm [--scale S]   "
@@ -628,14 +627,7 @@ Dataset make_dataset(const Args& args, Year year) {
   // otherwise this is a plain simulation.
   sim::CampaignCacheStatus status;
   Dataset ds = sim::cached_campaign(config, &status);
-  if (status.enabled) {
-    std::printf("tokyonet-cache: %s %s\n", status.hit ? "hit" : "miss",
-                status.path.string().c_str());
-    if (!status.detail.empty()) {
-      std::fprintf(stderr, "tokyonet-cache: note: %s\n",
-                   status.detail.c_str());
-    }
-  }
+  sim::announce_cache(status);
   return ds;
 }
 
@@ -773,10 +765,6 @@ int cmd_snapshot_shard(const Args& args) {
   sim::StreamCampaignOptions opts;
   opts.shards = static_cast<std::size_t>(args.shards);
   opts.announce = true;
-  // --resident-shards 0 forces the strictly sequential one-block writer;
-  // any K >= 1 keeps the default simulate/serialize pipeline (two
-  // blocks resident).
-  opts.pipeline = args.resident_shards >= 1;
   const sim::StreamCampaignResult r =
       sim::stream_campaign(config, args.out_dir, opts);
   if (!r.ok()) {
@@ -894,15 +882,10 @@ int cmd_snapshot_warm(const Args& args) {
     if (args.seed) config.seed = *args.seed;
     sim::CampaignCacheStatus status;
     const Dataset ds = sim::cached_campaign(config, &status);
-    if (status.enabled) {
-      std::printf("tokyonet-cache: %s %s\n", status.hit ? "hit" : "miss",
-                  status.path.string().c_str());
-      if (!status.detail.empty()) {
-        std::fprintf(stderr, "tokyonet-cache: note: %s\n",
-                     status.detail.c_str());
-        rc = kExitLoad;  // save failed: cache still cold
-      }
-    }
+    sim::announce_cache(status);
+    // A note means the save failed (the cache is still cold) or a stale
+    // entry was replaced.
+    if (!status.detail.empty()) rc = kExitLoad;
     std::printf("%s: %zu devices, %zu samples\n",
                 std::string(to_string(y)).c_str(), ds.devices.size(),
                 ds.samples.size());
