@@ -177,7 +177,7 @@ double AppMixer::expected_share(Context context,
 
 std::uint64_t AppMixer::mix(Context context, double demand_mb,
                             stats::PhiloxRng& rng,
-                            std::vector<AppTraffic>& out) const {
+                            AppTraffic*& out) const {
   if (demand_mb <= 0) return 0;
 
   // Draw how many categories are active this bin.
@@ -201,17 +201,17 @@ std::uint64_t AppMixer::mix(Context context, double demand_mb,
                                 : kMinor[rng.uniform_int(kMinor.size())];
     const double tx_mb =
         demand_mb * category_tx_ratio(cat) * tx_noise_.draw(rng);
-    AppTraffic& at = out.emplace_back();
+    AppTraffic& at = *out++;
     at.category = cat;
     at.rx_bytes = saturate_u32(mb_to_bytes(demand_mb));
     at.tx_bytes = saturate_u32(mb_to_bytes(tx_mb));
     return at.tx_bytes;
   }
   bool taken[kMajor.size() + 1] = {};
-  std::array<AppCategory, 3> cats{};
-  std::array<double, 3> split{};
+  std::array<AppCategory, kMaxRecords> cats{};
+  std::array<double, kMaxRecords> split{};
   std::size_t chosen = 0;
-  for (std::size_t draw = 0; draw < k && chosen < 3; ++draw) {
+  for (std::size_t draw = 0; draw < k && chosen < kMaxRecords; ++draw) {
     std::size_t idx = table.draw(rng);
     for (int tries = 0; taken[idx] && tries < 24; ++tries) {
       idx = table.draw(rng);
@@ -241,7 +241,7 @@ std::uint64_t AppMixer::mix(Context context, double demand_mb,
     const double rx_mb = demand_mb * split[i] / split_total;
     const double tx_mb =
         rx_mb * category_tx_ratio(cats[i]) * tx_noise_.draw(rng);
-    AppTraffic& at = out.emplace_back();
+    AppTraffic& at = *out++;
     at.category = cats[i];
     at.rx_bytes = saturate_u32(mb_to_bytes(rx_mb));
     at.tx_bytes = saturate_u32(mb_to_bytes(tx_mb));

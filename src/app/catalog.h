@@ -11,7 +11,6 @@
 
 #include <array>
 #include <span>
-#include <vector>
 
 #include "core/records.h"
 #include "core/types.h"
@@ -61,9 +60,13 @@ class AppMixer {
  public:
   explicit AppMixer(Year year);
 
-  /// Draws a category mix. `out` is appended to; returns total tx bytes.
+  /// Most records one mix() call writes.
+  static constexpr std::size_t kMaxRecords = 3;
+
+  /// Draws a category mix into the records from `out` on, advancing
+  /// `out` past them (at most kMaxRecords); returns total tx bytes.
   std::uint64_t mix(Context context, double demand_mb, stats::PhiloxRng& rng,
-                    std::vector<AppTraffic>& out) const;
+                    AppTraffic*& out) const;
 
   /// Expected volume share of `category` in `context` (for tests).
   [[nodiscard]] double expected_share(Context context,

@@ -179,10 +179,6 @@ struct AppColumns {
     for_each([n](auto& c) { c.resize(n); }, *this);
   }
 
-  void reserve(std::size_t n) {
-    for_each([n](auto& c) { c.reserve(n); }, *this);
-  }
-
   /// Appends every record of `from`.
   void append(const AppColumns& from) {
     for_each(
@@ -190,20 +186,6 @@ struct AppColumns {
           to.insert(to.cend(), src.begin(), src.end());
         },
         *this, from);
-  }
-
-  /// Appends `records`, each field to its column.
-  void append(std::span<const AppTraffic> records) {
-    const std::size_t n = size();
-    resize_for_overwrite(n + records.size());
-    AppCategory* const cat = category.data() + n;
-    std::uint32_t* const rx = rx_bytes.data() + n;
-    std::uint32_t* const tx = tx_bytes.data() + n;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      cat[i] = records[i].category;
-      rx[i] = records[i].rx_bytes;
-      tx[i] = records[i].tx_bytes;
-    }
   }
 };
 

@@ -36,26 +36,4 @@ double DeviceCapTracker::demand_multiplier(Carrier carrier, int day,
              : params_.suppression;
 }
 
-CapTracker::CapTracker(const CapParams& params, std::size_t num_devices,
-                       int num_days)
-    : params_(params),
-      devices_(num_devices, DeviceCapTracker(params, num_days)) {}
-
-void CapTracker::add_download_mb(DeviceId device, int day, double mb) {
-  devices_[value(device)].add_download_mb(day, mb);
-}
-
-double CapTracker::lookback_mb(DeviceId device, int day) const noexcept {
-  return devices_[value(device)].lookback_mb(day);
-}
-
-bool CapTracker::capped_on(DeviceId device, int day) const noexcept {
-  return devices_[value(device)].capped_on(day);
-}
-
-double CapTracker::demand_multiplier(DeviceId device, Carrier carrier,
-                                     int day, int hour) const noexcept {
-  return devices_[value(device)].demand_multiplier(carrier, day, hour);
-}
-
 }  // namespace tokyonet::net

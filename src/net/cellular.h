@@ -35,41 +35,9 @@ class DeviceCapTracker {
   [[nodiscard]] double demand_multiplier(Carrier carrier, int day,
                                          int hour) const noexcept;
 
-  [[nodiscard]] const CapParams& params() const noexcept { return params_; }
-
  private:
   CapParams params_;
   std::vector<double> daily_mb_;  // [day]
-};
-
-/// Tracks rolling 3-day cellular download volume for a whole panel of
-/// devices: a convenience array of per-device slices.
-class CapTracker {
- public:
-  CapTracker(const CapParams& params, std::size_t num_devices, int num_days);
-
-  /// Records cellular download volume for one device-day. Must be called
-  /// with non-decreasing days per device (the simulator runs day by day).
-  void add_download_mb(DeviceId device, int day, double mb);
-
-  /// Total cellular download of `device` over the three days before
-  /// `day` (the cap's lookback window).
-  [[nodiscard]] double lookback_mb(DeviceId device, int day) const noexcept;
-
-  /// True if `device` is over the threshold on `day`.
-  [[nodiscard]] bool capped_on(DeviceId device, int day) const noexcept;
-
-  /// Realized-demand multiplier for a cellular transfer by `device` on
-  /// `day` at `hour`. 1.0 when not capped or outside peak hours; the
-  /// configured suppression otherwise (relaxed carriers suppress less).
-  [[nodiscard]] double demand_multiplier(DeviceId device, Carrier carrier,
-                                         int day, int hour) const noexcept;
-
-  [[nodiscard]] const CapParams& params() const noexcept { return params_; }
-
- private:
-  CapParams params_;
-  std::vector<DeviceCapTracker> devices_;
 };
 
 }  // namespace tokyonet::net

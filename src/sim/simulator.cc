@@ -4,11 +4,16 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <limits>
+#include <memory>
+#include <new>
 #include <optional>
 #include <system_error>
 #include <vector>
+
+#include <sys/mman.h>
 
 #include "app/catalog.h"
 #include "core/dataset_index.h"
@@ -114,19 +119,27 @@ struct DeviceContext {
   double battery = 100.0;
 };
 
-/// Variable-length outputs of one device's simulation. Fixed-length
-/// output (one row per bin) goes straight into the device's rows of
-/// Dataset::samples; everything here is spliced in device order
-/// afterwards so the dataset is byte-identical to a serial run. App
-/// records stay one AppTraffic vector per device until the splice
-/// transposes them into Dataset::app_traffic's columns: three column
-/// vectors per device left ~15 MB of freed memory in each pool thread's
-/// malloc arena (DESIGN.md §5d).
-struct DeviceOutput {
-  std::vector<AppTraffic> app_traffic;
-  std::vector<std::uint8_t> capped_day;
-  std::int32_t update_bin = -1;
-};
+/// Most app records one device can emit per campaign day: a mix per bin
+/// and one storage sync a day. Each device of a splice chunk owns a
+/// scratch slice of this size times the campaign's days.
+constexpr std::size_t kMaxAppRecordsPerDay =
+    app::AppMixer::kMaxRecords * kBinsPerDay + 1;
+
+/// `bytes` of anonymous private pages, unmapped when the last owner
+/// lets go: a page costs memory only once written, and unmapping
+/// returns every page. The simulator keeps app records here, not in
+/// malloc blocks: a freed block can stay resident in the heap or a pool
+/// thread's arena, and freeing a large one raises glibc's mmap threshold
+/// so that later sample columns stay resident too (DESIGN.md §5d).
+[[nodiscard]] std::shared_ptr<std::byte> map_pages(std::size_t bytes) {
+  if (bytes == 0) return nullptr;
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return {static_cast<std::byte*>(p), [bytes](std::byte* q) {
+            ::munmap(q, bytes);
+          }};
+}
 
 /// Write cursors into one device's rows of the sample columns;
 /// simulate_device() writes row `bin` of every column exactly once.
@@ -360,14 +373,16 @@ struct Simulator::Impl {
     }
   }
 
-  /// Simulates one device into its disjoint rows `out` and a local
-  /// `app_traffic` buffer. Touches no shared mutable state, so devices
-  /// can run concurrently. Every Philox stream is keyed by the device's
-  /// *global* id.
-  void simulate_device(DeviceContext& ctx, const DeviceRows& out,
-                       std::vector<AppTraffic>& app_traffic,
-                       net::DeviceCapTracker& cap,
-                       const CampaignCalendar& cal) const {
+  /// Simulates one device into its disjoint rows `out` and its app
+  /// records from `apps` on (at most kMaxAppRecordsPerDay a day);
+  /// returns the number of records. Touches no shared mutable state, so
+  /// devices can run concurrently. Every Philox stream is keyed by the
+  /// device's *global* id.
+  std::size_t simulate_device(DeviceContext& ctx, const DeviceRows& out,
+                              AppTraffic* const apps,
+                              net::DeviceCapTracker& cap,
+                              const CampaignCalendar& cal) const {
+    AppTraffic* app_end = apps;
     const UserProfile& user = *ctx.user;
     const std::uint32_t dev = value(user.id);
     const DemandParams& demand = config_.demand;
@@ -541,10 +556,10 @@ struct Simulator::Impl {
         if (tethering) rx_mb += rng.lognormal(std::log(45.0), 0.6);
 
         const app::Context app_ctx = context_of(seg, on_wifi);
-        const auto app_begin = static_cast<std::uint32_t>(app_traffic.size());
+        const AppTraffic* const app_begin = app_end;
         if (rx_mb > 0) {
           if (user.os == Os::Android) {
-            tx_bytes = mixer_.mix(app_ctx, rx_mb, rng, app_traffic);
+            tx_bytes = mixer_.mix(app_ctx, rx_mb, rng, app_end);
           } else {
             tx_bytes = static_cast<std::uint64_t>(
                 rx_mb * 1e6 * 0.18 * ios_tx_noise_.draw(rng));
@@ -562,7 +577,7 @@ struct Simulator::Impl {
           at.category = AppCategory::Productivity;
           at.rx_bytes = mb_to_bytes_u32(sync_mb * 0.35);
           at.tx_bytes = mb_to_bytes_u32(sync_mb);
-          if (user.os == Os::Android) app_traffic.push_back(at);
+          if (user.os == Os::Android) *app_end++ = at;
           rx_mb += sync_mb * 0.35;
           tx_bytes += at.tx_bytes;
         }
@@ -595,7 +610,7 @@ struct Simulator::Impl {
         out.app_count[bin] =
             user.os == Os::Android
                 ? static_cast<std::uint8_t>(
-                      std::min<std::size_t>(app_traffic.size() - app_begin, 255))
+                      std::min<std::ptrdiff_t>(app_end - app_begin, 255))
                 : std::uint8_t{0};
 
         // --- Android scan summaries (Fig 17, §3.5) -------------------
@@ -628,6 +643,7 @@ struct Simulator::Impl {
         }
       }
     }
+    return static_cast<std::size_t>(app_end - apps);
   }
 
   void maybe_start_update(DeviceContext& ctx, int day, int bin_in_day,
@@ -739,10 +755,12 @@ std::size_t Simulator::num_devices() const noexcept {
   return impl_->users_.size();
 }
 
-Dataset Simulator::run_block(std::size_t begin, std::size_t end) const {
+Dataset Simulator::run_block(std::size_t begin, std::size_t end,
+                             SampleColumns reuse) const {
   const Impl& c = *impl_;
   assert(begin <= end && end <= c.users_.size());
   Dataset ds;
+  ds.samples = std::move(reuse);
   ds.year = c.config_.year;
   ds.calendar = CampaignCalendar(c.config_.start_date, c.config_.num_days);
 
@@ -762,44 +780,71 @@ Dataset Simulator::run_block(std::size_t begin, std::size_t end) const {
   const std::size_t n_local = end - begin;
   core::DatasetIndex::DenseBuilder builder(ds);
 
-  std::vector<DeviceOutput> outputs(n_local);
-  core::parallel_for(n_local, [&](std::size_t li) {
-    const UserProfile& user = c.users_[begin + li];
-    DeviceContext ctx{&user, false, 0, -1};
-    net::DeviceCapTracker cap(c.config_.cap, c.config_.num_days);
-    DeviceOutput out;
-    // Android devices emit ~0.8 records per bin on average; one
-    // right-sized reservation avoids the mid-campaign regrow. iOS
-    // devices emit none.
-    if (user.os == Os::Android) out.app_traffic.reserve(n_bins);
-    c.simulate_device(ctx, DeviceRows(ds.samples, li * n_bins),
-                      out.app_traffic, cap, ds.calendar);
-    out.update_bin = ctx.update_bin;
-    out.capped_day.resize(static_cast<std::size_t>(c.config_.num_days));
-    for (int d = 0; d < c.config_.num_days; ++d) {
-      out.capped_day[static_cast<std::size_t>(d)] = cap.capped_on(d) ? 1 : 0;
+  // App records are the one variable-length output. Devices run in
+  // device-ordered chunks, each writing its records into its own slice
+  // of the chunk's scratch; when the chunk is done, the slices are
+  // spliced in device order into the block's app columns and the
+  // scratch is reused. One mapping holds the three columns, each sized
+  // to the bound of the block's Android devices: no splice regrows
+  // them, and pages past the last record are never touched. An Android
+  // device's records take the next slice of the global array (an empty
+  // one when it has none); iOS devices report no per-app breakdown and
+  // keep the empty range at 0.
+  const std::size_t slot =
+      kMaxAppRecordsPerDay * static_cast<std::size_t>(c.config_.num_days);
+  const std::shared_ptr<std::byte> scratch_pages =
+      map_pages(std::min(n_local, kSpliceChunk) * slot * sizeof(AppTraffic));
+  auto* const scratch = reinterpret_cast<AppTraffic*>(scratch_pages.get());
+  std::array<std::size_t, kSpliceChunk> n_apps{};
+  const auto is_android = [](const DeviceInfo& d) {
+    return d.os == Os::Android;
+  };
+  const auto n_android = static_cast<std::size_t>(
+      std::count_if(ds.devices.begin(), ds.devices.end(), is_android));
+  // Rounded up to 4 records so that the u32 columns stay aligned.
+  const std::size_t bound = (n_android * slot + 3) / 4 * 4;
+  const std::shared_ptr<std::byte> pages =
+      map_pages(bound * (sizeof(AppCategory) + 2 * sizeof(std::uint32_t)));
+  auto* const category = reinterpret_cast<AppCategory*>(pages.get());
+  auto* const rx_bytes = reinterpret_cast<std::uint32_t*>(category + bound);
+  std::uint32_t* const tx_bytes = rx_bytes + bound;
+  std::size_t n_total = 0;
+  for (std::size_t first = 0; first < n_local; first += kSpliceChunk) {
+    const std::size_t n = std::min(kSpliceChunk, n_local - first);
+    core::parallel_for(n, [&](std::size_t k) {
+      const std::size_t li = first + k;
+      DeviceContext ctx{&c.users_[begin + li], false, 0, -1};
+      net::DeviceCapTracker cap(c.config_.cap, c.config_.num_days);
+      n_apps[k] = c.simulate_device(ctx, DeviceRows(ds.samples, li * n_bins),
+                                    scratch + k * slot, cap, ds.calendar);
+      assert(n_apps[k] <= slot);
+      ds.truth.devices[li].update_bin = ctx.update_bin;
+      std::vector<std::uint8_t>& capped = ds.truth.devices[li].capped_day;
+      capped.assign(static_cast<std::size_t>(c.config_.num_days), 0);
+      for (std::size_t d = 0; d < capped.size(); ++d) {
+        capped[d] = cap.capped_on(static_cast<int>(d)) ? 1 : 0;
+      }
+    });
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!is_android(ds.devices[first + k])) continue;
+      builder.set_app_range(first + k, n_total, n_total + n_apps[k]);
+      const AppTraffic* const records = scratch + k * slot;
+      for (std::size_t i = 0; i < n_apps[k]; ++i, ++n_total) {
+        category[n_total] = records[i].category;
+        rx_bytes[n_total] = records[i].rx_bytes;
+        tx_bytes[n_total] = records[i].tx_bytes;
+      }
     }
-    outputs[li] = std::move(out);
-  });
-
-  // Splice variable-length outputs in device order. An Android
-  // device's records take the next slice of the global array (an
-  // empty one when it has none); iOS devices report no per-app
-  // breakdown and keep the empty range at 0.
-  std::size_t total_apps = 0;
-  for (const DeviceOutput& out : outputs) total_apps += out.app_traffic.size();
-  ds.app_traffic.reserve(total_apps);
-  for (std::size_t li = 0; li < n_local; ++li) {
-    DeviceOutput& out = outputs[li];
-    if (c.users_[begin + li].os == Os::Android) {
-      const std::size_t offset = ds.app_traffic.size();
-      builder.set_app_range(li, offset, offset + out.app_traffic.size());
-    }
-    ds.app_traffic.append(out.app_traffic);
-    auto& truth = ds.truth.devices[li];
-    truth.update_bin = out.update_bin;
-    truth.capped_day = std::move(out.capped_day);
   }
+  // The columns borrow the pages and keep them alive; a write to one
+  // would first copy it into owned memory (no caller writes).
+  using core::Column;
+  ds.app_traffic.category =
+      Column<AppCategory>::borrowed({category, n_total}, pages);
+  ds.app_traffic.rx_bytes =
+      Column<std::uint32_t>::borrowed({rx_bytes, n_total}, pages);
+  ds.app_traffic.tx_bytes =
+      Column<std::uint32_t>::borrowed({tx_bytes, n_total}, pages);
 
   builder.finish();
   return ds;
@@ -852,6 +897,7 @@ Dataset cached_campaign(const ScenarioConfig& config,
   std::filesystem::create_directories(dir, ec);
   const io::SnapshotResult w =
       io::save_snapshot(ds, st.path, scenario_hash(config));
+  st.saved = w.ok();
   if (!w.ok()) st.detail = "cache save failed: " + w.error;
   return ds;
 }

@@ -43,6 +43,12 @@ class Simulator {
   /// Number of devices in the campaign panel.
   [[nodiscard]] std::size_t num_devices() const noexcept;
 
+  /// Devices run_block() simulates between two splices of their app
+  /// records: 16 per thread at 4 threads keeps the scratch a few MB
+  /// (64 slices of 135 KB for 2015's 26 days) and the idle tail at each
+  /// chunk's barrier under one device's run per thread.
+  static constexpr std::size_t kSpliceChunk = 64;
+
   /// Simulates devices [begin, end) into a self-contained Dataset whose
   /// device ids are *local* (0 .. end - begin): devices, ground truth,
   /// survey and samples cover exactly the block, and the per-device app
@@ -54,7 +60,12 @@ class Simulator {
   /// The AP tables are left empty — the shard store keeps one shared
   /// copy — so the block does not pass Dataset::validate() until a
   /// universe is installed.
-  [[nodiscard]] Dataset run_block(std::size_t begin, std::size_t end) const;
+  ///
+  /// `reuse` hands over sample columns whose memory the block takes
+  /// over (their contents are overwritten), so that a writer streaming
+  /// blocks does not first-touch fresh pages for each one.
+  [[nodiscard]] Dataset run_block(std::size_t begin, std::size_t end,
+                                  SampleColumns reuse = {}) const;
 
   /// The whole panel with the AP universe attached: run_block(0, n)
   /// plus universe()'s AP tables.
@@ -77,6 +88,7 @@ class Simulator {
 struct CampaignCacheStatus {
   bool enabled = false;  // TOKYONET_CACHE_DIR was set
   bool hit = false;      // served from an existing snapshot
+  bool saved = false;    // simulated and written to the cache
   std::filesystem::path path;  // cache file consulted (when enabled)
   /// Non-fatal notes: corrupt snapshot re-simulated, save failure, ...
   std::string detail;

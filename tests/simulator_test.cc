@@ -22,33 +22,40 @@ using test::campaign;
 TEST(Simulator, DeterministicAcrossThreadCounts) {
   // The tentpole guarantee: simulating with the thread pool produces a
   // dataset byte-identical to the serial run, for every campaign year.
+  // 3 threads leave the last of a splice chunk's devices unevenly
+  // shared out; the app ranges must match exactly, empty ones included.
   for (const Year year : {Year::Y2013, Year::Y2014, Year::Y2015}) {
     core::set_thread_count(1);
     const Dataset serial = simulate_year(year, 0.05);
-    core::set_thread_count(4);
-    const Dataset parallel = simulate_year(year, 0.05);
-    core::set_thread_count(0);
+    for (const int threads : {3, 4}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads, year "
+                                        << static_cast<int>(year));
+      core::set_thread_count(threads);
+      const Dataset parallel = simulate_year(year, 0.05);
+      core::set_thread_count(0);
 
-    ASSERT_TRUE(test::same_records(serial, parallel))
-        << "samples or app records differ (year " << static_cast<int>(year)
-        << ")";
+      ASSERT_TRUE(test::same_records(serial, parallel))
+          << "samples or app records differ";
+      ASSERT_EQ(serial.index().layout().app_range,
+                parallel.index().layout().app_range);
 
-    ASSERT_EQ(serial.truth.devices.size(), parallel.truth.devices.size());
-    for (std::size_t i = 0; i < serial.truth.devices.size(); ++i) {
-      ASSERT_EQ(serial.truth.devices[i].update_bin,
-                parallel.truth.devices[i].update_bin);
-      ASSERT_EQ(serial.truth.devices[i].capped_day,
-                parallel.truth.devices[i].capped_day);
-    }
+      ASSERT_EQ(serial.truth.devices.size(), parallel.truth.devices.size());
+      for (std::size_t i = 0; i < serial.truth.devices.size(); ++i) {
+        ASSERT_EQ(serial.truth.devices[i].update_bin,
+                  parallel.truth.devices[i].update_bin);
+        ASSERT_EQ(serial.truth.devices[i].capped_day,
+                  parallel.truth.devices[i].capped_day);
+      }
 
-    ASSERT_EQ(serial.survey.size(), parallel.survey.size());
-    for (std::size_t i = 0; i < serial.survey.size(); ++i) {
-      ASSERT_EQ(serial.survey[i].occupation, parallel.survey[i].occupation);
-      for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
-        ASSERT_EQ(serial.survey[i].connected[loc],
-                  parallel.survey[i].connected[loc]);
-        ASSERT_EQ(serial.survey[i].reasons[loc],
-                  parallel.survey[i].reasons[loc]);
+      ASSERT_EQ(serial.survey.size(), parallel.survey.size());
+      for (std::size_t i = 0; i < serial.survey.size(); ++i) {
+        ASSERT_EQ(serial.survey[i].occupation, parallel.survey[i].occupation);
+        for (int loc = 0; loc < kNumSurveyLocations; ++loc) {
+          ASSERT_EQ(serial.survey[i].connected[loc],
+                    parallel.survey[i].connected[loc]);
+          ASSERT_EQ(serial.survey[i].reasons[loc],
+                    parallel.survey[i].reasons[loc]);
+        }
       }
     }
   }
@@ -83,11 +90,30 @@ TEST(Simulator, DeterministicAcrossDevicePartitionings) {
   std::vector<std::string> expected;
   append_columns(whole, expected);
 
+  // Blocks one device short of a splice chunk, exactly one and one
+  // over: a block ends on a chunk one device short, a full one, or a
+  // chunk of one device.
+  constexpr std::size_t kChunk = Simulator::kSpliceChunk;
+  ASSERT_GT(n, kChunk + 1);
+  // The longest run of iOS devices: a block with no app records at all.
+  std::size_t ios_begin = 0, ios_end = 0;
+  for (std::size_t i = 0, run = 0; i < n; ++i) {
+    run = whole.devices[i].os == Os::Ios ? run + 1 : 0;
+    if (run > ios_end - ios_begin) {
+      ios_begin = i + 1 - run;
+      ios_end = i + 1;
+    }
+  }
+  ASSERT_GE(ios_end - ios_begin, 2u);
+  EXPECT_TRUE(sim.run_block(ios_begin, ios_end).app_traffic.category.empty());
+
   std::vector<std::size_t> singles(n + 1);
   for (std::size_t i = 0; i <= n; ++i) singles[i] = i;
   for (const std::vector<std::size_t>& cuts :
        {std::vector<std::size_t>{0, n}, {0, 1, 17, n - 3, n},
-        {0, 5, 5, n / 2, n}, singles}) {
+        {0, 5, 5, n / 2, n}, {0, kChunk - 1, n}, {0, kChunk, n},
+        {0, kChunk + 1, n}, {0, n - kChunk - 1, n},
+        {0, ios_begin, ios_end, n}, singles}) {
     SCOPED_TRACE(::testing::Message() << cuts.size() - 1 << " blocks");
     std::vector<std::string> joined;
     for (std::size_t b = 0; b + 1 < cuts.size(); ++b) {

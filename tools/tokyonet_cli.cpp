@@ -52,7 +52,8 @@
 //       campaign, reload it (mmap, verified), inspect a file, or
 //       pre-populate the TOKYONET_CACHE_DIR campaign cache for all
 //       three years. `info` on a shard directory prints and verifies
-//       its manifest instead.
+//       its manifest instead. `save` reports the process's peak RSS
+//       (simulation included) on its summary line.
 //
 //   tokyonet snapshot shard --year Y [--scale S] [--seed N] --out DIR
 //                           [--shards N]
@@ -99,6 +100,8 @@
 #include <string>
 #include <thread>
 #include <utility>
+
+#include <sys/resource.h>
 
 #include "analysis/incremental.h"
 #include "analysis/query/source.h"
@@ -673,8 +676,11 @@ int cmd_simulate(const Args& args) {
     std::fprintf(stderr, "export failed: %s\n", r.error.c_str());
     return kExitLoad;
   }
-  std::printf("wrote %zu devices / %zu samples to %s\n", ds.devices.size(),
-              ds.samples.size(), args.out_dir.c_str());
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is in KiB
+  std::printf("wrote %zu devices / %zu samples to %s (peak RSS %.1f MB)\n",
+              ds.devices.size(), ds.samples.size(), args.out_dir.c_str(),
+              static_cast<double>(ru.ru_maxrss) * 1024.0 / 1e6);
   return kExitOk;
 }
 
@@ -748,8 +754,11 @@ int cmd_snapshot_save(const Args& args) {
     std::fprintf(stderr, "snapshot save failed: %s\n", r.error.c_str());
     return kExitLoad;
   }
-  std::printf("wrote %zu devices / %zu samples to %s\n", ds.devices.size(),
-              ds.samples.size(), args.out_dir.c_str());
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is in KiB
+  std::printf("wrote %zu devices / %zu samples to %s (peak RSS %.1f MB)\n",
+              ds.devices.size(), ds.samples.size(), args.out_dir.c_str(),
+              static_cast<double>(ru.ru_maxrss) * 1024.0 / 1e6);
   return kExitOk;
 }
 
@@ -883,9 +892,9 @@ int cmd_snapshot_warm(const Args& args) {
     sim::CampaignCacheStatus status;
     const Dataset ds = sim::cached_campaign(config, &status);
     sim::announce_cache(status);
-    // A note means the save failed (the cache is still cold) or a stale
-    // entry was replaced.
-    if (!status.detail.empty()) rc = kExitLoad;
+    // A replaced corrupt or stale entry is a repair; only a campaign
+    // neither served nor saved leaves the cache cold.
+    if (!status.hit && !status.saved) rc = kExitLoad;
     std::printf("%s: %zu devices, %zu samples\n",
                 std::string(to_string(y)).c_str(), ds.devices.size(),
                 ds.samples.size());
