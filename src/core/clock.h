@@ -78,27 +78,15 @@ class CampaignCalendar {
   [[nodiscard]] int hour_of(TimeBin bin) const noexcept {
     return bin_in_day(bin) / kBinsPerHour;
   }
-  /// Fractional hour of day (e.g. bin at 08:30 -> 8.5).
-  [[nodiscard]] double fractional_hour_of(TimeBin bin) const noexcept {
-    return static_cast<double>(bin_in_day(bin)) / kBinsPerHour;
-  }
 
   [[nodiscard]] Date date_of_day(int day) const noexcept;
   [[nodiscard]] Weekday weekday_of_day(int day) const noexcept;
   [[nodiscard]] bool is_weekend_day(int day) const noexcept;
-  [[nodiscard]] bool is_weekend(TimeBin bin) const noexcept {
-    return is_weekend_day(day_of(bin));
-  }
 
   /// True if `bin` falls in [from_hour, to_hour) of its local day,
   /// handling windows that wrap past midnight (e.g. 22 -> 6).
   [[nodiscard]] bool in_hour_window(TimeBin bin, int from_hour,
                                     int to_hour) const noexcept;
-
-  /// First bin of `day`.
-  [[nodiscard]] TimeBin first_bin_of_day(int day) const noexcept {
-    return static_cast<TimeBin>(day * kBinsPerDay);
-  }
 
   /// "28 Sat"-style label used on the paper's weekly x-axes.
   [[nodiscard]] std::string day_label(int day) const;

@@ -98,7 +98,6 @@ class Column {
 
   [[nodiscard]] const_iterator begin() const noexcept { return data(); }
   [[nodiscard]] const_iterator end() const noexcept { return data() + size(); }
-  [[nodiscard]] const_iterator cbegin() const noexcept { return begin(); }
   [[nodiscard]] const_iterator cend() const noexcept { return end(); }
   [[nodiscard]] iterator begin() {
     ensure_owned();

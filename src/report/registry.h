@@ -39,7 +39,6 @@ class FigureContext {
   /// The year this rendering is for; only meaningful for per-year
   /// figures (the runner never calls a per-year figure without one).
   [[nodiscard]] Year year() const { return *year_; }
-  [[nodiscard]] std::optional<Year> year_opt() const noexcept { return year_; }
 
   /// Memoized analysis context for any campaign year, and its
   /// campaign as a query::DataSource — the only way a figure reads

@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <new>
-#include <optional>
 #include <system_error>
 #include <vector>
 
@@ -125,12 +125,10 @@ struct DeviceContext {
 constexpr std::size_t kMaxAppRecordsPerDay =
     app::AppMixer::kMaxRecords * kBinsPerDay + 1;
 
-/// `bytes` of anonymous private pages, unmapped when the last owner
-/// lets go: a page costs memory only once written, and unmapping
-/// returns every page. The simulator keeps app records here, not in
-/// malloc blocks: a freed block can stay resident in the heap or a pool
-/// thread's arena, and freeing a large one raises glibc's mmap threshold
-/// so that later sample columns stay resident too (DESIGN.md §5d).
+/// `bytes` of anonymous pages, unmapped when the last owner lets go. App
+/// records live here, not in malloc blocks, which can stay resident in
+/// a pool thread's arena after their free or raise glibc's mmap
+/// threshold above the sample columns (DESIGN.md §5d).
 [[nodiscard]] std::shared_ptr<std::byte> map_pages(std::size_t bytes) {
   if (bytes == 0) return nullptr;
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
@@ -178,7 +176,7 @@ struct DeviceRows {
 }  // namespace
 
 // The campaign-global state and the per-device simulation. Everything
-// here is fixed once the constructor returns; run_block() only reads it.
+// here but the spare memory is fixed once the constructor returns.
 struct Simulator::Impl {
   explicit Impl(const ScenarioConfig& config)
       : config_(config),
@@ -743,6 +741,32 @@ struct Simulator::Impl {
   stats::LognormalTable ios_tx_noise_{0.0, 0.5};
   std::array<std::array<stats::BinomialCdfTable, 2>, kNumScanEnvs>
       strong_cdf_{};
+
+  /// Memory run_block() writes into instead of fresh pages: the sample
+  /// columns recycle() was handed and every (length, mapping) it made.
+  using Pages = std::pair<std::size_t, std::shared_ptr<std::byte>>;
+  mutable std::mutex spare_mutex_;
+  mutable SampleColumns spare_samples_;
+  mutable std::vector<Pages> spare_pages_;
+
+  /// The shortest free mapping (this list holds its only reference) of
+  /// at least `bytes`, else a fresh one; shorter free ones are unmapped.
+  [[nodiscard]] Pages pages(std::size_t bytes) const {
+    if (bytes == 0) return {};
+    const std::lock_guard lock(spare_mutex_);
+    const auto is_free = [](const Pages& p) {
+      return p.second.use_count() == 1;
+    };
+    const Pages* best = nullptr;
+    for (const Pages& p : spare_pages_) {
+      if (is_free(p) && p.first >= bytes && (!best || p.first < best->first)) {
+        best = &p;
+      }
+    }
+    if (best != nullptr) return *best;
+    std::erase_if(spare_pages_, is_free);
+    return spare_pages_.emplace_back(bytes, map_pages(bytes));
+  }
 };
 
 
@@ -755,12 +779,23 @@ std::size_t Simulator::num_devices() const noexcept {
   return impl_->users_.size();
 }
 
-Dataset Simulator::run_block(std::size_t begin, std::size_t end,
-                             SampleColumns reuse) const {
+std::size_t Simulator::splice_chunk() noexcept {
+  return 16 * static_cast<std::size_t>(std::max(1, core::thread_count()));
+}
+
+void Simulator::recycle(Dataset spent) const {
+  const std::lock_guard lock(impl_->spare_mutex_);
+  impl_->spare_samples_ = std::move(spent.samples);
+}  // Destroying the rest of `spent` frees its app-record mapping.
+
+Dataset Simulator::run_block(std::size_t begin, std::size_t end) const {
   const Impl& c = *impl_;
   assert(begin <= end && end <= c.users_.size());
   Dataset ds;
-  ds.samples = std::move(reuse);
+  {
+    const std::lock_guard lock(c.spare_mutex_);
+    ds.samples = std::move(c.spare_samples_);
+  }
   ds.year = c.config_.year;
   ds.calendar = CampaignCalendar(c.config_.start_date, c.config_.num_days);
 
@@ -780,37 +815,32 @@ Dataset Simulator::run_block(std::size_t begin, std::size_t end,
   const std::size_t n_local = end - begin;
   core::DatasetIndex::DenseBuilder builder(ds);
 
-  // App records are the one variable-length output. Devices run in
-  // device-ordered chunks, each writing its records into its own slice
-  // of the chunk's scratch; when the chunk is done, the slices are
-  // spliced in device order into the block's app columns and the
-  // scratch is reused. One mapping holds the three columns, each sized
-  // to the bound of the block's Android devices: no splice regrows
-  // them, and pages past the last record are never touched. An Android
-  // device's records take the next slice of the global array (an empty
-  // one when it has none); iOS devices report no per-app breakdown and
-  // keep the empty range at 0.
+  // App records are the one variable-length output. Each device of a
+  // chunk writes them into its own slice of the scratch; after the chunk
+  // they are spliced in device order into the app columns, which share
+  // one mapping sized to the block's bound (read back from the mapping's
+  // length, so a reused one keeps its offsets). An Android device takes
+  // the next slice of the columns (an empty one when it has none); iOS
+  // devices report no per-app breakdown and keep the empty range at 0.
   const std::size_t slot =
       kMaxAppRecordsPerDay * static_cast<std::size_t>(c.config_.num_days);
-  const std::shared_ptr<std::byte> scratch_pages =
-      map_pages(std::min(n_local, kSpliceChunk) * slot * sizeof(AppTraffic));
-  auto* const scratch = reinterpret_cast<AppTraffic*>(scratch_pages.get());
-  std::array<std::size_t, kSpliceChunk> n_apps{};
-  const auto is_android = [](const DeviceInfo& d) {
-    return d.os == Os::Android;
-  };
-  const auto n_android = static_cast<std::size_t>(
-      std::count_if(ds.devices.begin(), ds.devices.end(), is_android));
-  // Rounded up to 4 records so that the u32 columns stay aligned.
-  const std::size_t bound = (n_android * slot + 3) / 4 * 4;
-  const std::shared_ptr<std::byte> pages =
-      map_pages(bound * (sizeof(AppCategory) + 2 * sizeof(std::uint32_t)));
+  const std::size_t chunk = splice_chunk();
+  const Impl::Pages scratch_pages =
+      c.pages(std::min(n_local, chunk) * slot * sizeof(AppTraffic));
+  auto* const scratch =
+      reinterpret_cast<AppTraffic*>(scratch_pages.second.get());
+  std::vector<std::size_t> n_apps(std::min(n_local, chunk));
+  constexpr std::size_t kRecordBytes =
+      sizeof(AppCategory) + 2 * sizeof(std::uint32_t);
+  const auto [bytes, pages] = c.pages(n_local * slot * kRecordBytes);
+  // Rounded down to 4 records so that the u32 columns stay aligned.
+  const std::size_t bound = bytes / kRecordBytes / 4 * 4;
   auto* const category = reinterpret_cast<AppCategory*>(pages.get());
   auto* const rx_bytes = reinterpret_cast<std::uint32_t*>(category + bound);
   std::uint32_t* const tx_bytes = rx_bytes + bound;
   std::size_t n_total = 0;
-  for (std::size_t first = 0; first < n_local; first += kSpliceChunk) {
-    const std::size_t n = std::min(kSpliceChunk, n_local - first);
+  for (std::size_t first = 0; first < n_local; first += chunk) {
+    const std::size_t n = std::min(chunk, n_local - first);
     core::parallel_for(n, [&](std::size_t k) {
       const std::size_t li = first + k;
       DeviceContext ctx{&c.users_[begin + li], false, 0, -1};
@@ -826,7 +856,7 @@ Dataset Simulator::run_block(std::size_t begin, std::size_t end,
       }
     });
     for (std::size_t k = 0; k < n; ++k) {
-      if (!is_android(ds.devices[first + k])) continue;
+      if (ds.devices[first + k].os != Os::Android) continue;
       builder.set_app_range(first + k, n_total, n_total + n_apps[k]);
       const AppTraffic* const records = scratch + k * slot;
       for (std::size_t i = 0; i < n_apps[k]; ++i, ++n_total) {

@@ -43,11 +43,12 @@ class Simulator {
   /// Number of devices in the campaign panel.
   [[nodiscard]] std::size_t num_devices() const noexcept;
 
-  /// Devices run_block() simulates between two splices of their app
-  /// records: 16 per thread at 4 threads keeps the scratch a few MB
-  /// (64 slices of 135 KB for 2015's 26 days) and the idle tail at each
-  /// chunk's barrier under one device's run per thread.
-  static constexpr std::size_t kSpliceChunk = 64;
+  /// Devices per splice chunk of run_block(): 16 per pool thread at any
+  /// pool size. A thread idles at a chunk's barrier for at most its last
+  /// device's run, under 1/16 of its share whatever the mix of cheap iOS
+  /// and dear Android devices; each device of a chunk holds a scratch
+  /// slice of the campaign's record bound (135 KB for 2015's 26 days).
+  [[nodiscard]] static std::size_t splice_chunk() noexcept;
 
   /// Simulates devices [begin, end) into a self-contained Dataset whose
   /// device ids are *local* (0 .. end - begin): devices, ground truth,
@@ -60,12 +61,13 @@ class Simulator {
   /// The AP tables are left empty — the shard store keeps one shared
   /// copy — so the block does not pass Dataset::validate() until a
   /// universe is installed.
-  ///
-  /// `reuse` hands over sample columns whose memory the block takes
-  /// over (their contents are overwritten), so that a writer streaming
-  /// blocks does not first-touch fresh pages for each one.
-  [[nodiscard]] Dataset run_block(std::size_t begin, std::size_t end,
-                                  SampleColumns reuse = {}) const;
+  [[nodiscard]] Dataset run_block(std::size_t begin, std::size_t end) const;
+
+  /// Hands back a block the caller is done with: later run_block() calls
+  /// write into its sample columns and app-record pages, as they do into
+  /// the splice scratch, so a writer streaming block after block first-
+  /// touches them once per stream. The Simulator frees them when it dies.
+  void recycle(Dataset spent) const;
 
   /// The whole panel with the AP universe attached: run_block(0, n)
   /// plus universe()'s AP tables.

@@ -81,10 +81,9 @@ StreamCampaignResult stream_campaign(const ScenarioConfig& config,
   // every path: its destructor waits when run_block throws, and get()
   // rethrows an exception of the writer here. Entries are appended in
   // order after each join.
-  // Each block takes over the sample columns of the last block written,
-  // so their pages are first-touched once per stream, not per block.
+  // Each written block goes back to the simulator, so the block after
+  // next writes into its pages instead of first-touching fresh ones.
   Dataset block = sim.run_block(bounds[0], bounds[1]);
-  SampleColumns spare;
   for (std::size_t i = 0; i < n_shards; ++i) {
     char name[48];
     std::snprintf(name, sizeof(name), "shard-%04zu.tksnap", i);
@@ -95,15 +94,13 @@ StreamCampaignResult stream_campaign(const ScenarioConfig& config,
           return io::save_snapshot(block, path, hash, &info);
         });
     Dataset next;
-    if (i + 1 < n_shards) {
-      next = sim.run_block(bounds[i + 1], bounds[i + 2], std::move(spare));
-    }
+    if (i + 1 < n_shards) next = sim.run_block(bounds[i + 1], bounds[i + 2]);
     const io::SnapshotResult w = written.get();
     if (!w.ok()) {
       result.error = w.error;
       return result;
     }
-    spare = std::move(block.samples);
+    sim.recycle(std::move(block));
     block = std::move(next);
     if (opts.announce) {
       std::fprintf(stderr,

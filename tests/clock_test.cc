@@ -52,7 +52,6 @@ TEST(CampaignCalendar, BinArithmetic) {
   EXPECT_EQ(cal.hour_of(5), 0);
   EXPECT_EQ(cal.hour_of(6), 1);
   EXPECT_EQ(cal.hour_of(143), 23);
-  EXPECT_DOUBLE_EQ(cal.fractional_hour_of(3), 0.5);
 }
 
 TEST(CampaignCalendar, WeekdayProgression) {

@@ -22,8 +22,9 @@ using test::campaign;
 TEST(Simulator, DeterministicAcrossThreadCounts) {
   // The tentpole guarantee: simulating with the thread pool produces a
   // dataset byte-identical to the serial run, for every campaign year.
-  // 3 threads leave the last of a splice chunk's devices unevenly
-  // shared out; the app ranges must match exactly, empty ones included.
+  // The splice chunk follows the pool size (16, 48 and 64 devices at 1,
+  // 3 and 4 threads), so the runs splice at different devices; the app
+  // ranges must match exactly, empty ones included.
   for (const Year year : {Year::Y2013, Year::Y2014, Year::Y2015}) {
     core::set_thread_count(1);
     const Dataset serial = simulate_year(year, 0.05);
@@ -92,9 +93,12 @@ TEST(Simulator, DeterministicAcrossDevicePartitionings) {
 
   // Blocks one device short of a splice chunk, exactly one and one
   // over: a block ends on a chunk one device short, a full one, or a
-  // chunk of one device.
-  constexpr std::size_t kChunk = Simulator::kSpliceChunk;
-  ASSERT_GT(n, kChunk + 1);
+  // chunk of one device. The chunk follows the pool size, so it is
+  // pinned here.
+  core::set_thread_count(4);
+  const std::size_t chunk = Simulator::splice_chunk();
+  ASSERT_EQ(chunk, 64u);
+  ASSERT_GT(n, chunk + 1);
   // The longest run of iOS devices: a block with no app records at all.
   std::size_t ios_begin = 0, ios_end = 0;
   for (std::size_t i = 0, run = 0; i < n; ++i) {
@@ -111,13 +115,15 @@ TEST(Simulator, DeterministicAcrossDevicePartitionings) {
   for (std::size_t i = 0; i <= n; ++i) singles[i] = i;
   for (const std::vector<std::size_t>& cuts :
        {std::vector<std::size_t>{0, n}, {0, 1, 17, n - 3, n},
-        {0, 5, 5, n / 2, n}, {0, kChunk - 1, n}, {0, kChunk, n},
-        {0, kChunk + 1, n}, {0, n - kChunk - 1, n},
+        {0, 5, 5, n / 2, n}, {0, chunk - 1, n}, {0, chunk, n},
+        {0, chunk + 1, n}, {0, n - chunk - 1, n},
         {0, ios_begin, ios_end, n}, singles}) {
     SCOPED_TRACE(::testing::Message() << cuts.size() - 1 << " blocks");
     std::vector<std::string> joined;
     for (std::size_t b = 0; b + 1 < cuts.size(); ++b) {
-      const Dataset block = sim.run_block(cuts[b], cuts[b + 1]);
+      // Every block is recycled once checked, so the next one writes
+      // over its sample columns and app-record pages.
+      Dataset block = sim.run_block(cuts[b], cuts[b + 1]);
       ASSERT_EQ(block.devices.size(), cuts[b + 1] - cuts[b]);
       EXPECT_TRUE(block.aps.empty());
       append_columns(block, joined);
@@ -136,12 +142,14 @@ TEST(Simulator, DeterministicAcrossDevicePartitionings) {
                   whole.truth.devices[d].capped_day);
         EXPECT_EQ(block.survey[li].occupation, whole.survey[d].occupation);
       }
+      sim.recycle(std::move(block));
     }
     ASSERT_EQ(joined.size(), expected.size());
     for (std::size_t k = 0; k < expected.size(); ++k) {
       EXPECT_TRUE(joined[k] == expected[k]) << "column " << k;
     }
   }
+  core::set_thread_count(0);
 }
 
 TEST(Simulator, CampaignContentDigestPinned) {

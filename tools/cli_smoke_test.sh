@@ -62,26 +62,6 @@ expect 0 "${tokyonet}" snapshot save --year 2015 --scale 0.02 \
     --out "${tmp}/v1.tksnap"
 printf '\001' | dd of="${tmp}/v1.tksnap" bs=1 seek=8 conv=notrunc 2>/dev/null
 expect 3 "${tokyonet}" snapshot load --in "${tmp}/v1.tksnap"
-
-# Simulating holds one copy of the campaign's app records, so saving the
-# full-scale 2015 campaign at 4 threads peaks within a fixed allowance
-# of the file it writes (the file is the campaign's columns). 32 MB sits
-# between the 12 MB over the 257 MB file measured here and the 72 MB of
-# a simulator that kept every device's records until the end.
-allowance_mb=32
-saved="$(TOKYONET_THREADS=4 "${tokyonet}" snapshot save --year 2015 \
-    --scale 1 --out "${tmp}/c2015.tksnap")"
-peak_mb="$(echo "${saved}" | sed -n 's/.*(peak RSS \([0-9.]*\) MB)$/\1/p')"
-file_bytes="$(stat -c %s "${tmp}/c2015.tksnap")"
-rm "${tmp}/c2015.tksnap"
-if [ -z "${peak_mb}" ] || ! awk -v p="${peak_mb}" -v f="${file_bytes}" \
-    -v a="${allowance_mb}" 'BEGIN { exit !(p * 1e6 < f + a * 1e6) }'; then
-  echo "FAIL: snapshot save peaked at '${peak_mb}' MB for a ${file_bytes}" \
-       "byte file, want under the file + ${allowance_mb} MB" >&2
-  exit 1
-fi
-echo "ok: snapshot save peak ${peak_mb} MB, file $(( file_bytes / 1000000 )) MB"
-
 # 4: verification failures.
 echo "this is not a snapshot" > "${tmp}/corrupt.snap"
 expect 4 "${tokyonet}" snapshot load --in "${tmp}/corrupt.snap"

@@ -676,11 +676,8 @@ int cmd_simulate(const Args& args) {
     std::fprintf(stderr, "export failed: %s\n", r.error.c_str());
     return kExitLoad;
   }
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);  // ru_maxrss is in KiB
-  std::printf("wrote %zu devices / %zu samples to %s (peak RSS %.1f MB)\n",
-              ds.devices.size(), ds.samples.size(), args.out_dir.c_str(),
-              static_cast<double>(ru.ru_maxrss) * 1024.0 / 1e6);
+  std::printf("wrote %zu devices / %zu samples to %s\n", ds.devices.size(),
+              ds.samples.size(), args.out_dir.c_str());
   return kExitOk;
 }
 
