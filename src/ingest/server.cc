@@ -53,7 +53,7 @@ constexpr std::size_t kMinBatchRows = 256;
 
 /// The committed stream as a DataSource: one block per server shard,
 /// each a contiguous device range gathered from the shards' batches
-/// when the scan reaches it. Callers hold every shard's `mu`.
+/// when the scan reaches it. Callers hold every shard paused.
 class IngestServer::CommittedSource final : public analysis::query::DataSource {
  public:
   CommittedSource(const IngestServer& server, const BeginPayload& info)
@@ -103,10 +103,7 @@ IngestServer::IngestServer(IngestConfig config) : config_(config) {
   if (config_.shards < 1) config_.shards = 1;
   shards_.reserve(static_cast<std::size_t>(config_.shards));
   for (int s = 0; s < config_.shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
-  }
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->worker = std::thread([this, &s = *shard] { worker_loop(s); });
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -119,12 +116,13 @@ std::unique_ptr<IngestServer::Session> IngestServer::connect() {
 
 void IngestServer::shutdown() {
   {
-    std::lock_guard<std::mutex> lk(init_mu_);
-    if (shut_down_) return;
-    shut_down_ = true;
+    // Set under every shard's lock, since commits read the flag under
+    // their shard's; a commit already under way finishes first.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    for (std::unique_ptr<Shard>& shard : shards_) locks.emplace_back(shard->mu);
+    if (shut_down_.exchange(true)) return;
   }
-  for (std::unique_ptr<Shard>& shard : shards_) shard->queue.close();
-  for (std::unique_ptr<Shard>& shard : shards_) shard->worker.join();
+  for (std::unique_ptr<Shard>& shard : shards_) shard->resumed.notify_all();
 }
 
 bool IngestServer::handle_begin(const BeginPayload& info,
@@ -132,7 +130,7 @@ bool IngestServer::handle_begin(const BeginPayload& info,
   if (!validate_begin(info, error)) return false;
 
   std::lock_guard<std::mutex> lk(init_mu_);
-  if (shut_down_) {
+  if (shut_down_.load()) {
     *error = "server is shut down";
     return false;
   }
@@ -158,73 +156,62 @@ bool IngestServer::handle_begin(const BeginPayload& info,
   return true;
 }
 
-bool IngestServer::route(Batch batch, std::string* error) {
+bool IngestServer::route(Frame& frame, std::string* error) {
   const auto shards = static_cast<std::uint32_t>(config_.shards);
-  Shard& shard = *shards_[value(batch.device) % shards];
-  const std::size_t n_records = batch.samples.size();
-  // The bin check and the push are one step, so a device's batches
-  // reach the worker in the order their bins were checked in.
-  std::lock_guard<std::mutex> lk(shard.route_mu);
+  const std::uint32_t device = value(frame.device);
+  Shard& shard = *shards_[device % shards];
+  const std::size_t n_records = frame.samples.size();
+  // The bin check and the commit are one critical section, so a device's
+  // batches commit in the order their bins were checked in. The counters
+  // move under the lock too, so a reader holding every shard paused sees
+  // counters that match the committed data.
+  std::unique_lock<std::mutex> lk(shard.mu);
+  if (!config_.shed_on_overflow) {
+    shard.resumed.wait(lk,
+                       [&] { return shard.pauses == 0 || shut_down_.load(); });
+  }
+  if (shut_down_.load()) {
+    *error = "server shut down while the stream was in flight";
+    return false;
+  }
   if (n_records > 0) {
-    std::uint32_t& next = shard.next_bin[value(batch.device) / shards];
-    if (batch.samples.bin.front() < next) {
+    std::uint32_t& next = shard.next_bin[device / shards];
+    if (frame.samples.bin.front() < next) {
       frames_rejected_.fetch_add(1, kRelaxed);
-      *error = "Records frame for device " +
-               std::to_string(value(batch.device)) + " starts at bin " +
-               std::to_string(batch.samples.bin.front()) +
+      *error = "Records frame for device " + std::to_string(device) +
+               " starts at bin " + std::to_string(frame.samples.bin.front()) +
                ", not after the device's last routed bin " +
                std::to_string(next - 1);
       return false;
     }
-    next = std::uint32_t{batch.samples.bin.back()} + 1;
+    next = std::uint32_t{frame.samples.bin.back()} + 1;
   }
-  if (config_.shed_on_overflow) {
-    if (!shard.queue.try_push(std::move(batch))) {
-      batches_shed_.fetch_add(1, kRelaxed);
-      records_shed_.fetch_add(n_records, kRelaxed);
-    }
-    return true;  // shedding is not a session error
+  if (shard.pauses > 0) {  // shed mode: dropping is not a session error
+    batches_shed_.fetch_add(1, kRelaxed);
+    records_shed_.fetch_add(n_records, kRelaxed);
+    return true;
   }
-  if (!shard.queue.push(std::move(batch))) {
-    *error = "server shut down while the stream was in flight";
-    return false;
-  }
-  return true;
-}
-
-void IngestServer::worker_loop(Shard& shard) {
-  const auto shards = static_cast<std::uint32_t>(config_.shards);
-  while (std::optional<Batch> batch = shard.queue.pop()) {
-    const std::lock_guard<std::mutex> gate(shard.gate);
-    commit(shard, value(batch->device) / shards, std::move(*batch));
-  }
-}
-
-void IngestServer::commit(Shard& shard, std::size_t local_device,
-                          Batch batch) {
-  // The counters move under the commit lock too, so a reader holding
-  // every shard lock sees counters that match the committed data.
-  std::lock_guard<std::mutex> lk(shard.mu);
   batches_committed_.fetch_add(1, kRelaxed);
-  records_committed_.fetch_add(batch.samples.size(), kRelaxed);
-  app_records_committed_.fetch_add(batch.app.size(), kRelaxed);
-  std::vector<Batch>& device = shard.batches[local_device];
-  if (device.empty() || device.back().samples.size() >= kMinBatchRows) {
-    device.push_back(std::move(batch));
-    return;
+  records_committed_.fetch_add(n_records, kRelaxed);
+  app_records_committed_.fetch_add(frame.app.size(), kRelaxed);
+  std::vector<Batch>& batches = shard.batches[device / shards];
+  if (batches.empty() || batches.back().samples.size() >= kMinBatchRows) {
+    batches.push_back({std::move(frame.samples), std::move(frame.app)});
+    return true;
   }
   // Reserving the floor first lets a run of small frames fill the last
   // batch with one reallocation.
-  Batch& last = device.back();
+  Batch& last = batches.back();
   const std::size_t rows =
-      std::max(kMinBatchRows, last.samples.size() + batch.samples.size());
+      std::max(kMinBatchRows, last.samples.size() + n_records);
   SampleColumns::for_each(
       [rows](auto& to, const auto& from) {
         to.reserve(rows);
         to.insert(to.cend(), from.begin(), from.end());
       },
-      last.samples, batch.samples);
-  last.app.append(batch.app);
+      last.samples, frame.samples);
+  last.app.append(frame.app);
+  return true;
 }
 
 Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
@@ -287,18 +274,26 @@ Dataset IngestServer::gather(const BeginPayload& info, std::size_t first,
   return block;
 }
 
-std::vector<std::unique_lock<std::mutex>> IngestServer::lock_shards() const {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    locks.emplace_back(shard->mu);
+void IngestServer::Resume::operator()(Shard* shard) const {
+  {
+    const std::lock_guard<std::mutex> lk(shard->mu);
+    --shard->pauses;
   }
-  return locks;
+  shard->resumed.notify_all();
 }
 
-std::unique_lock<std::mutex> IngestServer::freeze_shard(int shard) {
-  return std::unique_lock<std::mutex>(
-      shards_[static_cast<std::size_t>(shard)]->gate);
+IngestServer::ShardPause IngestServer::freeze_shard(int shard) const {
+  Shard& paused = *shards_[static_cast<std::size_t>(shard)];
+  const std::lock_guard<std::mutex> lk(paused.mu);
+  ++paused.pauses;
+  return ShardPause(&paused);
+}
+
+std::vector<IngestServer::ShardPause> IngestServer::pause_shards() const {
+  std::vector<ShardPause> pauses;
+  pauses.reserve(shards_.size());
+  for (int s = 0; s < config_.shards; ++s) pauses.push_back(freeze_shard(s));
+  return pauses;
 }
 
 IngestCounters IngestServer::counters() const {
@@ -325,14 +320,14 @@ std::optional<BeginPayload> IngestServer::campaign() const {
 analysis::StreamResult IngestServer::result() const {
   const std::optional<BeginPayload> info = campaign();
   if (!info.has_value()) return {};
-  const auto locks = lock_shards();
+  const auto paused = pause_shards();
   return analysis::batch_stream_result(CommittedSource(*this, *info));
 }
 
 Dataset IngestServer::collect() const {
   const std::optional<BeginPayload> info = campaign();
   if (!info.has_value()) return {};
-  const auto locks = lock_shards();
+  const auto paused = pause_shards();
   return gather(*info, 0, info->n_devices);
 }
 
@@ -420,11 +415,7 @@ bool IngestServer::Session::on_frame(Frame& frame) {
                       " repeats a bin");
       }
       std::string error;
-      if (!server_->route({frame.device, std::move(frame.samples),
-                           std::move(frame.app)},
-                          &error)) {
-        return fail(std::move(error));
-      }
+      if (!server_->route(frame, &error)) return fail(std::move(error));
       break;
     }
     case FrameType::End:

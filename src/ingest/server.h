@@ -2,14 +2,16 @@
 //
 // Sessions (one per connection, any thread) parse ingest frames
 // (ingest/frame.h), check each Records frame's rows with
-// core::check_device_run, and route each device batch to the shard
-// owning the device (`device % shards`). Each shard has one worker
-// thread of its own. It drains a bounded FIFO queue — blocking
-// producers when it falls behind (backpressure), or dropping batches
-// with a counter in shed mode — and commits each batch by moving it into
-// its device's list of batches, with no copy, or, while the device's last
-// batch is small, by appending it there. result() runs the ordinary
-// batch kernels over the committed batches, mid-stream or after it.
+// core::check_device_run, and commit each device batch, on the
+// session's own thread, to the shard owning the device
+// (`device % shards`): one critical section under the shard's lock
+// checks that the device's bins ascend across frames and moves the
+// batch into the device's list of batches, with no copy, or, while the
+// device's last batch is small, appends it there. A paused shard
+// (freeze_shard(), or a result()/collect() scan) makes a commit wait
+// (lossless) or drop the batch with a counter (shed mode). result()
+// runs the ordinary batch kernels over the committed batches,
+// mid-stream or after it.
 //
 // Error discipline: every malformed input — truncated frame, bad CRC,
 // wrong version, a row the validator rejects, bins that do not ascend
@@ -20,32 +22,29 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/incremental.h"
 #include "core/column.h"
 #include "core/cow_vector.h"
 #include "ingest/frame.h"
-#include "ingest/queue.h"
 
 namespace tokyonet::ingest {
 
 struct IngestConfig {
-  /// Worker shards; devices map to shards by `device % shards`.
+  /// Commit shards; devices map to shards by `device % shards`.
   int shards = 1;
-  /// Records frames buffered per shard queue before the overflow
-  /// discipline kicks in.
-  std::size_t queue_capacity = 64;
-  /// false: producers block until the worker catches up (lossless
-  /// backpressure). true: full queues drop batches, counted in
-  /// `batches_shed`/`records_shed`.
+  /// false: a commit to a paused shard waits until it resumes
+  /// (lossless). true: it drops the batch, counted in
+  /// `batches_shed`/`records_shed`. Sessions appending to the same
+  /// shard only take turns; neither sheds for the other.
   bool shed_on_overflow = false;
 };
 
@@ -65,6 +64,8 @@ struct IngestCounters {
 };
 
 class IngestServer {
+  struct Shard;
+
  public:
   explicit IngestServer(IngestConfig config = {});
   ~IngestServer();
@@ -80,8 +81,10 @@ class IngestServer {
    public:
     ~Session();
 
-    /// Parses and routes every complete frame in `bytes`. Returns false
-    /// once the session has failed; error() says why.
+    /// Parses and commits every complete frame in `bytes`: when it
+    /// returns true, every complete Records frame fed so far is
+    /// committed (or shed). Returns false once the session has failed;
+    /// error() says why.
     [[nodiscard]] bool feed(std::span<const std::uint8_t> bytes);
 
     /// Call at end of input. True only for a clean stream: Begin seen,
@@ -112,9 +115,9 @@ class IngestServer {
   /// Opens a new session. The server must outlive it.
   [[nodiscard]] std::unique_ptr<Session> connect();
 
-  /// Closes the shard queues, drains what is already enqueued, and
-  /// stops the workers. Call after all sessions are finished; sessions
-  /// still feeding fail cleanly. Idempotent; the destructor calls it.
+  /// Stops committing: a Records frame after this, or one waiting on a
+  /// paused shard, fails its session cleanly. Call after all sessions
+  /// are finished. Idempotent; the destructor calls it.
   void shutdown();
 
   [[nodiscard]] IngestCounters counters() const;
@@ -123,10 +126,10 @@ class IngestServer {
   [[nodiscard]] std::optional<BeginPayload> campaign() const;
 
   /// batch_stream_result over everything committed so far, safe
-  /// mid-stream: holds every shard's commit lock while the kernels scan
-  /// one block per shard (a contiguous device range gathered from the
-  /// shards' batches, one block resident at a time). Empty before the
-  /// first Begin frame.
+  /// mid-stream: pauses every shard while the kernels scan one block
+  /// per shard (a contiguous device range gathered from the shards'
+  /// batches, one block resident at a time). Empty before the first
+  /// Begin frame.
   [[nodiscard]] analysis::StreamResult result() const;
 
   /// Everything committed so far as one Dataset, devices in id order:
@@ -137,38 +140,40 @@ class IngestServer {
   /// before Begin.
   [[nodiscard]] Dataset collect() const;
 
-  /// Pauses shard `shard`'s worker before its next commit for as long
-  /// as the lock is held; result() and collect() still run. Used by
-  /// tests (deterministic backpressure, a fixed mid-stream point).
-  [[nodiscard]] std::unique_lock<std::mutex> freeze_shard(int shard);
+  /// Resumes a paused shard when destroyed.
+  struct Resume {
+    void operator()(Shard* shard) const;
+  };
+  using ShardPause = std::unique_ptr<Shard, Resume>;
+
+  /// Pauses shard `shard`'s commits for as long as the handle lives;
+  /// result() and collect() still run. Used by tests (deterministic
+  /// backpressure and shedding, a fixed mid-stream point).
+  [[nodiscard]] ShardPause freeze_shard(int shard) const;
 
   [[nodiscard]] const IngestConfig& config() const noexcept {
     return config_;
   }
 
  private:
-  /// One device batch in flight between a session and a shard worker.
+  /// One committed batch of a device's rows.
   struct Batch {
-    DeviceId device{};
     SampleColumns samples;
     AppColumns app;
   };
 
-  /// One shard: its queue, its worker and its committed batches.
+  /// One shard: its owned devices' bin cursors and committed batches.
+  /// Devices map to local index `device / shards`.
   struct Shard {
-    explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
-
-    BoundedQueue<Batch> queue;
-    std::thread worker;
-    /// Orders route()'s bin check and queue push per device. Guards
-    /// next_bin: per owned device (local index = device / shards), the
-    /// lowest bin its next frame may start at.
-    std::mutex route_mu;
+    /// Guards everything below; a commit is one critical section.
+    std::mutex mu;
+    /// Signalled when `pauses` drops to 0 and on shutdown.
+    std::condition_variable resumed;
+    /// Live freeze_shard() handles and result()/collect() scans. While
+    /// above 0, nothing below changes but `next_bin` (shed mode).
+    int pauses = 0;
+    /// Per owned device, the lowest bin its next frame may start at.
     std::vector<std::uint32_t> next_bin;
-    /// Held by the worker while it commits, and by freeze_shard().
-    std::mutex gate;
-    /// Guards the committed data below.
-    mutable std::mutex mu;
     /// Per owned device: its committed batches, in arrival (= bin) order;
     /// all but the last hold at least kMinBatchRows rows (server.cc).
     std::vector<std::vector<Batch>> batches;
@@ -178,22 +183,23 @@ class IngestServer {
 
   [[nodiscard]] bool handle_begin(const BeginPayload& info,
                                   std::string* error);
-  [[nodiscard]] bool route(Batch batch, std::string* error);
-  void worker_loop(Shard& shard);
-  void commit(Shard& shard, std::size_t local_device, Batch batch);
+  /// Checks a Records frame's bins against its device's last committed
+  /// bin and commits it; false fails the session.
+  [[nodiscard]] bool route(Frame& frame, std::string* error);
   /// Devices [first, last) as a block Dataset with local device ids.
-  /// Callers hold every shard's `mu`.
+  /// Callers hold every shard paused.
   [[nodiscard]] Dataset gather(const BeginPayload& info, std::size_t first,
                                std::size_t last) const;
-  [[nodiscard]] std::vector<std::unique_lock<std::mutex>> lock_shards() const;
+  [[nodiscard]] std::vector<ShardPause> pause_shards() const;
 
   IngestConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable std::mutex init_mu_;  // guards begin_, aps_ and shut_down_
+  mutable std::mutex init_mu_;  // guards begin_ and aps_
   std::optional<BeginPayload> begin_;
   core::CowVector<ApInfo> aps_;  // the announced AP universe (ids only)
-  bool shut_down_ = false;
+  /// Written under every shard's `mu`; atomic for handle_begin().
+  std::atomic<bool> shut_down_{false};
 
   // Counters (relaxed: monotonic statistics, no ordering needed).
   std::atomic<std::uint64_t> sessions_opened_{0}, sessions_closed_{0},

@@ -1,9 +1,9 @@
 // Tests for the streaming ingest subsystem (src/ingest): frame
-// encode/decode round-trips, malformed-frame handling, bounded-queue
-// backpressure, the sharded server's error discipline, and the headline
-// invariant — the kernels' result over a campaign replayed through
-// ingest is byte-identical to their result over the campaign itself,
-// at any shard count.
+// encode/decode round-trips, malformed-frame handling, commit
+// backpressure and shedding, concurrent sessions, the sharded server's
+// error discipline, and the headline invariant — the kernels' result
+// over a campaign replayed through ingest is byte-identical to their
+// result over the campaign itself, at any shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "analysis/incremental.h"
 #include "core/dataset_index.h"
 #include "ingest/frame.h"
-#include "ingest/queue.h"
 #include "ingest/replay.h"
 #include "ingest/server.h"
 #include "ingest/tcp.h"
@@ -100,6 +99,43 @@ std::vector<std::uint8_t> encode_stream(const Dataset& ds,
   opts.batch_records = batch_records;
   EXPECT_TRUE(replay_dataset(ds, opts, sink));
   return sink.bytes;
+}
+
+/// Begin, Records frames of up to `batch_records` rows for devices
+/// [first, last), then End.
+std::vector<std::uint8_t> encode_devices(const Dataset& ds,
+                                         std::uint32_t first,
+                                         std::uint32_t last,
+                                         std::size_t batch_records) {
+  std::vector<std::uint8_t> bytes;
+  encode_begin(begin_payload_for(ds), bytes);
+  const core::DatasetIndex& idx = ds.index();
+  for (std::uint32_t d = first; d < last; ++d) {
+    std::size_t app = idx.device_app_begin(d);
+    for (std::size_t i = idx.device_begin(d); i < idx.device_end(d);
+         i += batch_records) {
+      const std::size_t end = std::min(i + batch_records, idx.device_end(d));
+      std::size_t n_app = 0;
+      for (std::size_t r = i; r < end; ++r) n_app += ds.samples.app_count[r];
+      encode_records(DeviceId{d}, ds.samples, i, end, ds.app_traffic, app,
+                     app + n_app, bytes);
+      app += n_app;
+    }
+  }
+  encode_end(bytes);
+  return bytes;
+}
+
+/// Rows in the complete Records frames of `bytes`.
+std::uint64_t complete_frame_rows(std::span<const std::uint8_t> bytes) {
+  FrameParser parser;
+  parser.feed(bytes);
+  std::uint64_t rows = 0;
+  Frame frame;
+  while (parser.next(frame) == FrameParser::Status::Frame) {
+    if (frame.type == FrameType::Records) rows += frame.samples.size();
+  }
+  return rows;
 }
 
 void wait_for(const std::function<bool()>& done) {
@@ -339,60 +375,11 @@ TEST(IngestFrameTest, RowRulesFailTheSessionAndCommitNothing) {
   }
 }
 
-// --- Bounded queue ------------------------------------------------------
-
-TEST(IngestQueueTest, TryPushShedsWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: shed
-  ASSERT_EQ(q.pop(), 1);
-  EXPECT_TRUE(q.try_push(4));  // space freed
-  EXPECT_EQ(q.size(), 2u);
-}
-
-TEST(IngestQueueTest, PushBlocksUntilConsumerMakesSpace) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> unblocked{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(2));  // must block: queue is full
-    unblocked = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(unblocked.load());  // still parked in push()
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(unblocked.load());
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(IngestQueueTest, CloseDrainsThenSignalsEndOfStream) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  q.close();
-  EXPECT_FALSE(q.push(3));      // closed: producers fail
-  EXPECT_FALSE(q.try_push(3));
-  EXPECT_EQ(q.pop(), 1);  // consumer still drains the backlog
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);  // then end-of-stream
-}
-
-TEST(IngestQueueTest, CloseUnblocksParkedProducer) {
-  BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  producer.join();
-}
-
 // --- Server: protocol and error discipline ------------------------------
 
 TEST(IngestServerTest, LoopbackStreamCommitsAndMatchesBatch) {
   const Dataset ds = tiny_dataset();
-  IngestServer server({.shards = 2, .queue_capacity = 4});
+  IngestServer server({.shards = 2});
   auto session = server.connect();
   SessionSink sink(*session);
   ReplayOptions opts;
@@ -531,36 +518,15 @@ TEST(IngestServerTest, SecondSessionMustAnnounceTheSameCampaign) {
 
 TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
   const Dataset ds = tiny_dataset();
-  IngestServer server(
-      {.shards = 1, .queue_capacity = 1, .shed_on_overflow = true});
+  IngestServer server({.shards = 1, .shed_on_overflow = true});
   auto session = server.connect();
 
-  std::vector<std::uint8_t> begin;
-  encode_begin(begin_payload_for(ds), begin);
-  ASSERT_TRUE(session->feed(begin));
-
   {
-    // Freeze the shard: its worker parks on the first commit, so the
-    // 1-slot queue fills deterministically and later frames shed.
+    // Freeze the shard: every commit finds it paused and sheds, and
+    // shedding is not a session error.
     const auto frozen = server.freeze_shard(0);
-    const core::DatasetIndex& idx = ds.index();
-    std::vector<std::uint8_t> frame;
-    for (std::uint32_t d = 0; d < ds.devices.size(); ++d) {
-      std::size_t app = idx.device_app_begin(d);
-      for (std::size_t i = idx.device_begin(d); i < idx.device_end(d); ++i) {
-        const std::size_t n_app = ds.samples.app_count[i];
-        frame.clear();
-        encode_records(DeviceId{d}, ds.samples, i, i + 1, ds.app_traffic, app,
-                       app + n_app, frame);
-        app += n_app;
-        ASSERT_TRUE(session->feed(frame));  // shedding is not an error
-      }
-    }
+    ASSERT_TRUE(session->feed(encode_stream(ds)));  // 1-row frames
   }
-
-  std::vector<std::uint8_t> end;
-  encode_end(end);
-  ASSERT_TRUE(session->feed(end));
   ASSERT_TRUE(session->finish()) << session->error();
   server.shutdown();
 
@@ -569,6 +535,111 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
   EXPECT_EQ(c.records_committed + c.records_shed, ds.samples.size());
   EXPECT_EQ(server.result().totals.n_samples, c.records_committed);
   EXPECT_EQ(c.sessions_closed, 1u);
+
+  // Nothing paused: a shed-mode server commits every record.
+  IngestServer unpaused({.shards = 2, .shed_on_overflow = true});
+  auto whole = unpaused.connect();
+  ASSERT_TRUE(whole->feed(encode_stream(ds)));
+  ASSERT_TRUE(whole->finish()) << whole->error();
+  const IngestCounters u = unpaused.counters();
+  EXPECT_EQ(u.batches_shed, 0u);
+  EXPECT_EQ(u.records_shed, 0u);
+  EXPECT_EQ(u.records_committed, ds.samples.size());
+  EXPECT_TRUE(test::same_records(unpaused.collect(), ds));
+}
+
+TEST(IngestServerTest, FrozenShardBlocksLosslessProducer) {
+  const Dataset ds = tiny_dataset();
+  IngestServer server({.shards = 2});
+  const std::vector<std::uint8_t> bytes = encode_stream(ds, 2);
+  auto session = server.connect();
+
+  std::atomic<bool> returned{false};
+  bool fed = false;
+  std::thread producer;
+  {
+    // Device 0's first frame goes to shard 0 and parks its session.
+    const auto frozen = server.freeze_shard(0);
+    producer = std::thread([&] {
+      fed = session->feed(bytes);
+      returned = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(returned.load());  // still parked in feed()
+    const IngestCounters parked = server.counters();
+    EXPECT_EQ(parked.frames_accepted, 1u);  // Begin only
+    EXPECT_EQ(parked.records_committed, 0u);
+  }
+  producer.join();
+  ASSERT_TRUE(fed) << session->error();
+  ASSERT_TRUE(session->finish()) << session->error();
+  EXPECT_EQ(server.counters().batches_shed, 0u);
+  EXPECT_TRUE(test::same_records(server.collect(), ds));
+}
+
+TEST(IngestServerTest, ShutdownFailsAParkedProducer) {
+  const Dataset ds = tiny_dataset();
+  IngestServer server({.shards = 2});
+  const std::vector<std::uint8_t> bytes = encode_stream(ds, 2);
+  auto session = server.connect();
+
+  bool fed = true;
+  {
+    const auto frozen = server.freeze_shard(0);
+    std::thread producer([&] { fed = session->feed(bytes); });
+    // Begin is accepted, then the first Records frame parks on shard 0.
+    wait_for([&] { return server.counters().frames_accepted >= 1; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    server.shutdown();
+    // shutdown() wakes the parked commit, which fails its session
+    // without waiting for the freeze to end.
+    producer.join();
+  }
+  EXPECT_FALSE(fed);
+  EXPECT_NE(session->error().find("server shut down"), std::string::npos)
+      << session->error();
+  const IngestCounters c = server.counters();
+  EXPECT_EQ(c.records_committed, 0u);
+  EXPECT_EQ(c.batches_shed, 0u);
+  EXPECT_EQ(c.sessions_failed, 1u);
+  EXPECT_EQ(server.collect().samples.size(), 0u);
+}
+
+TEST(IngestServerTest, ConcurrentSessionsCommitDisjointDevices) {
+  const Dataset& ds = test::campaign(Year::Y2013);
+  const auto n = static_cast<std::uint32_t>(ds.devices.size());
+  IngestServer server({.shards = 2});
+
+  // Each session owns half of the devices; both halves span both shards.
+  const std::vector<std::uint8_t> halves[2] = {
+      encode_devices(ds, 0, n / 2, 64), encode_devices(ds, n / 2, n, 64)};
+  bool clean[2] = {false, false};
+  std::vector<std::thread> producers;
+  for (int h = 0; h < 2; ++h) {
+    producers.emplace_back([&, h] {
+      auto session = server.connect();
+      const std::vector<std::uint8_t>& bytes = halves[h];
+      constexpr std::size_t kChunk = 4096;
+      bool ok = true;
+      for (std::size_t at = 0; ok && at < bytes.size(); at += kChunk) {
+        ok = session->feed(
+            {bytes.data() + at, std::min(kChunk, bytes.size() - at)});
+      }
+      clean[h] = ok && session->finish();
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  ASSERT_TRUE(clean[0]);
+  ASSERT_TRUE(clean[1]);
+  server.shutdown();
+
+  const IngestCounters c = server.counters();
+  EXPECT_EQ(c.sessions_closed, 2u);
+  EXPECT_EQ(c.batches_shed, 0u);
+  EXPECT_EQ(c.records_committed, ds.samples.size());
+  EXPECT_TRUE(test::same_records(server.collect(), ds));
+  EXPECT_EQ(compare_stream_results(server.result(), batch_stream_result(ds)),
+            "");
 }
 
 TEST(IngestServerTest, ResultIsQueryableMidStream) {
@@ -580,14 +651,12 @@ TEST(IngestServerTest, ResultIsQueryableMidStream) {
   const std::size_t half = bytes.size() / 2;
   ASSERT_TRUE(session->feed({bytes.data(), half}));
 
-  // Wait until everything fed so far is committed, then query while the
-  // stream is still open.
-  const IngestCounters at_half = server.counters();
-  wait_for([&] {
-    const IngestCounters c = server.counters();
-    return c.batches_committed + c.batches_shed >= at_half.frames_accepted - 1;
-  });
+  // feed() commits before it returns: every complete frame fed so far
+  // is queryable while the stream is still open.
+  const std::uint64_t fed_rows = complete_frame_rows({bytes.data(), half});
+  EXPECT_EQ(server.counters().records_committed, fed_rows);
   const StreamResult partial = server.result();
+  EXPECT_EQ(partial.totals.n_samples, fed_rows);
   EXPECT_GT(partial.totals.n_samples, 0u);
   EXPECT_LT(partial.totals.n_samples, ds.samples.size());
 
@@ -605,9 +674,9 @@ TEST(IngestServerTest, FrozenMidStreamResultMatchesCollect) {
   const std::vector<std::uint8_t> bytes = encode_stream(ds, 512);
   const std::size_t half = bytes.size() / 2;
   ASSERT_TRUE(session->feed({bytes.data(), half}));
-  wait_for([&] { return server.counters().records_committed > 0; });
+  ASSERT_GT(server.counters().records_committed, 0u);
   {
-    // With both workers paused, result() and collect() read the same
+    // With both shards paused, result() and collect() read the same
     // committed prefix of the stream.
     const auto frozen0 = server.freeze_shard(0);
     const auto frozen1 = server.freeze_shard(1);
@@ -657,8 +726,7 @@ TEST_P(ReplayEquivalenceTest, IncrementalMatchesBatchAtOneAndFourShards) {
   const StreamResult batch = batch_stream_result(ds);
 
   for (const int shards : {1, 4}) {
-    IngestServer server(
-        {.shards = shards, .queue_capacity = 32});
+    IngestServer server({.shards = shards});
     auto session = server.connect();
     SessionSink sink(*session);
     ReplayOptions opts;

@@ -40,11 +40,12 @@ expect 2 "${tokyonet}" fig run table01 --year 2015 --format yaml
 expect 2 "${tokyonet}" report --year 2020
 
 # 2: a count outside its range is a usage error, never clamped into it.
-# The ingest shard cap is checked while parsing, before the server
-# starts its one worker thread per shard.
+# The ingest shard cap (1..256) is checked while parsing, before the
+# server sets up its shards. --queue is gone: an unknown flag.
 expect 2 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --batch 0
 expect 2 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 0
 expect 2 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 257
+expect 2 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --queue 4
 expect 2 "${tokyonet}" snapshot shard --year 2015 --scale 0.02 \
     --out "${tmp}/negative" --shards -1
 expect 2 "${tokyonet}" ingest serve --port 70000  # not wrapped to 4464
@@ -165,6 +166,14 @@ echo "${stats}" | grep -q "verify:   ingest == batch" || {
   echo "FAIL: ingest stats must print 'verify:   ingest == batch'" >&2
   exit 1; }
 echo "ok: ingest stats verifies ingest == batch"
+# Shed mode drops only batches that find their shard paused; nothing
+# pauses a loopback run, so it sheds nothing and still verifies.
+expect 0 "${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 4 --shed
+shed="$("${tokyonet}" ingest stats --year 2015 --scale 0.02 --shards 4 --shed)"
+echo "${shed}" | grep -q "verify:   ingest == batch" || {
+  echo "FAIL: ingest stats --shed must print 'verify:   ingest == batch'" >&2
+  exit 1; }
+echo "ok: ingest stats --shed sheds nothing and verifies ingest == batch"
 
 # 3: a CSV field its column cannot hold (battery 356 in the first
 # samples.csv row) is a malformed row, not a narrowed value.

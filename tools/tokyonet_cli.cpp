@@ -63,11 +63,12 @@
 //       shards and million-device campaigns fit in a few GB. --shards 0
 //       sizes shards automatically (2048 devices each).
 //
-//   tokyonet ingest serve --port P [--host H] [--shards N] [--queue N]
-//                         [--shed] [--sessions N]
+//   tokyonet ingest serve --port P [--host H] [--shards N] [--shed]
+//                         [--sessions N]
 //       Run a TCP ingest server until N sessions have ended, then print
-//       the counters and the stream's analysis summary. An ingest server
-//       runs one worker thread per shard, so --shards is 1..256.
+//       the counters and the stream's analysis summary. --shards is
+//       1..256. With --shed, a commit that finds its shard paused drops
+//       the batch with a counter instead of waiting.
 //
 //   tokyonet ingest replay --year Y --port P [--host H] [--scale S]
 //                          [--seed N] [--rate R] [--batch B]
@@ -75,7 +76,7 @@
 //       Stream a campaign to a running ingest server over TCP.
 //
 //   tokyonet ingest stats --year Y [--scale S] [--seed N] [--shards N]
-//                         [--queue N] [--shed] [--rate R] [--batch B]
+//                         [--shed] [--rate R] [--batch B]
 //                         [--multiplier M] [--no-verify]
 //       Loopback replay: stream a campaign through an in-process ingest
 //       server, print throughput/counters, and verify the kernels' result
@@ -129,9 +130,10 @@ constexpr int kExitUsage = 2;
 constexpr int kExitLoad = 3;
 constexpr int kExitVerify = 4;
 
-// The most shards `ingest` accepts. IngestServer starts one worker thread
-// per shard in its constructor, so the cap is checked while parsing,
-// before any thread starts.
+// The most shards `ingest` accepts. A shard only splits the commit locks
+// among sessions and sets one block of every result() scan; past a few
+// hundred it adds locks and blocks and nothing else, so a larger count
+// is taken for a typo.
 constexpr int kMaxIngestShards = 256;
 
 struct Args {
@@ -160,7 +162,6 @@ struct Args {
   std::string host = "127.0.0.1";
   int port = 0;
   int shards = 4;
-  int queue = 64;
   bool shed = false;
   int sessions = 1;
   double rate = 0.0;
@@ -194,14 +195,14 @@ int usage() {
                "  tokyonet snapshot warm [--scale S]   "
                "(needs TOKYONET_CACHE_DIR)\n"
                "  tokyonet ingest serve --port P [--host H] [--shards N] "
-               "[--queue N] [--shed] [--sessions N]\n"
+               "[--shed] [--sessions N]\n"
                "  tokyonet ingest replay --year Y --port P [--host H] "
                "[--scale S] [--seed N] [--rate R] [--batch B] "
                "[--multiplier M]\n"
                "  tokyonet ingest stats --year Y [--scale S] [--seed N] "
-               "[--shards N] [--queue N] [--shed] [--rate R] [--batch B] "
+               "[--shards N] [--shed] [--rate R] [--batch B] "
                "[--multiplier M] [--no-verify]\n"
-               "ingest --shards is 1..%d; --queue, --sessions, --batch and "
+               "ingest --shards is 1..%d; --sessions, --batch and "
                "--multiplier are at least 1\n"
                "exit codes: 0 ok, 1 failure, 2 usage, 3 load/IO, "
                "4 verification\n",
@@ -359,12 +360,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       if (!parse_count_flag("--shards", v, ingest ? 1 : 0,
                             ingest ? kMaxIngestShards : INT_MAX,
                             args.shards)) {
-        return false;
-      }
-    } else if (flag == "--queue") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!parse_count_flag("--queue", v, 1, INT_MAX, args.queue)) {
         return false;
       }
     } else if (flag == "--sessions") {
@@ -914,7 +909,6 @@ int cmd_snapshot(const Args& args) {
 ingest::IngestConfig ingest_config(const Args& args) {
   ingest::IngestConfig config;
   config.shards = args.shards;
-  config.queue_capacity = static_cast<std::size_t>(args.queue);
   config.shed_on_overflow = args.shed;
   return config;
 }
@@ -964,10 +958,9 @@ int cmd_ingest_serve(const Args& args) {
     return kExitFailure;
   }
   const int want = args.sessions;
-  std::printf("listening on %s:%u (%d shards, queue %d, %s); waiting for "
+  std::printf("listening on %s:%u (%d shards, %s); waiting for "
               "%d session%s\n",
               args.host.c_str(), listener.port(), server.config().shards,
-              static_cast<int>(server.config().queue_capacity),
               server.config().shed_on_overflow ? "shed" : "block", want,
               want == 1 ? "" : "s");
   std::fflush(stdout);
@@ -1048,7 +1041,9 @@ int cmd_ingest_stats(const Args& args) {
   print_ingest_summary(server, result);
 
   int rc = clean ? kExitOk : kExitFailure;
-  const bool verify = !args.no_verify && args.multiplier <= 1 && !args.shed;
+  // Nothing pauses a loopback server's shards, so --shed sheds nothing
+  // and is verified too.
+  const bool verify = !args.no_verify && args.multiplier <= 1;
   if (verify && clean) {
     const std::string diff = analysis::compare_stream_results(
         result, analysis::batch_stream_result(ds));
