@@ -548,6 +548,53 @@ TEST(IngestServerTest, ShedModeDropsWithCountersInsteadOfBlocking) {
   EXPECT_TRUE(test::same_records(unpaused.collect(), ds));
 }
 
+TEST(IngestServerTest, ShedModeCommitsAgainOnceTheShardResumes) {
+  const Dataset ds = tiny_dataset();
+  IngestServer server({.shards = 1, .shed_on_overflow = true});
+  auto session = server.connect();
+
+  // Begin + device 0's 1-row frames, then devices 1 and 2 + End.
+  std::vector<std::uint8_t> end_frame;
+  encode_end(end_frame);
+  std::vector<std::uint8_t> head = encode_devices(ds, 0, 1, 1);
+  head.resize(head.size() - end_frame.size());
+  std::vector<std::uint8_t> begin_frame;
+  encode_begin(begin_payload_for(ds), begin_frame);
+  const std::vector<std::uint8_t> rest = encode_devices(ds, 1, 3, 1);
+  const std::span<const std::uint8_t> tail =
+      std::span(rest).subspan(begin_frame.size());
+
+  std::atomic<bool> returned{false};
+  bool fed = false;
+  std::thread producer;
+  {
+    // Shedding never parks the producer: feed() returns with the shard
+    // still paused.
+    const auto frozen = server.freeze_shard(0);
+    producer = std::thread([&] {
+      fed = session->feed(head);
+      returned = true;
+    });
+    wait_for([&] { return returned.load(); });
+  }
+  producer.join();
+  ASSERT_TRUE(fed) << session->error();
+  const IngestCounters shed = server.counters();
+  EXPECT_EQ(shed.batches_shed, 2u);  // device 0's two frames
+  EXPECT_EQ(shed.records_shed, 2u);
+  EXPECT_EQ(shed.records_committed, 0u);
+
+  // Once the pause ends, the same session's frames commit again.
+  ASSERT_TRUE(session->feed(tail)) << session->error();
+  ASSERT_TRUE(session->finish()) << session->error();
+  server.shutdown();
+  const IngestCounters c = server.counters();
+  EXPECT_EQ(c.batches_shed, 2u);
+  EXPECT_EQ(c.records_shed, 2u);
+  EXPECT_EQ(c.records_committed, ds.samples.size() - 2);
+  EXPECT_EQ(server.collect().samples.size(), ds.samples.size() - 2);
+}
+
 TEST(IngestServerTest, FrozenShardBlocksLosslessProducer) {
   const Dataset ds = tiny_dataset();
   IngestServer server({.shards = 2});
