@@ -12,13 +12,9 @@
 //    over the full Dataset (chunked-parallel inside, query/scan.h),
 //    which reduce() and concat() pass through without a merge. Kernels
 //    have no separate in-memory path.
-//  - ShardedSource walks an io::ShardedDataset shard by shard. With
-//    resident_shards == 0 it loads strictly sequentially (one shard
-//    resident, the PR 8 memory bound); with K >= 1 an io::ShardPrefetcher
-//    keeps one load in flight while up to K scanner threads produce
-//    partials, bounding live shard payloads to K + 1 (DESIGN.md §5j).
-//    Partials are always folded in strict shard order on the calling
-//    thread.
+//  - ShardedSource walks an io::ShardedDataset shard by shard on the
+//    calling thread: load, scan, drop, fold, then the next shard, so one
+//    shard is resident at a time (DESIGN.md §5j).
 //
 // Each fold_blocks call is one pass: out of core, every shard is loaded
 // and validated once per pass. A query::Sweep carries the (scan, fold)
@@ -32,15 +28,14 @@
 // analysis::WeeklyProfile), a max or a set union, or a concatenation of
 // per-device products in device order. Each is grouping-independent,
 // so the shard-order fold reproduces the in-memory scan byte-identically
-// at any (threads, shards, resident_shards) — the same argument that
+// at any (threads, shards) — the same argument that
 // covers the chunk geometry in query/scan.h. Every figure reads its
 // campaign through a DataSource, so every per-year figure runs on both
 // backends.
 //
-// Errors: a shard that fails to load surfaces as SourceError; any
-// exception a scan (or a load) throws on a pipeline thread is carried
-// to the thread calling fold_blocks and rethrown there once the
-// pipeline has stopped.
+// Errors: a shard that fails to load surfaces as SourceError; whatever
+// a load, a scan or a fold throws leaves fold_blocks on the calling
+// thread, after every earlier shard's fold and before any later load.
 #pragma once
 
 #include <cstddef>
@@ -97,11 +92,11 @@ class DataSource {
   /// forwarding source (perfbench/driver.cc).
   [[nodiscard]] virtual const Dataset* dataset_or_null() const noexcept = 0;
 
-  /// Type-erased block fold. `scan` may run concurrently for several
-  /// blocks and must be a pure function of (block, base); `fold` runs
-  /// on the calling thread, in device (= shard) order. Throws
-  /// SourceError when the backend fails to deliver a block, and
-  /// rethrows whatever `scan` threw, on the calling thread.
+  /// Type-erased block fold. `scan` must be a pure function of
+  /// (block, base); `fold` runs in device (= shard) order. Both run on
+  /// the calling thread. Throws SourceError when the backend fails to
+  /// deliver a block, and lets whatever `scan` or `fold` threw
+  /// propagate.
   using ScanFn =
       std::function<std::shared_ptr<void>(const Dataset& block,
                                           std::size_t device_base)>;
@@ -306,11 +301,13 @@ class InMemorySource final : public DataSource {
 /// times (each call is one full pass over the store).
 class ShardedSource final : public DataSource {
  public:
-  /// `resident_shards` is the K of DESIGN.md §5j: 0 = strict sequential
-  /// one-shard-resident scan, K >= 1 = prefetch + K scanner threads.
-  explicit ShardedSource(io::ShardedDataset& store,
-                         std::size_t resident_shards = 1) noexcept
-      : store_(&store), resident_shards_(resident_shards) {}
+  explicit ShardedSource(io::ShardedDataset& store) noexcept
+      : store_(&store) {}
+  /// Ignores its count: every scan holds one shard (DESIGN.md §5j). It
+  /// stays for the benchmark driver (perfbench/driver.cc), which passes
+  /// io::resident_shards_from_env().
+  ShardedSource(io::ShardedDataset& store, std::size_t) noexcept
+      : store_(&store) {}
 
   [[nodiscard]] Year year() const noexcept override;
   [[nodiscard]] const CampaignCalendar& calendar() const noexcept override;
@@ -326,7 +323,6 @@ class ShardedSource final : public DataSource {
 
  private:
   io::ShardedDataset* store_;
-  std::size_t resident_shards_;
 };
 
 }  // namespace tokyonet::analysis::query

@@ -1,6 +1,5 @@
 // Strict parsing for the numeric TOKYONET_* environment knobs
-// (TOKYONET_THREADS, TOKYONET_RESIDENT_SHARDS), so every knob follows
-// one rule.
+// (TOKYONET_THREADS), so every knob follows one rule.
 #pragma once
 
 namespace tokyonet::core {

@@ -2,16 +2,11 @@
 
 #include <cerrno>
 #include <cinttypes>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <span>
 #include <system_error>
-#include <thread>
 
-#include "core/env.h"
 #include "core/hash.h"
 
 namespace tokyonet::io {
@@ -125,10 +120,7 @@ bool is_shard_dir(const fs::path& dir) {
   return fs::is_regular_file(dir / kShardManifestName, ec);
 }
 
-std::size_t resident_shards_from_env(std::size_t fallback) noexcept {
-  return static_cast<std::size_t>(core::env_integer(
-      "TOKYONET_RESIDENT_SHARDS", 0, 4096, static_cast<long>(fallback)));
-}
+std::size_t resident_shards_from_env() noexcept { return 0; }
 
 SnapshotResult write_shard_manifest(const ShardManifest& m,
                                     const fs::path& dir) {
@@ -417,115 +409,6 @@ SnapshotResult ShardedDataset::load_shard(std::size_t i, Dataset& out,
     payload_verified_.get()[i].store(true, std::memory_order_release);
   }
   return result;
-}
-
-// --- ShardPrefetcher ---------------------------------------------------
-
-struct ShardPrefetcher::Impl {
-  /// State shared between the loader thread, the consumer, and any
-  /// still-alive residency tokens (tokens co-own it so a token dropped
-  /// after the prefetcher's destruction stays harmless).
-  struct Shared {
-    std::mutex mu;
-    std::condition_variable token_cv;  // loader waits for a free token
-    std::condition_variable ready_cv;  // consumer waits for a delivery
-    std::size_t free_tokens = 0;
-    bool cancelled = false;
-    bool done = false;
-    std::deque<Loaded> ready;  // in shard order (single loader)
-  };
-  std::shared_ptr<Shared> sh;
-  std::thread loader;
-
-  [[nodiscard]] static std::shared_ptr<void> make_token(
-      std::shared_ptr<Shared> s) {
-    // Store a non-null pointer so the token tests truthy; the deleter
-    // alone carries the semantics (return one residency slot).
-    void* mark = s.get();
-    return std::shared_ptr<void>(mark, [s = std::move(s)](void*) {
-      std::lock_guard<std::mutex> lk(s->mu);
-      ++s->free_tokens;
-      s->token_cv.notify_one();
-    });
-  }
-};
-
-ShardPrefetcher::ShardPrefetcher(ShardedDataset& store,
-                                 std::size_t max_resident,
-                                 const SnapshotLoadOptions& opts)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->sh = std::make_shared<Impl::Shared>();
-  impl_->sh->free_tokens = max_resident < 1 ? 1 : max_resident;
-  impl_->loader = std::thread([sh = impl_->sh, &store, opts] {
-    const std::size_t n = store.num_shards();
-    for (std::size_t i = 0; i < n; ++i) {
-      {
-        std::unique_lock<std::mutex> lk(sh->mu);
-        sh->token_cv.wait(
-            lk, [&] { return sh->free_tokens > 0 || sh->cancelled; });
-        if (sh->cancelled) break;
-        --sh->free_tokens;
-      }
-      Loaded item;
-      item.index = i;
-      try {
-        item.token = Impl::make_token(sh);
-        item.result = store.load_shard(i, item.dataset, opts);
-      } catch (...) {
-        item.dataset = Dataset{};
-        item.exception = std::current_exception();
-      }
-      const bool failed = !item.result.ok() || item.exception;
-      {
-        std::lock_guard<std::mutex> lk(sh->mu);
-        sh->ready.push_back(std::move(item));
-        sh->ready_cv.notify_all();
-      }
-      // An errored load is delivered at its position, then the loader
-      // stops: the consumer sees the failure in order with nothing
-      // queued behind it.
-      if (failed) break;
-    }
-    std::lock_guard<std::mutex> lk(sh->mu);
-    sh->done = true;
-    sh->ready_cv.notify_all();
-  });
-}
-
-ShardPrefetcher::~ShardPrefetcher() {
-  cancel();
-  if (impl_->loader.joinable()) impl_->loader.join();
-  // Drain undelivered items outside the lock: each holds a token whose
-  // deleter both locks sh->mu and keeps Shared alive (a reference
-  // cycle through the ready queue if left in place).
-  std::deque<Loaded> undelivered;
-  {
-    std::lock_guard<std::mutex> lk(impl_->sh->mu);
-    undelivered.swap(impl_->sh->ready);
-  }
-}
-
-bool ShardPrefetcher::next(Loaded& out) {
-  Impl::Shared& sh = *impl_->sh;
-  Loaded item;
-  {
-    std::unique_lock<std::mutex> lk(sh.mu);
-    sh.ready_cv.wait(lk, [&] { return !sh.ready.empty() || sh.done; });
-    if (sh.ready.empty()) return false;
-    item = std::move(sh.ready.front());
-    sh.ready.pop_front();
-  }
-  // Assign outside the lock: dropping the caller's *previous* Loaded
-  // releases its residency token, whose deleter locks sh.mu.
-  out = std::move(item);
-  return true;
-}
-
-void ShardPrefetcher::cancel() {
-  Impl::Shared& sh = *impl_->sh;
-  std::lock_guard<std::mutex> lk(sh.mu);
-  sh.cancelled = true;
-  sh.token_cv.notify_all();
 }
 
 }  // namespace tokyonet::io

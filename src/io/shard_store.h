@@ -42,7 +42,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -92,14 +91,10 @@ struct ShardManifest {
 /// True when `dir` looks like a shard directory (has MANIFEST.tks).
 [[nodiscard]] bool is_shard_dir(const std::filesystem::path& dir);
 
-/// Resident-shard budget from TOKYONET_RESIDENT_SHARDS (the K in
-/// DESIGN.md §5j): 0 = strict sequential scan, 1 = prefetch one shard
-/// ahead (the default), K >= 2 = scan K shards concurrently. Unset
-/// values, and values that are not an integer in [0, 4096] (with a
-/// warning, core/env.h), fall back to `fallback`; the CLI's
-/// --resident-shards flag overrides this.
-[[nodiscard]] std::size_t resident_shards_from_env(
-    std::size_t fallback = 1) noexcept;
+/// Always 0, and reads no environment variable: every scan holds one
+/// shard (DESIGN.md §5j). It stays for the benchmark driver
+/// (perfbench/driver.cc), which passes it to ShardedSource.
+[[nodiscard]] std::size_t resident_shards_from_env() noexcept;
 
 /// Writes `m` as <dir>/MANIFEST.tks atomically (tmp + rename). Call
 /// only after every referenced file is in place: the manifest's
@@ -173,66 +168,9 @@ class ShardedDataset {
   // samples).
   Dataset universe_;
   // Once-per-open payload verification: flag `i` is set after shard i's
-  // section checksums verified in this process. Atomic so the
-  // prefetcher's loader thread and direct load_shard() callers never
-  // race on the bookkeeping.
+  // section checksums verified in this process. Atomic so concurrent
+  // load_shard() callers never race on the bookkeeping.
   std::shared_ptr<std::atomic<bool>[]> payload_verified_;
-};
-
-/// Asynchronous shard loader for pipelined scans (DESIGN.md §5j): a
-/// dedicated loader thread walks shards [0, num_shards) in order and
-/// runs each full load_shard() — read, checksum, universe install,
-/// column validation, with the heavy chunked work hosted on the
-/// core/parallel pool — while the consumer scans already-delivered
-/// shards. A token budget bounds residency: at most `max_resident`
-/// shard datasets exist at once, counting both the loader's in-flight
-/// load and every delivered shard whose Loaded is still alive. With
-/// max_resident = 2 the loader is exactly one shard ahead of the
-/// consumer (the double-buffered prefetch); the K-parallel scan uses
-/// K + 1.
-///
-/// Delivery is strictly in shard order. A failed load — an error result,
-/// or an exception load_shard() threw (e.g. std::bad_alloc) — is
-/// delivered at its position as a Loaded carrying it, after which the
-/// loader stops: the consumer sees the failure on its own thread, in
-/// order, with no further shards behind it (no hang, no partial fold,
-/// no exception escaping the loader thread).
-class ShardPrefetcher {
- public:
-  struct Loaded {
-    std::size_t index = 0;
-    Dataset dataset;
-    SnapshotResult result;
-    /// What load_shard() threw, if anything; the consumer rethrows it.
-    std::exception_ptr exception;
-    /// Releases this shard's residency token when destroyed; the loader
-    /// cannot start shard j until fewer than max_resident tokens are
-    /// outstanding.
-    std::shared_ptr<void> token;
-  };
-
-  /// Starts loading immediately. `store` must be open and outlive this
-  /// prefetcher. max_resident is clamped to >= 1.
-  ShardPrefetcher(ShardedDataset& store, std::size_t max_resident,
-                  const SnapshotLoadOptions& opts = {});
-  /// Cancels and joins the loader.
-  ~ShardPrefetcher();
-
-  ShardPrefetcher(const ShardPrefetcher&) = delete;
-  ShardPrefetcher& operator=(const ShardPrefetcher&) = delete;
-
-  /// Blocks for the next shard in order. Returns false when every shard
-  /// has been delivered (or the loader stopped after delivering an
-  /// error).
-  [[nodiscard]] bool next(Loaded& out);
-
-  /// Asks the loader to stop after its current load; pending deliveries
-  /// remain readable via next().
-  void cancel();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace tokyonet::io

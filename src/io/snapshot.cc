@@ -150,7 +150,7 @@ static_assert(std::is_trivially_copyable_v<DeviceInfo> &&
 // No compiler-inserted padding in anything serialized raw: padding
 // bytes are indeterminate, so they would make snapshot bytes depend on
 // prior heap contents — breaking the byte-level write determinism the
-// pipelined shard writer (sim/stream_runner.cc) and the shard-store
+// streaming shard writer (sim/stream_runner.cc) and the shard-store
 // tests rely on. Types that need alignment carry explicit zeroed
 // `reserved`/`pad` fields instead.
 static_assert(std::has_unique_object_representations_v<DeviceRangeRec> &&

@@ -16,8 +16,7 @@ void Runner::adopt(Year year, Dataset ds) {
 }
 
 io::SnapshotResult Runner::adopt_shards_out_of_core(
-    Year year, const std::filesystem::path& dir,
-    std::size_t resident_shards) {
+    Year year, const std::filesystem::path& dir) {
   const int i = static_cast<int>(year);
   assert(ds_[i] == nullptr && external_src_[i] == nullptr &&
          "adopt_shards_out_of_core() must precede resolution");
@@ -35,8 +34,7 @@ io::SnapshotResult Runner::adopt_shards_out_of_core(
     return {std::move(err)};
   }
   store_[i] = std::move(store);
-  shard_src_[i] = std::make_unique<analysis::query::ShardedSource>(
-      *store_[i], resident_shards);
+  shard_src_[i] = std::make_unique<analysis::query::ShardedSource>(*store_[i]);
   external_src_[i] = shard_src_[i].get();
   return {};
 }

@@ -67,14 +67,12 @@ class Runner {
 
   /// Opens a sharded campaign store (io/shard_store.h) and installs it
   /// as `year`'s campaign: every per-year figure then scans it through a
-  /// query::ShardedSource holding at most `resident_shards + 1` shards
-  /// resident (exactly one at resident_shards = 0), byte-identical to
-  /// the in-memory run. Fails if the store's campaign year disagrees
-  /// with `year`. Must precede the first dataset()/analysis()
-  /// resolution for `year`.
+  /// query::ShardedSource holding one shard resident at a time,
+  /// byte-identical to the in-memory run. Fails if the store's campaign
+  /// year disagrees with `year`. Must precede the first
+  /// dataset()/analysis() resolution for `year`.
   [[nodiscard]] io::SnapshotResult adopt_shards_out_of_core(
-      Year year, const std::filesystem::path& dir,
-      std::size_t resident_shards = 1);
+      Year year, const std::filesystem::path& dir);
 
   /// Installs an externally owned source (must outlive the Runner) as
   /// `year`'s campaign. Same contract as adopt_shards_out_of_core.

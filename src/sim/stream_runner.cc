@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <future>
 #include <system_error>
 #include <vector>
 
@@ -73,35 +72,22 @@ StreamCampaignResult stream_campaign(const ScenarioConfig& config,
     bounds[i + 1] = bounds[i] + base + (i < extra ? 1 : 0);
   }
 
-  // Pipelined write (DESIGN.md §5j): a writer thread serializes and
-  // checksums block i while this thread simulates block i+1, so at most
-  // two blocks are resident. The blocks' bytes are unaffected — Philox
-  // streams are counter-based, so run_block(i+1) is the same whether or
-  // not block i is still being written. The writer's future joins it on
-  // every path: its destructor waits when run_block throws, and get()
-  // rethrows an exception of the writer here. Entries are appended in
-  // order after each join.
-  // Each written block goes back to the simulator, so the block after
-  // next writes into its pages instead of first-touching fresh ones.
-  Dataset block = sim.run_block(bounds[0], bounds[1]);
+  // One block at a time (DESIGN.md §5j): simulate block i, write it on
+  // this thread, then hand its memory back to the simulator, so block
+  // i+1 writes into the same pages instead of first-touching fresh ones
+  // and only one block is ever resident.
   for (std::size_t i = 0; i < n_shards; ++i) {
     char name[48];
     std::snprintf(name, sizeof(name), "shard-%04zu.tksnap", i);
     io::SnapshotInfo info;
-    std::future<io::SnapshotResult> written =
-        std::async(std::launch::async, [&block, &info, hash,
-                                        path = dir / name] {
-          return io::save_snapshot(block, path, hash, &info);
-        });
-    Dataset next;
-    if (i + 1 < n_shards) next = sim.run_block(bounds[i + 1], bounds[i + 2]);
-    const io::SnapshotResult w = written.get();
+    Dataset block = sim.run_block(bounds[i], bounds[i + 1]);
+    const io::SnapshotResult w =
+        io::save_snapshot(block, dir / name, hash, &info);
     if (!w.ok()) {
       result.error = w.error;
       return result;
     }
     sim.recycle(std::move(block));
-    block = std::move(next);
     if (opts.announce) {
       std::fprintf(stderr,
                    "tokyonet-stream: shard %zu/%zu devices [%zu, %zu) "

@@ -1,18 +1,14 @@
 // Streaming campaign runner: simulate straight into a shard directory,
-// holding at most two shards' samples in memory.
+// holding one shard's samples in memory at a time.
 //
 // stream_campaign() partitions the device panel into contiguous blocks,
 // runs each block through Simulator::run_block (whose counter-based
 // Philox streams make the bytes independent of the partitioning) and
-// saves it as one shard-store snapshot. The write is pipelined
-// (DESIGN.md §5j): a writer thread serializes and checksums block i
-// while the caller's thread simulates block i+1, so at most two blocks
-// are resident and the simulated bytes are unchanged — the pipeline
-// reorders work across blocks, never within one. Peak memory
-// is the campaign-global state (population, deployment) plus two
-// shards' sample columns — a scale-1000 (~1.7 M device)
-// campaign streams in a few GB of RSS where the in-memory path would
-// need hundreds.
+// saves it as one shard-store snapshot before it simulates the next
+// (DESIGN.md §5j). Peak memory is the campaign-global state
+// (population, deployment) plus one shard's sample columns — a
+// scale-1000 (~1.7 M device) campaign streams in a few GB of RSS where
+// the in-memory path would need hundreds.
 //
 // The manifest is written last (see io/shard_store.h): a run killed
 // mid-stream leaves a directory without MANIFEST.tks that readers

@@ -1,15 +1,12 @@
 // The strict parser behind every numeric TOKYONET_* environment knob
-// (core/env.h), and the resident-shard knob that uses it.
+// (core/env.h).
 #include "core/env.h"
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
-#include <cstddef>
 #include <string>
 #include <utility>
-
-#include "io/shard_store.h"
 
 namespace tokyonet {
 namespace {
@@ -56,26 +53,6 @@ TEST(EnvInteger, RejectsInvalidValuesWithAWarning) {
   // Above the range is rejected too.
   const ScopedEnv env(kVar, "11");
   EXPECT_EQ(core::env_integer(kVar, 0, 10, 7), 7);
-}
-
-TEST(ResidentShardsFromEnv, ParsesStrictly) {
-  ::unsetenv("TOKYONET_RESIDENT_SHARDS");
-  EXPECT_EQ(io::resident_shards_from_env(1), 1u);
-  {
-    const ScopedEnv env("TOKYONET_RESIDENT_SHARDS", "0");
-    EXPECT_EQ(io::resident_shards_from_env(1), 0u);
-  }
-  {
-    const ScopedEnv env("TOKYONET_RESIDENT_SHARDS", "4");
-    EXPECT_EQ(io::resident_shards_from_env(1), 4u);
-  }
-  // "-1" must not wrap to SIZE_MAX (one scanner thread per shard).
-  for (const char* text : kInvalid) {
-    const ScopedEnv env("TOKYONET_RESIDENT_SHARDS", text);
-    testing::internal::CaptureStderr();
-    EXPECT_EQ(io::resident_shards_from_env(1), 1u) << '"' << text << '"';
-    (void)testing::internal::GetCapturedStderr();
-  }
 }
 
 }  // namespace

@@ -285,9 +285,9 @@ TEST(QuerySource, ChunkStraddlingScanIsThreadCountInvariant) {
 // --- Out-of-core backend ------------------------------------------------
 
 // The same campaign streamed into a 3-shard store and scanned out of
-// core must reproduce the in-memory kernel byte for byte at every
-// residency budget, and an out-of-core figure rendering through the
-// Runner must byte-match the in-memory registry path.
+// core must reproduce the in-memory kernel byte for byte, and an
+// out-of-core figure rendering through the Runner must byte-match the
+// in-memory registry path.
 TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   const ScenarioConfig config =
       scenario_config(Year::Y2013, kQueryTestScale);
@@ -306,20 +306,16 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   const double expected_lte = analysis::overview(mem).lte_traffic_share;
   ASSERT_GT(expected_lte, 0.0);
 
-  for (const std::size_t k :
-       {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
-    const query::ShardedSource src(store, k);
-    EXPECT_EQ(src.dataset_or_null(), nullptr);
-    EXPECT_EQ(src.n_devices(), ds.devices.size());
-    EXPECT_EQ(src.n_samples(), ds.samples.size());
-    const analysis::AllStreamSums ooc = analysis::aggregate_all_streams(src);
-    for (int stream = 0; stream < 4; ++stream) {
-      EXPECT_EQ(ooc.hour_sums[stream], expected.hour_sums[stream])
-          << "stream=" << stream << " resident_shards=" << k;
-    }
-    EXPECT_EQ(analysis::overview(src).lte_traffic_share, expected_lte)
-        << "resident_shards=" << k;
+  const query::ShardedSource src(store);
+  EXPECT_EQ(src.dataset_or_null(), nullptr);
+  EXPECT_EQ(src.n_devices(), ds.devices.size());
+  EXPECT_EQ(src.n_samples(), ds.samples.size());
+  const analysis::AllStreamSums ooc = analysis::aggregate_all_streams(src);
+  for (int stream = 0; stream < 4; ++stream) {
+    EXPECT_EQ(ooc.hour_sums[stream], expected.hour_sums[stream])
+        << "stream=" << stream;
   }
+  EXPECT_EQ(analysis::overview(src).lte_traffic_share, expected_lte);
 
   // Figure-level identity through Runner::adopt_shards_out_of_core.
   report::Runner::Options opt;
@@ -327,7 +323,7 @@ TEST(QueryOutOfCore, ThreeShardStoreMatchesInMemory) {
   report::Runner in_memory(opt);
   report::Runner out_of_core(opt);
   ASSERT_TRUE(
-      out_of_core.adopt_shards_out_of_core(Year::Y2013, tmp.path / "store", 1)
+      out_of_core.adopt_shards_out_of_core(Year::Y2013, tmp.path / "store")
           .ok());
   EXPECT_EQ(out_of_core.analysis(Year::Y2013).source().dataset_or_null(),
             nullptr);
@@ -372,7 +368,7 @@ TEST(QueryContext, PassBudgetThreeShards) {
 
 /// Calls fn(source, label) on the in-memory source of one small campaign
 /// and on the sharded source of the same campaign streamed into 1, 3 and
-/// 16 shards, each at resident_shards 0 and 1.
+/// 16 shards.
 template <typename Fn>
 void for_each_backend(const Fn& fn) {
   const ScenarioConfig config = scenario_config(Year::Y2013, kQueryTestScale);
@@ -387,10 +383,7 @@ void for_each_backend(const Fn& fn) {
     io::ShardedDataset store;
     ASSERT_TRUE(io::ShardedDataset::open(dir, store).ok());
     ASSERT_EQ(store.num_shards(), shards);
-    for (const std::size_t k : {0, 1}) {
-      fn(query::ShardedSource(store, k),
-         std::to_string(shards) + " shards, K=" + std::to_string(k));
-    }
+    fn(query::ShardedSource(store), std::to_string(shards) + " shards");
   }
 }
 
@@ -512,7 +505,9 @@ TEST(QuerySweep, EachFoldSeesBlocksInShardOrder) {
 // An exception the second scan of a sweep throws reaches the caller of
 // run(), as ShardPipeline.ScanExceptionReachesCaller requires for one
 // scan: every entry has folded the blocks before the failing one and no
-// other, and no finish step has run.
+// other, and no finish step has run. Blocks are scanned one at a time,
+// entries in registration order, so the failing block was scanned by
+// the entries up to the failing one and no later block by any.
 TEST(QuerySweep, SecondScanExceptionReachesCaller) {
   for_each_backend([](const query::DataSource& src, const std::string& label) {
     const std::vector<std::size_t> bases = block_bases(src);
@@ -520,8 +515,11 @@ TEST(QuerySweep, SecondScanExceptionReachesCaller) {
     const std::vector<std::size_t> before(
         bases.begin(),
         bases.begin() + static_cast<std::ptrdiff_t>(bases.size() / 2));
+    std::vector<std::size_t> through_failing = before;
+    through_failing.push_back(failing);
 
     query::Sweep sweep(src);
+    std::vector<std::size_t> scanned[3];
     std::vector<std::size_t> folded[3];
     const auto record = [&folded](int entry) {
       return [&folded, entry](int&&, std::size_t base) {
@@ -531,14 +529,25 @@ TEST(QuerySweep, SecondScanExceptionReachesCaller) {
     const query::Pending<int> first = sweep.reduce<int>(
         [](const Dataset&, std::size_t) { return 1; },
         [](int& acc, int&& p) { acc += p; });
-    sweep.fold<int>([](const Dataset&, std::size_t) { return 0; }, record(0));
     sweep.fold<int>(
-        [failing](const Dataset&, std::size_t base) {
+        [&scanned](const Dataset&, std::size_t base) {
+          scanned[0].push_back(base);
+          return 0;
+        },
+        record(0));
+    sweep.fold<int>(
+        [&scanned, failing](const Dataset&, std::size_t base) {
+          scanned[1].push_back(base);
           if (base == failing) throw std::runtime_error("second scan failed");
           return 0;
         },
         record(1));
-    sweep.fold<int>([](const Dataset&, std::size_t) { return 0; }, record(2));
+    sweep.fold<int>(
+        [&scanned](const Dataset&, std::size_t base) {
+          scanned[2].push_back(base);
+          return 0;
+        },
+        record(2));
     try {
       sweep.run();
       ADD_FAILURE() << "scan exception swallowed, " << label;
@@ -548,6 +557,9 @@ TEST(QuerySweep, SecondScanExceptionReachesCaller) {
     for (const std::vector<std::size_t>& f : folded) {
       EXPECT_EQ(f, before) << label;
     }
+    EXPECT_EQ(scanned[0], through_failing) << label;
+    EXPECT_EQ(scanned[1], through_failing) << label;
+    EXPECT_EQ(scanned[2], before) << label;
     EXPECT_THROW((void)first.get(), std::logic_error) << label;
   });
 }
@@ -569,7 +581,7 @@ TEST(FigurePasses, OutOfCoreCatalogMakesOnePassPerScanningFigure) {
   io::ShardedDataset store;
   ASSERT_TRUE(io::ShardedDataset::open(tmp.path / "store", store).ok());
   ASSERT_EQ(store.num_shards(), 16u);
-  const query::ShardedSource sharded(store, 0);
+  const query::ShardedSource sharded(store);
   const CountingSource src(sharded);
 
   report::Runner::Options opt;
@@ -620,7 +632,7 @@ TEST(FigurePasses, PerYearCatalogInRegistryOrder) {
   ASSERT_TRUE(sim::stream_campaign(config, tmp.path / "store", opts).ok());
   io::ShardedDataset store;
   ASSERT_TRUE(io::ShardedDataset::open(tmp.path / "store", store).ok());
-  const query::ShardedSource sharded(store, 0);
+  const query::ShardedSource sharded(store);
   const CountingSource src(sharded);
 
   report::Runner::Options opt;

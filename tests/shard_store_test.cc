@@ -66,11 +66,10 @@ io::ShardedDataset stream_and_open(const ScenarioConfig& config,
 /// Renders the headline battery (table01, fig02, fig05, table04,
 /// sec35_opportunity, + fig18 for the 2015 campaign) the way the CLI's
 /// `report --shard-dir` does: a report::Runner over `store`, scanned
-/// through a query::ShardedSource with `resident_shards` = K. A scan
-/// that loses the store throws query::SourceError.
-std::vector<report::Table> scan_battery(io::ShardedDataset& store,
-                                        std::size_t resident_shards) {
-  const analysis::query::ShardedSource src(store, resident_shards);
+/// through a query::ShardedSource. A scan that loses the store throws
+/// query::SourceError.
+std::vector<report::Table> scan_battery(io::ShardedDataset& store) {
+  const analysis::query::ShardedSource src(store);
   report::Runner runner;
   runner.adopt_source(store.year(), src);
   std::vector<report::Table> tables;
@@ -270,19 +269,29 @@ TEST(ShardStore, LoadsShareTheUniverse) {
   Dataset first, last;
   ASSERT_TRUE(store.load_shard(0, first).ok());
   ASSERT_TRUE(store.load_shard(3, last).ok());
-  // The prefetcher hands out shards through the same load.
-  io::ShardPrefetcher prefetcher(store, 1);
-  io::ShardPrefetcher::Loaded prefetched;
-  ASSERT_TRUE(prefetcher.next(prefetched));
-  ASSERT_TRUE(prefetched.result.ok()) << prefetched.result.error;
-  Dataset& delivered = prefetched.dataset;
   const std::vector<ApInfo>& universe = store.universe_aps();
   ASSERT_FALSE(universe.empty());
   ASSERT_FALSE(first.truth.aps.empty());
-  for (const Dataset* ds : {&first, &last, &delivered}) {
+  for (const Dataset* ds : {&first, &last}) {
     EXPECT_EQ(ds->aps.data(), universe.data());
     EXPECT_EQ(ds->truth.aps.data(), first.truth.aps.data());
   }
+  // A scan hands out shards through the same load, in order, each
+  // fully loaded and indexed.
+  std::size_t scanned = 0;
+  analysis::query::ShardedSource(store).fold<int>(
+      [&](const Dataset& block, std::size_t base) {
+        EXPECT_EQ(base, store.device_begin(scanned));
+        EXPECT_TRUE(block.indexed());
+        EXPECT_EQ(block.devices.size(),
+                  store.manifest().shards[scanned].device_count);
+        EXPECT_EQ(block.aps.data(), universe.data());
+        EXPECT_EQ(block.truth.aps.data(), first.truth.aps.data());
+        ++scanned;
+        return 0;
+      },
+      [](int&&, std::size_t) {});
+  EXPECT_EQ(scanned, store.num_shards());
 
   const std::uint64_t bssid = universe[0].bssid;
   const ApPlacement placement = last.truth.aps[0].placement;
@@ -297,7 +306,6 @@ TEST(ShardStore, LoadsShareTheUniverse) {
   EXPECT_EQ(last.aps.data(), universe.data());
   EXPECT_NE(first.truth.aps[0].placement, placement);
   EXPECT_EQ(last.truth.aps[0].placement, placement);
-  EXPECT_EQ(delivered.truth.aps.data(), last.truth.aps.data());
   EXPECT_EQ(first.validate(), "");
 }
 
@@ -311,7 +319,7 @@ TEST(ShardStore, OutOfCoreBatteryMatchesRunner) {
   test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 5);
 
-  const std::vector<report::Table> tables = scan_battery(store, 1);
+  const std::vector<report::Table> tables = scan_battery(store);
   ASSERT_EQ(tables.size(), 6u);  // 2015: headline five + fig18
 
   report::Runner::Options opt;
@@ -333,7 +341,7 @@ TEST(ShardStore, OutOfCoreBatterySkipsFig18Before2015) {
       scenario_config(Year::Y2013, kShardTestScale);
   test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 2);
-  const std::vector<report::Table> tables = scan_battery(store, 1);
+  const std::vector<report::Table> tables = scan_battery(store);
   ASSERT_EQ(tables.size(), 5u);
   for (const report::Table& t : tables) EXPECT_NE(t.id, "fig18");
 }
@@ -439,62 +447,13 @@ TEST_F(BrokenStore, ShardPayloadCorruptionCaughtOnLoad) {
   EXPECT_NE(r.error.find("checksum"), std::string::npos) << r.error;
 }
 
-// --- Pipelined scan (DESIGN.md §5j) ------------------------------------
-// Suite names carry the ShardPipeline prefix so the TSan CI job can
-// select the prefetcher / parallel-scan coverage by regex.
+// --- One shard at a time (DESIGN.md §5j) -------------------------------
+// Suite names carry the ShardPipeline prefix so the TSan CI job selects
+// them by regex: every load hosts its checksum and validation work on
+// the core/parallel pool.
 
-// The prefetcher walks shards strictly in order and delivers each one
-// fully loaded (universe installed, validated, indexed).
-TEST(ShardPipeline, PrefetcherDeliversShardsInOrder) {
-  const ScenarioConfig config =
-      scenario_config(Year::Y2015, kShardTestScale);
-  test::ScratchDir tmp;
-  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
-
-  io::ShardPrefetcher prefetcher(store, 2);
-  io::ShardPrefetcher::Loaded item;
-  std::size_t expected = 0;
-  while (prefetcher.next(item)) {
-    ASSERT_TRUE(item.result.ok()) << item.result.error;
-    EXPECT_EQ(item.index, expected);
-    EXPECT_TRUE(item.dataset.indexed());
-    EXPECT_EQ(item.dataset.devices.size(),
-              store.manifest().shards[item.index].device_count);
-    EXPECT_NE(item.token, nullptr);
-    ++expected;
-  }
-  EXPECT_EQ(expected, store.num_shards());
-}
-
-// A corrupt shard is delivered at its position carrying the error, then
-// the prefetcher stops: the consumer sees the failure in order, with
-// nothing queued behind it and no hang.
-TEST(ShardPipeline, PrefetcherSurfacesCorruptShardInOrder) {
-  const ScenarioConfig config =
-      scenario_config(Year::Y2015, kShardTestScale);
-  test::ScratchDir tmp;
-  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
-  const fs::path shard = tmp.path / "store" / "shard-0002.tksnap";
-  flip_byte(shard, fs::file_size(shard) - 128);
-
-  io::ShardPrefetcher prefetcher(store, 2);
-  io::ShardPrefetcher::Loaded item;
-  for (std::size_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(prefetcher.next(item));
-    EXPECT_EQ(item.index, i);
-    EXPECT_TRUE(item.result.ok()) << item.result.error;
-  }
-  ASSERT_TRUE(prefetcher.next(item));
-  EXPECT_EQ(item.index, 2u);
-  EXPECT_FALSE(item.result.ok());
-  EXPECT_NE(item.result.error.find("checksum"), std::string::npos)
-      << item.result.error;
-  EXPECT_FALSE(prefetcher.next(item));
-}
-
-// A failed load surfaces as a clean error on the scanning thread at
-// every residency budget — sequential, prefetched and K-parallel — and
-// never leaves a partial fold behind.
+// A failed load surfaces as a clean SourceError on the scanning thread
+// and never leaves a partial fold behind.
 TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
@@ -503,58 +462,67 @@ TEST(ShardPipeline, ScanErrorIsCleanAtEveryResidency) {
   const fs::path shard = tmp.path / "store" / "shard-0001.tksnap";
   flip_byte(shard, fs::file_size(shard) - 128);
 
-  for (const std::size_t k : {std::size_t{0}, std::size_t{1},
-                              std::size_t{4}}) {
-    analysis::query::ShardedSource src(store, k);
-    analysis::AnalysisContext ctx(src);
-    try {
-      (void)ctx.devices();
-      ADD_FAILURE() << "scan must fail, resident_shards=" << k;
-    } catch (const analysis::query::SourceError& e) {
-      EXPECT_NE(e.result().error.find("checksum"), std::string::npos)
-          << "resident_shards=" << k << ": " << e.result().error;
-    }
-
-    std::vector<report::Table> tables;
-    try {
-      tables = scan_battery(store, k);
-      ADD_FAILURE() << "battery must fail, resident_shards=" << k;
-    } catch (const analysis::query::SourceError& e) {
-      EXPECT_NE(e.result().error.find("checksum"), std::string::npos)
-          << "resident_shards=" << k << ": " << e.result().error;
-    }
-    EXPECT_TRUE(tables.empty()) << "resident_shards=" << k;
+  analysis::query::ShardedSource src(store);
+  analysis::AnalysisContext ctx(src);
+  try {
+    (void)ctx.devices();
+    ADD_FAILURE() << "scan must fail";
+  } catch (const analysis::query::SourceError& e) {
+    EXPECT_NE(e.result().error.find("checksum"), std::string::npos)
+        << e.result().error;
   }
+
+  std::vector<report::Table> tables;
+  try {
+    tables = scan_battery(store);
+    ADD_FAILURE() << "battery must fail";
+  } catch (const analysis::query::SourceError& e) {
+    EXPECT_NE(e.result().error.find("checksum"), std::string::npos)
+        << e.result().error;
+  }
+  EXPECT_TRUE(tables.empty());
 }
 
-// An exception a scan throws on a K-scanner thread is carried to the
-// thread calling fold_blocks and rethrown there after the pipeline has
-// stopped (it used to escape the std::thread and abort the process).
-// Everything before the failing shard has been folded, nothing after.
+// An exception a scan or a fold throws leaves fold_blocks on the
+// caller's thread: every shard before the failing one has been folded,
+// and no shard after it has been loaded or scanned.
 TEST(ShardPipeline, ScanExceptionReachesCaller) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
   test::ScratchDir tmp;
   io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
   const std::size_t failing_base = store.device_begin(2);
+  const std::vector<std::size_t> before = {store.device_begin(0),
+                                           store.device_begin(1)};
 
-  for (const std::size_t k : {std::size_t{1}, std::size_t{2}}) {
-    const analysis::query::ShardedSource src(store, k);
+  for (const bool in_fold : {false, true}) {
+    const char* what = in_fold ? "fold failed" : "scan failed";
+    const analysis::query::ShardedSource src(store);
+    std::vector<std::size_t> scanned;
     std::vector<std::size_t> folded;
     try {
       src.fold<int>(
           [&](const Dataset&, std::size_t base) {
-            if (base == failing_base) throw std::runtime_error("scan failed");
+            scanned.push_back(base);
+            if (!in_fold && base == failing_base) {
+              throw std::runtime_error(what);
+            }
             return 0;
           },
-          [&](int&&, std::size_t base) { folded.push_back(base); });
-      ADD_FAILURE() << "scan exception swallowed, resident_shards=" << k;
+          [&](int&&, std::size_t base) {
+            if (in_fold && base == failing_base) {
+              throw std::runtime_error(what);
+            }
+            folded.push_back(base);
+          });
+      ADD_FAILURE() << "exception swallowed: " << what;
     } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "scan failed") << "resident_shards=" << k;
+      EXPECT_STREQ(e.what(), what);
     }
-    EXPECT_EQ(folded, (std::vector<std::size_t>{store.device_begin(0),
-                                                store.device_begin(1)}))
-        << "resident_shards=" << k;
+    EXPECT_EQ(folded, before) << what;
+    EXPECT_EQ(scanned, (std::vector<std::size_t>{before[0], before[1],
+                                                 failing_base}))
+        << what;
   }
 }
 
@@ -574,7 +542,7 @@ TEST(ShardStore, ShardChangedBetweenPassesFailsCleanly) {
   for (const bool truncate : {true, false}) {
     fs::remove_all(tmp.path / "store");
     io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 4);
-    const analysis::query::ShardedSource src(store, 1);
+    const analysis::query::ShardedSource src(store);
     const auto pass = [&] {
       src.fold<int>([](const Dataset&, std::size_t) { return 0; },
                     [](int&&, std::size_t) {});
@@ -591,32 +559,12 @@ TEST(ShardStore, ShardChangedBetweenPassesFailsCleanly) {
   }
 }
 
-// The K-parallel scan's per-shard partials fold in shard order, so its
-// battery is byte-identical to the strict sequential scan. (This is the
-// concurrency stress the TSan job runs; the full shards x residency
-// matrix lives in ShardScanMatrix below.)
-TEST(ShardPipeline, ParallelScanMatchesSequential) {
-  const ScenarioConfig config =
-      scenario_config(Year::Y2015, kShardTestScale);
-  test::ScratchDir tmp;
-  io::ShardedDataset store = stream_and_open(config, tmp.path / "store", 16);
-
-  const std::vector<report::Table> sequential = scan_battery(store, 0);
-  const std::vector<report::Table> parallel = scan_battery(store, 4);
-  ASSERT_EQ(parallel.size(), sequential.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(report::to_canonical_json(parallel[i]),
-              report::to_canonical_json(sequential[i]))
-        << sequential[i].id;
-  }
-}
-
 // The full determinism matrix: the battery's canonical JSON scanned out
 // of core must byte-match the in-memory registry rendering at every
-// shard count x residency budget, and so must the Fig 6-8 ratio profiles and the AP
-// classification (the thread dimension comes from the
+// shard count, and so must the Fig 6-8 ratio profiles and the AP
+// classification. The thread dimension comes from the
 // shard_scan_threads{1,4} ctest entries re-running this suite under
-// TOKYONET_THREADS).
+// TOKYONET_THREADS; residency is one shard at every point.
 TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
   const ScenarioConfig config =
       scenario_config(Year::Y2015, kShardTestScale);
@@ -637,32 +585,27 @@ TEST(ShardScanMatrix, BatteryByteIdenticalAcrossShardsAndResidency) {
     test::ScratchDir tmp;
     io::ShardedDataset store =
         stream_and_open(config, tmp.path / "store", shards);
-    for (const std::size_t k : {std::size_t{0}, std::size_t{1},
-                                std::size_t{2}, std::size_t{4}}) {
-      const std::vector<report::Table> tables = scan_battery(store, k);
-      ASSERT_EQ(tables.size(), 6u) << "shards=" << shards << " K=" << k;
-      for (const report::Table& t : tables) {
-        const report::FigureSpec* spec = registry.find(t.id);
-        ASSERT_NE(spec, nullptr) << t.id;
-        EXPECT_EQ(report::to_canonical_json(t),
-                  report::to_canonical_json(runner.run(*spec, Year::Y2015)))
-            << t.id << " shards=" << shards << " K=" << k;
-      }
-      if (k > 1) continue;
-      const std::string where =
-          "shards=" + std::to_string(shards) + " K=" + std::to_string(k);
-      const analysis::query::ShardedSource src(store, k);
-      EXPECT_TRUE(analysis::compute_wifi_ratios(src, mem.days(),
-                                                mem.classifier()) ==
-                  mem_ratios)
-          << where;
-      const analysis::ApClassification cls = analysis::classify_aps(src);
-      EXPECT_EQ(cls.ap_class, mem_cls.ap_class) << where;
-      EXPECT_EQ(cls.associated, mem_cls.associated) << where;
-      EXPECT_EQ(cls.is_office, mem_cls.is_office) << where;
-      EXPECT_EQ(cls.is_mobile, mem_cls.is_mobile) << where;
-      EXPECT_EQ(cls.home_ap_of_device, mem_cls.home_ap_of_device) << where;
+    const std::string where = "shards=" + std::to_string(shards);
+    const std::vector<report::Table> tables = scan_battery(store);
+    ASSERT_EQ(tables.size(), 6u) << where;
+    for (const report::Table& t : tables) {
+      const report::FigureSpec* spec = registry.find(t.id);
+      ASSERT_NE(spec, nullptr) << t.id;
+      EXPECT_EQ(report::to_canonical_json(t),
+                report::to_canonical_json(runner.run(*spec, Year::Y2015)))
+          << t.id << " " << where;
     }
+    const analysis::query::ShardedSource src(store);
+    EXPECT_TRUE(analysis::compute_wifi_ratios(src, mem.days(),
+                                              mem.classifier()) ==
+                mem_ratios)
+        << where;
+    const analysis::ApClassification cls = analysis::classify_aps(src);
+    EXPECT_EQ(cls.ap_class, mem_cls.ap_class) << where;
+    EXPECT_EQ(cls.associated, mem_cls.associated) << where;
+    EXPECT_EQ(cls.is_office, mem_cls.is_office) << where;
+    EXPECT_EQ(cls.is_mobile, mem_cls.is_mobile) << where;
+    EXPECT_EQ(cls.home_ap_of_device, mem_cls.home_ap_of_device) << where;
   }
 }
 

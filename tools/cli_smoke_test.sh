@@ -96,7 +96,10 @@ echo "ok: report --shard-dir == report --year, byte for byte"
 # ratio scan included), and a longitudinal figure is rejected with 2 (it
 # spans several campaigns; a store holds one).
 expect 0 "${tokyonet}" fig run table01 --shard-dir "${tmp}/shards"
-expect 0 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards" \
+expect 0 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards"
+# A scan holds one shard and takes no residency count: --resident-shards
+# is an unknown flag.
+expect 2 "${tokyonet}" fig run fig12 --shard-dir "${tmp}/shards" \
     --resident-shards 2
 expect 0 "${tokyonet}" fig run fig06 --shard-dir "${tmp}/shards"
 expect 2 "${tokyonet}" fig run table03 --shard-dir "${tmp}/shards"

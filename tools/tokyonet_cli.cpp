@@ -7,18 +7,15 @@
 //
 //   tokyonet fig run <id> [--year Y] [--scale S] [--seed N]
 //                    [--format text|csv|json] [--shard-dir DIR]
-//                    [--resident-shards K]
 //       Render one registered reproduction. Without --year a per-year
 //       figure is stacked over all its paper years; longitudinal
 //       figures take no --year. With --shard-dir the campaign comes
 //       from a sharded store instead of simulation, and the figure
-//       scans it shard by shard with bounded memory (--resident-shards
-//       below); only the store's campaign year renders, and a
-//       longitudinal figure spans several campaigns and is rejected
-//       with exit 2.
+//       scans it one shard at a time; only the store's campaign year
+//       renders, and a longitudinal figure spans several campaigns and
+//       is rejected with exit 2.
 //
 //   tokyonet fig all [--format text|csv|json] [--shard-dir DIR]
-//                    [--resident-shards K]
 //   tokyonet fig all --update-goldens [--goldens DIR]
 //   tokyonet fig all --check-goldens [--goldens DIR]
 //       Render the whole catalog, or write / byte-compare the golden
@@ -29,16 +26,12 @@
 //   tokyonet simulate --year 2015 [--scale S] [--seed N] --out DIR
 //       Simulate a campaign and export it as CSV (observable data only).
 //
-//   tokyonet report (--in DIR | --shard-dir DIR [--resident-shards K]
-//                    | --year Y [--scale S])
+//   tokyonet report (--in DIR | --shard-dir DIR | --year Y [--scale S])
 //       Print the headline reproductions for a dataset through the
 //       figure registry (Table 1/4, user types, offload opportunity,
 //       and for 2015 the update event). --shard-dir scans a sharded
-//       campaign store with bounded memory: --resident-shards K
-//       (default 1, or TOKYONET_RESIDENT_SHARDS) pipelines the scan
-//       with at most K+1 shards resident — 0 restores the strict
-//       one-shard-at-a-time scan. The output is byte-identical at
-//       every K, and to `report --year` over the same campaign.
+//       campaign store one shard at a time; the output is
+//       byte-identical to `report --year` over the same campaign.
 //
 //   tokyonet years [--scale S]
 //       Headline report for all three campaigns plus the longitudinal
@@ -58,9 +51,9 @@
 //   tokyonet snapshot shard --year Y [--scale S] [--seed N] --out DIR
 //                           [--shards N]
 //       Stream a campaign simulation into a sharded store
-//       (io/shard_store.h) without ever materializing it: block i+1
-//       simulates while block i serializes, so peak memory is two
-//       shards and million-device campaigns fit in a few GB. --shards 0
+//       (io/shard_store.h) without ever materializing it: each block
+//       is written before the next one simulates, so peak memory is one
+//       shard and million-device campaigns fit in a few GB. --shards 0
 //       sizes shards automatically (2048 devices each).
 //
 //   tokyonet ingest serve --port P [--host H] [--shards N] [--shed]
@@ -145,10 +138,6 @@ struct Args {
   std::string in_dir;
   std::string out_dir;
   std::string shard_dir;
-  // The K of DESIGN.md §5j: 0 = strict sequential shard scan, 1 =
-  // prefetch one shard ahead, K >= 2 = scan K shards concurrently.
-  // Defaults from TOKYONET_RESIDENT_SHARDS; --resident-shards overrides.
-  std::size_t resident_shards = io::resident_shards_from_env(1);
 
   // fig flags
   std::string figure_id;
@@ -175,16 +164,15 @@ int usage() {
                "usage:\n"
                "  tokyonet fig list [--ids]\n"
                "  tokyonet fig run <id> [--year Y] [--scale S] [--seed N] "
-               "[--format text|csv|json] [--shard-dir DIR] "
-               "[--resident-shards K]\n"
+               "[--format text|csv|json] [--shard-dir DIR]\n"
                "  tokyonet fig all [--format text|csv|json] "
-               "[--shard-dir DIR] [--resident-shards K]\n"
+               "[--shard-dir DIR]\n"
                "  tokyonet fig all --update-goldens|--check-goldens "
                "[--goldens DIR]\n"
                "  tokyonet simulate --year 2013|2014|2015 [--scale S] "
                "[--seed N] --out DIR\n"
-               "  tokyonet report (--in DIR | --shard-dir DIR "
-               "[--resident-shards K] | --year Y [--scale S])\n"
+               "  tokyonet report (--in DIR | --shard-dir DIR | --year Y "
+               "[--scale S])\n"
                "  tokyonet years [--scale S]\n"
                "  tokyonet snapshot save --year Y [--scale S] [--seed N] "
                "--out FILE\n"
@@ -321,14 +309,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (v == nullptr) return false;
       args.shard_dir = v;
-    } else if (flag == "--resident-shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      int k = 0;
-      if (!parse_count_flag("--resident-shards", v, 0, INT_MAX, k)) {
-        return false;
-      }
-      args.resident_shards = static_cast<std::size_t>(k);
     } else if (flag == "--format") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -425,7 +405,7 @@ int snapshot_failure_code(const std::string& path, const std::string& error) {
 // a query::ShardedSource the figures scan with bounded memory, and
 // reports its year. Returns kExitOk or the exit code to fail with.
 int adopt_shard_dir(report::Runner& runner, const std::string& dir,
-                    std::size_t resident_shards, Year& out_year) {
+                    Year& out_year) {
   io::ShardManifest m;
   const io::SnapshotResult r = io::read_shard_manifest(dir, m);
   if (!r.ok()) {
@@ -439,7 +419,7 @@ int adopt_shard_dir(report::Runner& runner, const std::string& dir,
     return kExitVerify;
   }
   const io::SnapshotResult a =
-      runner.adopt_shards_out_of_core(*year, dir, resident_shards);
+      runner.adopt_shards_out_of_core(*year, dir);
   if (!a.ok()) {
     std::fprintf(stderr, "shard store: %s\n", a.error.c_str());
     return snapshot_failure_code(dir, a.error);
@@ -531,8 +511,7 @@ int cmd_fig_run(const Args& args) {
   report::Runner runner(runner_options(args));
   if (!args.shard_dir.empty()) {
     Year store_year;
-    const int rc = adopt_shard_dir(runner, args.shard_dir,
-                                   args.resident_shards, store_year);
+    const int rc = adopt_shard_dir(runner, args.shard_dir, store_year);
     if (rc != kExitOk) return rc;
     if (year && *year != store_year) {
       // The other years would have to be simulated in memory, defeating
@@ -588,8 +567,7 @@ int cmd_fig_all(const Args& args) {
   std::optional<Year> store_year;
   if (!args.shard_dir.empty()) {
     Year y;
-    const int rc =
-        adopt_shard_dir(runner, args.shard_dir, args.resident_shards, y);
+    const int rc = adopt_shard_dir(runner, args.shard_dir, y);
     if (rc != kExitOk) return rc;
     store_year = y;
   }
@@ -680,8 +658,7 @@ int cmd_report(const Args& args) {
   report::Runner runner(runner_options(args));
   Year year;
   if (!args.shard_dir.empty()) {
-    const int rc =
-        adopt_shard_dir(runner, args.shard_dir, args.resident_shards, year);
+    const int rc = adopt_shard_dir(runner, args.shard_dir, year);
     if (rc != kExitOk) return rc;
   } else if (!args.in_dir.empty()) {
     Dataset ds;
